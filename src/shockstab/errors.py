@@ -31,7 +31,3 @@ class DifferentiationError(ShockStabError):
 
 class NoExponentialStageError(ShockStabError):
     """Monitor series has no window with a clean log-linear fit."""
-
-
-class ConfigError(ShockStabError):
-    """Experiment configuration is malformed."""

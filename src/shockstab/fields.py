@@ -6,7 +6,7 @@ Interior indices are 0-based internally; serialized output and problem
 metadata (shock column) use the 1-based cell numbering of the test problem.
 """
 
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 

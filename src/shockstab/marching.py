@@ -1,14 +1,14 @@
 """Semi-discrete residual, SSP-RK3 stepping, perturbation experiments and
 exponential growth-rate fitting."""
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import euler, fields, reconstruction, riemann
+from . import euler, reconstruction, riemann
 from .errors import InvalidStateError, NoExponentialStageError
-from .euler import GasModel, X_FACE, Y_FACE
-from .fields import MeanField, NG, apply_boundaries, shock_face_masks
+from .euler import X_FACE, Y_FACE
+from .fields import MeanField, apply_boundaries, shock_face_masks
 from .scheme import Scheme
 
 
@@ -45,52 +45,43 @@ class GrowthFit:
     r2: float
 
 
-def _direction_flux(field: MeanField, axis: str, scheme: Scheme, cap_masks,
-                    Xpad=None):
-    """Numerical fluxes on all faces of one orientation, plus fallback count."""
-    solver, _ = scheme.per_direction(axis)
-    cfg = scheme.recon_config(axis)
-    cap_cfg = scheme.cap_config(axis)
-    windows = (
-        reconstruction.x_face_windows if axis == "x" else reconstruction.y_face_windows
-    )
-    frame = X_FACE if axis == "x" else Y_FACE
-    winL, winR = windows(field.U, field.nx, field.ny)
-    XwinL = XwinR = None
-    if Xpad is not None:
-        XwinL, XwinR = windows(Xpad, field.nx, field.ny)
-    cap_mask = cap_masks["x" if axis == "x" else "y"] if cap_cfg is not None else None
-    recon = reconstruction.reconstruct_pair(
-        winL, winR, cfg, field.gas, frame, cap_cfg=cap_cfg, cap_mask=cap_mask,
-        XwinL=XwinL, XwinR=XwinR,
-    )
-    flux = riemann.compute_flux(
-        solver, recon.WL, recon.WR, frame, field.gas, scheme.smoothing()
-    )
-    return flux, int(recon.fallback.sum())
+def face_reconstructions(field: MeanField, scheme: Scheme):
+    """Yield (axis, solver, frame, FaceRecon) for the x faces and, unless the
+    field is a single row, the y faces; ghosts must already be filled.
 
-
-def rhs(field: MeanField, scheme: Scheme, info: dict | None = None) -> np.ndarray:
-    """Semi-discrete residual dU/dt on the interior cells, ghosts refilled."""
-    apply_boundaries(field)
-    cap_masks = {}
-    if scheme.cap != "none":
-        mx, my = shock_face_masks(field)
-        cap_masks = {"x": mx, "y": my}
-    # the padded field is converted to the reconstruction space once and
-    # windowed per direction (characteristic projections stay face-local)
+    The padded field is converted to the reconstruction space once and
+    windowed per direction (characteristic projections stay face-local).
+    """
     Xpad = None
     if scheme.space == "primitive":
         Xpad = euler.cons_to_prim(field.U, field.gas, "padded field")
-    fx, nfb_x = _direction_flux(field, "x", scheme, cap_masks, Xpad)
-    res = -(fx[1:] - fx[:-1]) / field.h
+    cap_masks = shock_face_masks(field) if scheme.cap != "none" else (None, None)
     # a single-row periodic field has identical j+1/2 and j-1/2 fluxes
-    nfb_y = 0
-    if field.ny > 1:
-        fy, nfb_y = _direction_flux(field, "y", scheme, cap_masks, Xpad)
-        res -= (fy[:, 1:] - fy[:, :-1]) / field.h
-    if info is not None:
-        info["fallback_faces"] = info.get("fallback_faces", 0) + nfb_x + nfb_y
+    axes = ("x", "y") if field.ny > 1 else ("x",)
+    for axis, cap_mask in zip(axes, cap_masks):
+        solver, _ = scheme.per_direction(axis)
+        if axis == "x":
+            windows, frame = reconstruction.x_face_windows, X_FACE
+        else:
+            windows, frame = reconstruction.y_face_windows, Y_FACE
+        winL, winR = windows(field.U, field.nx, field.ny)
+        XwinL, XwinR = (None, None) if Xpad is None else windows(Xpad, field.nx, field.ny)
+        recon = reconstruction.reconstruct_pair(
+            winL, winR, scheme.recon_config(axis), field.gas, frame,
+            cap_cfg=scheme.cap_config(axis), cap_mask=cap_mask, XwinL=XwinL, XwinR=XwinR,
+        )
+        yield axis, solver, frame, recon
+
+
+def rhs(field: MeanField, scheme: Scheme) -> np.ndarray:
+    """Semi-discrete residual dU/dt on the interior cells, ghosts refilled."""
+    apply_boundaries(field)
+    res = np.zeros(field.interior().shape)
+    for axis, solver, frame, recon in face_reconstructions(field, scheme):
+        flux = riemann.compute_flux(
+            solver, recon.WL, recon.WR, frame, field.gas, scheme.smoothing()
+        )
+        res -= np.diff(flux, axis=0 if axis == "x" else 1) / field.h
     return res
 
 
@@ -101,15 +92,14 @@ def cfl_dt(field: MeanField, cfl: float) -> float:
     return cfl * field.h / float(speed.max())
 
 
-def step_ssprk3(field: MeanField, dt: float, scheme: Scheme,
-                info: dict | None = None) -> MeanField:
+def step_ssprk3(field: MeanField, dt: float, scheme: Scheme) -> MeanField:
     """Three-stage SSP Runge-Kutta update; returns a new field."""
     u0 = field.interior().copy()
     work = field.copy()
 
     def stage(prev_interior):
         work.interior()[...] = prev_interior
-        return prev_interior + dt * rhs(work, scheme, info)
+        return prev_interior + dt * rhs(work, scheme)
 
     u1 = stage(u0)
     u2 = 0.75 * u0 + 0.25 * stage(u1)
@@ -136,13 +126,12 @@ def transverse_velocity_norm(field: MeanField) -> float:
     return float(np.abs(v).max())
 
 
-def march(field: MeanField, run: RunConfig, info: dict | None = None):
+def march(field: MeanField, run: RunConfig):
     """Advance a perturbed field to the end time, sampling ||v||_inf each step.
 
     Returns (MonitorSeries, final field).  A NaN or invalid state flags a
     collapse (with its time) instead of raising.
     """
-    info = info if info is not None else {}
     state = inject_perturbation(field, run.amplitude, run.seed)
     t = 0.0
     times = [t]
@@ -152,7 +141,7 @@ def march(field: MeanField, run: RunConfig, info: dict | None = None):
     while t < run.end_time:
         dt = min(cfl_dt(state, run.cfl), run.end_time - t)
         try:
-            state = step_ssprk3(state, dt, run.scheme, info)
+            state = step_ssprk3(state, dt, run.scheme)
         except InvalidStateError:
             collapsed = True
             collapse_time = t + dt
@@ -166,7 +155,6 @@ def march(field: MeanField, run: RunConfig, info: dict | None = None):
         vmax.append(transverse_velocity_norm(state))
         if run.amplitude > 0 and vmax[-1] > run.stop_level:
             break
-    info["steps"] = len(times) - 1
     series = MonitorSeries(
         t=np.array(times), vmax=np.array(vmax), collapsed=collapsed,
         collapse_time=collapse_time,

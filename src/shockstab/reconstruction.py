@@ -21,8 +21,6 @@ from . import euler
 from .euler import FaceFrame, GasModel
 
 LINEAR_WEIGHTS = np.array([0.1, 0.6, 0.3])
-L_OFFSETS = (-2, -1, 0, 1, 2)  # lin_L slot -> cell offset from the face's left cell
-R_OFFSETS = (-1, 0, 1, 2, 3)
 
 VALID_KINDS = ("first", "muscl", "weno5", "eno3")
 VALID_SPACES = ("conservative", "primitive", "characteristic")
@@ -37,7 +35,6 @@ class ReconConfig:
     weno_variant: str = "z"  # js | z
     space: str = "primitive"
     eps: float = 1e-15
-    char_average: str = "arithmetic"  # arithmetic | roe
     force_linear_weights: bool = False
 
     def __post_init__(self):
@@ -65,7 +62,6 @@ def config_for_cap(cap: str, base: ReconConfig) -> ReconConfig:
         weno_variant=base.weno_variant,
         space=base.space,
         eps=base.eps,
-        char_average=base.char_average,
         force_linear_weights=base.force_linear_weights,
     )
 
@@ -143,10 +139,6 @@ def _weno_lin_coeffs(om) -> np.ndarray:
     return lin
 
 
-def van_albada(r) -> np.ndarray:
-    return (r * r + r) / (r * r + 1.0)
-
-
 def _muscl_left(win):
     """MUSCL/van Albada left state on the middle three window slots.
 
@@ -193,61 +185,6 @@ def _left_state(win, cfg: ReconConfig):
     return value, _weno_lin_coeffs(om), om
 
 
-def first_order_left_state(win) -> np.ndarray:
-    win, scalar = _with_comp_axis(win)
-    value = win[..., 2, :].copy()
-    return value[0] if scalar else value
-
-
-def muscl_left_state(win3) -> np.ndarray:
-    """Left state from a plain 3-window (cells i-1, i, i+1)."""
-    win3 = np.asarray(win3, dtype=float)
-    scalar = win3.ndim == 1
-    if scalar:
-        win3 = win3[:, None]
-    pad = np.zeros(win3.shape[:-2] + (5,) + win3.shape[-1:])
-    pad[..., 1:4, :] = win3
-    value = _muscl_left(pad)[0]
-    return value[0] if scalar else value
-
-
-def weno5_left_state(win, cfg: ReconConfig | None = None):
-    """Left state of a 5-window plus the nonlinear weights used."""
-    cfg = cfg or ReconConfig()
-    win, scalar = _with_comp_axis(win)
-    value, _, om = _left_state(win, cfg)
-    if scalar:
-        return value[0], om[:, 0]
-    return value, om
-
-
-def weno5_right_state(win, cfg: ReconConfig | None = None):
-    """Right state at the face left of the window's center cell (mirror)."""
-    cfg = cfg or ReconConfig()
-    win, scalar = _with_comp_axis(win)
-    value, _, om = _left_state(win[..., ::-1, :], cfg)
-    if scalar:
-        return value[0], om[:, 0]
-    return value, om
-
-
-def _roe_average_primitive(WL, WR, gas: GasModel):
-    sl = np.sqrt(WL[..., 0])
-    sr = np.sqrt(WR[..., 0])
-    w = sl / (sl + sr)
-    u = w * WL[..., 1] + (1 - w) * WR[..., 1]
-    v = w * WL[..., 2] + (1 - w) * WR[..., 2]
-    g1 = gas.gamma - 1.0
-    cl2 = gas.gamma * WL[..., 3] / WL[..., 0]
-    cr2 = gas.gamma * WR[..., 3] / WR[..., 0]
-    hl = cl2 / g1 + 0.5 * (WL[..., 1] ** 2 + WL[..., 2] ** 2)
-    hr = cr2 / g1 + 0.5 * (WR[..., 1] ** 2 + WR[..., 2] ** 2)
-    h = w * hl + (1 - w) * hr
-    c2 = g1 * (h - 0.5 * (u * u + v * v))
-    rho = sl * sr
-    return np.stack([rho, u, v, rho * c2 / gas.gamma], axis=-1)
-
-
 def _prim_soft(U, gas: GasModel):
     """Primitive conversion without raising; returns (W, valid mask)."""
     rho = U[..., 0]
@@ -264,19 +201,15 @@ def _prim_soft(U, gas: GasModel):
 class FaceRecon:
     """Reconstructed pair at a batch of faces plus the frozen linearization.
 
-    WL/WR are always primitive (ready for flux evaluation); XL/XR live in the
-    configured reconstruction space and are the states the flux is
-    differentiated against when assembling the stability matrix.
+    WL/WR are always primitive (ready for flux evaluation); lin_L/lin_R act
+    on the windows in the configured reconstruction space, which for the
+    characteristic space is the projection by Lmat (inverse Rmat).
     """
 
     WL: np.ndarray
     WR: np.ndarray
-    XL: np.ndarray
-    XR: np.ndarray
     lin_L: np.ndarray
     lin_R: np.ndarray
-    weights_L: np.ndarray | None
-    weights_R: np.ndarray | None
     Lmat: np.ndarray | None
     Rmat: np.ndarray | None
     space: str
@@ -299,7 +232,8 @@ def reconstruct_pair(
     ``cap_mask`` selects faces whose order is capped (near-shock treatment);
     those faces are re-reconstructed with ``cap_cfg`` and spliced in.
     ``XwinL``/``XwinR`` optionally carry the same windows already converted
-    to the reconstruction space (an optimization for whole-field sweeps).
+    to primitive variables, so a whole-field sweep converts each cell once;
+    the other spaces ignore them.
     """
     winL_U = np.asarray(winL_U, dtype=float)
     winR_U = np.asarray(winR_U, dtype=float)
@@ -307,42 +241,33 @@ def reconstruct_pair(
     if cap_mask is not None and np.any(cap_mask):
         sub = _reconstruct_pair_one(
             winL_U[cap_mask], winR_U[cap_mask], cap_cfg, gas, frame,
-            None if XwinL is None or cap_cfg.space != cfg.space else XwinL[cap_mask],
-            None if XwinR is None or cap_cfg.space != cfg.space else XwinR[cap_mask],
+            None if XwinL is None else XwinL[cap_mask],
+            None if XwinR is None else XwinR[cap_mask],
         )
-        for name in ("WL", "WR", "XL", "XR", "lin_L", "lin_R"):
+        for name in ("WL", "WR", "lin_L", "lin_R"):
             getattr(recon, name)[cap_mask] = getattr(sub, name)
-        if recon.weights_L is not None:
-            blank = np.full((3, winL_U.shape[-1]), np.nan)
-            recon.weights_L[cap_mask] = sub.weights_L if sub.weights_L is not None else blank
-            recon.weights_R[cap_mask] = sub.weights_R if sub.weights_R is not None else blank
         recon.fallback[cap_mask] = sub.fallback
     return recon
 
 
 def _reconstruct_pair_one(winL_U, winR_U, cfg, gas, frame, XwinL=None, XwinR=None):
     Lmat = Rmat = None
-    if XwinL is not None and cfg.space != "characteristic":
-        pass
-    elif cfg.space == "conservative":
-        XwinL, XwinR = winL_U, winR_U
-    elif cfg.space == "primitive":
-        XwinL = euler.cons_to_prim(winL_U, gas, "reconstruction window")
-        XwinR = euler.cons_to_prim(winR_U, gas, "reconstruction window")
-    else:
+    if cfg.space == "characteristic":
         W_l = euler.cons_to_prim(winL_U[..., 2, :], gas, "face-left cell")
         W_r = euler.cons_to_prim(winR_U[..., 2, :], gas, "face-right cell")
-        if cfg.char_average == "roe":
-            W_eval = _roe_average_primitive(W_l, W_r, gas)
-        else:
-            W_eval = 0.5 * (W_l + W_r)
+        W_eval = 0.5 * (W_l + W_r)
         Lmat = euler.left_eigen_matrix(W_eval, frame, gas)
         Rmat = euler.right_eigen_matrix(W_eval, frame, gas)
         XwinL = np.einsum("...ab,...wb->...wa", Lmat, winL_U)
         XwinR = np.einsum("...ab,...wb->...wa", Lmat, winR_U)
+    elif cfg.space == "conservative":
+        XwinL, XwinR = winL_U, winR_U
+    elif XwinL is None:
+        XwinL = euler.cons_to_prim(winL_U, gas, "reconstruction window")
+        XwinR = euler.cons_to_prim(winR_U, gas, "reconstruction window")
 
-    XL, lin_L, om_L = _left_state(XwinL, cfg)
-    XR, lin_Rm, om_R = _left_state(XwinR[..., ::-1, :], cfg)
+    XL, lin_L, _ = _left_state(XwinL, cfg)
+    XR, lin_Rm, _ = _left_state(XwinR[..., ::-1, :], cfg)
     lin_R = lin_Rm[..., ::-1, :].copy()
 
     if cfg.space == "conservative":
@@ -358,20 +283,18 @@ def _reconstruct_pair_one(winL_U, winR_U, cfg, gas, frame, XwinL=None, XwinR=Non
 
     fallback = ~(okL & okR)
     if np.any(fallback):
-        # drop to first order at the offending faces, in the same space
-        sub = ReconConfig(kind="first", space=cfg.space, weno_variant=cfg.weno_variant,
-                          eps=cfg.eps, char_average=cfg.char_average)
-        XLf, linLf, _ = _left_state(XwinL[fallback], sub)
-        XRm, linRm, _ = _left_state(XwinR[fallback][..., ::-1, :], sub)
-        XL[fallback], lin_L[fallback] = XLf, linLf
-        XR[fallback], lin_R[fallback] = XRm, linRm[..., ::-1, :]
+        # drop to first order at the offending faces: both states are the
+        # adjacent cell means, the middle slot of either window
+        first = np.zeros(lin_L.shape[-2:])
+        first[2] = 1.0
+        lin_L[fallback] = first
+        lin_R[fallback] = first
         WL[fallback] = euler.cons_to_prim(winL_U[fallback][..., 2, :], gas, "fallback")
         WR[fallback] = euler.cons_to_prim(winR_U[fallback][..., 2, :], gas, "fallback")
 
     return FaceRecon(
-        WL=WL, WR=WR, XL=XL, XR=XR,
+        WL=WL, WR=WR,
         lin_L=lin_L, lin_R=lin_R,
-        weights_L=om_L, weights_R=om_R,
         Lmat=Lmat, Rmat=Rmat,
         space=cfg.space, fallback=fallback,
     )
@@ -392,16 +315,3 @@ def y_face_windows(Upad: np.ndarray, nx: int, ny: int):
     winL = np.moveaxis(sw[3 : 3 + nx, : ny + 1], -1, -2)
     winR = np.moveaxis(sw[3 : 3 + nx, 1 : ny + 2], -1, -2)
     return winL, winR
-
-
-def reconstruct_face(field, face, cfg: ReconConfig, gas: GasModel) -> FaceRecon:
-    """Reconstruct a single face; ``face`` is ('x'|'y', k, j) with 0-based
-    face index k along the direction and row/column index j across it."""
-    axis, k, j = face
-    if axis == "x":
-        winL, winR = x_face_windows(field.U, field.nx, field.ny)
-        frame = euler.X_FACE
-    else:
-        winL, winR = y_face_windows(field.U, field.nx, field.ny)
-        frame = euler.Y_FACE
-    return reconstruct_pair(winL[k, j], winR[k, j], cfg, gas, frame)

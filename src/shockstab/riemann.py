@@ -1,5 +1,6 @@
 """Interface flux functions: Roe (with eigenvalue smoothing), HLL, HLLC,
-van Leer flux-vector splitting, and the direction-hybrid selector.
+van Leer flux-vector splitting, and the (solver, order) parts of the
+direction hybrids.
 
 All solvers take primitive left/right states of shape (..., 4), broadcast
 over leading axes, and return the numerical flux normal to the face.
@@ -198,33 +199,12 @@ def van_leer_flux(WL, WR, frame: FaceFrame, gas: GasModel) -> np.ndarray:
     return split(WL, +1.0) + split(WR, -1.0)
 
 
-def solver_function(kind: str):
-    try:
-        return {
-            "roe": roe_flux,
-            "hll": hll_flux,
-            "hllc": hllc_flux,
-            "van_leer": van_leer_flux,
-        }[kind]
-    except KeyError:
-        raise ValueError(f"unknown solver kind {kind!r}") from None
-
-
 def compute_flux(kind: str, WL, WR, frame: FaceFrame, gas: GasModel,
                  sm: SmoothingConfig | None = None) -> np.ndarray:
     if kind == "roe":
         return roe_flux(WL, WR, frame, gas, sm or SmoothingConfig())
-    return solver_function(kind)(WL, WR, frame, gas)
-
-
-def hybrid_flux(kind: str, orientation: str, pairs_by_order, frame: FaceFrame,
-                gas: GasModel, sm: SmoothingConfig | None = None) -> np.ndarray:
-    """Dispatch a hybrid scheme on one face.
-
-    ``orientation`` is 'normal' (face normal along the shock normal, i.e. an
-    i+1/2 face) or 'transverse' (a j+1/2 face).  ``pairs_by_order`` maps the
-    reconstruction order to its (WL, WR) pair at this face.
-    """
-    solver, order = HYBRID_PARTS[kind][orientation]
-    WL, WR = pairs_by_order[order]
-    return compute_flux(solver, WL, WR, frame, gas, sm)
+    try:
+        flux = {"hll": hll_flux, "hllc": hllc_flux, "van_leer": van_leer_flux}[kind]
+    except KeyError:
+        raise ValueError(f"unknown solver kind {kind!r}") from None
+    return flux(WL, WR, frame, gas)

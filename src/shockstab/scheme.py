@@ -7,8 +7,6 @@ transverse faces (y-oriented).
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .reconstruction import ReconConfig, config_for_cap, config_for_order
 from .riemann import HYBRID_PARTS, SOLVER_KINDS, SmoothingConfig
 
@@ -24,7 +22,6 @@ class Scheme:
     cap: str = "none"
     weno_eps: float = 1e-15
     roe_delta0: float = 1e-4
-    char_average: str = "arithmetic"
     force_linear_weights: bool = False
 
     def __post_init__(self):
@@ -53,7 +50,6 @@ class Scheme:
             weno_variant=self.weno_variant,
             space=self.space,
             eps=self.weno_eps,
-            char_average=self.char_average,
             force_linear_weights=self.force_linear_weights,
         )
 
@@ -66,6 +62,13 @@ class Scheme:
         return SmoothingConfig(self.roe_delta0)
 
     def label(self) -> str:
-        if self.is_hybrid:
-            return f"{self.solver}/{self.space}"
-        return f"{self.solver}-o{self.order}-{self.weno_variant}/{self.space}"
+        """e.g. ``roe-o5-z/primitive``; the WENO variant only at fifth order,
+        the near-shock cap whenever one is set."""
+        name = self.solver
+        if not self.is_hybrid:
+            name += f"-o{self.order}"
+            if self.order == 5:
+                name += f"-{self.weno_variant}"
+        if self.cap != "none":
+            name += f"-cap-{self.cap}"
+        return f"{name}/{self.space}"

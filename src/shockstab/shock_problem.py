@@ -6,15 +6,18 @@ square with cell size ``h`` (default 1); eigenvalues and growth rates scale
 as 1/h.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import euler, marching
 from .errors import ConvergenceError
 from .euler import GasModel
-from .fields import BoundarySpec, MeanField, NG, make_field
+from .fields import BoundarySpec, MeanField, make_field
 from .scheme import Scheme
+
+# step budget of the march-and-average fallback of the steady solve
+MAX_FALLBACK_STEPS = 20_000
 
 
 @dataclass(frozen=True)
@@ -24,13 +27,11 @@ class ShockProblemConfig:
     nx: int = 11
     ny: int = 11
     h: float = 1.0
-    cfl: float = 0.1
     gas: GasModel = GasModel(1.4)
     shock_column: int = 6  # 1-based
     rho_left: float = 1.4
     p_left: float = 1.0
     converge_tol: float = 1e-12
-    converge_max_steps: int = 200_000
     converge_cfl: float = 0.4  # pseudo-time step for the steady solve only
 
     def __post_init__(self):
@@ -314,8 +315,7 @@ def converge_1d(cfg: ShockProblemConfig, scheme: Scheme):
         best = np.inf
         stalled_checks = 0
         step = 0
-        max_march = min(cfg.converge_max_steps, 20_000)
-        while step < max_march:
+        while step < MAX_FALLBACK_STEPS:
             if step % check_every == 0:
                 r = marching.rhs(field, scheme)
                 mres = float(np.abs(r[..., 0]).max())
@@ -379,9 +379,3 @@ def project_to_2d(profile: np.ndarray, cfg: ShockProblemConfig) -> MeanField:
         upstream=upstream_state(cfg),
         downstream=downstream_state(cfg),
     )
-
-
-def converged_field(cfg: ShockProblemConfig, scheme: Scheme):
-    """converge_1d + project_to_2d in one call; returns (field, info)."""
-    profile, info = converge_1d(cfg, scheme)
-    return project_to_2d(profile, cfg), info

@@ -1,12 +1,18 @@
 """Assembly and spectral analysis of the linearized perturbation-evolution
-matrix of the semi-discrete scheme around a steady base flow.
+matrix S of the semi-discrete scheme around a steady base flow.
 
 Each face contributes six 4x4 blocks: the flux Jacobians with respect to
 the two reconstructed face states, combined with the frozen-weight
 linearization coefficients of the reconstruction.  Blocks sit at offsets
--2..+3 (along the face normal) from the face's left cell; scattering them
-into the two adjacent cell rows with the face-length/volume factor yields
-rows with up to 13 blocks at fifth order and 5 at first order.
+-2..+3 (along the face normal) from the face's left cell.  ``assemble``
+scatters all of them at once, with the face-length/volume factor and its
+sign for the two adjacent cells, into one sparse CSR matrix: duplicate
+entries are summed and exact zeros dropped, which leaves rows with up to 13
+nonzero blocks at fifth order and 5 at first order.  Row and column
+4*(i*ny + j) + c belong to component c of interior cell (i, j).  Ghost
+cells never appear: inflow ghosts carry no perturbation and outflow ghosts
+fold onto the last column through the pressure-pinned copy.
+``eigensolve`` densifies S on demand.
 
 Variable spaces:
 
@@ -24,11 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
-from . import euler, marching, reconstruction, riemann
+from . import euler, marching, riemann
 from .errors import DifferentiationError, UnsteadyFieldError
-from .euler import GasModel, X_FACE, Y_FACE
-from .fields import MeanField, NG, apply_boundaries, shock_face_masks
+from .euler import GasModel
+from .fields import MeanField, NG, apply_boundaries
 from .reconstruction import FaceRecon
 from .riemann import SmoothingConfig
 from .scheme import Scheme
@@ -36,35 +43,13 @@ from .scheme import Scheme
 
 @dataclass
 class StabilityMatrix:
-    data: np.ndarray  # dense (4N, 4N)
-    blocks: dict  # (row_cell, col_cell) -> 4x4 block, exact zeros pruned
+    matrix: scipy.sparse.csr_array  # (4N, 4N), exact zeros pruned
     nx: int
     ny: int
     space: str
     h: float
     W_mean: np.ndarray  # interior primitive states (nx, ny, 4)
     gas: GasModel
-
-    @property
-    def n_cells(self) -> int:
-        return self.nx * self.ny
-
-    def cell_index(self, i: int, j: int) -> int:
-        return i * self.ny + j
-
-    def block_count(self, i: int, j: int) -> int:
-        row = self.cell_index(i, j)
-        return sum(1 for (r, _) in self.blocks if r == row)
-
-    def coordinate_text(self) -> str:
-        """Nonzero entries as 'row col value' triplets (0-based)."""
-        lines = []
-        for (r, c), blk in sorted(self.blocks.items()):
-            for a in range(4):
-                for b in range(4):
-                    if blk[a, b] != 0.0:
-                        lines.append(f"{4 * r + a} {4 * c + b} {blk[a, b]:.17g}")
-        return "\n".join(lines) + "\n"
 
 
 @dataclass
@@ -148,26 +133,44 @@ def face_blocks(recon: FaceRecon, AL_U, AR_U, gas: GasModel) -> np.ndarray:
     return blocks
 
 
-def _direction_face_blocks(field: MeanField, axis: str, scheme: Scheme, cap_masks):
-    solver, _ = scheme.per_direction(axis)
-    cfg = scheme.recon_config(axis)
-    cap_cfg = scheme.cap_config(axis)
-    if axis == "x":
-        winL, winR = reconstruction.x_face_windows(field.U, field.nx, field.ny)
-        frame = X_FACE
+def _face_triplets(B, axis: str, field: MeanField, T_out):
+    """(row cells, column cells, signs, 4x4 blocks) of one face orientation,
+    once for the cell before the faces and once for the cell after them.
+
+    ``B`` holds the face blocks as ``face_blocks`` returns them.  Face k
+    along the normal lies between interior cells k-1 and k, and its offset
+    o reaches interior cell k+o-NG.  Periodic directions wrap; along a
+    non-periodic x the inflow ghost columns are dropped and the outflow ghost
+    columns fold onto the last column through ``T_out``.
+    """
+    if axis == "y":
+        B = B.swapaxes(0, 1)  # normal face index first
+    n = field.nx if axis == "x" else field.ny
+    periodic = axis == "y" or field.bc.periodic_x
+    if periodic:
+        B = B[:n]  # face n repeats face 0
+    k, t, o = np.indices(B.shape[:3])  # normal face, transverse cell, offset
+    col = k + o - NG
+    keep = periodic | (col >= 0)
+    if periodic:
+        col %= n
     else:
-        winL, winR = reconstruction.y_face_windows(field.U, field.nx, field.ny)
-        frame = Y_FACE
-    cap_mask = cap_masks.get(axis) if cap_cfg is not None else None
-    recon = reconstruction.reconstruct_pair(
-        winL, winR, cfg, field.gas, frame, cap_cfg=cap_cfg, cap_mask=cap_mask
-    )
-    UL = euler.prim_to_cons(recon.WL, field.gas)
-    UR = euler.prim_to_cons(recon.WR, field.gas)
-    AL_U, AR_U = _fd_jacobians_U(
-        solver, UL, UR, frame, field.gas, scheme.smoothing(), label=f"{axis}-face"
-    )
-    return face_blocks(recon, AL_U, AR_U, field.gas), recon
+        ghost = col >= n
+        B[ghost] = B[ghost] @ T_out[t[ghost]]
+        col = np.minimum(col, n - 1)
+
+    def cell(normal, across):
+        return normal * field.ny + across if axis == "x" else across * field.ny + normal
+
+    sigma = 1.0 / field.h
+    parts = []
+    for row, sign in ((k - 1, -sigma), (k, sigma)):
+        if periodic:
+            row = row % n
+        ok = keep & (row >= 0) & (row < n)
+        parts.append((cell(row[ok], t[ok]), cell(col[ok], t[ok]),
+                      np.full(ok.sum(), sign), B[ok]))
+    return parts
 
 
 def assemble(field: MeanField, scheme: Scheme, check_steady: bool = True,
@@ -183,110 +186,49 @@ def assemble(field: MeanField, scheme: Scheme, check_steady: bool = True,
             )
     nx, ny = field.nx, field.ny
     gas = field.gas
-    sigma = 1.0 / field.h
-    space = scheme.space
-
     Wint = field.interior_primitive()
-    M_row = euler.dw_du(Wint, gas) if space == "primitive" else None
 
     T_out = None
     if not field.bc.periodic_x:
-        if space == "primitive":
-            T_out = np.zeros((ny, 4, 4))
-            T_out[:, 0, 0] = T_out[:, 1, 1] = T_out[:, 2, 2] = 1.0
-        else:
+        T_out = np.zeros((ny, 4, 4))
+        T_out[:, 0, 0] = T_out[:, 1, 1] = T_out[:, 2, 2] = 1.0
+        if scheme.space != "primitive":
             W_last = Wint[nx - 1]
-            T_out = np.zeros((ny, 4, 4))
-            T_out[:, 0, 0] = T_out[:, 1, 1] = T_out[:, 2, 2] = 1.0
             T_out[:, 3, 0] = -0.5 * (W_last[:, 1] ** 2 + W_last[:, 2] ** 2)
             T_out[:, 3, 1] = W_last[:, 1]
             T_out[:, 3, 2] = W_last[:, 2]
 
-    cap_masks = {}
-    if scheme.cap != "none":
-        mx, my = shock_face_masks(field)
-        cap_masks = {"x": mx, "y": my}
+    parts = []
+    for axis, solver, frame, recon in marching.face_reconstructions(field, scheme):
+        UL = euler.prim_to_cons(recon.WL, gas)
+        UR = euler.prim_to_cons(recon.WR, gas)
+        AL_U, AR_U = _fd_jacobians_U(
+            solver, UL, UR, frame, gas, scheme.smoothing(), label=f"{axis}-face"
+        )
+        B = face_blocks(recon, AL_U, AR_U, gas)
+        parts += _face_triplets(B, axis, field, T_out)
+    rows, cols, signs, blocks = (np.concatenate(p) for p in zip(*parts))
+    if scheme.space == "primitive":
+        blocks = euler.dw_du(Wint, gas).reshape(-1, 4, 4)[rows] @ blocks
+    blocks = signs[:, None, None] * blocks
 
-    acc: dict[tuple[int, int], np.ndarray] = {}
-
-    def add(row_cell, col_cell, mat):
-        if (row_cell, col_cell) in acc:
-            acc[row_cell, col_cell] += mat
-        else:
-            acc[row_cell, col_cell] = mat.copy()
-
-    def cell(i, j):
-        return i * ny + j
-
-    def resolve_x(xp, j):
-        """Padded x-index -> (interior column, ghost sensitivity) or None."""
-        if NG <= xp < NG + nx:
-            return xp - NG, None
-        if field.bc.periodic_x:
-            return (xp - NG) % nx, None
-        if xp < NG:
-            return None  # inflow ghosts carry no perturbation
-        return nx - 1, T_out[j]
-
-    # x-oriented faces
-    blocks_x, _ = _direction_face_blocks(field, "x", scheme, cap_masks)
-    k_faces = range(nx) if field.bc.periodic_x else range(nx + 1)
-    for k in k_faces:
-        for j in range(ny):
-            rows = []
-            if field.bc.periodic_x:
-                rows = [(cell((k - 1) % nx, j), (k - 1) % nx, -sigma),
-                        (cell(k % nx, j), k % nx, +sigma)]
-            else:
-                if k >= 1:
-                    rows.append((cell(k - 1, j), k - 1, -sigma))
-                if k <= nx - 1:
-                    rows.append((cell(k, j), k, +sigma))
-            for o in range(6):
-                B = blocks_x[k, j, o]
-                if not B.any():
-                    continue
-                col = resolve_x(k + o, j)
-                if col is None:
-                    continue
-                icol, T = col
-                mat = B if T is None else B @ T
-                for row_cell, irow, sgn in rows:
-                    m = mat if M_row is None else M_row[irow, j] @ mat
-                    add(row_cell, cell(icol, j), sgn * m)
-
-    # y-oriented faces (always periodic); a single-row field cancels exactly
-    if ny > 1:
-        blocks_y, _ = _direction_face_blocks(field, "y", scheme, cap_masks)
-        for i in range(nx):
-            for l in range(ny):
-                rows = [(cell(i, (l - 1) % ny), (l - 1) % ny, -sigma),
-                        (cell(i, l % ny), l % ny, +sigma)]
-                for o in range(6):
-                    B = blocks_y[i, l, o]
-                    if not B.any():
-                        continue
-                    # padded y-index l+o maps to interior row (l+o-NG) mod ny
-                    jcol = (l + o - NG) % ny
-                    mat = B
-                    for row_cell, jrow, sgn in rows:
-                        m = mat if M_row is None else M_row[i, jrow] @ mat
-                        add(row_cell, cell(i, jcol), sgn * m)
-
-    blocks = {k: v for k, v in acc.items() if v.any()}
+    comp = np.arange(4)
+    entry_rows = np.broadcast_to(4 * rows[:, None, None] + comp[:, None], blocks.shape)
+    entry_cols = np.broadcast_to(4 * cols[:, None, None] + comp, blocks.shape)
     n = 4 * nx * ny
-    data = np.zeros((n, n))
-    for (r, c), blk in blocks.items():
-        data[4 * r : 4 * r + 4, 4 * c : 4 * c + 4] += blk
+    # tocsr sums the duplicate entries
+    S = scipy.sparse.coo_array(
+        (blocks.ravel(), (entry_rows.ravel(), entry_cols.ravel())), shape=(n, n)
+    ).tocsr()
+    S.eliminate_zeros()
     return StabilityMatrix(
-        data=data, blocks=blocks, nx=nx, ny=ny, space=space, h=field.h,
-        W_mean=Wint, gas=gas,
+        matrix=S, nx=nx, ny=ny, space=scheme.space, h=field.h, W_mean=Wint, gas=gas,
     )
 
 
 def eigensolve(S: StabilityMatrix) -> Spectrum:
     """Full dense spectrum plus the grid-mapped most-unstable eigenvector."""
-    vals, vecs = scipy.linalg.eig(S.data)
+    vals, vecs = scipy.linalg.eig(S.matrix.toarray(), overwrite_a=True)
     k = int(np.argmax(vals.real))
     vec = vecs[:, k]
     pivot = int(np.argmax(np.abs(vec)))

@@ -1,11 +1,10 @@
 """Shared fixtures: converged base flows are expensive, so they are computed
 once per session and cached by (solver, order, space, cap, mach, epsilon)."""
 
-import numpy as np
 import pytest
 
 from shockstab.scheme import Scheme
-from shockstab.shock_problem import ShockProblemConfig, converged_field
+from shockstab.shock_problem import ShockProblemConfig, converge_1d, project_to_2d
 
 
 @pytest.fixture(scope="session")
@@ -19,8 +18,8 @@ def base_flow_cache():
             scheme.weno_variant, cfg.mach, cfg.epsilon, cfg.nx, cfg.ny, cfg.h,
         )
         if key not in cache:
-            field, info = converged_field(cfg, scheme)
-            cache[key] = (field, info)
+            profile, info = converge_1d(cfg, scheme)
+            cache[key] = (project_to_2d(profile, cfg), info)
         field, info = cache[key]
         return field.copy(), info
 

@@ -5,6 +5,7 @@ from shockstab import euler, riemann
 from shockstab.errors import DegenerateFanError
 from shockstab.euler import FaceFrame, GasModel, X_FACE
 from shockstab.riemann import SmoothingConfig
+from shockstab.scheme import Scheme
 
 from test_euler import random_frames, random_states
 
@@ -171,17 +172,25 @@ def test_smooth_abs_properties():
 
 
 def test_hybrid_dispatch():
+    # the program's dispatch: Scheme.per_direction picks (solver, order) per
+    # face orientation, compute_flux evaluates it
     rng = np.random.default_rng(15)
     WL5, WR5 = random_states(rng, 1)[0], random_states(rng, 1)[0]
     WL1, WR1 = random_states(rng, 1)[0], random_states(rng, 1)[0]
     pairs = {5: (WL5, WR5), 1: (WL1, WR1)}
-    F = riemann.hybrid_flux("hybrid-1", "transverse", pairs, X_FACE, GAS)
+    axis_of = {"normal": "x", "transverse": "y"}
+
+    def hybrid(kind, orientation):
+        solver, order = Scheme(solver=kind).per_direction(axis_of[orientation])
+        return riemann.compute_flux(solver, *pairs[order], X_FACE, GAS)
+
+    F = hybrid("hybrid-1", "transverse")
     assert np.allclose(F, riemann.roe_flux(WL5, WR5, X_FACE, GAS))
-    F = riemann.hybrid_flux("hybrid-1", "normal", pairs, X_FACE, GAS)
+    F = hybrid("hybrid-1", "normal")
     assert np.allclose(F, riemann.van_leer_flux(WL1, WR1, X_FACE, GAS))
     # hybrid-2 swaps the branches everywhere
     for orientation in ("normal", "transverse"):
         other = "transverse" if orientation == "normal" else "normal"
-        F1 = riemann.hybrid_flux("hybrid-1", orientation, pairs, X_FACE, GAS)
-        F2 = riemann.hybrid_flux("hybrid-2", other, pairs, X_FACE, GAS)
+        F1 = hybrid("hybrid-1", orientation)
+        F2 = hybrid("hybrid-2", other)
         assert np.allclose(F1, F2)
