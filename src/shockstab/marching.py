@@ -45,9 +45,10 @@ class GrowthFit:
     r2: float
 
 
-def face_reconstructions(field: MeanField, scheme: Scheme):
+def face_reconstructions(field: MeanField, scheme: Scheme, linearise: bool = True):
     """Yield (axis, solver, frame, FaceRecon) for the x faces and, unless the
     field is a single row, the y faces; ghosts must already be filled.
+    ``linearise`` is passed on to ``reconstruct_pair``.
 
     The padded field is converted to the reconstruction space once and
     windowed per direction (characteristic projections stay face-local).
@@ -69,6 +70,7 @@ def face_reconstructions(field: MeanField, scheme: Scheme):
         recon = reconstruction.reconstruct_pair(
             winL, winR, scheme.recon_config(axis), field.gas, frame,
             cap_cfg=scheme.cap_config(axis), cap_mask=cap_mask, XwinL=XwinL, XwinR=XwinR,
+            linearise=linearise,
         )
         yield axis, solver, frame, recon
 
@@ -77,7 +79,7 @@ def rhs(field: MeanField, scheme: Scheme) -> np.ndarray:
     """Semi-discrete residual dU/dt on the interior cells, ghosts refilled."""
     apply_boundaries(field)
     res = np.zeros(field.interior().shape)
-    for axis, solver, frame, recon in face_reconstructions(field, scheme):
+    for axis, solver, frame, recon in face_reconstructions(field, scheme, linearise=False):
         flux = riemann.compute_flux(
             solver, recon.WL, recon.WR, frame, field.gas, scheme.smoothing()
         )

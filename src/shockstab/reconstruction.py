@@ -139,7 +139,7 @@ def _weno_lin_coeffs(om) -> np.ndarray:
     return lin
 
 
-def _muscl_left(win):
+def _muscl_left(win, linearise: bool):
     """MUSCL/van Albada left state on the middle three window slots.
 
     The limited slope phi(r)*dm with r = dp/dm is evaluated in the symmetric
@@ -152,6 +152,8 @@ def _muscl_left(win):
     eta = (1e-12 * (1.0 + np.abs(win[..., 2, :]))) ** 2
     c = (dp * dm + eta) / (dp * dp + dm * dm + 2.0 * eta)
     value = win[..., 2, :] + 0.5 * c * (dp + dm)
+    if not linearise:
+        return value, None
     lin = np.zeros(win.shape)
     lin[..., 1, :] = -0.5 * c
     lin[..., 2, :] = 1.0
@@ -159,15 +161,18 @@ def _muscl_left(win):
     return value, lin
 
 
-def _left_state(win, cfg: ReconConfig):
-    """Reconstructed left state, linearization coefficients, weights (or None)."""
+def _left_state(win, cfg: ReconConfig, linearise: bool = True):
+    """Reconstructed left state, linearization coefficients (None unless
+    ``linearise``), weights (or None)."""
     win = np.asarray(win, dtype=float)
     if cfg.kind == "first":
-        lin = np.zeros(win.shape)
-        lin[..., 2, :] = 1.0
+        lin = None
+        if linearise:
+            lin = np.zeros(win.shape)
+            lin[..., 2, :] = 1.0
         return win[..., 2, :].copy(), lin, None
     if cfg.kind == "muscl":
-        value, lin = _muscl_left(win)
+        value, lin = _muscl_left(win, linearise)
         return value, lin, None
     beta = smoothness_indicators(win)
     if cfg.force_linear_weights:
@@ -182,7 +187,7 @@ def _left_state(win, cfg: ReconConfig):
     else:
         om = weights_z(beta, cfg.eps)
     value = (om * weno5_candidates(win)).sum(axis=-2)
-    return value, _weno_lin_coeffs(om), om
+    return value, _weno_lin_coeffs(om) if linearise else None, om
 
 
 def _prim_soft(U, gas: GasModel):
@@ -203,13 +208,14 @@ class FaceRecon:
 
     WL/WR are always primitive (ready for flux evaluation); lin_L/lin_R act
     on the windows in the configured reconstruction space, which for the
-    characteristic space is the projection by Lmat (inverse Rmat).
+    characteristic space is the projection by Lmat (inverse Rmat).  They are
+    None when the reconstruction was asked for face states only.
     """
 
     WL: np.ndarray
     WR: np.ndarray
-    lin_L: np.ndarray
-    lin_R: np.ndarray
+    lin_L: np.ndarray | None
+    lin_R: np.ndarray | None
     Lmat: np.ndarray | None
     Rmat: np.ndarray | None
     space: str
@@ -226,6 +232,7 @@ def reconstruct_pair(
     cap_mask=None,
     XwinL=None,
     XwinR=None,
+    linearise: bool = True,
 ) -> FaceRecon:
     """Reconstruct both face states from conservative 5-windows.
 
@@ -233,24 +240,28 @@ def reconstruct_pair(
     those faces are re-reconstructed with ``cap_cfg`` and spliced in.
     ``XwinL``/``XwinR`` optionally carry the same windows already converted
     to primitive variables, so a whole-field sweep converts each cell once;
-    the other spaces ignore them.
+    the other spaces ignore them.  ``linearise=False`` skips the frozen-weight
+    coefficients, which only the stability assembly reads; the face states
+    and the fallback mask are the same either way.
     """
     winL_U = np.asarray(winL_U, dtype=float)
     winR_U = np.asarray(winR_U, dtype=float)
-    recon = _reconstruct_pair_one(winL_U, winR_U, cfg, gas, frame, XwinL, XwinR)
+    recon = _reconstruct_pair_one(winL_U, winR_U, cfg, gas, frame, XwinL, XwinR, linearise)
     if cap_mask is not None and np.any(cap_mask):
         sub = _reconstruct_pair_one(
             winL_U[cap_mask], winR_U[cap_mask], cap_cfg, gas, frame,
             None if XwinL is None else XwinL[cap_mask],
             None if XwinR is None else XwinR[cap_mask],
+            linearise,
         )
-        for name in ("WL", "WR", "lin_L", "lin_R"):
+        names = ("WL", "WR", "lin_L", "lin_R") if linearise else ("WL", "WR")
+        for name in names:
             getattr(recon, name)[cap_mask] = getattr(sub, name)
         recon.fallback[cap_mask] = sub.fallback
     return recon
 
 
-def _reconstruct_pair_one(winL_U, winR_U, cfg, gas, frame, XwinL=None, XwinR=None):
+def _reconstruct_pair_one(winL_U, winR_U, cfg, gas, frame, XwinL, XwinR, linearise):
     Lmat = Rmat = None
     if cfg.space == "characteristic":
         W_l = euler.cons_to_prim(winL_U[..., 2, :], gas, "face-left cell")
@@ -266,9 +277,9 @@ def _reconstruct_pair_one(winL_U, winR_U, cfg, gas, frame, XwinL=None, XwinR=Non
         XwinL = euler.cons_to_prim(winL_U, gas, "reconstruction window")
         XwinR = euler.cons_to_prim(winR_U, gas, "reconstruction window")
 
-    XL, lin_L, _ = _left_state(XwinL, cfg)
-    XR, lin_Rm, _ = _left_state(XwinR[..., ::-1, :], cfg)
-    lin_R = lin_Rm[..., ::-1, :].copy()
+    XL, lin_L, _ = _left_state(XwinL, cfg, linearise)
+    XR, lin_Rm, _ = _left_state(XwinR[..., ::-1, :], cfg, linearise)
+    lin_R = lin_Rm[..., ::-1, :].copy() if linearise else None
 
     if cfg.space == "conservative":
         WL, okL = _prim_soft(XL, gas)
@@ -285,10 +296,11 @@ def _reconstruct_pair_one(winL_U, winR_U, cfg, gas, frame, XwinL=None, XwinR=Non
     if np.any(fallback):
         # drop to first order at the offending faces: both states are the
         # adjacent cell means, the middle slot of either window
-        first = np.zeros(lin_L.shape[-2:])
-        first[2] = 1.0
-        lin_L[fallback] = first
-        lin_R[fallback] = first
+        if linearise:
+            first = np.zeros(lin_L.shape[-2:])
+            first[2] = 1.0
+            lin_L[fallback] = first
+            lin_R[fallback] = first
         WL[fallback] = euler.cons_to_prim(winL_U[fallback][..., 2, :], gas, "fallback")
         WR[fallback] = euler.cons_to_prim(winR_U[fallback][..., 2, :], gas, "fallback")
 

@@ -12,7 +12,15 @@ nonzero blocks at fifth order and 5 at first order.  Row and column
 4*(i*ny + j) + c belong to component c of interior cell (i, j).  Ghost
 cells never appear: inflow ghosts carry no perturbation and outflow ghosts
 fold onto the last column through the pressure-pinned copy.
-``eigensolve`` densifies S on demand.
+
+``eigensolve`` takes one of two paths, chosen by a property of S that it
+checks itself.  A base flow uniform along the periodic y direction (every
+projected steady shock) makes S block-circulant in j: the block coupling
+(i, j) to (i', j') depends on j' - j mod ny only.  Then S splits exactly
+into ny Fourier blocks of size 4nx, one per transverse wavenumber, each
+solved densely; this is what makes wide grids affordable, since the dense
+solve of the whole S grows as (nx ny)^3.  Any other S, a field that varies
+along y or a hand-built matrix, is densified and solved whole.
 
 Variable spaces:
 
@@ -60,6 +68,7 @@ class Spectrum:
     eigvec_grid: np.ndarray  # complex (nx, ny, 4), native perturbation space
     eigvec_primitive: np.ndarray  # complex (nx, ny, 4)
     space: str
+    max_real_by_k: np.ndarray | None = None  # (ny,) per transverse wavenumber
 
 
 def _fd_jacobians_U(solver, UL, UR, frame, gas, sm, step=1e-7, label="face"):
@@ -226,14 +235,79 @@ def assemble(field: MeanField, scheme: Scheme, check_steady: bool = True,
     )
 
 
+# S counts as block-circulant when every row matches the first one, shifted,
+# to this fraction of its largest entry: the scatter sums entries in an order
+# that depends on the row, so a y-uniform field gives S circulant only to a
+# few ulps (2.5e-16 measured)
+CIRCULANT_RTOL = 1e-14
+
+
+def _circulant_blocks(S: StabilityMatrix):
+    """Blocks C(d), shape (ny, 4nx, 4nx), of S when S is block-circulant in j.
+
+    C(d) couples cell (i, j) to cell (i', j + d mod ny); it is read from the
+    j = 0 block row.  Returns None unless S matches circ(C) on every row to
+    ``CIRCULANT_RTOL``.
+    """
+    nx, ny = S.nx, S.ny
+    A = S.matrix.tocoo()
+    A.sum_duplicates()
+    cell_r, comp_r = np.divmod(A.row, 4)
+    cell_c, comp_c = np.divmod(A.col, 4)
+    i_r, j_r = np.divmod(cell_r, ny)
+    i_c, j_c = np.divmod(cell_c, ny)
+    d = (j_c - j_r) % ny
+    first = j_r == 0
+    C = np.zeros((ny, 4 * nx, 4 * nx))
+    C[d[first], 4 * i_r[first] + comp_r[first], 4 * i_c[first] + comp_c[first]] = A.data[first]
+    # circ(C) on every row, from the nonzeros of the first one
+    dd, a, b = np.nonzero(C)
+    j = np.arange(ny)[:, None]
+    rows = 4 * ((a // 4) * ny + j) + a % 4
+    cols = 4 * ((b // 4) * ny + (j + dd) % ny) + b % 4
+    circ = scipy.sparse.coo_array(
+        (np.broadcast_to(C[dd, a, b], rows.shape).ravel(), (rows.ravel(), cols.ravel())),
+        shape=A.shape,
+    )
+    scale = np.abs(A.data).max(initial=0.0)
+    if abs(S.matrix - circ).max() > CIRCULANT_RTOL * scale:
+        return None
+    return C
+
+
 def eigensolve(S: StabilityMatrix) -> Spectrum:
-    """Full dense spectrum plus the grid-mapped most-unstable eigenvector."""
-    vals, vecs = scipy.linalg.eig(S.matrix.toarray(), overwrite_a=True)
-    k = int(np.argmax(vals.real))
-    vec = vecs[:, k]
-    pivot = int(np.argmax(np.abs(vec)))
-    vec = vec / vec[pivot]  # deterministic phase and scale
-    grid = vec.reshape(S.nx, S.ny, 4)
+    """Full spectrum plus the grid-mapped most-unstable eigenvector.
+
+    A base flow uniform along the periodic y direction makes S
+    block-circulant in j, which ``_circulant_blocks`` checks on S itself.
+    Then S splits exactly into ny Fourier blocks
+    S^(k) = sum_d C(d) exp(2 pi i k d / ny) of size 4nx, one per transverse
+    wavenumber k: the spectrum is the union of theirs (in block order, not
+    the order of a dense solve), ``max_real_by_k`` holds each block's
+    largest real part, and the eigenvector of the dominant block k* is
+    v^[i] exp(2 pi i k* j / ny).  Any other S (a field that varies along y,
+    a hand-built matrix) gets one dense ``eig`` of the whole matrix and
+    ``max_real_by_k = None``.
+    """
+    C = _circulant_blocks(S)
+    if C is None:
+        vals, vecs = scipy.linalg.eig(S.matrix.toarray(), overwrite_a=True)
+        k = int(np.argmax(vals.real))
+        grid = vecs[:, k].reshape(S.nx, S.ny, 4)
+        by_k = None
+    else:
+        S_hat = S.ny * np.fft.ifft(C, axis=0)
+        block_vals = [scipy.linalg.eigvals(B) for B in S_hat]
+        k_star = int(np.argmax([v.real.max() for v in block_vals]))
+        block_vals[k_star], vecs = scipy.linalg.eig(S_hat[k_star])
+        m = int(np.argmax(block_vals[k_star].real))
+        phase = np.exp(2j * np.pi * k_star * np.arange(S.ny) / S.ny)
+        grid = vecs[:, m].reshape(S.nx, 1, 4) * phase[:, None]
+        vals = np.concatenate(block_vals)
+        k = k_star * 4 * S.nx + m
+        by_k = np.array([v.real.max() for v in block_vals])
+    pivot = np.unravel_index(np.argmax(np.abs(grid)), grid.shape)
+    grid = grid / grid[pivot]  # deterministic phase and scale
     if S.space == "primitive":
         prim = grid.copy()
     else:
@@ -246,6 +320,7 @@ def eigensolve(S: StabilityMatrix) -> Spectrum:
         eigvec_grid=grid,
         eigvec_primitive=prim,
         space=S.space,
+        max_real_by_k=by_k,
     )
 
 

@@ -231,3 +231,28 @@ def test_eno3_picks_single_stencil():
     assert om[0, 0, 0] == 1.0  # smoothest substencil is the left one
     cand = rc.weno5_candidates(w)
     assert np.allclose(val, cand[:, 0], atol=1e-14)
+
+
+@pytest.mark.parametrize("order", [1, 2, 5])
+@pytest.mark.parametrize("space", ["conservative", "primitive", "characteristic"])
+@pytest.mark.parametrize("cap", ["none", "second"])
+def test_face_states_do_not_depend_on_linearise(order, space, cap):
+    # rhs skips the frozen-weight coefficients; the face states and the
+    # positivity fallback must be the very same bits as for the assembly.
+    # In the conservative space the shock's faces hit the fallback
+    from shockstab import fields, marching, shock_problem as sp
+    from shockstab.scheme import Scheme
+
+    field = sp.build_initial_field(sp.ShockProblemConfig(ny=3))
+    fields.apply_boundaries(field)
+    scheme = Scheme(solver="roe", order=order, space=space, cap=cap)
+    fallback_faces = 0
+    for on, off in zip(marching.face_reconstructions(field, scheme),
+                       marching.face_reconstructions(field, scheme, linearise=False)):
+        a, b = on[3], off[3]
+        for name in ("WL", "WR", "fallback"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), (on[0], name)
+        assert a.lin_L is not None and b.lin_L is None and b.lin_R is None
+        fallback_faces += int(a.fallback.sum())
+    if space == "conservative" and (order > 1 or cap == "second"):
+        assert fallback_faces > 0

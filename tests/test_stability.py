@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
+from scipy.optimize import linear_sum_assignment
 
 from shockstab import euler, fields, reconstruction as rc, riemann, shock_problem as sp, stability
 from shockstab.errors import UnsteadyFieldError
@@ -389,7 +391,8 @@ def test_eigensolve_rotation_block():
 
 def test_eigensolve_characteristic_polynomial_oracle():
     # coefficients via Faddeev-LeVerrier (trace recursion), roots via the
-    # companion matrix: an independent route to the same spectrum
+    # companion matrix: an independent route to the same spectrum.  The
+    # random matrix is not block-circulant, so the dense path runs
     rng = np.random.default_rng(45)
     M = rng.standard_normal((8, 8))
     n = M.shape[0]
@@ -401,9 +404,102 @@ def test_eigensolve_characteristic_polynomial_oracle():
         Mk += ck * np.eye(n)
         coeffs.append(ck)
     roots = np.roots(coeffs)
-    vals = np.linalg.eigvals(M)
-    d = np.abs(np.sort_complex(roots) - np.sort_complex(vals)).max()
+    spec = _spectrum_of_matrix(M)
+    assert spec.max_real_by_k is None
+    d = np.abs(np.sort_complex(roots) - np.sort_complex(spec.eigenvalues)).max()
     assert d < 1e-8
+
+
+def _dominant_residual(S, spec):
+    """||S v - lambda v|| / (||v|| max|S|) of the returned dominant pair."""
+    v = spec.eigvec_grid.ravel()
+    r = S.matrix @ v - spec.dominant * v
+    return np.linalg.norm(r) / (np.linalg.norm(v) * np.abs(S.matrix).max())
+
+
+def test_fourier_blocks_give_the_full_spectrum():
+    # S = circ(C(0), ..., C(ny-1)) of random blocks: generically
+    # non-defective, so the whole multiset of eigenvalues is well posed
+    nx, ny = 2, 5
+    rng = np.random.default_rng(49)
+    C = rng.standard_normal((ny, 4 * nx, 4 * nx))
+    A = np.zeros((4 * nx * ny, 4 * nx * ny))
+    for j in range(ny):
+        for d in range(ny):
+            for i in range(nx):
+                for ic in range(nx):
+                    r, c = 4 * (i * ny + j), 4 * (ic * ny + (j + d) % ny)
+                    A[r : r + 4, c : c + 4] = C[d, 4 * i : 4 * i + 4, 4 * ic : 4 * ic + 4]
+    S = stability.StabilityMatrix(
+        matrix=scipy.sparse.csr_array(A), nx=nx, ny=ny, space="conservative", h=1.0,
+        W_mean=np.tile([1.0, 0.0, 0.0, 1.0], (nx, ny, 1)), gas=GAS,
+    )
+    spec = eigensolve(S)
+    assert spec.max_real_by_k.shape == (ny,)
+    # ny is odd, so every block but k = 0 is complex: the residual below then
+    # also checks the phase exp(2 pi i k j / ny) of the grid eigenvector
+    assert int(np.argmax(spec.max_real_by_k)) != 0
+    dense = scipy.linalg.eigvals(A)
+    dist = np.abs(spec.eigenvalues[:, None] - dense[None, :])
+    pair = linear_sum_assignment(dist)
+    assert dist[pair].max() < 1e-12 * np.abs(dense).max()
+    assert spec.max_real == spec.eigenvalues.real.max()
+    assert _dominant_residual(S, spec) < 1e-14
+
+
+@pytest.mark.parametrize("order", [1, 5])
+@pytest.mark.parametrize("space", ["conservative", "primitive", "characteristic"])
+def test_fourier_lambda_max_matches_dense_on_steady_shock(base_flow_cache, order, space):
+    # these spectra are defective (see test_first_order_space_equivalence),
+    # so only the well-conditioned dominant eigenvalue is compared.  Either
+    # solve rounds it by about eps * max|S|, which is up to 1.4e4 here: the
+    # two differ by at most 2.6e-16 * max|S| (1.4e-12) on these fields
+    scheme = Scheme(solver="roe", order=order, space=space)
+    field, _ = base_flow_cache(scheme, epsilon=0.5, ny=4)
+    S = assemble(field, scheme)
+    spec = eigensolve(S)
+    assert spec.max_real_by_k is not None
+    lam_dense = scipy.linalg.eigvals(S.matrix.toarray()).real.max()
+    tol = max(1e-12 * max(1.0, abs(lam_dense)), 1e-15 * np.abs(S.matrix).max())
+    assert abs(spec.max_real - lam_dense) <= tol
+    assert _dominant_residual(S, spec) < 1e-14
+
+
+def test_field_varying_along_y_takes_the_dense_path():
+    field = uniform_periodic_field([1.4, 0.9, 0.3, 1.1], nx=6, ny=6)
+    rng = np.random.default_rng(48)
+    field.interior()[...] *= 1.0 + 0.01 * rng.standard_normal(field.interior().shape)
+    fields.apply_boundaries(field)
+    S = assemble(field, Scheme(solver="hll", order=1), check_steady=False)
+    spec = eigensolve(S)
+    assert spec.max_real_by_k is None
+    lam_dense = scipy.linalg.eigvals(S.matrix.toarray()).real.max()
+    assert abs(spec.max_real - lam_dense) <= 1e-12 * max(1.0, abs(lam_dense))
+    assert _dominant_residual(S, spec) < 1e-14
+
+
+def test_max_real_by_transverse_wavenumber(base_flow_cache):
+    # first-order Roe and HLLC carry the carbuncle on the odd-even mode
+    # k = ny/2; S is real, so lambda(k) = lambda(ny - k); the steady profile
+    # does not depend on ny and the blocks depend on k only through k/ny, so
+    # ny = 8 repeats ny = 4 on its even wavenumbers
+    for solver, lam_odd_even in (("roe", 11.5907), ("hllc", 3.0714)):
+        by_k = {}
+        for ny in (4, 8):
+            scheme = Scheme(solver=solver, order=1)
+            field, _ = base_flow_cache(scheme, epsilon=0.1, ny=ny)
+            lam = eigensolve(assemble(field, scheme)).max_real_by_k
+            tol = 1e-12 * max(1.0, np.abs(lam).max())
+            assert int(np.argmax(lam)) == ny // 2, (solver, ny)
+            assert np.abs(lam[1:] - lam[1:][::-1]).max() < tol
+            assert abs(lam[ny // 2] - lam_odd_even) < 1e-4, (solver, ny)
+            by_k[ny] = lam
+        assert np.abs(by_k[8][::2] - by_k[4]).max() < 1e-12 * np.abs(by_k[4]).max()
+    # HLL is stable at first order: every transverse mode decays
+    scheme = Scheme(solver="hll", order=1)
+    field, _ = base_flow_cache(scheme, epsilon=0.5, nx=13, ny=8)
+    lam = eigensolve(assemble(field, scheme)).max_real_by_k
+    assert np.all(lam[1:] < 0.0)
 
 
 def test_localize_synthetic():
