@@ -18,7 +18,7 @@ class DegenerateFanError(ShockStabError):
 
 
 class ConvergenceError(ShockStabError):
-    """Time marching to a steady state failed or diverged."""
+    """The steady solve stopped at or above its tolerance, or diverged."""
 
 
 class UnsteadyFieldError(ShockStabError):

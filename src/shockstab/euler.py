@@ -33,11 +33,10 @@ class GasModel:
 
 @dataclass(frozen=True)
 class FaceFrame:
-    """Unit face normal plus the derived tangent (-ny, nx) and face length."""
+    """Unit face normal plus the derived tangent (-ny, nx)."""
 
     nx: float
     ny: float
-    length: float = 1.0
 
     def __post_init__(self):
         if abs(self.nx**2 + self.ny**2 - 1.0) > 1e-12:

@@ -13,7 +13,7 @@ right state ``lin_R[..., m, :]`` on the cell at offset m-1.  The stability
 matrix is assembled from exactly these coefficients.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,13 +57,7 @@ def config_for_order(order: int, **kw) -> ReconConfig:
 
 
 def config_for_cap(cap: str, base: ReconConfig) -> ReconConfig:
-    return ReconConfig(
-        kind=_CAP_TO_KIND[cap],
-        weno_variant=base.weno_variant,
-        space=base.space,
-        eps=base.eps,
-        force_linear_weights=base.force_linear_weights,
-    )
+    return replace(base, kind=_CAP_TO_KIND[cap])
 
 
 def _with_comp_axis(w):

@@ -1,5 +1,5 @@
 """The dependencies declared in pyproject.toml are the third-party packages
-the source imports, no more and no fewer."""
+the source imports, no more and no fewer; every config field is read."""
 
 import ast
 import re
@@ -8,12 +8,11 @@ from pathlib import Path
 
 import pytest
 
-tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
-
 ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_declared_dependencies_match_imports():
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     declared = {re.split(r"[<>=!~;\[ ]", dep, maxsplit=1)[0].lower() for dep in project["dependencies"]}
     imported = set()
@@ -25,3 +24,34 @@ def test_declared_dependencies_match_imports():
                 imported.add(node.module.split(".")[0])
     third_party = {name for name in imported if name not in sys.stdlib_module_names}
     assert third_party - {"shockstab"} == declared
+
+
+def _is_frozen_dataclass(node):
+    return any(
+        isinstance(d, ast.Call)
+        and getattr(d.func, "id", None) == "dataclass"
+        and any(k.arg == "frozen" and getattr(k.value, "value", False) for k in d.keywords)
+        for d in node.decorator_list
+    )
+
+
+def test_config_fields_are_read():
+    # a field that is only set, or only validated in __post_init__, is dead
+    fields, read = set(), set()
+    for path in (ROOT / "src" / "shockstab").glob("*.py"):
+        tree = ast.parse(path.read_text())
+        skip = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and _is_frozen_dataclass(node):
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign):
+                        fields.add(f"{path.stem}.{node.name}.{item.target.id}")
+                    elif isinstance(item, ast.FunctionDef) and item.name == "__post_init__":
+                        skip.update(map(id, ast.walk(item)))
+        read.update(
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and id(node) not in skip
+        )
+    assert fields
+    assert sorted(f for f in fields if f.rsplit(".", 1)[1] not in read) == []

@@ -163,6 +163,55 @@ def test_converge_1d_hll_first_order_short_row_raises():
         sp.converge_1d(cfg(), Scheme(solver="hll", order=1))
 
 
+@pytest.mark.slow
+def test_converge_1d_jitter_restart_reaches_the_labelled_member():
+    # the first LM solve stalls at 2.1; only the seeded jitter restart converges
+    c = cfg(epsilon=0.3)
+    profile, info = sp.converge_1d(c, Scheme(solver="van_leer", order=5))
+    assert info["residual"] < c.converge_tol
+    assert profile[5, 0] == sp.intermediate_state(c)[0]
+    assert info["steps"] == 10
+
+
+@pytest.mark.slow
+def test_converge_1d_inadmissible_jitter_start_is_a_failed_restart():
+    # the second jitter restart re-pins rho_6 and leaves p_6 < 0; that start is
+    # skipped, so the stall itself is reported, not an InvalidStateError
+    with pytest.raises(
+        ConvergenceError, match=r"roe-o5-z/conservative: 1D residual \d\.\d+e[-+]\d+ .*cell 6$"
+    ):
+        sp.converge_1d(cfg(), Scheme(solver="roe", order=5, space="conservative"))
+
+
+@pytest.mark.parametrize("stage", ["fd_probe", "trial"])
+def test_lm_refine_propagates_errors_from_outside_the_package(monkeypatch, stage):
+    # only package errors (an inadmissible probe or trial state) are handled;
+    # anything else is a bug and must surface
+    c = cfg()
+    scheme = Scheme(solver="roe", order=1)
+    field = sp.build_initial_field(c, ny=1)
+    residual, jacobian = sp._residual_1d, sp._fd_jacobian_1d
+    calls = {"residual": 0, "jacobian_done": False}
+
+    def failing_residual(f, s):
+        calls["residual"] += 1
+        # call 1 is the starting residual, call 2 the first Jacobian probe
+        probe = calls["residual"] == 2
+        if (stage == "fd_probe" and probe) or (stage == "trial" and calls["jacobian_done"]):
+            raise RuntimeError(stage)
+        return residual(f, s)
+
+    def recording_jacobian(*args, **kwargs):
+        J = jacobian(*args, **kwargs)
+        calls["jacobian_done"] = True
+        return J
+
+    monkeypatch.setattr(sp, "_residual_1d", failing_residual)
+    monkeypatch.setattr(sp, "_fd_jacobian_1d", recording_jacobian)
+    with pytest.raises(RuntimeError, match=stage):
+        sp._lm_refine_1d(field, scheme, c.converge_tol, clamp_cells=(0, 1, 2, 3), pin_dofs=(20,))
+
+
 def test_project_to_2d_rows_equal():
     c = cfg(nx=7, ny=5, shock_column=4)
     profile = sp.initial_profile(c)
