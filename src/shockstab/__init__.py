@@ -1,9 +1,8 @@
 """Matrix stability laboratory for shock-capturing finite-volume Euler schemes."""
 
-from .euler import FaceFrame, GasModel
+from .euler import FaceFrame
 from .fields import BoundarySpec, MeanField
 from .reconstruction import ReconConfig
-from .riemann import SmoothingConfig
 from .scheme import Scheme
 from .shock_problem import ShockProblemConfig
 
@@ -12,11 +11,9 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundarySpec",
     "FaceFrame",
-    "GasModel",
     "MeanField",
     "ReconConfig",
     "Scheme",
     "ShockProblemConfig",
-    "SmoothingConfig",
     "__version__",
 ]

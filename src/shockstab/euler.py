@@ -1,4 +1,7 @@
-"""Gas model, variable transforms, fluxes and eigen-matrices for the 2D Euler equations.
+"""Variable transforms, fluxes and eigen-matrices for the 2D Euler equations.
+
+The gas is calorically perfect with the fixed ratio of specific heats
+``GAMMA`` = 1.4, closed by p = (GAMMA-1) rho [e - (u^2+v^2)/2].
 
 Array conventions used throughout the package:
 
@@ -10,7 +13,7 @@ All functions broadcast over leading axes, so a single state is a plain
 shape-(4,) array.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,16 +22,7 @@ from .errors import DegenerateShockError, InvalidStateError
 RHO, MX, MY, EN = 0, 1, 2, 3  # conservative component indices
 U_, V_, P_ = 1, 2, 3  # primitive component indices (rho shares index 0)
 
-
-@dataclass(frozen=True)
-class GasModel:
-    """Calorically perfect gas, closed by p = (gamma-1) rho [e - (u^2+v^2)/2]."""
-
-    gamma: float = 1.4
-
-    def __post_init__(self):
-        if not self.gamma > 1.0:
-            raise InvalidStateError(f"gamma must exceed 1, got {self.gamma}")
+GAMMA = 1.4  # ratio of specific heats
 
 
 @dataclass(frozen=True)
@@ -62,7 +56,7 @@ def _describe_bad(mask, where):
     return f"{where} at cell(s) {head}{more}" if idx.size else where
 
 
-def cons_to_prim(U, gas: GasModel, where: str = "state") -> np.ndarray:
+def cons_to_prim(U, where: str = "state") -> np.ndarray:
     """Convert conservative to primitive variables, validating positivity."""
     U = np.asarray(U, dtype=float)
     rho = U[..., RHO]
@@ -72,7 +66,7 @@ def cons_to_prim(U, gas: GasModel, where: str = "state") -> np.ndarray:
     W = np.empty_like(U)
     u = U[..., MX] / rho
     v = U[..., MY] / rho
-    p = (gas.gamma - 1.0) * (U[..., EN] - 0.5 * rho * (u * u + v * v))
+    p = (GAMMA - 1.0) * (U[..., EN] - 0.5 * rho * (u * u + v * v))
     bad = ~(p > 0.0)
     if np.any(bad):
         raise InvalidStateError(_describe_bad(bad, f"non-positive pressure in {where}"))
@@ -83,31 +77,31 @@ def cons_to_prim(U, gas: GasModel, where: str = "state") -> np.ndarray:
     return W
 
 
-def prim_to_cons(W, gas: GasModel) -> np.ndarray:
+def prim_to_cons(W) -> np.ndarray:
     W = np.asarray(W, dtype=float)
     rho, u, v, p = W[..., RHO], W[..., U_], W[..., V_], W[..., P_]
     U = np.empty_like(W)
     U[..., RHO] = rho
     U[..., MX] = rho * u
     U[..., MY] = rho * v
-    U[..., EN] = p / (gas.gamma - 1.0) + 0.5 * rho * (u * u + v * v)
+    U[..., EN] = p / (GAMMA - 1.0) + 0.5 * rho * (u * u + v * v)
     return U
 
 
-def sound_speed(W, gas: GasModel) -> np.ndarray:
+def sound_speed(W) -> np.ndarray:
     W = np.asarray(W, dtype=float)
-    c2 = gas.gamma * W[..., P_] / W[..., RHO]
+    c2 = GAMMA * W[..., P_] / W[..., RHO]
     if np.any(~(c2 > 0.0)):
         raise InvalidStateError("non-positive sound speed")
     return np.sqrt(c2)
 
 
-def exact_flux_w(W, frame: FaceFrame, gas: GasModel) -> np.ndarray:
+def exact_flux_w(W, frame: FaceFrame) -> np.ndarray:
     """Physical flux normal to the face, from a primitive state."""
     W = np.asarray(W, dtype=float)
     rho, u, v, p = W[..., RHO], W[..., U_], W[..., V_], W[..., P_]
     q = u * frame.nx + v * frame.ny
-    en = p / (gas.gamma - 1.0) + 0.5 * rho * (u * u + v * v)
+    en = p / (GAMMA - 1.0) + 0.5 * rho * (u * u + v * v)
     F = np.empty_like(W)
     F[..., 0] = rho * q
     F[..., 1] = rho * q * u + p * frame.nx
@@ -116,11 +110,7 @@ def exact_flux_w(W, frame: FaceFrame, gas: GasModel) -> np.ndarray:
     return F
 
 
-def exact_flux(U, frame: FaceFrame, gas: GasModel) -> np.ndarray:
-    return exact_flux_w(cons_to_prim(U, gas), frame, gas)
-
-
-def du_dw(W, gas: GasModel) -> np.ndarray:
+def du_dw(W) -> np.ndarray:
     """Jacobian dU/dW of the conservative-from-primitive map, shape (..., 4, 4)."""
     W = np.asarray(W, dtype=float)
     rho, u, v = W[..., RHO], W[..., U_], W[..., V_]
@@ -130,16 +120,16 @@ def du_dw(W, gas: GasModel) -> np.ndarray:
         [one, z, z, z],
         [u, rho, z, z],
         [v, z, rho, z],
-        [0.5 * (u * u + v * v), rho * u, rho * v, one / (gas.gamma - 1.0)],
+        [0.5 * (u * u + v * v), rho * u, rho * v, one / (GAMMA - 1.0)],
     ]
     return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
 
 
-def dw_du(W, gas: GasModel) -> np.ndarray:
+def dw_du(W) -> np.ndarray:
     """Closed-form inverse of :func:`du_dw`."""
     W = np.asarray(W, dtype=float)
     rho, u, v = W[..., RHO], W[..., U_], W[..., V_]
-    g1 = gas.gamma - 1.0
+    g1 = GAMMA - 1.0
     z = np.zeros_like(rho)
     one = np.ones_like(rho)
     rows = [
@@ -151,13 +141,13 @@ def dw_du(W, gas: GasModel) -> np.ndarray:
     return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
 
 
-def left_eigen_matrix(W, frame: FaceFrame, gas: GasModel) -> np.ndarray:
+def left_eigen_matrix(W, frame: FaceFrame) -> np.ndarray:
     """Left eigenvector matrix of the normal flux Jacobian, rows ordered
     (q-c, q, q+c, shear).  Acts on conservative perturbations: dV = L dU."""
     W = np.asarray(W, dtype=float)
     rho, u, v = W[..., RHO], W[..., U_], W[..., V_]
-    c = sound_speed(W, gas)
-    g1 = gas.gamma - 1.0
+    c = sound_speed(W)
+    g1 = GAMMA - 1.0
     nx, ny, lx, ly = frame.nx, frame.ny, frame.lx, frame.ly
     q = u * nx + v * ny
     ql = u * lx + v * ly
@@ -182,17 +172,17 @@ def left_eigen_matrix(W, frame: FaceFrame, gas: GasModel) -> np.ndarray:
     return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
 
 
-def right_eigen_matrix(W, frame: FaceFrame, gas: GasModel) -> np.ndarray:
+def right_eigen_matrix(W, frame: FaceFrame) -> np.ndarray:
     """Exact inverse of :func:`left_eigen_matrix`; columns are the right
     eigenvectors in the same (q-c, q, q+c, shear) order."""
     W = np.asarray(W, dtype=float)
     rho, u, v = W[..., RHO], W[..., U_], W[..., V_]
-    c = sound_speed(W, gas)
+    c = sound_speed(W)
     nx, ny, lx, ly = frame.nx, frame.ny, frame.lx, frame.ly
     q = u * nx + v * ny
     ql = u * lx + v * ly
     v2 = u * u + v * v
-    h = c * c / (gas.gamma - 1.0) + 0.5 * v2  # total specific enthalpy
+    h = c * c / (GAMMA - 1.0) + 0.5 * v2  # total specific enthalpy
     one = np.ones_like(rho)
     z = np.zeros_like(rho)
     cols = [
@@ -207,20 +197,20 @@ def right_eigen_matrix(W, frame: FaceFrame, gas: GasModel) -> np.ndarray:
     return R
 
 
-def characteristic_eigenvalues(W, frame: FaceFrame, gas: GasModel) -> np.ndarray:
+def characteristic_eigenvalues(W, frame: FaceFrame) -> np.ndarray:
     """Eigenvalues (q-c, q, q+c, q) matching the row order of the eigen-matrices."""
     W = np.asarray(W, dtype=float)
-    c = sound_speed(W, gas)
+    c = sound_speed(W)
     q = W[..., U_] * frame.nx + W[..., V_] * frame.ny
     return np.stack([q - c, q, q + c, q], axis=-1)
 
 
-def analytic_flux_jacobian(U, frame: FaceFrame, gas: GasModel) -> np.ndarray:
+def analytic_flux_jacobian(U, frame: FaceFrame) -> np.ndarray:
     """Closed-form dF/dU of the exact normal flux, shape (..., 4, 4)."""
-    W = cons_to_prim(U, gas)
+    W = cons_to_prim(U)
     rho, u, v, p = W[..., RHO], W[..., U_], W[..., V_], W[..., P_]
     nx, ny = frame.nx, frame.ny
-    g1 = gas.gamma - 1.0
+    g1 = GAMMA - 1.0
     q = u * nx + v * ny
     v2 = u * u + v * v
     phi = 0.5 * g1 * v2
@@ -242,15 +232,15 @@ def analytic_flux_jacobian(U, frame: FaceFrame, gas: GasModel) -> np.ndarray:
             q + v * ny - g1 * v * ny,
             g1 * ny * one,
         ],
-        [(phi - h) * q, h * nx - g1 * u * q, h * ny - g1 * v * q, gas.gamma * q],
+        [(phi - h) * q, h * nx - g1 * u * q, h * ny - g1 * v * q, GAMMA * q],
     ]
     return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
 
 
-def entropy(W, gas: GasModel) -> np.ndarray:
+def entropy(W) -> np.ndarray:
     """Specific entropy surrogate s = ln(p / rho^gamma)."""
     W = np.asarray(W, dtype=float)
-    return np.log(W[..., P_]) - gas.gamma * np.log(W[..., RHO])
+    return np.log(W[..., P_]) - GAMMA * np.log(W[..., RHO])
 
 
 def entropy_increase(field, shock_column: int | None = None) -> float:
@@ -263,11 +253,10 @@ def entropy_increase(field, shock_column: int | None = None) -> float:
     col = field.shock_column if shock_column is None else shock_column
     if col is None:
         raise ValueError("field carries no shock column")
-    gas = field.gas
-    s_l = float(entropy(field.upstream, gas))
-    s_r = float(entropy(field.downstream, gas))
+    s_l = float(entropy(field.upstream))
+    s_r = float(entropy(field.downstream))
     if abs(s_r - s_l) < 1e-14:
         raise DegenerateShockError("upstream and downstream entropies coincide")
     col_mean = field.interior()[col - 1].mean(axis=0)  # col is 1-based
-    s_m = float(entropy(cons_to_prim(col_mean, gas), gas))
+    s_m = float(entropy(cons_to_prim(col_mean)))
     return (s_m - s_l) / (s_r - s_l)

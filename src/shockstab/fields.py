@@ -2,8 +2,9 @@
 
 A field stores cell-averaged conservative states on an (nx+6, ny+6, 4)
 array: three ghost layers on every side, interior cells at [3:3+nx, 3:3+ny].
-Interior indices are 0-based internally; serialized output and problem
-metadata (shock column) use the 1-based cell numbering of the test problem.
+Interior indices are 0-based internally; problem metadata (shock column)
+uses the 1-based cell numbering of the test problem.  States convert with
+the gas constant ``euler.GAMMA``.
 """
 
 from dataclasses import dataclass, replace
@@ -11,7 +12,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import euler
-from .euler import GasModel
 
 NG = 3  # ghost depth
 
@@ -33,7 +33,6 @@ class BoundarySpec:
 class MeanField:
     U: np.ndarray  # (nx+6, ny+6, 4) conservative, ghosts included
     h: float
-    gas: GasModel
     bc: BoundarySpec
     shock_column: int | None = None  # 1-based problem column
     upstream: np.ndarray | None = None  # analytic primitive states
@@ -54,7 +53,7 @@ class MeanField:
         return replace(self, U=self.U.copy())
 
     def interior_primitive(self) -> np.ndarray:
-        return euler.cons_to_prim(self.interior(), self.gas, "interior")
+        return euler.cons_to_prim(self.interior(), "interior")
 
 
 def apply_boundaries(field: MeanField) -> MeanField:
@@ -69,10 +68,10 @@ def apply_boundaries(field: MeanField) -> MeanField:
         if bc.inflow_W is None or bc.outflow_pressure is None:
             raise ValueError("non-periodic boundaries need inflow state and outflow pressure")
         iy = slice(NG, NG + ny)
-        U[:NG, iy] = euler.prim_to_cons(bc.inflow_W, field.gas)
-        last = euler.cons_to_prim(U[NG + nx - 1, iy], field.gas, "outflow column")
+        U[:NG, iy] = euler.prim_to_cons(bc.inflow_W)
+        last = euler.cons_to_prim(U[NG + nx - 1, iy], "outflow column")
         last[..., 3] = bc.outflow_pressure
-        U[NG + nx :, iy] = euler.prim_to_cons(last, field.gas)[None]
+        U[NG + nx :, iy] = euler.prim_to_cons(last)[None]
     # periodic in y, filled last so x-ghost corners wrap too; modular indexing
     # keeps single-row fields valid
     U[:, :NG] = U[:, (np.arange(-NG, 0) % ny) + NG]
@@ -80,12 +79,12 @@ def apply_boundaries(field: MeanField) -> MeanField:
     return field
 
 
-def make_field(interior_U, h, gas, bc, **meta) -> MeanField:
+def make_field(interior_U, h, bc, **meta) -> MeanField:
     interior_U = np.asarray(interior_U, dtype=float)
     nx, ny = interior_U.shape[:2]
     U = np.zeros((nx + 2 * NG, ny + 2 * NG, 4))
     U[NG : NG + nx, NG : NG + ny] = interior_U
-    return apply_boundaries(MeanField(U=U, h=h, gas=gas, bc=bc, **meta))
+    return apply_boundaries(MeanField(U=U, h=h, bc=bc, **meta))
 
 
 def shock_face_masks(field: MeanField):
@@ -101,18 +100,3 @@ def shock_face_masks(field: MeanField):
         mask_y[col] = True  # all transverse faces of the column
     return mask_x, mask_y
 
-
-def field_table(field: MeanField) -> str:
-    """Columnar text snapshot: one row per cell, ``i j rho u v p`` (1-based)."""
-    W = field.interior_primitive()
-    lines = ["i j rho u v p"]
-    for i in range(field.nx):
-        for j in range(field.ny):
-            vals = " ".join(f"{x:.17g}" for x in W[i, j])
-            lines.append(f"{i + 1} {j + 1} {vals}")
-    return "\n".join(lines) + "\n"
-
-
-def save_field(field: MeanField, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(field_table(field))

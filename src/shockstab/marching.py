@@ -33,13 +33,10 @@ class MonitorSeries:
     t: np.ndarray
     vmax: np.ndarray
     collapsed: bool = False
-    collapse_time: float | None = None
 
 
 @dataclass
 class GrowthFit:
-    v0: float
-    t0: float
     lam: float
     window: tuple[float, float]
     r2: float
@@ -55,7 +52,7 @@ def face_reconstructions(field: MeanField, scheme: Scheme, linearise: bool = Tru
     """
     Xpad = None
     if scheme.space == "primitive":
-        Xpad = euler.cons_to_prim(field.U, field.gas, "padded field")
+        Xpad = euler.cons_to_prim(field.U, "padded field")
     cap_masks = shock_face_masks(field) if scheme.cap != "none" else (None, None)
     # a single-row periodic field has identical j+1/2 and j-1/2 fluxes
     axes = ("x", "y") if field.ny > 1 else ("x",)
@@ -68,7 +65,7 @@ def face_reconstructions(field: MeanField, scheme: Scheme, linearise: bool = Tru
         winL, winR = windows(field.U, field.nx, field.ny)
         XwinL, XwinR = (None, None) if Xpad is None else windows(Xpad, field.nx, field.ny)
         recon = reconstruction.reconstruct_pair(
-            winL, winR, scheme.recon_config(axis), field.gas, frame,
+            winL, winR, scheme.recon_config(axis), frame,
             cap_cfg=scheme.cap_config(axis), cap_mask=cap_mask, XwinL=XwinL, XwinR=XwinR,
             linearise=linearise,
         )
@@ -80,16 +77,14 @@ def rhs(field: MeanField, scheme: Scheme) -> np.ndarray:
     apply_boundaries(field)
     res = np.zeros(field.interior().shape)
     for axis, solver, frame, recon in face_reconstructions(field, scheme, linearise=False):
-        flux = riemann.compute_flux(
-            solver, recon.WL, recon.WR, frame, field.gas, scheme.smoothing()
-        )
+        flux = riemann.compute_flux(solver, recon.WL, recon.WR, frame, scheme.roe_delta0)
         res -= np.diff(flux, axis=0 if axis == "x" else 1) / field.h
     return res
 
 
 def cfl_dt(field: MeanField, cfl: float) -> float:
     W = field.interior_primitive()
-    c = euler.sound_speed(W, field.gas)
+    c = euler.sound_speed(W)
     speed = np.maximum(np.abs(W[..., 1]) + c, np.abs(W[..., 2]) + c)
     return cfl * field.h / float(speed.max())
 
@@ -132,36 +127,29 @@ def march(field: MeanField, run: RunConfig):
     """Advance a perturbed field to the end time, sampling ||v||_inf each step.
 
     Returns (MonitorSeries, final field).  A NaN or invalid state flags a
-    collapse (with its time) instead of raising.
+    collapse instead of raising.
     """
     state = inject_perturbation(field, run.amplitude, run.seed)
     t = 0.0
     times = [t]
     vmax = [transverse_velocity_norm(state)]
     collapsed = False
-    collapse_time = None
     while t < run.end_time:
         dt = min(cfl_dt(state, run.cfl), run.end_time - t)
         try:
             state = step_ssprk3(state, dt, run.scheme)
         except InvalidStateError:
             collapsed = True
-            collapse_time = t + dt
-            break
-        if not np.all(np.isfinite(state.interior())):
-            collapsed = True
-            collapse_time = t + dt
+        else:
+            collapsed = not np.all(np.isfinite(state.interior()))
+        if collapsed:
             break
         t += dt
         times.append(t)
         vmax.append(transverse_velocity_norm(state))
         if run.amplitude > 0 and vmax[-1] > run.stop_level:
             break
-    series = MonitorSeries(
-        t=np.array(times), vmax=np.array(vmax), collapsed=collapsed,
-        collapse_time=collapse_time,
-    )
-    return series, state
+    return MonitorSeries(t=np.array(times), vmax=np.array(vmax), collapsed=collapsed), state
 
 
 def _window_r2_scan(t, y, min_len):
@@ -268,16 +256,8 @@ def fit_growth_rate(series: MonitorSeries, amplitude: float | None = None) -> Gr
     var = np.var(yy[a:b])
     r2 = 1.0 if var == 0 else max(0.0, min(1.0, 1.0 - np.var(resid) / var))
     return GrowthFit(
-        v0=float(np.exp(np.polyval(coef, tt[a]))),
-        t0=float(tt[a]),
         lam=float(coef[0]),
         window=(float(tt[a]), float(tt[b - 1])),
         r2=float(r2),
     )
 
-
-def monitor_table(series: MonitorSeries) -> str:
-    lines = ["t vmax"]
-    for ti, vi in zip(series.t, series.vmax):
-        lines.append(f"{ti:.17g} {vi:.17g}")
-    return "\n".join(lines) + "\n"

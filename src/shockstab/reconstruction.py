@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import euler
-from .euler import FaceFrame, GasModel
+from .euler import GAMMA, FaceFrame
 
 LINEAR_WEIGHTS = np.array([0.1, 0.6, 0.3])
 
@@ -46,10 +46,6 @@ class ReconConfig:
             raise ValueError(f"unknown weno variant {self.weno_variant!r}")
         if not self.eps > 0:
             raise ValueError("weno epsilon must be positive")
-
-    @property
-    def order(self) -> int:
-        return {"first": 1, "muscl": 2, "weno5": 5, "eno3": 3}[self.kind]
 
 
 def config_for_order(order: int, **kw) -> ReconConfig:
@@ -184,13 +180,13 @@ def _left_state(win, cfg: ReconConfig, linearise: bool = True):
     return value, _weno_lin_coeffs(om) if linearise else None, om
 
 
-def _prim_soft(U, gas: GasModel):
+def _prim_soft(U):
     """Primitive conversion without raising; returns (W, valid mask)."""
     rho = U[..., 0]
     safe = np.where(rho > 0.0, rho, 1.0)
     u = U[..., 1] / safe
     v = U[..., 2] / safe
-    p = (gas.gamma - 1.0) * (U[..., 3] - 0.5 * safe * (u * u + v * v))
+    p = (GAMMA - 1.0) * (U[..., 3] - 0.5 * safe * (u * u + v * v))
     W = np.stack([rho, u, v, p], axis=-1)
     valid = (rho > 0.0) & (p > 0.0) & np.all(np.isfinite(W), axis=-1)
     return W, valid
@@ -220,7 +216,6 @@ def reconstruct_pair(
     winL_U,
     winR_U,
     cfg: ReconConfig,
-    gas: GasModel,
     frame: FaceFrame,
     cap_cfg: ReconConfig | None = None,
     cap_mask=None,
@@ -240,10 +235,10 @@ def reconstruct_pair(
     """
     winL_U = np.asarray(winL_U, dtype=float)
     winR_U = np.asarray(winR_U, dtype=float)
-    recon = _reconstruct_pair_one(winL_U, winR_U, cfg, gas, frame, XwinL, XwinR, linearise)
+    recon = _reconstruct_pair_one(winL_U, winR_U, cfg, frame, XwinL, XwinR, linearise)
     if cap_mask is not None and np.any(cap_mask):
         sub = _reconstruct_pair_one(
-            winL_U[cap_mask], winR_U[cap_mask], cap_cfg, gas, frame,
+            winL_U[cap_mask], winR_U[cap_mask], cap_cfg, frame,
             None if XwinL is None else XwinL[cap_mask],
             None if XwinR is None else XwinR[cap_mask],
             linearise,
@@ -255,36 +250,36 @@ def reconstruct_pair(
     return recon
 
 
-def _reconstruct_pair_one(winL_U, winR_U, cfg, gas, frame, XwinL, XwinR, linearise):
+def _reconstruct_pair_one(winL_U, winR_U, cfg, frame, XwinL, XwinR, linearise):
     Lmat = Rmat = None
     if cfg.space == "characteristic":
-        W_l = euler.cons_to_prim(winL_U[..., 2, :], gas, "face-left cell")
-        W_r = euler.cons_to_prim(winR_U[..., 2, :], gas, "face-right cell")
+        W_l = euler.cons_to_prim(winL_U[..., 2, :], "face-left cell")
+        W_r = euler.cons_to_prim(winR_U[..., 2, :], "face-right cell")
         W_eval = 0.5 * (W_l + W_r)
-        Lmat = euler.left_eigen_matrix(W_eval, frame, gas)
-        Rmat = euler.right_eigen_matrix(W_eval, frame, gas)
+        Lmat = euler.left_eigen_matrix(W_eval, frame)
+        Rmat = euler.right_eigen_matrix(W_eval, frame)
         XwinL = np.einsum("...ab,...wb->...wa", Lmat, winL_U)
         XwinR = np.einsum("...ab,...wb->...wa", Lmat, winR_U)
     elif cfg.space == "conservative":
         XwinL, XwinR = winL_U, winR_U
     elif XwinL is None:
-        XwinL = euler.cons_to_prim(winL_U, gas, "reconstruction window")
-        XwinR = euler.cons_to_prim(winR_U, gas, "reconstruction window")
+        XwinL = euler.cons_to_prim(winL_U, "reconstruction window")
+        XwinR = euler.cons_to_prim(winR_U, "reconstruction window")
 
     XL, lin_L, _ = _left_state(XwinL, cfg, linearise)
     XR, lin_Rm, _ = _left_state(XwinR[..., ::-1, :], cfg, linearise)
     lin_R = lin_Rm[..., ::-1, :].copy() if linearise else None
 
     if cfg.space == "conservative":
-        WL, okL = _prim_soft(XL, gas)
-        WR, okR = _prim_soft(XR, gas)
+        WL, okL = _prim_soft(XL)
+        WR, okR = _prim_soft(XR)
     elif cfg.space == "primitive":
         WL, WR = XL, XR
         okL = (WL[..., 0] > 0) & (WL[..., 3] > 0) & np.all(np.isfinite(WL), axis=-1)
         okR = (WR[..., 0] > 0) & (WR[..., 3] > 0) & np.all(np.isfinite(WR), axis=-1)
     else:
-        WL, okL = _prim_soft(np.einsum("...ab,...b->...a", Rmat, XL), gas)
-        WR, okR = _prim_soft(np.einsum("...ab,...b->...a", Rmat, XR), gas)
+        WL, okL = _prim_soft(np.einsum("...ab,...b->...a", Rmat, XL))
+        WR, okR = _prim_soft(np.einsum("...ab,...b->...a", Rmat, XR))
 
     fallback = ~(okL & okR)
     if np.any(fallback):
@@ -295,8 +290,8 @@ def _reconstruct_pair_one(winL_U, winR_U, cfg, gas, frame, XwinL, XwinR, lineari
             first[2] = 1.0
             lin_L[fallback] = first
             lin_R[fallback] = first
-        WL[fallback] = euler.cons_to_prim(winL_U[fallback][..., 2, :], gas, "fallback")
-        WR[fallback] = euler.cons_to_prim(winR_U[fallback][..., 2, :], gas, "fallback")
+        WL[fallback] = euler.cons_to_prim(winL_U[fallback][..., 2, :], "fallback")
+        WR[fallback] = euler.cons_to_prim(winR_U[fallback][..., 2, :], "fallback")
 
     return FaceRecon(
         WL=WL, WR=WR,

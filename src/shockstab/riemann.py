@@ -6,13 +6,11 @@ All solvers take primitive left/right states of shape (..., 4), broadcast
 over leading axes, and return the numerical flux normal to the face.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import euler
 from .errors import DegenerateFanError, InvalidStateError
-from .euler import FaceFrame, GasModel
+from .euler import GAMMA, FaceFrame
 
 SOLVER_KINDS = ("roe", "hll", "hllc", "van_leer", "hybrid-1", "hybrid-2")
 
@@ -24,16 +22,8 @@ HYBRID_PARTS = {
     "hybrid-2": {"transverse": ("van_leer", 1), "normal": ("roe", 5)},
 }
 
-
-@dataclass(frozen=True)
-class SmoothingConfig:
-    """Quadratic floor applied to |eigenvalue| inside the Roe dissipation."""
-
-    delta0: float = 1e-4
-
-    def __post_init__(self):
-        if not self.delta0 > 0:
-            raise ValueError("delta0 must be positive")
+# default quadratic floor applied to |eigenvalue| inside the Roe dissipation
+ROE_DELTA0 = 1e-4
 
 
 def smooth_abs(lam, delta0: float) -> np.ndarray:
@@ -46,23 +36,22 @@ def _normal_velocity(W, frame):
     return W[..., 1] * frame.nx + W[..., 2] * frame.ny
 
 
-def roe_flux(WL, WR, frame: FaceFrame, gas: GasModel,
-             sm: SmoothingConfig = SmoothingConfig()) -> np.ndarray:
+def roe_flux(WL, WR, frame: FaceFrame, delta0: float = ROE_DELTA0) -> np.ndarray:
     """Roe flux with the wave-strength dissipation form; |eigenvalues| pass
     through the quadratic smoothing floor."""
     WL = np.asarray(WL, dtype=float)
     WR = np.asarray(WR, dtype=float)
-    FL = euler.exact_flux_w(WL, frame, gas)
-    FR = euler.exact_flux_w(WR, frame, gas)
+    FL = euler.exact_flux_w(WL, frame)
+    FR = euler.exact_flux_w(WR, frame)
 
     sl = np.sqrt(WL[..., 0])
     sr = np.sqrt(WR[..., 0])
     wgt = sl / (sl + sr)
     u = wgt * WL[..., 1] + (1 - wgt) * WR[..., 1]
     v = wgt * WL[..., 2] + (1 - wgt) * WR[..., 2]
-    g1 = gas.gamma - 1.0
-    hL = gas.gamma * WL[..., 3] / (g1 * WL[..., 0]) + 0.5 * (WL[..., 1] ** 2 + WL[..., 2] ** 2)
-    hR = gas.gamma * WR[..., 3] / (g1 * WR[..., 0]) + 0.5 * (WR[..., 1] ** 2 + WR[..., 2] ** 2)
+    g1 = GAMMA - 1.0
+    hL = GAMMA * WL[..., 3] / (g1 * WL[..., 0]) + 0.5 * (WL[..., 1] ** 2 + WL[..., 2] ** 2)
+    hR = GAMMA * WR[..., 3] / (g1 * WR[..., 0]) + 0.5 * (WR[..., 1] ** 2 + WR[..., 2] ** 2)
     h = wgt * hL + (1 - wgt) * hR
     c2 = g1 * (h - 0.5 * (u * u + v * v))
     if np.any(~(c2 > 0.0)):
@@ -85,10 +74,10 @@ def roe_flux(WL, WR, frame: FaceFrame, gas: GasModel,
     a3 = (d_p + rho * c * d_q) / (2.0 * c2)
     a4 = rho * d_ql
 
-    l1 = smooth_abs(q - c, sm.delta0) * a1
-    l2 = smooth_abs(q, sm.delta0) * a2
-    l3 = smooth_abs(q + c, sm.delta0) * a3
-    l4 = smooth_abs(q, sm.delta0) * a4
+    l1 = smooth_abs(q - c, delta0) * a1
+    l2 = smooth_abs(q, delta0) * a2
+    l3 = smooth_abs(q + c, delta0) * a3
+    l4 = smooth_abs(q, delta0) * a4
 
     diss = np.empty_like(FL)
     diss[..., 0] = l1 + l2 + l3
@@ -100,11 +89,11 @@ def roe_flux(WL, WR, frame: FaceFrame, gas: GasModel,
     return 0.5 * (FL + FR) - 0.5 * diss
 
 
-def davis_speeds(WL, WR, frame: FaceFrame, gas: GasModel):
+def davis_speeds(WL, WR, frame: FaceFrame):
     qL = _normal_velocity(WL, frame)
     qR = _normal_velocity(WR, frame)
-    cL = euler.sound_speed(WL, gas)
-    cR = euler.sound_speed(WR, gas)
+    cL = euler.sound_speed(WL)
+    cR = euler.sound_speed(WR)
     s_l = np.minimum(qL - cL, qR - cR)
     s_r = np.maximum(qL + cL, qR + cR)
     if np.any(s_r - s_l < 1e-12):
@@ -112,24 +101,24 @@ def davis_speeds(WL, WR, frame: FaceFrame, gas: GasModel):
     return s_l, s_r
 
 
-def hll_flux(WL, WR, frame: FaceFrame, gas: GasModel) -> np.ndarray:
+def hll_flux(WL, WR, frame: FaceFrame) -> np.ndarray:
     WL = np.asarray(WL, dtype=float)
     WR = np.asarray(WR, dtype=float)
-    s_l, s_r = davis_speeds(WL, WR, frame, gas)
-    FL = euler.exact_flux_w(WL, frame, gas)
-    FR = euler.exact_flux_w(WR, frame, gas)
-    UL = euler.prim_to_cons(WL, gas)
-    UR = euler.prim_to_cons(WR, gas)
+    s_l, s_r = davis_speeds(WL, WR, frame)
+    FL = euler.exact_flux_w(WL, frame)
+    FR = euler.exact_flux_w(WR, frame)
+    UL = euler.prim_to_cons(WL)
+    UR = euler.prim_to_cons(WR)
     sl = s_l[..., None]
     sr = s_r[..., None]
     mid = (sr * FL - sl * FR + sl * sr * (UR - UL)) / (sr - sl)
     return np.where(sl >= 0.0, FL, np.where(sr <= 0.0, FR, mid))
 
 
-def hllc_flux(WL, WR, frame: FaceFrame, gas: GasModel) -> np.ndarray:
+def hllc_flux(WL, WR, frame: FaceFrame) -> np.ndarray:
     WL = np.asarray(WL, dtype=float)
     WR = np.asarray(WR, dtype=float)
-    s_l, s_r = davis_speeds(WL, WR, frame, gas)
+    s_l, s_r = davis_speeds(WL, WR, frame)
     qL = _normal_velocity(WL, frame)
     qR = _normal_velocity(WR, frame)
     rhoL, pL = WL[..., 0], WL[..., 3]
@@ -138,10 +127,10 @@ def hllc_flux(WL, WR, frame: FaceFrame, gas: GasModel) -> np.ndarray:
     mR = rhoR * (s_r - qR)
     s_star = (pR - pL + qL * mL - qR * mR) / (mL - mR)
 
-    FL = euler.exact_flux_w(WL, frame, gas)
-    FR = euler.exact_flux_w(WR, frame, gas)
-    UL = euler.prim_to_cons(WL, gas)
-    UR = euler.prim_to_cons(WR, gas)
+    FL = euler.exact_flux_w(WL, frame)
+    FR = euler.exact_flux_w(WR, frame)
+    UL = euler.prim_to_cons(WL)
+    UR = euler.prim_to_cons(WR)
 
     def star_flux(W, U, F, s_k, q_k, m_k):
         rho, p = W[..., 0], W[..., 3]
@@ -168,16 +157,16 @@ def hllc_flux(WL, WR, frame: FaceFrame, gas: GasModel) -> np.ndarray:
     )
 
 
-def van_leer_flux(WL, WR, frame: FaceFrame, gas: GasModel) -> np.ndarray:
+def van_leer_flux(WL, WR, frame: FaceFrame) -> np.ndarray:
     """Flux-vector splitting with the standard Mach polynomials; the split
     is fully one-sided for |M| >= 1."""
     WL = np.asarray(WL, dtype=float)
     WR = np.asarray(WR, dtype=float)
-    g = gas.gamma
+    g = GAMMA
 
     def split(W, sign):
         rho, u, v, p = W[..., 0], W[..., 1], W[..., 2], W[..., 3]
-        c = euler.sound_speed(W, gas)
+        c = euler.sound_speed(W)
         q = u * frame.nx + v * frame.ny
         m = q / c
         fm = sign * 0.25 * rho * c * (m + sign) ** 2
@@ -189,7 +178,7 @@ def van_leer_flux(WL, WR, frame: FaceFrame, gas: GasModel) -> np.ndarray:
             + 0.5 * (u * u + v * v - q * q)
         )
         sub = np.stack([fm, fu, fv, fe], axis=-1)
-        full = euler.exact_flux_w(W, frame, gas)
+        full = euler.exact_flux_w(W, frame)
         zero = np.zeros_like(sub)
         m_ = m[..., None]
         if sign > 0:
@@ -199,12 +188,11 @@ def van_leer_flux(WL, WR, frame: FaceFrame, gas: GasModel) -> np.ndarray:
     return split(WL, +1.0) + split(WR, -1.0)
 
 
-def compute_flux(kind: str, WL, WR, frame: FaceFrame, gas: GasModel,
-                 sm: SmoothingConfig | None = None) -> np.ndarray:
+def compute_flux(kind: str, WL, WR, frame: FaceFrame, delta0: float = ROE_DELTA0) -> np.ndarray:
     if kind == "roe":
-        return roe_flux(WL, WR, frame, gas, sm or SmoothingConfig())
+        return roe_flux(WL, WR, frame, delta0)
     try:
         flux = {"hll": hll_flux, "hllc": hllc_flux, "van_leer": van_leer_flux}[kind]
     except KeyError:
         raise ValueError(f"unknown solver kind {kind!r}") from None
-    return flux(WL, WR, frame, gas)
+    return flux(WL, WR, frame)

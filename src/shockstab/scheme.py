@@ -8,7 +8,7 @@ transverse faces (y-oriented).
 from dataclasses import dataclass
 
 from .reconstruction import ReconConfig, config_for_cap, config_for_order
-from .riemann import HYBRID_PARTS, SOLVER_KINDS, SmoothingConfig
+from .riemann import HYBRID_PARTS, ROE_DELTA0, SOLVER_KINDS
 
 CAP_KINDS = ("none", "first", "second", "smoothest-third")
 
@@ -21,8 +21,7 @@ class Scheme:
     space: str = "primitive"
     cap: str = "none"
     weno_eps: float = 1e-15
-    roe_delta0: float = 1e-4
-    force_linear_weights: bool = False
+    roe_delta0: float = ROE_DELTA0
 
     def __post_init__(self):
         if self.solver not in SOLVER_KINDS:
@@ -31,6 +30,10 @@ class Scheme:
             raise ValueError(f"order must be 1, 2 or 5, got {self.order}")
         if self.cap not in CAP_KINDS:
             raise ValueError(f"unknown near-shock cap {self.cap!r}")
+        if not self.roe_delta0 > 0:
+            raise ValueError("roe_delta0 must be positive")
+        # ReconConfig rejects an unknown space or WENO variant and eps <= 0
+        self.recon_config("x")
 
     @property
     def is_hybrid(self) -> bool:
@@ -50,16 +53,12 @@ class Scheme:
             weno_variant=self.weno_variant,
             space=self.space,
             eps=self.weno_eps,
-            force_linear_weights=self.force_linear_weights,
         )
 
     def cap_config(self, axis: str) -> ReconConfig | None:
         if self.cap == "none":
             return None
         return config_for_cap(self.cap, self.recon_config(axis))
-
-    def smoothing(self) -> SmoothingConfig:
-        return SmoothingConfig(self.roe_delta0)
 
     def label(self) -> str:
         """e.g. ``roe-o5-z/primitive``; the WENO variant only at fifth order,

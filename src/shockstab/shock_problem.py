@@ -1,9 +1,9 @@
 """The 2D steady normal-shock test problem.
 
-Normalization: upstream density 1.4 and pressure 1.0, so the upstream sound
-speed is 1 and the inflow velocity equals the Mach number.  The grid is
-square with cell size ``h`` (default 1); eigenvalues and growth rates scale
-as 1/h.
+Normalization: upstream density ``RHO_LEFT`` = 1.4 and pressure ``P_LEFT`` =
+1.0, so with ``euler.GAMMA`` = 1.4 the upstream sound speed is 1 and the
+inflow velocity equals the Mach number.  The grid is square with cell size
+``h`` (default 1); eigenvalues and growth rates scale as 1/h.
 """
 
 from dataclasses import dataclass, replace
@@ -12,12 +12,15 @@ import numpy as np
 
 from . import euler, marching
 from .errors import ConvergenceError, InvalidStateError, ShockStabError
-from .euler import GasModel
+from .euler import GAMMA
 from .fields import BoundarySpec, MeanField, apply_boundaries, make_field
 from .scheme import Scheme
 
 # iteration budget of each Levenberg-Marquardt attempt of the steady solve
 LM_MAX_ITER = 150
+
+RHO_LEFT = 1.4
+P_LEFT = 1.0
 
 
 @dataclass(frozen=True)
@@ -27,10 +30,7 @@ class ShockProblemConfig:
     nx: int = 11
     ny: int = 11
     h: float = 1.0
-    gas: GasModel = GasModel(1.4)
     shock_column: int = 6  # 1-based
-    rho_left: float = 1.4
-    p_left: float = 1.0
     converge_tol: float = 1e-12
 
     def __post_init__(self):
@@ -42,32 +42,32 @@ class ShockProblemConfig:
             raise ValueError("shock column must be interior")
 
 
-def jump_ratios(mach: float, gas: GasModel):
+def jump_ratios(mach: float):
     """Density ratio f and pressure ratio g across the steady normal shock."""
     if mach < 1.0:
         raise ValueError("jump ratios need M0 >= 1")
-    g1, gp = gas.gamma - 1.0, gas.gamma + 1.0
+    g1, gp = GAMMA - 1.0, GAMMA + 1.0
     f = 1.0 / (2.0 / (gp * mach * mach) + g1 / gp)
-    g = 2.0 * gas.gamma * mach * mach / gp - g1 / gp
+    g = 2.0 * GAMMA * mach * mach / gp - g1 / gp
     return f, g
 
 
 def upstream_state(cfg: ShockProblemConfig) -> np.ndarray:
-    c = np.sqrt(cfg.gas.gamma * cfg.p_left / cfg.rho_left)
-    return np.array([cfg.rho_left, cfg.mach * c, 0.0, cfg.p_left])
+    c = np.sqrt(GAMMA * P_LEFT / RHO_LEFT)
+    return np.array([RHO_LEFT, cfg.mach * c, 0.0, P_LEFT])
 
 
 def downstream_state(cfg: ShockProblemConfig) -> np.ndarray:
-    f, g = jump_ratios(cfg.mach, cfg.gas)
+    f, g = jump_ratios(cfg.mach)
     w_l = upstream_state(cfg)
     return np.array([w_l[0] * f, w_l[1] / f, 0.0, w_l[3] * g])
 
 
-def hugoniot_weights(mach: float, eps: float, gas: GasModel):
+def hugoniot_weights(mach: float, eps: float):
     """Convex weights (a_rho, a_u, a_p) placing the shock cell on the
     Hugoniot curve between the upstream and downstream states."""
     m2 = mach * mach
-    g = gas.gamma
+    g = GAMMA
     a_rho = eps
     a_u = 1.0 - (1.0 - eps) * (
         1.0 + eps * (m2 - 1.0) / (1.0 + 0.5 * (g - 1.0) * m2)
@@ -78,7 +78,7 @@ def hugoniot_weights(mach: float, eps: float, gas: GasModel):
 
 def intermediate_state(cfg: ShockProblemConfig) -> np.ndarray:
     """Primitive state of the internal shock cell for the configured epsilon."""
-    a_rho, a_u, a_p = hugoniot_weights(cfg.mach, cfg.epsilon, cfg.gas)
+    a_rho, a_u, a_p = hugoniot_weights(cfg.mach, cfg.epsilon)
     w_l = upstream_state(cfg)
     w_r = downstream_state(cfg)
     return np.array(
@@ -107,7 +107,7 @@ def initial_profile(cfg: ShockProblemConfig) -> np.ndarray:
     W[:col] = w_l
     W[col] = w_m
     W[col + 1 :] = w_r
-    return euler.prim_to_cons(W, cfg.gas)
+    return euler.prim_to_cons(W)
 
 
 def build_initial_field(cfg: ShockProblemConfig, ny: int | None = None) -> MeanField:
@@ -160,7 +160,7 @@ def _lm_refine_1d(field, scheme, tol, clamp_cells, pin_dofs):
     nx = field.nx
     # per-component residual scales (flux magnitude over the cell size)
     W = field.interior_primitive()
-    c = euler.sound_speed(W, field.gas)
+    c = euler.sound_speed(W)
     speed = float((np.abs(W[..., 1]) + c).max())
     scale = np.maximum(1.0, np.abs(field.interior()).max(axis=(0, 1))) * speed / field.h
     s = np.tile(scale, nx)
@@ -168,7 +168,7 @@ def _lm_refine_1d(field, scheme, tol, clamp_cells, pin_dofs):
     p_floor = 1e-3 * float(W[..., 3].min())
 
     def admissible(f):
-        Wt = euler.cons_to_prim(f.interior(), f.gas)
+        Wt = euler.cons_to_prim(f.interior())
         return bool((Wt[..., 0].min() > rho_floor) and (Wt[..., 3].min() > p_floor))
 
     free = np.ones(4 * nx, dtype=bool)
@@ -305,7 +305,6 @@ def project_to_2d(profile: np.ndarray, cfg: ShockProblemConfig) -> MeanField:
     return make_field(
         interior,
         h=cfg.h,
-        gas=cfg.gas,
         bc=boundary_spec(cfg),
         shock_column=cfg.shock_column,
         upstream=upstream_state(cfg),

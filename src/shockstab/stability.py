@@ -42,10 +42,8 @@ import scipy.sparse
 
 from . import euler, marching, riemann
 from .errors import DifferentiationError, UnsteadyFieldError
-from .euler import GasModel
 from .fields import MeanField, NG, apply_boundaries
 from .reconstruction import FaceRecon
-from .riemann import SmoothingConfig
 from .scheme import Scheme
 
 
@@ -55,9 +53,7 @@ class StabilityMatrix:
     nx: int
     ny: int
     space: str
-    h: float
     W_mean: np.ndarray  # interior primitive states (nx, ny, 4)
-    gas: GasModel
 
 
 @dataclass
@@ -67,11 +63,10 @@ class Spectrum:
     dominant: complex
     eigvec_grid: np.ndarray  # complex (nx, ny, 4), native perturbation space
     eigvec_primitive: np.ndarray  # complex (nx, ny, 4)
-    space: str
     max_real_by_k: np.ndarray | None = None  # (ny,) per transverse wavenumber
 
 
-def _fd_jacobians_U(solver, UL, UR, frame, gas, sm, step=1e-7, label="face"):
+def _fd_jacobians_U(solver, UL, UR, frame, delta0, step=1e-7, label="face"):
     """Central-difference d(flux)/dU^L and d(flux)/dU^R at the face states.
 
     Probes act on the conservative components; derivatives against other
@@ -79,9 +74,9 @@ def _fd_jacobians_U(solver, UL, UR, frame, gas, sm, step=1e-7, label="face"):
     """
 
     def flux_of(ULp, URp):
-        WLp = euler.cons_to_prim(ULp, gas, f"{label} probe L")
-        WRp = euler.cons_to_prim(URp, gas, f"{label} probe R")
-        return riemann.compute_flux(solver, WLp, WRp, frame, gas, sm)
+        WLp = euler.cons_to_prim(ULp, f"{label} probe L")
+        WRp = euler.cons_to_prim(URp, f"{label} probe R")
+        return riemann.compute_flux(solver, WLp, WRp, frame, delta0)
 
     AL = np.empty(UL.shape + (4,))
     AR = np.empty(UR.shape + (4,))
@@ -105,15 +100,7 @@ def _fd_jacobians_U(solver, UL, UR, frame, gas, sm, step=1e-7, label="face"):
     return AL, AR
 
 
-def flux_jacobians(solver, WL, WR, frame, gas, sm: SmoothingConfig | None = None,
-                   step: float = 1e-7):
-    """dF/dU^L and dF/dU^R of a numerical flux at the given primitive pair."""
-    UL = euler.prim_to_cons(np.asarray(WL, dtype=float), gas)
-    UR = euler.prim_to_cons(np.asarray(WR, dtype=float), gas)
-    return _fd_jacobians_U(solver, UL, UR, frame, gas, sm, step=step)
-
-
-def face_blocks(recon: FaceRecon, AL_U, AR_U, gas: GasModel) -> np.ndarray:
+def face_blocks(recon: FaceRecon, AL_U, AR_U) -> np.ndarray:
     """Six coefficient blocks per face at offsets -2..+3 from the left cell.
 
     The -2 and +3 entries are the alpha pair, -1/+2 the beta pair and the
@@ -122,8 +109,8 @@ def face_blocks(recon: FaceRecon, AL_U, AR_U, gas: GasModel) -> np.ndarray:
     if recon.space == "conservative":
         AL, AR = AL_U, AR_U
     elif recon.space == "primitive":
-        AL = AL_U @ euler.du_dw(recon.WL, gas)
-        AR = AR_U @ euler.du_dw(recon.WR, gas)
+        AL = AL_U @ euler.du_dw(recon.WL)
+        AR = AR_U @ euler.du_dw(recon.WR)
     else:
         AL = AL_U @ recon.Rmat
         AR = AR_U @ recon.Rmat
@@ -194,7 +181,6 @@ def assemble(field: MeanField, scheme: Scheme, check_steady: bool = True,
                 "converge the base flow first"
             )
     nx, ny = field.nx, field.ny
-    gas = field.gas
     Wint = field.interior_primitive()
 
     T_out = None
@@ -209,16 +195,16 @@ def assemble(field: MeanField, scheme: Scheme, check_steady: bool = True,
 
     parts = []
     for axis, solver, frame, recon in marching.face_reconstructions(field, scheme):
-        UL = euler.prim_to_cons(recon.WL, gas)
-        UR = euler.prim_to_cons(recon.WR, gas)
+        UL = euler.prim_to_cons(recon.WL)
+        UR = euler.prim_to_cons(recon.WR)
         AL_U, AR_U = _fd_jacobians_U(
-            solver, UL, UR, frame, gas, scheme.smoothing(), label=f"{axis}-face"
+            solver, UL, UR, frame, scheme.roe_delta0, label=f"{axis}-face"
         )
-        B = face_blocks(recon, AL_U, AR_U, gas)
+        B = face_blocks(recon, AL_U, AR_U)
         parts += _face_triplets(B, axis, field, T_out)
     rows, cols, signs, blocks = (np.concatenate(p) for p in zip(*parts))
     if scheme.space == "primitive":
-        blocks = euler.dw_du(Wint, gas).reshape(-1, 4, 4)[rows] @ blocks
+        blocks = euler.dw_du(Wint).reshape(-1, 4, 4)[rows] @ blocks
     blocks = signs[:, None, None] * blocks
 
     comp = np.arange(4)
@@ -231,7 +217,7 @@ def assemble(field: MeanField, scheme: Scheme, check_steady: bool = True,
     ).tocsr()
     S.eliminate_zeros()
     return StabilityMatrix(
-        matrix=S, nx=nx, ny=ny, space=scheme.space, h=field.h, W_mean=Wint, gas=gas,
+        matrix=S, nx=nx, ny=ny, space=scheme.space, W_mean=Wint,
     )
 
 
@@ -311,7 +297,7 @@ def eigensolve(S: StabilityMatrix) -> Spectrum:
     if S.space == "primitive":
         prim = grid.copy()
     else:
-        M = euler.dw_du(S.W_mean, S.gas)
+        M = euler.dw_du(S.W_mean)
         prim = np.einsum("ijab,ijb->ija", M, grid)
     return Spectrum(
         eigenvalues=vals,
@@ -319,7 +305,6 @@ def eigensolve(S: StabilityMatrix) -> Spectrum:
         dominant=complex(vals[k]),
         eigvec_grid=grid,
         eigvec_primitive=prim,
-        space=S.space,
         max_real_by_k=by_k,
     )
 
@@ -333,22 +318,3 @@ def localize(spectrum: Spectrum):
     profile = amp.max(axis=(1, 2))
     return profile, int(np.argmax(profile)) + 1
 
-
-def spectrum_table(spectrum: Spectrum) -> str:
-    """CSV text of the eigenvalues, sorted by descending real part."""
-    order = np.lexsort((-spectrum.eigenvalues.imag, -spectrum.eigenvalues.real))
-    lines = ["re,im"]
-    for lam in spectrum.eigenvalues[order]:
-        lines.append(f"{lam.real:.17g},{lam.imag:.17g}")
-    return "\n".join(lines) + "\n"
-
-
-def eigenvector_table(spectrum: Spectrum) -> str:
-    """Columnar eigenvector field: i j rho u v p (real part, phase-fixed)."""
-    lines = ["i j rho u v p"]
-    nx, ny = spectrum.eigvec_primitive.shape[:2]
-    for i in range(nx):
-        for j in range(ny):
-            vals = " ".join(f"{x.real:.17g}" for x in spectrum.eigvec_primitive[i, j])
-            lines.append(f"{i + 1} {j + 1} {vals}")
-    return "\n".join(lines) + "\n"

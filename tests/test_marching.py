@@ -3,18 +3,16 @@ import pytest
 
 from shockstab import euler, fields, marching, shock_problem as sp
 from shockstab.errors import NoExponentialStageError
-from shockstab.euler import GasModel
 from shockstab.fields import BoundarySpec, make_field
 from shockstab.marching import MonitorSeries, RunConfig, fit_growth_rate
 from shockstab.scheme import Scheme
 
-GAS = GasModel(1.4)
 
 
 def uniform_field(W, nx=8, ny=8, h=1.0):
-    U = euler.prim_to_cons(np.asarray(W, dtype=float), GAS)
+    U = euler.prim_to_cons(np.asarray(W, dtype=float))
     interior = np.broadcast_to(U, (nx, ny, 4)).copy()
-    return make_field(interior, h=h, gas=GAS, bc=BoundarySpec(periodic_x=True))
+    return make_field(interior, h=h, bc=BoundarySpec(periodic_x=True))
 
 
 @pytest.mark.parametrize("order", [1, 2, 5])
@@ -42,21 +40,21 @@ def test_rhs_matches_flux_divergence_manufactured():
         for j in range(ny):
             W[i, j] = [1.0 + 0.05 * i + 0.02 * j, 0.3 + 0.01 * i, 0.1 - 0.01 * j, 1.0 + 0.03 * i]
     field = make_field(
-        euler.prim_to_cons(W, GAS), h=h, gas=GAS, bc=BoundarySpec(periodic_x=True)
+        euler.prim_to_cons(W), h=h, bc=BoundarySpec(periodic_x=True)
     )
     scheme = Scheme(solver="hll", order=1)
     r = marching.rhs(field, scheme)
     from shockstab import riemann
 
-    Wpad = euler.cons_to_prim(field.U, GAS)
+    Wpad = euler.cons_to_prim(field.U)
     expect = np.zeros((nx, ny, 4))
     for i in range(nx):
         for j in range(ny):
             ip, jp = i + 3, j + 3
-            fxp = riemann.hll_flux(Wpad[ip, jp], Wpad[ip + 1, jp], euler.X_FACE, GAS)
-            fxm = riemann.hll_flux(Wpad[ip - 1, jp], Wpad[ip, jp], euler.X_FACE, GAS)
-            fyp = riemann.hll_flux(Wpad[ip, jp], Wpad[ip, jp + 1], euler.Y_FACE, GAS)
-            fym = riemann.hll_flux(Wpad[ip, jp - 1], Wpad[ip, jp], euler.Y_FACE, GAS)
+            fxp = riemann.hll_flux(Wpad[ip, jp], Wpad[ip + 1, jp], euler.X_FACE)
+            fxm = riemann.hll_flux(Wpad[ip - 1, jp], Wpad[ip, jp], euler.X_FACE)
+            fyp = riemann.hll_flux(Wpad[ip, jp], Wpad[ip, jp + 1], euler.Y_FACE)
+            fym = riemann.hll_flux(Wpad[ip, jp - 1], Wpad[ip, jp], euler.Y_FACE)
             expect[i, j] = -(fxp - fxm + fyp - fym) / h
     assert np.allclose(r, expect, rtol=1e-12, atol=1e-12)
 
@@ -71,9 +69,9 @@ def test_flux_telescoping_row_sums():
 
     winL, winR = reconstruction.x_face_windows(field.U, c.nx, c.ny)
     recon = reconstruction.reconstruct_pair(
-        winL, winR, scheme.recon_config("x"), GAS, euler.X_FACE
+        winL, winR, scheme.recon_config("x"), euler.X_FACE
     )
-    fx = riemann.hll_flux(recon.WL, recon.WR, euler.X_FACE, GAS)
+    fx = riemann.hll_flux(recon.WL, recon.WR, euler.X_FACE)
     for j in range(c.ny):
         row_sum = r[:, j].sum(axis=0)
         expect = -(fx[-1, j] - fx[0, j]) / c.h
@@ -109,7 +107,7 @@ def test_entropy_wave_advection_order():
     W[:, 0, 2] = 0.0
     W[:, 0, 3] = 1.0
     field = make_field(
-        euler.prim_to_cons(W, GAS), h=h, gas=GAS, bc=BoundarySpec(periodic_x=True)
+        euler.prim_to_cons(W), h=h, bc=BoundarySpec(periodic_x=True)
     )
     scheme = Scheme(solver="roe", order=5, space="primitive")
     t, t_end = 0.0, 1.0
@@ -191,14 +189,6 @@ def test_fit_growth_rate_rejects_junk():
         fit_growth_rate(MonitorSeries(t=t, vmax=v))
     with pytest.raises(NoExponentialStageError):
         fit_growth_rate(MonitorSeries(t=t[:5], vmax=np.ones(5)))
-
-
-def test_monitor_table_format():
-    s = synthetic_series(0.1, t_end=1.0, n=3)
-    text = marching.monitor_table(s)
-    lines = text.strip().split("\n")
-    assert lines[0] == "t vmax"
-    assert len(lines) == 4
 
 
 @pytest.mark.slow

@@ -1,5 +1,5 @@
 """The dependencies declared in pyproject.toml are the third-party packages
-the source imports, no more and no fewer; every config field is read."""
+the source imports, no more and no fewer; every dataclass field is read."""
 
 import ast
 import re
@@ -52,6 +52,36 @@ def test_config_fields_are_read():
             node.attr
             for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and id(node) not in skip
+        )
+    assert fields
+    assert sorted(f for f in fields if f.rsplit(".", 1)[1] not in read) == []
+
+
+def _is_plain_dataclass(node):
+    return any(
+        getattr(d, "id", None) == "dataclass" or getattr(getattr(d, "func", None), "id", None) == "dataclass"
+        for d in node.decorator_list
+    ) and not _is_frozen_dataclass(node)
+
+
+def test_result_fields_are_read():
+    # a field of a mutable state or result dataclass that neither the package,
+    # its tests nor the benchmark reads is write-only
+    src = list((ROOT / "src" / "shockstab").glob("*.py"))
+    fields, read = set(), set()
+    for path in src:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and _is_plain_dataclass(node):
+                fields.update(
+                    f"{path.stem}.{node.name}.{item.target.id}"
+                    for item in node.body
+                    if isinstance(item, ast.AnnAssign)
+                )
+    for path in src + list((ROOT / "tests").glob("*.py")) + list((ROOT / "shockbench").rglob("*.py")):
+        read.update(
+            node.attr
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
         )
     assert fields
     assert sorted(f for f in fields if f.rsplit(".", 1)[1] not in read) == []

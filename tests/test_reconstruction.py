@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from shockstab import euler, reconstruction as rc
-from shockstab.euler import GasModel, X_FACE
+from shockstab.euler import X_FACE
 
-GAS = GasModel(1.4)
 
 
 def test_smoothness_indicators_constant():
@@ -66,8 +65,8 @@ def test_weno5_right_symmetry():
     rng = np.random.default_rng(1)
     w = np.repeat(rng.uniform(0.5, 2.0, (50, 5, 1)), 4, axis=-1)  # primitive windows
     cfg = rc.ReconConfig(space="primitive")
-    U = euler.prim_to_cons(w, GAS)
-    right = rc.reconstruct_pair(U, U, cfg, GAS, X_FACE).WR
+    U = euler.prim_to_cons(w)
+    right = rc.reconstruct_pair(U, U, cfg, X_FACE).WR
     left, _, _ = rc._left_state(w[:, ::-1], cfg)
     assert np.allclose(right, left, atol=1e-14)
 
@@ -166,11 +165,11 @@ def test_weno5_convergence_order(variant, profile):
 
 def test_reconstruct_pair_uniform_any_space():
     W = np.array([1.4, 20.0, 0.0, 1.0])
-    U = euler.prim_to_cons(W, GAS)
+    U = euler.prim_to_cons(W)
     win = np.broadcast_to(U, (3, 5, 4)).copy()
     for space in ("conservative", "primitive", "characteristic"):
         cfg = rc.ReconConfig(space=space)
-        out = rc.reconstruct_pair(win, win, cfg, GAS, X_FACE)
+        out = rc.reconstruct_pair(win, win, cfg, X_FACE)
         assert np.allclose(out.WL, W, atol=1e-12)
         assert np.allclose(out.WR, W, atol=1e-12)
         assert not out.fallback.any()
@@ -182,10 +181,10 @@ def test_characteristic_projection_round_trip():
     from test_euler import random_states
 
     W = random_states(rng, 8)
-    U = euler.prim_to_cons(W, GAS)
+    U = euler.prim_to_cons(W)
     win = np.repeat(U[:, None, :], 5, axis=1)  # constant windows
     cfg = rc.ReconConfig(kind="first", space="characteristic")
-    out = rc.reconstruct_pair(win, win, cfg, GAS, X_FACE)
+    out = rc.reconstruct_pair(win, win, cfg, X_FACE)
     assert np.allclose(out.WL, W, rtol=1e-12, atol=1e-12)
 
 
@@ -195,11 +194,11 @@ def test_characteristic_differs_from_primitive_on_curved_profile():
     win = np.empty((1, 5, 4))
     for m in range(5):
         scale = 1.0 + 0.4 * m * m  # curved, smooth-ish
-        win[0, m] = euler.prim_to_cons(base * scale, GAS)
+        win[0, m] = euler.prim_to_cons(base * scale)
     outs = {}
     for space in ("conservative", "primitive"):
         cfg = rc.ReconConfig(space=space)
-        outs[space] = rc.reconstruct_pair(win, win, cfg, GAS, X_FACE)
+        outs[space] = rc.reconstruct_pair(win, win, cfg, X_FACE)
     assert np.all(np.isfinite(outs["conservative"].WL))
     assert np.all(np.isfinite(outs["primitive"].WL))
     assert not np.allclose(outs["conservative"].WL, outs["primitive"].WL)
@@ -216,9 +215,9 @@ def test_positivity_fallback():
             [1.0, 0.0, 0.0, 1.0],
         ]
     )
-    U = euler.prim_to_cons(W, GAS)[None]
+    U = euler.prim_to_cons(W)[None]
     cfg = rc.ReconConfig(space="conservative", force_linear_weights=True)
-    out = rc.reconstruct_pair(U, U, cfg, GAS, X_FACE)
+    out = rc.reconstruct_pair(U, U, cfg, X_FACE)
     assert np.all(out.WL[..., 0] > 0) and np.all(out.WL[..., 3] > 0)
     assert np.all(out.WR[..., 0] > 0) and np.all(out.WR[..., 3] > 0)
 

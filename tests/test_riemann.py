@@ -3,25 +3,23 @@ import pytest
 
 from shockstab import euler, riemann
 from shockstab.errors import DegenerateFanError
-from shockstab.euler import FaceFrame, GasModel, X_FACE
-from shockstab.riemann import SmoothingConfig
+from shockstab.euler import FaceFrame, X_FACE
 from shockstab.scheme import Scheme
 
 from test_euler import random_frames, random_states
 
-GAS = GasModel(1.4)
 ALL_SOLVERS = ["roe", "hll", "hllc", "van_leer"]
 
 
 def flux(kind, WL, WR, frame=X_FACE):
-    return riemann.compute_flux(kind, WL, WR, frame, GAS)
+    return riemann.compute_flux(kind, WL, WR, frame)
 
 
 def rh_pair(m0=20.0):
     """Exact steady-shock pair: both-side fluxes agree."""
     from shockstab.shock_problem import jump_ratios
 
-    f, g = jump_ratios(m0, GAS)
+    f, g = jump_ratios(m0)
     WL = np.array([1.4, m0, 0.0, 1.0])
     WR = np.array([1.4 * f, m0 / f, 0.0, g])
     return WL, WR
@@ -32,7 +30,7 @@ def test_consistency_random_states(kind):
     rng = np.random.default_rng(10)
     W = random_states(rng, 1000)
     F = flux(kind, W, W)
-    exact = euler.exact_flux_w(W, X_FACE, GAS)
+    exact = euler.exact_flux_w(W, X_FACE)
     scale = np.abs(exact).max(axis=-1, keepdims=True) + 1e-30
     assert np.max(np.abs(F - exact) / scale) < 1e-12
 
@@ -42,13 +40,13 @@ def test_full_upwind_supersonic(kind):
     rng = np.random.default_rng(11)
     rho = rng.uniform(0.5, 2.0, 50)
     p = rng.uniform(0.5, 2.0, 50)
-    c = np.sqrt(GAS.gamma * p / rho)
+    c = np.sqrt(euler.GAMMA * p / rho)
     u = rng.uniform(1.5, 4.0, 50) * c  # q - c > 0 strictly
     WL = np.stack([rho, u, 0.2 * c, p], axis=-1)
     WR = WL * rng.uniform(0.95, 1.05, (50, 4))
-    WR[:, 1] = np.maximum(WR[:, 1], 1.2 * np.sqrt(GAS.gamma * WR[:, 3] / WR[:, 0]))
+    WR[:, 1] = np.maximum(WR[:, 1], 1.2 * np.sqrt(euler.GAMMA * WR[:, 3] / WR[:, 0]))
     F = flux(kind, WL, WR)
-    exact = euler.exact_flux_w(WL, X_FACE, GAS)
+    exact = euler.exact_flux_w(WL, X_FACE)
     assert np.allclose(F, exact, rtol=1e-10, atol=1e-10)
 
 
@@ -66,8 +64,8 @@ def test_rotation_equivariance(kind):
             return np.array([W[0], ca * W[1] - sa * W[2], sa * W[1] + ca * W[2], W[3]])
 
         frame2 = FaceFrame(ca * frame.nx - sa * frame.ny, sa * frame.nx + ca * frame.ny)
-        F = riemann.compute_flux(kind, WL, WR, frame, GAS)
-        F2 = riemann.compute_flux(kind, rot(WL), rot(WR), frame2, GAS)
+        F = riemann.compute_flux(kind, WL, WR, frame)
+        F2 = riemann.compute_flux(kind, rot(WL), rot(WR), frame2)
         expect = np.array([F[0], ca * F[1] - sa * F[2], sa * F[1] + ca * F[2], F[3]])
         assert np.allclose(F2, expect, rtol=1e-10, atol=1e-10), kind
 
@@ -76,10 +74,10 @@ def test_roe_steady_shock_flux_equality():
     # both exact fluxes agree across the jump; with the smoothing floor made
     # negligible, Roe must return that common value
     WL, WR = rh_pair()
-    FL = euler.exact_flux_w(WL, X_FACE, GAS)
-    FR = euler.exact_flux_w(WR, X_FACE, GAS)
+    FL = euler.exact_flux_w(WL, X_FACE)
+    FR = euler.exact_flux_w(WR, X_FACE)
     assert np.allclose(FL, FR, rtol=1e-12)
-    F = riemann.roe_flux(WL, WR, X_FACE, GAS, SmoothingConfig(1e-13))
+    F = riemann.roe_flux(WL, WR, X_FACE, 1e-13)
     assert np.max(np.abs(F - FL)) < 1e-8 * np.abs(FL).max()
 
 
@@ -87,8 +85,8 @@ def test_roe_smoothing_perturbs_steady_shock_at_default_delta():
     # the quadratic floor at delta0=1e-4 intentionally adds dissipation at
     # the vanishing eigenvalue; the steady-shock flux is no longer exact
     WL, WR = rh_pair()
-    FL = euler.exact_flux_w(WL, X_FACE, GAS)
-    F = riemann.roe_flux(WL, WR, X_FACE, GAS, SmoothingConfig(1e-4))
+    FL = euler.exact_flux_w(WL, X_FACE)
+    F = riemann.roe_flux(WL, WR, X_FACE, 1e-4)
     dev = np.max(np.abs(F - FL))
     assert 1e-8 < dev < 1.0
 
@@ -97,11 +95,11 @@ def test_hll_dissipates_steady_shock():
     # HLL with Davis speeds smears a steady shock: its flux differs from the
     # common exact flux by the S_L S_R (U_R-U_L)/(S_R-S_L) term
     WL, WR = rh_pair()
-    s_l, s_r = riemann.davis_speeds(WL, WR, X_FACE, GAS)
-    UL = euler.prim_to_cons(WL, GAS)
-    UR = euler.prim_to_cons(WR, GAS)
-    expected = euler.exact_flux_w(WL, X_FACE, GAS) + s_l * s_r * (UR - UL) / (s_r - s_l)
-    F = riemann.hll_flux(WL, WR, X_FACE, GAS)
+    s_l, s_r = riemann.davis_speeds(WL, WR, X_FACE)
+    UL = euler.prim_to_cons(WL)
+    UR = euler.prim_to_cons(WR)
+    expected = euler.exact_flux_w(WL, X_FACE) + s_l * s_r * (UR - UL) / (s_r - s_l)
+    F = riemann.hll_flux(WL, WR, X_FACE)
     assert np.allclose(F, expected, rtol=1e-12)
     assert abs(F[0] - WL[0] * WL[1]) > 1.0  # mass flux visibly off the RH value
 
@@ -112,26 +110,26 @@ def test_hll_supersonic_branch():
     WR = np.array([1.1, 3.2, 0.0, 1.1])
     for kind in ("hll", "hllc"):
         F = flux(kind, WL, WR)
-        assert np.allclose(F, euler.exact_flux_w(WL, X_FACE, GAS), atol=1e-12)
+        assert np.allclose(F, euler.exact_flux_w(WL, X_FACE), atol=1e-12)
 
 
 def test_hllc_resolves_contact():
     # pure contact discontinuity: HLLC is exact, HLL is not
     WL = np.array([1.0, 0.5, 0.3, 1.0])
     WR = np.array([2.0, 0.5, 0.3, 1.0])
-    FL = euler.exact_flux_w(WL, X_FACE, GAS)
+    FL = euler.exact_flux_w(WL, X_FACE)
     # moving contact: flux of the upwind side
-    F = riemann.hllc_flux(WL, WR, X_FACE, GAS)
+    F = riemann.hllc_flux(WL, WR, X_FACE)
     assert np.allclose(F, FL, atol=1e-12)
-    F_hll = riemann.hll_flux(WL, WR, X_FACE, GAS)
+    F_hll = riemann.hll_flux(WL, WR, X_FACE)
     assert not np.allclose(F_hll, FL, atol=1e-6)
 
 
 def test_van_leer_splitting_consistency():
     rng = np.random.default_rng(14)
     W = random_states(rng, 100, (0.0, 0.95))
-    F = riemann.van_leer_flux(W, W, X_FACE, GAS)
-    exact = euler.exact_flux_w(W, X_FACE, GAS)
+    F = riemann.van_leer_flux(W, W, X_FACE)
+    exact = euler.exact_flux_w(W, X_FACE)
     scale = np.abs(exact).max() + 1.0
     assert np.max(np.abs(F - exact)) < 1e-12 * scale
 
@@ -139,8 +137,8 @@ def test_van_leer_splitting_consistency():
 def test_van_leer_supersonic_one_sided():
     WL = np.array([1.0, 3.0, 0.4, 1.0])
     WR = np.array([0.9, 3.5, -0.2, 1.2])
-    F = riemann.van_leer_flux(WL, WR, X_FACE, GAS)
-    assert np.allclose(F, euler.exact_flux_w(WL, X_FACE, GAS), atol=1e-13)
+    F = riemann.van_leer_flux(WL, WR, X_FACE)
+    assert np.allclose(F, euler.exact_flux_w(WL, X_FACE), atol=1e-13)
 
 
 def test_degenerate_fan_raises():
@@ -153,7 +151,7 @@ def test_degenerate_fan_raises():
         # directly
         riemann.davis_speeds(
             np.array([1.0, 1.0, 0.0, 1e-30]), np.array([1.0, 1.0, 0.0, 1e-30]),
-            X_FACE, GAS,
+            X_FACE,
         )
 
 
@@ -182,12 +180,12 @@ def test_hybrid_dispatch():
 
     def hybrid(kind, orientation):
         solver, order = Scheme(solver=kind).per_direction(axis_of[orientation])
-        return riemann.compute_flux(solver, *pairs[order], X_FACE, GAS)
+        return riemann.compute_flux(solver, *pairs[order], X_FACE)
 
     F = hybrid("hybrid-1", "transverse")
-    assert np.allclose(F, riemann.roe_flux(WL5, WR5, X_FACE, GAS))
+    assert np.allclose(F, riemann.roe_flux(WL5, WR5, X_FACE))
     F = hybrid("hybrid-1", "normal")
-    assert np.allclose(F, riemann.van_leer_flux(WL1, WR1, X_FACE, GAS))
+    assert np.allclose(F, riemann.van_leer_flux(WL1, WR1, X_FACE))
     # hybrid-2 swaps the branches everywhere
     for orientation in ("normal", "transverse"):
         other = "transverse" if orientation == "normal" else "normal"

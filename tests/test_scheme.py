@@ -1,3 +1,5 @@
+import pytest
+
 from shockstab.scheme import Scheme
 
 
@@ -7,3 +9,17 @@ def test_label_names_variant_at_fifth_order_and_cap():
     # capped and uncapped schemes are told apart, hybrids included
     assert Scheme(cap="first").label() != Scheme().label()
     assert Scheme(solver="hybrid-1", cap="second").label() != Scheme(solver="hybrid-1").label()
+
+
+@pytest.mark.parametrize("name, value", [
+    ("space", "primtive"),
+    ("weno_variant", "jz"),
+    ("weno_eps", 0.0),
+    ("roe_delta0", 0.0),
+    ("solver", "rusanov"),
+    ("order", 3),
+    ("cap", "third"),
+])
+def test_invalid_scheme_rejected_at_construction(name, value):
+    with pytest.raises(ValueError):
+        Scheme(**{name: value})

@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
 
-from shockstab import euler, fields, marching, shock_problem as sp
+from shockstab import euler, marching, shock_problem as sp
 from shockstab.errors import ConvergenceError
-from shockstab.euler import GasModel
 from shockstab.fields import BoundarySpec, apply_boundaries
 from shockstab.scheme import Scheme
 
-GAS = GasModel(1.4)
 
 
 def cfg(**kw):
@@ -15,18 +13,18 @@ def cfg(**kw):
 
 
 def test_jump_ratios_m1():
-    f, g = sp.jump_ratios(1.0, GAS)
+    f, g = sp.jump_ratios(1.0)
     assert abs(f - 1.0) < 1e-14 and abs(g - 1.0) < 1e-14
 
 
 def test_jump_ratios_m20():
-    f, g = sp.jump_ratios(20.0, GAS)
+    f, g = sp.jump_ratios(20.0)
     assert abs(f - 160.0 / 27.0) < 1e-12  # 5.9259259...
     assert abs(g - 466.5) < 1e-10
 
 
 def test_jump_ratio_strong_shock_limit():
-    f, _ = sp.jump_ratios(1e6, GAS)
+    f, _ = sp.jump_ratios(1e6)
     assert abs(f - 6.0) < 1e-3
 
 
@@ -39,7 +37,7 @@ def test_intermediate_state_limits():
 
 def test_hugoniot_weights_eps01():
     # frozen from an independent high-precision evaluation of the closed form
-    a_rho, a_u, a_p = sp.hugoniot_weights(20.0, 0.1, GAS)
+    a_rho, a_u, a_p = sp.hugoniot_weights(20.0, 0.1)
     assert a_rho == 0.1
     assert abs(a_u - 0.2580244454) < 1e-9
     assert abs(a_p - 0.0395702270) < 1e-9
@@ -83,7 +81,7 @@ def test_boundary_fill_and_idempotence():
     c = cfg()
     field = sp.build_initial_field(c)
     U = field.U
-    up = euler.prim_to_cons(sp.upstream_state(c), GAS)
+    up = euler.prim_to_cons(sp.upstream_state(c))
     assert np.allclose(U[0, 3:-3], up, atol=1e-13)
     # periodic wrap: first y-ghost row equals last interior row
     assert np.allclose(U[:, 2], U[:, 3 + c.ny - 1], atol=0)
@@ -91,8 +89,8 @@ def test_boundary_fill_and_idempotence():
     apply_boundaries(field)
     assert np.array_equal(snap, field.U)
     # outflow ghost keeps interior velocity but pinned pressure
-    ghost_W = euler.cons_to_prim(U[3 + c.nx, 5], GAS)
-    last_W = euler.cons_to_prim(U[3 + c.nx - 1, 5], GAS)
+    ghost_W = euler.cons_to_prim(U[3 + c.nx, 5])
+    last_W = euler.cons_to_prim(U[3 + c.nx - 1, 5])
     assert np.allclose(ghost_W[:3], last_W[:3], atol=1e-13)
     assert abs(ghost_W[3] - sp.downstream_state(c)[3]) < 1e-12
 
@@ -108,14 +106,14 @@ def test_entropy_increase_endpoints():
 
 def test_entropy_denominator_value():
     # ln(466.5) - 1.4 ln(160/27), evaluated independently
-    f, g = sp.jump_ratios(20.0, GAS)
-    ds = np.log(g) - GAS.gamma * np.log(f)
+    f, g = sp.jump_ratios(20.0)
+    ds = np.log(g) - euler.GAMMA * np.log(f)
     assert abs(ds - 3.6541862914) < 1e-9
     c = cfg(epsilon=0.5)
     field = sp.build_initial_field(c)
     w_m = sp.intermediate_state(c)
-    s_m = euler.entropy(w_m, GAS)
-    s_l = euler.entropy(sp.upstream_state(c), GAS)
+    s_m = euler.entropy(w_m)
+    s_l = euler.entropy(sp.upstream_state(c))
     expect = (s_m - s_l) / ds
     assert abs(euler.entropy_increase(field) - expect) < 1e-12
 
@@ -219,18 +217,6 @@ def test_project_to_2d_rows_equal():
     interior = field.interior()
     assert interior.shape == (7, 5, 4)
     assert np.allclose(interior, interior[:, :1, :], atol=0)
-
-
-def test_field_table_round_trip(tmp_path):
-    c = cfg(nx=4, ny=3, shock_column=2)
-    field = sp.build_initial_field(c)
-    path = tmp_path / "field.csv"
-    fields.save_field(field, path)
-    rows = np.loadtxt(path, skiprows=1)
-    assert rows.shape == (12, 6)
-    W = field.interior_primitive()
-    assert np.allclose(rows[0, 2:], W[0, 0], rtol=1e-15)
-    assert np.allclose(rows[-1, :2], [4, 3])
 
 
 def test_config_validation():

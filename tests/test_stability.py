@@ -6,20 +6,19 @@ from scipy.optimize import linear_sum_assignment
 
 from shockstab import euler, fields, reconstruction as rc, riemann, shock_problem as sp, stability
 from shockstab.errors import UnsteadyFieldError
-from shockstab.euler import GasModel, X_FACE
+from shockstab.euler import X_FACE
 from shockstab.fields import BoundarySpec, make_field
 from shockstab.scheme import Scheme
-from shockstab.stability import Spectrum, assemble, eigensolve, flux_jacobians, localize
+from shockstab.stability import Spectrum, assemble, eigensolve, localize
 
 from test_euler import random_states
 
-GAS = GasModel(1.4)
 
 
 def uniform_periodic_field(W, nx=6, ny=5, h=1.0):
-    U = euler.prim_to_cons(np.asarray(W, dtype=float), GAS)
+    U = euler.prim_to_cons(np.asarray(W, dtype=float))
     interior = np.broadcast_to(U, (nx, ny, 4)).copy()
-    return make_field(interior, h=h, gas=GAS, bc=BoundarySpec(periodic_x=True))
+    return make_field(interior, h=h, bc=BoundarySpec(periodic_x=True))
 
 
 def initial_shock_field(**kw):
@@ -44,8 +43,10 @@ def block_cols(S, i, j):
 def test_flux_jacobians_van_leer_supersonic():
     WL = np.array([1.0, 3.0, 0.2, 1.0])
     WR = np.array([0.9, 3.4, -0.1, 1.1])
-    AL, AR = flux_jacobians("van_leer", WL, WR, X_FACE, GAS)
-    A_exact = euler.analytic_flux_jacobian(euler.prim_to_cons(WL, GAS), X_FACE, GAS)
+    AL, AR = stability._fd_jacobians_U(
+        "van_leer", euler.prim_to_cons(WL), euler.prim_to_cons(WR), X_FACE, riemann.ROE_DELTA0,
+    )
+    A_exact = euler.analytic_flux_jacobian(euler.prim_to_cons(WL), X_FACE)
     assert np.max(np.abs(AL - A_exact)) < 1e-5
     assert np.max(np.abs(AR)) < 1e-10
 
@@ -54,8 +55,9 @@ def test_flux_jacobians_van_leer_supersonic():
 def test_flux_jacobians_consistency_identity(solver):
     rng = np.random.default_rng(40)
     for W in random_states(rng, 3, (0.0, 1.8)):
-        AL, AR = flux_jacobians(solver, W, W, X_FACE, GAS)
-        A_exact = euler.analytic_flux_jacobian(euler.prim_to_cons(W, GAS), X_FACE, GAS)
+        U = euler.prim_to_cons(W)
+        AL, AR = stability._fd_jacobians_U(solver, U, U, X_FACE, riemann.ROE_DELTA0)
+        A_exact = euler.analytic_flux_jacobian(U, X_FACE)
         scale = max(1.0, np.abs(A_exact).max())
         assert np.max(np.abs(AL + AR - A_exact)) < 1e-5 * scale, solver
 
@@ -65,8 +67,9 @@ def test_flux_jacobians_step_robustness():
     # so halving the step barely moves the entries
     WL = np.array([1.0, 0.6, 0.2, 1.0])
     WR = np.array([1.3, 0.4, -0.1, 1.5])
-    A1 = flux_jacobians("roe", WL, WR, X_FACE, GAS, step=1e-7)
-    A2 = flux_jacobians("roe", WL, WR, X_FACE, GAS, step=5e-8)
+    UL, UR = euler.prim_to_cons(WL), euler.prim_to_cons(WR)
+    A1 = stability._fd_jacobians_U("roe", UL, UR, X_FACE, riemann.ROE_DELTA0, step=1e-7)
+    A2 = stability._fd_jacobians_U("roe", UL, UR, X_FACE, riemann.ROE_DELTA0, step=5e-8)
     for A, B in zip(A1, A2):
         scale = max(1.0, np.abs(A).max())
         assert np.max(np.abs(A - B)) < 1e-6 * scale
@@ -77,19 +80,19 @@ def test_flux_jacobians_step_robustness():
 
 def _recon_for(win, kind, space="conservative"):
     cfg = rc.ReconConfig(kind=kind, space=space, weno_variant="z")
-    return rc.reconstruct_pair(win, win, cfg, GAS, X_FACE)
+    return rc.reconstruct_pair(win, win, cfg, X_FACE)
 
 
 def test_first_order_blocks_degenerate_to_jacobians():
     rng = np.random.default_rng(41)
     W = random_states(rng, 2, (0.0, 1.5))
-    win = np.repeat(euler.prim_to_cons(W, GAS)[:, None, :], 5, axis=1)
+    win = np.repeat(euler.prim_to_cons(W)[:, None, :], 5, axis=1)
     recon = _recon_for(win, "first")
     AL, AR = stability._fd_jacobians_U(
-        "hll", euler.prim_to_cons(recon.WL, GAS), euler.prim_to_cons(recon.WR, GAS),
-        X_FACE, GAS, None,
+        "hll", euler.prim_to_cons(recon.WL), euler.prim_to_cons(recon.WR),
+        X_FACE, riemann.ROE_DELTA0,
     )
-    blocks = stability.face_blocks(recon, AL, AR, GAS)
+    blocks = stability.face_blocks(recon, AL, AR)
     assert np.allclose(blocks[:, 0], 0.0) and np.allclose(blocks[:, 1], 0.0)
     assert np.allclose(blocks[:, 4], 0.0) and np.allclose(blocks[:, 5], 0.0)
     assert np.allclose(blocks[:, 2], AL) and np.allclose(blocks[:, 3], AR)
@@ -97,15 +100,15 @@ def test_first_order_blocks_degenerate_to_jacobians():
 
 def test_uniform_blocks_sum_to_analytic_jacobian():
     W = np.array([1.0, 0.4, 0.2, 1.0])
-    win = np.broadcast_to(euler.prim_to_cons(W, GAS), (1, 5, 4)).copy()
+    win = np.broadcast_to(euler.prim_to_cons(W), (1, 5, 4)).copy()
     recon = _recon_for(win, "weno5")
     AL, AR = stability._fd_jacobians_U(
-        "roe", euler.prim_to_cons(recon.WL, GAS), euler.prim_to_cons(recon.WR, GAS),
-        X_FACE, GAS, riemann.SmoothingConfig(),
+        "roe", euler.prim_to_cons(recon.WL), euler.prim_to_cons(recon.WR),
+        X_FACE, riemann.ROE_DELTA0,
     )
-    blocks = stability.face_blocks(recon, AL, AR, GAS)
+    blocks = stability.face_blocks(recon, AL, AR)
     total = blocks.sum(axis=1)[0]
-    A_exact = euler.analytic_flux_jacobian(euler.prim_to_cons(W, GAS), X_FACE, GAS)
+    A_exact = euler.analytic_flux_jacobian(euler.prim_to_cons(W), X_FACE)
     assert np.max(np.abs(total - A_exact)) < 1e-5 * max(1.0, np.abs(A_exact).max())
 
 
@@ -116,14 +119,14 @@ def test_linear_weights_blocks_match_upstream_coefficients():
     base = np.array([1.0, 0.6, 0.1, 1.2])
     win = np.empty((1, 5, 4))
     for m in range(5):
-        win[0, m] = euler.prim_to_cons(base * (1.0 + 0.02 * m), GAS)
+        win[0, m] = euler.prim_to_cons(base * (1.0 + 0.02 * m))
     cfg = rc.ReconConfig(space="conservative", force_linear_weights=True)
-    recon = rc.reconstruct_pair(win, win, cfg, GAS, X_FACE)
+    recon = rc.reconstruct_pair(win, win, cfg, X_FACE)
     AL, AR = stability._fd_jacobians_U(
-        "hll", euler.prim_to_cons(recon.WL, GAS), euler.prim_to_cons(recon.WR, GAS),
-        X_FACE, GAS, None,
+        "hll", euler.prim_to_cons(recon.WL), euler.prim_to_cons(recon.WR),
+        X_FACE, riemann.ROE_DELTA0,
     )
-    blocks = stability.face_blocks(recon, AL, AR, GAS)
+    blocks = stability.face_blocks(recon, AL, AR)
     cl = np.array([2.0, -13.0, 47.0, 27.0, -3.0]) / 60.0  # offsets -2..2
     cr = cl[::-1]  # offsets -1..3
     expect = np.zeros_like(blocks)
@@ -151,7 +154,7 @@ def test_circulant_spectrum_first_order_upwind():
     S = assemble(field, Scheme(solver="roe", order=1), check_steady=True)
     spec = eigensolve(S)
     sigma = 1.0 / field.h
-    lam_a = euler.characteristic_eigenvalues(W, X_FACE, GAS)
+    lam_a = euler.characteristic_eigenvalues(W, X_FACE)
     thetas = 2.0 * np.pi * np.arange(N) / N
     expected = np.concatenate(
         [-sigma * la * (1.0 - np.exp(-1j * thetas)) for la in lam_a]
@@ -198,7 +201,7 @@ def test_first_order_space_equivalence():
     for i in range(cfg.nx):
         for j in range(cfg.ny):
             c = 4 * (i * cfg.ny + j)
-            D[c : c + 4, c : c + 4] = euler.du_dw(W[i, j], GAS)
+            D[c : c + 4, c : c + 4] = euler.du_dw(W[i, j])
     sim = np.linalg.solve(D, mats["conservative"] @ D)
     assert np.abs(sim - mats["primitive"]).max() < 1e-10 * scale
     # characteristic: R L = I makes the first-order matrix identical
@@ -255,7 +258,7 @@ def _loop_assembly(field, scheme):
 
     def add(i_row, j_row, i_col, j_col, sign, blk):
         if scheme.space == "primitive":
-            blk = euler.dw_du(W[i_row, j_row], GAS) @ blk
+            blk = euler.dw_du(W[i_row, j_row]) @ blk
         r, c = 4 * (i_row * ny + j_row), 4 * (i_col * ny + j_col)
         S[r : r + 4, c : c + 4] += sign * blk
 
@@ -270,10 +273,10 @@ def _loop_assembly(field, scheme):
     periodic_x = field.bc.periodic_x
     for axis, solver, frame, recon in marching.face_reconstructions(field, scheme):
         AL, AR = stability._fd_jacobians_U(
-            solver, euler.prim_to_cons(recon.WL, GAS), euler.prim_to_cons(recon.WR, GAS),
-            frame, GAS, scheme.smoothing(),
+            solver, euler.prim_to_cons(recon.WL), euler.prim_to_cons(recon.WR),
+            frame, scheme.roe_delta0,
         )
-        B = stability.face_blocks(recon, AL, AR, GAS)
+        B = stability.face_blocks(recon, AL, AR)
         if axis == "x":
             for k in range(nx if periodic_x else nx + 1):
                 for j in range(ny):
@@ -370,8 +373,8 @@ def test_assemble_matches_rhs_directional_derivative():
 
 def _spectrum_of_matrix(M):
     S = stability.StabilityMatrix(
-        matrix=scipy.sparse.csr_array(M), nx=1, ny=M.shape[0] // 4, space="conservative", h=1.0,
-        W_mean=np.tile([1.0, 0.0, 0.0, 1.0], (1, M.shape[0] // 4, 1)), gas=GAS,
+        matrix=scipy.sparse.csr_array(M), nx=1, ny=M.shape[0] // 4, space="conservative",
+        W_mean=np.tile([1.0, 0.0, 0.0, 1.0], (1, M.shape[0] // 4, 1)),
     )
     return eigensolve(S)
 
@@ -431,8 +434,8 @@ def test_fourier_blocks_give_the_full_spectrum():
                     r, c = 4 * (i * ny + j), 4 * (ic * ny + (j + d) % ny)
                     A[r : r + 4, c : c + 4] = C[d, 4 * i : 4 * i + 4, 4 * ic : 4 * ic + 4]
     S = stability.StabilityMatrix(
-        matrix=scipy.sparse.csr_array(A), nx=nx, ny=ny, space="conservative", h=1.0,
-        W_mean=np.tile([1.0, 0.0, 0.0, 1.0], (nx, ny, 1)), gas=GAS,
+        matrix=scipy.sparse.csr_array(A), nx=nx, ny=ny, space="conservative",
+        W_mean=np.tile([1.0, 0.0, 0.0, 1.0], (nx, ny, 1)),
     )
     spec = eigensolve(S)
     assert spec.max_real_by_k.shape == (ny,)
@@ -507,7 +510,7 @@ def test_localize_synthetic():
     vec[5, 3, 2] = 1.0  # cell (6, 4) in 1-based labels
     spec = Spectrum(
         eigenvalues=np.zeros(4), max_real=0.0, dominant=0j,
-        eigvec_grid=vec, eigvec_primitive=vec, space="primitive",
+        eigvec_grid=vec, eigvec_primitive=vec,
     )
     profile, col = localize(spec)
     assert col == 6
@@ -515,17 +518,7 @@ def test_localize_synthetic():
     flat = Spectrum(
         eigenvalues=np.zeros(4), max_real=0.0, dominant=0j,
         eigvec_grid=np.ones((7, 7, 4), dtype=complex),
-        eigvec_primitive=np.ones((7, 7, 4), dtype=complex), space="primitive",
+        eigvec_primitive=np.ones((7, 7, 4), dtype=complex),
     )
     prof, _ = localize(flat)
     assert np.allclose(prof, 1.0)
-
-
-def test_tables_format():
-    M = np.diag([-1.0, -2.0, -3.0, -4.0])
-    spec = _spectrum_of_matrix(M)
-    text = stability.spectrum_table(spec)
-    assert text.splitlines()[0] == "re,im"
-    assert len(text.splitlines()) == 5
-    ev = stability.eigenvector_table(spec)
-    assert ev.splitlines()[0] == "i j rho u v p"
