@@ -9,10 +9,6 @@ class InvalidStateError(ShockStabError):
     """A gas state has non-positive density or pressure."""
 
 
-class DegenerateShockError(ShockStabError):
-    """Upstream and downstream states coincide (M0 = 1)."""
-
-
 class DegenerateFanError(ShockStabError):
     """HLL/HLLC wave fan has collapsed (S_R - S_L below tolerance)."""
 

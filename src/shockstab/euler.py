@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateShockError, InvalidStateError
+from .errors import InvalidStateError
 
 RHO, MX, MY, EN = 0, 1, 2, 3  # conservative component indices
 U_, V_, P_ = 1, 2, 3  # primitive component indices (rho shares index 0)
@@ -241,22 +241,3 @@ def entropy(W) -> np.ndarray:
     """Specific entropy surrogate s = ln(p / rho^gamma)."""
     W = np.asarray(W, dtype=float)
     return np.log(W[..., P_]) - GAMMA * np.log(W[..., RHO])
-
-
-def entropy_increase(field, shock_column: int | None = None) -> float:
-    """Relative entropy rise of the shock column, (s_M - s_L) / (s_R - s_L).
-
-    ``field`` must carry the analytic upstream/downstream primitive states
-    (as built by the shock-problem setup); the column state is the row
-    average of the conservative states in the shock column.
-    """
-    col = field.shock_column if shock_column is None else shock_column
-    if col is None:
-        raise ValueError("field carries no shock column")
-    s_l = float(entropy(field.upstream))
-    s_r = float(entropy(field.downstream))
-    if abs(s_r - s_l) < 1e-14:
-        raise DegenerateShockError("upstream and downstream entropies coincide")
-    col_mean = field.interior()[col - 1].mean(axis=0)  # col is 1-based
-    s_m = float(entropy(cons_to_prim(col_mean)))
-    return (s_m - s_l) / (s_r - s_l)

@@ -1,10 +1,13 @@
-"""Ghost-padded structured fields and boundary handling.
+"""Structured fields: interior cell averages plus the boundary conditions
+that derive their ghost layers.
 
-A field stores cell-averaged conservative states on an (nx+6, ny+6, 4)
-array: three ghost layers on every side, interior cells at [3:3+nx, 3:3+ny].
-Interior indices are 0-based internally; problem metadata (shock column)
-uses the 1-based cell numbering of the test problem.  States convert with
-the gas constant ``euler.GAMMA``.
+A field is its (nx, ny, 4) array of conservative cell averages.  Ghost
+cells are not state: ``apply_boundaries`` derives the (nx+6, ny+6, 4)
+padded array, three ghost layers on every side and the interior at
+[3:3+nx, 3:3+ny], from the cell averages and the ``BoundarySpec``, and
+returns it without touching the field.  Interior indices are 0-based;
+problem metadata (shock column) uses the 1-based cell numbering of the
+test problem.  States convert with the gas constant ``euler.GAMMA``.
 """
 
 from dataclasses import dataclass, replace
@@ -31,60 +34,46 @@ class BoundarySpec:
 
 @dataclass
 class MeanField:
-    U: np.ndarray  # (nx+6, ny+6, 4) conservative, ghosts included
+    U: np.ndarray  # (nx, ny, 4) conservative cell averages
     h: float
     bc: BoundarySpec
     shock_column: int | None = None  # 1-based problem column
-    upstream: np.ndarray | None = None  # analytic primitive states
-    downstream: np.ndarray | None = None
 
     @property
     def nx(self) -> int:
-        return self.U.shape[0] - 2 * NG
+        return self.U.shape[0]
 
     @property
     def ny(self) -> int:
-        return self.U.shape[1] - 2 * NG
-
-    def interior(self) -> np.ndarray:
-        return self.U[NG : NG + self.nx, NG : NG + self.ny]
+        return self.U.shape[1]
 
     def copy(self) -> "MeanField":
         return replace(self, U=self.U.copy())
 
     def interior_primitive(self) -> np.ndarray:
-        return euler.cons_to_prim(self.interior(), "interior")
+        return euler.cons_to_prim(self.U, "interior")
 
 
-def apply_boundaries(field: MeanField) -> MeanField:
-    """Fill all ghost layers in place; idempotent."""
-    U = field.U
-    nx, ny = field.nx, field.ny
-    bc = field.bc
+def apply_boundaries(field: MeanField) -> np.ndarray:
+    """The cell averages padded with NG ghost layers on every side, shape
+    (nx+6, ny+6, 4); a new array, the field is left as it is."""
+    U, bc = field.U, field.bc
     if bc.periodic_x:
-        U[:NG] = U[(np.arange(-NG, 0) % nx) + NG]
-        U[NG + nx :] = U[(np.arange(nx, nx + NG) % nx) + NG]
+        padded = U[np.arange(-NG, field.nx + NG) % field.nx]
     else:
         if bc.inflow_W is None or bc.outflow_pressure is None:
             raise ValueError("non-periodic boundaries need inflow state and outflow pressure")
-        iy = slice(NG, NG + ny)
-        U[:NG, iy] = euler.prim_to_cons(bc.inflow_W)
-        last = euler.cons_to_prim(U[NG + nx - 1, iy], "outflow column")
+        last = euler.cons_to_prim(U[-1], "outflow column")
         last[..., 3] = bc.outflow_pressure
-        U[NG + nx :, iy] = euler.prim_to_cons(last)[None]
-    # periodic in y, filled last so x-ghost corners wrap too; modular indexing
-    # keeps single-row fields valid
-    U[:, :NG] = U[:, (np.arange(-NG, 0) % ny) + NG]
-    U[:, NG + ny :] = U[:, (np.arange(ny, ny + NG) % ny) + NG]
-    return field
-
-
-def make_field(interior_U, h, bc, **meta) -> MeanField:
-    interior_U = np.asarray(interior_U, dtype=float)
-    nx, ny = interior_U.shape[:2]
-    U = np.zeros((nx + 2 * NG, ny + 2 * NG, 4))
-    U[NG : NG + nx, NG : NG + ny] = interior_U
-    return apply_boundaries(MeanField(U=U, h=h, bc=bc, **meta))
+        ghosts = (NG,) + U.shape[1:]
+        padded = np.concatenate([
+            np.broadcast_to(euler.prim_to_cons(bc.inflow_W), ghosts),
+            U,
+            np.broadcast_to(euler.prim_to_cons(last), ghosts),
+        ])
+    # periodic in y, wrapped last so the x-ghost corners wrap too; modular
+    # indexing keeps single-row fields valid
+    return padded[:, np.arange(-NG, field.ny + NG) % field.ny]
 
 
 def shock_face_masks(field: MeanField):
@@ -99,4 +88,3 @@ def shock_face_masks(field: MeanField):
         mask_x[col + 1] = True  # right face
         mask_y[col] = True  # all transverse faces of the column
     return mask_x, mask_y
-

@@ -1,7 +1,7 @@
 """Semi-discrete residual, SSP-RK3 stepping, perturbation experiments and
 exponential growth-rate fitting."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -11,6 +11,9 @@ from .euler import X_FACE, Y_FACE
 from .fields import MeanField, apply_boundaries, shock_face_masks
 from .scheme import Scheme
 
+# a perturbed march stops early once the monitor ||v||_inf exceeds this
+STOP_LEVEL = 1e-3
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -19,12 +22,13 @@ class RunConfig:
     end_time: float = 60.0
     amplitude: float = 1e-7
     seed: int = 1234
-    stop_level: float = 1e-3  # early stop once the monitor exceeds this
 
     def __post_init__(self):
         if not self.cfl > 0:
             raise ValueError("CFL must be positive")
-        if self.amplitude < 0:
+        if not self.end_time > 0:
+            raise ValueError("end time must be positive")
+        if not self.amplitude >= 0:
             raise ValueError("amplitude must be non-negative")
 
 
@@ -42,17 +46,18 @@ class GrowthFit:
     r2: float
 
 
-def face_reconstructions(field: MeanField, scheme: Scheme, linearise: bool = True):
+def face_reconstructions(field: MeanField, Upad: np.ndarray, scheme: Scheme,
+                         linearise: bool = True):
     """Yield (axis, solver, frame, FaceRecon) for the x faces and, unless the
-    field is a single row, the y faces; ghosts must already be filled.
-    ``linearise`` is passed on to ``reconstruct_pair``.
+    field is a single row, the y faces.  ``Upad`` is the field padded by
+    ``apply_boundaries``; ``linearise`` is passed on to ``reconstruct_pair``.
 
     The padded field is converted to the reconstruction space once and
     windowed per direction (characteristic projections stay face-local).
     """
     Xpad = None
     if scheme.space == "primitive":
-        Xpad = euler.cons_to_prim(field.U, "padded field")
+        Xpad = euler.cons_to_prim(Upad, "padded field")
     cap_masks = shock_face_masks(field) if scheme.cap != "none" else (None, None)
     # a single-row periodic field has identical j+1/2 and j-1/2 fluxes
     axes = ("x", "y") if field.ny > 1 else ("x",)
@@ -62,7 +67,7 @@ def face_reconstructions(field: MeanField, scheme: Scheme, linearise: bool = Tru
             windows, frame = reconstruction.x_face_windows, X_FACE
         else:
             windows, frame = reconstruction.y_face_windows, Y_FACE
-        winL, winR = windows(field.U, field.nx, field.ny)
+        winL, winR = windows(Upad, field.nx, field.ny)
         XwinL, XwinR = (None, None) if Xpad is None else windows(Xpad, field.nx, field.ny)
         recon = reconstruction.reconstruct_pair(
             winL, winR, scheme.recon_config(axis), frame,
@@ -73,10 +78,10 @@ def face_reconstructions(field: MeanField, scheme: Scheme, linearise: bool = Tru
 
 
 def rhs(field: MeanField, scheme: Scheme) -> np.ndarray:
-    """Semi-discrete residual dU/dt on the interior cells, ghosts refilled."""
-    apply_boundaries(field)
-    res = np.zeros(field.interior().shape)
-    for axis, solver, frame, recon in face_reconstructions(field, scheme, linearise=False):
+    """Semi-discrete residual dU/dt on the interior cells."""
+    Upad = apply_boundaries(field)
+    res = np.zeros(field.U.shape)
+    for axis, solver, frame, recon in face_reconstructions(field, Upad, scheme, linearise=False):
         flux = riemann.compute_flux(solver, recon.WL, recon.WR, frame, scheme.roe_delta0)
         res -= np.diff(flux, axis=0 if axis == "x" else 1) / field.h
     return res
@@ -91,18 +96,14 @@ def cfl_dt(field: MeanField, cfl: float) -> float:
 
 def step_ssprk3(field: MeanField, dt: float, scheme: Scheme) -> MeanField:
     """Three-stage SSP Runge-Kutta update; returns a new field."""
-    u0 = field.interior().copy()
-    work = field.copy()
 
-    def stage(prev_interior):
-        work.interior()[...] = prev_interior
-        return prev_interior + dt * rhs(work, scheme)
+    def stage(prev):
+        return prev + dt * rhs(replace(field, U=prev), scheme)
 
+    u0 = field.U
     u1 = stage(u0)
     u2 = 0.75 * u0 + 0.25 * stage(u1)
-    u3 = u0 / 3.0 + 2.0 / 3.0 * stage(u2)
-    work.interior()[...] = u3
-    return work  # ghosts are refilled lazily by the next rhs call
+    return replace(field, U=u0 / 3.0 + 2.0 / 3.0 * stage(u2))
 
 
 def inject_perturbation(field: MeanField, amplitude: float, seed: int) -> MeanField:
@@ -111,15 +112,12 @@ def inject_perturbation(field: MeanField, amplitude: float, seed: int) -> MeanFi
     out = field.copy()
     if amplitude > 0:
         rng = np.random.default_rng(seed)
-        noise = rng.uniform(-amplitude, amplitude, out.interior().shape)
-        out.interior()[...] += noise
-        apply_boundaries(out)
+        out.U += rng.uniform(-amplitude, amplitude, out.U.shape)
     return out
 
 
 def transverse_velocity_norm(field: MeanField) -> float:
-    interior = field.interior()
-    v = interior[..., 2] / interior[..., 0]
+    v = field.U[..., 2] / field.U[..., 0]
     return float(np.abs(v).max())
 
 
@@ -141,13 +139,13 @@ def march(field: MeanField, run: RunConfig):
         except InvalidStateError:
             collapsed = True
         else:
-            collapsed = not np.all(np.isfinite(state.interior()))
+            collapsed = not np.all(np.isfinite(state.U))
         if collapsed:
             break
         t += dt
         times.append(t)
         vmax.append(transverse_velocity_norm(state))
-        if run.amplitude > 0 and vmax[-1] > run.stop_level:
+        if run.amplitude > 0 and vmax[-1] > STOP_LEVEL:
             break
     return MonitorSeries(t=np.array(times), vmax=np.array(vmax), collapsed=collapsed), state
 

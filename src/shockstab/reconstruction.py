@@ -56,65 +56,42 @@ def config_for_cap(cap: str, base: ReconConfig) -> ReconConfig:
     return replace(base, kind=_CAP_TO_KIND[cap])
 
 
-def _with_comp_axis(w):
-    """Scalar windows (shape (..., 5)) get a trailing singleton component axis."""
-    w = np.asarray(w, dtype=float)
-    if w.ndim == 1:
-        return w[:, None], True
-    return w, False
-
-
 def smoothness_indicators(w) -> np.ndarray:
-    """The three quadratic smoothness measures of a 5-point window.
+    """The three quadratic smoothness measures of 5-point windows.
 
-    ``w`` has the window on axis -2 (or is a plain 5-vector); returns betas
-    stacked on the corresponding axis, shape (..., 3, comps) or (3,).
+    ``w`` has shape (..., 5, comps); returns the betas stacked on axis -2,
+    shape (..., 3, comps).
     """
-    w, scalar = _with_comp_axis(w)
     w0, w1, w2, w3, w4 = (w[..., m, :] for m in range(5))
     beta = np.empty(w.shape[:-2] + (3,) + w.shape[-1:])
     beta[..., 0, :] = 13.0 / 12.0 * (w0 - 2 * w1 + w2) ** 2 + 0.25 * (w0 - 4 * w1 + 3 * w2) ** 2
     beta[..., 1, :] = 13.0 / 12.0 * (w1 - 2 * w2 + w3) ** 2 + 0.25 * (w1 - w3) ** 2
     beta[..., 2, :] = 13.0 / 12.0 * (w2 - 2 * w3 + w4) ** 2 + 0.25 * (3 * w2 - 4 * w3 + w4) ** 2
-    return beta[:, 0] if scalar else beta
+    return beta
 
 
 def weights_js(beta, eps: float = 1e-15) -> np.ndarray:
-    """Classic nonlinear weights alpha_m = d_m / (beta_m + eps)^2, normalized.
-
-    The substencil index sits on axis -2 for batched input, axis 0 for a
-    plain 3-vector.
-    """
-    beta = np.asarray(beta, dtype=float)
-    batched = beta.ndim >= 2
-    d = LINEAR_WEIGHTS[:, None] if batched else LINEAR_WEIGHTS
-    alpha = d / (beta + eps) ** 2
-    return alpha / alpha.sum(axis=-2 if batched else 0, keepdims=True)
+    """Classic nonlinear weights alpha_m = d_m / (beta_m + eps)^2, normalized
+    over the substencil axis -2."""
+    alpha = LINEAR_WEIGHTS[:, None] / (beta + eps) ** 2
+    return alpha / alpha.sum(axis=-2, keepdims=True)
 
 
 def weights_z(beta, eps: float = 1e-15) -> np.ndarray:
     """WENO-Z weights alpha_m = d_m (1 + tau5/(beta_m + eps)), tau5 = |b0 - b2|."""
-    beta = np.asarray(beta, dtype=float)
-    batched = beta.ndim >= 2
-    if batched:
-        tau5 = np.abs(beta[..., 0, :] - beta[..., 2, :])[..., None, :]
-        d = LINEAR_WEIGHTS[:, None]
-    else:
-        tau5 = np.abs(beta[0] - beta[2])
-        d = LINEAR_WEIGHTS
-    alpha = d * (1.0 + tau5 / (beta + eps))
-    return alpha / alpha.sum(axis=-2 if batched else 0, keepdims=True)
+    tau5 = np.abs(beta[..., 0, :] - beta[..., 2, :])[..., None, :]
+    alpha = LINEAR_WEIGHTS[:, None] * (1.0 + tau5 / (beta + eps))
+    return alpha / alpha.sum(axis=-2, keepdims=True)
 
 
 def weno5_candidates(w) -> np.ndarray:
     """Left-state values of the three substencil polynomials, axis -2."""
-    w, scalar = _with_comp_axis(w)
     w0, w1, w2, w3, w4 = (w[..., m, :] for m in range(5))
     cand = np.empty(w.shape[:-2] + (3,) + w.shape[-1:])
     cand[..., 0, :] = (2 * w0 - 7 * w1 + 11 * w2) / 6.0
     cand[..., 1, :] = (-w1 + 5 * w2 + 2 * w3) / 6.0
     cand[..., 2, :] = (2 * w2 + 5 * w3 - w4) / 6.0
-    return cand[:, 0] if scalar else cand
+    return cand
 
 
 def _weno_lin_coeffs(om) -> np.ndarray:

@@ -2,8 +2,7 @@
 
 Normalization: upstream density ``RHO_LEFT`` = 1.4 and pressure ``P_LEFT`` =
 1.0, so with ``euler.GAMMA`` = 1.4 the upstream sound speed is 1 and the
-inflow velocity equals the Mach number.  The grid is square with cell size
-``h`` (default 1); eigenvalues and growth rates scale as 1/h.
+inflow velocity equals the Mach number.  The grid is square with unit cells.
 """
 
 from dataclasses import dataclass, replace
@@ -13,7 +12,7 @@ import numpy as np
 from . import euler, marching
 from .errors import ConvergenceError, InvalidStateError, ShockStabError
 from .euler import GAMMA
-from .fields import BoundarySpec, MeanField, apply_boundaries, make_field
+from .fields import BoundarySpec, MeanField
 from .scheme import Scheme
 
 # iteration budget of each Levenberg-Marquardt attempt of the steady solve
@@ -29,7 +28,6 @@ class ShockProblemConfig:
     epsilon: float = 0.1
     nx: int = 11
     ny: int = 11
-    h: float = 1.0
     shock_column: int = 6  # 1-based
     converge_tol: float = 1e-12
 
@@ -38,6 +36,8 @@ class ShockProblemConfig:
             raise ValueError("upstream Mach number must exceed 1")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("shock position must lie in [0, 1]")
+        if not (self.nx >= 1 and self.ny >= 1):
+            raise ValueError("the grid needs at least one cell in each direction")
         if not 1 <= self.shock_column <= self.nx:
             raise ValueError("shock column must be interior")
 
@@ -130,11 +130,11 @@ def _fd_jacobian_1d(field, scheme, r0, cols) -> np.ndarray:
     J = np.zeros((n, n))
     for col in cols:
         i, c = divmod(col, 4)
-        h = 1e-7 * max(1.0, abs(field.interior()[i, 0, c]))
+        h = 1e-7 * max(1.0, abs(field.U[i, 0, c]))
         fp = field.copy()
-        fp.interior()[i, 0, c] += h
+        fp.U[i, 0, c] += h
         fm = field.copy()
-        fm.interior()[i, 0, c] -= h
+        fm.U[i, 0, c] -= h
         try:
             J[:, col] = (_residual_1d(fp, scheme) - _residual_1d(fm, scheme)) / (2 * h)
         except ShockStabError:
@@ -162,13 +162,13 @@ def _lm_refine_1d(field, scheme, tol, clamp_cells, pin_dofs):
     W = field.interior_primitive()
     c = euler.sound_speed(W)
     speed = float((np.abs(W[..., 1]) + c).max())
-    scale = np.maximum(1.0, np.abs(field.interior()).max(axis=(0, 1))) * speed / field.h
+    scale = np.maximum(1.0, np.abs(field.U).max(axis=(0, 1))) * speed / field.h
     s = np.tile(scale, nx)
     rho_floor = 1e-3 * float(W[..., 0].min())
     p_floor = 1e-3 * float(W[..., 3].min())
 
     def admissible(f):
-        Wt = euler.cons_to_prim(f.interior())
+        Wt = euler.cons_to_prim(f.U)
         return bool((Wt[..., 0].min() > rho_floor) and (Wt[..., 3].min() > p_floor))
 
     free = np.ones(4 * nx, dtype=bool)
@@ -199,10 +199,8 @@ def _lm_refine_1d(field, scheme, tol, clamp_cells, pin_dofs):
                 continue
             step = np.zeros(4 * nx)
             step[free] = step_free
-            trial = field.copy()
-            trial.interior()[...] += step.reshape(nx, 1, 4)
+            trial = replace(field, U=field.U + step.reshape(nx, 1, 4))
             try:
-                apply_boundaries(trial)
                 if not admissible(trial):
                     lam *= 4.0
                     continue
@@ -260,11 +258,10 @@ def converge_1d(cfg: ShockProblemConfig, scheme: Scheme):
     for _ in range(n_smooth):
         dt = marching.cfl_dt(field, 0.05)
         field = marching.step_ssprk3(field, dt, scheme)
-    if not np.all(np.isfinite(field.interior())):
+    if not np.all(np.isfinite(field.U)):
         raise ConvergenceError(f"1D smoothing march diverged for {scheme.label()}")
 
-    field.interior()[cfg.shock_column - 1, 0, 0] = rho_m
-    apply_boundaries(field)
+    field.U[cfg.shock_column - 1, 0, 0] = rho_m
     field, res, lm_iters = _lm_refine_1d(field, scheme, cfg.converge_tol, clamp, pin)
 
     # the WENO weight kinks occasionally trap the solve in a shallow local
@@ -274,12 +271,11 @@ def converge_1d(cfg: ShockProblemConfig, scheme: Scheme):
         if res < cfg.converge_tol:
             break
         trial = field.copy()
-        noise = 1e-6 * rng.standard_normal(trial.interior().shape)
-        trial.interior()[...] *= 1.0 + noise
-        trial.interior()[: len(clamp)] = field.interior()[: len(clamp)]
-        trial.interior()[cfg.shock_column - 1, 0, 0] = rho_m
+        noise = 1e-6 * rng.standard_normal(trial.U.shape)
+        trial.U *= 1.0 + noise
+        trial.U[: len(clamp)] = field.U[: len(clamp)]
+        trial.U[cfg.shock_column - 1, 0, 0] = rho_m
         try:
-            apply_boundaries(trial)
             trial.interior_primitive()
         except InvalidStateError:
             continue  # the jitter left the admissible states: a failed restart
@@ -296,17 +292,14 @@ def converge_1d(cfg: ShockProblemConfig, scheme: Scheme):
             f"largest |d rho/dt| in cell {int(np.argmax(drho)) + 1}"
         )
     info = {"steps": n_smooth, "lm_iterations": lm_iters, "residual": res}
-    return field.interior()[:, 0].copy(), info
+    return field.U[:, 0].copy(), info
 
 
 def project_to_2d(profile: np.ndarray, cfg: ShockProblemConfig) -> MeanField:
     """Replicate a steady 1D profile across all rows of the 2D domain."""
-    interior = np.repeat(profile[:, None, :], cfg.ny, axis=1)
-    return make_field(
-        interior,
-        h=cfg.h,
+    return MeanField(
+        U=np.repeat(profile[:, None, :], cfg.ny, axis=1),
+        h=1.0,
         bc=boundary_spec(cfg),
         shock_column=cfg.shock_column,
-        upstream=upstream_state(cfg),
-        downstream=downstream_state(cfg),
     )

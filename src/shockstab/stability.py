@@ -169,15 +169,18 @@ def _face_triplets(B, axis: str, field: MeanField, T_out):
     return parts
 
 
-def assemble(field: MeanField, scheme: Scheme, check_steady: bool = True,
-             steady_tol: float = 1e-8) -> StabilityMatrix:
+# largest density residual of a mean field that ``assemble`` accepts as steady
+STEADY_TOL = 1e-8
+
+
+def assemble(field: MeanField, scheme: Scheme, check_steady: bool = True) -> StabilityMatrix:
     """Build the stability matrix of the scheme around a steady mean field."""
-    apply_boundaries(field)
+    Upad = apply_boundaries(field)
     if check_steady:
         res = float(np.abs(marching.rhs(field, scheme)[..., 0]).max())
-        if res > steady_tol:
+        if res > STEADY_TOL:
             raise UnsteadyFieldError(
-                f"mean field density residual {res:.3e} exceeds {steady_tol:.1e}; "
+                f"mean field density residual {res:.3e} exceeds {STEADY_TOL:.1e}; "
                 "converge the base flow first"
             )
     nx, ny = field.nx, field.ny
@@ -194,7 +197,7 @@ def assemble(field: MeanField, scheme: Scheme, check_steady: bool = True,
             T_out[:, 3, 2] = W_last[:, 2]
 
     parts = []
-    for axis, solver, frame, recon in marching.face_reconstructions(field, scheme):
+    for axis, solver, frame, recon in marching.face_reconstructions(field, Upad, scheme):
         UL = euler.prim_to_cons(recon.WL)
         UR = euler.prim_to_cons(recon.WR)
         AL_U, AR_U = _fd_jacobians_U(

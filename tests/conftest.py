@@ -15,7 +15,7 @@ def base_flow_cache():
         cfg = cfg or ShockProblemConfig(**cfg_kw)
         key = (
             scheme.solver, scheme.order, scheme.space, scheme.cap,
-            scheme.weno_variant, cfg.mach, cfg.epsilon, cfg.nx, cfg.ny, cfg.h,
+            scheme.weno_variant, cfg.mach, cfg.epsilon, cfg.nx, cfg.ny,
         )
         if key not in cache:
             profile, info = converge_1d(cfg, scheme)

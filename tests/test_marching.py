@@ -3,7 +3,7 @@ import pytest
 
 from shockstab import euler, fields, marching, shock_problem as sp
 from shockstab.errors import NoExponentialStageError
-from shockstab.fields import BoundarySpec, make_field
+from shockstab.fields import BoundarySpec, MeanField
 from shockstab.marching import MonitorSeries, RunConfig, fit_growth_rate
 from shockstab.scheme import Scheme
 
@@ -12,7 +12,7 @@ from shockstab.scheme import Scheme
 def uniform_field(W, nx=8, ny=8, h=1.0):
     U = euler.prim_to_cons(np.asarray(W, dtype=float))
     interior = np.broadcast_to(U, (nx, ny, 4)).copy()
-    return make_field(interior, h=h, bc=BoundarySpec(periodic_x=True))
+    return MeanField(U=interior, h=h, bc=BoundarySpec(periodic_x=True))
 
 
 @pytest.mark.parametrize("order", [1, 2, 5])
@@ -39,14 +39,12 @@ def test_rhs_matches_flux_divergence_manufactured():
     for i in range(nx):
         for j in range(ny):
             W[i, j] = [1.0 + 0.05 * i + 0.02 * j, 0.3 + 0.01 * i, 0.1 - 0.01 * j, 1.0 + 0.03 * i]
-    field = make_field(
-        euler.prim_to_cons(W), h=h, bc=BoundarySpec(periodic_x=True)
-    )
+    field = MeanField(U=euler.prim_to_cons(W), h=h, bc=BoundarySpec(periodic_x=True))
     scheme = Scheme(solver="hll", order=1)
     r = marching.rhs(field, scheme)
     from shockstab import riemann
 
-    Wpad = euler.cons_to_prim(field.U)
+    Wpad = euler.cons_to_prim(fields.apply_boundaries(field))
     expect = np.zeros((nx, ny, 4))
     for i in range(nx):
         for j in range(ny):
@@ -67,14 +65,14 @@ def test_flux_telescoping_row_sums():
     r = marching.rhs(field, scheme)
     from shockstab import reconstruction, riemann
 
-    winL, winR = reconstruction.x_face_windows(field.U, c.nx, c.ny)
+    winL, winR = reconstruction.x_face_windows(fields.apply_boundaries(field), c.nx, c.ny)
     recon = reconstruction.reconstruct_pair(
         winL, winR, scheme.recon_config("x"), euler.X_FACE
     )
     fx = riemann.hll_flux(recon.WL, recon.WR, euler.X_FACE)
     for j in range(c.ny):
         row_sum = r[:, j].sum(axis=0)
-        expect = -(fx[-1, j] - fx[0, j]) / c.h
+        expect = -(fx[-1, j] - fx[0, j]) / field.h
         assert np.allclose(row_sum, expect, rtol=1e-10, atol=1e-10)
 
 
@@ -90,9 +88,9 @@ def test_cfl_dt():
 def test_step_ssprk3_fixed_point_and_dt0():
     field = uniform_field([1.0, 0.5, -0.2, 2.0])
     out = marching.step_ssprk3(field, 0.01, Scheme(solver="roe", order=5))
-    assert np.allclose(out.interior(), field.interior(), atol=1e-13)
+    assert np.allclose(out.U, field.U, atol=1e-13)
     out0 = marching.step_ssprk3(field, 0.0, Scheme(solver="roe", order=2))
-    assert np.array_equal(out0.interior(), field.interior())
+    assert np.array_equal(out0.U, field.U)
 
 
 def test_entropy_wave_advection_order():
@@ -106,9 +104,7 @@ def test_entropy_wave_advection_order():
     W[:, 0, 1] = 1.0
     W[:, 0, 2] = 0.0
     W[:, 0, 3] = 1.0
-    field = make_field(
-        euler.prim_to_cons(W), h=h, bc=BoundarySpec(periodic_x=True)
-    )
+    field = MeanField(U=euler.prim_to_cons(W), h=h, bc=BoundarySpec(periodic_x=True))
     scheme = Scheme(solver="roe", order=5, space="primitive")
     t, t_end = 0.0, 1.0
     state = field
@@ -116,7 +112,7 @@ def test_entropy_wave_advection_order():
         dt = min(marching.cfl_dt(state, 0.4), t_end - t)
         state = marching.step_ssprk3(state, dt, scheme)
         t += dt
-    err = np.abs(state.interior()[..., 0] - field.interior()[..., 0]).max()
+    err = np.abs(state.U[..., 0] - field.U[..., 0]).max()
     assert err < 2e-4  # advected one period: high-order scheme keeps the wave
 
 
@@ -129,8 +125,8 @@ def test_inject_perturbation_deterministic():
     d = marching.inject_perturbation(field, 1e-7, seed=4)
     assert not np.array_equal(a.U, d.U)
     z = marching.inject_perturbation(field, 0.0, seed=3)
-    assert np.array_equal(z.interior(), field.interior())
-    delta = np.abs(a.interior() - field.interior())
+    assert np.array_equal(z.U, field.U)
+    delta = np.abs(a.U - field.U)
     assert delta.max() <= 1e-7 and delta.max() > 1e-8
 
 

@@ -1,5 +1,6 @@
 """The dependencies declared in pyproject.toml are the third-party packages
-the source imports, no more and no fewer; every dataclass field is read."""
+the source imports, no more and no fewer; every dataclass field is read;
+every public name has a caller outside the tests."""
 
 import ast
 import re
@@ -85,3 +86,46 @@ def test_result_fields_are_read():
         )
     assert fields
     assert sorted(f for f in fields if f.rsplit(".", 1)[1] not in read) == []
+
+
+# public names whose only callers are tests, each kept for a stated reason
+TEST_ONLY_NAMES = {
+    "euler.analytic_flux_jacobian": "reference the finite-difference flux Jacobians are tested against",
+    "euler.characteristic_eigenvalues": "reference for the upwind spectrum and eigen-matrix tests",
+    "euler.entropy": "reference for the entropy rise across the Hugoniot jump",
+    "stability.localize": "localises the unstable mode at the shock (paper claim C5)",
+}
+
+
+def _public_top_level_names(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
+def test_public_names_have_a_package_caller():
+    # a public function, class or constant that only tests reach is test-only
+    # surface: it belongs in the tests or nowhere
+    src = sorted((ROOT / "src" / "shockstab").glob("*.py"))
+    defined = {
+        f"{path.stem}.{name}"
+        for path in src
+        for name in _public_top_level_names(ast.parse(path.read_text()))
+        if not name.startswith("_")
+    }
+    referenced = set()
+    for path in src + sorted((ROOT / "shockbench").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    assert defined
+    uncalled = sorted(name for name in defined if name.rsplit(".", 1)[1] not in referenced)
+    assert uncalled == sorted(TEST_ONLY_NAMES)

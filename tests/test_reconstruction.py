@@ -7,24 +7,24 @@ from shockstab.euler import X_FACE
 
 
 def test_smoothness_indicators_constant():
-    assert np.allclose(rc.smoothness_indicators(np.full(5, 3.7)), 0.0, atol=1e-28)
+    assert np.allclose(rc.smoothness_indicators(np.full(5, 3.7)[:, None]), 0.0, atol=1e-28)
 
 
 def test_smoothness_indicators_linear():
-    beta = rc.smoothness_indicators(np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
+    beta = rc.smoothness_indicators(np.array([1.0, 2.0, 3.0, 4.0, 5.0])[:, None])[:, 0]
     assert np.allclose(beta, [1.0, 1.0, 1.0], atol=1e-14)
 
 
 @pytest.mark.parametrize("fn", [rc.weights_js, rc.weights_z])
 def test_weights_linear_at_zero_and_equal_beta(fn):
-    assert np.allclose(fn(np.zeros(3)), [0.1, 0.6, 0.3], atol=1e-14)
-    assert np.allclose(fn(np.ones(3)), [0.1, 0.6, 0.3], atol=1e-14)
+    assert np.allclose(fn(np.zeros(3)[:, None])[:, 0], [0.1, 0.6, 0.3], atol=1e-14)
+    assert np.allclose(fn(np.ones(3)[:, None])[:, 0], [0.1, 0.6, 0.3], atol=1e-14)
 
 
 def test_weights_z_matches_paper_table():
     # smooth factors of the shock-cell window reproduce the published weights
     beta = np.array([4.00186, 9.74719, 28.78125])
-    w = rc.weights_z(beta)
+    w = rc.weights_z(beta[:, None])[:, 0]
     assert np.allclose(w, [0.21135, 0.62458, 0.16407], atol=5e-5)
 
 
@@ -42,7 +42,7 @@ def test_weights_properties_random():
 
 
 def test_weno5_candidates_linear_window():
-    cand = rc.weno5_candidates(np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
+    cand = rc.weno5_candidates(np.array([1.0, 2.0, 3.0, 4.0, 5.0])[:, None])
     assert np.allclose(cand, 3.5, atol=1e-14)
 
 
@@ -243,11 +243,11 @@ def test_face_states_do_not_depend_on_linearise(order, space, cap):
     from shockstab.scheme import Scheme
 
     field = sp.build_initial_field(sp.ShockProblemConfig(ny=3))
-    fields.apply_boundaries(field)
+    Upad = fields.apply_boundaries(field)
     scheme = Scheme(solver="roe", order=order, space=space, cap=cap)
     fallback_faces = 0
-    for on, off in zip(marching.face_reconstructions(field, scheme),
-                       marching.face_reconstructions(field, scheme, linearise=False)):
+    for on, off in zip(marching.face_reconstructions(field, Upad, scheme),
+                       marching.face_reconstructions(field, Upad, scheme, linearise=False)):
         a, b = on[3], off[3]
         for name in ("WL", "WR", "fallback"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), (on[0], name)

@@ -7,7 +7,7 @@ from scipy.optimize import linear_sum_assignment
 from shockstab import euler, fields, reconstruction as rc, riemann, shock_problem as sp, stability
 from shockstab.errors import UnsteadyFieldError
 from shockstab.euler import X_FACE
-from shockstab.fields import BoundarySpec, make_field
+from shockstab.fields import BoundarySpec, MeanField
 from shockstab.scheme import Scheme
 from shockstab.stability import Spectrum, assemble, eigensolve, localize
 
@@ -18,7 +18,7 @@ from test_euler import random_states
 def uniform_periodic_field(W, nx=6, ny=5, h=1.0):
     U = euler.prim_to_cons(np.asarray(W, dtype=float))
     interior = np.broadcast_to(U, (nx, ny, 4)).copy()
-    return make_field(interior, h=h, bc=BoundarySpec(periodic_x=True))
+    return MeanField(U=interior, h=h, bc=BoundarySpec(periodic_x=True))
 
 
 def initial_shock_field(**kw):
@@ -271,7 +271,8 @@ def _loop_assembly(field, scheme):
         return T
 
     periodic_x = field.bc.periodic_x
-    for axis, solver, frame, recon in marching.face_reconstructions(field, scheme):
+    Upad = fields.apply_boundaries(field)
+    for axis, solver, frame, recon in marching.face_reconstructions(field, Upad, scheme):
         AL, AR = stability._fd_jacobians_U(
             solver, euler.prim_to_cons(recon.WL), euler.prim_to_cons(recon.WR),
             frame, scheme.roe_delta0,
@@ -308,8 +309,7 @@ def test_sparse_scatter_matches_loop_reference():
     shock = sp.build_initial_field(sp.ShockProblemConfig(ny=5))
     periodic = uniform_periodic_field([1.4, 0.9, 0.3, 1.1], nx=6, ny=6)
     rng = np.random.default_rng(46)
-    periodic.interior()[...] *= 1.0 + 0.01 * rng.standard_normal(periodic.interior().shape)
-    fields.apply_boundaries(periodic)
+    periodic.U *= 1.0 + 0.01 * rng.standard_normal(periodic.U.shape)
     cases = [
         (shock, Scheme(solver="roe", order=5, space="primitive", cap="second")),
         (shock, Scheme(solver="hllc", order=2, space="conservative")),
@@ -329,9 +329,9 @@ def _rhs_derivative_mismatch(field, scheme, v, eps=1e-7):
 
     S = assemble(field, scheme, check_steady=False)
     fp = field.copy()
-    fp.interior()[...] += eps * v.reshape(field.nx, field.ny, 4)
+    fp.U += eps * v.reshape(field.nx, field.ny, 4)
     fm = field.copy()
-    fm.interior()[...] -= eps * v.reshape(field.nx, field.ny, 4)
+    fm.U -= eps * v.reshape(field.nx, field.ny, 4)
     dr = (marching.rhs(fp, scheme) - marching.rhs(fm, scheme)) / (2 * eps)
     Sv = (S.matrix @ v).reshape(field.nx, field.ny, 4)
     return np.max(np.abs(dr - Sv)), np.abs(dr).max()
@@ -345,8 +345,7 @@ def test_assemble_matches_rhs_directional_derivative():
     # make it non-uniform but still steady-ish: linear p gradient is not
     # steady, so skip the steadiness check and compare derivatives only
     rng = np.random.default_rng(44)
-    field.interior()[...] *= 1.0 + 0.01 * rng.standard_normal(field.interior().shape)
-    fields.apply_boundaries(field)
+    field.U *= 1.0 + 0.01 * rng.standard_normal(field.U.shape)
     v = rng.standard_normal(4 * field.nx * field.ny)
     err, scale = _rhs_derivative_mismatch(
         field, Scheme(solver="hll", order=1, space="conservative"), v
@@ -471,8 +470,7 @@ def test_fourier_lambda_max_matches_dense_on_steady_shock(base_flow_cache, order
 def test_field_varying_along_y_takes_the_dense_path():
     field = uniform_periodic_field([1.4, 0.9, 0.3, 1.1], nx=6, ny=6)
     rng = np.random.default_rng(48)
-    field.interior()[...] *= 1.0 + 0.01 * rng.standard_normal(field.interior().shape)
-    fields.apply_boundaries(field)
+    field.U *= 1.0 + 0.01 * rng.standard_normal(field.U.shape)
     S = assemble(field, Scheme(solver="hll", order=1), check_steady=False)
     spec = eigensolve(S)
     assert spec.max_real_by_k is None
