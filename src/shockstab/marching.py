@@ -78,12 +78,13 @@ def face_reconstructions(field: MeanField, Upad: np.ndarray, scheme: Scheme,
 
 
 def rhs(field: MeanField, scheme: Scheme) -> np.ndarray:
-    """Semi-discrete residual dU/dt on the interior cells."""
+    """Semi-discrete residual dU/dt on the interior cells, shaped like
+    ``field.U``: a batch of fields gives the stack of their residuals."""
     Upad = apply_boundaries(field)
     res = np.zeros(field.U.shape)
     for axis, solver, frame, recon in face_reconstructions(field, Upad, scheme, linearise=False):
         flux = riemann.compute_flux(solver, recon.WL, recon.WR, frame, scheme.roe_delta0)
-        res -= np.diff(flux, axis=0 if axis == "x" else 1) / field.h
+        res -= np.diff(flux, axis=-3 if axis == "x" else -2) / field.h
     return res
 
 

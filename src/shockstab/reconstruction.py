@@ -203,7 +203,9 @@ def reconstruct_pair(
     """Reconstruct both face states from conservative 5-windows.
 
     ``cap_mask`` selects faces whose order is capped (near-shock treatment);
-    those faces are re-reconstructed with ``cap_cfg`` and spliced in.
+    those faces are re-reconstructed with ``cap_cfg`` and spliced in.  It
+    covers the two face axes in front of the window axes, so one mask
+    serves every member of a batch of windows (..., faces, faces, 5, 4).
     ``XwinL``/``XwinR`` optionally carry the same windows already converted
     to primitive variables, so a whole-field sweep converts each cell once;
     the other spaces ignore them.  ``linearise=False`` skips the frozen-weight
@@ -214,16 +216,18 @@ def reconstruct_pair(
     winR_U = np.asarray(winR_U, dtype=float)
     recon = _reconstruct_pair_one(winL_U, winR_U, cfg, frame, XwinL, XwinR, linearise)
     if cap_mask is not None and np.any(cap_mask):
+        # the mask indexes the face axes behind the batch axes
+        at = (slice(None),) * (winL_U.ndim - 4) + (cap_mask,)
         sub = _reconstruct_pair_one(
-            winL_U[cap_mask], winR_U[cap_mask], cap_cfg, frame,
-            None if XwinL is None else XwinL[cap_mask],
-            None if XwinR is None else XwinR[cap_mask],
+            winL_U[at], winR_U[at], cap_cfg, frame,
+            None if XwinL is None else XwinL[at],
+            None if XwinR is None else XwinR[at],
             linearise,
         )
         names = ("WL", "WR", "lin_L", "lin_R") if linearise else ("WL", "WR")
         for name in names:
-            getattr(recon, name)[cap_mask] = getattr(sub, name)
-        recon.fallback[cap_mask] = sub.fallback
+            getattr(recon, name)[at] = getattr(sub, name)
+        recon.fallback[at] = sub.fallback
     return recon
 
 
@@ -279,17 +283,20 @@ def _reconstruct_pair_one(winL_U, winR_U, cfg, frame, XwinL, XwinR, linearise):
 
 
 def x_face_windows(Upad: np.ndarray, nx: int, ny: int):
-    """Windows for the nx+1 x-oriented face columns, shapes (nx+1, ny, 5, 4)."""
-    sw = np.lib.stride_tricks.sliding_window_view(Upad, 5, axis=0)
-    # sw[k] holds padded columns k..k+4; face k's left cell is padded column k+2
-    winL = np.moveaxis(sw[: nx + 1, 3 : 3 + ny], -1, -2)
-    winR = np.moveaxis(sw[1 : nx + 2, 3 : 3 + ny], -1, -2)
+    """Windows for the nx+1 x-oriented face columns of a padded
+    (..., nx+6, ny+6, 4) field, shapes (..., nx+1, ny, 5, 4)."""
+    sw = np.lib.stride_tricks.sliding_window_view(Upad, 5, axis=-3)
+    # sw[..., k, :, :, :] holds padded columns k..k+4; face k's left cell is
+    # padded column k+2
+    winL = np.moveaxis(sw[..., : nx + 1, 3 : 3 + ny, :, :], -1, -2)
+    winR = np.moveaxis(sw[..., 1 : nx + 2, 3 : 3 + ny, :, :], -1, -2)
     return winL, winR
 
 
 def y_face_windows(Upad: np.ndarray, nx: int, ny: int):
-    """Windows for the ny+1 y-oriented face rows, shapes (nx, ny+1, 5, 4)."""
-    sw = np.lib.stride_tricks.sliding_window_view(Upad, 5, axis=1)
-    winL = np.moveaxis(sw[3 : 3 + nx, : ny + 1], -1, -2)
-    winR = np.moveaxis(sw[3 : 3 + nx, 1 : ny + 2], -1, -2)
+    """Windows for the ny+1 y-oriented face rows of a padded
+    (..., nx+6, ny+6, 4) field, shapes (..., nx, ny+1, 5, 4)."""
+    sw = np.lib.stride_tricks.sliding_window_view(Upad, 5, axis=-2)
+    winL = np.moveaxis(sw[..., 3 : 3 + nx, : ny + 1, :, :], -1, -2)
+    winR = np.moveaxis(sw[..., 3 : 3 + nx, 1 : ny + 2, :, :], -1, -2)
     return winL, winR

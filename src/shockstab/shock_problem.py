@@ -118,30 +118,54 @@ def build_initial_field(cfg: ShockProblemConfig, ny: int | None = None) -> MeanF
 
 
 def _residual_1d(field, scheme) -> np.ndarray:
-    return marching.rhs(field, scheme).reshape(-1)
+    """rhs of a row (or a batch of rows) flattened to (..., 4 nx)."""
+    return marching.rhs(field, scheme).reshape(field.U.shape[:-3] + (-1,))
 
 
 def _fd_jacobian_1d(field, scheme, r0, cols) -> np.ndarray:
     """True Jacobian of the 1D residual (differentiates through the weights).
 
-    Falls back to a one-sided difference when a probe invalidates the state.
+    Column ``col`` (cell i, component c) is probed at U +- h e_col with
+    h = 1e-7 max(1, |U[i, 0, c]|) and is (R(U + h) - R(U - h)) / (2h).  All
+    2m probes of the m columns are stacked on a batch axis and evaluated in
+    one rhs call.  Should a probe leave the admissible states, that call
+    raises, and every probe is then evaluated once on its own: a column with
+    one inadmissible probe takes the one-sided difference of the other probe
+    against ``r0``, the residual at U, and a column whose two probes both
+    raise re-raises the error of its -h probe.
     """
-    n = 4 * field.nx
-    J = np.zeros((n, n))
-    for col in cols:
-        i, c = divmod(col, 4)
-        h = 1e-7 * max(1.0, abs(field.U[i, 0, c]))
-        fp = field.copy()
-        fp.U[i, 0, c] += h
-        fm = field.copy()
-        fm.U[i, 0, c] -= h
-        try:
-            J[:, col] = (_residual_1d(fp, scheme) - _residual_1d(fm, scheme)) / (2 * h)
-        except ShockStabError:
+    cols = np.asarray(cols)
+    m = len(cols)
+    i, c = np.divmod(cols, 4)
+    h = 1e-7 * np.maximum(1.0, np.abs(field.U[i, 0, c]))
+    probes = np.repeat(field.U[None], 2 * m, axis=0)  # +h probes, then -h
+    plus = np.arange(m)
+    probes[plus, i, 0, c] += h
+    probes[m + plus, i, 0, c] -= h
+    try:
+        R = _residual_1d(replace(field, U=probes), scheme)
+        D = (R[:m] - R[m:]) / (2 * h)[:, None]
+    except ShockStabError:
+        D = np.empty((m, r0.size))
+        for k in range(m):
+            Rp = Rm = None
             try:
-                J[:, col] = (_residual_1d(fp, scheme) - r0) / h
+                Rp = _residual_1d(replace(field, U=probes[k]), scheme)
             except ShockStabError:
-                J[:, col] = (r0 - _residual_1d(fm, scheme)) / h
+                pass
+            try:
+                Rm = _residual_1d(replace(field, U=probes[m + k]), scheme)
+            except ShockStabError:
+                if Rp is None:
+                    raise
+            if Rm is None:
+                D[k] = (Rp - r0) / h[k]
+            elif Rp is None:
+                D[k] = (r0 - Rm) / h[k]
+            else:
+                D[k] = (Rp - Rm) / (2 * h[k])
+    J = np.zeros((r0.size, r0.size))
+    J[:, cols] = D.T
     return J
 
 

@@ -174,7 +174,15 @@ STEADY_TOL = 1e-8
 
 
 def assemble(field: MeanField, scheme: Scheme, check_steady: bool = True) -> StabilityMatrix:
-    """Build the stability matrix of the scheme around a steady mean field."""
+    """Build the stability matrix of the scheme around a steady mean field.
+
+    The field must be a single (nx, ny, 4) field: the scatter reads the
+    leading axis as the face normal, so a batch is refused with ValueError.
+    """
+    if field.U.ndim != 3:
+        raise ValueError(
+            f"assemble takes a single (nx, ny, 4) field, got cell averages of shape {field.U.shape}"
+        )
     Upad = apply_boundaries(field)
     if check_steady:
         res = float(np.abs(marching.rhs(field, scheme)[..., 0]).max())

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from shockstab import euler, fields, marching, shock_problem as sp
+from shockstab import euler, fields, marching, reconstruction, shock_problem as sp
 from shockstab.errors import NoExponentialStageError
 from shockstab.fields import BoundarySpec, MeanField
 from shockstab.marching import MonitorSeries, RunConfig, fit_growth_rate
@@ -74,6 +76,53 @@ def test_flux_telescoping_row_sums():
         row_sum = r[:, j].sum(axis=0)
         expect = -(fx[-1, j] - fx[0, j]) / field.h
         assert np.allclose(row_sum, expect, rtol=1e-10, atol=1e-10)
+
+
+def _periodic_x_field():
+    # smooth, subsonic and periodic in x and y; the column only places the cap
+    nx, ny = 7, 5
+    i, j = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+    W = np.stack([
+        1.0 + 0.3 * np.sin(2 * np.pi * i / nx),
+        0.5 + 0.1 * np.cos(2 * np.pi * j / ny),
+        np.full((nx, ny), 0.2),
+        1.0 + 0.2 * np.cos(2 * np.pi * (i + j) / nx),
+    ], axis=-1)
+    return MeanField(U=euler.prim_to_cons(W), h=0.5, bc=BoundarySpec(periodic_x=True),
+                     shock_column=4)
+
+
+@pytest.mark.parametrize("cap", ["none", "second"])
+@pytest.mark.parametrize("space", ["conservative", "primitive", "characteristic"])
+@pytest.mark.parametrize("order", [1, 2, 5])
+def test_batched_rhs_is_the_stack_of_single_rhs(monkeypatch, order, space, cap):
+    # the batch axes only stack fields: every member's residual is bit for bit
+    # the residual of that member alone, positivity fallbacks and cap included
+    scheme = Scheme(solver="roe", order=order, space=space, cap=cap)
+    fallbacks = []
+    recon = reconstruction.reconstruct_pair
+
+    def recording(*args, **kwargs):
+        out = recon(*args, **kwargs)
+        fallbacks.append(bool(out.fallback.any()))
+        return out
+
+    monkeypatch.setattr(reconstruction, "reconstruct_pair", recording)
+    rng = np.random.default_rng(8)
+    row = sp.build_initial_field(sp.ShockProblemConfig(), ny=1)
+    shock = sp.build_initial_field(sp.ShockProblemConfig(ny=4))
+    for field in (row, shock, _periodic_x_field()):
+        for batch in ((3,), (2, 2)):
+            U = field.U * (1.0 + 1e-3 * rng.standard_normal(batch + field.U.shape))
+            fallbacks.clear()
+            batched = marching.rhs(replace(field, U=U), scheme)
+            hit_fallback = any(fallbacks)
+            single = [marching.rhs(replace(field, U=u), scheme)
+                      for u in U.reshape((-1,) + field.U.shape)]
+            assert batched.shape == U.shape
+            assert np.array_equal(batched, np.stack(single).reshape(U.shape))
+            if space == "conservative" and order > 1 and not field.bc.periodic_x:
+                assert hit_fallback  # the raw M = 20 jump drives p < 0 at a face
 
 
 def test_cfl_dt():

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from shockstab import euler, marching, shock_problem as sp
-from shockstab.errors import ConvergenceError
-from shockstab.fields import apply_boundaries
+from shockstab.errors import ConvergenceError, InvalidStateError, ShockStabError
+from shockstab.fields import BoundarySpec, MeanField, apply_boundaries
 from shockstab.scheme import Scheme
 
 
@@ -221,6 +223,110 @@ def test_lm_refine_propagates_errors_from_outside_the_package(monkeypatch, stage
     monkeypatch.setattr(sp, "_fd_jacobian_1d", recording_jacobian)
     with pytest.raises(RuntimeError, match=stage):
         sp._lm_refine_1d(field, scheme, c.converge_tol, clamp_cells=(0, 1, 2, 3), pin_dofs=(20,))
+
+
+def _loop_fd_jacobian(field, scheme, r0, cols):
+    """Reference: the column-by-column finite-difference Jacobian, one rhs
+    call per probe, with the one-sided fallbacks of an inadmissible probe."""
+    n = 4 * field.nx
+    J = np.zeros((n, n))
+    for col in cols:
+        i, c = divmod(col, 4)
+        h = 1e-7 * max(1.0, abs(field.U[i, 0, c]))
+        fp = field.copy()
+        fp.U[i, 0, c] += h
+        fm = field.copy()
+        fm.U[i, 0, c] -= h
+        try:
+            J[:, col] = (sp._residual_1d(fp, scheme) - sp._residual_1d(fm, scheme)) / (2 * h)
+        except ShockStabError:
+            try:
+                J[:, col] = (sp._residual_1d(fp, scheme) - r0) / h
+            except ShockStabError:
+                J[:, col] = (r0 - sp._residual_1d(fm, scheme)) / h
+    return J
+
+
+def _counting_rhs(monkeypatch):
+    """Replace marching.rhs by a wrapper that records the batch shape of each call."""
+    rhs, shapes = marching.rhs, []
+
+    def counting(field, scheme):
+        shapes.append(field.U.shape[:-3])
+        return rhs(field, scheme)
+
+    monkeypatch.setattr(marching, "rhs", counting)
+    return shapes
+
+
+def _low_energy_row():
+    # a periodic row moving at u = 1 in which one cell's internal energy
+    # 2.5e-8 lies below its probe step 1e-7: that cell's -h energy probe and
+    # its +h x-momentum probe have p < 0
+    nx = 8
+    W = np.tile([1.0, 1.0, 0.0, 1.0], (nx, 1, 1))
+    W[3, 0, 3] = 1e-8
+    return MeanField(U=euler.prim_to_cons(W), h=1.0, bc=BoundarySpec(periodic_x=True))
+
+
+def test_fd_jacobian_equals_the_column_loop_on_a_converged_row(base_flow_cache, monkeypatch):
+    scheme = Scheme(solver="roe", order=5)
+    field2d, _ = base_flow_cache(scheme, epsilon=0.1)
+    row = replace(field2d, U=field2d.U[:, :1].copy())
+    r0 = sp._residual_1d(row, scheme)
+    cols = np.arange(4 * row.nx)
+    expected = _loop_fd_jacobian(row, scheme, r0, cols)
+    shapes = _counting_rhs(monkeypatch)
+    J = sp._fd_jacobian_1d(row, scheme, r0, cols)
+    assert np.array_equal(J, expected)
+    assert shapes == [(2 * len(cols),)]  # every probe in one rhs call
+
+
+def test_fd_jacobian_takes_one_sided_differences_at_inadmissible_probes(monkeypatch):
+    scheme = Scheme(solver="roe", order=5)
+    row = _low_energy_row()
+    r0 = sp._residual_1d(row, scheme)
+    h = 1e-7  # |rho e| = 0.5 and |rho u| = 1: both steps are 1e-7
+    energy, momentum = 4 * 3 + 3, 4 * 3 + 1
+    probes = {}
+    for col, sign in ((energy, -1.0), (energy, 1.0), (momentum, 1.0), (momentum, -1.0)):
+        probes[col, sign] = row.copy()
+        probes[col, sign].U[3, 0, col % 4] += sign * h
+    for bad in ((energy, -1.0), (momentum, 1.0)):
+        with pytest.raises(InvalidStateError):
+            sp._residual_1d(probes[bad], scheme)
+    cols = np.arange(4 * row.nx)
+    expected = _loop_fd_jacobian(row, scheme, r0, cols)
+    assert np.array_equal(
+        expected[:, energy], (sp._residual_1d(probes[energy, 1.0], scheme) - r0) / h
+    )
+    assert np.array_equal(
+        expected[:, momentum], (r0 - sp._residual_1d(probes[momentum, -1.0], scheme)) / h
+    )
+    shapes = _counting_rhs(monkeypatch)
+    J = sp._fd_jacobian_1d(row, scheme, r0, cols)
+    assert np.array_equal(J, expected)
+    # the batch raised; then each of the 2m probes is evaluated exactly once
+    assert shapes == [(2 * len(cols),)] + [()] * (2 * len(cols))
+
+
+def test_fd_jacobian_reraises_when_both_probes_of_a_column_fail(monkeypatch):
+    scheme = Scheme(solver="roe", order=1)
+    field = sp.build_initial_field(cfg(), ny=1)
+    r0 = sp._residual_1d(field, scheme)
+    residual, base = sp._residual_1d, field.U.copy()
+
+    def failing(f, s):
+        if f.U.ndim > 3:
+            raise InvalidStateError("batched call")
+        step = f.U[7, 0, 2] - base[7, 0, 2]
+        if step != 0:
+            raise InvalidStateError("plus probe" if step > 0 else "minus probe")
+        return residual(f, s)
+
+    monkeypatch.setattr(sp, "_residual_1d", failing)
+    with pytest.raises(InvalidStateError, match="minus probe"):
+        sp._fd_jacobian_1d(field, scheme, r0, np.arange(4 * field.nx))
 
 
 def test_project_to_2d_rows_equal():

@@ -145,6 +145,15 @@ def test_assemble_refuses_unsteady_field():
         assemble(field, Scheme(solver="hll", order=1))
 
 
+def test_assemble_refuses_a_batch_of_fields():
+    # the scatter would read the batch axis as the face normal
+    field, _ = initial_shock_field(ny=4)
+    batch = MeanField(U=np.stack([field.U, field.U]), h=field.h, bc=field.bc,
+                      shock_column=field.shock_column)
+    with pytest.raises(ValueError, match=r"\(2, 11, 4, 4\)"):
+        assemble(batch, Scheme(solver="roe", order=1), check_steady=False)
+
+
 def test_circulant_spectrum_first_order_upwind():
     # supersonic 1xN periodic strip: S is the classic circulant upwind
     # difference; eigenvalues lie on circles -s*lam*(1 - exp(-i theta))
