@@ -27,14 +27,26 @@ GAMMA = 1.4  # ratio of specific heats
 
 @dataclass(frozen=True)
 class FaceFrame:
-    """Unit face normal plus the derived tangent (-ny, nx)."""
+    """Unit face normal plus the derived tangent (-ny, nx).
 
-    nx: float
-    ny: float
+    The components are scalars, one normal for every face, or (F,) arrays
+    that give each face of a flat face axis its own normal; either way they
+    broadcast against states of shape (..., F, 4).
+    """
+
+    nx: float | np.ndarray
+    ny: float | np.ndarray
 
     def __post_init__(self):
-        if abs(self.nx**2 + self.ny**2 - 1.0) > 1e-12:
+        if np.any(np.abs(self.nx**2 + self.ny**2 - 1.0) > 1e-12):
             raise ValueError("face normal must be a unit vector")
+
+    def at(self, faces) -> "FaceFrame":
+        """The frame of the faces that ``faces`` selects from a flat face
+        axis; a scalar normal serves any subset as it is."""
+        if np.ndim(self.nx) == 0:
+            return self
+        return FaceFrame(self.nx[faces], self.ny[faces])
 
     @property
     def lx(self) -> float:

@@ -12,8 +12,14 @@ Interior indices are 0-based; problem metadata (shock column) uses the
 1-based cell numbering of the test problem.  States convert with the gas
 constant ``euler.GAMMA``; an ``InvalidStateError`` names cells by their
 full index, so in a batch the tuple leads with the batch index.
+
+``face_table`` lays the faces of a grid on one flat face axis: x faces,
+then y faces, each with the padded cells of its two five-cell
+reconstruction windows and its unit normal, so that the scheme gathers
+every face of a field with one ``np.take`` per window side.
 """
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -60,7 +66,8 @@ class MeanField:
 
 def apply_boundaries(field: MeanField) -> np.ndarray:
     """The cell averages padded with NG ghost layers on every side, shape
-    (..., nx+6, ny+6, 4); a new array, the field is left as it is."""
+    (..., nx+6, ny+6, 4); a new C-contiguous array, the field is left as it
+    is."""
     U, bc = field.U, field.bc
     if bc.periodic_x:
         padded = U[..., np.arange(-NG, field.nx + NG) % field.nx, :, :]
@@ -76,8 +83,9 @@ def apply_boundaries(field: MeanField) -> np.ndarray:
             np.broadcast_to(euler.prim_to_cons(last)[..., None, :, :], ghosts),
         ], axis=-3)
     # periodic in y, wrapped last so the x-ghost corners wrap too; modular
-    # indexing keeps single-row fields valid
-    return padded[..., np.arange(-NG, field.ny + NG) % field.ny, :]
+    # indexing keeps single-row fields valid.  ``take`` returns a C-ordered
+    # array, which the flat face gathers read without a copy
+    return np.take(padded, np.arange(-NG, field.ny + NG) % field.ny, axis=-2)
 
 
 def shock_face_masks(field: MeanField):
@@ -93,3 +101,75 @@ def shock_face_masks(field: MeanField):
         mask_x[col + 1] = True  # right face
         mask_y[col] = True  # all transverse faces of the column
     return mask_x, mask_y
+
+
+@dataclass(frozen=True)
+class FaceTable:
+    """The faces of one or both orientations of an (nx, ny) grid on one flat
+    face axis.
+
+    ``grids`` lists each orientation with its face grid in table order: the
+    x faces form an (nx+1, ny) grid whose face k lies between interior
+    columns k-1 and k, the y faces an (nx, ny+1) grid likewise along y, and
+    each grid is flattened in C order.  ``cells`` lists the cells the faces
+    read, as indices into the padded (nx+6, ny+6) grid flattened to one cell
+    axis.  Row f of ``left``/``right`` indexes into ``cells`` the five cells
+    of the window of face f's left/right state, ordered along the normal;
+    the right window is the left one shifted by one cell.  ``frame`` carries
+    each face's unit normal as (F,) arrays, or as the one scalar normal of a
+    table of a single orientation.
+    """
+
+    grids: tuple[tuple[str, tuple[int, int]], ...]
+    cells: np.ndarray  # (C,) flat padded-cell indices
+    left: np.ndarray  # (F, 5) indices into ``cells``
+    right: np.ndarray  # (F, 5)
+    frame: euler.FaceFrame
+
+    def split(self, values: np.ndarray, axis: int):
+        """Yield (orientation, part): the flat face axis ``axis`` of
+        ``values``, counted from the front, reshaped into each face grid."""
+        start = 0
+        for orientation, grid in self.grids:
+            n = grid[0] * grid[1]
+            part = values[(slice(None),) * axis + (slice(start, start + n),)]
+            yield orientation, part.reshape(values.shape[:axis] + grid + values.shape[axis + 1:])
+            start += n
+
+
+@functools.lru_cache(maxsize=None)
+def face_table(nx: int, ny: int, orientations: tuple[str, ...]) -> FaceTable:
+    """The ``FaceTable`` of the listed orientations ("x", "y"), built once
+    per grid and orientations; its arrays are read-only."""
+    row = ny + 2 * NG  # cells per padded column
+    m = np.arange(5)
+    grids, left, step, normal = [], [], [], []
+    for orientation in orientations:
+        if orientation == "x":
+            grid = (nx + 1, ny)
+            k, j = (a.reshape(-1, 1) for a in np.indices(grid))
+            # face k's window spans padded columns k..k+4, its left cell k+2
+            left.append((k + m) * row + j + NG)
+            step.append(row)
+            normal.append(euler.X_FACE)
+        else:
+            grid = (nx, ny + 1)
+            i, l = (a.reshape(-1, 1) for a in np.indices(grid))
+            left.append((i + NG) * row + l + m)
+            step.append(1)
+            normal.append(euler.Y_FACE)
+        grids.append((orientation, grid))
+    sizes = [len(w) for w in left]
+    left = np.concatenate(left)
+    right = left + np.repeat(step, sizes)[:, None]
+    cells, windows = np.unique(np.stack([left, right]), return_inverse=True)
+    left, right = windows.reshape(2, -1, 5)
+    if len(normal) == 1:
+        frame = normal[0]  # a single orientation: one normal for every face
+    else:
+        frame = euler.FaceFrame(np.repeat([f.nx for f in normal], sizes),
+                                np.repeat([f.ny for f in normal], sizes))
+        frame.nx.flags.writeable = frame.ny.flags.writeable = False
+    for a in (cells, left, right):
+        a.flags.writeable = False
+    return FaceTable(tuple(grids), cells, left, right, frame)

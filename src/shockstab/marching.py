@@ -7,8 +7,7 @@ import numpy as np
 
 from . import euler, reconstruction, riemann
 from .errors import InvalidStateError, NoExponentialStageError
-from .euler import X_FACE, Y_FACE
-from .fields import MeanField, apply_boundaries, shock_face_masks
+from .fields import MeanField, apply_boundaries, face_table, shock_face_masks
 from .scheme import Scheme
 
 # a perturbed march stops early once the monitor ||v||_inf exceeds this
@@ -48,33 +47,55 @@ class GrowthFit:
 
 def face_reconstructions(field: MeanField, Upad: np.ndarray, scheme: Scheme,
                          linearise: bool = True):
-    """Yield (axis, solver, frame, FaceRecon) for the x faces and, unless the
-    field is a single row, the y faces.  ``Upad`` is the field padded by
-    ``apply_boundaries``; ``linearise`` is passed on to ``reconstruct_pair``.
+    """Yield (table, solver, FaceRecon) once per batch of faces that share
+    one solver, reconstruction config and cap config: a plain scheme has one
+    batch of all x and y faces, a direction hybrid one batch per orientation.
+    A single row has no y faces: its periodic j+1/2 and j-1/2 fluxes are
+    identical.
 
-    The padded field is converted to the reconstruction space once and
-    windowed per direction (characteristic projections stay face-local).
+    ``table`` is the batch's ``FaceTable``.  It orders the flat face axis of
+    the FaceRecon, whose states are (..., F, 4) behind the field's batch
+    axes, carries the per-face normals as ``table.frame`` and splits
+    per-face results back into face grids.  ``Upad`` is the field padded by
+    ``apply_boundaries``; ``linearise`` is passed on to ``reconstruct_pair``.
+    Each batch takes the cells its faces read from ``Upad``, converts them
+    to the reconstruction space once and gathers its windows from them
+    (characteristic projections stay face-local).
     """
-    Xpad = None
-    if scheme.space == "primitive":
-        Xpad = euler.cons_to_prim(Upad, "padded field")
-    cap_masks = shock_face_masks(field) if scheme.cap != "none" else (None, None)
-    # a single-row periodic field has identical j+1/2 and j-1/2 fluxes
-    axes = ("x", "y") if field.ny > 1 else ("x",)
-    for axis, cap_mask in zip(axes, cap_masks):
-        solver, _ = scheme.per_direction(axis)
-        if axis == "x":
-            windows, frame = reconstruction.x_face_windows, X_FACE
-        else:
-            windows, frame = reconstruction.y_face_windows, Y_FACE
-        winL, winR = windows(Upad, field.nx, field.ny)
-        XwinL, XwinR = (None, None) if Xpad is None else windows(Xpad, field.nx, field.ny)
+    batches = {}
+    for orientation in ("x", "y") if field.ny > 1 else ("x",):
+        solver, _ = scheme.per_direction(orientation)
+        key = (solver, scheme.recon_config(orientation), scheme.cap_config(orientation))
+        batches.setdefault(key, []).append(orientation)
+    padded = Upad.reshape(Upad.shape[:-3] + (-1, 4))  # one cell axis
+    for (solver, cfg, cap_cfg), orientations in batches.items():
+        table = face_table(field.nx, field.ny, tuple(orientations))
+        Ucells = np.take(padded, table.cells, axis=-2)
+        XwinL = XwinR = None
+        if scheme.space == "primitive":
+            try:
+                Xcells = euler.cons_to_prim(Ucells)
+            except InvalidStateError:
+                euler.cons_to_prim(Upad, "padded field")  # names the (i, j) of the bad cell
+                raise
+            XwinL, XwinR = _windows(Xcells, table.left), _windows(Xcells, table.right)
+        cap_mask = None
+        if cap_cfg is not None:
+            shock_faces = dict(zip(("x", "y"), shock_face_masks(field)))
+            cap_mask = np.concatenate([shock_faces[o].ravel() for o in orientations])
         recon = reconstruction.reconstruct_pair(
-            winL, winR, scheme.recon_config(axis), frame,
-            cap_cfg=scheme.cap_config(axis), cap_mask=cap_mask, XwinL=XwinL, XwinR=XwinR,
+            _windows(Ucells, table.left), _windows(Ucells, table.right),
+            cfg, table.frame, cap_cfg=cap_cfg, cap_mask=cap_mask, XwinL=XwinL, XwinR=XwinR,
             linearise=linearise,
         )
-        yield axis, solver, frame, recon
+        yield table, solver, recon
+
+
+def _windows(cells: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """(..., F, 5, 4) windows of (..., cells, 4) states gathered by an (F, 5)
+    index.  They are stored slot-major: one slot of a field's windows, the
+    operand of each reconstruction formula, is then one run of memory."""
+    return np.take(cells, index.T, axis=-2).swapaxes(-3, -2)
 
 
 def rhs(field: MeanField, scheme: Scheme) -> np.ndarray:
@@ -82,9 +103,10 @@ def rhs(field: MeanField, scheme: Scheme) -> np.ndarray:
     ``field.U``: a batch of fields gives the stack of their residuals."""
     Upad = apply_boundaries(field)
     res = np.zeros(field.U.shape)
-    for axis, solver, frame, recon in face_reconstructions(field, Upad, scheme, linearise=False):
-        flux = riemann.compute_flux(solver, recon.WL, recon.WR, frame, scheme.roe_delta0)
-        res -= np.diff(flux, axis=-3 if axis == "x" else -2) / field.h
+    for table, solver, recon in face_reconstructions(field, Upad, scheme, linearise=False):
+        flux = riemann.compute_flux(solver, recon.WL, recon.WR, table.frame, scheme.roe_delta0)
+        for orientation, grid_flux in table.split(flux, field.U.ndim - 3):
+            res -= np.diff(grid_flux, axis=-3 if orientation == "x" else -2) / field.h
     return res
 
 

@@ -4,7 +4,10 @@ A face between cells i and i+1 owns two reconstructed states.  The left state
 uses the window (i-2 .. i+2), the right state the window (i-1 .. i+3); the
 right state is the mirror image of the left one.  Windows are always passed
 as five consecutive cell states of shape (..., 5, 4) even for the compact
-schemes, which only read the middle slots.
+schemes, which only read the middle slots.  A whole field's windows come as
+(..., F, 5, 4): the leading axes are the field's batch axes, F is one flat
+axis of faces of any orientation, gathered along each face's normal by
+``fields.face_table``, and the ``FaceFrame`` holds one normal per face.
 
 Besides face values, every reconstruction exposes the coefficients of its
 linearization with frozen nonlinear weights: the left state contributes
@@ -203,23 +206,24 @@ def reconstruct_pair(
     """Reconstruct both face states from conservative 5-windows.
 
     ``cap_mask`` selects faces whose order is capped (near-shock treatment);
-    those faces are re-reconstructed with ``cap_cfg`` and spliced in.  It
-    covers the two face axes in front of the window axes, so one mask
-    serves every member of a batch of windows (..., faces, faces, 5, 4).
-    ``XwinL``/``XwinR`` optionally carry the same windows already converted
-    to primitive variables, so a whole-field sweep converts each cell once;
-    the other spaces ignore them.  ``linearise=False`` skips the frozen-weight
-    coefficients, which only the stability assembly reads; the face states
-    and the fallback mask are the same either way.
+    those faces are re-reconstructed with ``cap_cfg``, in the frame of the
+    selected faces, and spliced in.  It covers the face axes in front of the
+    window axes, so one mask serves every member of a batch of windows
+    (..., F, 5, 4).  ``XwinL``/``XwinR`` optionally carry the same windows
+    already converted to primitive variables, so a whole-field sweep
+    converts each cell once; the other spaces ignore them.
+    ``linearise=False`` skips the frozen-weight coefficients, which only the
+    stability assembly reads; the face states and the fallback mask are the
+    same either way.
     """
     winL_U = np.asarray(winL_U, dtype=float)
     winR_U = np.asarray(winR_U, dtype=float)
     recon = _reconstruct_pair_one(winL_U, winR_U, cfg, frame, XwinL, XwinR, linearise)
     if cap_mask is not None and np.any(cap_mask):
         # the mask indexes the face axes behind the batch axes
-        at = (slice(None),) * (winL_U.ndim - 4) + (cap_mask,)
+        at = (slice(None),) * (winL_U.ndim - 2 - np.ndim(cap_mask)) + (cap_mask,)
         sub = _reconstruct_pair_one(
-            winL_U[at], winR_U[at], cap_cfg, frame,
+            winL_U[at], winR_U[at], cap_cfg, frame.at(cap_mask),
             None if XwinL is None else XwinL[at],
             None if XwinR is None else XwinR[at],
             linearise,
@@ -281,22 +285,3 @@ def _reconstruct_pair_one(winL_U, winR_U, cfg, frame, XwinL, XwinR, linearise):
         space=cfg.space, fallback=fallback,
     )
 
-
-def x_face_windows(Upad: np.ndarray, nx: int, ny: int):
-    """Windows for the nx+1 x-oriented face columns of a padded
-    (..., nx+6, ny+6, 4) field, shapes (..., nx+1, ny, 5, 4)."""
-    sw = np.lib.stride_tricks.sliding_window_view(Upad, 5, axis=-3)
-    # sw[..., k, :, :, :] holds padded columns k..k+4; face k's left cell is
-    # padded column k+2
-    winL = np.moveaxis(sw[..., : nx + 1, 3 : 3 + ny, :, :], -1, -2)
-    winR = np.moveaxis(sw[..., 1 : nx + 2, 3 : 3 + ny, :, :], -1, -2)
-    return winL, winR
-
-
-def y_face_windows(Upad: np.ndarray, nx: int, ny: int):
-    """Windows for the ny+1 y-oriented face rows of a padded
-    (..., nx+6, ny+6, 4) field, shapes (..., nx, ny+1, 5, 4)."""
-    sw = np.lib.stride_tricks.sliding_window_view(Upad, 5, axis=-2)
-    winL = np.moveaxis(sw[..., 3 : 3 + nx, : ny + 1, :, :], -1, -2)
-    winR = np.moveaxis(sw[..., 3 : 3 + nx, 1 : ny + 2, :, :], -1, -2)
-    return winL, winR

@@ -205,14 +205,16 @@ def assemble(field: MeanField, scheme: Scheme, check_steady: bool = True) -> Sta
             T_out[:, 3, 2] = W_last[:, 2]
 
     parts = []
-    for axis, solver, frame, recon in marching.face_reconstructions(field, Upad, scheme):
+    for table, solver, recon in marching.face_reconstructions(field, Upad, scheme):
         UL = euler.prim_to_cons(recon.WL)
         UR = euler.prim_to_cons(recon.WR)
+        orientations = "/".join(o for o, _ in table.grids)
         AL_U, AR_U = _fd_jacobians_U(
-            solver, UL, UR, frame, scheme.roe_delta0, label=f"{axis}-face"
+            solver, UL, UR, table.frame, scheme.roe_delta0, label=f"{orientations}-face"
         )
         B = face_blocks(recon, AL_U, AR_U)
-        parts += _face_triplets(B, axis, field, T_out)
+        for axis, grid_blocks in table.split(B, 0):
+            parts += _face_triplets(grid_blocks, axis, field, T_out)
     rows, cols, signs, blocks = (np.concatenate(p) for p in zip(*parts))
     if scheme.space == "primitive":
         blocks = euler.dw_du(Wint).reshape(-1, 4, 4)[rows] @ blocks

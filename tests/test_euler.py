@@ -88,6 +88,24 @@ def test_exact_flux_rotation_equivariance():
         assert np.allclose(F_rot, expect, rtol=1e-12, atol=1e-12)
 
 
+def test_face_frame_takes_one_normal_per_face():
+    rng = np.random.default_rng(4)
+    a = rng.uniform(0.0, 2 * np.pi, 6)
+    W = random_states(rng, 6)
+    frame = FaceFrame(np.cos(a), np.sin(a))
+    F = euler.exact_flux_w(W, frame)
+    for f in range(6):
+        assert np.array_equal(F[f], euler.exact_flux_w(W[f], FaceFrame(np.cos(a[f]), np.sin(a[f]))))
+    sub = frame.at(np.array([False, True, False, True, False, False]))
+    assert np.array_equal(sub.nx, np.cos(a[[1, 3]])) and np.array_equal(sub.ly, np.cos(a[[1, 3]]))
+    assert X_FACE.at([0, 2]) is X_FACE
+    # one non-unit normal among unit ones is refused
+    ny = np.sin(a)
+    ny[3] *= 1.0 + 1e-6
+    with pytest.raises(ValueError, match="unit vector"):
+        FaceFrame(np.cos(a), ny)
+
+
 def fd_jacobian(fn, x, h=1e-7):
     cols = []
     for k in range(x.size):

@@ -67,11 +67,12 @@ def test_flux_telescoping_row_sums():
     r = marching.rhs(field, scheme)
     from shockstab import reconstruction, riemann
 
-    winL, winR = reconstruction.x_face_windows(fields.apply_boundaries(field), c.nx, c.ny)
+    table = fields.face_table(c.nx, c.ny, ("x",))
+    cells = fields.apply_boundaries(field).reshape(-1, 4)[table.cells]
     recon = reconstruction.reconstruct_pair(
-        winL, winR, scheme.recon_config("x"), euler.X_FACE
+        cells[table.left], cells[table.right], scheme.recon_config("x"), euler.X_FACE
     )
-    fx = riemann.hll_flux(recon.WL, recon.WR, euler.X_FACE)
+    fx = riemann.hll_flux(recon.WL, recon.WR, euler.X_FACE).reshape(c.nx + 1, c.ny, 4)
     for j in range(c.ny):
         row_sum = r[:, j].sum(axis=0)
         expect = -(fx[-1, j] - fx[0, j]) / field.h

@@ -248,9 +248,9 @@ def test_face_states_do_not_depend_on_linearise(order, space, cap):
     fallback_faces = 0
     for on, off in zip(marching.face_reconstructions(field, Upad, scheme),
                        marching.face_reconstructions(field, Upad, scheme, linearise=False)):
-        a, b = on[3], off[3]
+        a, b = on[2], off[2]
         for name in ("WL", "WR", "fallback"):
-            assert np.array_equal(getattr(a, name), getattr(b, name)), (on[0], name)
+            assert np.array_equal(getattr(a, name), getattr(b, name)), (on[0].grids, name)
         assert a.lin_L is not None and b.lin_L is None and b.lin_R is None
         fallback_faces += int(a.fallback.sum())
     if space == "conservative" and (order > 1 or cap == "second"):

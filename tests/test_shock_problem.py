@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -87,6 +88,9 @@ def test_padding_contract():
     snap = field.U.copy()
     U = apply_boundaries(field)
     assert U.shape == (c.nx + 6, c.ny + 6, 4)
+    # C order, batched or not: the face gathers flatten it without a copy
+    assert U.flags.c_contiguous
+    assert apply_boundaries(replace(field, U=np.stack([field.U] * 3))).flags.c_contiguous
     assert np.array_equal(U[3:-3, 3:-3], field.U)
     assert np.array_equal(snap, field.U)
     assert np.array_equal(apply_boundaries(field), U)
@@ -259,12 +263,12 @@ def _counting_rhs(monkeypatch):
     return shapes
 
 
-def _low_energy_row():
-    # a periodic row moving at u = 1 in which one cell's internal energy
-    # 2.5e-8 lies below its probe step 1e-7: that cell's -h energy probe and
-    # its +h x-momentum probe have p < 0
+def _low_energy_row(u=1.0):
+    # a periodic row moving at u in which one cell's internal energy 2.5e-8
+    # lies below its probe step 1e-7: that cell's -h energy probe has p < 0,
+    # and at u = 1 its +h x-momentum probe too
     nx = 8
-    W = np.tile([1.0, 1.0, 0.0, 1.0], (nx, 1, 1))
+    W = np.tile([1.0, u, 0.0, 1.0], (nx, 1, 1))
     W[3, 0, 3] = 1e-8
     return MeanField(U=euler.prim_to_cons(W), h=1.0, bc=BoundarySpec(periodic_x=True))
 
@@ -306,8 +310,28 @@ def test_fd_jacobian_takes_one_sided_differences_at_inadmissible_probes(monkeypa
     shapes = _counting_rhs(monkeypatch)
     J = sp._fd_jacobian_1d(row, scheme, r0, cols)
     assert np.array_equal(J, expected)
-    # the batch raised; then each of the 2m probes is evaluated exactly once
-    assert shapes == [(2 * len(cols),)] + [()] * (2 * len(cols))
+    # the batch raised; only the halves that raise again split further, so
+    # the two inadmissible probes cost O(log m) calls, not one per probe
+    n = 2 * len(cols)
+    assert shapes[0] == (n,)
+    assert len(shapes) <= 1 + 2 * 2 * math.ceil(math.log2(n))
+
+
+def test_fd_jacobian_bisects_to_a_single_inadmissible_probe(monkeypatch):
+    scheme = Scheme(solver="roe", order=5)
+    row = _low_energy_row(u=0.0)
+    r0 = sp._residual_1d(row, scheme)
+    cols = np.arange(4 * row.nx)
+    m = len(cols)
+    expected = _loop_fd_jacobian(row, scheme, r0, cols)
+    shapes = _counting_rhs(monkeypatch)
+    J = sp._fd_jacobian_1d(row, scheme, r0, cols)
+    assert np.array_equal(J, expected)
+    # the -h energy probe of cell 3 alone is inadmissible: the stack of 2m
+    # probes, then per level of the bisection one half that passes and one
+    # that raises, down to the lone probe
+    assert shapes[0] == (2 * m,) and shapes.count(()) == 2
+    assert len(shapes) == 1 + 2 * math.ceil(math.log2(2 * m))
 
 
 def test_fd_jacobian_reraises_when_both_probes_of_a_column_fail(monkeypatch):

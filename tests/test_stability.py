@@ -281,34 +281,34 @@ def _loop_assembly(field, scheme):
 
     periodic_x = field.bc.periodic_x
     Upad = fields.apply_boundaries(field)
-    for axis, solver, frame, recon in marching.face_reconstructions(field, Upad, scheme):
+    for table, solver, recon in marching.face_reconstructions(field, Upad, scheme):
         AL, AR = stability._fd_jacobians_U(
             solver, euler.prim_to_cons(recon.WL), euler.prim_to_cons(recon.WR),
-            frame, scheme.roe_delta0,
+            table.frame, scheme.roe_delta0,
         )
-        B = stability.face_blocks(recon, AL, AR)
-        if axis == "x":
-            for k in range(nx if periodic_x else nx + 1):
-                for j in range(ny):
-                    for o in range(6):
-                        i_col, blk = k + o - ng, B[k, j, o]
-                        if periodic_x:
-                            i_col %= nx
-                        elif i_col < 0:
-                            continue  # inflow ghost
-                        elif i_col >= nx:
-                            i_col, blk = nx - 1, blk @ outflow_chain(j)
-                        for i_row, sign in ((k - 1, -sigma), (k, sigma)):
+        for axis, B in table.split(stability.face_blocks(recon, AL, AR), 0):
+            if axis == "x":
+                for k in range(nx if periodic_x else nx + 1):
+                    for j in range(ny):
+                        for o in range(6):
+                            i_col, blk = k + o - ng, B[k, j, o]
                             if periodic_x:
-                                i_row %= nx
-                            if 0 <= i_row < nx:
-                                add(i_row, j, i_col, j, sign, blk)
-        else:
-            for i in range(nx):
-                for l in range(ny):
-                    for o in range(6):
-                        for j_row, sign in (((l - 1) % ny, -sigma), (l, sigma)):
-                            add(i, j_row, i, (l + o - ng) % ny, sign, B[i, l, o])
+                                i_col %= nx
+                            elif i_col < 0:
+                                continue  # inflow ghost
+                            elif i_col >= nx:
+                                i_col, blk = nx - 1, blk @ outflow_chain(j)
+                            for i_row, sign in ((k - 1, -sigma), (k, sigma)):
+                                if periodic_x:
+                                    i_row %= nx
+                                if 0 <= i_row < nx:
+                                    add(i_row, j, i_col, j, sign, blk)
+            else:
+                for i in range(nx):
+                    for l in range(ny):
+                        for o in range(6):
+                            for j_row, sign in (((l - 1) % ny, -sigma), (l, sigma)):
+                                add(i, j_row, i, (l + o - ng) % ny, sign, B[i, l, o])
     return S
 
 
