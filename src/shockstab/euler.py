@@ -25,13 +25,14 @@ U_, V_, P_ = 1, 2, 3  # primitive component indices (rho shares index 0)
 GAMMA = 1.4  # ratio of specific heats
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FaceFrame:
     """Unit face normal plus the derived tangent (-ny, nx).
 
     The components are scalars, one normal for every face, or (F,) arrays
     that give each face of a flat face axis its own normal; either way they
-    broadcast against states of shape (..., F, 4).
+    broadcast against states of shape (..., F, 4).  Frames compare and hash
+    by identity, which array components allow.
     """
 
     nx: float | np.ndarray
@@ -49,11 +50,11 @@ class FaceFrame:
         return FaceFrame(self.nx[faces], self.ny[faces])
 
     @property
-    def lx(self) -> float:
+    def lx(self) -> float | np.ndarray:
         return -self.ny
 
     @property
-    def ly(self) -> float:
+    def ly(self) -> float | np.ndarray:
         return self.nx
 
 
@@ -73,14 +74,14 @@ def cons_to_prim(U, where: str = "state") -> np.ndarray:
     U = np.asarray(U, dtype=float)
     rho = U[..., RHO]
     bad = ~(rho > 0.0)
-    if np.any(bad):
+    if bad.any():
         raise InvalidStateError(_describe_bad(bad, f"non-positive density in {where}"))
     W = np.empty_like(U)
     u = U[..., MX] / rho
     v = U[..., MY] / rho
     p = (GAMMA - 1.0) * (U[..., EN] - 0.5 * rho * (u * u + v * v))
     bad = ~(p > 0.0)
-    if np.any(bad):
+    if bad.any():
         raise InvalidStateError(_describe_bad(bad, f"non-positive pressure in {where}"))
     W[..., RHO] = rho
     W[..., U_] = u
@@ -103,7 +104,7 @@ def prim_to_cons(W) -> np.ndarray:
 def sound_speed(W) -> np.ndarray:
     W = np.asarray(W, dtype=float)
     c2 = GAMMA * W[..., P_] / W[..., RHO]
-    if np.any(~(c2 > 0.0)):
+    if not (c2 > 0.0).all():
         raise InvalidStateError("non-positive sound speed")
     return np.sqrt(c2)
 

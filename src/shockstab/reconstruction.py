@@ -168,7 +168,7 @@ def _prim_soft(U):
     v = U[..., 2] / safe
     p = (GAMMA - 1.0) * (U[..., 3] - 0.5 * safe * (u * u + v * v))
     W = np.stack([rho, u, v, p], axis=-1)
-    valid = (rho > 0.0) & (p > 0.0) & np.all(np.isfinite(W), axis=-1)
+    valid = (rho > 0.0) & (p > 0.0) & np.isfinite(W).all(axis=-1)
     return W, valid
 
 
@@ -260,14 +260,14 @@ def _reconstruct_pair_one(winL_U, winR_U, cfg, frame, XwinL, XwinR, linearise):
         WR, okR = _prim_soft(XR)
     elif cfg.space == "primitive":
         WL, WR = XL, XR
-        okL = (WL[..., 0] > 0) & (WL[..., 3] > 0) & np.all(np.isfinite(WL), axis=-1)
-        okR = (WR[..., 0] > 0) & (WR[..., 3] > 0) & np.all(np.isfinite(WR), axis=-1)
+        okL = (WL[..., 0] > 0) & (WL[..., 3] > 0) & np.isfinite(WL).all(axis=-1)
+        okR = (WR[..., 0] > 0) & (WR[..., 3] > 0) & np.isfinite(WR).all(axis=-1)
     else:
         WL, okL = _prim_soft(np.einsum("...ab,...b->...a", Rmat, XL))
         WR, okR = _prim_soft(np.einsum("...ab,...b->...a", Rmat, XR))
 
     fallback = ~(okL & okR)
-    if np.any(fallback):
+    if fallback.any():
         # drop to first order at the offending faces: both states are the
         # adjacent cell means, the middle slot of either window
         if linearise:

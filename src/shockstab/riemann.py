@@ -3,7 +3,11 @@ van Leer flux-vector splitting, and the (solver, order) parts of the
 direction hybrids.
 
 All solvers take primitive left/right states of shape (..., 4), broadcast
-over leading axes, and return the numerical flux normal to the face.
+over leading axes, and return the numerical flux normal to the face.  Each
+kernel evaluates one upwind state per face: HLLC picks each face's side of
+the wave fan first and builds that side's exact flux, conservative state
+and star state only, and the speeds, normal velocities and sound speeds are
+computed once per side.
 """
 
 import numpy as np
@@ -54,7 +58,7 @@ def roe_flux(WL, WR, frame: FaceFrame, delta0: float = ROE_DELTA0) -> np.ndarray
     hR = GAMMA * WR[..., 3] / (g1 * WR[..., 0]) + 0.5 * (WR[..., 1] ** 2 + WR[..., 2] ** 2)
     h = wgt * hL + (1 - wgt) * hR
     c2 = g1 * (h - 0.5 * (u * u + v * v))
-    if np.any(~(c2 > 0.0)):
+    if not (c2 > 0.0).all():
         raise InvalidStateError("Roe average breakdown: non-positive c^2")
     c = np.sqrt(c2)
     rho = sl * sr
@@ -74,10 +78,11 @@ def roe_flux(WL, WR, frame: FaceFrame, delta0: float = ROE_DELTA0) -> np.ndarray
     a3 = (d_p + rho * c * d_q) / (2.0 * c2)
     a4 = rho * d_ql
 
+    abs_q = smooth_abs(q, delta0)
     l1 = smooth_abs(q - c, delta0) * a1
-    l2 = smooth_abs(q, delta0) * a2
+    l2 = abs_q * a2
     l3 = smooth_abs(q + c, delta0) * a3
-    l4 = smooth_abs(q, delta0) * a4
+    l4 = abs_q * a4
 
     diss = np.empty_like(FL)
     diss[..., 0] = l1 + l2 + l3
@@ -89,22 +94,29 @@ def roe_flux(WL, WR, frame: FaceFrame, delta0: float = ROE_DELTA0) -> np.ndarray
     return 0.5 * (FL + FR) - 0.5 * diss
 
 
-def davis_speeds(WL, WR, frame: FaceFrame):
+def davis_speeds(qL, cL, qR, cR):
+    """Davis estimates (S_L, S_R) of the outer waves from the normal
+    velocities and sound speeds of both sides."""
+    s_l = np.minimum(qL - cL, qR - cR)
+    s_r = np.maximum(qL + cL, qR + cR)
+    if (s_r - s_l < 1e-12).any():
+        raise DegenerateFanError("wave fan collapsed: S_R - S_L below 1e-12")
+    return s_l, s_r
+
+
+def _side_speeds(WL, WR, frame):
+    """Normal velocity and sound speed of each side, then the Davis speeds."""
     qL = _normal_velocity(WL, frame)
     qR = _normal_velocity(WR, frame)
     cL = euler.sound_speed(WL)
     cR = euler.sound_speed(WR)
-    s_l = np.minimum(qL - cL, qR - cR)
-    s_r = np.maximum(qL + cL, qR + cR)
-    if np.any(s_r - s_l < 1e-12):
-        raise DegenerateFanError("wave fan collapsed: S_R - S_L below 1e-12")
-    return s_l, s_r
+    return qL, qR, *davis_speeds(qL, cL, qR, cR)
 
 
 def hll_flux(WL, WR, frame: FaceFrame) -> np.ndarray:
     WL = np.asarray(WL, dtype=float)
     WR = np.asarray(WR, dtype=float)
-    s_l, s_r = davis_speeds(WL, WR, frame)
+    _, _, s_l, s_r = _side_speeds(WL, WR, frame)
     FL = euler.exact_flux_w(WL, frame)
     FR = euler.exact_flux_w(WR, frame)
     UL = euler.prim_to_cons(WL)
@@ -116,45 +128,35 @@ def hll_flux(WL, WR, frame: FaceFrame) -> np.ndarray:
 
 
 def hllc_flux(WL, WR, frame: FaceFrame) -> np.ndarray:
+    """HLLC flux: each face takes F_K or the star flux F*_K of one side K,
+    the side of the wave fan that the face sits in."""
     WL = np.asarray(WL, dtype=float)
     WR = np.asarray(WR, dtype=float)
-    s_l, s_r = davis_speeds(WL, WR, frame)
-    qL = _normal_velocity(WL, frame)
-    qR = _normal_velocity(WR, frame)
-    rhoL, pL = WL[..., 0], WL[..., 3]
-    rhoR, pR = WR[..., 0], WR[..., 3]
-    mL = rhoL * (s_l - qL)
-    mR = rhoR * (s_r - qR)
-    s_star = (pR - pL + qL * mL - qR * mR) / (mL - mR)
+    qL, qR, s_l, s_r = _side_speeds(WL, WR, frame)
+    mL = WL[..., 0] * (s_l - qL)
+    mR = WR[..., 0] * (s_r - qR)
+    s_star = (WR[..., 3] - WL[..., 3] + qL * mL - qR * mR) / (mL - mR)
 
-    FL = euler.exact_flux_w(WL, frame)
-    FR = euler.exact_flux_w(WR, frame)
-    UL = euler.prim_to_cons(WL)
-    UR = euler.prim_to_cons(WR)
+    # F_L if S_L >= 0, else F_R if S_R <= 0, else F*_L if S* >= 0, else F*_R
+    fan = ~(s_l >= 0.0) & ~(s_r <= 0.0)
+    left = (s_l >= 0.0) | (~(s_r <= 0.0) & (s_star >= 0.0))
+    W = np.where(left[..., None], WL, WR)
+    q = np.where(left, qL, qR)
+    s_k = np.where(left, s_l, s_r)
+    m_k = np.where(left, mL, mR)
+    F = euler.exact_flux_w(W, frame)
+    U = euler.prim_to_cons(W)
 
-    def star_flux(W, U, F, s_k, q_k, m_k):
-        rho, p = W[..., 0], W[..., 3]
-        factor = m_k / (s_k - s_star)
-        e = U[..., 3] / rho
-        u_star = np.stack(
-            [
-                np.ones_like(rho),
-                W[..., 1] + (s_star - q_k) * frame.nx,
-                W[..., 2] + (s_star - q_k) * frame.ny,
-                e + (s_star - q_k) * (s_star + p / m_k),
-            ],
-            axis=-1,
-        )
-        return F + s_k[..., None] * (factor[..., None] * u_star - U)
-
-    FsL = star_flux(WL, UL, FL, s_l, qL, mL)
-    FsR = star_flux(WR, UR, FR, s_r, qR, mR)
-    sl = s_l[..., None]
-    sr = s_r[..., None]
-    ss = s_star[..., None]
-    return np.where(
-        sl >= 0.0, FL, np.where(sr <= 0.0, FR, np.where(ss >= 0.0, FsL, FsR))
-    )
+    rho, p = W[..., 0], W[..., 3]
+    factor = m_k / (s_k - s_star)
+    d_q = s_star - q
+    u_star = np.empty(s_star.shape + (4,))
+    u_star[..., 0] = 1.0
+    u_star[..., 1] = W[..., 1] + d_q * frame.nx
+    u_star[..., 2] = W[..., 2] + d_q * frame.ny
+    u_star[..., 3] = U[..., 3] / rho + d_q * (s_star + p / m_k)
+    star = F + s_k[..., None] * (factor[..., None] * u_star - U)
+    return np.where(fan[..., None], star, F)
 
 
 def van_leer_flux(WL, WR, frame: FaceFrame) -> np.ndarray:
@@ -171,19 +173,19 @@ def van_leer_flux(WL, WR, frame: FaceFrame) -> np.ndarray:
         m = q / c
         fm = sign * 0.25 * rho * c * (m + sign) ** 2
         vel = (-q + sign * 2.0 * c) / g
-        fu = fm * (u + frame.nx * vel)
-        fv = fm * (v + frame.ny * vel)
-        fe = fm * (
+        sub = np.empty(fm.shape + (4,))
+        sub[..., 0] = fm
+        sub[..., 1] = fm * (u + frame.nx * vel)
+        sub[..., 2] = fm * (v + frame.ny * vel)
+        sub[..., 3] = fm * (
             ((g - 1.0) * q + sign * 2.0 * c) ** 2 / (2.0 * (g * g - 1.0))
             + 0.5 * (u * u + v * v - q * q)
         )
-        sub = np.stack([fm, fu, fv, fe], axis=-1)
         full = euler.exact_flux_w(W, frame)
-        zero = np.zeros_like(sub)
         m_ = m[..., None]
         if sign > 0:
-            return np.where(m_ >= 1.0, full, np.where(m_ <= -1.0, zero, sub))
-        return np.where(m_ <= -1.0, full, np.where(m_ >= 1.0, zero, sub))
+            return np.where(m_ >= 1.0, full, np.where(m_ <= -1.0, 0.0, sub))
+        return np.where(m_ <= -1.0, full, np.where(m_ >= 1.0, 0.0, sub))
 
     return split(WL, +1.0) + split(WR, -1.0)
 

@@ -71,27 +71,25 @@ def _fd_jacobians_U(solver, UL, UR, frame, delta0, step=1e-7, label="face"):
 
     Probes act on the conservative components; derivatives against other
     variable spaces are obtained by chaining with the analytic transforms.
+    All 16 probes (+h and -h, either side, four components) of every face
+    sit on leading axes (sign, side, component) of one flux call, so an
+    ``InvalidStateError`` of a probe names it by those axes first.
     """
-
-    def flux_of(ULp, URp):
-        WLp = euler.cons_to_prim(ULp, f"{label} probe L")
-        WRp = euler.cons_to_prim(URp, f"{label} probe R")
-        return riemann.compute_flux(solver, WLp, WRp, frame, delta0)
-
-    AL = np.empty(UL.shape + (4,))
-    AR = np.empty(UR.shape + (4,))
+    U = np.stack([UL, UR])  # (side, ..., 4)
+    h = np.maximum(step, step * np.abs(U))  # the step of each probe
+    e = np.zeros((2, 4) + UL.shape)  # (side, probed component, ..., 4)
     for k in range(4):
-        for side, U_probe, out in (("L", UL, AL), ("R", UR, AR)):
-            hk = np.maximum(step, step * np.abs(U_probe[..., k]))
-            e = np.zeros_like(U_probe)
-            e[..., k] = hk
-            if side == "L":
-                fp = flux_of(U_probe + e, UR)
-                fm = flux_of(U_probe - e, UR)
-            else:
-                fp = flux_of(UL, U_probe + e)
-                fm = flux_of(UL, U_probe - e)
-            out[..., :, k] = (fp - fm) / (2.0 * hk[..., None])
+        e[:, k, ..., k] = h[..., k]
+    ULp = np.empty((2,) + e.shape)  # (sign, side, component, ..., 4)
+    URp = np.empty_like(ULp)
+    ULp[0, 0], ULp[1, 0], ULp[:, 1] = UL + e[0], UL - e[0], UL
+    URp[0, 1], URp[1, 1], URp[:, 0] = UR + e[1], UR - e[1], UR
+    WLp = euler.cons_to_prim(ULp, f"{label} probe L")
+    WRp = euler.cons_to_prim(URp, f"{label} probe R")
+    flux = riemann.compute_flux(solver, WLp, WRp, frame, delta0)
+    # A[side][..., :, k] = (F(+h_k) - F(-h_k)) / (2 h_k)
+    dF = (flux[0] - flux[1]) / (2.0 * np.moveaxis(h, -1, 1)[..., None])
+    AL, AR = np.moveaxis(dF, 1, -1).copy()
     if not (np.all(np.isfinite(AL)) and np.all(np.isfinite(AR))):
         bad = np.argwhere(
             ~np.all(np.isfinite(AL), axis=(-2, -1)) | ~np.all(np.isfinite(AR), axis=(-2, -1))

@@ -1,9 +1,12 @@
+import copy
+
 import numpy as np
 import pytest
 
 from shockstab import euler
 from shockstab.errors import InvalidStateError
 from shockstab.euler import FaceFrame, X_FACE, Y_FACE
+from shockstab.fields import face_table
 
 
 
@@ -104,6 +107,17 @@ def test_face_frame_takes_one_normal_per_face():
     ny[3] *= 1.0 + 1e-6
     with pytest.raises(ValueError, match="unit vector"):
         FaceFrame(np.cos(a), ny)
+
+
+def test_face_frame_compares_and_hashes_by_identity():
+    # per-face array normals: generated field-wise __eq__/__hash__ would
+    # raise on the arrays
+    frame = face_table(4, 3, ("x", "y")).frame
+    twin = copy.copy(frame)
+    assert np.array_equal(twin.nx, frame.nx) and np.array_equal(twin.ny, frame.ny)
+    assert frame == frame and frame != twin
+    assert hash(frame) == hash(frame)
+    assert len({frame, twin, X_FACE}) == 3
 
 
 def fd_jacobian(fn, x, h=1e-7):

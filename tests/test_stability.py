@@ -75,6 +75,62 @@ def test_flux_jacobians_step_robustness():
         assert np.max(np.abs(A - B)) < 1e-6 * scale
 
 
+def _probe_loop_jacobians(solver, UL, UR, frame, delta0, step=1e-7):
+    """The probe-at-a-time central difference that ``_fd_jacobians_U``
+    replaced: one pair of flux calls per component and side."""
+
+    def flux_of(ULp, URp):
+        return riemann.compute_flux(
+            solver, euler.cons_to_prim(ULp), euler.cons_to_prim(URp), frame, delta0)
+
+    AL = np.empty(UL.shape + (4,))
+    AR = np.empty(UR.shape + (4,))
+    for k in range(4):
+        for side, U_probe, out in (("L", UL, AL), ("R", UR, AR)):
+            hk = np.maximum(step, step * np.abs(U_probe[..., k]))
+            e = np.zeros_like(U_probe)
+            e[..., k] = hk
+            if side == "L":
+                fp, fm = flux_of(U_probe + e, UR), flux_of(U_probe - e, UR)
+            else:
+                fp, fm = flux_of(UL, U_probe + e), flux_of(UL, U_probe - e)
+            out[..., :, k] = (fp - fm) / (2.0 * hk[..., None])
+    return AL, AR
+
+
+@pytest.mark.parametrize("solver", ["roe", "hll", "hllc", "van_leer"])
+def test_fd_jacobian_probe_stack_equals_probe_loop(solver):
+    # the 16 probes stacked into one flux call give the loop's bits, on one
+    # face with a scalar normal and on a flat batch with per-face normals
+    rng = np.random.default_rng(43)
+    WL, WR = random_states(rng, 40, (0.0, 2.5)), random_states(rng, 40, (0.0, 2.5))
+    WR[::3, 1] = -WR[::3, 1]  # running into each other at every third face
+    a = rng.uniform(0.0, 2 * np.pi, 40)
+    cases = [(WL[0], WR[0], X_FACE), (WL, WR, euler.FaceFrame(np.cos(a), np.sin(a)))]
+    for WLc, WRc, frame in cases:
+        UL, UR = euler.prim_to_cons(WLc), euler.prim_to_cons(WRc)
+        got = stability._fd_jacobians_U(solver, UL, UR, frame, riemann.ROE_DELTA0)
+        want = _probe_loop_jacobians(solver, UL, UR, frame, riemann.ROE_DELTA0)
+        for A, B in zip(got, want):
+            assert A.shape == B.shape and A.flags.c_contiguous
+            assert np.array_equal(A.view(np.int64), B.view(np.int64)), solver
+
+
+@pytest.mark.parametrize("solver, batches", [("hllc", 1), ("hybrid-2", 2)])
+def test_assemble_makes_one_flux_call_per_batch(monkeypatch, solver, batches):
+    calls = []
+    original = riemann.compute_flux
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(riemann, "compute_flux", counted)
+    field, _ = initial_shock_field(ny=4)
+    assemble(field, Scheme(solver=solver, order=5), check_steady=False)
+    assert len(calls) == batches
+
+
 # ------------------------------------------------------------- face blocks
 
 
