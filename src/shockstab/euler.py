@@ -62,11 +62,11 @@ X_FACE = FaceFrame(1.0, 0.0)
 Y_FACE = FaceFrame(0.0, 1.0)
 
 
-def _describe_bad(mask, where):
+def _describe_bad(mask, where, what="cell"):
     idx = np.argwhere(mask)
-    head = ", ".join(str(tuple(i)) for i in idx[:4])
+    head = ", ".join(str(tuple(i.tolist())) for i in idx[:4])
     more = "" if len(idx) <= 4 else f" (+{len(idx) - 4} more)"
-    return f"{where} at cell(s) {head}{more}" if idx.size else where
+    return f"{where} at {what}(s) {head}{more}" if idx.size else where
 
 
 def cons_to_prim(U, where: str = "state") -> np.ndarray:
@@ -104,8 +104,9 @@ def prim_to_cons(W) -> np.ndarray:
 def sound_speed(W) -> np.ndarray:
     W = np.asarray(W, dtype=float)
     c2 = GAMMA * W[..., P_] / W[..., RHO]
-    if not (c2 > 0.0).all():
-        raise InvalidStateError("non-positive sound speed")
+    ok = c2 > 0.0
+    if not ok.all():
+        raise InvalidStateError(_describe_bad(~ok, "non-positive sound speed"))
     return np.sqrt(c2)
 
 
@@ -205,8 +206,9 @@ def right_eigen_matrix(W, frame: FaceFrame) -> np.ndarray:
         [z, lx * one, ly * one, ql],
     ]
     R = np.stack([np.stack(col, axis=-1) for col in cols], axis=-1)
-    if not np.all(np.isfinite(R)):
-        raise InvalidStateError("degenerate eigen-matrix")
+    bad = ~np.isfinite(R).all(axis=(-2, -1))
+    if bad.any():
+        raise InvalidStateError(_describe_bad(bad, "degenerate eigen-matrix"))
     return R
 
 

@@ -1,20 +1,20 @@
 """Structured fields: interior cell averages plus the boundary conditions
-that derive their ghost layers.
+that derive their ghost states.
 
 A field is its (..., nx, ny, 4) array of conservative cell averages: the
 grid axes are the last three, and any leading axes form a batch of fields
 that share the grid, the boundaries and the shock column.  A single field
-has batch shape ().  Ghost cells are not state: ``apply_boundaries``
-derives the (..., nx+6, ny+6, 4) padded array, three ghost layers on every
-side and the interior at [..., 3:3+nx, 3:3+ny, :], from the cell averages
-and the ``BoundarySpec``, and returns it without touching the field.
-Interior indices are 0-based; problem metadata (shock column) uses the
-1-based cell numbering of the test problem.  States convert with the gas
-constant ``euler.GAMMA``; an ``InvalidStateError`` names cells by their
-full index, so in a batch the tuple leads with the batch index.
+has batch shape ().  Ghost cells are not state: ``apply_boundaries`` lays
+the cells out on one state axis (..., S, 4), cell (i, j) at i*ny + j, and
+unless x is periodic appends the inflow ghost state at nx*ny and the
+pressure-pinned outflow ghost state of row j at nx*ny + 1 + j.  Interior
+indices are 0-based; problem metadata (shock column) uses the 1-based cell
+numbering of the test problem.  States convert with the gas constant
+``euler.GAMMA``; an ``InvalidStateError`` names cells by their full index,
+so in a batch the tuple leads with the batch index.
 
 ``face_table`` lays the faces of a grid on one flat face axis: x faces,
-then y faces, each with the padded cells of its two five-cell
+then y faces, each with the state indices of its two five-cell
 reconstruction windows and its unit normal, so that the scheme gathers
 every face of a field with one ``np.take`` per window side.
 """
@@ -26,20 +26,22 @@ import numpy as np
 
 from . import euler
 
-NG = 3  # ghost depth
-
 
 @dataclass(frozen=True)
 class BoundarySpec:
     """Left inflow / right outflow (pressure pinned) / periodic in y.
 
     ``periodic_x = True`` wraps the x direction instead (synthetic test
-    fields only).
+    fields only); otherwise ``inflow_W`` and ``outflow_pressure`` are required.
     """
 
     inflow_W: np.ndarray | None = None  # primitive (4,)
     outflow_pressure: float | None = None
     periodic_x: bool = False
+
+    def __post_init__(self):
+        if not self.periodic_x and (self.inflow_W is None or self.outflow_pressure is None):
+            raise ValueError("non-periodic boundaries need inflow state and outflow pressure")
 
 
 @dataclass
@@ -65,27 +67,16 @@ class MeanField:
 
 
 def apply_boundaries(field: MeanField) -> np.ndarray:
-    """The cell averages padded with NG ghost layers on every side, shape
-    (..., nx+6, ny+6, 4); a new C-contiguous array, the field is left as it
-    is."""
+    """The state axis (..., S, 4) that the module docstring lays out; a new
+    C-contiguous array, the field is left as it is."""
     U, bc = field.U, field.bc
+    cells = U.reshape(U.shape[:-3] + (-1, 4))
     if bc.periodic_x:
-        padded = U[..., np.arange(-NG, field.nx + NG) % field.nx, :, :]
-    else:
-        if bc.inflow_W is None or bc.outflow_pressure is None:
-            raise ValueError("non-periodic boundaries need inflow state and outflow pressure")
-        last = euler.cons_to_prim(U[..., -1, :, :], "outflow column")
-        last[..., 3] = bc.outflow_pressure
-        ghosts = U.shape[:-3] + (NG,) + U.shape[-2:]
-        padded = np.concatenate([
-            np.broadcast_to(euler.prim_to_cons(bc.inflow_W), ghosts),
-            U,
-            np.broadcast_to(euler.prim_to_cons(last)[..., None, :, :], ghosts),
-        ], axis=-3)
-    # periodic in y, wrapped last so the x-ghost corners wrap too; modular
-    # indexing keeps single-row fields valid.  ``take`` returns a C-ordered
-    # array, which the flat face gathers read without a copy
-    return np.take(padded, np.arange(-NG, field.ny + NG) % field.ny, axis=-2)
+        return cells.copy()
+    last = euler.cons_to_prim(U[..., -1, :, :], "outflow column")
+    last[..., 3] = bc.outflow_pressure
+    inflow = np.broadcast_to(euler.prim_to_cons(bc.inflow_W), U.shape[:-3] + (1, 4))
+    return np.concatenate([cells, inflow, euler.prim_to_cons(last)], axis=-2)
 
 
 def shock_face_masks(field: MeanField):
@@ -111,18 +102,16 @@ class FaceTable:
     ``grids`` lists each orientation with its face grid in table order: the
     x faces form an (nx+1, ny) grid whose face k lies between interior
     columns k-1 and k, the y faces an (nx, ny+1) grid likewise along y, and
-    each grid is flattened in C order.  ``cells`` lists the cells the faces
-    read, as indices into the padded (nx+6, ny+6) grid flattened to one cell
-    axis.  Row f of ``left``/``right`` indexes into ``cells`` the five cells
-    of the window of face f's left/right state, ordered along the normal;
-    the right window is the left one shifted by one cell.  ``frame`` carries
-    each face's unit normal as (F,) arrays, or as the one scalar normal of a
-    table of a single orientation.
+    each grid is flattened in C order.  Row f of ``left``/``right`` indexes
+    into the state axis of ``apply_boundaries`` the five cells of the window
+    of face f's left/right state, ordered along the normal; the right window
+    is the left one shifted by one cell.  ``frame`` carries each face's unit
+    normal as (F,) arrays, or as the one scalar normal of a table of a
+    single orientation.
     """
 
     grids: tuple[tuple[str, tuple[int, int]], ...]
-    cells: np.ndarray  # (C,) flat padded-cell indices
-    left: np.ndarray  # (F, 5) indices into ``cells``
+    left: np.ndarray  # (F, 5) state indices
     right: np.ndarray  # (F, 5)
     frame: euler.FaceFrame
 
@@ -138,38 +127,38 @@ class FaceTable:
 
 
 @functools.lru_cache(maxsize=None)
-def face_table(nx: int, ny: int, orientations: tuple[str, ...]) -> FaceTable:
+def face_table(nx: int, ny: int, orientations: tuple[str, ...], periodic_x: bool) -> FaceTable:
     """The ``FaceTable`` of the listed orientations ("x", "y"), built once
-    per grid and orientations; its arrays are read-only."""
-    row = ny + 2 * NG  # cells per padded column
-    m = np.arange(5)
-    grids, left, step, normal = [], [], [], []
+    per grid, orientations and x boundary; its arrays are read-only.  Windows
+    wrap along a periodic direction; along a non-periodic x they read the
+    inflow state left of the grid and the row's outflow state right of it."""
+    slot = np.arange(6) - 3  # face k's left and right windows span cells k-3 .. k+2
+    grids, windows, normal = [], [], []
     for orientation in orientations:
         if orientation == "x":
             grid = (nx + 1, ny)
             k, j = (a.reshape(-1, 1) for a in np.indices(grid))
-            # face k's window spans padded columns k..k+4, its left cell k+2
-            left.append((k + m) * row + j + NG)
-            step.append(row)
+            i = k + slot
+            if periodic_x:
+                windows.append(i % nx * ny + j)
+            else:
+                outside = np.where(i < 0, nx * ny, nx * ny + 1 + j)
+                windows.append(np.where((i >= 0) & (i < nx), i * ny + j, outside))
             normal.append(euler.X_FACE)
         else:
             grid = (nx, ny + 1)
             i, l = (a.reshape(-1, 1) for a in np.indices(grid))
-            left.append((i + NG) * row + l + m)
-            step.append(1)
+            windows.append(i * ny + (l + slot) % ny)
             normal.append(euler.Y_FACE)
         grids.append((orientation, grid))
-    sizes = [len(w) for w in left]
-    left = np.concatenate(left)
-    right = left + np.repeat(step, sizes)[:, None]
-    cells, windows = np.unique(np.stack([left, right]), return_inverse=True)
-    left, right = windows.reshape(2, -1, 5)
+    sizes = [len(w) for w in windows]
+    windows = np.concatenate(windows)
+    left, right = np.ascontiguousarray(windows[:, :5]), np.ascontiguousarray(windows[:, 1:])
     if len(normal) == 1:
         frame = normal[0]  # a single orientation: one normal for every face
     else:
         frame = euler.FaceFrame(np.repeat([f.nx for f in normal], sizes),
                                 np.repeat([f.ny for f in normal], sizes))
         frame.nx.flags.writeable = frame.ny.flags.writeable = False
-    for a in (cells, left, right):
-        a.flags.writeable = False
-    return FaceTable(tuple(grids), cells, left, right, frame)
+    left.flags.writeable = right.flags.writeable = False
+    return FaceTable(tuple(grids), left, right, frame)

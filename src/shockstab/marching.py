@@ -45,7 +45,7 @@ class GrowthFit:
     r2: float
 
 
-def face_reconstructions(field: MeanField, Upad: np.ndarray, scheme: Scheme,
+def face_reconstructions(field: MeanField, states: np.ndarray, scheme: Scheme,
                          linearise: bool = True):
     """Yield (table, solver, FaceRecon) once per batch of faces that share
     one solver, reconstruction config and cap config: a plain scheme has one
@@ -56,54 +56,53 @@ def face_reconstructions(field: MeanField, Upad: np.ndarray, scheme: Scheme,
     ``table`` is the batch's ``FaceTable``.  It orders the flat face axis of
     the FaceRecon, whose states are (..., F, 4) behind the field's batch
     axes, carries the per-face normals as ``table.frame`` and splits
-    per-face results back into face grids.  ``Upad`` is the field padded by
-    ``apply_boundaries``; ``linearise`` is passed on to ``reconstruct_pair``.
-    Each batch takes the cells its faces read from ``Upad``, converts them
-    to the reconstruction space once and gathers its windows from them
-    (characteristic projections stay face-local).
+    per-face results back into face grids.  Every batch gathers its windows
+    from ``states``, the state axis of ``apply_boundaries``, converted once
+    per call in the primitive space (characteristic projections stay
+    face-local); ``linearise`` is passed on to ``reconstruct_pair``.
     """
     batches = {}
     for orientation in ("x", "y") if field.ny > 1 else ("x",):
         solver, _ = scheme.per_direction(orientation)
         key = (solver, scheme.recon_config(orientation), scheme.cap_config(orientation))
         batches.setdefault(key, []).append(orientation)
-    padded = Upad.reshape(Upad.shape[:-3] + (-1, 4))  # one cell axis
+    Xstates = None
+    if scheme.space == "primitive":
+        try:
+            Xstates = euler.cons_to_prim(states)
+        except InvalidStateError:
+            field.interior_primitive()  # names the (i, j) of the bad cell
+            raise
     for (solver, cfg, cap_cfg), orientations in batches.items():
-        table = face_table(field.nx, field.ny, tuple(orientations))
-        Ucells = np.take(padded, table.cells, axis=-2)
+        table = face_table(field.nx, field.ny, tuple(orientations), field.bc.periodic_x)
         XwinL = XwinR = None
-        if scheme.space == "primitive":
-            try:
-                Xcells = euler.cons_to_prim(Ucells)
-            except InvalidStateError:
-                euler.cons_to_prim(Upad, "padded field")  # names the (i, j) of the bad cell
-                raise
-            XwinL, XwinR = _windows(Xcells, table.left), _windows(Xcells, table.right)
+        if Xstates is not None:
+            XwinL, XwinR = _windows(Xstates, table.left), _windows(Xstates, table.right)
         cap_mask = None
         if cap_cfg is not None:
             shock_faces = dict(zip(("x", "y"), shock_face_masks(field)))
             cap_mask = np.concatenate([shock_faces[o].ravel() for o in orientations])
         recon = reconstruction.reconstruct_pair(
-            _windows(Ucells, table.left), _windows(Ucells, table.right),
+            _windows(states, table.left), _windows(states, table.right),
             cfg, table.frame, cap_cfg=cap_cfg, cap_mask=cap_mask, XwinL=XwinL, XwinR=XwinR,
             linearise=linearise,
         )
         yield table, solver, recon
 
 
-def _windows(cells: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """(..., F, 5, 4) windows of (..., cells, 4) states gathered by an (F, 5)
+def _windows(states: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """(..., F, 5, 4) windows of (..., S, 4) states gathered by an (F, 5)
     index.  They are stored slot-major: one slot of a field's windows, the
     operand of each reconstruction formula, is then one run of memory."""
-    return np.take(cells, index.T, axis=-2).swapaxes(-3, -2)
+    return np.take(states, index.T, axis=-2).swapaxes(-3, -2)
 
 
 def rhs(field: MeanField, scheme: Scheme) -> np.ndarray:
     """Semi-discrete residual dU/dt on the interior cells, shaped like
     ``field.U``: a batch of fields gives the stack of their residuals."""
-    Upad = apply_boundaries(field)
+    states = apply_boundaries(field)
     res = np.zeros(field.U.shape)
-    for table, solver, recon in face_reconstructions(field, Upad, scheme, linearise=False):
+    for table, solver, recon in face_reconstructions(field, states, scheme, linearise=False):
         flux = riemann.compute_flux(solver, recon.WL, recon.WR, table.frame, scheme.roe_delta0)
         for orientation, grid_flux in table.split(flux, field.U.ndim - 3):
             res -= np.diff(grid_flux, axis=-3 if orientation == "x" else -2) / field.h

@@ -58,8 +58,10 @@ def roe_flux(WL, WR, frame: FaceFrame, delta0: float = ROE_DELTA0) -> np.ndarray
     hR = GAMMA * WR[..., 3] / (g1 * WR[..., 0]) + 0.5 * (WR[..., 1] ** 2 + WR[..., 2] ** 2)
     h = wgt * hL + (1 - wgt) * hR
     c2 = g1 * (h - 0.5 * (u * u + v * v))
-    if not (c2 > 0.0).all():
-        raise InvalidStateError("Roe average breakdown: non-positive c^2")
+    ok = c2 > 0.0
+    if not ok.all():
+        raise InvalidStateError(
+            euler._describe_bad(~ok, "Roe average breakdown: non-positive c^2", "face"))
     c = np.sqrt(c2)
     rho = sl * sr
     nx, ny, lx, ly = frame.nx, frame.ny, frame.lx, frame.ly
@@ -99,8 +101,10 @@ def davis_speeds(qL, cL, qR, cR):
     velocities and sound speeds of both sides."""
     s_l = np.minimum(qL - cL, qR - cR)
     s_r = np.maximum(qL + cL, qR + cR)
-    if (s_r - s_l < 1e-12).any():
-        raise DegenerateFanError("wave fan collapsed: S_R - S_L below 1e-12")
+    collapsed = s_r - s_l < 1e-12
+    if collapsed.any():
+        raise DegenerateFanError(
+            euler._describe_bad(collapsed, "wave fan collapsed: S_R - S_L below 1e-12", "face"))
     return s_l, s_r
 
 

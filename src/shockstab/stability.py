@@ -10,8 +10,10 @@ sign for the two adjacent cells, into one sparse CSR matrix: duplicate
 entries are summed and exact zeros dropped, which leaves rows with up to 13
 nonzero blocks at fifth order and 5 at first order.  Row and column
 4*(i*ny + j) + c belong to component c of interior cell (i, j).  Ghost
-cells never appear: inflow ghosts carry no perturbation and outflow ghosts
-fold onto the last column through the pressure-pinned copy.
+states never appear: the inflow state carries no perturbation and each
+row's outflow state folds onto the row's last cell through the
+pressure-pinned copy.  The scatter places blocks by its own offsets along
+the face normal, not by the window indices of ``fields.face_table``.
 
 ``eigensolve`` takes one of two paths, chosen by a property of S that it
 checks itself.  A base flow uniform along the periodic y direction (every
@@ -42,7 +44,7 @@ import scipy.sparse
 
 from . import euler, marching, riemann
 from .errors import DifferentiationError, UnsteadyFieldError
-from .fields import MeanField, NG, apply_boundaries
+from .fields import MeanField, apply_boundaries
 from .reconstruction import FaceRecon
 from .scheme import Scheme
 
@@ -133,7 +135,7 @@ def _face_triplets(B, axis: str, field: MeanField, T_out):
 
     ``B`` holds the face blocks as ``face_blocks`` returns them.  Face k
     along the normal lies between interior cells k-1 and k, and its offset
-    o reaches interior cell k+o-NG.  Periodic directions wrap; along a
+    o reaches interior cell k+o-3.  Periodic directions wrap; along a
     non-periodic x the inflow ghost columns are dropped and the outflow ghost
     columns fold onto the last column through ``T_out``.
     """
@@ -144,7 +146,7 @@ def _face_triplets(B, axis: str, field: MeanField, T_out):
     if periodic:
         B = B[:n]  # face n repeats face 0
     k, t, o = np.indices(B.shape[:3])  # normal face, transverse cell, offset
-    col = k + o - NG
+    col = k + o - 3
     keep = periodic | (col >= 0)
     if periodic:
         col %= n
@@ -181,7 +183,7 @@ def assemble(field: MeanField, scheme: Scheme, check_steady: bool = True) -> Sta
         raise ValueError(
             f"assemble takes a single (nx, ny, 4) field, got cell averages of shape {field.U.shape}"
         )
-    Upad = apply_boundaries(field)
+    states = apply_boundaries(field)
     if check_steady:
         res = float(np.abs(marching.rhs(field, scheme)[..., 0]).max())
         if res > STEADY_TOL:
@@ -203,7 +205,7 @@ def assemble(field: MeanField, scheme: Scheme, check_steady: bool = True) -> Sta
             T_out[:, 3, 2] = W_last[:, 2]
 
     parts = []
-    for table, solver, recon in marching.face_reconstructions(field, Upad, scheme):
+    for table, solver, recon in marching.face_reconstructions(field, states, scheme):
         UL = euler.prim_to_cons(recon.WL)
         UR = euler.prim_to_cons(recon.WR)
         orientations = "/".join(o for o, _ in table.grids)

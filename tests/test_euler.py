@@ -52,6 +52,21 @@ def test_cons_to_prim_rejects_bad_states():
         euler.cons_to_prim(np.array([1.0, 0.0, 0.0, -1.0]))
 
 
+def test_sound_speed_names_the_bad_cell():
+    W = random_states(np.random.default_rng(2), 8)
+    W[5, 3] = -1.0
+    with pytest.raises(InvalidStateError, match=r"^non-positive sound speed at cell\(s\) \(5,\)$"):
+        euler.sound_speed(W)
+
+
+def test_right_eigen_matrix_names_the_degenerate_cell():
+    W = random_states(np.random.default_rng(3), 8).reshape(2, 4, 4)
+    W[1, 2, 1] = np.inf  # a finite sound speed, an infinite eigenvector entry
+    with np.errstate(invalid="ignore"), pytest.raises(
+            InvalidStateError, match=r"^degenerate eigen-matrix at cell\(s\) \(1, 2\)$"):
+        euler.right_eigen_matrix(W, X_FACE)
+
+
 def test_exact_flux_stationary_gas():
     U = euler.prim_to_cons(np.array([2.0, 0.0, 0.0, 3.0]))
     F = euler.exact_flux_w(euler.cons_to_prim(U), X_FACE)
@@ -112,7 +127,7 @@ def test_face_frame_takes_one_normal_per_face():
 def test_face_frame_compares_and_hashes_by_identity():
     # per-face array normals: generated field-wise __eq__/__hash__ would
     # raise on the arrays
-    frame = face_table(4, 3, ("x", "y")).frame
+    frame = face_table(4, 3, ("x", "y"), False).frame
     twin = copy.copy(frame)
     assert np.array_equal(twin.nx, frame.nx) and np.array_equal(twin.ny, frame.ny)
     assert frame == frame and frame != twin

@@ -13,6 +13,7 @@ from shockstab import euler, fields, marching, reconstruction, riemann, shock_pr
 from shockstab.euler import X_FACE, Y_FACE
 from shockstab.scheme import Scheme
 
+from padded_reference import padded
 from test_marching import _periodic_x_field
 
 
@@ -52,7 +53,7 @@ def per_direction_face_reconstructions(field, Upad, scheme, linearise=True):
 
 
 def per_direction_rhs(field, scheme):
-    Upad = fields.apply_boundaries(field)
+    Upad = padded(field)
     res = np.zeros(field.U.shape)
     for axis, solver, frame, recon in per_direction_face_reconstructions(
             field, Upad, scheme, linearise=False):
@@ -74,7 +75,7 @@ def per_direction_assemble(field, scheme):
             T_out[:, 3, 1] = Wint[nx - 1, :, 1]
             T_out[:, 3, 2] = Wint[nx - 1, :, 2]
     parts = []
-    Upad = fields.apply_boundaries(field)
+    Upad = padded(field)
     for axis, solver, frame, recon in per_direction_face_reconstructions(field, Upad, scheme):
         AL_U, AR_U = stability._fd_jacobians_U(
             solver, euler.prim_to_cons(recon.WL), euler.prim_to_cons(recon.WR),
@@ -176,23 +177,42 @@ def test_one_reconstruction_and_one_flux_call_per_scheme_part(monkeypatch, solve
 def test_face_table_windows_and_normals():
     # every window runs along its face's normal through the face's two cells
     nx, ny = 4, 3
-    table = fields.face_table(nx, ny, ("x", "y"))
+    table = fields.face_table(nx, ny, ("x", "y"), False)
     assert table.grids == (("x", (nx + 1, ny)), ("y", (nx, ny + 1)))
-    left, right = table.cells[table.left], table.cells[table.right]
-    i, j = np.divmod(left, ny + 6)
+    left, right = table.left, table.right
     n_x = table.frame.nx.astype(int)[:, None]
     assert np.array_equal(table.frame.nx ** 2 + table.frame.ny ** 2, np.ones(len(left)))
-    assert np.all(np.diff(i, axis=1) == n_x) and np.all(np.diff(j, axis=1) == 1 - n_x)
-    assert np.all(right - left == (ny + 6) * n_x + 1 - n_x)
-    # face k of the x faces in row j has padded left cell (k+2, j+3); the
-    # 3x3 corners of the padded grid are read by no face
-    cell = np.arange((nx + 6) * (ny + 6)).reshape(nx + 6, ny + 6)
-    assert np.array_equal(left[: (nx + 1) * ny, 2].reshape(nx + 1, ny), cell[2 : nx + 3, 3 : 3 + ny])
-    assert np.array_equal(left[(nx + 1) * ny :, 2].reshape(nx, ny + 1), cell[3 : 3 + nx, 2 : ny + 3])
-    corners = np.zeros(cell.shape, dtype=bool)
-    corners[[0, 1, 2, -3, -2, -1]] = True
-    corners[:, 3 : 3 + ny] = False
-    assert np.array_equal(table.cells, cell[~corners])
-    assert fields.face_table(nx, ny, ("x", "y")) is table
+    # windows of interior cells step one cell along the normal, wrapping in y
+    inner = (np.stack([left, right]) < nx * ny).all(axis=(0, 2))
+    i, j = np.divmod(left[inner], ny)
+    assert np.all(np.diff(i, axis=1) == n_x[inner]) and np.all(np.diff(j, axis=1) % ny == 1 - n_x[inner])
+    assert np.array_equal(right[:, :-1], left[:, 1:])
+    # face k of the x faces in row j has left cell (k-1, j), the face l of
+    # the y faces in column i has left cell (i, l-1), wrapped
+    cell = np.arange(nx * ny).reshape(nx, ny)
+    x_left = left[: (nx + 1) * ny, 2].reshape(nx + 1, ny)
+    assert np.array_equal(x_left[0], np.full(ny, nx * ny))  # the inflow state
+    assert np.array_equal(x_left[1:], cell)
+    assert np.array_equal(left[(nx + 1) * ny :, 2].reshape(nx, ny + 1), cell[:, np.arange(-1, ny) % ny])
+    # every state is read: the cells, the inflow state and each row's outflow state
+    assert np.array_equal(np.unique(np.stack([left, right])), np.arange(nx * ny + 1 + ny))
+    assert fields.face_table(nx, ny, ("x", "y"), False) is table
     # a single orientation keeps its scalar normal
-    assert fields.face_table(nx, ny, ("y",)).frame is euler.Y_FACE
+    assert fields.face_table(nx, ny, ("y",), False).frame is euler.Y_FACE
+
+
+def test_state_windows_equal_the_padded_reference_windows():
+    # the windows gathered from the state axis are the very windows of the
+    # padded layout, for both boundary kinds, a single row and a batch
+    shock, periodic = _fields()
+    row = sp.build_initial_field(sp.ShockProblemConfig(ny=1))
+    rng = np.random.default_rng(92)
+    batch = replace(shock, U=shock.U * (1.0 + 1e-4 * rng.standard_normal((3,) + shock.U.shape)))
+    for field in (shock, periodic, row, batch):
+        states, Upad = fields.apply_boundaries(field), padded(field)
+        table = fields.face_table(field.nx, field.ny, ("x", "y"), field.bc.periodic_x)
+        for side, index in enumerate((table.left, table.right)):
+            gathered = table.split(marching._windows(states, index), field.U.ndim - 3)
+            for (orientation, win), ref in zip(gathered, (_x_face_windows, _y_face_windows)):
+                expect = ref(Upad, field.nx, field.ny)[side]
+                assert np.array_equal(win, expect), (field.U.shape, orientation, side)

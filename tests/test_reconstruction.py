@@ -243,11 +243,11 @@ def test_face_states_do_not_depend_on_linearise(order, space, cap):
     from shockstab.scheme import Scheme
 
     field = sp.build_initial_field(sp.ShockProblemConfig(ny=3))
-    Upad = fields.apply_boundaries(field)
+    states = fields.apply_boundaries(field)
     scheme = Scheme(solver="roe", order=order, space=space, cap=cap)
     fallback_faces = 0
-    for on, off in zip(marching.face_reconstructions(field, Upad, scheme),
-                       marching.face_reconstructions(field, Upad, scheme, linearise=False)):
+    for on, off in zip(marching.face_reconstructions(field, states, scheme),
+                       marching.face_reconstructions(field, states, scheme, linearise=False)):
         a, b = on[2], off[2]
         for name in ("WL", "WR", "fallback"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), (on[0].grids, name)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from shockstab import euler, riemann
-from shockstab.errors import DegenerateFanError
+from shockstab.errors import DegenerateFanError, InvalidStateError
 from shockstab.euler import FaceFrame, X_FACE
 from shockstab.scheme import Scheme
 
@@ -150,6 +150,21 @@ def test_degenerate_fan_raises():
     for kind in ("hll", "hllc"):
         with pytest.raises(DegenerateFanError):
             riemann.compute_flux(kind, W, W, X_FACE)
+
+
+def test_roe_breakdown_names_the_face():
+    rng = np.random.default_rng(4)
+    WL, WR = random_states(rng, 6), random_states(rng, 6)
+    WL[3, 3] = -100.0  # a negative pressure drives the Roe-average c^2 below zero
+    with pytest.raises(InvalidStateError, match=r"non-positive c\^2 at face\(s\) \(3,\)$"):
+        riemann.roe_flux(WL, WR, X_FACE)
+
+
+def test_collapsed_fan_names_the_face():
+    q, c = np.full(5, 0.5), np.ones(5)
+    c[1] = 1e-15
+    with pytest.raises(DegenerateFanError, match=r"below 1e-12 at face\(s\) \(1,\)$"):
+        riemann.davis_speeds(q, c, q, c)
 
 
 def test_smooth_abs_properties():

@@ -36,7 +36,8 @@ def ref_roe_flux(WL, WR, frame, delta0=riemann.ROE_DELTA0):
     h = wgt * hL + (1 - wgt) * hR
     c2 = g1 * (h - 0.5 * (u * u + v * v))
     if np.any(~(c2 > 0.0)):
-        raise InvalidStateError("Roe average breakdown: non-positive c^2")
+        raise InvalidStateError(
+            euler._describe_bad(~(c2 > 0.0), "Roe average breakdown: non-positive c^2", "face"))
     c = np.sqrt(c2)
     rho = sl * sr
     nx, ny, lx, ly = frame.nx, frame.ny, frame.lx, frame.ly
@@ -77,7 +78,8 @@ def ref_davis_speeds(WL, WR, frame):
     s_l = np.minimum(qL - cL, qR - cR)
     s_r = np.maximum(qL + cL, qR + cR)
     if np.any(s_r - s_l < 1e-12):
-        raise DegenerateFanError("wave fan collapsed: S_R - S_L below 1e-12")
+        raise DegenerateFanError(
+            euler._describe_bad(s_r - s_l < 1e-12, "wave fan collapsed: S_R - S_L below 1e-12", "face"))
     return s_l, s_r
 
 
@@ -247,7 +249,7 @@ def test_hllc_picks_every_branch():
 
 def test_face_table_frame_matches_reference():
     # the mixed x/y normals of a real face batch
-    table = face_table(4, 3, ("x", "y"))
+    table = face_table(4, 3, ("x", "y"), False)
     n = table.frame.nx.size
     rng = np.random.default_rng(102)
     WL, WR = _pairs(rng, 6 * (n // 6 + 1))

@@ -81,28 +81,61 @@ def test_build_initial_field_structure():
 
 
 def test_padding_contract():
-    # the padded array holds the cell averages unchanged in its interior and
-    # is derived anew on every call, leaving the field untouched
+    # the state axis holds the cell averages unchanged in (i, j) order, then
+    # the inflow state and the pressure-pinned outflow state of every row;
+    # it is derived anew on every call, leaving the field untouched
     c = cfg()
     field = sp.build_initial_field(c)
     snap = field.U.copy()
     U = apply_boundaries(field)
-    assert U.shape == (c.nx + 6, c.ny + 6, 4)
-    # C order, batched or not: the face gathers flatten it without a copy
+    n = c.nx * c.ny
+    assert U.shape == (n + 1 + c.ny, 4)
+    # C order, batched or not: the face gathers read it without a copy
     assert U.flags.c_contiguous
     assert apply_boundaries(replace(field, U=np.stack([field.U] * 3))).flags.c_contiguous
-    assert np.array_equal(U[3:-3, 3:-3], field.U)
+    assert np.array_equal(U[:n], field.U.reshape(n, 4))
     assert np.array_equal(snap, field.U)
     assert np.array_equal(apply_boundaries(field), U)
     up = euler.prim_to_cons(sp.upstream_state(c))
-    assert np.allclose(U[0, 3:-3], up, atol=1e-13)
-    # periodic wrap: first y-ghost row equals last interior row
-    assert np.allclose(U[:, 2], U[:, 3 + c.ny - 1], atol=0)
-    # outflow ghost keeps interior velocity but pinned pressure
-    ghost_W = euler.cons_to_prim(U[3 + c.nx, 5])
-    last_W = euler.cons_to_prim(U[3 + c.nx - 1, 5])
-    assert np.allclose(ghost_W[:3], last_W[:3], atol=1e-13)
-    assert abs(ghost_W[3] - sp.downstream_state(c)[3]) < 1e-12
+    assert np.allclose(U[n], up, atol=1e-13)
+    # outflow: the last column's state with the pressure pinned
+    W_out = euler.cons_to_prim(U[n + 1 :])
+    assert np.allclose(W_out[:, :3], field.interior_primitive()[-1, :, :3], atol=0)
+    assert np.all(W_out[:, 3] == sp.downstream_state(c)[3])
+    # a periodic x has no ghost states
+    periodic = replace(field, bc=BoundarySpec(periodic_x=True))
+    assert np.array_equal(apply_boundaries(periodic), field.U.reshape(n, 4))
+
+
+def test_single_row_has_nx_plus_two_states():
+    # a row reads its cells, the inflow state and its one outflow state: 13
+    # states for nx = 11, where a padded grid held 17 x 7 cells
+    field = sp.build_initial_field(cfg(nx=11), ny=1)
+    assert apply_boundaries(field).shape == (13, 4)
+    stack = replace(field, U=np.stack([field.U] * 54))
+    assert apply_boundaries(stack).shape == (54, 13, 4)
+
+
+def test_primitive_rhs_names_the_bad_interior_cell():
+    # the inadmissible cell is named by its interior (i, j), batch index first
+    field = sp.build_initial_field(cfg(ny=5))
+    scheme = Scheme(solver="roe", order=5, space="primitive")
+    field.U[4, 2, 0] = -1.0
+    with pytest.raises(InvalidStateError, match=r"density in interior at cell\(s\) \(4, 2\)$"):
+        marching.rhs(field, scheme)
+    stack = replace(field, U=np.stack([sp.build_initial_field(cfg(ny=5)).U, field.U]))
+    with pytest.raises(InvalidStateError, match=r"density in interior at cell\(s\) \(1, 4, 2\)$"):
+        marching.rhs(stack, scheme)
+
+
+def test_boundary_spec_needs_inflow_and_outflow_unless_periodic():
+    with pytest.raises(ValueError, match="inflow state and outflow pressure"):
+        BoundarySpec()
+    with pytest.raises(ValueError, match="inflow state and outflow pressure"):
+        BoundarySpec(inflow_W=sp.upstream_state(cfg()))
+    with pytest.raises(ValueError, match="inflow state and outflow pressure"):
+        BoundarySpec(outflow_pressure=1.0)
+    assert BoundarySpec(periodic_x=True).periodic_x
 
 
 def entropy_increase(field, c):

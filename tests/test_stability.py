@@ -11,6 +11,7 @@ from shockstab.fields import BoundarySpec, MeanField
 from shockstab.scheme import Scheme
 from shockstab.stability import Spectrum, assemble, eigensolve, localize
 
+from padded_reference import NG
 from test_euler import random_states
 
 
@@ -316,7 +317,7 @@ def _loop_assembly(field, scheme):
     the vectorised scatter of ``assemble``."""
     from shockstab import marching
 
-    nx, ny, ng = field.nx, field.ny, fields.NG
+    nx, ny, ng = field.nx, field.ny, NG
     sigma = 1.0 / field.h
     W = field.interior_primitive()
     S = np.zeros((4 * nx * ny, 4 * nx * ny))
@@ -336,8 +337,8 @@ def _loop_assembly(field, scheme):
         return T
 
     periodic_x = field.bc.periodic_x
-    Upad = fields.apply_boundaries(field)
-    for table, solver, recon in marching.face_reconstructions(field, Upad, scheme):
+    states = fields.apply_boundaries(field)
+    for table, solver, recon in marching.face_reconstructions(field, states, scheme):
         AL, AR = stability._fd_jacobians_U(
             solver, euler.prim_to_cons(recon.WL), euler.prim_to_cons(recon.WR),
             table.frame, scheme.roe_delta0,
