@@ -1,22 +1,21 @@
-"""Structured fields: interior cell averages plus the boundary conditions
-that derive their ghost states.
+"""Structured fields: interior cell averages, the boundary conditions that
+derive their ghost states, and the one map from faces to the states they read.
 
-A field is its (..., nx, ny, 4) array of conservative cell averages: the
-grid axes are the last three, and any leading axes form a batch of fields
-that share the grid, the boundaries and the shock column.  A single field
-has batch shape ().  Ghost cells are not state: ``apply_boundaries`` lays
-the cells out on one state axis (..., S, 4), cell (i, j) at i*ny + j, and
-unless x is periodic appends the inflow ghost state at nx*ny and the
-pressure-pinned outflow ghost state of row j at nx*ny + 1 + j.  Interior
-indices are 0-based; problem metadata (shock column) uses the 1-based cell
-numbering of the test problem.  States convert with the gas constant
-``euler.GAMMA``; an ``InvalidStateError`` names cells by their full index,
-so in a batch the tuple leads with the batch index.
+A field is its (..., nx, ny, 4) array of conservative averages over unit
+square cells: the grid axes are the last three, and any leading axes form a
+batch of fields that share the grid, the boundaries and the shock column.
+A single field has batch shape ().  Ghost cells are not state:
+``apply_boundaries`` lays the cells out on one state axis (..., S, 4), cell
+(i, j) at i*ny + j, and unless x is periodic appends the inflow ghost state
+at nx*ny and the pressure-pinned outflow ghost state of row j at
+nx*ny + 1 + j, whose derivative is ``outflow_jacobian``.  Interior indices
+are 0-based; problem metadata (shock column) uses the 1-based cell
+numbering of the test problem.  An ``InvalidStateError`` names cells by
+their full index, so in a batch the tuple leads with the batch index.
 
-``face_table`` lays the faces of a grid on one flat face axis: x faces,
-then y faces, each with the state indices of its two five-cell
-reconstruction windows and its unit normal, so that the scheme gathers
-every face of a field with one ``np.take`` per window side.
+``face_table`` lays the faces of a grid on one flat face axis, x faces then
+y faces, each with the state indices of its six-cell stencil: ``rhs``
+gathers its windows there and ``assemble`` scatters its blocks there.
 """
 
 import functools
@@ -43,11 +42,14 @@ class BoundarySpec:
         if not self.periodic_x and (self.inflow_W is None or self.outflow_pressure is None):
             raise ValueError("non-periodic boundaries need inflow state and outflow pressure")
 
+    @functools.cached_property
+    def inflow_U(self) -> np.ndarray:  # converted once per spec
+        return euler.prim_to_cons(self.inflow_W)
+
 
 @dataclass
 class MeanField:
     U: np.ndarray  # (..., nx, ny, 4) conservative cell averages, batch axes first
-    h: float
     bc: BoundarySpec
     shock_column: int | None = None  # 1-based problem column
 
@@ -75,23 +77,23 @@ def apply_boundaries(field: MeanField) -> np.ndarray:
         return cells.copy()
     last = euler.cons_to_prim(U[..., -1, :, :], "outflow column")
     last[..., 3] = bc.outflow_pressure
-    inflow = np.broadcast_to(euler.prim_to_cons(bc.inflow_W), U.shape[:-3] + (1, 4))
+    inflow = np.broadcast_to(bc.inflow_U, U.shape[:-3] + (1, 4))
     return np.concatenate([cells, inflow, euler.prim_to_cons(last)], axis=-2)
 
 
-def shock_face_masks(field: MeanField):
-    """Boolean masks of faces touching the shock column: x faces of shape
-    (nx+1, ny), y faces of shape (nx, ny+1), shared by every batch member.
-    Empty masks without a column."""
-    nx, ny = field.nx, field.ny
-    mask_x = np.zeros((nx + 1, ny), dtype=bool)
-    mask_y = np.zeros((nx, ny + 1), dtype=bool)
-    if field.shock_column is not None:
-        col = field.shock_column - 1  # to 0-based
-        mask_x[col] = True  # left face of the shock column
-        mask_x[col + 1] = True  # right face
-        mask_y[col] = True  # all transverse faces of the column
-    return mask_x, mask_y
+def outflow_jacobian(field: MeanField, primitive: bool) -> np.ndarray:
+    """(..., ny, 4, 4) derivative of row j's outflow ghost state with respect
+    to the row's last cell (nx-1, j), both in primitive variables if
+    ``primitive``, else both conservative: the ghost copies rho, u and v and
+    pins the pressure.  The inflow ghost state moves with no cell."""
+    W_last = euler.cons_to_prim(field.U[..., -1, :, :], "outflow column")
+    T = np.zeros(W_last.shape + (4,))
+    T[..., 0, 0] = T[..., 1, 1] = T[..., 2, 2] = 1.0
+    if not primitive:
+        T[..., 3, 0] = -0.5 * (W_last[..., 1] ** 2 + W_last[..., 2] ** 2)
+        T[..., 3, 1] = W_last[..., 1]
+        T[..., 3, 2] = W_last[..., 2]
+    return T
 
 
 @dataclass(frozen=True)
@@ -102,17 +104,18 @@ class FaceTable:
     ``grids`` lists each orientation with its face grid in table order: the
     x faces form an (nx+1, ny) grid whose face k lies between interior
     columns k-1 and k, the y faces an (nx, ny+1) grid likewise along y, and
-    each grid is flattened in C order.  Row f of ``left``/``right`` indexes
-    into the state axis of ``apply_boundaries`` the five cells of the window
-    of face f's left/right state, ordered along the normal; the right window
-    is the left one shifted by one cell.  ``frame`` carries each face's unit
-    normal as (F,) arrays, or as the one scalar normal of a table of a
-    single orientation.
+    each grid is flattened in C order.  Row f of ``window`` indexes into the
+    state axis of ``apply_boundaries`` the six cells of face f's stencil
+    along the normal: slots 2 and 3 hold the cells before and after the
+    face, slots 0..4 the window of its left state, slots 1..5 that of its
+    right state.  ``shock`` flags the faces of the shock column.  ``frame``
+    carries each face's unit normal as (F,) arrays, or as the one scalar
+    normal of a table of a single orientation.
     """
 
     grids: tuple[tuple[str, tuple[int, int]], ...]
-    left: np.ndarray  # (F, 5) state indices
-    right: np.ndarray  # (F, 5)
+    window: np.ndarray  # (F, 6) state indices
+    shock: np.ndarray  # (F,) bool
     frame: euler.FaceFrame
 
     def split(self, values: np.ndarray, axis: int):
@@ -127,13 +130,15 @@ class FaceTable:
 
 
 @functools.lru_cache(maxsize=None)
-def face_table(nx: int, ny: int, orientations: tuple[str, ...], periodic_x: bool) -> FaceTable:
+def face_table(nx: int, ny: int, orientations: tuple[str, ...], periodic_x: bool,
+               shock_column: int | None) -> FaceTable:
     """The ``FaceTable`` of the listed orientations ("x", "y"), built once
-    per grid, orientations and x boundary; its arrays are read-only.  Windows
-    wrap along a periodic direction; along a non-periodic x they read the
-    inflow state left of the grid and the row's outflow state right of it."""
-    slot = np.arange(6) - 3  # face k's left and right windows span cells k-3 .. k+2
-    grids, windows, normal = [], [], []
+    per grid, orientations, x boundary and 1-based shock column (None for
+    none); its arrays are read-only.  Stencils wrap along a periodic
+    direction; along a non-periodic x they read the inflow state left of the
+    grid and the row's outflow state right of it."""
+    slot = np.arange(6) - 3  # face k's stencil spans cells k-3 .. k+2
+    grids, windows, shock, normal = [], [], [], []
     for orientation in orientations:
         if orientation == "x":
             grid = (nx + 1, ny)
@@ -150,15 +155,19 @@ def face_table(nx: int, ny: int, orientations: tuple[str, ...], periodic_x: bool
             i, l = (a.reshape(-1, 1) for a in np.indices(grid))
             windows.append(i * ny + (l + slot) % ny)
             normal.append(euler.Y_FACE)
+        flag = np.zeros(grid, dtype=bool)
+        if shock_column is not None:
+            col = shock_column - 1  # to 0-based
+            flag[col : col + 2 if orientation == "x" else col + 1] = True
+        shock.append(flag.ravel())
         grids.append((orientation, grid))
     sizes = [len(w) for w in windows]
-    windows = np.concatenate(windows)
-    left, right = np.ascontiguousarray(windows[:, :5]), np.ascontiguousarray(windows[:, 1:])
+    window, shock = np.concatenate(windows), np.concatenate(shock)
     if len(normal) == 1:
         frame = normal[0]  # a single orientation: one normal for every face
     else:
         frame = euler.FaceFrame(np.repeat([f.nx for f in normal], sizes),
                                 np.repeat([f.ny for f in normal], sizes))
         frame.nx.flags.writeable = frame.ny.flags.writeable = False
-    left.flags.writeable = right.flags.writeable = False
-    return FaceTable(tuple(grids), left, right, frame)
+    window.flags.writeable = shock.flags.writeable = False
+    return FaceTable(tuple(grids), window, shock, frame)

@@ -1,5 +1,6 @@
 """Semi-discrete residual, SSP-RK3 stepping, perturbation experiments and
-exponential growth-rate fitting."""
+exponential growth-rate fitting.  ``rhs`` reads every face's stencil from
+``fields.face_table`` and differences the face fluxes over unit cells."""
 
 from dataclasses import dataclass, replace
 
@@ -7,7 +8,7 @@ import numpy as np
 
 from . import euler, reconstruction, riemann
 from .errors import InvalidStateError, NoExponentialStageError
-from .fields import MeanField, apply_boundaries, face_table, shock_face_masks
+from .fields import MeanField, apply_boundaries, face_table
 from .scheme import Scheme
 
 # a perturbed march stops early once the monitor ||v||_inf exceeds this
@@ -55,11 +56,12 @@ def face_reconstructions(field: MeanField, states: np.ndarray, scheme: Scheme,
 
     ``table`` is the batch's ``FaceTable``.  It orders the flat face axis of
     the FaceRecon, whose states are (..., F, 4) behind the field's batch
-    axes, carries the per-face normals as ``table.frame`` and splits
-    per-face results back into face grids.  Every batch gathers its windows
-    from ``states``, the state axis of ``apply_boundaries``, converted once
-    per call in the primitive space (characteristic projections stay
-    face-local); ``linearise`` is passed on to ``reconstruct_pair``.
+    axes, carries the per-face normals and the faces a cap applies to, and
+    splits per-face results back into face grids.  Every batch gathers its
+    stencils once from ``states``, the state axis of ``apply_boundaries``,
+    converted once per call in the primitive space (characteristic
+    projections stay face-local); ``linearise`` is passed on to
+    ``reconstruct_pair``.
     """
     batches = {}
     for orientation in ("x", "y") if field.ny > 1 else ("x",):
@@ -74,38 +76,36 @@ def face_reconstructions(field: MeanField, states: np.ndarray, scheme: Scheme,
             field.interior_primitive()  # names the (i, j) of the bad cell
             raise
     for (solver, cfg, cap_cfg), orientations in batches.items():
-        table = face_table(field.nx, field.ny, tuple(orientations), field.bc.periodic_x)
-        XwinL = XwinR = None
-        if Xstates is not None:
-            XwinL, XwinR = _windows(Xstates, table.left), _windows(Xstates, table.right)
-        cap_mask = None
-        if cap_cfg is not None:
-            shock_faces = dict(zip(("x", "y"), shock_face_masks(field)))
-            cap_mask = np.concatenate([shock_faces[o].ravel() for o in orientations])
+        table = face_table(field.nx, field.ny, tuple(orientations), field.bc.periodic_x,
+                           field.shock_column)
+        win = _windows(states, table.window)
+        Xwin = None if Xstates is None else _windows(Xstates, table.window)
         recon = reconstruction.reconstruct_pair(
-            _windows(states, table.left), _windows(states, table.right),
-            cfg, table.frame, cap_cfg=cap_cfg, cap_mask=cap_mask, XwinL=XwinL, XwinR=XwinR,
+            win[..., :5, :], win[..., 1:, :], cfg, table.frame,
+            cap_cfg=cap_cfg, cap_mask=None if cap_cfg is None else table.shock,
+            XwinL=None if Xwin is None else Xwin[..., :5, :],
+            XwinR=None if Xwin is None else Xwin[..., 1:, :],
             linearise=linearise,
         )
         yield table, solver, recon
 
 
 def _windows(states: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """(..., F, 5, 4) windows of (..., S, 4) states gathered by an (F, 5)
-    index.  They are stored slot-major: one slot of a field's windows, the
+    """(..., F, 6, 4) stencils of (..., S, 4) states gathered by an (F, 6)
+    index.  They are stored slot-major: one slot of a field's stencils, the
     operand of each reconstruction formula, is then one run of memory."""
     return np.take(states, index.T, axis=-2).swapaxes(-3, -2)
 
 
 def rhs(field: MeanField, scheme: Scheme) -> np.ndarray:
-    """Semi-discrete residual dU/dt on the interior cells, shaped like
+    """Semi-discrete residual dU/dt on the interior unit cells, shaped like
     ``field.U``: a batch of fields gives the stack of their residuals."""
     states = apply_boundaries(field)
     res = np.zeros(field.U.shape)
     for table, solver, recon in face_reconstructions(field, states, scheme, linearise=False):
         flux = riemann.compute_flux(solver, recon.WL, recon.WR, table.frame, scheme.roe_delta0)
         for orientation, grid_flux in table.split(flux, field.U.ndim - 3):
-            res -= np.diff(grid_flux, axis=-3 if orientation == "x" else -2) / field.h
+            res -= np.diff(grid_flux, axis=-3 if orientation == "x" else -2)
     return res
 
 
@@ -113,7 +113,7 @@ def cfl_dt(field: MeanField, cfl: float) -> float:
     W = field.interior_primitive()
     c = euler.sound_speed(W)
     speed = np.maximum(np.abs(W[..., 1]) + c, np.abs(W[..., 2]) + c)
-    return cfl * field.h / float(speed.max())
+    return cfl / float(speed.max())
 
 
 def step_ssprk3(field: MeanField, dt: float, scheme: Scheme) -> MeanField:

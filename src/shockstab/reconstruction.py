@@ -24,6 +24,8 @@ from . import euler
 from .euler import GAMMA, FaceFrame
 
 LINEAR_WEIGHTS = np.array([0.1, 0.6, 0.3])
+# the eps of the nonlinear weights: keeps them finite on flat windows (beta = 0)
+WENO_EPS = 1e-15
 
 VALID_KINDS = ("first", "muscl", "weno5", "eno3")
 VALID_SPACES = ("conservative", "primitive", "characteristic")
@@ -37,7 +39,6 @@ class ReconConfig:
     kind: str = "weno5"
     weno_variant: str = "z"  # js | z
     space: str = "primitive"
-    eps: float = 1e-15
     force_linear_weights: bool = False
 
     def __post_init__(self):
@@ -47,8 +48,6 @@ class ReconConfig:
             raise ValueError(f"unknown variable space {self.space!r}")
         if self.weno_variant not in ("js", "z"):
             raise ValueError(f"unknown weno variant {self.weno_variant!r}")
-        if not self.eps > 0:
-            raise ValueError("weno epsilon must be positive")
 
 
 def config_for_order(order: int, **kw) -> ReconConfig:
@@ -73,17 +72,17 @@ def smoothness_indicators(w) -> np.ndarray:
     return beta
 
 
-def weights_js(beta, eps: float = 1e-15) -> np.ndarray:
+def weights_js(beta) -> np.ndarray:
     """Classic nonlinear weights alpha_m = d_m / (beta_m + eps)^2, normalized
     over the substencil axis -2."""
-    alpha = LINEAR_WEIGHTS[:, None] / (beta + eps) ** 2
+    alpha = LINEAR_WEIGHTS[:, None] / (beta + WENO_EPS) ** 2
     return alpha / alpha.sum(axis=-2, keepdims=True)
 
 
-def weights_z(beta, eps: float = 1e-15) -> np.ndarray:
+def weights_z(beta) -> np.ndarray:
     """WENO-Z weights alpha_m = d_m (1 + tau5/(beta_m + eps)), tau5 = |b0 - b2|."""
     tau5 = np.abs(beta[..., 0, :] - beta[..., 2, :])[..., None, :]
-    alpha = LINEAR_WEIGHTS[:, None] * (1.0 + tau5 / (beta + eps))
+    alpha = LINEAR_WEIGHTS[:, None] * (1.0 + tau5 / (beta + WENO_EPS))
     return alpha / alpha.sum(axis=-2, keepdims=True)
 
 
@@ -153,9 +152,9 @@ def _left_state(win, cfg: ReconConfig, linearise: bool = True):
         pick = np.argmin(beta, axis=-2)
         np.put_along_axis(om, pick[..., None, :], 1.0, axis=-2)
     elif cfg.weno_variant == "js":
-        om = weights_js(beta, cfg.eps)
+        om = weights_js(beta)
     else:
-        om = weights_z(beta, cfg.eps)
+        om = weights_z(beta)
     value = (om * weno5_candidates(win)).sum(axis=-2)
     return value, _weno_lin_coeffs(om) if linearise else None, om
 

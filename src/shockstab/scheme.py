@@ -20,7 +20,6 @@ class Scheme:
     weno_variant: str = "z"
     space: str = "primitive"
     cap: str = "none"
-    weno_eps: float = 1e-15
     roe_delta0: float = ROE_DELTA0
 
     def __post_init__(self):
@@ -32,7 +31,7 @@ class Scheme:
             raise ValueError(f"unknown near-shock cap {self.cap!r}")
         if not self.roe_delta0 > 0:
             raise ValueError("roe_delta0 must be positive")
-        # ReconConfig rejects an unknown space or WENO variant and eps <= 0
+        # ReconConfig rejects an unknown space or WENO variant
         self.recon_config("x")
 
     @property
@@ -48,12 +47,7 @@ class Scheme:
 
     def recon_config(self, axis: str) -> ReconConfig:
         _, order = self.per_direction(axis)
-        return config_for_order(
-            order,
-            weno_variant=self.weno_variant,
-            space=self.space,
-            eps=self.weno_eps,
-        )
+        return config_for_order(order, weno_variant=self.weno_variant, space=self.space)
 
     def cap_config(self, axis: str) -> ReconConfig | None:
         if self.cap == "none":

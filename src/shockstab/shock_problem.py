@@ -194,11 +194,11 @@ def _lm_refine_1d(field, scheme, tol, clamp_cells, pin_dofs):
     shock-position prescription selects the labeled member.
     """
     nx = field.nx
-    # per-component residual scales (flux magnitude over the cell size)
+    # per-component residual scales (flux magnitude over the unit cell)
     W = field.interior_primitive()
     c = euler.sound_speed(W)
     speed = float((np.abs(W[..., 1]) + c).max())
-    scale = np.maximum(1.0, np.abs(field.U).max(axis=(0, 1))) * speed / field.h
+    scale = np.maximum(1.0, np.abs(field.U).max(axis=(0, 1))) * speed
     s = np.tile(scale, nx)
     rho_floor = 1e-3 * float(W[..., 0].min())
     p_floor = 1e-3 * float(W[..., 3].min())
@@ -335,7 +335,6 @@ def project_to_2d(profile: np.ndarray, cfg: ShockProblemConfig) -> MeanField:
     """Replicate a steady 1D profile across all rows of the 2D domain."""
     return MeanField(
         U=np.repeat(profile[:, None, :], cfg.ny, axis=1),
-        h=1.0,
         bc=boundary_spec(cfg),
         shock_column=cfg.shock_column,
     )

@@ -3,17 +3,17 @@ matrix S of the semi-discrete scheme around a steady base flow.
 
 Each face contributes six 4x4 blocks: the flux Jacobians with respect to
 the two reconstructed face states, combined with the frozen-weight
-linearization coefficients of the reconstruction.  Blocks sit at offsets
--2..+3 (along the face normal) from the face's left cell.  ``assemble``
-scatters all of them at once, with the face-length/volume factor and its
-sign for the two adjacent cells, into one sparse CSR matrix: duplicate
-entries are summed and exact zeros dropped, which leaves rows with up to 13
-nonzero blocks at fifth order and 5 at first order.  Row and column
-4*(i*ny + j) + c belong to component c of interior cell (i, j).  Ghost
-states never appear: the inflow state carries no perturbation and each
-row's outflow state folds onto the row's last cell through the
-pressure-pinned copy.  The scatter places blocks by its own offsets along
-the face normal, not by the window indices of ``fields.face_table``.
+linearization coefficients of the reconstruction.  Block o acts on the
+state at slot o of the face's stencil in ``fields.face_table``, the very
+indices ``marching.rhs`` gathers, and the face's flux leaves the cell at
+slot 2 and enters the cell at slot 3.  ``assemble`` scatters all of them at
+once, with the sign for the two adjacent unit cells, into one sparse CSR
+matrix: duplicate entries are summed and exact zeros dropped, which leaves
+rows with up to 13 nonzero blocks at fifth order and 5 at first order.  Row
+and column 4*(i*ny + j) + c belong to component c of interior cell (i, j).
+Ghost states never appear: the inflow state carries no perturbation and
+each row's outflow state folds onto the row's last cell through
+``fields.outflow_jacobian``, the derivative of the pressure-pinned copy.
 
 ``eigensolve`` takes one of two paths, chosen by a property of S that it
 checks itself.  A base flow uniform along the periodic y direction (every
@@ -44,7 +44,7 @@ import scipy.sparse
 
 from . import euler, marching, riemann
 from .errors import DifferentiationError, UnsteadyFieldError
-from .fields import MeanField, apply_boundaries
+from .fields import MeanField, apply_boundaries, outflow_jacobian
 from .reconstruction import FaceRecon
 from .scheme import Scheme
 
@@ -68,17 +68,22 @@ class Spectrum:
     max_real_by_k: np.ndarray | None = None  # (ny,) per transverse wavenumber
 
 
-def _fd_jacobians_U(solver, UL, UR, frame, delta0, step=1e-7, label="face"):
+# relative step of the central-difference flux Jacobians
+FD_STEP = 1e-7
+
+
+def _fd_jacobians_U(solver, UL, UR, frame, delta0, label="face"):
     """Central-difference d(flux)/dU^L and d(flux)/dU^R at the face states.
 
-    Probes act on the conservative components; derivatives against other
+    Component k is probed with the step FD_STEP * max(1, |U_k|).  Probes
+    act on the conservative components; derivatives against other
     variable spaces are obtained by chaining with the analytic transforms.
     All 16 probes (+h and -h, either side, four components) of every face
     sit on leading axes (sign, side, component) of one flux call, so an
     ``InvalidStateError`` of a probe names it by those axes first.
     """
     U = np.stack([UL, UR])  # (side, ..., 4)
-    h = np.maximum(step, step * np.abs(U))  # the step of each probe
+    h = np.maximum(FD_STEP, FD_STEP * np.abs(U))  # the step of each probe
     e = np.zeros((2, 4) + UL.shape)  # (side, probed component, ..., 4)
     for k in range(4):
         e[:, k, ..., k] = h[..., k]
@@ -101,7 +106,8 @@ def _fd_jacobians_U(solver, UL, UR, frame, delta0, step=1e-7, label="face"):
 
 
 def face_blocks(recon: FaceRecon, AL_U, AR_U) -> np.ndarray:
-    """Six coefficient blocks per face at offsets -2..+3 from the left cell.
+    """Six coefficient blocks per face, one per slot of its stencil: slot o
+    is the cell at offset o-2 from the face's left cell.
 
     The -2 and +3 entries are the alpha pair, -1/+2 the beta pair and the
     0/+1 entries the chi pair of the frozen-weight flux linearization.
@@ -129,43 +135,35 @@ def face_blocks(recon: FaceRecon, AL_U, AR_U) -> np.ndarray:
     return blocks
 
 
-def _face_triplets(B, axis: str, field: MeanField, T_out):
+def _face_triplets(B, window, axis: str, field: MeanField, T_out):
     """(row cells, column cells, signs, 4x4 blocks) of one face orientation,
     once for the cell before the faces and once for the cell after them.
 
-    ``B`` holds the face blocks as ``face_blocks`` returns them.  Face k
-    along the normal lies between interior cells k-1 and k, and its offset
-    o reaches interior cell k+o-3.  Periodic directions wrap; along a
-    non-periodic x the inflow ghost columns are dropped and the outflow ghost
-    columns fold onto the last column through ``T_out``.
+    ``B`` holds the blocks of one face grid as ``face_blocks`` returns them
+    and ``window`` its part of ``FaceTable.window``: block o acts on the
+    state at slot o, and the flux leaves slot 2's cell and enters slot 3's.
+    Only the nx*ny cells that lead the state axis carry a perturbation: the
+    inflow state is dropped, and row t's outflow state folds onto the cell
+    before the row's last face through ``T_out[t]``.
     """
     if axis == "y":
-        B = B.swapaxes(0, 1)  # normal face index first
-    n = field.nx if axis == "x" else field.ny
+        B, window = B.swapaxes(0, 1), window.swapaxes(0, 1)  # normal face first
     periodic = axis == "y" or field.bc.periodic_x
     if periodic:
-        B = B[:n]  # face n repeats face 0
-    k, t, o = np.indices(B.shape[:3])  # normal face, transverse cell, offset
-    col = k + o - 3
-    keep = periodic | (col >= 0)
-    if periodic:
-        col %= n
-    else:
-        ghost = col >= n
-        B[ghost] = B[ghost] @ T_out[t[ghost]]
-        col = np.minimum(col, n - 1)
-
-    def cell(normal, across):
-        return normal * field.ny + across if axis == "x" else across * field.ny + normal
-
-    sigma = 1.0 / field.h
+        B, window = B[:-1], window[:-1]  # the last face repeats the first
+    cells = field.nx * field.ny
+    col = window
+    if not periodic:
+        out = col > cells  # the states past the inflow state are outflow states
+        t = np.indices(col.shape)[1]
+        B[out] = B[out] @ T_out[t[out]]
+        col = np.where(out, window[-1:, :, 2:3], col)
+    keep = col < cells
     parts = []
-    for row, sign in ((k - 1, -sigma), (k, sigma)):
-        if periodic:
-            row = row % n
-        ok = keep & (row >= 0) & (row < n)
-        parts.append((cell(row[ok], t[ok]), cell(col[ok], t[ok]),
-                      np.full(ok.sum(), sign), B[ok]))
+    for slot, sign in ((2, -1.0), (3, 1.0)):
+        row = np.broadcast_to(window[..., slot : slot + 1], col.shape)
+        ok = keep & (row < cells)
+        parts.append((row[ok], col[ok], np.full(ok.sum(), sign), B[ok]))
     return parts
 
 
@@ -194,15 +192,7 @@ def assemble(field: MeanField, scheme: Scheme, check_steady: bool = True) -> Sta
     nx, ny = field.nx, field.ny
     Wint = field.interior_primitive()
 
-    T_out = None
-    if not field.bc.periodic_x:
-        T_out = np.zeros((ny, 4, 4))
-        T_out[:, 0, 0] = T_out[:, 1, 1] = T_out[:, 2, 2] = 1.0
-        if scheme.space != "primitive":
-            W_last = Wint[nx - 1]
-            T_out[:, 3, 0] = -0.5 * (W_last[:, 1] ** 2 + W_last[:, 2] ** 2)
-            T_out[:, 3, 1] = W_last[:, 1]
-            T_out[:, 3, 2] = W_last[:, 2]
+    T_out = None if field.bc.periodic_x else outflow_jacobian(field, scheme.space == "primitive")
 
     parts = []
     for table, solver, recon in marching.face_reconstructions(field, states, scheme):
@@ -213,8 +203,9 @@ def assemble(field: MeanField, scheme: Scheme, check_steady: bool = True) -> Sta
             solver, UL, UR, table.frame, scheme.roe_delta0, label=f"{orientations}-face"
         )
         B = face_blocks(recon, AL_U, AR_U)
-        for axis, grid_blocks in table.split(B, 0):
-            parts += _face_triplets(grid_blocks, axis, field, T_out)
+        for (axis, grid_blocks), (_, grid_window) in zip(table.split(B, 0),
+                                                         table.split(table.window, 0)):
+            parts += _face_triplets(grid_blocks, grid_window, axis, field, T_out)
     rows, cols, signs, blocks = (np.concatenate(p) for p in zip(*parts))
     if scheme.space == "primitive":
         blocks = euler.dw_du(Wint).reshape(-1, 4, 4)[rows] @ blocks

@@ -1,7 +1,9 @@
 """The flat face batch of ``marching.face_reconstructions`` against the
 per-direction sliding-window path it replaced, kept here as the reference:
 x faces and y faces windowed, reconstructed and fluxed one orientation at a
-time with the scalar frames ``X_FACE`` and ``Y_FACE``."""
+time with the scalar frames ``X_FACE`` and ``Y_FACE``, their shock faces
+flagged by per-orientation masks, and their blocks scattered by offsets
+along the face normal, with a hand-built outflow chain rule."""
 
 from dataclasses import replace
 
@@ -33,11 +35,26 @@ def _y_face_windows(Upad, nx, ny):
     return winL, winR
 
 
+def shock_face_masks(field):
+    """Boolean masks of faces touching the shock column: x faces of shape
+    (nx+1, ny), y faces of shape (nx, ny+1), shared by every batch member.
+    Empty masks without a column."""
+    nx, ny = field.nx, field.ny
+    mask_x = np.zeros((nx + 1, ny), dtype=bool)
+    mask_y = np.zeros((nx, ny + 1), dtype=bool)
+    if field.shock_column is not None:
+        col = field.shock_column - 1  # to 0-based
+        mask_x[col] = True  # left face of the shock column
+        mask_x[col + 1] = True  # right face
+        mask_y[col] = True  # all transverse faces of the column
+    return mask_x, mask_y
+
+
 def per_direction_face_reconstructions(field, Upad, scheme, linearise=True):
     """Yield (axis, solver, frame, FaceRecon) per face orientation, the face
     states on the (nx+1, ny) or (nx, ny+1) face grid."""
     Xpad = euler.cons_to_prim(Upad, "padded field") if scheme.space == "primitive" else None
-    cap_masks = fields.shock_face_masks(field) if scheme.cap != "none" else (None, None)
+    cap_masks = shock_face_masks(field) if scheme.cap != "none" else (None, None)
     axes = ("x", "y") if field.ny > 1 else ("x",)
     for axis, cap_mask in zip(axes, cap_masks):
         solver, _ = scheme.per_direction(axis)
@@ -58,8 +75,48 @@ def per_direction_rhs(field, scheme):
     for axis, solver, frame, recon in per_direction_face_reconstructions(
             field, Upad, scheme, linearise=False):
         flux = riemann.compute_flux(solver, recon.WL, recon.WR, frame, scheme.roe_delta0)
-        res -= np.diff(flux, axis=-3 if axis == "x" else -2) / field.h
+        res -= np.diff(flux, axis=-3 if axis == "x" else -2)
     return res
+
+
+def face_triplets(B, axis, field, T_out):
+    """(row cells, column cells, signs, 4x4 blocks) of one face orientation,
+    once for the cell before the faces and once for the cell after them.
+
+    ``B`` holds the face blocks as ``face_blocks`` returns them.  Face k
+    along the normal lies between interior cells k-1 and k, and its offset
+    o reaches interior cell k+o-3.  Periodic directions wrap; along a
+    non-periodic x the inflow ghost columns are dropped and the outflow ghost
+    columns fold onto the last column through ``T_out``.
+    """
+    if axis == "y":
+        B = B.swapaxes(0, 1)  # normal face index first
+    n = field.nx if axis == "x" else field.ny
+    periodic = axis == "y" or field.bc.periodic_x
+    if periodic:
+        B = B[:n]  # face n repeats face 0
+    k, t, o = np.indices(B.shape[:3])  # normal face, transverse cell, offset
+    col = k + o - 3
+    keep = periodic | (col >= 0)
+    if periodic:
+        col %= n
+    else:
+        ghost = col >= n
+        B[ghost] = B[ghost] @ T_out[t[ghost]]
+        col = np.minimum(col, n - 1)
+
+    def cell(normal, across):
+        return normal * field.ny + across if axis == "x" else across * field.ny + normal
+
+    sigma = 1.0  # unit cells
+    parts = []
+    for row, sign in ((k - 1, -sigma), (k, sigma)):
+        if periodic:
+            row = row % n
+        ok = keep & (row >= 0) & (row < n)
+        parts.append((cell(row[ok], t[ok]), cell(col[ok], t[ok]),
+                      np.full(ok.sum(), sign), B[ok]))
+    return parts
 
 
 def per_direction_assemble(field, scheme):
@@ -81,8 +138,7 @@ def per_direction_assemble(field, scheme):
             solver, euler.prim_to_cons(recon.WL), euler.prim_to_cons(recon.WR),
             frame, scheme.roe_delta0,
         )
-        parts += stability._face_triplets(
-            stability.face_blocks(recon, AL_U, AR_U), axis, field, T_out)
+        parts += face_triplets(stability.face_blocks(recon, AL_U, AR_U), axis, field, T_out)
     rows, cols, signs, blocks = (np.concatenate(p) for p in zip(*parts))
     if scheme.space == "primitive":
         blocks = euler.dw_du(Wint).reshape(-1, 4, 4)[rows] @ blocks
@@ -175,30 +231,53 @@ def test_one_reconstruction_and_one_flux_call_per_scheme_part(monkeypatch, solve
 
 
 def test_face_table_windows_and_normals():
-    # every window runs along its face's normal through the face's two cells
+    # every stencil runs along its face's normal through the face's two cells
     nx, ny = 4, 3
-    table = fields.face_table(nx, ny, ("x", "y"), False)
+    table = fields.face_table(nx, ny, ("x", "y"), False, None)
     assert table.grids == (("x", (nx + 1, ny)), ("y", (nx, ny + 1)))
-    left, right = table.left, table.right
+    window = table.window
     n_x = table.frame.nx.astype(int)[:, None]
-    assert np.array_equal(table.frame.nx ** 2 + table.frame.ny ** 2, np.ones(len(left)))
-    # windows of interior cells step one cell along the normal, wrapping in y
-    inner = (np.stack([left, right]) < nx * ny).all(axis=(0, 2))
-    i, j = np.divmod(left[inner], ny)
+    assert np.array_equal(table.frame.nx ** 2 + table.frame.ny ** 2, np.ones(len(window)))
+    # one stencil of six cells per face holds both five-cell windows, the
+    # right window being the left one shifted by one cell
+    assert window.shape == (len(window), 6) and not window.flags.writeable
+    # stencils of interior cells step one cell along the normal, wrapping in y
+    inner = (window < nx * ny).all(axis=1)
+    i, j = np.divmod(window[inner], ny)
     assert np.all(np.diff(i, axis=1) == n_x[inner]) and np.all(np.diff(j, axis=1) % ny == 1 - n_x[inner])
-    assert np.array_equal(right[:, :-1], left[:, 1:])
-    # face k of the x faces in row j has left cell (k-1, j), the face l of
-    # the y faces in column i has left cell (i, l-1), wrapped
+    # face k of the x faces in row j has left cell (k-1, j) and right cell
+    # (k, j), the face l of the y faces in column i has left cell (i, l-1),
+    # wrapped
     cell = np.arange(nx * ny).reshape(nx, ny)
-    x_left = left[: (nx + 1) * ny, 2].reshape(nx + 1, ny)
+    x_left = window[: (nx + 1) * ny, 2].reshape(nx + 1, ny)
+    x_right = window[: (nx + 1) * ny, 3].reshape(nx + 1, ny)
     assert np.array_equal(x_left[0], np.full(ny, nx * ny))  # the inflow state
     assert np.array_equal(x_left[1:], cell)
-    assert np.array_equal(left[(nx + 1) * ny :, 2].reshape(nx, ny + 1), cell[:, np.arange(-1, ny) % ny])
+    assert np.array_equal(x_right[:-1], cell)
+    assert np.array_equal(x_right[-1], nx * ny + 1 + np.arange(ny))  # the outflow states
+    assert np.array_equal(window[(nx + 1) * ny :, 2].reshape(nx, ny + 1), cell[:, np.arange(-1, ny) % ny])
     # every state is read: the cells, the inflow state and each row's outflow state
-    assert np.array_equal(np.unique(np.stack([left, right])), np.arange(nx * ny + 1 + ny))
-    assert fields.face_table(nx, ny, ("x", "y"), False) is table
+    assert np.array_equal(np.unique(window), np.arange(nx * ny + 1 + ny))
+    assert fields.face_table(nx, ny, ("x", "y"), False, None) is table
     # a single orientation keeps its scalar normal
-    assert fields.face_table(nx, ny, ("y",), False).frame is euler.Y_FACE
+    assert fields.face_table(nx, ny, ("y",), False, None).frame is euler.Y_FACE
+
+
+@pytest.mark.parametrize("column", [None, 1, 3, 5])
+def test_face_table_shock_flags_equal_the_per_direction_masks(column):
+    # with a column, at the last column (nx = 5) and without one; the flags
+    # of a single orientation are its own mask
+    nx, ny = 5, 4
+    field = replace(sp.build_initial_field(sp.ShockProblemConfig(nx=nx, ny=ny, shock_column=3)),
+                    shock_column=column)
+    masks = shock_face_masks(field)
+    table = fields.face_table(nx, ny, ("x", "y"), False, column)
+    assert table.shock.dtype == bool and not table.shock.flags.writeable
+    assert np.array_equal(table.shock, np.concatenate([m.ravel() for m in masks]))
+    for orientation, mask in zip(("x", "y"), masks):
+        single = fields.face_table(nx, ny, (orientation,), True, column)
+        assert np.array_equal(single.shock, mask.ravel()), orientation
+    assert table.shock.any() == (column is not None)
 
 
 def test_state_windows_equal_the_padded_reference_windows():
@@ -210,9 +289,11 @@ def test_state_windows_equal_the_padded_reference_windows():
     batch = replace(shock, U=shock.U * (1.0 + 1e-4 * rng.standard_normal((3,) + shock.U.shape)))
     for field in (shock, periodic, row, batch):
         states, Upad = fields.apply_boundaries(field), padded(field)
-        table = fields.face_table(field.nx, field.ny, ("x", "y"), field.bc.periodic_x)
-        for side, index in enumerate((table.left, table.right)):
-            gathered = table.split(marching._windows(states, index), field.U.ndim - 3)
+        table = fields.face_table(field.nx, field.ny, ("x", "y"), field.bc.periodic_x,
+                                  field.shock_column)
+        stencils = marching._windows(states, table.window)
+        for side, windows in enumerate((stencils[..., :5, :], stencils[..., 1:, :])):
+            gathered = table.split(windows, field.U.ndim - 3)
             for (orientation, win), ref in zip(gathered, (_x_face_windows, _y_face_windows)):
                 expect = ref(Upad, field.nx, field.ny)[side]
                 assert np.array_equal(win, expect), (field.U.shape, orientation, side)

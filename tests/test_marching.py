@@ -12,10 +12,10 @@ from shockstab.scheme import Scheme
 from padded_reference import padded
 
 
-def uniform_field(W, nx=8, ny=8, h=1.0):
+def uniform_field(W, nx=8, ny=8):
     U = euler.prim_to_cons(np.asarray(W, dtype=float))
     interior = np.broadcast_to(U, (nx, ny, 4)).copy()
-    return MeanField(U=interior, h=h, bc=BoundarySpec(periodic_x=True))
+    return MeanField(U=interior, bc=BoundarySpec(periodic_x=True))
 
 
 @pytest.mark.parametrize("order", [1, 2, 5])
@@ -37,12 +37,12 @@ def test_rhs_matches_flux_divergence_manufactured():
     # subsonic smooth field: the order-1 residual must equal the divergence
     # of the first-order interface fluxes assembled by hand
     rng = np.random.default_rng(30)
-    nx, ny, h = 6, 5, 0.5
+    nx, ny = 6, 5
     W = np.empty((nx, ny, 4))
     for i in range(nx):
         for j in range(ny):
             W[i, j] = [1.0 + 0.05 * i + 0.02 * j, 0.3 + 0.01 * i, 0.1 - 0.01 * j, 1.0 + 0.03 * i]
-    field = MeanField(U=euler.prim_to_cons(W), h=h, bc=BoundarySpec(periodic_x=True))
+    field = MeanField(U=euler.prim_to_cons(W), bc=BoundarySpec(periodic_x=True))
     scheme = Scheme(solver="hll", order=1)
     r = marching.rhs(field, scheme)
     from shockstab import riemann
@@ -56,7 +56,7 @@ def test_rhs_matches_flux_divergence_manufactured():
             fxm = riemann.hll_flux(Wpad[ip - 1, jp], Wpad[ip, jp], euler.X_FACE)
             fyp = riemann.hll_flux(Wpad[ip, jp], Wpad[ip, jp + 1], euler.Y_FACE)
             fym = riemann.hll_flux(Wpad[ip, jp - 1], Wpad[ip, jp], euler.Y_FACE)
-            expect[i, j] = -(fxp - fxm + fyp - fym) / h
+            expect[i, j] = -(fxp - fxm + fyp - fym)
     assert np.allclose(r, expect, rtol=1e-12, atol=1e-12)
 
 
@@ -68,15 +68,15 @@ def test_flux_telescoping_row_sums():
     r = marching.rhs(field, scheme)
     from shockstab import reconstruction, riemann
 
-    table = fields.face_table(c.nx, c.ny, ("x",), False)
-    states = fields.apply_boundaries(field)
+    table = fields.face_table(c.nx, c.ny, ("x",), False, None)
+    stencils = fields.apply_boundaries(field)[table.window]
     recon = reconstruction.reconstruct_pair(
-        states[table.left], states[table.right], scheme.recon_config("x"), euler.X_FACE
+        stencils[:, :5], stencils[:, 1:], scheme.recon_config("x"), euler.X_FACE
     )
     fx = riemann.hll_flux(recon.WL, recon.WR, euler.X_FACE).reshape(c.nx + 1, c.ny, 4)
     for j in range(c.ny):
         row_sum = r[:, j].sum(axis=0)
-        expect = -(fx[-1, j] - fx[0, j]) / field.h
+        expect = -(fx[-1, j] - fx[0, j])
         assert np.allclose(row_sum, expect, rtol=1e-10, atol=1e-10)
 
 
@@ -90,8 +90,7 @@ def _periodic_x_field():
         np.full((nx, ny), 0.2),
         1.0 + 0.2 * np.cos(2 * np.pi * (i + j) / nx),
     ], axis=-1)
-    return MeanField(U=euler.prim_to_cons(W), h=0.5, bc=BoundarySpec(periodic_x=True),
-                     shock_column=4)
+    return MeanField(U=euler.prim_to_cons(W), bc=BoundarySpec(periodic_x=True), shock_column=4)
 
 
 @pytest.mark.parametrize("cap", ["none", "second"])
@@ -147,17 +146,18 @@ def test_step_ssprk3_fixed_point_and_dt0():
 def test_entropy_wave_advection_order():
     # smooth density wave in uniform (u, p): error decays at 3rd order in dt
     # under a fixed tiny CFL, dominated by the spatial scheme at 5th order;
-    # here we check the solution stays close after one period (qualitative)
-    nx, h = 32, 1.0 / 32
-    x = (np.arange(nx) + 0.5) * h
+    # here we check the solution stays close after one period (qualitative).
+    # The cells are unit cells, so the period is nx.
+    nx = 32
+    x = np.arange(nx) + 0.5
     W = np.empty((nx, 1, 4))
-    W[:, 0, 0] = 1.0 + 0.2 * np.sin(2 * np.pi * x)
+    W[:, 0, 0] = 1.0 + 0.2 * np.sin(2 * np.pi * x / nx)
     W[:, 0, 1] = 1.0
     W[:, 0, 2] = 0.0
     W[:, 0, 3] = 1.0
-    field = MeanField(U=euler.prim_to_cons(W), h=h, bc=BoundarySpec(periodic_x=True))
+    field = MeanField(U=euler.prim_to_cons(W), bc=BoundarySpec(periodic_x=True))
     scheme = Scheme(solver="roe", order=5, space="primitive")
-    t, t_end = 0.0, 1.0
+    t, t_end = 0.0, float(nx)
     state = field
     while t < t_end - 1e-12:
         dt = min(marching.cfl_dt(state, 0.4), t_end - t)

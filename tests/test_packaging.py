@@ -129,3 +129,53 @@ def test_public_names_have_a_package_caller():
     assert defined
     uncalled = sorted(name for name in defined if name.rsplit(".", 1)[1] not in referenced)
     assert uncalled == sorted(TEST_ONLY_NAMES)
+
+
+# parameters with a default that no call in the package or the benchmark
+# passes, each kept for a stated reason
+UNPASSED_DEFAULTS = {
+    "stability.assemble.check_steady": "tests linearise about fields that are not steady",
+}
+
+
+def _defaulted_parameters(path):
+    """(qualified name, position at a call site, keyword) of every parameter
+    with a default; a method's position does not count its first parameter,
+    which the call's receiver supplies."""
+    tree = ast.parse(path.read_text())
+    methods = {id(item) for node in ast.walk(tree) if isinstance(node, ast.ClassDef) for item in node.body}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            a = node.args
+            positional = a.posonlyargs + a.args
+            first_default = len(positional) - len(a.defaults)
+            for index in range(first_default, len(positional)):
+                name = positional[index].arg
+                yield f"{path.stem}.{node.name}.{name}", node.name, index - (id(node) in methods), name
+            for param, default in zip(a.kwonlyargs, a.kw_defaults):
+                if default is not None:
+                    yield f"{path.stem}.{node.name}.{param.arg}", node.name, None, param.arg
+
+
+def test_every_default_is_passed_by_some_caller():
+    # a default that no call overrides is a constant in disguise: a knob the
+    # program never turns
+    src = sorted((ROOT / "src" / "shockstab").glob("*.py"))
+    passed = set()  # (function name, position or keyword)
+    for path in src + sorted((ROOT / "shockbench").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if any(isinstance(arg, ast.Starred) for arg in node.args):
+                passed.add((name, "*"))
+            passed.update((name, position) for position in range(len(node.args)))
+            passed.update((name, k.arg or "**") for k in node.keywords)
+    params = [p for path in src for p in _defaulted_parameters(path)]
+    assert params
+    unpassed = sorted(
+        qualified for qualified, function, position, keyword in params
+        if not {(function, position), (function, keyword), (function, "**")} & passed
+        and not (position is not None and (function, "*") in passed)
+    )
+    assert unpassed == sorted(UNPASSED_DEFAULTS)

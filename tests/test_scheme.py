@@ -14,7 +14,6 @@ def test_label_names_variant_at_fifth_order_and_cap():
 @pytest.mark.parametrize("name, value", [
     ("space", "primtive"),
     ("weno_variant", "jz"),
-    ("weno_eps", 0.0),
     ("roe_delta0", 0.0),
     ("solver", "rusanov"),
     ("order", 3),

@@ -6,7 +6,7 @@ import pytest
 
 from shockstab import euler, marching, shock_problem as sp
 from shockstab.errors import ConvergenceError, InvalidStateError, ShockStabError
-from shockstab.fields import BoundarySpec, MeanField, apply_boundaries
+from shockstab.fields import BoundarySpec, MeanField, apply_boundaries, outflow_jacobian
 from shockstab.scheme import Scheme
 
 
@@ -105,6 +105,40 @@ def test_padding_contract():
     # a periodic x has no ghost states
     periodic = replace(field, bc=BoundarySpec(periodic_x=True))
     assert np.array_equal(apply_boundaries(periodic), field.U.reshape(n, 4))
+
+
+@pytest.mark.parametrize("primitive", [False, True])
+def test_outflow_jacobian_is_the_derivative_of_the_outflow_states(primitive):
+    # central differences of the outflow states of apply_boundaries with
+    # respect to each component of the row's last cell, both in conservative
+    # or both in primitive variables, on a column with transverse velocity
+    field = sp.build_initial_field(cfg(ny=3))
+    rng = np.random.default_rng(12)
+    W = field.interior_primitive()
+    W[..., 2] += 0.3 * rng.standard_normal(W.shape[:-1])
+    W *= 1.0 + 0.01 * rng.standard_normal(W.shape)
+    field = replace(field, U=euler.prim_to_cons(W))
+    n = field.nx * field.ny
+    to_var = euler.cons_to_prim if primitive else np.copy
+    from_var = euler.prim_to_cons if primitive else np.copy
+    X = to_var(field.U)
+    T = outflow_jacobian(field, primitive)
+    assert T.shape == (field.ny, 4, 4)
+    for c in range(4):
+        h = 1e-6 * np.maximum(1.0, np.abs(X[-1, :, c]))
+        ghosts = []
+        for sign in (1.0, -1.0):
+            Xp = X.copy()
+            Xp[-1, :, c] += sign * h
+            ghosts.append(to_var(apply_boundaries(replace(field, U=from_var(Xp)))[n + 1 :]))
+        fd = (ghosts[0] - ghosts[1]) / (2.0 * h[:, None])
+        # rounding of the ghost states (|E| ~ 1e3) over the 1e-6 step
+        assert np.abs(T[:, :, c] - fd).max() < 1e-6 * max(1.0, np.abs(T).max()), c
+    # the pinned pressure never moves; a batch gives the stack of its members
+    assert np.all(T[:, 3, :] == 0.0) == primitive
+    batch = replace(field, U=np.stack([field.U, 2.0 * field.U]))
+    assert np.array_equal(outflow_jacobian(batch, primitive),
+                          np.stack([T, outflow_jacobian(replace(field, U=2.0 * field.U), primitive)]))
 
 
 def test_single_row_has_nx_plus_two_states():
@@ -303,7 +337,7 @@ def _low_energy_row(u=1.0):
     nx = 8
     W = np.tile([1.0, u, 0.0, 1.0], (nx, 1, 1))
     W[3, 0, 3] = 1e-8
-    return MeanField(U=euler.prim_to_cons(W), h=1.0, bc=BoundarySpec(periodic_x=True))
+    return MeanField(U=euler.prim_to_cons(W), bc=BoundarySpec(periodic_x=True))
 
 
 def test_fd_jacobian_equals_the_column_loop_on_a_converged_row(base_flow_cache, monkeypatch):

@@ -16,10 +16,10 @@ from test_euler import random_states
 
 
 
-def uniform_periodic_field(W, nx=6, ny=5, h=1.0):
+def uniform_periodic_field(W, nx=6, ny=5):
     U = euler.prim_to_cons(np.asarray(W, dtype=float))
     interior = np.broadcast_to(U, (nx, ny, 4)).copy()
-    return MeanField(U=interior, h=h, bc=BoundarySpec(periodic_x=True))
+    return MeanField(U=interior, bc=BoundarySpec(periodic_x=True))
 
 
 def initial_shock_field(**kw):
@@ -63,14 +63,16 @@ def test_flux_jacobians_consistency_identity(solver):
         assert np.max(np.abs(AL + AR - A_exact)) < 1e-5 * scale, solver
 
 
-def test_flux_jacobians_step_robustness():
+def test_flux_jacobians_step_robustness(monkeypatch):
     # away from the smoothing kink the central difference is second order,
     # so halving the step barely moves the entries
     WL = np.array([1.0, 0.6, 0.2, 1.0])
     WR = np.array([1.3, 0.4, -0.1, 1.5])
     UL, UR = euler.prim_to_cons(WL), euler.prim_to_cons(WR)
-    A1 = stability._fd_jacobians_U("roe", UL, UR, X_FACE, riemann.ROE_DELTA0, step=1e-7)
-    A2 = stability._fd_jacobians_U("roe", UL, UR, X_FACE, riemann.ROE_DELTA0, step=5e-8)
+    assert stability.FD_STEP == 1e-7
+    A1 = stability._fd_jacobians_U("roe", UL, UR, X_FACE, riemann.ROE_DELTA0)
+    monkeypatch.setattr(stability, "FD_STEP", 5e-8)
+    A2 = stability._fd_jacobians_U("roe", UL, UR, X_FACE, riemann.ROE_DELTA0)
     for A, B in zip(A1, A2):
         scale = max(1.0, np.abs(A).max())
         assert np.max(np.abs(A - B)) < 1e-6 * scale
@@ -205,21 +207,21 @@ def test_assemble_refuses_unsteady_field():
 def test_assemble_refuses_a_batch_of_fields():
     # the scatter would read the batch axis as the face normal
     field, _ = initial_shock_field(ny=4)
-    batch = MeanField(U=np.stack([field.U, field.U]), h=field.h, bc=field.bc,
-                      shock_column=field.shock_column)
+    batch = MeanField(U=np.stack([field.U, field.U]), bc=field.bc, shock_column=field.shock_column)
     with pytest.raises(ValueError, match=r"\(2, 11, 4, 4\)"):
         assemble(batch, Scheme(solver="roe", order=1), check_steady=False)
 
 
 def test_circulant_spectrum_first_order_upwind():
     # supersonic 1xN periodic strip: S is the classic circulant upwind
-    # difference; eigenvalues lie on circles -s*lam*(1 - exp(-i theta))
+    # difference; eigenvalues lie on circles -s*lam*(1 - exp(-i theta)),
+    # s = 1 on unit cells
     N = 16
     W = np.array([1.4, 20.0, 0.0, 1.0])
-    field = uniform_periodic_field(W, nx=N, ny=1, h=0.5)
+    field = uniform_periodic_field(W, nx=N, ny=1)
     S = assemble(field, Scheme(solver="roe", order=1), check_steady=True)
     spec = eigensolve(S)
-    sigma = 1.0 / field.h
+    sigma = 1.0
     lam_a = euler.characteristic_eigenvalues(W, X_FACE)
     thetas = 2.0 * np.pi * np.arange(N) / N
     expected = np.concatenate(
@@ -318,7 +320,7 @@ def _loop_assembly(field, scheme):
     from shockstab import marching
 
     nx, ny, ng = field.nx, field.ny, NG
-    sigma = 1.0 / field.h
+    sigma = 1.0  # unit cells
     W = field.interior_primitive()
     S = np.zeros((4 * nx * ny, 4 * nx * ny))
 
