@@ -24,12 +24,12 @@ class RunConfig:
     seed: int = 1234
 
     def __post_init__(self):
-        if not self.cfl > 0:
-            raise ValueError("CFL must be positive")
-        if not self.end_time > 0:
-            raise ValueError("end time must be positive")
-        if not self.amplitude >= 0:
-            raise ValueError("amplitude must be non-negative")
+        if not 0 < self.cfl < np.inf:
+            raise ValueError("CFL must be positive and finite")
+        if not 0 < self.end_time < np.inf:
+            raise ValueError("end time must be positive and finite")
+        if not 0 <= self.amplitude < np.inf:
+            raise ValueError("amplitude must be non-negative and finite")
 
 
 @dataclass

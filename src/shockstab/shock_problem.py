@@ -32,14 +32,16 @@ class ShockProblemConfig:
     converge_tol: float = 1e-12
 
     def __post_init__(self):
-        if not self.mach > 1.0:
-            raise ValueError("upstream Mach number must exceed 1")
+        if not 1.0 < self.mach < np.inf:
+            raise ValueError("upstream Mach number must exceed 1 and be finite")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("shock position must lie in [0, 1]")
         if not (self.nx >= 1 and self.ny >= 1):
             raise ValueError("the grid needs at least one cell in each direction")
         if not 1 <= self.shock_column <= self.nx:
             raise ValueError("shock column must be interior")
+        if not 0 < self.converge_tol < np.inf:
+            raise ValueError("converge_tol must be positive and finite")
 
 
 def jump_ratios(mach: float):

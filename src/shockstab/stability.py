@@ -19,10 +19,12 @@ each row's outflow state folds onto the row's last cell through
 checks itself.  A base flow uniform along the periodic y direction (every
 projected steady shock) makes S block-circulant in j: the block coupling
 (i, j) to (i', j') depends on j' - j mod ny only.  Then S splits exactly
-into ny Fourier blocks of size 4nx, one per transverse wavenumber, each
-solved densely; this is what makes wide grids affordable, since the dense
-solve of the whole S grows as (nx ny)^3.  Any other S, a field that varies
-along y or a hand-built matrix, is densified and solved whole.
+into ny Fourier blocks of size 4nx, one per transverse wavenumber k; S is
+real, so block ny - k is the conjugate of block k, and only the
+floor(ny/2) + 1 blocks k <= ny/2 are solved densely.  This is what makes
+wide grids affordable, since the dense solve of the whole S grows as
+(nx ny)^3.  Any other S, a field that varies along y or a hand-built matrix,
+is densified and solved whole.
 
 Variable spaces:
 
@@ -65,7 +67,8 @@ class Spectrum:
     dominant: complex
     eigvec_grid: np.ndarray  # complex (nx, ny, 4), native perturbation space
     eigvec_primitive: np.ndarray  # complex (nx, ny, 4)
-    max_real_by_k: np.ndarray | None = None  # (ny,) per transverse wavenumber
+    # (ny,) per transverse wavenumber k; entry ny - k mirrors entry k exactly
+    max_real_by_k: np.ndarray | None = None
 
 
 # relative step of the central-difference flux Jacobians
@@ -272,12 +275,15 @@ def eigensolve(S: StabilityMatrix) -> Spectrum:
     block-circulant in j, which ``_circulant_blocks`` checks on S itself.
     Then S splits exactly into ny Fourier blocks
     S^(k) = sum_d C(d) exp(2 pi i k d / ny) of size 4nx, one per transverse
-    wavenumber k: the spectrum is the union of theirs (in block order, not
-    the order of a dense solve), ``max_real_by_k`` holds each block's
-    largest real part, and the eigenvector of the dominant block k* is
-    v^[i] exp(2 pi i k* j / ny).  Any other S (a field that varies along y,
-    a hand-built matrix) gets one dense ``eig`` of the whole matrix and
-    ``max_real_by_k = None``.
+    wavenumber k.  C is real, so S^(ny - k) = conj S^(k): only the blocks
+    k = 0..floor(ny/2) are solved, and every block k > ny/2 takes the
+    conjugate eigenvalues of block ny - k.  The spectrum is the union of
+    all ny blocks' (in block order, not the order of a dense solve),
+    ``max_real_by_k`` holds each block's largest real part, equal for k and
+    ny - k, and the eigenvector of the dominant block k*, the lower k of a
+    conjugate pair, is v^[i] exp(2 pi i k* j / ny).  Any other S (a field
+    that varies along y, a hand-built matrix) gets one dense ``eig`` of the
+    whole matrix and ``max_real_by_k = None``.
     """
     C = _circulant_blocks(S)
     if C is None:
@@ -287,12 +293,14 @@ def eigensolve(S: StabilityMatrix) -> Spectrum:
         by_k = None
     else:
         S_hat = S.ny * np.fft.ifft(C, axis=0)
-        block_vals = [scipy.linalg.eigvals(B) for B in S_hat]
+        block_vals = list(np.linalg.eigvals(S_hat[: S.ny // 2 + 1]))
         k_star = int(np.argmax([v.real.max() for v in block_vals]))
         block_vals[k_star], vecs = scipy.linalg.eig(S_hat[k_star])
         m = int(np.argmax(block_vals[k_star].real))
         phase = np.exp(2j * np.pi * k_star * np.arange(S.ny) / S.ny)
         grid = vecs[:, m].reshape(S.nx, 1, 4) * phase[:, None]
+        # S is real, so S^(ny - k) = conj S^(k)
+        block_vals += [block_vals[S.ny - k].conj() for k in range(len(block_vals), S.ny)]
         vals = np.concatenate(block_vals)
         k = k_star * 4 * S.nx + m
         by_k = np.array([v.real.max() for v in block_vals])

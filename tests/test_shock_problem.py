@@ -445,7 +445,18 @@ def test_config_validation():
     (lambda: marching.RunConfig(scheme=Scheme(), end_time=0.0), "end time"),
     (lambda: marching.RunConfig(scheme=Scheme(), end_time=-1.0), "end time"),
     (lambda: marching.RunConfig(scheme=Scheme(), end_time=float("nan")), "end time"),
-], ids=["ny=0", "nx=0", "amplitude=nan", "end_time=0", "end_time<0", "end_time=nan"])
+    (lambda: marching.RunConfig(scheme=Scheme(), end_time=float("inf")), "end time"),
+    (lambda: marching.RunConfig(scheme=Scheme(), cfl=float("inf")), "CFL"),
+    (lambda: marching.RunConfig(scheme=Scheme(), cfl=float("nan")), "CFL"),
+    (lambda: marching.RunConfig(scheme=Scheme(), amplitude=float("inf")), "amplitude"),
+    (lambda: cfg(mach=float("inf")), "Mach"),
+    (lambda: cfg(converge_tol=float("nan")), "converge_tol"),
+    (lambda: cfg(converge_tol=0.0), "converge_tol"),
+    (lambda: cfg(converge_tol=-1e-12), "converge_tol"),
+    (lambda: cfg(converge_tol=float("inf")), "converge_tol"),
+], ids=["ny=0", "nx=0", "amplitude=nan", "end_time=0", "end_time<0", "end_time=nan",
+        "end_time=inf", "cfl=inf", "cfl=nan", "amplitude=inf", "mach=inf",
+        "converge_tol=nan", "converge_tol=0", "converge_tol<0", "converge_tol=inf"])
 def test_empty_or_nan_settings_are_refused_at_construction(make, match):
     with pytest.raises(ValueError, match=match):
         make()

@@ -487,12 +487,14 @@ def _dominant_residual(S, spec):
     return np.linalg.norm(r) / (np.linalg.norm(v) * np.abs(S.matrix).max())
 
 
-def test_fourier_blocks_give_the_full_spectrum():
-    # S = circ(C(0), ..., C(ny-1)) of random blocks: generically
-    # non-defective, so the whole multiset of eigenvalues is well posed
-    nx, ny = 2, 5
-    rng = np.random.default_rng(49)
+def _random_circulant(nx, ny, seed):
+    """S = circ(C(0), ..., C(ny-1)) of random real blocks: generically
+    non-defective, so the whole multiset of eigenvalues is well posed.  As in
+    a fifth-order S, a cell couples to at most 3 cells on either side along y."""
+    rng = np.random.default_rng(seed)
     C = rng.standard_normal((ny, 4 * nx, 4 * nx))
+    shift = np.arange(ny)
+    C[np.minimum(shift, ny - shift) > 3] = 0.0
     A = np.zeros((4 * nx * ny, 4 * nx * ny))
     for j in range(ny):
         for d in range(ny):
@@ -500,20 +502,46 @@ def test_fourier_blocks_give_the_full_spectrum():
                 for ic in range(nx):
                     r, c = 4 * (i * ny + j), 4 * (ic * ny + (j + d) % ny)
                     A[r : r + 4, c : c + 4] = C[d, 4 * i : 4 * i + 4, 4 * ic : 4 * ic + 4]
-    S = stability.StabilityMatrix(
+    return A, stability.StabilityMatrix(
         matrix=scipy.sparse.csr_array(A), nx=nx, ny=ny, space="conservative",
         W_mean=np.tile([1.0, 0.0, 0.0, 1.0], (nx, ny, 1)),
     )
-    spec = eigensolve(S)
-    assert spec.max_real_by_k.shape == (ny,)
-    # ny is odd, so every block but k = 0 is complex: the residual below then
-    # also checks the phase exp(2 pi i k j / ny) of the grid eigenvector
-    assert int(np.argmax(spec.max_real_by_k)) != 0
+
+
+def _assert_full_spectrum(A, spec):
     dense = scipy.linalg.eigvals(A)
     dist = np.abs(spec.eigenvalues[:, None] - dense[None, :])
     pair = linear_sum_assignment(dist)
     assert dist[pair].max() < 1e-12 * np.abs(dense).max()
     assert spec.max_real == spec.eigenvalues.real.max()
+
+
+def test_fourier_blocks_give_the_full_spectrum():
+    A, S = _random_circulant(nx=2, ny=5, seed=49)
+    spec = eigensolve(S)
+    assert spec.max_real_by_k.shape == (5,)
+    # ny is odd, so every block but k = 0 is complex: the residual below then
+    # also checks the phase exp(2 pi i k j / ny) of the grid eigenvector
+    assert int(np.argmax(spec.max_real_by_k)) != 0
+    _assert_full_spectrum(A, spec)
+    assert _dominant_residual(S, spec) < 1e-14
+
+
+@pytest.mark.parametrize("ny", [1, 2, 3, 4, 5, 8, 16, 32])
+def test_half_spectrum_mirrors_the_conjugate_blocks(ny):
+    # only blocks k <= ny // 2 are solved; ny = 1 and 2 mirror none, and an
+    # even ny has the real Nyquist block k = ny / 2, its own conjugate.  From
+    # ny = 16 the FFT's S^(ny - k) differs from conj S^(k) in the last bits,
+    # so a solve of every block breaks the exact mirror below
+    A, S = _random_circulant(nx=2, ny=ny, seed=50 + ny)
+    spec = eigensolve(S)
+    _assert_full_spectrum(A, spec)
+    by_k = spec.max_real_by_k
+    assert np.array_equal(by_k[1:], by_k[1:][::-1])
+    # the dominant mode is v[i] exp(2 pi i k* j / ny): its FFT along j peaks at k*
+    k_star = int(np.argmax(np.abs(np.fft.fft(spec.eigvec_grid, axis=1)).sum(axis=(0, 2))))
+    assert k_star <= ny // 2
+    assert by_k[k_star] == spec.max_real
     assert _dominant_residual(S, spec) < 1e-14
 
 
@@ -558,9 +586,8 @@ def test_max_real_by_transverse_wavenumber(base_flow_cache):
             scheme = Scheme(solver=solver, order=1)
             field, _ = base_flow_cache(scheme, epsilon=0.1, ny=ny)
             lam = eigensolve(assemble(field, scheme)).max_real_by_k
-            tol = 1e-12 * max(1.0, np.abs(lam).max())
             assert int(np.argmax(lam)) == ny // 2, (solver, ny)
-            assert np.abs(lam[1:] - lam[1:][::-1]).max() < tol
+            assert np.array_equal(lam[1:], lam[1:][::-1])
             assert abs(lam[ny // 2] - lam_odd_even) < 1e-4, (solver, ny)
             by_k[ny] = lam
         assert np.abs(by_k[8][::2] - by_k[4]).max() < 1e-12 * np.abs(by_k[4]).max()
@@ -569,6 +596,31 @@ def test_max_real_by_transverse_wavenumber(base_flow_cache):
     field, _ = base_flow_cache(scheme, epsilon=0.5, nx=13, ny=8)
     lam = eigensolve(assemble(field, scheme)).max_real_by_k
     assert np.all(lam[1:] < 0.0)
+
+
+def _all_blocks_reference(S):
+    """(max_real_by_k, max_real) of a solve of every Fourier block, the
+    conjugate ones included: the Fourier path before it mirrored them."""
+    S_hat = S.ny * np.fft.ifft(stability._circulant_blocks(S), axis=0)
+    block_vals = [scipy.linalg.eigvals(B) for B in S_hat]
+    k_star = int(np.argmax([v.real.max() for v in block_vals]))
+    block_vals[k_star] = scipy.linalg.eig(S_hat[k_star])[0]
+    return np.array([v.real.max() for v in block_vals]), np.concatenate(block_vals).real.max()
+
+
+@pytest.mark.parametrize("solver, order, space, epsilon, ny", [
+    ("roe", 1, "primitive", 0.1, 8),
+    ("roe", 5, "characteristic", 0.5, 4),
+])
+def test_half_spectrum_matches_all_block_solve(base_flow_cache, solver, order, space, epsilon, ny):
+    scheme = Scheme(solver=solver, order=order, space=space)
+    field, _ = base_flow_cache(scheme, epsilon=epsilon, ny=ny)
+    S = assemble(field, scheme)
+    spec = eigensolve(S)
+    by_k, lam = _all_blocks_reference(S)
+    assert np.array_equal(spec.max_real_by_k[: ny // 2 + 1], by_k[: ny // 2 + 1])
+    tol = max(1e-12 * max(1.0, abs(lam)), 1e-15 * np.abs(S.matrix).max())
+    assert abs(spec.max_real - lam) <= tol
 
 
 def test_localize_synthetic():
