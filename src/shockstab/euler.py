@@ -39,7 +39,7 @@ class FaceFrame:
     ny: float | np.ndarray
 
     def __post_init__(self):
-        if np.any(np.abs(self.nx**2 + self.ny**2 - 1.0) > 1e-12):
+        if not np.all(np.abs(self.nx**2 + self.ny**2 - 1.0) <= 1e-12):
             raise ValueError("face normal must be a unit vector")
 
     def at(self, faces) -> "FaceFrame":

@@ -39,7 +39,6 @@ class ReconConfig:
     kind: str = "weno5"
     weno_variant: str = "z"  # js | z
     space: str = "primitive"
-    force_linear_weights: bool = False
 
     def __post_init__(self):
         if self.kind not in VALID_KINDS:
@@ -131,22 +130,19 @@ def _muscl_left(win, linearise: bool):
 
 
 def _left_state(win, cfg: ReconConfig, linearise: bool = True):
-    """Reconstructed left state, linearization coefficients (None unless
-    ``linearise``), weights (or None)."""
+    """Reconstructed left state and its linearization coefficients (None
+    unless ``linearise``)."""
     win = np.asarray(win, dtype=float)
     if cfg.kind == "first":
         lin = None
         if linearise:
             lin = np.zeros(win.shape)
             lin[..., 2, :] = 1.0
-        return win[..., 2, :].copy(), lin, None
+        return win[..., 2, :].copy(), lin
     if cfg.kind == "muscl":
-        value, lin = _muscl_left(win, linearise)
-        return value, lin, None
+        return _muscl_left(win, linearise)
     beta = smoothness_indicators(win)
-    if cfg.force_linear_weights:
-        om = np.broadcast_to(LINEAR_WEIGHTS[:, None], beta.shape).copy()
-    elif cfg.kind == "eno3":
+    if cfg.kind == "eno3":
         # single smoothest substencil per component
         om = np.zeros_like(beta)
         pick = np.argmin(beta, axis=-2)
@@ -156,7 +152,7 @@ def _left_state(win, cfg: ReconConfig, linearise: bool = True):
     else:
         om = weights_z(beta)
     value = (om * weno5_candidates(win)).sum(axis=-2)
-    return value, _weno_lin_coeffs(om) if linearise else None, om
+    return value, _weno_lin_coeffs(om) if linearise else None
 
 
 def _prim_soft(U):
@@ -250,8 +246,8 @@ def _reconstruct_pair_one(winL_U, winR_U, cfg, frame, XwinL, XwinR, linearise):
         XwinL = euler.cons_to_prim(winL_U, "reconstruction window")
         XwinR = euler.cons_to_prim(winR_U, "reconstruction window")
 
-    XL, lin_L, _ = _left_state(XwinL, cfg, linearise)
-    XR, lin_Rm, _ = _left_state(XwinR[..., ::-1, :], cfg, linearise)
+    XL, lin_L = _left_state(XwinL, cfg, linearise)
+    XR, lin_Rm = _left_state(XwinR[..., ::-1, :], cfg, linearise)
     lin_R = lin_Rm[..., ::-1, :].copy() if linearise else None
 
     if cfg.space == "conservative":

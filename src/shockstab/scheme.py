@@ -5,6 +5,7 @@ a different pair for normal faces (x-oriented, along the shock normal) and
 transverse faces (y-oriented).
 """
 
+import math
 from dataclasses import dataclass
 
 from .reconstruction import ReconConfig, config_for_cap, config_for_order
@@ -29,8 +30,8 @@ class Scheme:
             raise ValueError(f"order must be 1, 2 or 5, got {self.order}")
         if self.cap not in CAP_KINDS:
             raise ValueError(f"unknown near-shock cap {self.cap!r}")
-        if not self.roe_delta0 > 0:
-            raise ValueError("roe_delta0 must be positive")
+        if not 0 < self.roe_delta0 < math.inf:
+            raise ValueError("roe_delta0 must be positive and finite")
         # ReconConfig rejects an unknown space or WENO variant
         self.recon_config("x")
 

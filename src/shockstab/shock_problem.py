@@ -124,42 +124,15 @@ def _residual_1d(field, scheme) -> np.ndarray:
     return marching.rhs(field, scheme).reshape(field.U.shape[:-3] + (-1,))
 
 
-def _probe_residuals(field, scheme, probes):
-    """Flat residuals, (n, 4 nx), of a stack of n probe rows, and a dict
-    {probe: error} of the probes whose rhs raises; their rows are NaN.
-
-    The stack is evaluated in one rhs call.  Should that call raise, each
-    half is evaluated again as a stack, so only halves that hold an
-    inadmissible probe split further, and a lone probe is evaluated at batch
-    shape ().  One inadmissible probe among n costs about 2 log2(n) calls.
-    """
-    n = len(probes)
-    try:
-        if n == 1:
-            return _residual_1d(replace(field, U=probes[0]), scheme)[None], {}
-        return _residual_1d(replace(field, U=probes), scheme), {}
-    except ShockStabError as exc:
-        if n == 1:
-            return np.full((1, probes[0].size), np.nan), {0: exc}
-    # split outside the handler: its traceback holds the arrays of the
-    # failed call, which each level of the bisection would otherwise keep
-    half = n // 2
-    R_a, failed_a = _probe_residuals(field, scheme, probes[:half])
-    R_b, failed_b = _probe_residuals(field, scheme, probes[half:])
-    return np.concatenate([R_a, R_b]), failed_a | {half + k: e for k, e in failed_b.items()}
-
-
-def _fd_jacobian_1d(field, scheme, r0, cols) -> np.ndarray:
-    """True Jacobian of the 1D residual (differentiates through the weights).
+def _fd_jacobian_1d(field, scheme, cols) -> np.ndarray:
+    """True Jacobian columns of the 1D residual (differentiates through the
+    weights), shape (4 nx, m) for the m flat coordinates ``cols``.
 
     Column ``col`` (cell i, component c) is probed at U +- h e_col with
     h = 1e-7 max(1, |U[i, 0, c]|) and is (R(U + h) - R(U - h)) / (2h).  All
-    2m probes of the m columns are stacked on a batch axis and evaluated in
-    one rhs call; should a probe leave the admissible states, that call
-    raises and ``_probe_residuals`` bisects the stack down to the raising
-    probes.  A column with one inadmissible probe takes the one-sided
-    difference of the other probe against ``r0``, the residual at U, and a
-    column whose two probes both raise re-raises the error of its -h probe.
+    2m probes are stacked on a batch axis and evaluated in one rhs call, so
+    a probe that leaves the admissible states makes that call raise; the LM
+    solve then ends its attempt.
     """
     cols = np.asarray(cols)
     m = len(cols)
@@ -169,18 +142,8 @@ def _fd_jacobian_1d(field, scheme, r0, cols) -> np.ndarray:
     plus = np.arange(m)
     probes[plus, i, 0, c] += h
     probes[m + plus, i, 0, c] -= h
-    R, failed = _probe_residuals(field, scheme, probes)
-    D = (R[:m] - R[m:]) / (2 * h)[:, None]
-    for k in sorted({p % m for p in failed}):
-        if k in failed and m + k in failed:
-            raise failed[m + k]
-        if m + k in failed:
-            D[k] = (R[k] - r0) / h[k]
-        else:
-            D[k] = (r0 - R[m + k]) / h[k]
-    J = np.zeros((r0.size, r0.size))
-    J[:, cols] = D.T
-    return J
+    R = _residual_1d(replace(field, U=probes), scheme)
+    return ((R[:m] - R[m:]) / (2 * h)[:, None]).T
 
 
 def _lm_refine_1d(field, scheme, tol, clamp_cells, pin_dofs):
@@ -194,6 +157,11 @@ def _lm_refine_1d(field, scheme, tol, clamp_cells, pin_dofs):
     entry values: the discrete steady shocks form a one-parameter family of
     sub-cell positions, and pinning the shock-cell density to the
     shock-position prescription selects the labeled member.
+
+    An attempt ends when no damped step lowers the cost, or when a probe of
+    the finite-difference Jacobian leaves the admissible states; either way
+    it returns the best state so far, its residual and the iterations run.
+    Errors from outside the package propagate.
     """
     nx = field.nx
     # per-component residual scales (flux magnitude over the unit cell)
@@ -223,7 +191,10 @@ def _lm_refine_1d(field, scheme, tol, clamp_cells, pin_dofs):
         it += 1
         if np.abs(r.reshape(nx, 4)[:, 0]).max() < tol:
             break
-        J = (_fd_jacobian_1d(field, scheme, r, np.flatnonzero(free)) / s[:, None])[:, free]
+        try:
+            J = _fd_jacobian_1d(field, scheme, np.flatnonzero(free)) / s[:, None]
+        except ShockStabError:
+            break  # an inadmissible probe ends the attempt, as a stall does
         g = J.T @ (r / s)
         H = J.T @ J
         dH = np.diag(H).copy()
@@ -271,7 +242,8 @@ def converge_1d(cfg: ShockProblemConfig, scheme: Scheme):
     columns (exactly uniform in the steady state) stay clamped and the
     shock-cell density stays pinned during the solve.  If it stalls, two
     seeded jitter restarts retry from the best state so far; a jittered
-    start that leaves the admissible states counts as a failed restart.
+    start that leaves the admissible states counts as a failed restart, and
+    an inadmissible Jacobian probe ends an LM attempt as a stall does.
 
     Returns the (nx, 4) conservative profile and ``info`` with the smoothing
     ``steps``, the total ``lm_iterations`` and the final ``residual``.

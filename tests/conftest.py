@@ -1,8 +1,11 @@
 """Shared fixtures: converged base flows are expensive, so they are computed
-once per session and cached by (solver, order, space, cap, mach, epsilon)."""
+once per session and cached by (solver, order, space, cap, mach, epsilon);
+``linear_weights`` freezes the WENO-Z weights at their linear values."""
 
+import numpy as np
 import pytest
 
+from shockstab import reconstruction
 from shockstab.scheme import Scheme
 from shockstab.shock_problem import ShockProblemConfig, converge_1d, project_to_2d
 
@@ -24,3 +27,13 @@ def base_flow_cache():
         return field.copy(), info
 
     return get
+
+
+@pytest.fixture
+def linear_weights(monkeypatch):
+    """WENO-Z reconstructions use the linear weights at every window."""
+
+    def linear(beta):
+        return np.broadcast_to(reconstruction.LINEAR_WEIGHTS[:, None], beta.shape).copy()
+
+    monkeypatch.setattr(reconstruction, "weights_z", linear)

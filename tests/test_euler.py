@@ -122,6 +122,12 @@ def test_face_frame_takes_one_normal_per_face():
     ny[3] *= 1.0 + 1e-6
     with pytest.raises(ValueError, match="unit vector"):
         FaceFrame(np.cos(a), ny)
+    # so is a NaN normal, as a scalar or among unit ones
+    with pytest.raises(ValueError, match="unit vector"):
+        FaceFrame(np.nan, 0.0)
+    ny[3] = np.nan
+    with pytest.raises(ValueError, match="unit vector"):
+        FaceFrame(np.cos(a), ny)
 
 
 def test_face_frame_compares_and_hashes_by_identity():

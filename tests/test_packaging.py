@@ -1,8 +1,10 @@
 """The dependencies declared in pyproject.toml are the third-party packages
-the source imports, no more and no fewer; every dataclass field is read;
-every public name has a caller outside the tests."""
+the source imports, no more and no fewer; every console script it declares
+resolves; every dataclass field is read; every public name has a caller
+outside the tests."""
 
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -25,6 +27,18 @@ def test_declared_dependencies_match_imports():
                 imported.add(node.module.split(".")[0])
     third_party = {name for name in imported if name not in sys.stdlib_module_names}
     assert third_party - {"shockstab"} == declared
+
+
+def test_console_scripts_resolve():
+    # an installed script whose target does not import dies on every run
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    for name, target in project.get("scripts", {}).items():
+        module, _, attr = target.partition(":")
+        obj = importlib.import_module(module)
+        for part in attr.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), name
 
 
 def _is_frozen_dataclass(node):

@@ -48,7 +48,7 @@ def test_weno5_candidates_linear_window():
 
 def left_state(win, kind="weno5"):
     """Left state of one scalar 5-window (compact kinds read the middle)."""
-    val, _, _ = rc._left_state(np.asarray(win, dtype=float)[:, None], rc.ReconConfig(kind=kind))
+    val, _ = rc._left_state(np.asarray(win, dtype=float)[:, None], rc.ReconConfig(kind=kind))
     return val[0]
 
 
@@ -67,7 +67,7 @@ def test_weno5_right_symmetry():
     cfg = rc.ReconConfig(space="primitive")
     U = euler.prim_to_cons(w)
     right = rc.reconstruct_pair(U, U, cfg, X_FACE).WR
-    left, _, _ = rc._left_state(w[:, ::-1], cfg)
+    left, _ = rc._left_state(w[:, ::-1], cfg)
     assert np.allclose(right, left, atol=1e-14)
 
 
@@ -91,20 +91,20 @@ def test_exactness_all_orders():
     lin = (np.arange(5.0) * 0.7 + 1.0)[None, :, None]
     for kind in ("first", "muscl", "weno5", "eno3"):
         cfg = rc.ReconConfig(kind=kind, space="conservative")
-        val, _, _ = rc._left_state(const, cfg)
+        val, _ = rc._left_state(const, cfg)
         assert np.allclose(val, 3.3, atol=1e-13), kind
         if kind != "first":
-            val, _, _ = rc._left_state(lin, cfg)
+            val, _ = rc._left_state(lin, cfg)
             assert np.allclose(val, 1.0 + 2.5 * 0.7, atol=1e-12), kind
 
 
-def test_weno5_linear_weights_equal_upstream_scheme():
-    # with tau5 = 0 (or forced linear weights) the scheme is the 5th-order
+def test_weno5_linear_weights_equal_upstream_scheme(linear_weights):
+    # with tau5 = 0 (here, linear weights) the scheme is the 5th-order
     # linear upstream interpolation (2, -13, 47, 27, -3)/60
     rng = np.random.default_rng(3)
     w = rng.uniform(0.5, 2.0, (20, 5, 1))
-    cfg = rc.ReconConfig(space="conservative", force_linear_weights=True)
-    val, lin, om = rc._left_state(w, cfg)
+    cfg = rc.ReconConfig(space="conservative")
+    val, lin = rc._left_state(w, cfg)
     expect = w[:, :, 0] @ (np.array([2.0, -13.0, 47.0, 27.0, -3.0]) / 60.0)
     assert np.allclose(val[:, 0], expect, atol=1e-13)
     assert np.allclose(lin[:, :, 0], np.array([2, -13, 47, 27, -3]) / 60.0, atol=1e-14)
@@ -116,7 +116,7 @@ def test_lin_coeffs_reproduce_values():
     w = rng.uniform(0.5, 2.0, (30, 5, 4))
     for kind in ("first", "muscl", "weno5", "eno3"):
         cfg = rc.ReconConfig(kind=kind, space="conservative", weno_variant="z")
-        val, lin, _ = rc._left_state(w, cfg)
+        val, lin = rc._left_state(w, cfg)
         assert np.allclose((lin * w).sum(axis=-2), val, atol=1e-12), kind
 
 
@@ -125,7 +125,7 @@ def test_lin_coeffs_sum_to_one():
     w = rng.uniform(0.5, 2.0, (30, 5, 4))
     for kind in ("first", "muscl", "weno5", "eno3"):
         cfg = rc.ReconConfig(kind=kind, space="conservative")
-        _, lin, _ = rc._left_state(w, cfg)
+        _, lin = rc._left_state(w, cfg)
         assert np.allclose(lin.sum(axis=-2), 1.0, atol=1e-12), kind
 
 
@@ -156,7 +156,7 @@ def test_weno5_convergence_order(variant, profile):
         avg = (F(edges[1:]) - F(edges[:-1])) / h
         win = np.lib.stride_tricks.sliding_window_view(avg, 5)  # (n-4, 5)
         cfg = rc.ReconConfig(space="conservative", weno_variant=variant)
-        val, _, _ = rc._left_state(win[:, :, None], cfg)
+        val, _ = rc._left_state(win[:, :, None], cfg)
         exact = f(edges[3 : n - 1])  # face right of each window's center cell
         errs.append(np.abs(val[:, 0] - exact).max())
     ratio = errs[0] / errs[1]
@@ -204,7 +204,7 @@ def test_characteristic_differs_from_primitive_on_curved_profile():
     assert not np.allclose(outs["conservative"].WL, outs["primitive"].WL)
 
 
-def test_positivity_fallback():
+def test_positivity_fallback(linear_weights):
     # a violent window drives the reconstructed pressure negative
     W = np.array(
         [
@@ -216,7 +216,7 @@ def test_positivity_fallback():
         ]
     )
     U = euler.prim_to_cons(W)[None]
-    cfg = rc.ReconConfig(space="conservative", force_linear_weights=True)
+    cfg = rc.ReconConfig(space="conservative")
     out = rc.reconstruct_pair(U, U, cfg, X_FACE)
     assert np.all(out.WL[..., 0] > 0) and np.all(out.WL[..., 3] > 0)
     assert np.all(out.WR[..., 0] > 0) and np.all(out.WR[..., 3] > 0)
@@ -225,9 +225,10 @@ def test_positivity_fallback():
 def test_eno3_picks_single_stencil():
     w = np.array([1.0, 1.1, 1.2, 5.0, 9.0])[None, :, None]  # jump on the right
     cfg = rc.ReconConfig(kind="eno3", space="conservative")
-    val, lin, om = rc._left_state(w, cfg)
-    assert np.allclose(np.sort(om[0, :, 0]), [0.0, 0.0, 1.0])
-    assert om[0, 0, 0] == 1.0  # smoothest substencil is the left one
+    val, lin = rc._left_state(w, cfg)
+    # the smoothest substencil is the left one, (2 w0 - 7 w1 + 11 w2) / 6,
+    # and it alone carries the linearization
+    assert np.array_equal(lin[0, :, 0], np.array([2.0, -7.0, 11.0, 0.0, 0.0]) / 6.0)
     cand = rc.weno5_candidates(w)
     assert np.allclose(val, cand[:, 0], atol=1e-14)
 

@@ -15,6 +15,7 @@ def test_label_names_variant_at_fifth_order_and_cap():
     ("space", "primtive"),
     ("weno_variant", "jz"),
     ("roe_delta0", 0.0),
+    ("roe_delta0", float("inf")),
     ("solver", "rusanov"),
     ("order", 3),
     ("cap", "third"),

@@ -1,11 +1,10 @@
-import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from shockstab import euler, marching, shock_problem as sp
-from shockstab.errors import ConvergenceError, InvalidStateError, ShockStabError
+from shockstab.errors import ConvergenceError, InvalidStateError
 from shockstab.fields import BoundarySpec, MeanField, apply_boundaries, outflow_jacobian
 from shockstab.scheme import Scheme
 
@@ -296,25 +295,18 @@ def test_lm_refine_propagates_errors_from_outside_the_package(monkeypatch, stage
         sp._lm_refine_1d(field, scheme, c.converge_tol, clamp_cells=(0, 1, 2, 3), pin_dofs=(20,))
 
 
-def _loop_fd_jacobian(field, scheme, r0, cols):
+def _loop_fd_jacobian(field, scheme, cols):
     """Reference: the column-by-column finite-difference Jacobian, one rhs
-    call per probe, with the one-sided fallbacks of an inadmissible probe."""
-    n = 4 * field.nx
-    J = np.zeros((n, n))
-    for col in cols:
+    call per probe, shape (4 nx, len(cols))."""
+    J = np.zeros((4 * field.nx, len(cols)))
+    for k, col in enumerate(cols):
         i, c = divmod(col, 4)
         h = 1e-7 * max(1.0, abs(field.U[i, 0, c]))
         fp = field.copy()
         fp.U[i, 0, c] += h
         fm = field.copy()
         fm.U[i, 0, c] -= h
-        try:
-            J[:, col] = (sp._residual_1d(fp, scheme) - sp._residual_1d(fm, scheme)) / (2 * h)
-        except ShockStabError:
-            try:
-                J[:, col] = (sp._residual_1d(fp, scheme) - r0) / h
-            except ShockStabError:
-                J[:, col] = (r0 - sp._residual_1d(fm, scheme)) / h
+        J[:, k] = (sp._residual_1d(fp, scheme) - sp._residual_1d(fm, scheme)) / (2 * h)
     return J
 
 
@@ -330,12 +322,12 @@ def _counting_rhs(monkeypatch):
     return shapes
 
 
-def _low_energy_row(u=1.0):
-    # a periodic row moving at u in which one cell's internal energy 2.5e-8
-    # lies below its probe step 1e-7: that cell's -h energy probe has p < 0,
-    # and at u = 1 its +h x-momentum probe too
+def _low_energy_row():
+    # a periodic row moving at u = 1 in which one cell's internal energy
+    # 2.5e-8 lies below its probe step 1e-7: that cell's -h energy probe and
+    # its +h x-momentum probe have p < 0
     nx = 8
-    W = np.tile([1.0, u, 0.0, 1.0], (nx, 1, 1))
+    W = np.tile([1.0, 1.0, 0.0, 1.0], (nx, 1, 1))
     W[3, 0, 3] = 1e-8
     return MeanField(U=euler.prim_to_cons(W), bc=BoundarySpec(periodic_x=True))
 
@@ -344,80 +336,53 @@ def test_fd_jacobian_equals_the_column_loop_on_a_converged_row(base_flow_cache, 
     scheme = Scheme(solver="roe", order=5)
     field2d, _ = base_flow_cache(scheme, epsilon=0.1)
     row = replace(field2d, U=field2d.U[:, :1].copy())
-    r0 = sp._residual_1d(row, scheme)
-    cols = np.arange(4 * row.nx)
-    expected = _loop_fd_jacobian(row, scheme, r0, cols)
-    shapes = _counting_rhs(monkeypatch)
-    J = sp._fd_jacobian_1d(row, scheme, r0, cols)
-    assert np.array_equal(J, expected)
-    assert shapes == [(2 * len(cols),)]  # every probe in one rhs call
+    every = np.arange(4 * row.nx)
+    # all columns, and the LM solve's free ones: cells 1-4 clamped, rho_6 pinned
+    for cols in (every, every[(every >= 16) & (every != 20)]):
+        expected = _loop_fd_jacobian(row, scheme, cols)
+        with monkeypatch.context() as m:
+            shapes = _counting_rhs(m)
+            J = sp._fd_jacobian_1d(row, scheme, cols)
+        assert J.shape == (4 * row.nx, len(cols))
+        assert np.array_equal(J, expected)
+        assert shapes == [(2 * len(cols),)]  # every probe in one rhs call
 
 
-def test_fd_jacobian_takes_one_sided_differences_at_inadmissible_probes(monkeypatch):
+def test_fd_jacobian_raises_at_an_inadmissible_probe_after_one_rhs_call(monkeypatch):
     scheme = Scheme(solver="roe", order=5)
     row = _low_energy_row()
-    r0 = sp._residual_1d(row, scheme)
-    h = 1e-7  # |rho e| = 0.5 and |rho u| = 1: both steps are 1e-7
-    energy, momentum = 4 * 3 + 3, 4 * 3 + 1
-    probes = {}
-    for col, sign in ((energy, -1.0), (energy, 1.0), (momentum, 1.0), (momentum, -1.0)):
-        probes[col, sign] = row.copy()
-        probes[col, sign].U[3, 0, col % 4] += sign * h
-    for bad in ((energy, -1.0), (momentum, 1.0)):
-        with pytest.raises(InvalidStateError):
-            sp._residual_1d(probes[bad], scheme)
-    cols = np.arange(4 * row.nx)
-    expected = _loop_fd_jacobian(row, scheme, r0, cols)
-    assert np.array_equal(
-        expected[:, energy], (sp._residual_1d(probes[energy, 1.0], scheme) - r0) / h
-    )
-    assert np.array_equal(
-        expected[:, momentum], (r0 - sp._residual_1d(probes[momentum, -1.0], scheme)) / h
-    )
     shapes = _counting_rhs(monkeypatch)
-    J = sp._fd_jacobian_1d(row, scheme, r0, cols)
-    assert np.array_equal(J, expected)
-    # the batch raised; only the halves that raise again split further, so
-    # the two inadmissible probes cost O(log m) calls, not one per probe
-    n = 2 * len(cols)
-    assert shapes[0] == (n,)
-    assert len(shapes) <= 1 + 2 * 2 * math.ceil(math.log2(n))
+    with pytest.raises(InvalidStateError):
+        sp._fd_jacobian_1d(row, scheme, np.arange(4 * row.nx))
+    assert shapes == [(2 * 4 * row.nx,)]
 
 
-def test_fd_jacobian_bisects_to_a_single_inadmissible_probe(monkeypatch):
-    scheme = Scheme(solver="roe", order=5)
-    row = _low_energy_row(u=0.0)
-    r0 = sp._residual_1d(row, scheme)
-    cols = np.arange(4 * row.nx)
-    m = len(cols)
-    expected = _loop_fd_jacobian(row, scheme, r0, cols)
-    shapes = _counting_rhs(monkeypatch)
-    J = sp._fd_jacobian_1d(row, scheme, r0, cols)
-    assert np.array_equal(J, expected)
-    # the -h energy probe of cell 3 alone is inadmissible: the stack of 2m
-    # probes, then per level of the bisection one half that passes and one
-    # that raises, down to the lone probe
-    assert shapes[0] == (2 * m,) and shapes.count(()) == 2
-    assert len(shapes) == 1 + 2 * math.ceil(math.log2(2 * m))
-
-
-def test_fd_jacobian_reraises_when_both_probes_of_a_column_fail(monkeypatch):
+def test_lm_refine_ends_the_attempt_when_the_jacobian_raises(monkeypatch):
+    # an inadmissible probe ends the attempt as a stall does: the state after
+    # the one accepted step comes back, and the iteration whose Jacobian
+    # raised is counted
+    c = cfg()
     scheme = Scheme(solver="roe", order=1)
-    field = sp.build_initial_field(cfg(), ny=1)
-    r0 = sp._residual_1d(field, scheme)
-    residual, base = sp._residual_1d, field.U.copy()
+    field = sp.build_initial_field(c, ny=1)
+    args = (scheme, c.converge_tol, (0, 1, 2, 3), (20,))
+    with monkeypatch.context() as m:
+        m.setattr(sp, "LM_MAX_ITER", 1)
+        one_step, res_one, it_one = sp._lm_refine_1d(field, *args)
+    assert it_one == 1 and not np.array_equal(one_step.U, field.U)
 
-    def failing(f, s):
-        if f.U.ndim > 3:
-            raise InvalidStateError("batched call")
-        step = f.U[7, 0, 2] - base[7, 0, 2]
-        if step != 0:
-            raise InvalidStateError("plus probe" if step > 0 else "minus probe")
-        return residual(f, s)
+    jacobian, calls = sp._fd_jacobian_1d, []
 
-    monkeypatch.setattr(sp, "_residual_1d", failing)
-    with pytest.raises(InvalidStateError, match="minus probe"):
-        sp._fd_jacobian_1d(field, scheme, r0, np.arange(4 * field.nx))
+    def failing_second_call(*a):
+        calls.append(len(calls))
+        if len(calls) == 2:
+            raise InvalidStateError("inadmissible probe")
+        return jacobian(*a)
+
+    monkeypatch.setattr(sp, "_fd_jacobian_1d", failing_second_call)
+    got, res, it = sp._lm_refine_1d(field, *args)
+    assert len(calls) == 2
+    assert np.array_equal(got.U, one_step.U) and res == res_one
+    assert it == 2
 
 
 def test_project_to_2d_rows_equal():

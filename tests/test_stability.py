@@ -171,15 +171,15 @@ def test_uniform_blocks_sum_to_analytic_jacobian():
     assert np.max(np.abs(total - A_exact)) < 1e-5 * max(1.0, np.abs(A_exact).max())
 
 
-def test_linear_weights_blocks_match_upstream_coefficients():
-    # forcing the linear weights makes the six blocks the linear 5th-order
-    # upstream combination of the two Jacobians
+def test_linear_weights_blocks_match_upstream_coefficients(linear_weights):
+    # the linear weights make the six blocks the linear 5th-order upstream
+    # combination of the two Jacobians
     rng = np.random.default_rng(42)
     base = np.array([1.0, 0.6, 0.1, 1.2])
     win = np.empty((1, 5, 4))
     for m in range(5):
         win[0, m] = euler.prim_to_cons(base * (1.0 + 0.02 * m))
-    cfg = rc.ReconConfig(space="conservative", force_linear_weights=True)
+    cfg = rc.ReconConfig(space="conservative")
     recon = rc.reconstruct_pair(win, win, cfg, X_FACE)
     AL, AR = stability._fd_jacobians_U(
         "hll", euler.prim_to_cons(recon.WL), euler.prim_to_cons(recon.WR),
