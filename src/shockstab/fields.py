@@ -72,13 +72,16 @@ def apply_boundaries(field: MeanField) -> np.ndarray:
     """The state axis (..., S, 4) that the module docstring lays out; a new
     C-contiguous array, the field is left as it is."""
     U, bc = field.U, field.bc
-    cells = U.reshape(U.shape[:-3] + (-1, 4))
+    batch, n = U.shape[:-3], field.nx * field.ny
     if bc.periodic_x:
-        return cells.copy()
+        return U.reshape(batch + (n, 4)).copy()
     last = euler.cons_to_prim(U[..., -1, :, :], "outflow column")
     last[..., 3] = bc.outflow_pressure
-    inflow = np.broadcast_to(bc.inflow_U, U.shape[:-3] + (1, 4))
-    return np.concatenate([cells, inflow, euler.prim_to_cons(last)], axis=-2)
+    states = np.empty(batch + (n + 1 + field.ny, 4))
+    states[..., :n, :] = U.reshape(batch + (n, 4))
+    states[..., n, :] = bc.inflow_U
+    states[..., n + 1:, :] = euler.prim_to_cons(last)
+    return states
 
 
 def outflow_jacobian(field: MeanField, primitive: bool) -> np.ndarray:

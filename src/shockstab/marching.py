@@ -105,7 +105,10 @@ def rhs(field: MeanField, scheme: Scheme) -> np.ndarray:
     for table, solver, recon in face_reconstructions(field, states, scheme, linearise=False):
         flux = riemann.compute_flux(solver, recon.WL, recon.WR, table.frame, scheme.roe_delta0)
         for orientation, grid_flux in table.split(flux, field.U.ndim - 3):
-            res -= np.diff(grid_flux, axis=-3 if orientation == "x" else -2)
+            if orientation == "x":
+                res -= grid_flux[..., 1:, :, :] - grid_flux[..., :-1, :, :]
+            else:
+                res -= grid_flux[..., 1:, :] - grid_flux[..., :-1, :]
     return res
 
 

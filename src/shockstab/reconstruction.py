@@ -9,6 +9,13 @@ schemes, which only read the middle slots.  A whole field's windows come as
 axis of faces of any orientation, gathered along each face's normal by
 ``fields.face_table``, and the ``FaceFrame`` holds one normal per face.
 
+WENO5 and ENO3 work on the substencil axis -2 of length 3: substencil m of a
+window covers slots m..m+2, so its three overlapping slices (slots 0..2, 1..3
+and 2..4) carry all three substencils at once.  The smoothness measures and
+the candidate values are each one array expression over those slices with a
+column of coefficients per substencil, and the weights, the face value and
+the frozen-weight coefficients are formed along the same axis.
+
 Besides face values, every reconstruction exposes the coefficients of its
 linearization with frozen nonlinear weights: the left state contributes
 ``lin_L[..., m, :]`` on the cell at offset m-2 from the face's left cell, the
@@ -57,18 +64,32 @@ def config_for_cap(cap: str, base: ReconConfig) -> ReconConfig:
     return replace(base, kind=_CAP_TO_KIND[cap])
 
 
+def _substencils(w):
+    """The three overlapping 3-point slices (a, b, c) of 5-point windows: row m
+    of each, on axis -2, holds cells m, m+1 and m+2 of substencil m."""
+    return w[..., 0:3, :], w[..., 1:4, :], w[..., 2:5, :]
+
+
+# Coefficient columns of the substencil formulas.  A unit or negated
+# coefficient repeats the plain add or subtract bit for bit, and the 0 of
+# beta_1 adds a signed zero that its square removes.
+_BETA_A, _BETA_B, _BETA_C = (np.array(c, dtype=float)[:, None] for c in
+                             ((1, 1, 3), (-4, 0, -4), (3, -1, 1)))
+_CAND_A, _CAND_B, _CAND_C = (np.array(c, dtype=float)[:, None] for c in
+                             ((2, -1, 2), (-7, 5, 5), (11, 2, -1)))
+
+
 def smoothness_indicators(w) -> np.ndarray:
     """The three quadratic smoothness measures of 5-point windows.
 
-    ``w`` has shape (..., 5, comps); returns the betas stacked on axis -2,
-    shape (..., 3, comps).
+    ``w`` has shape (..., 5, comps); returns the betas on the substencil
+    axis -2, shape (..., 3, comps), each formula one array expression over
+    the slices of ``_substencils``:
+    beta_m = 13/12 (a - 2b + c)^2 + 1/4 (A_m a + B_m b + C_m c)^2.
     """
-    w0, w1, w2, w3, w4 = (w[..., m, :] for m in range(5))
-    beta = np.empty(w.shape[:-2] + (3,) + w.shape[-1:])
-    beta[..., 0, :] = 13.0 / 12.0 * (w0 - 2 * w1 + w2) ** 2 + 0.25 * (w0 - 4 * w1 + 3 * w2) ** 2
-    beta[..., 1, :] = 13.0 / 12.0 * (w1 - 2 * w2 + w3) ** 2 + 0.25 * (w1 - w3) ** 2
-    beta[..., 2, :] = 13.0 / 12.0 * (w2 - 2 * w3 + w4) ** 2 + 0.25 * (3 * w2 - 4 * w3 + w4) ** 2
-    return beta
+    a, b, c = _substencils(w)
+    return (13.0 / 12.0 * (a - 2 * b + c) ** 2
+            + 0.25 * (_BETA_A * a + _BETA_B * b + _BETA_C * c) ** 2)
 
 
 def weights_js(beta) -> np.ndarray:
@@ -86,13 +107,11 @@ def weights_z(beta) -> np.ndarray:
 
 
 def weno5_candidates(w) -> np.ndarray:
-    """Left-state values of the three substencil polynomials, axis -2."""
-    w0, w1, w2, w3, w4 = (w[..., m, :] for m in range(5))
-    cand = np.empty(w.shape[:-2] + (3,) + w.shape[-1:])
-    cand[..., 0, :] = (2 * w0 - 7 * w1 + 11 * w2) / 6.0
-    cand[..., 1, :] = (-w1 + 5 * w2 + 2 * w3) / 6.0
-    cand[..., 2, :] = (2 * w2 + 5 * w3 - w4) / 6.0
-    return cand
+    """Left-state values of the three substencil polynomials on the
+    substencil axis -2, (A_m a + B_m b + C_m c)/6 over the slices of
+    ``_substencils``."""
+    a, b, c = _substencils(w)
+    return (_CAND_A * a + _CAND_B * b + _CAND_C * c) / 6.0
 
 
 def _weno_lin_coeffs(om) -> np.ndarray:

@@ -5,6 +5,7 @@ a different pair for normal faces (x-oriented, along the shock normal) and
 transverse faces (y-oriented).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -46,14 +47,22 @@ class Scheme:
             return HYBRID_PARTS[self.solver][orientation]
         return self.solver, self.order
 
+    @functools.cached_property
+    def _configs(self) -> dict[str, tuple[ReconConfig, ReconConfig | None]]:
+        """(reconstruction config, cap config or None) per face axis, built
+        once per scheme: ``rhs`` asks for them on every call."""
+        configs = {}
+        for axis in ("x", "y"):
+            _, order = self.per_direction(axis)
+            recon = config_for_order(order, weno_variant=self.weno_variant, space=self.space)
+            configs[axis] = (recon, None if self.cap == "none" else config_for_cap(self.cap, recon))
+        return configs
+
     def recon_config(self, axis: str) -> ReconConfig:
-        _, order = self.per_direction(axis)
-        return config_for_order(order, weno_variant=self.weno_variant, space=self.space)
+        return self._configs[axis][0]
 
     def cap_config(self, axis: str) -> ReconConfig | None:
-        if self.cap == "none":
-            return None
-        return config_for_cap(self.cap, self.recon_config(axis))
+        return self._configs[axis][1]
 
     def label(self) -> str:
         """e.g. ``roe-o5-z/primitive``; the WENO variant only at fifth order,

@@ -5,6 +5,76 @@ from shockstab import euler, reconstruction as rc
 from shockstab.euler import X_FACE
 
 
+# The per-slot WENO5 formulas that the substencil-axis kernels replaced, kept
+# as the reference: each beta and candidate spelled out on (..., comps) slot
+# views.  The kernels must give the same bits.
+def ref_smoothness_indicators(w) -> np.ndarray:
+    w0, w1, w2, w3, w4 = (w[..., m, :] for m in range(5))
+    beta = np.empty(w.shape[:-2] + (3,) + w.shape[-1:])
+    beta[..., 0, :] = 13.0 / 12.0 * (w0 - 2 * w1 + w2) ** 2 + 0.25 * (w0 - 4 * w1 + 3 * w2) ** 2
+    beta[..., 1, :] = 13.0 / 12.0 * (w1 - 2 * w2 + w3) ** 2 + 0.25 * (w1 - w3) ** 2
+    beta[..., 2, :] = 13.0 / 12.0 * (w2 - 2 * w3 + w4) ** 2 + 0.25 * (3 * w2 - 4 * w3 + w4) ** 2
+    return beta
+
+
+def ref_weno5_candidates(w) -> np.ndarray:
+    w0, w1, w2, w3, w4 = (w[..., m, :] for m in range(5))
+    cand = np.empty(w.shape[:-2] + (3,) + w.shape[-1:])
+    cand[..., 0, :] = (2 * w0 - 7 * w1 + 11 * w2) / 6.0
+    cand[..., 1, :] = (-w1 + 5 * w2 + 2 * w3) / 6.0
+    cand[..., 2, :] = (2 * w2 + 5 * w3 - w4) / 6.0
+    return cand
+
+
+def random_windows(rng, batch):
+    """Finite windows (*batch, 5, 4) of both signs and magnitudes 1e-6..1e6,
+    with signed zeros and whole flat windows mixed in."""
+    shape = batch + (5, 4)
+    w = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-6.0, 6.0, shape)
+    w[rng.random(shape) < 0.1] = 0.0
+    w[rng.random(shape) < 0.1] = -0.0
+    flat = rng.random(batch + (1, 4)) < 0.2
+    return np.where(flat, w[..., 2:3, :], w)
+
+
+BATCHES = [(), (12,), (3, 264)]
+
+
+@pytest.mark.parametrize("batch", BATCHES)
+def test_substencil_kernels_equal_the_per_slot_reference(batch):
+    rng = np.random.default_rng(20)
+    for _ in range(20):
+        w = random_windows(rng, batch)
+        for win in (w, w[..., ::-1, :]):  # left and mirrored (right-state) windows
+            for kernel, ref in ((rc.smoothness_indicators, ref_smoothness_indicators),
+                                (rc.weno5_candidates, ref_weno5_candidates)):
+                got, expect = kernel(win), ref(win)
+                assert got.shape == batch + (3, 4)
+                assert np.array_equal(got, expect)
+                assert np.array_equal(np.signbit(got), np.signbit(expect))
+
+
+@pytest.mark.parametrize("batch", BATCHES)
+@pytest.mark.parametrize("kind, variant", [("weno5", "z"), ("weno5", "js"), ("eno3", "z")])
+@pytest.mark.parametrize("linearise", [True, False])
+def test_weno_left_state_equals_the_per_slot_reference(monkeypatch, batch, kind, variant,
+                                                       linearise):
+    # the face value and the frozen-weight coefficients keep their bits
+    rng = np.random.default_rng(21)
+    cfg = rc.ReconConfig(kind=kind, weno_variant=variant, space="conservative")
+    wins = [random_windows(rng, batch) for _ in range(10)]
+    wins += [w[..., ::-1, :] for w in wins]
+    got = [rc._left_state(w, cfg, linearise) for w in wins]
+    monkeypatch.setattr(rc, "smoothness_indicators", ref_smoothness_indicators)
+    monkeypatch.setattr(rc, "weno5_candidates", ref_weno5_candidates)
+    expect = [rc._left_state(w, cfg, linearise) for w in wins]
+    for (value, lin), (ref_value, ref_lin) in zip(got, expect):
+        assert np.all(np.isfinite(value))
+        assert np.array_equal(value, ref_value)
+        assert (lin is None) == (not linearise)
+        if linearise:
+            assert np.array_equal(lin, ref_lin)
+
 
 def test_smoothness_indicators_constant():
     assert np.allclose(rc.smoothness_indicators(np.full(5, 3.7)[:, None]), 0.0, atol=1e-28)
@@ -67,8 +137,9 @@ def test_weno5_right_symmetry():
     cfg = rc.ReconConfig(space="primitive")
     U = euler.prim_to_cons(w)
     right = rc.reconstruct_pair(U, U, cfg, X_FACE).WR
-    left, _ = rc._left_state(w[:, ::-1], cfg)
-    assert np.allclose(right, left, atol=1e-14)
+    # the primitive windows reconstruct_pair converts back from U
+    left, _ = rc._left_state(euler.cons_to_prim(U)[:, ::-1], cfg)
+    assert np.array_equal(right, left)
 
 
 def test_muscl_left_state_cases():

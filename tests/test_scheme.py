@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import pytest
 
+from shockstab.reconstruction import config_for_cap, config_for_order
 from shockstab.scheme import Scheme
 
 
@@ -23,3 +26,19 @@ def test_label_names_variant_at_fifth_order_and_cap():
 def test_invalid_scheme_rejected_at_construction(name, value):
     with pytest.raises(ValueError):
         Scheme(**{name: value})
+
+
+@pytest.mark.parametrize("scheme", [Scheme(), Scheme(cap="second", space="characteristic"),
+                                    Scheme(solver="hybrid-1", cap="smoothest-third")])
+def test_configs_are_built_once_per_scheme(scheme):
+    # rhs asks for both configs on every call; they are made at construction
+    for axis in ("x", "y"):
+        _, order = scheme.per_direction(axis)
+        recon = config_for_order(order, weno_variant=scheme.weno_variant, space=scheme.space)
+        assert scheme.recon_config(axis) == recon
+        assert scheme.recon_config(axis) is scheme.recon_config(axis)
+        cap = None if scheme.cap == "none" else config_for_cap(scheme.cap, recon)
+        assert scheme.cap_config(axis) == cap
+        assert scheme.cap_config(axis) is scheme.cap_config(axis)
+    # the cache is no field: equal schemes compare and hash alike
+    assert scheme == replace(scheme) and hash(scheme) == hash(replace(scheme))

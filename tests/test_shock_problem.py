@@ -106,6 +106,37 @@ def test_padding_contract():
     assert np.array_equal(apply_boundaries(periodic), field.U.reshape(n, 4))
 
 
+def concatenated_states(field):
+    """The state axis as ``apply_boundaries`` built it with ``np.concatenate``
+    before it wrote into one preallocated array; kept as the reference."""
+    U, bc = field.U, field.bc
+    cells = U.reshape(U.shape[:-3] + (-1, 4))
+    if bc.periodic_x:
+        return cells.copy()
+    last = euler.cons_to_prim(U[..., -1, :, :], "outflow column")
+    last[..., 3] = bc.outflow_pressure
+    inflow = np.broadcast_to(bc.inflow_U, U.shape[:-3] + (1, 4))
+    return np.concatenate([cells, inflow, euler.prim_to_cons(last)], axis=-2)
+
+
+@pytest.mark.parametrize("case", ["single", "batch", "row", "periodic_x"])
+def test_apply_boundaries_equals_the_concatenated_reference(case):
+    # a fresh C-contiguous array, bit for bit the concatenated states
+    field = sp.build_initial_field(cfg(ny=3), ny=1 if case == "row" else None)
+    rng = np.random.default_rng(13)
+    if case == "batch":
+        scale = 1.0 + 0.01 * rng.standard_normal((2, 3) + field.U.shape)
+        field = replace(field, U=euler.prim_to_cons(field.interior_primitive() * scale))
+    elif case == "periodic_x":
+        field = replace(field, bc=BoundarySpec(periodic_x=True))
+    snap = field.U.copy()
+    states = apply_boundaries(field)
+    assert states.flags.c_contiguous and states.flags.owndata
+    assert np.array_equal(states, concatenated_states(field))
+    states[...] = -1.0
+    assert np.array_equal(field.U, snap)
+
+
 @pytest.mark.parametrize("primitive", [False, True])
 def test_outflow_jacobian_is_the_derivative_of_the_outflow_states(primitive):
     # central differences of the outflow states of apply_boundaries with
