@@ -8,11 +8,14 @@ Array conventions used throughout the package:
 * conservative state ``U``  : (..., 4) array ``[rho, rho*u, rho*v, rho*e]``
 * primitive state    ``W``  : (..., 4) array ``[rho, u, v, p]``
 * characteristic state ``V``: (..., 4) array, ``V = L @ U`` for a face-frozen ``L``
+* side-stacked states: (..., 2F, 4), the left states of F faces on rows
+  0..F-1 of one side axis and their right states on rows F..2F-1
 
 All functions broadcast over leading axes, so a single state is a plain
 shape-(4,) array.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +34,9 @@ class FaceFrame:
 
     The components are scalars, one normal for every face, or (F,) arrays
     that give each face of a flat face axis its own normal; either way they
-    broadcast against states of shape (..., F, 4).  Frames compare and hash
-    by identity, which array components allow.
+    broadcast against per-face values of shape (..., F, 4), and ``sides``
+    against side-stacked states (..., 2F, 4).  Frames compare and hash by
+    identity, which array components allow.
     """
 
     nx: float | np.ndarray
@@ -48,6 +52,15 @@ class FaceFrame:
         if np.ndim(self.nx) == 0:
             return self
         return FaceFrame(self.nx[faces], self.ny[faces])
+
+    @functools.cached_property
+    def sides(self) -> "FaceFrame":
+        """The frame of a side axis: every normal twice, built once."""
+        if np.ndim(self.nx) == 0:
+            return self
+        sides = FaceFrame(np.tile(self.nx, 2), np.tile(self.ny, 2))
+        sides.nx.flags.writeable = sides.ny.flags.writeable = False  # shared by every call
+        return sides
 
     @property
     def lx(self) -> float | np.ndarray:
@@ -67,6 +80,17 @@ def _describe_bad(mask, where, what="cell"):
     head = ", ".join(str(tuple(i.tolist())) for i in idx[:4])
     more = "" if len(idx) <= 4 else f" (+{len(idx) - 4} more)"
     return f"{where} at {what}(s) {head}{more}" if idx.size else where
+
+
+def on_sides(fn, X, *args):
+    """``fn(X, *args)`` of side-stacked states X (..., 2F, 4).  Only should it
+    raise ``InvalidStateError``, it runs again on the (..., 2, F, 4) view to
+    name the bad state by (side, face) behind the leading axes."""
+    try:
+        return fn(X, *args)
+    except InvalidStateError:
+        fn(X.reshape(X.shape[:-2] + (2, -1, 4)), *args)
+        raise
 
 
 def cons_to_prim(U, where: str = "state") -> np.ndarray:

@@ -14,8 +14,9 @@ numbering of the test problem.  An ``InvalidStateError`` names cells by
 their full index, so in a batch the tuple leads with the batch index.
 
 ``face_table`` lays the faces of a grid on one flat face axis, x faces then
-y faces, each with the state indices of its six-cell stencil: ``rhs``
-gathers its windows there and ``assemble`` scatters its blocks there.
+y faces, each with the state indices of its six-cell stencil, and both
+windows of every face on one side axis: ``rhs`` gathers its windows from
+the side axis and ``assemble`` scatters its blocks by the stencils.
 """
 
 import functools
@@ -111,13 +112,16 @@ class FaceTable:
     state axis of ``apply_boundaries`` the six cells of face f's stencil
     along the normal: slots 2 and 3 hold the cells before and after the
     face, slots 0..4 the window of its left state, slots 1..5 that of its
-    right state.  ``shock`` flags the faces of the shock column.  ``frame``
+    right state.  ``sides`` holds both windows on one side axis: row f is
+    face f's left window (slots 0..4), row F+f its right window mirrored
+    (slots 5..1).  ``shock`` flags the faces of the shock column.  ``frame``
     carries each face's unit normal as (F,) arrays, or as the one scalar
     normal of a table of a single orientation.
     """
 
     grids: tuple[tuple[str, tuple[int, int]], ...]
     window: np.ndarray  # (F, 6) state indices
+    sides: np.ndarray  # (2F, 5) state indices, left windows then mirrored right ones
     shock: np.ndarray  # (F,) bool
     frame: euler.FaceFrame
 
@@ -172,5 +176,6 @@ def face_table(nx: int, ny: int, orientations: tuple[str, ...], periodic_x: bool
         frame = euler.FaceFrame(np.repeat([f.nx for f in normal], sizes),
                                 np.repeat([f.ny for f in normal], sizes))
         frame.nx.flags.writeable = frame.ny.flags.writeable = False
-    window.flags.writeable = shock.flags.writeable = False
-    return FaceTable(tuple(grids), window, shock, frame)
+    sides = np.concatenate([window[:, :5], window[:, :0:-1]])
+    window.flags.writeable = sides.flags.writeable = shock.flags.writeable = False
+    return FaceTable(tuple(grids), window, sides, shock, frame)

@@ -54,45 +54,39 @@ def face_reconstructions(field: MeanField, states: np.ndarray, scheme: Scheme,
     A single row has no y faces: its periodic j+1/2 and j-1/2 fluxes are
     identical.
 
-    ``table`` is the batch's ``FaceTable``.  It orders the flat face axis of
-    the FaceRecon, whose states are (..., F, 4) behind the field's batch
-    axes, carries the per-face normals and the faces a cap applies to, and
-    splits per-face results back into face grids.  Every batch gathers its
-    stencils once from ``states``, the state axis of ``apply_boundaries``,
-    converted once per call in the primitive space (characteristic
-    projections stay face-local); ``linearise`` is passed on to
-    ``reconstruct_pair``.
+    ``table`` is the batch's ``FaceTable``.  It orders the flat face axis,
+    carries the per-face normals and the faces a cap applies to, and splits
+    per-face results back into face grids.  Every batch gathers both windows
+    of its faces, side-stacked (..., 2F, 5, 4) behind the field's batch axes,
+    in one take along ``table.sides`` from ``states``, the state axis of
+    ``apply_boundaries``, converted once per call in the primitive space;
+    ``linearise`` is passed on to ``reconstruct_pair``.
     """
     batches = {}
     for orientation in ("x", "y") if field.ny > 1 else ("x",):
         solver, _ = scheme.per_direction(orientation)
         key = (solver, scheme.recon_config(orientation), scheme.cap_config(orientation))
         batches.setdefault(key, []).append(orientation)
-    Xstates = None
     if scheme.space == "primitive":
         try:
-            Xstates = euler.cons_to_prim(states)
+            states = euler.cons_to_prim(states)
         except InvalidStateError:
             field.interior_primitive()  # names the (i, j) of the bad cell
             raise
     for (solver, cfg, cap_cfg), orientations in batches.items():
         table = face_table(field.nx, field.ny, tuple(orientations), field.bc.periodic_x,
                            field.shock_column)
-        win = _windows(states, table.window)
-        Xwin = None if Xstates is None else _windows(Xstates, table.window)
         recon = reconstruction.reconstruct_pair(
-            win[..., :5, :], win[..., 1:, :], cfg, table.frame,
+            _windows(states, table.sides), cfg, table.frame,
             cap_cfg=cap_cfg, cap_mask=None if cap_cfg is None else table.shock,
-            XwinL=None if Xwin is None else Xwin[..., :5, :],
-            XwinR=None if Xwin is None else Xwin[..., 1:, :],
             linearise=linearise,
         )
         yield table, solver, recon
 
 
 def _windows(states: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """(..., F, 6, 4) stencils of (..., S, 4) states gathered by an (F, 6)
-    index.  They are stored slot-major: one slot of a field's stencils, the
+    """(..., R, 5, 4) windows of (..., S, 4) states gathered by an (R, 5)
+    index.  They are stored slot-major: one slot of a batch's windows, the
     operand of each reconstruction formula, is then one run of memory."""
     return np.take(states, index.T, axis=-2).swapaxes(-3, -2)
 
@@ -103,7 +97,7 @@ def rhs(field: MeanField, scheme: Scheme) -> np.ndarray:
     states = apply_boundaries(field)
     res = np.zeros(field.U.shape)
     for table, solver, recon in face_reconstructions(field, states, scheme, linearise=False):
-        flux = riemann.compute_flux(solver, recon.WL, recon.WR, table.frame, scheme.roe_delta0)
+        flux = riemann.compute_flux(solver, recon.W, table.frame, scheme.roe_delta0)
         for orientation, grid_flux in table.split(flux, field.U.ndim - 3):
             if orientation == "x":
                 res -= grid_flux[..., 1:, :, :] - grid_flux[..., :-1, :, :]
@@ -226,7 +220,7 @@ def _window_r2_scan(t, y, min_len):
                 best = (a, a + length, r2)
         if best is not None:
             return best[0], best[1]
-        length = int(length * 0.9) if length > min_len else length - 1
+        length = max(min_len, int(length * 0.9)) if length > min_len else length - 1
     return None
 
 

@@ -1,13 +1,14 @@
 """Face-state reconstruction: first order, MUSCL/van Albada, WENO5 (JS/Z), ENO3.
 
 A face between cells i and i+1 owns two reconstructed states.  The left state
-uses the window (i-2 .. i+2), the right state the window (i-1 .. i+3); the
-right state is the mirror image of the left one.  Windows are always passed
-as five consecutive cell states of shape (..., 5, 4) even for the compact
-schemes, which only read the middle slots.  A whole field's windows come as
-(..., F, 5, 4): the leading axes are the field's batch axes, F is one flat
-axis of faces of any orientation, gathered along each face's normal by
-``fields.face_table``, and the ``FaceFrame`` holds one normal per face.
+uses the window (i-2 .. i+2), the right state the window (i+3 .. i-1): the
+right state is the left state of the mirrored window.  Windows are always
+five cell states of shape (..., 5, 4) even for the compact schemes, which
+only read the middle slots.  A batch of F faces of any orientation comes on
+one side axis, windows (..., 2F, 5, 4) behind the field's batch axes: the
+left windows, then the right windows mirrored, gathered along each face's
+normal by ``fields.face_table``, so that one left-state formula
+reconstructs every row.  The ``FaceFrame`` holds one normal per face.
 
 WENO5 and ENO3 work on the substencil axis -2 of length 3: substencil m of a
 window covers slots m..m+2, so its three overlapping slices (slots 0..2, 1..3
@@ -17,10 +18,11 @@ column of coefficients per substencil, and the weights, the face value and
 the frozen-weight coefficients are formed along the same axis.
 
 Besides face values, every reconstruction exposes the coefficients of its
-linearization with frozen nonlinear weights: the left state contributes
-``lin_L[..., m, :]`` on the cell at offset m-2 from the face's left cell, the
-right state ``lin_R[..., m, :]`` on the cell at offset m-1.  The stability
-matrix is assembled from exactly these coefficients.
+linearization with frozen nonlinear weights, ``lin`` (..., 2F, 5, 4): row r
+contributes ``lin[..., r, m, :]`` on slot m of its own window, so a left
+state acts on the cell at offset m-2 from the face's left cell and a right
+state on the cell at offset 3-m.  The stability matrix is assembled from
+exactly these coefficients.
 """
 
 from dataclasses import dataclass, replace
@@ -188,18 +190,18 @@ def _prim_soft(U):
 
 @dataclass
 class FaceRecon:
-    """Reconstructed pair at a batch of faces plus the frozen linearization.
+    """Reconstructed states of a batch of faces plus the frozen linearization.
 
-    WL/WR are always primitive (ready for flux evaluation); lin_L/lin_R act
-    on the windows in the configured reconstruction space, which for the
-    characteristic space is the projection by Lmat (inverse Rmat).  They are
-    None when the reconstruction was asked for face states only.
+    ``W`` holds both states of every face on the side axis (..., 2F, 4),
+    always primitive (ready for flux evaluation); ``lin`` acts on each row's
+    window in the configured reconstruction space, which for the
+    characteristic space is the projection by the face's ``Lmat`` (inverse
+    ``Rmat``).  It is None when the reconstruction was asked for face states
+    only.  ``fallback`` (..., F) flags the faces dropped to first order.
     """
 
-    WL: np.ndarray
-    WR: np.ndarray
-    lin_L: np.ndarray | None
-    lin_R: np.ndarray | None
+    W: np.ndarray
+    lin: np.ndarray | None
     Lmat: np.ndarray | None
     Rmat: np.ndarray | None
     space: str
@@ -207,95 +209,72 @@ class FaceRecon:
 
 
 def reconstruct_pair(
-    winL_U,
-    winR_U,
+    win,
     cfg: ReconConfig,
     frame: FaceFrame,
     cap_cfg: ReconConfig | None = None,
     cap_mask=None,
-    XwinL=None,
-    XwinR=None,
     linearise: bool = True,
 ) -> FaceRecon:
-    """Reconstruct both face states from conservative 5-windows.
+    """Reconstruct both states of every face from its side-stacked windows
+    (..., 2F, 5, 4): primitive states in the primitive space, else
+    conservative ones.
 
-    ``cap_mask`` selects faces whose order is capped (near-shock treatment);
-    those faces are re-reconstructed with ``cap_cfg``, in the frame of the
-    selected faces, and spliced in.  It covers the face axes in front of the
-    window axes, so one mask serves every member of a batch of windows
-    (..., F, 5, 4).  ``XwinL``/``XwinR`` optionally carry the same windows
-    already converted to primitive variables, so a whole-field sweep
-    converts each cell once; the other spaces ignore them.
-    ``linearise=False`` skips the frozen-weight coefficients, which only the
-    stability assembly reads; the face states and the fallback mask are the
-    same either way.
+    ``cap_mask`` (F,) selects faces whose order is capped (near-shock
+    treatment); both rows of those faces are re-reconstructed with
+    ``cap_cfg``, in the frame of the selected faces, and spliced in.  One
+    mask serves every member of a batch.  ``linearise=False`` skips the
+    frozen-weight coefficients, which only the stability assembly reads; the
+    face states and the fallback mask are the same either way.
     """
-    winL_U = np.asarray(winL_U, dtype=float)
-    winR_U = np.asarray(winR_U, dtype=float)
-    recon = _reconstruct_pair_one(winL_U, winR_U, cfg, frame, XwinL, XwinR, linearise)
+    win = np.asarray(win, dtype=float)
+    recon = _reconstruct_sides(win, cfg, frame, linearise)
     if cap_mask is not None and np.any(cap_mask):
-        # the mask indexes the face axes behind the batch axes
-        at = (slice(None),) * (winL_U.ndim - 2 - np.ndim(cap_mask)) + (cap_mask,)
-        sub = _reconstruct_pair_one(
-            winL_U[at], winR_U[at], cap_cfg, frame.at(cap_mask),
-            None if XwinL is None else XwinL[at],
-            None if XwinR is None else XwinR[at],
-            linearise,
-        )
-        names = ("WL", "WR", "lin_L", "lin_R") if linearise else ("WL", "WR")
-        for name in names:
-            getattr(recon, name)[at] = getattr(sub, name)
-        recon.fallback[at] = sub.fallback
+        batch = (slice(None),) * (win.ndim - 3)
+        rows = batch + (np.tile(cap_mask, 2),)
+        sub = _reconstruct_sides(win[rows], cap_cfg, frame.at(cap_mask), linearise)
+        recon.W[rows] = sub.W
+        if linearise:
+            recon.lin[rows] = sub.lin
+        recon.fallback[batch + (cap_mask,)] = sub.fallback
     return recon
 
 
-def _reconstruct_pair_one(winL_U, winR_U, cfg, frame, XwinL, XwinR, linearise):
+def _reconstruct_sides(win, cfg, frame, linearise):
+    n = win.shape[-3] // 2
     Lmat = Rmat = None
+    X = win
     if cfg.space == "characteristic":
-        W_l = euler.cons_to_prim(winL_U[..., 2, :], "face-left cell")
-        W_r = euler.cons_to_prim(winR_U[..., 2, :], "face-right cell")
-        W_eval = 0.5 * (W_l + W_r)
+        W_c = euler.on_sides(euler.cons_to_prim, win[..., 2, :], "face cell")
+        W_eval = 0.5 * (W_c[..., :n, :] + W_c[..., n:, :])
         Lmat = euler.left_eigen_matrix(W_eval, frame)
         Rmat = euler.right_eigen_matrix(W_eval, frame)
-        XwinL = np.einsum("...ab,...wb->...wa", Lmat, winL_U)
-        XwinR = np.einsum("...ab,...wb->...wa", Lmat, winR_U)
-    elif cfg.space == "conservative":
-        XwinL, XwinR = winL_U, winR_U
-    elif XwinL is None:
-        XwinL = euler.cons_to_prim(winL_U, "reconstruction window")
-        XwinR = euler.cons_to_prim(winR_U, "reconstruction window")
+        # one projection per face, broadcast over its two rows
+        by_side = win.reshape(win.shape[:-3] + (2, n, 5, 4))
+        X = np.einsum("...ab,...wb->...wa", Lmat[..., None, :, :, :], by_side)
+        X = X.reshape(win.shape)
 
-    XL, lin_L = _left_state(XwinL, cfg, linearise)
-    XR, lin_Rm = _left_state(XwinR[..., ::-1, :], cfg, linearise)
-    lin_R = lin_Rm[..., ::-1, :].copy() if linearise else None
+    Xs, lin = _left_state(X, cfg, linearise)
 
     if cfg.space == "conservative":
-        WL, okL = _prim_soft(XL)
-        WR, okR = _prim_soft(XR)
+        W, ok = _prim_soft(Xs)
     elif cfg.space == "primitive":
-        WL, WR = XL, XR
-        okL = (WL[..., 0] > 0) & (WL[..., 3] > 0) & np.isfinite(WL).all(axis=-1)
-        okR = (WR[..., 0] > 0) & (WR[..., 3] > 0) & np.isfinite(WR).all(axis=-1)
+        W, ok = Xs, (Xs[..., 0] > 0) & (Xs[..., 3] > 0) & np.isfinite(Xs).all(axis=-1)
     else:
-        WL, okL = _prim_soft(np.einsum("...ab,...b->...a", Rmat, XL))
-        WR, okR = _prim_soft(np.einsum("...ab,...b->...a", Rmat, XR))
+        by_side = Xs.reshape(Xs.shape[:-2] + (2, n, 4))
+        U = np.einsum("...ab,...b->...a", Rmat[..., None, :, :, :], by_side)
+        W, ok = _prim_soft(U.reshape(Xs.shape))
 
-    fallback = ~(okL & okR)
+    fallback = ~(ok[..., :n] & ok[..., n:])
     if fallback.any():
         # drop to first order at the offending faces: both states are the
         # adjacent cell means, the middle slot of either window
+        rows = np.concatenate([fallback, fallback], axis=-1)
         if linearise:
-            first = np.zeros(lin_L.shape[-2:])
+            first = np.zeros(lin.shape[-2:])
             first[2] = 1.0
-            lin_L[fallback] = first
-            lin_R[fallback] = first
-        WL[fallback] = euler.cons_to_prim(winL_U[fallback][..., 2, :], "fallback")
-        WR[fallback] = euler.cons_to_prim(winR_U[fallback][..., 2, :], "fallback")
+            lin[rows] = first
+        cells = win[..., 2, :][rows]
+        W[rows] = cells if cfg.space == "primitive" else euler.cons_to_prim(cells, "fallback")
 
-    return FaceRecon(
-        WL=WL, WR=WR,
-        lin_L=lin_L, lin_R=lin_R,
-        Lmat=Lmat, Rmat=Rmat,
-        space=cfg.space, fallback=fallback,
-    )
-
+    return FaceRecon(W=W, lin=lin, Lmat=Lmat, Rmat=Rmat, space=cfg.space, fallback=fallback)

@@ -2,12 +2,13 @@
 van Leer flux-vector splitting, and the (solver, order) parts of the
 direction hybrids.
 
-All solvers take primitive left/right states of shape (..., 4), broadcast
-over leading axes, and return the numerical flux normal to the face.  Each
-kernel evaluates one upwind state per face: HLLC picks each face's side of
-the wave fan first and builds that side's exact flux, conservative state
-and star state only, and the speeds, normal velocities and sound speeds are
-computed once per side.
+All solvers take the primitive left and right states of F faces
+side-stacked, (..., 2F, 4), and return the numerical flux normal to each
+face, (..., F, 4).  Per-side quantities (exact flux, sound speed, normal
+velocity; Roe's sqrt(rho) and enthalpy; van Leer's split with a +1/-1 side
+sign) are computed once over the whole side axis, a bad state named by its
+(side, face); face-level work reads the two halves.  HLLC picks each face's
+side of the wave fan first and builds that side's star state only.
 """
 
 import numpy as np
@@ -40,23 +41,22 @@ def _normal_velocity(W, frame):
     return W[..., 1] * frame.nx + W[..., 2] * frame.ny
 
 
-def roe_flux(WL, WR, frame: FaceFrame, delta0: float = ROE_DELTA0) -> np.ndarray:
+def roe_flux(W, frame: FaceFrame, delta0: float = ROE_DELTA0) -> np.ndarray:
     """Roe flux with the wave-strength dissipation form; |eigenvalues| pass
     through the quadratic smoothing floor."""
-    WL = np.asarray(WL, dtype=float)
-    WR = np.asarray(WR, dtype=float)
-    FL = euler.exact_flux_w(WL, frame)
-    FR = euler.exact_flux_w(WR, frame)
+    W = np.asarray(W, dtype=float)
+    n = W.shape[-2] // 2
+    F = euler.exact_flux_w(W, frame.sides)
+    g1 = GAMMA - 1.0
+    s = np.sqrt(W[..., 0])
+    h_side = GAMMA * W[..., 3] / (g1 * W[..., 0]) + 0.5 * (W[..., 1] ** 2 + W[..., 2] ** 2)
 
-    sl = np.sqrt(WL[..., 0])
-    sr = np.sqrt(WR[..., 0])
+    WL, WR = W[..., :n, :], W[..., n:, :]
+    sl, sr = s[..., :n], s[..., n:]
     wgt = sl / (sl + sr)
     u = wgt * WL[..., 1] + (1 - wgt) * WR[..., 1]
     v = wgt * WL[..., 2] + (1 - wgt) * WR[..., 2]
-    g1 = GAMMA - 1.0
-    hL = GAMMA * WL[..., 3] / (g1 * WL[..., 0]) + 0.5 * (WL[..., 1] ** 2 + WL[..., 2] ** 2)
-    hR = GAMMA * WR[..., 3] / (g1 * WR[..., 0]) + 0.5 * (WR[..., 1] ** 2 + WR[..., 2] ** 2)
-    h = wgt * hL + (1 - wgt) * hR
+    h = wgt * h_side[..., :n] + (1 - wgt) * h_side[..., n:]
     c2 = g1 * (h - 0.5 * (u * u + v * v))
     ok = c2 > 0.0
     if not ok.all():
@@ -86,14 +86,14 @@ def roe_flux(WL, WR, frame: FaceFrame, delta0: float = ROE_DELTA0) -> np.ndarray
     l3 = smooth_abs(q + c, delta0) * a3
     l4 = abs_q * a4
 
-    diss = np.empty_like(FL)
+    diss = np.empty(q.shape + (4,))
     diss[..., 0] = l1 + l2 + l3
     diss[..., 1] = l1 * (u - c * nx) + l2 * u + l3 * (u + c * nx) + l4 * lx
     diss[..., 2] = l1 * (v - c * ny) + l2 * v + l3 * (v + c * ny) + l4 * ly
     diss[..., 3] = (
         l1 * (h - c * q) + l2 * 0.5 * (u * u + v * v) + l3 * (h + c * q) + l4 * ql
     )
-    return 0.5 * (FL + FR) - 0.5 * diss
+    return 0.5 * (F[..., :n, :] + F[..., n:, :]) - 0.5 * diss
 
 
 def davis_speeds(qL, cL, qR, cR):
@@ -108,35 +108,35 @@ def davis_speeds(qL, cL, qR, cR):
     return s_l, s_r
 
 
-def _side_speeds(WL, WR, frame):
-    """Normal velocity and sound speed of each side, then the Davis speeds."""
-    qL = _normal_velocity(WL, frame)
-    qR = _normal_velocity(WR, frame)
-    cL = euler.sound_speed(WL)
-    cR = euler.sound_speed(WR)
-    return qL, qR, *davis_speeds(qL, cL, qR, cR)
+def _side_speeds(W, frame):
+    """Normal velocity of every side, then the Davis speeds of every face."""
+    n = W.shape[-2] // 2
+    q = _normal_velocity(W, frame.sides)
+    c = euler.on_sides(euler.sound_speed, W)
+    return q, *davis_speeds(q[..., :n], c[..., :n], q[..., n:], c[..., n:])
 
 
-def hll_flux(WL, WR, frame: FaceFrame) -> np.ndarray:
-    WL = np.asarray(WL, dtype=float)
-    WR = np.asarray(WR, dtype=float)
-    _, _, s_l, s_r = _side_speeds(WL, WR, frame)
-    FL = euler.exact_flux_w(WL, frame)
-    FR = euler.exact_flux_w(WR, frame)
-    UL = euler.prim_to_cons(WL)
-    UR = euler.prim_to_cons(WR)
+def hll_flux(W, frame: FaceFrame) -> np.ndarray:
+    W = np.asarray(W, dtype=float)
+    n = W.shape[-2] // 2
+    _, s_l, s_r = _side_speeds(W, frame)
+    F = euler.exact_flux_w(W, frame.sides)
+    U = euler.prim_to_cons(W)
+    FL, FR = F[..., :n, :], F[..., n:, :]
     sl = s_l[..., None]
     sr = s_r[..., None]
-    mid = (sr * FL - sl * FR + sl * sr * (UR - UL)) / (sr - sl)
+    mid = (sr * FL - sl * FR + sl * sr * (U[..., n:, :] - U[..., :n, :])) / (sr - sl)
     return np.where(sl >= 0.0, FL, np.where(sr <= 0.0, FR, mid))
 
 
-def hllc_flux(WL, WR, frame: FaceFrame) -> np.ndarray:
+def hllc_flux(W, frame: FaceFrame) -> np.ndarray:
     """HLLC flux: each face takes F_K or the star flux F*_K of one side K,
     the side of the wave fan that the face sits in."""
-    WL = np.asarray(WL, dtype=float)
-    WR = np.asarray(WR, dtype=float)
-    qL, qR, s_l, s_r = _side_speeds(WL, WR, frame)
+    W = np.asarray(W, dtype=float)
+    n = W.shape[-2] // 2
+    q_side, s_l, s_r = _side_speeds(W, frame)
+    WL, WR = W[..., :n, :], W[..., n:, :]
+    qL, qR = q_side[..., :n], q_side[..., n:]
     mL = WL[..., 0] * (s_l - qL)
     mR = WR[..., 0] * (s_r - qR)
     s_star = (WR[..., 3] - WL[..., 3] + qL * mL - qR * mR) / (mL - mR)
@@ -163,42 +163,40 @@ def hllc_flux(WL, WR, frame: FaceFrame) -> np.ndarray:
     return np.where(fan[..., None], star, F)
 
 
-def van_leer_flux(WL, WR, frame: FaceFrame) -> np.ndarray:
-    """Flux-vector splitting with the standard Mach polynomials; the split
-    is fully one-sided for |M| >= 1."""
-    WL = np.asarray(WL, dtype=float)
-    WR = np.asarray(WR, dtype=float)
+def van_leer_flux(W, frame: FaceFrame) -> np.ndarray:
+    """Flux-vector splitting with the standard Mach polynomials, F+ of the
+    left state plus F- of the right; fully one-sided for |M| >= 1."""
+    W = np.asarray(W, dtype=float)
+    n = W.shape[-2] // 2
     g = GAMMA
-
-    def split(W, sign):
-        rho, u, v, p = W[..., 0], W[..., 1], W[..., 2], W[..., 3]
-        c = euler.sound_speed(W)
-        q = u * frame.nx + v * frame.ny
-        m = q / c
-        fm = sign * 0.25 * rho * c * (m + sign) ** 2
-        vel = (-q + sign * 2.0 * c) / g
-        sub = np.empty(fm.shape + (4,))
-        sub[..., 0] = fm
-        sub[..., 1] = fm * (u + frame.nx * vel)
-        sub[..., 2] = fm * (v + frame.ny * vel)
-        sub[..., 3] = fm * (
-            ((g - 1.0) * q + sign * 2.0 * c) ** 2 / (2.0 * (g * g - 1.0))
-            + 0.5 * (u * u + v * v - q * q)
-        )
-        full = euler.exact_flux_w(W, frame)
-        m_ = m[..., None]
-        if sign > 0:
-            return np.where(m_ >= 1.0, full, np.where(m_ <= -1.0, 0.0, sub))
-        return np.where(m_ <= -1.0, full, np.where(m_ >= 1.0, 0.0, sub))
-
-    return split(WL, +1.0) + split(WR, -1.0)
+    sides = frame.sides
+    sign = np.repeat([1.0, -1.0], n)  # +1 on the left states, -1 on the right
+    rho, u, v = W[..., 0], W[..., 1], W[..., 2]
+    c = euler.on_sides(euler.sound_speed, W)
+    q = _normal_velocity(W, sides)
+    m = q / c
+    fm = sign * 0.25 * rho * c * (m + sign) ** 2
+    vel = (-q + sign * 2.0 * c) / g
+    sub = np.empty(fm.shape + (4,))
+    sub[..., 0] = fm
+    sub[..., 1] = fm * (u + sides.nx * vel)
+    sub[..., 2] = fm * (v + sides.ny * vel)
+    sub[..., 3] = fm * (
+        ((g - 1.0) * q + sign * 2.0 * c) ** 2 / (2.0 * (g * g - 1.0))
+        + 0.5 * (u * u + v * v - q * q)
+    )
+    full = euler.exact_flux_w(W, sides)
+    # the side's own Mach number: sign * m >= 1 flows wholly out of it
+    sm = (sign * m)[..., None]
+    split = np.where(sm >= 1.0, full, np.where(sm <= -1.0, 0.0, sub))
+    return split[..., :n, :] + split[..., n:, :]
 
 
-def compute_flux(kind: str, WL, WR, frame: FaceFrame, delta0: float = ROE_DELTA0) -> np.ndarray:
+def compute_flux(kind: str, W, frame: FaceFrame, delta0: float = ROE_DELTA0) -> np.ndarray:
     if kind == "roe":
-        return roe_flux(WL, WR, frame, delta0)
+        return roe_flux(W, frame, delta0)
     try:
         flux = {"hll": hll_flux, "hllc": hllc_flux, "van_leer": van_leer_flux}[kind]
     except KeyError:
         raise ValueError(f"unknown solver kind {kind!r}") from None
-    return flux(WL, WR, frame)
+    return flux(W, frame)

@@ -75,8 +75,9 @@ class Spectrum:
 FD_STEP = 1e-7
 
 
-def _fd_jacobians_U(solver, UL, UR, frame, delta0, label="face"):
-    """Central-difference d(flux)/dU^L and d(flux)/dU^R at the face states.
+def _fd_jacobians_U(solver, U, frame, delta0, label="face"):
+    """Central-difference d(flux)/dU of each side-stacked face state U
+    (..., 2F, 4), side-stacked likewise: (..., 2F, 4, 4).
 
     Component k is probed with the step FD_STEP * max(1, |U_k|).  Probes
     act on the conservative components; derivatives against other
@@ -85,54 +86,51 @@ def _fd_jacobians_U(solver, UL, UR, frame, delta0, label="face"):
     sit on leading axes (sign, side, component) of one flux call, so an
     ``InvalidStateError`` of a probe names it by those axes first.
     """
-    U = np.stack([UL, UR])  # (side, ..., 4)
+    n = U.shape[-2] // 2
     h = np.maximum(FD_STEP, FD_STEP * np.abs(U))  # the step of each probe
-    e = np.zeros((2, 4) + UL.shape)  # (side, probed component, ..., 4)
+    e = np.zeros((4,) + U.shape)  # (probed component, ..., 2F, 4)
     for k in range(4):
-        e[:, k, ..., k] = h[..., k]
-    ULp = np.empty((2,) + e.shape)  # (sign, side, component, ..., 4)
-    URp = np.empty_like(ULp)
-    ULp[0, 0], ULp[1, 0], ULp[:, 1] = UL + e[0], UL - e[0], UL
-    URp[0, 1], URp[1, 1], URp[:, 0] = UR + e[1], UR - e[1], UR
-    WLp = euler.cons_to_prim(ULp, f"{label} probe L")
-    WRp = euler.cons_to_prim(URp, f"{label} probe R")
-    flux = riemann.compute_flux(solver, WLp, WRp, frame, delta0)
+        e[k, ..., k] = h[..., k]
+    Up = np.empty((2, 2) + e.shape)  # (sign, probed side, component, ..., 2F, 4)
+    Up[:] = U
+    for side, rows in enumerate((slice(None, n), slice(n, None))):
+        Up[0, side, ..., rows, :] += e[..., rows, :]
+        Up[1, side, ..., rows, :] -= e[..., rows, :]
+    Wp = euler.on_sides(euler.cons_to_prim, Up, f"{label} probe")
+    flux = riemann.compute_flux(solver, Wp, frame, delta0)
     # A[side][..., :, k] = (F(+h_k) - F(-h_k)) / (2 h_k)
-    dF = (flux[0] - flux[1]) / (2.0 * np.moveaxis(h, -1, 1)[..., None])
-    AL, AR = np.moveaxis(dF, 1, -1).copy()
-    if not (np.all(np.isfinite(AL)) and np.all(np.isfinite(AR))):
-        bad = np.argwhere(
-            ~np.all(np.isfinite(AL), axis=(-2, -1)) | ~np.all(np.isfinite(AR), axis=(-2, -1))
-        )
+    h_side = np.moveaxis(h.reshape(h.shape[:-2] + (2, n, 4)), (-3, -1), (0, 1))
+    dF = (flux[0] - flux[1]) / (2.0 * h_side[..., None])
+    # (..., side, F, 4, component), then the side axis
+    A = np.moveaxis(dF, (0, 1), (-4, -1)).copy().reshape(U.shape + (4,))
+    bad = ~np.all(np.isfinite(A), axis=(-2, -1))
+    if bad.any():
+        bad = np.argwhere(bad[..., :n] | bad[..., n:])
         raise DifferentiationError(f"non-finite flux Jacobian at {label} {bad[:4].tolist()}")
-    return AL, AR
+    return A
 
 
-def face_blocks(recon: FaceRecon, AL_U, AR_U) -> np.ndarray:
+def face_blocks(recon: FaceRecon, A_U) -> np.ndarray:
     """Six coefficient blocks per face, one per slot of its stencil: slot o
-    is the cell at offset o-2 from the face's left cell.
+    is the cell at offset o-2 from the face's left cell.  ``A_U`` holds the
+    side-stacked flux Jacobians of ``_fd_jacobians_U``.
 
     The -2 and +3 entries are the alpha pair, -1/+2 the beta pair and the
     0/+1 entries the chi pair of the frozen-weight flux linearization.
     """
+    n = A_U.shape[-3] // 2
     if recon.space == "conservative":
-        AL, AR = AL_U, AR_U
+        A = A_U
     elif recon.space == "primitive":
-        AL = AL_U @ euler.du_dw(recon.WL)
-        AR = AR_U @ euler.du_dw(recon.WR)
+        A = A_U @ euler.du_dw(recon.W)
     else:
-        AL = AL_U @ recon.Rmat
-        AR = AR_U @ recon.Rmat
+        A = A_U @ np.concatenate([recon.Rmat, recon.Rmat], axis=-3)
 
-    shp = recon.lin_L.shape[:-2]
-    cl6 = np.zeros(shp + (6, 4))
-    cr6 = np.zeros(shp + (6, 4))
-    cl6[..., :5, :] = recon.lin_L  # offsets -2..2
-    cr6[..., 1:, :] = recon.lin_R  # offsets -1..3
-    blocks = (
-        AL[..., None, :, :] * cl6[..., :, None, :]
-        + AR[..., None, :, :] * cr6[..., :, None, :]
-    )
+    c6 = np.zeros(A.shape[:-2] + (6, 4))
+    c6[..., :n, :5, :] = recon.lin[..., :n, :, :]  # left states: offsets -2..2
+    c6[..., n:, 1:, :] = recon.lin[..., n:, ::-1, :]  # right states: -1..3, unmirrored
+    side_blocks = A[..., None, :, :] * c6[..., :, None, :]
+    blocks = side_blocks[..., :n, :, :, :] + side_blocks[..., n:, :, :, :]
     if recon.space == "characteristic":
         blocks = np.einsum("...oab,...bc->...oac", blocks, recon.Lmat)
     return blocks
@@ -199,13 +197,10 @@ def assemble(field: MeanField, scheme: Scheme, check_steady: bool = True) -> Sta
 
     parts = []
     for table, solver, recon in marching.face_reconstructions(field, states, scheme):
-        UL = euler.prim_to_cons(recon.WL)
-        UR = euler.prim_to_cons(recon.WR)
         orientations = "/".join(o for o, _ in table.grids)
-        AL_U, AR_U = _fd_jacobians_U(
-            solver, UL, UR, table.frame, scheme.roe_delta0, label=f"{orientations}-face"
-        )
-        B = face_blocks(recon, AL_U, AR_U)
+        A_U = _fd_jacobians_U(solver, euler.prim_to_cons(recon.W), table.frame,
+                              scheme.roe_delta0, label=f"{orientations}-face")
+        B = face_blocks(recon, A_U)
         for (axis, grid_blocks), (_, grid_window) in zip(table.split(B, 0),
                                                          table.split(table.window, 0)):
             parts += _face_triplets(grid_blocks, grid_window, axis, field, T_out)

@@ -3,7 +3,8 @@ per-direction sliding-window path it replaced, kept here as the reference:
 x faces and y faces windowed, reconstructed and fluxed one orientation at a
 time with the scalar frames ``X_FACE`` and ``Y_FACE``, their shock faces
 flagged by per-orientation masks, and their blocks scattered by offsets
-along the face normal, with a hand-built outflow chain rule."""
+along the face normal, with a hand-built outflow chain rule.  Each face
+grid is flattened onto the side axis the package takes."""
 
 from dataclasses import replace
 
@@ -16,6 +17,7 @@ from shockstab.euler import X_FACE, Y_FACE
 from shockstab.scheme import Scheme
 
 from padded_reference import padded
+from side_axis import side_windows
 from test_marching import _periodic_x_field
 
 
@@ -51,30 +53,33 @@ def shock_face_masks(field):
 
 
 def per_direction_face_reconstructions(field, Upad, scheme, linearise=True):
-    """Yield (axis, solver, frame, FaceRecon) per face orientation, the face
-    states on the (nx+1, ny) or (nx, ny+1) face grid."""
-    Xpad = euler.cons_to_prim(Upad, "padded field") if scheme.space == "primitive" else None
+    """Yield (axis, solver, frame, grid, FaceRecon) per face orientation: the
+    windows of the (nx+1, ny) or (nx, ny+1) face grid are flattened onto the
+    side axis."""
+    if scheme.space == "primitive":
+        Upad = euler.cons_to_prim(Upad, "padded field")
     cap_masks = shock_face_masks(field) if scheme.cap != "none" else (None, None)
     axes = ("x", "y") if field.ny > 1 else ("x",)
     for axis, cap_mask in zip(axes, cap_masks):
         solver, _ = scheme.per_direction(axis)
         windows, frame = (_x_face_windows, X_FACE) if axis == "x" else (_y_face_windows, Y_FACE)
-        winL, winR = windows(Upad, field.nx, field.ny)
-        XwinL, XwinR = (None, None) if Xpad is None else windows(Xpad, field.nx, field.ny)
+        winL, winR = (w.reshape(w.shape[:-4] + (-1, 5, 4)) for w in windows(Upad, field.nx, field.ny))
         recon = reconstruction.reconstruct_pair(
-            winL, winR, scheme.recon_config(axis), frame,
-            cap_cfg=scheme.cap_config(axis), cap_mask=cap_mask, XwinL=XwinL, XwinR=XwinR,
+            side_windows(winL, winR), scheme.recon_config(axis), frame,
+            cap_cfg=scheme.cap_config(axis), cap_mask=None if cap_mask is None else cap_mask.ravel(),
             linearise=linearise,
         )
-        yield axis, solver, frame, recon
+        grid = (field.nx + 1, field.ny) if axis == "x" else (field.nx, field.ny + 1)
+        yield axis, solver, frame, grid, recon
 
 
 def per_direction_rhs(field, scheme):
     Upad = padded(field)
     res = np.zeros(field.U.shape)
-    for axis, solver, frame, recon in per_direction_face_reconstructions(
+    for axis, solver, frame, grid, recon in per_direction_face_reconstructions(
             field, Upad, scheme, linearise=False):
-        flux = riemann.compute_flux(solver, recon.WL, recon.WR, frame, scheme.roe_delta0)
+        flux = riemann.compute_flux(solver, recon.W, frame, scheme.roe_delta0)
+        flux = flux.reshape(flux.shape[:-2] + grid + (4,))
         res -= np.diff(flux, axis=-3 if axis == "x" else -2)
     return res
 
@@ -133,12 +138,10 @@ def per_direction_assemble(field, scheme):
             T_out[:, 3, 2] = Wint[nx - 1, :, 2]
     parts = []
     Upad = padded(field)
-    for axis, solver, frame, recon in per_direction_face_reconstructions(field, Upad, scheme):
-        AL_U, AR_U = stability._fd_jacobians_U(
-            solver, euler.prim_to_cons(recon.WL), euler.prim_to_cons(recon.WR),
-            frame, scheme.roe_delta0,
-        )
-        parts += face_triplets(stability.face_blocks(recon, AL_U, AR_U), axis, field, T_out)
+    for axis, solver, frame, grid, recon in per_direction_face_reconstructions(field, Upad, scheme):
+        A_U = stability._fd_jacobians_U(solver, euler.prim_to_cons(recon.W), frame, scheme.roe_delta0)
+        B = stability.face_blocks(recon, A_U).reshape(grid + (6, 4, 4))
+        parts += face_triplets(B, axis, field, T_out)
     rows, cols, signs, blocks = (np.concatenate(p) for p in zip(*parts))
     if scheme.space == "primitive":
         blocks = euler.dw_du(Wint).reshape(-1, 4, 4)[rows] @ blocks
@@ -230,6 +233,30 @@ def test_one_reconstruction_and_one_flux_call_per_scheme_part(monkeypatch, solve
     assert calls == {"reconstruct_pair": batches, "compute_flux": batches}
 
 
+@pytest.mark.parametrize("space", SPACES)
+@pytest.mark.parametrize("solver, batches", [("roe", 1), ("hybrid-2", 2)])
+def test_one_left_state_call_and_one_window_gather_per_face_batch(monkeypatch, space, solver,
+                                                                   batches):
+    # both states of every face come from one gather and one reconstruction,
+    # in the primitive space too, where the cells are converted first
+    calls = {"_left_state": 0, "_windows": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(reconstruction, "_left_state")
+    counting(marching, "_windows")
+    field = sp.build_initial_field(sp.ShockProblemConfig(ny=4))
+    marching.rhs(field, Scheme(solver=solver, order=5, space=space))
+    assert calls == {"_left_state": batches, "_windows": batches}
+
+
 def test_face_table_windows_and_normals():
     # every stencil runs along its face's normal through the face's two cells
     nx, ny = 4, 3
@@ -258,6 +285,9 @@ def test_face_table_windows_and_normals():
     assert np.array_equal(window[(nx + 1) * ny :, 2].reshape(nx, ny + 1), cell[:, np.arange(-1, ny) % ny])
     # every state is read: the cells, the inflow state and each row's outflow state
     assert np.array_equal(np.unique(window), np.arange(nx * ny + 1 + ny))
+    # the side axis: every left window, then every right window mirrored
+    assert not table.sides.flags.writeable
+    assert np.array_equal(table.sides, np.concatenate([window[:, 0:5], window[:, 5:0:-1]]))
     assert fields.face_table(nx, ny, ("x", "y"), False, None) is table
     # a single orientation keeps its scalar normal
     assert fields.face_table(nx, ny, ("y",), False, None).frame is euler.Y_FACE
@@ -291,8 +321,10 @@ def test_state_windows_equal_the_padded_reference_windows():
         states, Upad = fields.apply_boundaries(field), padded(field)
         table = fields.face_table(field.nx, field.ny, ("x", "y"), field.bc.periodic_x,
                                   field.shock_column)
-        stencils = marching._windows(states, table.window)
-        for side, windows in enumerate((stencils[..., :5, :], stencils[..., 1:, :])):
+        windows = marching._windows(states, table.sides)
+        n = windows.shape[-3] // 2
+        # the right windows come mirrored
+        for side, windows in enumerate((windows[..., :n, :, :], windows[..., n:, ::-1, :])):
             gathered = table.split(windows, field.U.ndim - 3)
             for (orientation, win), ref in zip(gathered, (_x_face_windows, _y_face_windows)):
                 expect = ref(Upad, field.nx, field.ny)[side]

@@ -10,6 +10,7 @@ from shockstab.marching import MonitorSeries, RunConfig, fit_growth_rate
 from shockstab.scheme import Scheme
 
 from padded_reference import padded
+from side_axis import face_flux
 
 
 def uniform_field(W, nx=8, ny=8):
@@ -52,10 +53,10 @@ def test_rhs_matches_flux_divergence_manufactured():
     for i in range(nx):
         for j in range(ny):
             ip, jp = i + 3, j + 3
-            fxp = riemann.hll_flux(Wpad[ip, jp], Wpad[ip + 1, jp], euler.X_FACE)
-            fxm = riemann.hll_flux(Wpad[ip - 1, jp], Wpad[ip, jp], euler.X_FACE)
-            fyp = riemann.hll_flux(Wpad[ip, jp], Wpad[ip, jp + 1], euler.Y_FACE)
-            fym = riemann.hll_flux(Wpad[ip, jp - 1], Wpad[ip, jp], euler.Y_FACE)
+            fxp = face_flux(riemann.hll_flux, Wpad[ip, jp], Wpad[ip + 1, jp], euler.X_FACE)
+            fxm = face_flux(riemann.hll_flux, Wpad[ip - 1, jp], Wpad[ip, jp], euler.X_FACE)
+            fyp = face_flux(riemann.hll_flux, Wpad[ip, jp], Wpad[ip, jp + 1], euler.Y_FACE)
+            fym = face_flux(riemann.hll_flux, Wpad[ip, jp - 1], Wpad[ip, jp], euler.Y_FACE)
             expect[i, j] = -(fxp - fxm + fyp - fym)
     assert np.allclose(r, expect, rtol=1e-12, atol=1e-12)
 
@@ -69,11 +70,9 @@ def test_flux_telescoping_row_sums():
     from shockstab import reconstruction, riemann
 
     table = fields.face_table(c.nx, c.ny, ("x",), False, None)
-    stencils = fields.apply_boundaries(field)[table.window]
-    recon = reconstruction.reconstruct_pair(
-        stencils[:, :5], stencils[:, 1:], scheme.recon_config("x"), euler.X_FACE
-    )
-    fx = riemann.hll_flux(recon.WL, recon.WR, euler.X_FACE).reshape(c.nx + 1, c.ny, 4)
+    windows = euler.cons_to_prim(fields.apply_boundaries(field))[table.sides]  # primitive space
+    recon = reconstruction.reconstruct_pair(windows, scheme.recon_config("x"), euler.X_FACE)
+    fx = riemann.hll_flux(recon.W, euler.X_FACE).reshape(c.nx + 1, c.ny, 4)
     for j in range(c.ny):
         row_sum = r[:, j].sum(axis=0)
         expect = -(fx[-1, j] - fx[0, j])
@@ -124,6 +123,19 @@ def test_batched_rhs_is_the_stack_of_single_rhs(monkeypatch, order, space, cap):
             assert np.array_equal(batched, np.stack(single).reshape(U.shape))
             if space == "conservative" and order > 1 and not field.bc.periodic_x:
                 assert hit_fallback  # the raw M = 20 jump drives p < 0 at a face
+
+
+def test_window_scan_tries_a_window_of_exactly_min_len():
+    # n = 11, min_len = 10: the shrink step from 11 must not skip length 10.
+    # An outlier at the end spoils every end-anchored window
+    t = np.arange(11.0)
+    y = 0.5 * t
+    y[-1] += 5.0
+    assert marching._window_r2_scan(t, y, 10) == (0, 10)
+    t12 = np.arange(12.0)
+    y12 = 0.5 * t12
+    y12[-2:] += 5.0
+    assert marching._window_r2_scan(t12, y12, 10) == (0, 10)
 
 
 def test_cfl_dt():

@@ -4,6 +4,8 @@ import pytest
 from shockstab import euler, reconstruction as rc
 from shockstab.euler import X_FACE
 
+from side_axis import halves, side_states, side_windows
+
 
 # The per-slot WENO5 formulas that the substencil-axis kernels replaced, kept
 # as the reference: each beta and candidate spelled out on (..., comps) slot
@@ -135,10 +137,9 @@ def test_weno5_right_symmetry():
     rng = np.random.default_rng(1)
     w = np.repeat(rng.uniform(0.5, 2.0, (50, 5, 1)), 4, axis=-1)  # primitive windows
     cfg = rc.ReconConfig(space="primitive")
-    U = euler.prim_to_cons(w)
-    right = rc.reconstruct_pair(U, U, cfg, X_FACE).WR
-    # the primitive windows reconstruct_pair converts back from U
-    left, _ = rc._left_state(euler.cons_to_prim(U)[:, ::-1], cfg)
+    W = euler.cons_to_prim(euler.prim_to_cons(w))  # the primitive windows rhs gathers
+    _, right = halves(rc.reconstruct_pair(side_windows(W, W), cfg, X_FACE).W, -2)
+    left, _ = rc._left_state(W[:, ::-1], cfg)
     assert np.array_equal(right, left)
 
 
@@ -237,12 +238,12 @@ def test_weno5_convergence_order(variant, profile):
 def test_reconstruct_pair_uniform_any_space():
     W = np.array([1.4, 20.0, 0.0, 1.0])
     U = euler.prim_to_cons(W)
-    win = np.broadcast_to(U, (3, 5, 4)).copy()
     for space in ("conservative", "primitive", "characteristic"):
+        win = np.broadcast_to(W if space == "primitive" else U, (3, 5, 4))
         cfg = rc.ReconConfig(space=space)
-        out = rc.reconstruct_pair(win, win, cfg, X_FACE)
-        assert np.allclose(out.WL, W, atol=1e-12)
-        assert np.allclose(out.WR, W, atol=1e-12)
+        out = rc.reconstruct_pair(side_windows(win, win), cfg, X_FACE)
+        assert np.allclose(out.W, W, atol=1e-12)
+        assert out.W.shape == (6, 4)
         assert not out.fallback.any()
 
 
@@ -255,8 +256,8 @@ def test_characteristic_projection_round_trip():
     U = euler.prim_to_cons(W)
     win = np.repeat(U[:, None, :], 5, axis=1)  # constant windows
     cfg = rc.ReconConfig(kind="first", space="characteristic")
-    out = rc.reconstruct_pair(win, win, cfg, X_FACE)
-    assert np.allclose(out.WL, W, rtol=1e-12, atol=1e-12)
+    out = rc.reconstruct_pair(side_windows(win, win), cfg, X_FACE)
+    assert np.allclose(out.W, side_states(W, W), rtol=1e-12, atol=1e-12)
 
 
 def test_characteristic_differs_from_primitive_on_curved_profile():
@@ -267,12 +268,12 @@ def test_characteristic_differs_from_primitive_on_curved_profile():
         scale = 1.0 + 0.4 * m * m  # curved, smooth-ish
         win[0, m] = euler.prim_to_cons(base * scale)
     outs = {}
-    for space in ("conservative", "primitive"):
+    for space, w in (("conservative", win), ("primitive", euler.cons_to_prim(win))):
         cfg = rc.ReconConfig(space=space)
-        outs[space] = rc.reconstruct_pair(win, win, cfg, X_FACE)
-    assert np.all(np.isfinite(outs["conservative"].WL))
-    assert np.all(np.isfinite(outs["primitive"].WL))
-    assert not np.allclose(outs["conservative"].WL, outs["primitive"].WL)
+        outs[space] = rc.reconstruct_pair(side_windows(w, w), cfg, X_FACE)
+    assert np.all(np.isfinite(outs["conservative"].W))
+    assert np.all(np.isfinite(outs["primitive"].W))
+    assert not np.allclose(outs["conservative"].W[0], outs["primitive"].W[0])
 
 
 def test_positivity_fallback(linear_weights):
@@ -288,9 +289,9 @@ def test_positivity_fallback(linear_weights):
     )
     U = euler.prim_to_cons(W)[None]
     cfg = rc.ReconConfig(space="conservative")
-    out = rc.reconstruct_pair(U, U, cfg, X_FACE)
-    assert np.all(out.WL[..., 0] > 0) and np.all(out.WL[..., 3] > 0)
-    assert np.all(out.WR[..., 0] > 0) and np.all(out.WR[..., 3] > 0)
+    out = rc.reconstruct_pair(side_windows(U, U), cfg, X_FACE)
+    assert out.fallback.all()
+    assert np.all(out.W[..., 0] > 0) and np.all(out.W[..., 3] > 0)
 
 
 def test_eno3_picks_single_stencil():
@@ -321,9 +322,152 @@ def test_face_states_do_not_depend_on_linearise(order, space, cap):
     for on, off in zip(marching.face_reconstructions(field, states, scheme),
                        marching.face_reconstructions(field, states, scheme, linearise=False)):
         a, b = on[2], off[2]
-        for name in ("WL", "WR", "fallback"):
+        for name in ("W", "fallback"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), (on[0].grids, name)
-        assert a.lin_L is not None and b.lin_L is None and b.lin_R is None
+        assert a.lin is not None and b.lin is None
         fallback_faces += int(a.fallback.sum())
     if space == "conservative" and (order > 1 or cap == "second"):
         assert fallback_faces > 0
+
+
+# The two-call reconstruction that the side axis replaced, kept as the
+# reference: the left and the right windows held apart, each reconstructed
+# by its own ``_left_state`` call (the right one mirrored there and back),
+# validated and spliced on its own.
+def ref_reconstruct_pair(winL_U, winR_U, cfg, frame, cap_cfg=None, cap_mask=None,
+                         XwinL=None, XwinR=None, linearise=True):
+    recon = ref_reconstruct_pair_one(winL_U, winR_U, cfg, frame, XwinL, XwinR, linearise)
+    if cap_mask is not None and np.any(cap_mask):
+        at = (slice(None),) * (winL_U.ndim - 2 - np.ndim(cap_mask)) + (cap_mask,)
+        sub = ref_reconstruct_pair_one(
+            winL_U[at], winR_U[at], cap_cfg, frame.at(cap_mask),
+            None if XwinL is None else XwinL[at],
+            None if XwinR is None else XwinR[at],
+            linearise,
+        )
+        names = ("WL", "WR", "lin_L", "lin_R") if linearise else ("WL", "WR")
+        for name in names:
+            recon[name][at] = sub[name]
+        recon["fallback"][at] = sub["fallback"]
+    return recon
+
+
+def ref_reconstruct_pair_one(winL_U, winR_U, cfg, frame, XwinL, XwinR, linearise):
+    Lmat = Rmat = None
+    if cfg.space == "characteristic":
+        W_l = euler.cons_to_prim(winL_U[..., 2, :], "face-left cell")
+        W_r = euler.cons_to_prim(winR_U[..., 2, :], "face-right cell")
+        W_eval = 0.5 * (W_l + W_r)
+        Lmat = euler.left_eigen_matrix(W_eval, frame)
+        Rmat = euler.right_eigen_matrix(W_eval, frame)
+        XwinL = np.einsum("...ab,...wb->...wa", Lmat, winL_U)
+        XwinR = np.einsum("...ab,...wb->...wa", Lmat, winR_U)
+    elif cfg.space == "conservative":
+        XwinL, XwinR = winL_U, winR_U
+
+    XL, lin_L = rc._left_state(XwinL, cfg, linearise)
+    XR, lin_Rm = rc._left_state(XwinR[..., ::-1, :], cfg, linearise)
+    lin_R = lin_Rm[..., ::-1, :].copy() if linearise else None
+
+    if cfg.space == "conservative":
+        WL, okL = rc._prim_soft(XL)
+        WR, okR = rc._prim_soft(XR)
+    elif cfg.space == "primitive":
+        WL, WR = XL, XR
+        okL = (WL[..., 0] > 0) & (WL[..., 3] > 0) & np.isfinite(WL).all(axis=-1)
+        okR = (WR[..., 0] > 0) & (WR[..., 3] > 0) & np.isfinite(WR).all(axis=-1)
+    else:
+        WL, okL = rc._prim_soft(np.einsum("...ab,...b->...a", Rmat, XL))
+        WR, okR = rc._prim_soft(np.einsum("...ab,...b->...a", Rmat, XR))
+
+    fallback = ~(okL & okR)
+    if fallback.any():
+        if linearise:
+            first = np.zeros(lin_L.shape[-2:])
+            first[2] = 1.0
+            lin_L[fallback] = first
+            lin_R[fallback] = first
+        WL[fallback] = euler.cons_to_prim(winL_U[fallback][..., 2, :], "fallback")
+        WR[fallback] = euler.cons_to_prim(winR_U[fallback][..., 2, :], "fallback")
+    return {"WL": WL, "WR": WR, "lin_L": lin_L, "lin_R": lin_R, "Lmat": Lmat, "Rmat": Rmat,
+            "fallback": fallback}
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(np.asarray(a).view(np.int64),
+                                                 np.asarray(b).view(np.int64))
+
+
+# the right state of this face, in one member of a batch, drives the
+# pressure negative; its left state stays admissible
+TRIPPED_FACE = 4
+_VIOLENT = euler.prim_to_cons(np.array([  # mirrored: the order its right state reads
+    [5.28, -8.59, 1.62, 2.28],
+    [11.8, 4.10, -2.26, 0.0716],
+    [0.0208, 0.210, 1.09, 0.00170],
+    [0.0265, 7.60, -0.587, 66.2],
+    [26.4, -25.4, -0.0464, 0.411],
+]))[::-1]
+
+
+def _face_windows(batch):
+    """Left and right conservative windows (*batch, F, 5, 4) of every face
+    of a perturbed 9x3 shock field, with their table; in a batch, the right
+    window of ``TRIPPED_FACE`` in the last member is ``_VIOLENT``."""
+    from dataclasses import replace
+
+    from shockstab import fields, shock_problem as sp
+
+    field = sp.build_initial_field(sp.ShockProblemConfig(nx=9, ny=3, shock_column=5))
+    rng = np.random.default_rng(22)
+    U = field.U * (1.0 + 1e-3 * rng.standard_normal(batch + field.U.shape))
+    states = fields.apply_boundaries(replace(field, U=U))
+    table = fields.face_table(9, 3, ("x", "y"), False, 5)
+    winL = states[..., table.window[:, :5], :]
+    winR = states[..., table.window[:, 1:], :]
+    if batch:
+        winR[(-1,) * len(batch) + (TRIPPED_FACE,)] = _VIOLENT
+    return winL, winR, table
+
+
+@pytest.mark.parametrize("space", ["conservative", "primitive", "characteristic"])
+@pytest.mark.parametrize("kind, variant", [("first", "z"), ("muscl", "z"), ("weno5", "z"),
+                                           ("weno5", "js"), ("eno3", "z")])
+@pytest.mark.parametrize("cap", ["none", "second"])
+def test_side_axis_reconstruction_equals_the_two_call_reference(space, kind, variant, cap):
+    # one left-state call on the side axis gives the bits of the two calls:
+    # face states, frozen-weight coefficients, fallback faces, eigen-matrices
+    cfg = rc.ReconConfig(kind=kind, weno_variant=variant, space=space)
+    cap_cfg = rc.config_for_cap(cap, cfg) if cap != "none" else None
+    for batch in ((), (3,), (2, 3)):
+        winL, winR, table = _face_windows(batch)
+        cap_mask = None if cap_cfg is None else table.shock
+        XwinL = XwinR = None
+        if space == "primitive":
+            XwinL, XwinR = euler.cons_to_prim(winL), euler.cons_to_prim(winR)
+        sides = side_windows(winL, winR) if XwinL is None else side_windows(XwinL, XwinR)
+        for linearise in (True, False):
+            ref = ref_reconstruct_pair(winL, winR, cfg, table.frame, cap_cfg, cap_mask,
+                                       XwinL, XwinR, linearise)
+            got = rc.reconstruct_pair(sides, cfg, table.frame, cap_cfg, cap_mask, linearise)
+            WL, WR = halves(got.W, -2)
+            assert _same_bits(WL, ref["WL"]) and _same_bits(WR, ref["WR"]), (batch, linearise)
+            assert np.array_equal(got.fallback, ref["fallback"])
+            for name in ("Lmat", "Rmat"):
+                mine, theirs = getattr(got, name), ref[name]
+                assert (mine is None and theirs is None) or _same_bits(mine, theirs), name
+            if linearise:
+                lin_L, lin_R = halves(got.lin, -3)
+                assert _same_bits(lin_L, ref["lin_L"])
+                assert _same_bits(lin_R[..., ::-1, :], ref["lin_R"])
+            else:
+                assert got.lin is None
+            if batch and kind != "first":
+                # the violent right window alone trips the fallback, in the
+                # last member only
+                tripped = np.zeros(got.fallback.shape, dtype=bool)
+                tripped[(-1,) * len(batch) + (TRIPPED_FACE,)] = True
+                assert np.all(got.fallback[tripped])
+                left_only = ref_reconstruct_pair(winL, winL, cfg, table.frame,
+                                                 XwinL=XwinL, XwinR=XwinL, linearise=False)
+                assert not left_only["fallback"][tripped].any()

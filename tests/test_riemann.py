@@ -6,13 +6,14 @@ from shockstab.errors import DegenerateFanError, InvalidStateError
 from shockstab.euler import FaceFrame, X_FACE
 from shockstab.scheme import Scheme
 
+from side_axis import face_flux
 from test_euler import random_frames, random_states
 
 ALL_SOLVERS = ["roe", "hll", "hllc", "van_leer"]
 
 
 def flux(kind, WL, WR, frame=X_FACE):
-    return riemann.compute_flux(kind, WL, WR, frame)
+    return face_flux(lambda W, f: riemann.compute_flux(kind, W, f), WL, WR, frame)
 
 
 def rh_pair(m0=20.0):
@@ -64,8 +65,8 @@ def test_rotation_equivariance(kind):
             return np.array([W[0], ca * W[1] - sa * W[2], sa * W[1] + ca * W[2], W[3]])
 
         frame2 = FaceFrame(ca * frame.nx - sa * frame.ny, sa * frame.nx + ca * frame.ny)
-        F = riemann.compute_flux(kind, WL, WR, frame)
-        F2 = riemann.compute_flux(kind, rot(WL), rot(WR), frame2)
+        F = flux(kind, WL, WR, frame)
+        F2 = flux(kind, rot(WL), rot(WR), frame2)
         expect = np.array([F[0], ca * F[1] - sa * F[2], sa * F[1] + ca * F[2], F[3]])
         assert np.allclose(F2, expect, rtol=1e-10, atol=1e-10), kind
 
@@ -77,7 +78,7 @@ def test_roe_steady_shock_flux_equality():
     FL = euler.exact_flux_w(WL, X_FACE)
     FR = euler.exact_flux_w(WR, X_FACE)
     assert np.allclose(FL, FR, rtol=1e-12)
-    F = riemann.roe_flux(WL, WR, X_FACE, 1e-13)
+    F = face_flux(riemann.roe_flux, WL, WR, X_FACE, 1e-13)
     assert np.max(np.abs(F - FL)) < 1e-8 * np.abs(FL).max()
 
 
@@ -86,7 +87,7 @@ def test_roe_smoothing_perturbs_steady_shock_at_default_delta():
     # the vanishing eigenvalue; the steady-shock flux is no longer exact
     WL, WR = rh_pair()
     FL = euler.exact_flux_w(WL, X_FACE)
-    F = riemann.roe_flux(WL, WR, X_FACE, 1e-4)
+    F = face_flux(riemann.roe_flux, WL, WR, X_FACE, 1e-4)
     dev = np.max(np.abs(F - FL))
     assert 1e-8 < dev < 1.0
 
@@ -101,7 +102,7 @@ def test_hll_dissipates_steady_shock():
     UL = euler.prim_to_cons(WL)
     UR = euler.prim_to_cons(WR)
     expected = euler.exact_flux_w(WL, X_FACE) + s_l * s_r * (UR - UL) / (s_r - s_l)
-    F = riemann.hll_flux(WL, WR, X_FACE)
+    F = face_flux(riemann.hll_flux, WL, WR, X_FACE)
     assert np.allclose(F, expected, rtol=1e-12)
     assert abs(F[0] - WL[0] * WL[1]) > 1.0  # mass flux visibly off the RH value
 
@@ -121,16 +122,16 @@ def test_hllc_resolves_contact():
     WR = np.array([2.0, 0.5, 0.3, 1.0])
     FL = euler.exact_flux_w(WL, X_FACE)
     # moving contact: flux of the upwind side
-    F = riemann.hllc_flux(WL, WR, X_FACE)
+    F = face_flux(riemann.hllc_flux, WL, WR, X_FACE)
     assert np.allclose(F, FL, atol=1e-12)
-    F_hll = riemann.hll_flux(WL, WR, X_FACE)
+    F_hll = face_flux(riemann.hll_flux, WL, WR, X_FACE)
     assert not np.allclose(F_hll, FL, atol=1e-6)
 
 
 def test_van_leer_splitting_consistency():
     rng = np.random.default_rng(14)
     W = random_states(rng, 100, (0.0, 0.95))
-    F = riemann.van_leer_flux(W, W, X_FACE)
+    F = face_flux(riemann.van_leer_flux, W, W, X_FACE)
     exact = euler.exact_flux_w(W, X_FACE)
     scale = np.abs(exact).max() + 1.0
     assert np.max(np.abs(F - exact)) < 1e-12 * scale
@@ -139,7 +140,7 @@ def test_van_leer_splitting_consistency():
 def test_van_leer_supersonic_one_sided():
     WL = np.array([1.0, 3.0, 0.4, 1.0])
     WR = np.array([0.9, 3.5, -0.2, 1.2])
-    F = riemann.van_leer_flux(WL, WR, X_FACE)
+    F = face_flux(riemann.van_leer_flux, WL, WR, X_FACE)
     assert np.allclose(F, euler.exact_flux_w(WL, X_FACE), atol=1e-13)
 
 
@@ -149,7 +150,7 @@ def test_degenerate_fan_raises():
     W = np.array([1.0, 1.0, 0.0, 1e-30])
     for kind in ("hll", "hllc"):
         with pytest.raises(DegenerateFanError):
-            riemann.compute_flux(kind, W, W, X_FACE)
+            flux(kind, W, W)
 
 
 def test_roe_breakdown_names_the_face():
@@ -157,7 +158,7 @@ def test_roe_breakdown_names_the_face():
     WL, WR = random_states(rng, 6), random_states(rng, 6)
     WL[3, 3] = -100.0  # a negative pressure drives the Roe-average c^2 below zero
     with pytest.raises(InvalidStateError, match=r"non-positive c\^2 at face\(s\) \(3,\)$"):
-        riemann.roe_flux(WL, WR, X_FACE)
+        face_flux(riemann.roe_flux, WL, WR, X_FACE)
 
 
 def test_collapsed_fan_names_the_face():
@@ -192,12 +193,12 @@ def test_hybrid_dispatch():
 
     def hybrid(kind, orientation):
         solver, order = Scheme(solver=kind).per_direction(axis_of[orientation])
-        return riemann.compute_flux(solver, *pairs[order], X_FACE)
+        return flux(solver, *pairs[order])
 
     F = hybrid("hybrid-1", "transverse")
-    assert np.allclose(F, riemann.roe_flux(WL5, WR5, X_FACE))
+    assert np.allclose(F, face_flux(riemann.roe_flux, WL5, WR5, X_FACE))
     F = hybrid("hybrid-1", "normal")
-    assert np.allclose(F, riemann.van_leer_flux(WL1, WR1, X_FACE))
+    assert np.allclose(F, face_flux(riemann.van_leer_flux, WL1, WR1, X_FACE))
     # hybrid-2 swaps the branches everywhere
     for orientation in ("normal", "transverse"):
         other = "transverse" if orientation == "normal" else "normal"

@@ -1,8 +1,10 @@
 """The flux kernels of ``riemann`` against the branch-per-side kernels they
 replaced, kept here as the reference: every branch (both exact fluxes, both
 HLLC star fluxes, both van Leer split fluxes) built at every face and one
-kept with nested ``np.where``.  The rewritten kernels build one upwind state
-per face and must give the same bits."""
+kept with nested ``np.where``, with the left and the right states held
+apart.  The rewritten kernels take both on one side axis, build one upwind
+state per face and must give the same bits.  The reference names a bad
+state by (side, face) as they do."""
 
 import numpy as np
 import pytest
@@ -12,11 +14,18 @@ from shockstab.errors import DegenerateFanError, InvalidStateError
 from shockstab.euler import GAMMA, FaceFrame, X_FACE
 from shockstab.fields import face_table
 
+from side_axis import side_states
 from test_euler import random_states
 
 
 def _normal_velocity(W, frame):
     return W[..., 1] * frame.nx + W[..., 2] * frame.ny
+
+
+def ref_sound_speeds(WL, WR):
+    """Both sides' sound speeds; a bad state is named by its (side, face)."""
+    c = euler.sound_speed(np.stack([WL, WR], axis=-3))
+    return c[..., 0, :], c[..., 1, :]
 
 
 def ref_roe_flux(WL, WR, frame, delta0=riemann.ROE_DELTA0):
@@ -71,10 +80,9 @@ def ref_roe_flux(WL, WR, frame, delta0=riemann.ROE_DELTA0):
 
 
 def ref_davis_speeds(WL, WR, frame):
+    cL, cR = ref_sound_speeds(WL, WR)
     qL = _normal_velocity(WL, frame)
     qR = _normal_velocity(WR, frame)
-    cL = euler.sound_speed(WL)
-    cR = euler.sound_speed(WR)
     s_l = np.minimum(qL - cL, qR - cR)
     s_r = np.maximum(qL + cL, qR + cR)
     if np.any(s_r - s_l < 1e-12):
@@ -144,9 +152,8 @@ def ref_van_leer_flux(WL, WR, frame):
     WR = np.asarray(WR, dtype=float)
     g = GAMMA
 
-    def split(W, sign):
+    def split(W, sign, c):
         rho, u, v, p = W[..., 0], W[..., 1], W[..., 2], W[..., 3]
-        c = euler.sound_speed(W)
         q = u * frame.nx + v * frame.ny
         m = q / c
         fm = sign * 0.25 * rho * c * (m + sign) ** 2
@@ -165,7 +172,8 @@ def ref_van_leer_flux(WL, WR, frame):
             return np.where(m_ >= 1.0, full, np.where(m_ <= -1.0, zero, sub))
         return np.where(m_ <= -1.0, full, np.where(m_ >= 1.0, zero, sub))
 
-    return split(WL, +1.0) + split(WR, -1.0)
+    cL, cR = ref_sound_speeds(WL, WR)
+    return split(WL, +1.0, cL) + split(WR, -1.0, cR)
 
 
 KERNELS = {
@@ -225,9 +233,9 @@ def test_kernel_matches_reference_bit_for_bit(kind, frame_name):
     WL2, WR2 = _pairs(rng, F)
     cases = [(WL, WR), (np.stack([WL, WL2]), np.stack([WR, WR2]))]
     if frame_name != "per-face":
-        cases += [(WL[f], WR[f]) for f in range(0, F, 7)]  # single faces, shape (4,)
+        cases += [(WL[f : f + 1], WR[f : f + 1]) for f in range(0, F, 7)]  # single faces
     for a, b in cases:
-        got, want = new(a, b, frame), ref(a, b, frame)
+        got, want = new(side_states(a, b), frame), ref(a, b, frame)
         assert got.shape == want.shape
         assert np.array_equal(_bits(got), _bits(want)), kind
 
@@ -254,11 +262,12 @@ def test_face_table_frame_matches_reference():
     rng = np.random.default_rng(102)
     WL, WR = _pairs(rng, 6 * (n // 6 + 1))
     for kind, (new, ref) in KERNELS.items():
-        got = new(WL[:n], WR[:n], table.frame)
+        got = new(side_states(WL[:n], WR[:n]), table.frame)
         assert np.array_equal(_bits(got), _bits(ref(WL[:n], WR[:n], table.frame))), kind
 
 
 def _raised(fn, *args):
+    """The type and the text of the error ``fn(*args)`` raises."""
     with pytest.raises((InvalidStateError, DegenerateFanError)) as info:
         fn(*args)
     return info.type, str(info.value)
@@ -275,5 +284,9 @@ def test_kernel_errors_match_reference(kind):
         flat = np.tile([1.0, 1.0, 0.0, 1e-30], (8, 1))  # c ~ 1e-15: the fan collapses
         cases.append((flat, flat))
     with np.errstate(invalid="ignore"):  # Roe's sqrt of the negative density
-        for WL, WR in cases:
-            assert _raised(new, WL, WR, X_FACE) == _raised(ref, WL, WR, X_FACE)
+        for side, (WL, WR) in enumerate(cases):
+            raised = _raised(new, side_states(WL, WR), X_FACE)
+            assert raised == _raised(ref, WL, WR, X_FACE)
+            if kind != "roe" and side < 2:
+                # a side's own state is named by (side, face), not by its row 8 + 5
+                assert raised[1].endswith(f"({side}, 5)"), raised

@@ -12,6 +12,7 @@ from shockstab.scheme import Scheme
 from shockstab.stability import Spectrum, assemble, eigensolve, localize
 
 from padded_reference import NG
+from side_axis import face_flux, halves, side_states, side_windows
 from test_euler import random_states
 
 
@@ -41,12 +42,18 @@ def block_cols(S, i, j):
 # ---------------------------------------------------------------- jacobians
 
 
+def fd_jacobians(solver, UL, UR, frame=X_FACE):
+    """(left, right) halves of ``_fd_jacobians_U`` of the side-stacked UL and
+    UR; one face's (4,) states give (4, 4) Jacobians."""
+    A = stability._fd_jacobians_U(solver, side_states(UL, UR), frame, riemann.ROE_DELTA0)
+    AL, AR = halves(A, -3)
+    return (AL[0], AR[0]) if np.ndim(UL) == 1 else (AL, AR)
+
+
 def test_flux_jacobians_van_leer_supersonic():
     WL = np.array([1.0, 3.0, 0.2, 1.0])
     WR = np.array([0.9, 3.4, -0.1, 1.1])
-    AL, AR = stability._fd_jacobians_U(
-        "van_leer", euler.prim_to_cons(WL), euler.prim_to_cons(WR), X_FACE, riemann.ROE_DELTA0,
-    )
+    AL, AR = fd_jacobians("van_leer", euler.prim_to_cons(WL), euler.prim_to_cons(WR))
     A_exact = euler.analytic_flux_jacobian(euler.prim_to_cons(WL), X_FACE)
     assert np.max(np.abs(AL - A_exact)) < 1e-5
     assert np.max(np.abs(AR)) < 1e-10
@@ -57,7 +64,7 @@ def test_flux_jacobians_consistency_identity(solver):
     rng = np.random.default_rng(40)
     for W in random_states(rng, 3, (0.0, 1.8)):
         U = euler.prim_to_cons(W)
-        AL, AR = stability._fd_jacobians_U(solver, U, U, X_FACE, riemann.ROE_DELTA0)
+        AL, AR = fd_jacobians(solver, U, U)
         A_exact = euler.analytic_flux_jacobian(U, X_FACE)
         scale = max(1.0, np.abs(A_exact).max())
         assert np.max(np.abs(AL + AR - A_exact)) < 1e-5 * scale, solver
@@ -70,9 +77,9 @@ def test_flux_jacobians_step_robustness(monkeypatch):
     WR = np.array([1.3, 0.4, -0.1, 1.5])
     UL, UR = euler.prim_to_cons(WL), euler.prim_to_cons(WR)
     assert stability.FD_STEP == 1e-7
-    A1 = stability._fd_jacobians_U("roe", UL, UR, X_FACE, riemann.ROE_DELTA0)
+    A1 = fd_jacobians("roe", UL, UR)
     monkeypatch.setattr(stability, "FD_STEP", 5e-8)
-    A2 = stability._fd_jacobians_U("roe", UL, UR, X_FACE, riemann.ROE_DELTA0)
+    A2 = fd_jacobians("roe", UL, UR)
     for A, B in zip(A1, A2):
         scale = max(1.0, np.abs(A).max())
         assert np.max(np.abs(A - B)) < 1e-6 * scale
@@ -83,8 +90,8 @@ def _probe_loop_jacobians(solver, UL, UR, frame, delta0, step=1e-7):
     replaced: one pair of flux calls per component and side."""
 
     def flux_of(ULp, URp):
-        return riemann.compute_flux(
-            solver, euler.cons_to_prim(ULp), euler.cons_to_prim(URp), frame, delta0)
+        return face_flux(lambda W, f: riemann.compute_flux(solver, W, f, delta0),
+                         euler.cons_to_prim(ULp), euler.cons_to_prim(URp), frame)
 
     AL = np.empty(UL.shape + (4,))
     AR = np.empty(UR.shape + (4,))
@@ -112,7 +119,7 @@ def test_fd_jacobian_probe_stack_equals_probe_loop(solver):
     cases = [(WL[0], WR[0], X_FACE), (WL, WR, euler.FaceFrame(np.cos(a), np.sin(a)))]
     for WLc, WRc, frame in cases:
         UL, UR = euler.prim_to_cons(WLc), euler.prim_to_cons(WRc)
-        got = stability._fd_jacobians_U(solver, UL, UR, frame, riemann.ROE_DELTA0)
+        got = fd_jacobians(solver, UL, UR, frame)
         want = _probe_loop_jacobians(solver, UL, UR, frame, riemann.ROE_DELTA0)
         for A, B in zip(got, want):
             assert A.shape == B.shape and A.flags.c_contiguous
@@ -139,7 +146,13 @@ def test_assemble_makes_one_flux_call_per_batch(monkeypatch, solver, batches):
 
 def _recon_for(win, kind, space="conservative"):
     cfg = rc.ReconConfig(kind=kind, space=space, weno_variant="z")
-    return rc.reconstruct_pair(win, win, cfg, X_FACE)
+    return rc.reconstruct_pair(side_windows(win, win), cfg, X_FACE)
+
+
+def side_jacobians(solver, recon):
+    """The side-stacked flux Jacobians at a reconstruction's face states."""
+    return stability._fd_jacobians_U(
+        solver, euler.prim_to_cons(recon.W), X_FACE, riemann.ROE_DELTA0)
 
 
 def test_first_order_blocks_degenerate_to_jacobians():
@@ -147,11 +160,9 @@ def test_first_order_blocks_degenerate_to_jacobians():
     W = random_states(rng, 2, (0.0, 1.5))
     win = np.repeat(euler.prim_to_cons(W)[:, None, :], 5, axis=1)
     recon = _recon_for(win, "first")
-    AL, AR = stability._fd_jacobians_U(
-        "hll", euler.prim_to_cons(recon.WL), euler.prim_to_cons(recon.WR),
-        X_FACE, riemann.ROE_DELTA0,
-    )
-    blocks = stability.face_blocks(recon, AL, AR)
+    A = side_jacobians("hll", recon)
+    AL, AR = halves(A, -3)
+    blocks = stability.face_blocks(recon, A)
     assert np.allclose(blocks[:, 0], 0.0) and np.allclose(blocks[:, 1], 0.0)
     assert np.allclose(blocks[:, 4], 0.0) and np.allclose(blocks[:, 5], 0.0)
     assert np.allclose(blocks[:, 2], AL) and np.allclose(blocks[:, 3], AR)
@@ -161,11 +172,7 @@ def test_uniform_blocks_sum_to_analytic_jacobian():
     W = np.array([1.0, 0.4, 0.2, 1.0])
     win = np.broadcast_to(euler.prim_to_cons(W), (1, 5, 4)).copy()
     recon = _recon_for(win, "weno5")
-    AL, AR = stability._fd_jacobians_U(
-        "roe", euler.prim_to_cons(recon.WL), euler.prim_to_cons(recon.WR),
-        X_FACE, riemann.ROE_DELTA0,
-    )
-    blocks = stability.face_blocks(recon, AL, AR)
+    blocks = stability.face_blocks(recon, side_jacobians("roe", recon))
     total = blocks.sum(axis=1)[0]
     A_exact = euler.analytic_flux_jacobian(euler.prim_to_cons(W), X_FACE)
     assert np.max(np.abs(total - A_exact)) < 1e-5 * max(1.0, np.abs(A_exact).max())
@@ -180,12 +187,10 @@ def test_linear_weights_blocks_match_upstream_coefficients(linear_weights):
     for m in range(5):
         win[0, m] = euler.prim_to_cons(base * (1.0 + 0.02 * m))
     cfg = rc.ReconConfig(space="conservative")
-    recon = rc.reconstruct_pair(win, win, cfg, X_FACE)
-    AL, AR = stability._fd_jacobians_U(
-        "hll", euler.prim_to_cons(recon.WL), euler.prim_to_cons(recon.WR),
-        X_FACE, riemann.ROE_DELTA0,
-    )
-    blocks = stability.face_blocks(recon, AL, AR)
+    recon = rc.reconstruct_pair(side_windows(win, win), cfg, X_FACE)
+    A = side_jacobians("hll", recon)
+    AL, AR = halves(A, -3)
+    blocks = stability.face_blocks(recon, A)
     cl = np.array([2.0, -13.0, 47.0, 27.0, -3.0]) / 60.0  # offsets -2..2
     cr = cl[::-1]  # offsets -1..3
     expect = np.zeros_like(blocks)
@@ -341,11 +346,9 @@ def _loop_assembly(field, scheme):
     periodic_x = field.bc.periodic_x
     states = fields.apply_boundaries(field)
     for table, solver, recon in marching.face_reconstructions(field, states, scheme):
-        AL, AR = stability._fd_jacobians_U(
-            solver, euler.prim_to_cons(recon.WL), euler.prim_to_cons(recon.WR),
-            table.frame, scheme.roe_delta0,
-        )
-        for axis, B in table.split(stability.face_blocks(recon, AL, AR), 0):
+        A = stability._fd_jacobians_U(
+            solver, euler.prim_to_cons(recon.W), table.frame, scheme.roe_delta0)
+        for axis, B in table.split(stability.face_blocks(recon, A), 0):
             if axis == "x":
                 for k in range(nx if periodic_x else nx + 1):
                     for j in range(ny):
