@@ -179,9 +179,10 @@ def dw_du(W) -> np.ndarray:
     return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
 
 
-def left_eigen_matrix(W, frame: FaceFrame) -> np.ndarray:
-    """Left eigenvector matrix of the normal flux Jacobian, rows ordered
-    (q-c, q, q+c, shear).  Acts on conservative perturbations: dV = L dU."""
+def eigen_matrices(W, frame: FaceFrame) -> tuple[np.ndarray, np.ndarray]:
+    """Left and right eigenvector matrices (L, R) of the normal flux
+    Jacobian, R the exact inverse of L: L's rows and R's columns are ordered
+    (q-c, q, q+c, shear), and L acts on conservative perturbations, dV = L dU."""
     W = np.asarray(W, dtype=float)
     rho, u, v = W[..., RHO], W[..., U_], W[..., V_]
     c = sound_speed(W)
@@ -190,39 +191,27 @@ def left_eigen_matrix(W, frame: FaceFrame) -> np.ndarray:
     q = u * nx + v * ny
     ql = u * lx + v * ly
     v2 = u * u + v * v
+    one = np.ones_like(rho)
+    z = np.zeros_like(rho)
     k = g1 / (c * c)
     rows = [
         [
             0.5 * (0.5 * k * v2 + q / c),
             -0.5 * (k * u + nx / c),
             -0.5 * (k * v + ny / c),
-            0.5 * k * np.ones_like(rho),
+            0.5 * k * one,
         ],
-        [1.0 - 0.5 * k * v2, k * u, k * v, -k * np.ones_like(rho)],
+        [1.0 - 0.5 * k * v2, k * u, k * v, -k * one],
         [
             0.5 * (0.5 * k * v2 - q / c),
             -0.5 * (k * u - nx / c),
             -0.5 * (k * v - ny / c),
-            0.5 * k * np.ones_like(rho),
+            0.5 * k * one,
         ],
-        [-ql, lx * np.ones_like(rho), ly * np.ones_like(rho), np.zeros_like(rho)],
+        [-ql, lx * one, ly * one, z],
     ]
-    return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
-
-
-def right_eigen_matrix(W, frame: FaceFrame) -> np.ndarray:
-    """Exact inverse of :func:`left_eigen_matrix`; columns are the right
-    eigenvectors in the same (q-c, q, q+c, shear) order."""
-    W = np.asarray(W, dtype=float)
-    rho, u, v = W[..., RHO], W[..., U_], W[..., V_]
-    c = sound_speed(W)
-    nx, ny, lx, ly = frame.nx, frame.ny, frame.lx, frame.ly
-    q = u * nx + v * ny
-    ql = u * lx + v * ly
-    v2 = u * u + v * v
-    h = c * c / (GAMMA - 1.0) + 0.5 * v2  # total specific enthalpy
-    one = np.ones_like(rho)
-    z = np.zeros_like(rho)
+    L = np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
+    h = c * c / g1 + 0.5 * v2  # total specific enthalpy
     cols = [
         [one, u - c * nx, v - c * ny, h - c * q],
         [one, u, v, 0.5 * v2],
@@ -233,7 +222,7 @@ def right_eigen_matrix(W, frame: FaceFrame) -> np.ndarray:
     bad = ~np.isfinite(R).all(axis=(-2, -1))
     if bad.any():
         raise InvalidStateError(_describe_bad(bad, "degenerate eigen-matrix"))
-    return R
+    return L, R
 
 
 def characteristic_eigenvalues(W, frame: FaceFrame) -> np.ndarray:

@@ -48,11 +48,10 @@ class GrowthFit:
 
 def face_reconstructions(field: MeanField, states: np.ndarray, scheme: Scheme,
                          linearise: bool = True):
-    """Yield (table, solver, FaceRecon) once per batch of faces that share
-    one solver, reconstruction config and cap config: a plain scheme has one
-    batch of all x and y faces, a direction hybrid one batch per orientation.
-    A single row has no y faces: its periodic j+1/2 and j-1/2 fluxes are
-    identical.
+    """Yield (table, solver, FaceRecon) once per part of ``scheme.parts``, in
+    its order: one batch of all x and y faces for a plain scheme, the x faces
+    and then the y faces for a direction hybrid.  A single row keeps only its
+    x faces: its periodic j+1/2 and j-1/2 fluxes are identical.
 
     ``table`` is the batch's ``FaceTable``.  It orders the flat face axis,
     carries the per-face normals and the faces a cap applies to, and splits
@@ -62,19 +61,18 @@ def face_reconstructions(field: MeanField, states: np.ndarray, scheme: Scheme,
     ``apply_boundaries``, converted once per call in the primitive space;
     ``linearise`` is passed on to ``reconstruct_pair``.
     """
-    batches = {}
-    for orientation in ("x", "y") if field.ny > 1 else ("x",):
-        solver, _ = scheme.per_direction(orientation)
-        key = (solver, scheme.recon_config(orientation), scheme.cap_config(orientation))
-        batches.setdefault(key, []).append(orientation)
     if scheme.space == "primitive":
         try:
             states = euler.cons_to_prim(states)
         except InvalidStateError:
             field.interior_primitive()  # names the (i, j) of the bad cell
             raise
-    for (solver, cfg, cap_cfg), orientations in batches.items():
-        table = face_table(field.nx, field.ny, tuple(orientations), field.bc.periodic_x,
+    for orientations, solver, cfg, cap_cfg in scheme.parts:
+        if field.ny == 1:
+            if "x" not in orientations:
+                continue
+            orientations = ("x",)
+        table = face_table(field.nx, field.ny, orientations, field.bc.periodic_x,
                            field.shock_column)
         recon = reconstruction.reconstruct_pair(
             _windows(states, table.sides), cfg, table.frame,
@@ -97,7 +95,7 @@ def rhs(field: MeanField, scheme: Scheme) -> np.ndarray:
     states = apply_boundaries(field)
     res = np.zeros(field.U.shape)
     for table, solver, recon in face_reconstructions(field, states, scheme, linearise=False):
-        flux = riemann.compute_flux(solver, recon.W, table.frame, scheme.roe_delta0)
+        flux = riemann.compute_flux(solver, recon.W, table.frame)
         for orientation, grid_flux in table.split(flux, field.U.ndim - 3):
             if orientation == "x":
                 res -= grid_flux[..., 1:, :, :] - grid_flux[..., :-1, :, :]

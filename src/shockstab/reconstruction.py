@@ -40,7 +40,8 @@ VALID_KINDS = ("first", "muscl", "weno5", "eno3")
 VALID_SPACES = ("conservative", "primitive", "characteristic")
 
 _ORDER_TO_KIND = {1: "first", 2: "muscl", 5: "weno5"}
-_CAP_TO_KIND = {"first": "first", "second": "muscl", "smoothest-third": "eno3"}
+# near-shock caps: the reconstruction kind each one imposes
+CAP_TO_KIND = {"first": "first", "second": "muscl", "smoothest-third": "eno3"}
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,7 @@ def config_for_order(order: int, **kw) -> ReconConfig:
 
 
 def config_for_cap(cap: str, base: ReconConfig) -> ReconConfig:
-    return replace(base, kind=_CAP_TO_KIND[cap])
+    return replace(base, kind=CAP_TO_KIND[cap])
 
 
 def _substencils(w):
@@ -247,8 +248,7 @@ def _reconstruct_sides(win, cfg, frame, linearise):
     if cfg.space == "characteristic":
         W_c = euler.on_sides(euler.cons_to_prim, win[..., 2, :], "face cell")
         W_eval = 0.5 * (W_c[..., :n, :] + W_c[..., n:, :])
-        Lmat = euler.left_eigen_matrix(W_eval, frame)
-        Rmat = euler.right_eigen_matrix(W_eval, frame)
+        Lmat, Rmat = euler.eigen_matrices(W_eval, frame)
         # one projection per face, broadcast over its two rows
         by_side = win.reshape(win.shape[:-3] + (2, n, 5, 4))
         X = np.einsum("...ab,...wb->...wa", Lmat[..., None, :, :, :], by_side)

@@ -1,6 +1,5 @@
-"""Interface flux functions: Roe (with eigenvalue smoothing), HLL, HLLC,
-van Leer flux-vector splitting, and the (solver, order) parts of the
-direction hybrids.
+"""Interface flux functions: Roe (with eigenvalue smoothing), HLL, HLLC and
+van Leer flux-vector splitting, looked up by name in ``FLUXES``.
 
 All solvers take the primitive left and right states of F faces
 side-stacked, (..., 2F, 4), and return the numerical flux normal to each
@@ -17,17 +16,7 @@ from . import euler
 from .errors import DegenerateFanError, InvalidStateError
 from .euler import GAMMA, FaceFrame
 
-SOLVER_KINDS = ("roe", "hll", "hllc", "van_leer", "hybrid-1", "hybrid-2")
-
-# direction-hybrid schemes: (solver, order) per face family, where "normal"
-# faces have their normal along the shock normal (x) and "transverse" faces
-# along y
-HYBRID_PARTS = {
-    "hybrid-1": {"transverse": ("roe", 5), "normal": ("van_leer", 1)},
-    "hybrid-2": {"transverse": ("van_leer", 1), "normal": ("roe", 5)},
-}
-
-# default quadratic floor applied to |eigenvalue| inside the Roe dissipation
+# quadratic floor applied to |eigenvalue| inside the Roe dissipation
 ROE_DELTA0 = 1e-4
 
 
@@ -41,9 +30,9 @@ def _normal_velocity(W, frame):
     return W[..., 1] * frame.nx + W[..., 2] * frame.ny
 
 
-def roe_flux(W, frame: FaceFrame, delta0: float = ROE_DELTA0) -> np.ndarray:
+def roe_flux(W, frame: FaceFrame) -> np.ndarray:
     """Roe flux with the wave-strength dissipation form; |eigenvalues| pass
-    through the quadratic smoothing floor."""
+    through the quadratic smoothing floor ``ROE_DELTA0``."""
     W = np.asarray(W, dtype=float)
     n = W.shape[-2] // 2
     F = euler.exact_flux_w(W, frame.sides)
@@ -80,10 +69,10 @@ def roe_flux(W, frame: FaceFrame, delta0: float = ROE_DELTA0) -> np.ndarray:
     a3 = (d_p + rho * c * d_q) / (2.0 * c2)
     a4 = rho * d_ql
 
-    abs_q = smooth_abs(q, delta0)
-    l1 = smooth_abs(q - c, delta0) * a1
+    abs_q = smooth_abs(q, ROE_DELTA0)
+    l1 = smooth_abs(q - c, ROE_DELTA0) * a1
     l2 = abs_q * a2
-    l3 = smooth_abs(q + c, delta0) * a3
+    l3 = smooth_abs(q + c, ROE_DELTA0) * a3
     l4 = abs_q * a4
 
     diss = np.empty(q.shape + (4,))
@@ -192,11 +181,12 @@ def van_leer_flux(W, frame: FaceFrame) -> np.ndarray:
     return split[..., :n, :] + split[..., n:, :]
 
 
-def compute_flux(kind: str, W, frame: FaceFrame, delta0: float = ROE_DELTA0) -> np.ndarray:
-    if kind == "roe":
-        return roe_flux(W, frame, delta0)
+FLUXES = {"roe": roe_flux, "hll": hll_flux, "hllc": hllc_flux, "van_leer": van_leer_flux}
+
+
+def compute_flux(kind: str, W, frame: FaceFrame) -> np.ndarray:
     try:
-        flux = {"hll": hll_flux, "hllc": hllc_flux, "van_leer": van_leer_flux}[kind]
+        flux = FLUXES[kind]
     except KeyError:
         raise ValueError(f"unknown solver kind {kind!r}") from None
     return flux(W, frame)

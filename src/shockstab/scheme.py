@@ -1,18 +1,26 @@
 """Scheme selection: solver + order + variable space + near-shock order cap.
 
-A plain scheme uses one (solver, order) everywhere; the hybrid schemes pick
-a different pair for normal faces (x-oriented, along the shock normal) and
-transverse faces (y-oriented).
+A plain scheme uses one (solver, order) on every face; a direction hybrid
+uses one pair on the normal faces (x-oriented, along the shock normal) and
+another on the transverse faces (y-oriented).  ``Scheme.parts`` resolves
+that choice once per scheme into the face batches that ``rhs`` and
+``assemble`` run.
 """
 
 import functools
-import math
 from dataclasses import dataclass
 
-from .reconstruction import ReconConfig, config_for_cap, config_for_order
-from .riemann import HYBRID_PARTS, ROE_DELTA0, SOLVER_KINDS
+from .reconstruction import CAP_TO_KIND, ReconConfig, config_for_cap, config_for_order
+from .riemann import FLUXES
 
-CAP_KINDS = ("none", "first", "second", "smoothest-third")
+# direction hybrids: (solver, order) per face orientation
+HYBRID_PARTS = {
+    "hybrid-1": {"x": ("van_leer", 1), "y": ("roe", 5)},
+    "hybrid-2": {"x": ("roe", 5), "y": ("van_leer", 1)},
+}
+
+SOLVER_KINDS = (*FLUXES, *HYBRID_PARTS)
+CAP_KINDS = ("none", *CAP_TO_KIND)
 
 
 @dataclass(frozen=True)
@@ -22,7 +30,6 @@ class Scheme:
     weno_variant: str = "z"
     space: str = "primitive"
     cap: str = "none"
-    roe_delta0: float = ROE_DELTA0
 
     def __post_init__(self):
         if self.solver not in SOLVER_KINDS:
@@ -31,47 +38,34 @@ class Scheme:
             raise ValueError(f"order must be 1, 2 or 5, got {self.order}")
         if self.cap not in CAP_KINDS:
             raise ValueError(f"unknown near-shock cap {self.cap!r}")
-        if not 0 < self.roe_delta0 < math.inf:
-            raise ValueError("roe_delta0 must be positive and finite")
-        # ReconConfig rejects an unknown space or WENO variant
-        self.recon_config("x")
-
-    @property
-    def is_hybrid(self) -> bool:
-        return self.solver in HYBRID_PARTS
-
-    def per_direction(self, axis: str) -> tuple[str, int]:
-        """(solver, order) used on faces whose normal is along ``axis``."""
-        if self.is_hybrid:
-            orientation = "normal" if axis == "x" else "transverse"
-            return HYBRID_PARTS[self.solver][orientation]
-        return self.solver, self.order
+        self.parts  # ReconConfig rejects an unknown space or WENO variant
 
     @functools.cached_property
-    def _configs(self) -> dict[str, tuple[ReconConfig, ReconConfig | None]]:
-        """(reconstruction config, cap config or None) per face axis, built
-        once per scheme: ``rhs`` asks for them on every call."""
-        configs = {}
-        for axis in ("x", "y"):
-            _, order = self.per_direction(axis)
+    def parts(self) -> tuple[tuple[tuple[str, ...], str, ReconConfig, ReconConfig | None], ...]:
+        """The scheme's face batches, x faces first, each (face orientations,
+        solver, reconstruction config, cap config or None): one part of both
+        orientations for a plain scheme, an x part and a y part for a direction
+        hybrid.  Built once per scheme: ``rhs`` runs them on every call."""
+        if self.solver in HYBRID_PARTS:
+            pairs = [((o,), *HYBRID_PARTS[self.solver][o]) for o in ("x", "y")]
+        else:
+            pairs = [(("x", "y"), self.solver, self.order)]
+        parts = []
+        for orientations, solver, order in pairs:
             recon = config_for_order(order, weno_variant=self.weno_variant, space=self.space)
-            configs[axis] = (recon, None if self.cap == "none" else config_for_cap(self.cap, recon))
-        return configs
-
-    def recon_config(self, axis: str) -> ReconConfig:
-        return self._configs[axis][0]
-
-    def cap_config(self, axis: str) -> ReconConfig | None:
-        return self._configs[axis][1]
+            cap = None if self.cap == "none" else config_for_cap(self.cap, recon)
+            parts.append((orientations, solver, recon, cap))
+        return tuple(parts)
 
     def label(self) -> str:
-        """e.g. ``roe-o5-z/primitive``; the WENO variant only at fifth order,
-        the near-shock cap whenever one is set."""
+        """e.g. ``roe-o5-z/primitive`` or ``hybrid-1-js-cap-first/primitive``:
+        the order of a plain scheme, the WENO variant whenever a part is fifth
+        order, the near-shock cap whenever one is set."""
         name = self.solver
-        if not self.is_hybrid:
+        if self.solver not in HYBRID_PARTS:
             name += f"-o{self.order}"
-            if self.order == 5:
-                name += f"-{self.weno_variant}"
+        if any(recon.kind == "weno5" for _, _, recon, _ in self.parts):
+            name += f"-{self.weno_variant}"
         if self.cap != "none":
             name += f"-cap-{self.cap}"
         return f"{name}/{self.space}"

@@ -1,5 +1,5 @@
 """Shared fixtures: converged base flows are expensive, so they are computed
-once per session and cached by (solver, order, space, cap, mach, epsilon);
+once per session and cached by (scheme, problem config);
 ``linear_weights`` freezes the WENO-Z weights at their linear values."""
 
 import numpy as np
@@ -16,10 +16,7 @@ def base_flow_cache():
 
     def get(scheme: Scheme, cfg: ShockProblemConfig | None = None, **cfg_kw):
         cfg = cfg or ShockProblemConfig(**cfg_kw)
-        key = (
-            scheme.solver, scheme.order, scheme.space, scheme.cap,
-            scheme.weno_variant, cfg.mach, cfg.epsilon, cfg.nx, cfg.ny,
-        )
+        key = (scheme, cfg)
         if key not in cache:
             profile, info = converge_1d(cfg, scheme)
             cache[key] = (project_to_2d(profile, cfg), info)

@@ -64,7 +64,7 @@ def test_right_eigen_matrix_names_the_degenerate_cell():
     W[1, 2, 1] = np.inf  # a finite sound speed, an infinite eigenvector entry
     with np.errstate(invalid="ignore"), pytest.raises(
             InvalidStateError, match=r"^degenerate eigen-matrix at cell\(s\) \(1, 2\)$"):
-        euler.right_eigen_matrix(W, X_FACE)
+        euler.eigen_matrices(W, X_FACE)
 
 
 def test_exact_flux_stationary_gas():
@@ -180,8 +180,7 @@ def test_left_right_eigen_inverse():
     rng = np.random.default_rng(6)
     W = random_states(rng, 100)
     for frame in random_frames(rng, 5):
-        L = euler.left_eigen_matrix(W, frame)
-        R = euler.right_eigen_matrix(W, frame)
+        L, R = euler.eigen_matrices(W, frame)
         assert np.allclose(L @ R, np.eye(4), atol=1e-12)
 
 
@@ -192,8 +191,7 @@ def test_eigen_matrices_diagonalize_jacobian():
         frame = random_frames(rng, 1)[0]
         U = euler.prim_to_cons(W)
         A = euler.analytic_flux_jacobian(U, frame)
-        L = euler.left_eigen_matrix(W, frame)
-        R = euler.right_eigen_matrix(W, frame)
+        L, R = euler.eigen_matrices(W, frame)
         D = L @ A @ R
         lam = euler.characteristic_eigenvalues(W, frame)
         assert np.allclose(D, np.diag(lam), atol=1e-9 * max(1.0, np.abs(lam).max()))
@@ -202,7 +200,7 @@ def test_eigen_matrices_diagonalize_jacobian():
 def test_left_eigen_shear_row():
     # last row for n=(1,0) is (-v, 0, 1, 0) on conservative perturbations
     W = np.array([2.0, 1.5, 0.7, 3.0])
-    L = euler.left_eigen_matrix(W, X_FACE)
+    L, _ = euler.eigen_matrices(W, X_FACE)
     assert np.allclose(L[3], [-0.7, 0.0, 1.0, 0.0], atol=1e-14)
 
 

@@ -61,12 +61,12 @@ def per_direction_face_reconstructions(field, Upad, scheme, linearise=True):
     cap_masks = shock_face_masks(field) if scheme.cap != "none" else (None, None)
     axes = ("x", "y") if field.ny > 1 else ("x",)
     for axis, cap_mask in zip(axes, cap_masks):
-        solver, _ = scheme.per_direction(axis)
+        _, solver, cfg, cap_cfg = next(part for part in scheme.parts if axis in part[0])
         windows, frame = (_x_face_windows, X_FACE) if axis == "x" else (_y_face_windows, Y_FACE)
         winL, winR = (w.reshape(w.shape[:-4] + (-1, 5, 4)) for w in windows(Upad, field.nx, field.ny))
         recon = reconstruction.reconstruct_pair(
-            side_windows(winL, winR), scheme.recon_config(axis), frame,
-            cap_cfg=scheme.cap_config(axis), cap_mask=None if cap_mask is None else cap_mask.ravel(),
+            side_windows(winL, winR), cfg, frame,
+            cap_cfg=cap_cfg, cap_mask=None if cap_mask is None else cap_mask.ravel(),
             linearise=linearise,
         )
         grid = (field.nx + 1, field.ny) if axis == "x" else (field.nx, field.ny + 1)
@@ -78,7 +78,7 @@ def per_direction_rhs(field, scheme):
     res = np.zeros(field.U.shape)
     for axis, solver, frame, grid, recon in per_direction_face_reconstructions(
             field, Upad, scheme, linearise=False):
-        flux = riemann.compute_flux(solver, recon.W, frame, scheme.roe_delta0)
+        flux = riemann.compute_flux(solver, recon.W, frame)
         flux = flux.reshape(flux.shape[:-2] + grid + (4,))
         res -= np.diff(flux, axis=-3 if axis == "x" else -2)
     return res
@@ -139,7 +139,7 @@ def per_direction_assemble(field, scheme):
     parts = []
     Upad = padded(field)
     for axis, solver, frame, grid, recon in per_direction_face_reconstructions(field, Upad, scheme):
-        A_U = stability._fd_jacobians_U(solver, euler.prim_to_cons(recon.W), frame, scheme.roe_delta0)
+        A_U = stability._fd_jacobians_U(solver, euler.prim_to_cons(recon.W), frame)
         B = stability.face_blocks(recon, A_U).reshape(grid + (6, 4, 4))
         parts += face_triplets(B, axis, field, T_out)
     rows, cols, signs, blocks = (np.concatenate(p) for p in zip(*parts))
@@ -190,7 +190,7 @@ def test_face_batch_rhs_equals_the_per_direction_reference(solver, space):
                 f = replace(field, U=U)
                 assert np.array_equal(marching.rhs(f, scheme), per_direction_rhs(f, scheme)), (
                     scheme.label(), U.shape)
-    if space == "conservative" and Scheme(solver=solver).per_direction("x")[1] == 5:
+    if space == "conservative" and Scheme(solver=solver).parts[0][2].kind == "weno5":
         # the raw M = 20 jump drives p < 0 at a fifth-order x face
         shock = _fields()[0]
         batches = marching.face_reconstructions(

@@ -358,8 +358,7 @@ def ref_reconstruct_pair_one(winL_U, winR_U, cfg, frame, XwinL, XwinR, linearise
         W_l = euler.cons_to_prim(winL_U[..., 2, :], "face-left cell")
         W_r = euler.cons_to_prim(winR_U[..., 2, :], "face-right cell")
         W_eval = 0.5 * (W_l + W_r)
-        Lmat = euler.left_eigen_matrix(W_eval, frame)
-        Rmat = euler.right_eigen_matrix(W_eval, frame)
+        Lmat, Rmat = euler.eigen_matrices(W_eval, frame)
         XwinL = np.einsum("...ab,...wb->...wa", Lmat, winL_U)
         XwinR = np.einsum("...ab,...wb->...wa", Lmat, winR_U)
     elif cfg.space == "conservative":

@@ -71,23 +71,25 @@ def test_rotation_equivariance(kind):
         assert np.allclose(F2, expect, rtol=1e-10, atol=1e-10), kind
 
 
-def test_roe_steady_shock_flux_equality():
+def test_roe_steady_shock_flux_equality(monkeypatch):
     # both exact fluxes agree across the jump; with the smoothing floor made
     # negligible, Roe must return that common value
+    monkeypatch.setattr(riemann, "ROE_DELTA0", 1e-13)
     WL, WR = rh_pair()
     FL = euler.exact_flux_w(WL, X_FACE)
     FR = euler.exact_flux_w(WR, X_FACE)
     assert np.allclose(FL, FR, rtol=1e-12)
-    F = face_flux(riemann.roe_flux, WL, WR, X_FACE, 1e-13)
+    F = face_flux(riemann.roe_flux, WL, WR, X_FACE)
     assert np.max(np.abs(F - FL)) < 1e-8 * np.abs(FL).max()
 
 
 def test_roe_smoothing_perturbs_steady_shock_at_default_delta():
     # the quadratic floor at delta0=1e-4 intentionally adds dissipation at
     # the vanishing eigenvalue; the steady-shock flux is no longer exact
+    assert riemann.ROE_DELTA0 == 1e-4
     WL, WR = rh_pair()
     FL = euler.exact_flux_w(WL, X_FACE)
-    F = face_flux(riemann.roe_flux, WL, WR, X_FACE, 1e-4)
+    F = face_flux(riemann.roe_flux, WL, WR, X_FACE)
     dev = np.max(np.abs(F - FL))
     assert 1e-8 < dev < 1.0
 
@@ -183,17 +185,18 @@ def test_smooth_abs_properties():
 
 
 def test_hybrid_dispatch():
-    # the program's dispatch: Scheme.per_direction picks (solver, order) per
-    # face orientation, compute_flux evaluates it
+    # the program's dispatch: Scheme.parts picks (solver, order) per face
+    # orientation, compute_flux evaluates it
     rng = np.random.default_rng(15)
     WL5, WR5 = random_states(rng, 1)[0], random_states(rng, 1)[0]
     WL1, WR1 = random_states(rng, 1)[0], random_states(rng, 1)[0]
-    pairs = {5: (WL5, WR5), 1: (WL1, WR1)}
+    pairs = {"weno5": (WL5, WR5), "first": (WL1, WR1)}
     axis_of = {"normal": "x", "transverse": "y"}
 
     def hybrid(kind, orientation):
-        solver, order = Scheme(solver=kind).per_direction(axis_of[orientation])
-        return flux(solver, *pairs[order])
+        axis = axis_of[orientation]
+        _, solver, cfg, _ = next(p for p in Scheme(solver=kind).parts if axis in p[0])
+        return flux(solver, *pairs[cfg.kind])
 
     F = hybrid("hybrid-1", "transverse")
     assert np.allclose(F, face_flux(riemann.roe_flux, WL5, WR5, X_FACE))

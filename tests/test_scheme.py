@@ -1,9 +1,10 @@
+import itertools
 from dataclasses import replace
 
 import pytest
 
 from shockstab.reconstruction import config_for_cap, config_for_order
-from shockstab.scheme import Scheme
+from shockstab.scheme import HYBRID_PARTS, Scheme
 
 
 def test_label_names_variant_at_fifth_order_and_cap():
@@ -12,13 +13,37 @@ def test_label_names_variant_at_fifth_order_and_cap():
     # capped and uncapped schemes are told apart, hybrids included
     assert Scheme(cap="first").label() != Scheme().label()
     assert Scheme(solver="hybrid-1", cap="second").label() != Scheme(solver="hybrid-1").label()
+    # a hybrid's fifth-order part reconstructs with the WENO variant
+    assert Scheme(solver="hybrid-1", weno_variant="js").label() == "hybrid-1-js/primitive"
+
+
+def _part_signature(scheme):
+    """What a scheme computes: per part the faces, solver, kind, space and
+    cap, and the WENO variant of a fifth-order part."""
+    return [
+        (orientations, solver, cfg.kind, cfg.space, cap and (cap.kind, cap.space),
+         cfg.weno_variant if cfg.kind == "weno5" else None)
+        for orientations, solver, cfg, cap in scheme.parts
+    ]
+
+
+def test_equal_labels_build_equal_parts():
+    # error messages name a scheme by its label: two schemes that share one
+    # must compute the same faces the same way
+    by_label = {}
+    for solver, order, variant, space, cap in itertools.product(
+            ("roe", "hll", "hllc", "van_leer", *HYBRID_PARTS), (1, 2, 5), ("js", "z"),
+            ("conservative", "primitive", "characteristic"),
+            ("none", "first", "second", "smoothest-third")):
+        scheme = Scheme(solver=solver, order=order, weno_variant=variant, space=space, cap=cap)
+        by_label.setdefault(scheme.label(), []).append(_part_signature(scheme))
+    for label, signatures in by_label.items():
+        assert all(s == signatures[0] for s in signatures), label
 
 
 @pytest.mark.parametrize("name, value", [
     ("space", "primtive"),
     ("weno_variant", "jz"),
-    ("roe_delta0", 0.0),
-    ("roe_delta0", float("inf")),
     ("solver", "rusanov"),
     ("order", 3),
     ("cap", "third"),
@@ -31,14 +56,17 @@ def test_invalid_scheme_rejected_at_construction(name, value):
 @pytest.mark.parametrize("scheme", [Scheme(), Scheme(cap="second", space="characteristic"),
                                     Scheme(solver="hybrid-1", cap="smoothest-third")])
 def test_configs_are_built_once_per_scheme(scheme):
-    # rhs asks for both configs on every call; they are made at construction
-    for axis in ("x", "y"):
-        _, order = scheme.per_direction(axis)
-        recon = config_for_order(order, weno_variant=scheme.weno_variant, space=scheme.space)
-        assert scheme.recon_config(axis) == recon
-        assert scheme.recon_config(axis) is scheme.recon_config(axis)
-        cap = None if scheme.cap == "none" else config_for_cap(scheme.cap, recon)
-        assert scheme.cap_config(axis) == cap
-        assert scheme.cap_config(axis) is scheme.cap_config(axis)
+    # rhs asks for the parts on every call; they are made at construction
+    assert scheme.parts is scheme.parts
+    assert [orientations for orientations, *_ in scheme.parts] == (
+        [("x",), ("y",)] if scheme.solver in HYBRID_PARTS else [("x", "y")])
+    for orientations, solver, recon, cap in scheme.parts:
+        if scheme.solver in HYBRID_PARTS:
+            expect_solver, order = HYBRID_PARTS[scheme.solver][orientations[0]]
+        else:
+            expect_solver, order = scheme.solver, scheme.order
+        assert solver == expect_solver
+        assert recon == config_for_order(order, weno_variant=scheme.weno_variant, space=scheme.space)
+        assert cap == (None if scheme.cap == "none" else config_for_cap(scheme.cap, recon))
     # the cache is no field: equal schemes compare and hash alike
     assert scheme == replace(scheme) and hash(scheme) == hash(replace(scheme))

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from shockstab import euler, marching, shock_problem as sp
+from shockstab import euler, marching, riemann, shock_problem as sp
 from shockstab.errors import ConvergenceError, InvalidStateError
 from shockstab.fields import BoundarySpec, MeanField, apply_boundaries, outflow_jacobian
 from shockstab.scheme import Scheme
@@ -242,10 +242,11 @@ def test_initial_field_mass_flux_identity():
     assert abs(flux_up - flux_down) < 1e-12 * flux_up
 
 
-def test_converge_1d_roe_first_order_eps0():
+def test_converge_1d_roe_first_order_eps0(monkeypatch):
     # exact two-state profile is already steady for Roe (tiny smoothing floor)
+    monkeypatch.setattr(riemann, "ROE_DELTA0", 1e-13)
     c = cfg(epsilon=0.0)
-    scheme = Scheme(solver="roe", order=1, roe_delta0=1e-13)
+    scheme = Scheme(solver="roe", order=1)
     field = sp.build_initial_field(c, ny=1)
     r = marching.rhs(field, scheme)
     assert np.abs(r[..., 0]).max() < 1e-9

@@ -45,7 +45,7 @@ def block_cols(S, i, j):
 def fd_jacobians(solver, UL, UR, frame=X_FACE):
     """(left, right) halves of ``_fd_jacobians_U`` of the side-stacked UL and
     UR; one face's (4,) states give (4, 4) Jacobians."""
-    A = stability._fd_jacobians_U(solver, side_states(UL, UR), frame, riemann.ROE_DELTA0)
+    A = stability._fd_jacobians_U(solver, side_states(UL, UR), frame)
     AL, AR = halves(A, -3)
     return (AL[0], AR[0]) if np.ndim(UL) == 1 else (AL, AR)
 
@@ -85,12 +85,12 @@ def test_flux_jacobians_step_robustness(monkeypatch):
         assert np.max(np.abs(A - B)) < 1e-6 * scale
 
 
-def _probe_loop_jacobians(solver, UL, UR, frame, delta0, step=1e-7):
+def _probe_loop_jacobians(solver, UL, UR, frame, step=1e-7):
     """The probe-at-a-time central difference that ``_fd_jacobians_U``
     replaced: one pair of flux calls per component and side."""
 
     def flux_of(ULp, URp):
-        return face_flux(lambda W, f: riemann.compute_flux(solver, W, f, delta0),
+        return face_flux(lambda W, f: riemann.compute_flux(solver, W, f),
                          euler.cons_to_prim(ULp), euler.cons_to_prim(URp), frame)
 
     AL = np.empty(UL.shape + (4,))
@@ -120,7 +120,7 @@ def test_fd_jacobian_probe_stack_equals_probe_loop(solver):
     for WLc, WRc, frame in cases:
         UL, UR = euler.prim_to_cons(WLc), euler.prim_to_cons(WRc)
         got = fd_jacobians(solver, UL, UR, frame)
-        want = _probe_loop_jacobians(solver, UL, UR, frame, riemann.ROE_DELTA0)
+        want = _probe_loop_jacobians(solver, UL, UR, frame)
         for A, B in zip(got, want):
             assert A.shape == B.shape and A.flags.c_contiguous
             assert np.array_equal(A.view(np.int64), B.view(np.int64)), solver
@@ -347,7 +347,7 @@ def _loop_assembly(field, scheme):
     states = fields.apply_boundaries(field)
     for table, solver, recon in marching.face_reconstructions(field, states, scheme):
         A = stability._fd_jacobians_U(
-            solver, euler.prim_to_cons(recon.W), table.frame, scheme.roe_delta0)
+            solver, euler.prim_to_cons(recon.W), table.frame)
         for axis, B in table.split(stability.face_blocks(recon, A), 0):
             if axis == "x":
                 for k in range(nx if periodic_x else nx + 1):
@@ -546,6 +546,23 @@ def test_half_spectrum_mirrors_the_conjugate_blocks(ny):
     assert k_star <= ny // 2
     assert by_k[k_star] == spec.max_real
     assert _dominant_residual(S, spec) < 1e-14
+
+
+@pytest.mark.parametrize("j", [0, 2])
+def test_a_block_row_lacking_one_entry_takes_the_dense_path(j):
+    # circ(C) with one nonzero of C removed from block row j: on row 0 the
+    # read C lacks an entry the other rows hold, on row 2 that row lacks one
+    # entry of C, which no entry of S itself shows
+    A, S = _random_circulant(nx=2, ny=5, seed=51)
+    assert stability._circulant_blocks(S) is not None
+    rows = (4 * (np.arange(2)[:, None] * 5 + j) + np.arange(4)).ravel()  # block row j
+    r = rows[3]
+    A[r, np.flatnonzero(A[r])[5]] = 0.0
+    S.matrix = scipy.sparse.csr_array(A)
+    assert stability._circulant_blocks(S) is None
+    spec = eigensolve(S)
+    assert spec.max_real_by_k is None
+    _assert_full_spectrum(A, spec)
 
 
 @pytest.mark.parametrize("order", [1, 5])
