@@ -100,7 +100,7 @@ def outflow_jacobian(field: MeanField, primitive: bool) -> np.ndarray:
     return T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FaceTable:
     """The faces of one or both orientations of an (nx, ny) grid on one flat
     face axis.
@@ -116,7 +116,8 @@ class FaceTable:
     face f's left window (slots 0..4), row F+f its right window mirrored
     (slots 5..1).  ``shock`` flags the faces of the shock column.  ``frame``
     carries each face's unit normal as (F,) arrays, or as the one scalar
-    normal of a table of a single orientation.
+    normal of a table of a single orientation.  Tables compare and hash by
+    identity; ``face_table`` builds one per grid.
     """
 
     grids: tuple[tuple[str, tuple[int, int]], ...]

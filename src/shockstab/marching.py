@@ -46,27 +46,14 @@ class GrowthFit:
     r2: float
 
 
-def face_reconstructions(field: MeanField, states: np.ndarray, scheme: Scheme,
-                         linearise: bool = True):
-    """Yield (table, solver, FaceRecon) once per part of ``scheme.parts``, in
-    its order: one batch of all x and y faces for a plain scheme, the x faces
-    and then the y faces for a direction hybrid.  A single row keeps only its
-    x faces: its periodic j+1/2 and j-1/2 fluxes are identical.
-
-    ``table`` is the batch's ``FaceTable``.  It orders the flat face axis,
+def face_parts(field: MeanField, scheme: Scheme):
+    """Yield (table, solver, cfg, cap_cfg) once per part of ``scheme.parts``,
+    in its order: one part of all x and y faces for a plain scheme, the x
+    faces and then the y faces for a direction hybrid.  A single row keeps
+    only its x faces: its periodic j+1/2 and j-1/2 fluxes are identical.
+    ``table`` is the part's ``FaceTable``.  It orders the flat face axis,
     carries the per-face normals and the faces a cap applies to, and splits
-    per-face results back into face grids.  Every batch gathers both windows
-    of its faces, side-stacked (..., 2F, 5, 4) behind the field's batch axes,
-    in one take along ``table.sides`` from ``states``, the state axis of
-    ``apply_boundaries``, converted once per call in the primitive space;
-    ``linearise`` is passed on to ``reconstruct_pair``.
-    """
-    if scheme.space == "primitive":
-        try:
-            states = euler.cons_to_prim(states)
-        except InvalidStateError:
-            field.interior_primitive()  # names the (i, j) of the bad cell
-            raise
+    per-face results back into face grids."""
     for orientations, solver, cfg, cap_cfg in scheme.parts:
         if field.ny == 1:
             if "x" not in orientations:
@@ -74,15 +61,43 @@ def face_reconstructions(field: MeanField, states: np.ndarray, scheme: Scheme,
             orientations = ("x",)
         table = face_table(field.nx, field.ny, orientations, field.bc.periodic_x,
                            field.shock_column)
+        yield table, solver, cfg, cap_cfg
+
+
+def reconstruction_states(field: MeanField, states: np.ndarray, space: str) -> np.ndarray:
+    """The state axis ``states`` of ``apply_boundaries`` in the variables the
+    windows are gathered in: converted once to primitive variables in the
+    primitive space, an inadmissible cell named by its interior (i, j)."""
+    if space != "primitive":
+        return states
+    try:
+        return euler.cons_to_prim(states)
+    except InvalidStateError:
+        field.interior_primitive()  # names the (i, j) of the bad cell
+        raise
+
+
+def face_reconstructions(field: MeanField, states: np.ndarray, scheme: Scheme,
+                         linearise: bool = True):
+    """Yield (table, solver, FaceRecon) once per part of ``face_parts``.
+
+    Every part gathers both windows of its faces, side-stacked
+    (..., 2F, 5, 4) behind the field's batch axes, in one take along
+    ``table.sides`` from ``states``, the state axis of ``apply_boundaries``
+    as ``reconstruction_states`` converts it; ``linearise`` is passed on to
+    ``reconstruct_pair``.
+    """
+    states = reconstruction_states(field, states, scheme.space)
+    for table, solver, cfg, cap_cfg in face_parts(field, scheme):
         recon = reconstruction.reconstruct_pair(
-            _windows(states, table.sides), cfg, table.frame,
+            gather_windows(states, table.sides), cfg, table.frame,
             cap_cfg=cap_cfg, cap_mask=None if cap_cfg is None else table.shock,
             linearise=linearise,
         )
         yield table, solver, recon
 
 
-def _windows(states: np.ndarray, index: np.ndarray) -> np.ndarray:
+def gather_windows(states: np.ndarray, index: np.ndarray) -> np.ndarray:
     """(..., R, 5, 4) windows of (..., S, 4) states gathered by an (R, 5)
     index.  They are stored slot-major: one slot of a batch's windows, the
     operand of each reconstruction formula, is then one run of memory."""
@@ -142,7 +157,8 @@ def march(field: MeanField, run: RunConfig):
     """Advance a perturbed field to the end time, sampling ||v||_inf each step.
 
     Returns (MonitorSeries, final field).  A NaN or invalid state flags a
-    collapse instead of raising.
+    collapse instead of raising, whether it is the perturbed start, a stage
+    or the state a step ends in.
     """
     state = inject_perturbation(field, run.amplitude, run.seed)
     t = 0.0
@@ -150,8 +166,8 @@ def march(field: MeanField, run: RunConfig):
     vmax = [transverse_velocity_norm(state)]
     collapsed = False
     while t < run.end_time:
-        dt = min(cfl_dt(state, run.cfl), run.end_time - t)
         try:
+            dt = min(cfl_dt(state, run.cfl), run.end_time - t)
             state = step_ssprk3(state, dt, run.scheme)
         except InvalidStateError:
             collapsed = True

@@ -2,7 +2,8 @@
 
 A plain scheme uses one (solver, order) on every face; a direction hybrid
 uses one pair on the normal faces (x-oriented, along the shock normal) and
-another on the transverse faces (y-oriented).  ``Scheme.parts`` resolves
+another on the transverse faces (y-oriented), both fixed by ``HYBRID_PARTS``,
+so a hybrid refuses any order but the default 5.  ``Scheme.parts`` resolves
 that choice once per scheme into the face batches that ``rhs`` and
 ``assemble`` run.
 """
@@ -36,6 +37,9 @@ class Scheme:
             raise ValueError(f"unknown solver {self.solver!r}")
         if self.order not in (1, 2, 5):
             raise ValueError(f"order must be 1, 2 or 5, got {self.order}")
+        if self.solver in HYBRID_PARTS and self.order != 5:
+            raise ValueError(f"{self.solver} takes its orders from HYBRID_PARTS; "
+                             f"leave order at 5, got {self.order}")
         if self.cap not in CAP_KINDS:
             raise ValueError(f"unknown near-shock cap {self.cap!r}")
         self.parts  # ReconConfig rejects an unknown space or WENO variant

@@ -5,11 +5,12 @@ Normalization: upstream density ``RHO_LEFT`` = 1.4 and pressure ``P_LEFT`` =
 inflow velocity equals the Mach number.  The grid is square with unit cells.
 """
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import euler, marching
+from . import euler, fields, marching, reconstruction, riemann
 from .errors import ConvergenceError, InvalidStateError, ShockStabError
 from .euler import GAMMA
 from .fields import BoundarySpec, MeanField
@@ -124,25 +125,80 @@ def _residual_1d(field, scheme) -> np.ndarray:
     return marching.rhs(field, scheme).reshape(field.U.shape[:-3] + (-1,))
 
 
+@functools.lru_cache(maxsize=None)
+def _probe_faces(table, cells: tuple[int, ...], periodic_x: bool):
+    """The faces that a single row's probe stack changes, built once per face
+    table (x faces of a row) and probed cells; the arrays are read-only.
+
+    The stack holds 2m probes, probe p moving cell ``cells[p % m]``, and then
+    the unperturbed row at member 2m.  A probe touches face f when f's
+    stencil (``table.window``) reads the probe's cell or, for the row's last
+    cell, the outflow ghost state that copies it; every other face of the
+    probe equals the row's.  Returns (probe, face, sides, shock): the touched
+    pairs in (probe, face) order, then, for those faces followed by all of
+    the row's faces, the side index (2F', 5) into the stack's flattened
+    state axis (laid out as ``fields.apply_boundaries``: cell i at i, the
+    outflow ghost at nx + 1 unless x is periodic) and the shock flags (F',).
+    """
+    n_faces = len(table.window)  # nx + 1 x faces
+    nx = n_faces - 1
+    n_states = nx if periodic_x else nx + 2
+    cells = np.array(cells)
+    moved = np.zeros((len(cells), n_states), dtype=bool)
+    moved[np.arange(len(cells)), cells] = True
+    if not periodic_x:
+        moved[:, nx + 1] = cells == nx - 1
+    touched = moved[:, table.window].any(axis=-1)
+    probe, face = np.nonzero(np.concatenate([touched, touched]))  # +h probes, then -h
+    member = np.concatenate([probe, np.full(n_faces, 2 * len(cells))])
+    faces = np.concatenate([face, np.arange(n_faces)])
+    offset = (member * n_states)[:, None]
+    sides = np.concatenate([offset + table.sides[faces], offset + table.sides[n_faces + faces]])
+    shock = table.shock[faces]
+    for a in (probe, face, sides, shock):
+        a.flags.writeable = False
+    return probe, face, sides, shock
+
+
 def _fd_jacobian_1d(field, scheme, cols) -> np.ndarray:
     """True Jacobian columns of the 1D residual (differentiates through the
     weights), shape (4 nx, m) for the m flat coordinates ``cols``.
 
     Column ``col`` (cell i, component c) is probed at U +- h e_col with
-    h = 1e-7 max(1, |U[i, 0, c]|) and is (R(U + h) - R(U - h)) / (2h).  All
-    2m probes are stacked on a batch axis and evaluated in one rhs call, so
-    a probe that leaves the admissible states makes that call raise; the LM
-    solve then ends its attempt.
+    h = 1e-7 max(1, |U[i, 0, c]|) and is (R(U + h) - R(U - h)) / (2h), R
+    the residual of ``rhs``, bit for bit.  The 2m probes and the row itself
+    are stacked on a batch axis and pass through one ``apply_boundaries``
+    and the conversion of ``marching.reconstruction_states``; then one
+    ``reconstruct_pair`` and one ``compute_flux`` call evaluate only the
+    faces each probe touches (``_probe_faces``) together with the row's
+    faces.  Each probe's face fluxes are the row's with its touched faces
+    written over, differenced as ``rhs`` does.  A probe that leaves the
+    admissible states makes that one pass raise; the LM solve then ends its
+    attempt.
     """
     cols = np.asarray(cols)
     m = len(cols)
     i, c = np.divmod(cols, 4)
     h = 1e-7 * np.maximum(1.0, np.abs(field.U[i, 0, c]))
-    probes = np.repeat(field.U[None], 2 * m, axis=0)  # +h probes, then -h
+    stack = np.repeat(field.U[None], 2 * m + 1, axis=0)  # +h probes, -h probes, the row
     plus = np.arange(m)
-    probes[plus, i, 0, c] += h
-    probes[m + plus, i, 0, c] -= h
-    R = _residual_1d(replace(field, U=probes), scheme)
+    stack[plus, i, 0, c] += h
+    stack[m + plus, i, 0, c] -= h
+    probes = replace(field, U=stack)
+    (table, solver, cfg, cap_cfg), = marching.face_parts(field, scheme)  # a row's x faces
+    probe, face, sides, shock = _probe_faces(table, tuple(i.tolist()), field.bc.periodic_x)
+    states = marching.reconstruction_states(probes, fields.apply_boundaries(probes), scheme.space)
+    recon = reconstruction.reconstruct_pair(
+        marching.gather_windows(states.reshape(-1, 4), sides), cfg, table.frame,
+        cap_cfg=cap_cfg, cap_mask=None if cap_cfg is None else shock, linearise=False,
+    )
+    flux = riemann.compute_flux(solver, recon.W, table.frame)
+    n = len(probe)
+    F = np.repeat(flux[None, n:], 2 * m, axis=0)  # (2m, nx + 1, 4): the row's fluxes
+    F[probe, face] = flux[:n]
+    res = np.zeros((2 * m, field.nx, 4))
+    res -= F[:, 1:] - F[:, :-1]
+    R = res.reshape(2 * m, -1)
     return ((R[:m] - R[m:]) / (2 * h)[:, None]).T
 
 
@@ -232,24 +288,28 @@ def _lm_refine_1d(field, scheme, tol, clamp_cells, pin_dofs):
 def converge_1d(cfg: ShockProblemConfig, scheme: Scheme):
     """Drive the 1D restriction of the problem to its steady state.
 
-    Ten small pseudo-time steps release the transient of the raw jump data;
-    then a damped Newton (Levenberg-Marquardt) solve of rhs = 0 with the
-    exact finite-difference Jacobian finds the steady state.  Pure marching
-    does not: the fifth-order schemes only orbit their steady state in a
-    weight-chatter limit cycle, and the low-dissipation solvers slowly drift
-    the captured shock off its initial sub-cell position, losing the family
-    member the shock-position parameter selects.  The supersonic upstream
-    columns (exactly uniform in the steady state) stay clamped and the
-    shock-cell density stays pinned during the solve.  If it stalls, two
-    seeded jitter restarts retry from the best state so far; a jittered
-    start that leaves the admissible states counts as a failed restart, and
-    an inadmissible Jacobian probe ends an LM attempt as a stall does.
+    Ten small pseudo-time steps release the transient of the raw jump data.
+    Then a damped Newton (Levenberg-Marquardt) solve of rhs = 0 finds the
+    steady state.  Its Jacobian is the central finite difference of rhs,
+    weights included, with every probe of one Jacobian evaluated in one
+    pass over the faces it touches (``_fd_jacobian_1d``).  Pure marching
+    does not converge: the fifth-order schemes only orbit their steady
+    state in a weight-chatter limit cycle, and the low-dissipation solvers
+    slowly drift the captured shock off its initial sub-cell position,
+    losing the family member the shock-position parameter selects.  During
+    the solve the supersonic upstream columns (exactly uniform in the
+    steady state) stay clamped and the shock-cell density stays pinned.  An
+    attempt ends when no damped step lowers the cost or when a Jacobian
+    probe leaves the admissible states.  Up to two seeded jitter restarts
+    then retry from the best state so far; a jittered start that leaves the
+    admissible states counts as a failed restart.
 
     Returns the (nx, 4) conservative profile and ``info`` with the smoothing
-    ``steps``, the total ``lm_iterations`` and the final ``residual``.
-    Success is max|d rho/dt| < converge_tol.  Anything else raises
-    ConvergenceError naming the scheme, the residual and the 1-based cell
-    of largest |d rho/dt|.
+    ``steps``, the total ``lm_iterations``, the jitter ``restarts`` started
+    (failed ones included) and the final ``residual``.  Success is
+    max|d rho/dt| < converge_tol.  Anything else raises ConvergenceError
+    naming the scheme, the residual and the 1-based cell of largest
+    |d rho/dt|.
     """
     field = build_initial_field(cfg, ny=1)
     clamp = tuple(range(max(cfg.shock_column - 2, 0)))
@@ -277,9 +337,11 @@ def converge_1d(cfg: ShockProblemConfig, scheme: Scheme):
     # the WENO weight kinks occasionally trap the solve in a shallow local
     # minimum; a seeded jitter restart dislodges it
     rng = np.random.default_rng(2024)
+    restarts = 0
     for _ in range(2):
         if res < cfg.converge_tol:
             break
+        restarts += 1
         trial = field.copy()
         noise = 1e-6 * rng.standard_normal(trial.U.shape)
         trial.U *= 1.0 + noise
@@ -301,7 +363,7 @@ def converge_1d(cfg: ShockProblemConfig, scheme: Scheme):
             f"{cfg.converge_tol:.0e} after the implicit solve and its restarts; "
             f"largest |d rho/dt| in cell {int(np.argmax(drho)) + 1}"
         )
-    info = {"steps": n_smooth, "lm_iterations": lm_iters, "residual": res}
+    info = {"steps": n_smooth, "lm_iterations": lm_iters, "restarts": restarts, "residual": res}
     return field.U[:, 0].copy(), info
 
 

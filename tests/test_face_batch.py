@@ -239,7 +239,7 @@ def test_one_left_state_call_and_one_window_gather_per_face_batch(monkeypatch, s
                                                                    batches):
     # both states of every face come from one gather and one reconstruction,
     # in the primitive space too, where the cells are converted first
-    calls = {"_left_state": 0, "_windows": 0}
+    calls = {"_left_state": 0, "gather_windows": 0}
 
     def counting(module, name):
         original = getattr(module, name)
@@ -251,10 +251,10 @@ def test_one_left_state_call_and_one_window_gather_per_face_batch(monkeypatch, s
         monkeypatch.setattr(module, name, counted)
 
     counting(reconstruction, "_left_state")
-    counting(marching, "_windows")
+    counting(marching, "gather_windows")
     field = sp.build_initial_field(sp.ShockProblemConfig(ny=4))
     marching.rhs(field, Scheme(solver=solver, order=5, space=space))
-    assert calls == {"_left_state": batches, "_windows": batches}
+    assert calls == {"_left_state": batches, "gather_windows": batches}
 
 
 def test_face_table_windows_and_normals():
@@ -321,7 +321,7 @@ def test_state_windows_equal_the_padded_reference_windows():
         states, Upad = fields.apply_boundaries(field), padded(field)
         table = fields.face_table(field.nx, field.ny, ("x", "y"), field.bc.periodic_x,
                                   field.shock_column)
-        windows = marching._windows(states, table.sides)
+        windows = marching.gather_windows(states, table.sides)
         n = windows.shape[-3] // 2
         # the right windows come mirrored
         for side, windows in enumerate((windows[..., :n, :, :], windows[..., n:, ::-1, :])):

@@ -214,6 +214,36 @@ def test_march_determinism():
     assert np.array_equal(f1.U, f2.U)
 
 
+def test_inadmissible_start_is_a_collapse():
+    # the perturbation at amplitude 0.3 leaves p < 0 in some cell: the march
+    # reports a collapse at t = 0 instead of raising from its time step
+    field = sp.build_initial_field(sp.ShockProblemConfig(ny=4))
+    run = RunConfig(scheme=Scheme(solver="roe", order=1), amplitude=0.3, seed=0)
+    series, state = marching.march(field, run)
+    assert series.collapsed
+    assert np.array_equal(series.t, [0.0])
+    assert np.array_equal(state.U, marching.inject_perturbation(field, 0.3, 0).U)
+
+
+def test_step_ending_in_an_inadmissible_state_is_a_collapse(monkeypatch):
+    # a finite state with p < 0 after a step (its final RK combination) is
+    # caught when the next step's dt is computed
+    field = sp.build_initial_field(sp.ShockProblemConfig(ny=4))
+    run = RunConfig(scheme=Scheme(solver="roe", order=1), end_time=1.0, amplitude=1e-9)
+
+    def bad_step(state, dt, scheme):
+        W = euler.cons_to_prim(state.U)
+        W[2, 1, 3] = -1e-3
+        return replace(state, U=euler.prim_to_cons(W))
+
+    monkeypatch.setattr(marching, "step_ssprk3", bad_step)
+    series, state = marching.march(field, run)
+    assert series.collapsed
+    assert len(series.t) == 2 and np.all(np.isfinite(state.U))
+    rho, mx, my, energy = state.U[2, 1]
+    assert energy < 0.5 * (mx * mx + my * my) / rho  # the state returned has p < 0
+
+
 def synthetic_series(lam, t_end=30.0, n=600, v0=1e-7):
     t = np.linspace(0.0, t_end, n)
     return MonitorSeries(t=t, vmax=v0 * np.exp(lam * t))

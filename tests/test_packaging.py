@@ -1,10 +1,12 @@
 """The dependencies declared in pyproject.toml are the third-party packages
 the source imports, no more and no fewer; every console script it declares
 resolves; every dataclass field is read; every public name has a caller
-outside the tests."""
+outside the tests; every traced layer function is reached through a module
+attribute the benchmark's tracer rebinds."""
 
 import ast
 import importlib
+import importlib.util
 import re
 import sys
 from pathlib import Path
@@ -193,3 +195,29 @@ def test_every_default_is_passed_by_some_caller():
         and not (position is not None and (function, "*") in passed)
     )
     assert unpassed == sorted(UNPASSED_DEFAULTS)
+
+
+def test_traced_layers_are_not_imported_by_name_elsewhere():
+    # shockbench/spans.py traces a layer by rebinding its attribute in the
+    # modules LAYERS lists; a module that imports the function by name keeps
+    # the original, and its calls drop out of the trace without an error
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "shockbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    rebound = {}  # (defining module, function name) -> modules whose attribute is rebound
+    for _, modules, attr, _ in spans.LAYERS:
+        owner = getattr(modules[0], attr).__module__
+        rebound[(owner, attr)] = {module.__name__ for module in modules}
+    assert rebound
+    unseen = []
+    for path in sorted((ROOT / "src" / "shockstab").glob("*.py")):
+        importer = f"shockstab.{path.stem}"
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            source = f"shockstab.{node.module}" if node.level == 1 else node.module
+            for alias in node.names:
+                modules = rebound.get((source, alias.name))
+                if modules is not None and importer not in modules:
+                    unseen.append(f"{importer} imports {source}.{alias.name}")
+    assert unseen == []

@@ -1,9 +1,10 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from shockstab import euler, marching, riemann, shock_problem as sp
+from shockstab import euler, fields, marching, reconstruction, riemann, shock_problem as sp
 from shockstab.errors import ConvergenceError, InvalidStateError
 from shockstab.fields import BoundarySpec, MeanField, apply_boundaries, outflow_jacobian
 from shockstab.scheme import Scheme
@@ -286,6 +287,13 @@ def test_converge_1d_jitter_restart_reaches_the_labelled_member():
     assert info["residual"] < c.converge_tol
     assert profile[5, 0] == sp.intermediate_state(c)[0]
     assert info["steps"] == 10
+    assert info["restarts"] >= 1
+
+
+def test_converge_1d_counts_no_restart_when_the_first_attempt_converges(base_flow_cache):
+    _, info = base_flow_cache(Scheme(solver="roe", order=5), epsilon=0.1)
+    assert info["residual"] < cfg().converge_tol
+    assert info["restarts"] == 0
 
 
 @pytest.mark.slow
@@ -342,16 +350,26 @@ def _loop_fd_jacobian(field, scheme, cols):
     return J
 
 
-def _counting_rhs(monkeypatch):
-    """Replace marching.rhs by a wrapper that records the batch shape of each call."""
-    rhs, shapes = marching.rhs, []
+def _counting_layers(monkeypatch):
+    """Wrap the layers a Jacobian may call; return, per layer, the list of
+    the batch shape (fields) or the side-axis length (face states) of each
+    call's first array argument."""
+    calls = {"rhs": [], "apply_boundaries": [], "reconstruct_pair": [], "compute_flux": []}
 
-    def counting(field, scheme):
-        shapes.append(field.U.shape[:-3])
-        return rhs(field, scheme)
+    def counting(module, name, size):
+        original = getattr(module, name)
 
-    monkeypatch.setattr(marching, "rhs", counting)
-    return shapes
+        def counted(*args, **kwargs):
+            calls[name].append(size(*args))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(marching, "rhs", lambda field, scheme: field.U.shape[:-3])
+    counting(fields, "apply_boundaries", lambda field: field.U.shape[:-3])
+    counting(reconstruction, "reconstruct_pair", lambda win, *a: win.shape[-3])
+    counting(riemann, "compute_flux", lambda kind, W, frame: W.shape[-2])
+    return calls
 
 
 def _low_energy_row():
@@ -373,20 +391,94 @@ def test_fd_jacobian_equals_the_column_loop_on_a_converged_row(base_flow_cache, 
     for cols in (every, every[(every >= 16) & (every != 20)]):
         expected = _loop_fd_jacobian(row, scheme, cols)
         with monkeypatch.context() as m:
-            shapes = _counting_rhs(m)
+            calls = _counting_layers(m)
             J = sp._fd_jacobian_1d(row, scheme, cols)
         assert J.shape == (4 * row.nx, len(cols))
         assert np.array_equal(J, expected)
-        assert shapes == [(2 * len(cols),)]  # every probe in one rhs call
+        # every probe and the row itself in one pass, and no rhs call
+        assert calls["rhs"] == []
+        assert calls["apply_boundaries"] == [(2 * len(cols) + 1,)]
+        assert len(calls["reconstruct_pair"]) == len(calls["compute_flux"]) == 1
 
 
-def test_fd_jacobian_raises_at_an_inadmissible_probe_after_one_rhs_call(monkeypatch):
+def test_fd_jacobian_raises_at_an_inadmissible_probe_in_one_pass(monkeypatch):
     scheme = Scheme(solver="roe", order=5)
     row = _low_energy_row()
-    shapes = _counting_rhs(monkeypatch)
+    calls = _counting_layers(monkeypatch)
     with pytest.raises(InvalidStateError):
         sp._fd_jacobian_1d(row, scheme, np.arange(4 * row.nx))
-    assert shapes == [(2 * 4 * row.nx,)]
+    # the primitive conversion of the whole probe stack refuses it
+    assert calls == {"rhs": [], "apply_boundaries": [(2 * 4 * row.nx + 1,)],
+                     "reconstruct_pair": [], "compute_flux": []}
+
+
+def _jacobian_rows():
+    """A perturbed shock row (inflow and outflow ghosts, shock column 6) and
+    a periodic row of 5 cells, shorter than the 6-cell stencil, so that a
+    window reads one cell twice."""
+    rng = np.random.default_rng(18)
+    shock = sp.build_initial_field(cfg(), ny=1)
+    shock = replace(shock, U=shock.U * (1.0 + 1e-3 * rng.standard_normal(shock.U.shape)))
+    x = 2 * np.pi * np.arange(5) / 5
+    W = np.stack([1.0 + 0.3 * np.sin(x), 0.5 + 0.1 * np.cos(x), 0.05 * np.sin(2 * x),
+                  1.0 + 0.2 * np.cos(x)], axis=-1)[:, None]
+    periodic = MeanField(U=euler.prim_to_cons(W), bc=BoundarySpec(periodic_x=True),
+                         shock_column=2)
+    return shock, periodic
+
+
+@pytest.mark.parametrize("space", ["conservative", "primitive", "characteristic"])
+@pytest.mark.parametrize("solver", ["roe", "hll", "hllc", "van_leer", "hybrid-1", "hybrid-2"])
+def test_fd_jacobian_equals_the_column_loop_on_every_column(monkeypatch, solver, space):
+    # only the faces a probe touches are evaluated; the Jacobian is still the
+    # one of rhs bit for bit, on inflow/outflow and periodic rows, every order
+    # and cap, and where the positivity fallback drops faces to first order
+    orders = (5,) if solver.startswith("hybrid") else (1, 2, 5)
+    caps = ("none", "first", "second", "smoothest-third")
+    fell_back = []
+    reconstruct_pair = reconstruction.reconstruct_pair
+
+    def recording(*args, **kwargs):
+        recon = reconstruct_pair(*args, **kwargs)
+        fell_back.append(bool(recon.fallback.any()))
+        return recon
+
+    for row in _jacobian_rows():
+        every = np.arange(4 * row.nx)
+        for order, cap in itertools.product(orders, caps):
+            scheme = Scheme(solver=solver, order=order, space=space, cap=cap)
+            expected = _loop_fd_jacobian(row, scheme, every)
+            with monkeypatch.context() as m:
+                m.setattr(reconstruction, "reconstruct_pair", recording)
+                J = sp._fd_jacobian_1d(row, scheme, every)
+            assert np.array_equal(J, expected), (row.bc.periodic_x, scheme.label())
+    if space == "conservative" and solver in ("roe", "hll", "hllc", "van_leer"):
+        assert any(fell_back)  # the fifth-order shock faces drop to first order
+
+
+@pytest.mark.parametrize("solver", ["roe", "hybrid-2"])
+def test_fd_jacobian_fluxes_only_the_touched_faces(monkeypatch, solver):
+    # a probe of cell i changes the faces i-2 .. i+3 of the row (its last
+    # cell also through the outflow ghost, which the same faces read): one
+    # reconstruct_pair and one compute_flux call take those faces of every
+    # probe and the row's nx + 1 faces, and rhs is not called
+    c = cfg()
+    row = sp.build_initial_field(c, ny=1)
+    scheme = Scheme(solver=solver, order=5, cap="second")
+    cols = np.arange(16, 4 * c.nx)
+    cells = cols // 4
+    touched = sum(min(i + 3, c.nx) - max(i - 2, 0) + 1 for i in cells)
+    calls = _counting_layers(monkeypatch)
+    sp._fd_jacobian_1d(row, scheme, cols)
+    sp._fd_jacobian_1d(row, scheme, cols)
+    faces = 2 * touched + c.nx + 1
+    assert calls == {"rhs": [], "apply_boundaries": [(2 * len(cols) + 1,)] * 2,
+                     "reconstruct_pair": [2 * faces] * 2, "compute_flux": [2 * faces] * 2}
+    # the index is built once per face table and set of probed cells
+    info = sp._probe_faces.cache_info()
+    sp._fd_jacobian_1d(row, scheme, cols)
+    assert sp._probe_faces.cache_info().hits == info.hits + 1
+    assert sp._probe_faces.cache_info().misses == info.misses
 
 
 def test_lm_refine_ends_the_attempt_when_the_jacobian_raises(monkeypatch):
