@@ -78,20 +78,23 @@ def reconstruction_states(field: MeanField, states: np.ndarray, space: str) -> n
 
 
 def face_reconstructions(field: MeanField, states: np.ndarray, scheme: Scheme,
-                         linearise: bool = True):
+                         linearise: bool = True, row0: bool = False):
     """Yield (table, solver, FaceRecon) once per part of ``face_parts``.
 
     Every part gathers both windows of its faces, side-stacked
     (..., 2F, 5, 4) behind the field's batch axes, in one take along
     ``table.sides`` from ``states``, the state axis of ``apply_boundaries``
     as ``reconstruction_states`` converts it; ``linearise`` is passed on to
-    ``reconstruct_pair``.
+    ``reconstruct_pair``.  With ``row0`` only the faces of ``table.row0``,
+    those of row j = 0, are reconstructed, in their frame and with their
+    shock flags; ``table`` is still the whole part's.
     """
     states = reconstruction_states(field, states, scheme.space)
     for table, solver, cfg, cap_cfg in face_parts(field, scheme):
+        faces = table.row0 if row0 else table
         recon = reconstruction.reconstruct_pair(
-            gather_windows(states, table.sides), cfg, table.frame,
-            cap_cfg=cap_cfg, cap_mask=None if cap_cfg is None else table.shock,
+            gather_windows(states, faces.sides), cfg, faces.frame,
+            cap_cfg=cap_cfg, cap_mask=None if cap_cfg is None else faces.shock,
             linearise=linearise,
         )
         yield table, solver, recon

@@ -9,6 +9,7 @@ that choice once per scheme into the face batches that ``rhs`` and
 """
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 from .reconstruction import CAP_TO_KIND, ReconConfig, config_for_cap, config_for_order
@@ -24,6 +25,11 @@ SOLVER_KINDS = (*FLUXES, *HYBRID_PARTS)
 CAP_KINDS = ("none", *CAP_TO_KIND)
 
 
+def is_int(value) -> bool:
+    """True for an int or a NumPy integer; False for a bool and any other number."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Scheme:
     solver: str = "roe"
@@ -35,8 +41,8 @@ class Scheme:
     def __post_init__(self):
         if self.solver not in SOLVER_KINDS:
             raise ValueError(f"unknown solver {self.solver!r}")
-        if self.order not in (1, 2, 5):
-            raise ValueError(f"order must be 1, 2 or 5, got {self.order}")
+        if not is_int(self.order) or self.order not in (1, 2, 5):
+            raise ValueError(f"order must be the integer 1, 2 or 5, got {self.order!r}")
         if self.solver in HYBRID_PARTS and self.order != 5:
             raise ValueError(f"{self.solver} takes its orders from HYBRID_PARTS; "
                              f"leave order at 5, got {self.order}")

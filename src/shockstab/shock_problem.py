@@ -14,7 +14,7 @@ from . import euler, fields, marching, reconstruction, riemann
 from .errors import ConvergenceError, InvalidStateError, ShockStabError
 from .euler import GAMMA
 from .fields import BoundarySpec, MeanField
-from .scheme import Scheme
+from .scheme import Scheme, is_int
 
 # iteration budget of each Levenberg-Marquardt attempt of the steady solve
 LM_MAX_ITER = 150
@@ -33,6 +33,9 @@ class ShockProblemConfig:
     converge_tol: float = 1e-12
 
     def __post_init__(self):
+        for name in ("nx", "ny", "shock_column"):
+            if not is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not 1.0 < self.mach < np.inf:
             raise ValueError("upstream Mach number must exceed 1 and be finite")
         if not 0.0 <= self.epsilon <= 1.0:

@@ -15,6 +15,15 @@ Ghost states never appear: the inflow state carries no perturbation and
 each row's outflow state folds onto the row's last cell through
 ``fields.outflow_jacobian``, the derivative of the pressure-pinned copy.
 
+A field whose cell averages are exactly equal along y (every projected
+steady shock) has the same blocks at every face of a column of faces.
+``assemble`` sees that in the field itself and then reconstructs, probes
+and blocks only the faces of row j = 0 (``FaceTable.row0``), hands every
+face its row-0 face's blocks, sums only the entries of block row j = 0 and
+tiles that block row along j, so S comes out exactly block-circulant.
+Block row j = 0 is summed in the order of the whole scatter and so holds
+the very bits a scatter of every row gives it.
+
 ``eigensolve`` takes one of two paths, chosen by a property of S that it
 checks itself.  A base flow uniform along the periodic y direction (every
 projected steady shock) makes S block-circulant in j: the block coupling
@@ -177,6 +186,11 @@ def assemble(field: MeanField, scheme: Scheme, check_steady: bool = True) -> Sta
 
     The field must be a single (nx, ny, 4) field: the scatter reads the
     leading axis as the face normal, so a batch is refused with ValueError.
+    A field uniform along y (ny > 1, every row equal to row 0 bit for bit)
+    has only the faces of row j = 0 reconstructed and differentiated, so an
+    error of theirs names a face of ``FaceTable.row0``; its S is block row
+    j = 0 tiled along j (module docstring).  Any other field has every face
+    of its own.  The steady check runs on the whole field either way.
     """
     if field.U.ndim != 3:
         raise ValueError(
@@ -192,18 +206,27 @@ def assemble(field: MeanField, scheme: Scheme, check_steady: bool = True) -> Sta
             )
     nx, ny = field.nx, field.ny
     Wint = field.interior_primitive()
+    # every row of a y-uniform field repeats row 0: its faces read the windows of row 0's
+    uniform = ny > 1 and bool(np.all(field.U == field.U[:, :1]))
 
     T_out = None if field.bc.periodic_x else outflow_jacobian(field, scheme.space == "primitive")
 
     parts = []
-    for table, solver, recon in marching.face_reconstructions(field, states, scheme):
+    for table, solver, recon in marching.face_reconstructions(field, states, scheme, row0=uniform):
+        faces = table.row0 if uniform else table
         orientations = "/".join(o for o, _ in table.grids)
-        A_U = _fd_jacobians_U(solver, euler.prim_to_cons(recon.W), table.frame,
+        A_U = _fd_jacobians_U(solver, euler.prim_to_cons(recon.W), faces.frame,
                               label=f"{orientations}-face")
         B = face_blocks(recon, A_U)
+        if uniform:
+            B = B[table.to_row0]
         for (axis, grid_blocks), (_, grid_window) in zip(table.split(B, 0),
                                                          table.split(table.window, 0)):
-            parts += _face_triplets(grid_blocks, grid_window, axis, field, T_out)
+            for part in _face_triplets(grid_blocks, grid_window, axis, field, T_out):
+                if uniform:  # only block row j = 0 is summed, in the order of the whole scatter
+                    first = part[0] % ny == 0
+                    part = tuple(a[first] for a in part)
+                parts.append(part)
     rows, cols, signs, blocks = (np.concatenate(p) for p in zip(*parts))
     if scheme.space == "primitive":
         blocks = euler.dw_du(Wint).reshape(-1, 4, 4)[rows] @ blocks
@@ -218,15 +241,33 @@ def assemble(field: MeanField, scheme: Scheme, check_steady: bool = True) -> Sta
         (blocks.ravel(), (entry_rows.ravel(), entry_cols.ravel())), shape=(n, n)
     ).tocsr()
     S.eliminate_zeros()
+    if uniform:
+        S = _tile_along_y(S, ny)
     return StabilityMatrix(
         matrix=S, nx=nx, ny=ny, space=scheme.space, W_mean=Wint,
     )
 
 
+def _tile_along_y(S0, ny: int) -> scipy.sparse.csr_array:
+    """The block-circulant S whose block row j is block row j = 0 of ``S0``,
+    its only nonzero rows, shifted by j along y: entry (i, 0, a; i', j', b)
+    becomes (i, j, a; i', j' + j mod ny, b)."""
+    A = S0.tocoo()
+    shift = np.arange(ny)[:, None]
+    cell, comp = np.divmod(A.col, 4)
+    i, j = np.divmod(cell, ny)
+    rows = A.row + 4 * shift
+    cols = 4 * (i * ny + (j + shift) % ny) + comp
+    return scipy.sparse.coo_array(
+        (np.tile(A.data, ny), (rows.ravel(), cols.ravel())), shape=S0.shape
+    ).tocsr()
+
+
 # S counts as block-circulant when every row matches the first one, shifted,
-# to this fraction of its largest entry: the scatter sums entries in an order
-# that depends on the row, so a y-uniform field gives S circulant only to a
-# few ulps (2.5e-16 measured)
+# to this fraction of its largest entry.  ``assemble`` tiles the S of an
+# exactly y-uniform field, which is then circulant bit for bit; a field
+# uniform along y only to rounding, or a hand-built matrix, sums its rows in
+# orders that depend on the row, which leaves a few ulps (2.5e-16 measured)
 CIRCULANT_RTOL = 1e-14
 
 

@@ -125,7 +125,10 @@ def face_triplets(B, axis, field, T_out):
 
 
 def per_direction_assemble(field, scheme):
-    """S as a CSR array, scattered exactly as ``stability.assemble`` does."""
+    """S as a CSR array, every face reconstructed and every row scattered on
+    its own.  ``stability.assemble`` gives these very bits on a field that
+    varies along y; on a y-uniform field its block row j = 0 has them and
+    the other rows are that row shifted."""
     nx, ny = field.nx, field.ny
     Wint = field.interior_primitive()
     T_out = None
@@ -329,3 +332,95 @@ def test_state_windows_equal_the_padded_reference_windows():
             for (orientation, win), ref in zip(gathered, (_x_face_windows, _y_face_windows)):
                 expect = ref(Upad, field.nx, field.ny)[side]
                 assert np.array_equal(win, expect), (field.U.shape, orientation, side)
+
+
+def _uniform_fields():
+    """Shock fields of every height the tests sample, uniform along y, then a
+    periodic-x field uniform along y with a transverse velocity."""
+    for ny in (1, 2, 3, 4, 7, 8):
+        yield sp.build_initial_field(sp.ShockProblemConfig(nx=9, ny=ny, shock_column=5))
+    periodic = _periodic_x_field()
+    yield replace(periodic, U=np.repeat(periodic.U[:, :1], periodic.ny, axis=1))
+
+
+@pytest.mark.parametrize("field", list(_uniform_fields()),
+                         ids=[f"ny={ny}" for ny in (1, 2, 3, 4, 7, 8)] + ["periodic-x"])
+def test_y_uniform_assembly_tiles_the_reference_block_row(field):
+    # every solver, hybrid, order and space; the caps are sampled in turn
+    nx, ny = field.nx, field.ny
+    row0 = (4 * ny * np.arange(nx)[:, None] + np.arange(4)).ravel()
+    schemes = [s for solver in SOLVERS for space in SPACES for s in _schemes(solver, space)]
+    for scheme in schemes[ny % len(CAPS)::len(CAPS)]:
+        S = stability.assemble(field, scheme, check_steady=False)
+        ref = per_direction_assemble(field, scheme)
+        # block row j = 0 holds the reference's bits, zeros pruned alike
+        mine, theirs = S.matrix[row0], ref[row0]
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(mine, attr), getattr(theirs, attr)), scheme.label()
+        # every other block row is block row 0 shifted by j exactly
+        blocks = S.matrix.toarray().reshape(nx, ny, 4, nx, ny, 4)  # (i, j, a, i', j', b)
+        for j in range(ny):
+            assert np.array_equal(blocks[:, j], np.roll(blocks[:, 0], j, axis=3)), (scheme.label(), j)
+        # the eigensolve reads block row 0, so both give the same spectrum
+        got = stability.eigensolve(S)
+        want = stability.eigensolve(replace(S, matrix=ref))
+        assert np.array_equal(got.eigenvalues, want.eigenvalues), scheme.label()
+        assert np.array_equal(got.max_real_by_k, want.max_real_by_k), scheme.label()
+        assert got.dominant == want.dominant, scheme.label()
+        assert np.array_equal(got.eigvec_grid, want.eigvec_grid), scheme.label()
+
+
+@pytest.mark.parametrize("scheme", [
+    Scheme(solver="roe", order=5, space="characteristic", cap="second"),
+    Scheme(solver="hllc", order=1, space="conservative"),
+    Scheme(solver="hybrid-1", cap="smoothest-third"),
+], ids=lambda scheme: scheme.label())
+def test_field_off_uniform_by_one_ulp_assembles_every_row(scheme):
+    # the choice is exact: one ulp in one cell gives each row its own faces
+    field = sp.build_initial_field(sp.ShockProblemConfig(nx=9, ny=4, shock_column=5))
+    field.U[6, 2, 0] = np.nextafter(field.U[6, 2, 0], np.inf)
+    S = stability.assemble(field, scheme, check_steady=False).matrix
+    ref = per_direction_assemble(field, scheme)
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(S, attr), getattr(ref, attr))
+
+
+def test_y_uniform_assembly_probes_only_the_row_0_faces(monkeypatch):
+    # 11x32: the probes of the 12 x faces and 11 y faces of row 0, not of all 747 faces
+    calls = []
+    original = riemann.compute_flux
+
+    def counted(solver, W, frame):
+        calls.append(W.shape)
+        return original(solver, W, frame)
+
+    monkeypatch.setattr(riemann, "compute_flux", counted)
+    field = sp.build_initial_field(sp.ShockProblemConfig(ny=32))
+    table = fields.face_table(11, 32, ("x", "y"), False, 6)
+    assert len(table.window) == 747 and len(table.row0.window) == 23
+    stability.assemble(field, Scheme(solver="roe", order=1), check_steady=False)
+    assert calls == [(2, 2, 4, 2 * 23, 4)]
+
+
+def test_row0_index_gives_each_face_its_row_0_window():
+    # on a y-uniform field a face gathers the values of its row-0 face's windows
+    nx, ny = 5, 4
+    field = sp.build_initial_field(sp.ShockProblemConfig(nx=nx, ny=ny, shock_column=3))
+    states = fields.apply_boundaries(field)
+    for orientations in (("x", "y"), ("x",), ("y",)):
+        table = fields.face_table(nx, ny, orientations, False, 3)
+        row0 = table.row0
+        assert row0.grids == tuple((o, (grid[0], 1)) for o, grid in table.grids)
+        assert row0.row0 is None and not table.to_row0.flags.writeable
+        expand = np.concatenate([table.to_row0, len(row0.window) + table.to_row0])
+        assert np.array_equal(marching.gather_windows(states, table.sides),
+                              marching.gather_windows(states, row0.sides)[expand])
+        assert np.array_equal(table.shock, row0.shock[table.to_row0])
+        if np.ndim(table.frame.nx):
+            assert np.array_equal(table.frame.nx, row0.frame.nx[table.to_row0])
+        else:
+            assert row0.frame is table.frame
+        # the row-0 faces are the faces (k, 0) of each face grid
+        for (_, window), (_, window0) in zip(table.split(table.window, 0),
+                                             row0.split(row0.window, 0)):
+            assert np.array_equal(window0, window[:, :1])

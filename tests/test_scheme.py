@@ -1,6 +1,7 @@
 import itertools
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from shockstab.reconstruction import config_for_cap, config_for_order
@@ -48,6 +49,10 @@ def test_equal_labels_build_equal_parts():
     pytest.param({"weno_variant": "jz"}, id="weno_variant-jz"),
     pytest.param({"solver": "rusanov"}, id="solver-rusanov"),
     pytest.param({"order": 3}, id="order-3"),
+    # an order is an integer: a bool or a float of an allowed order is refused
+    pytest.param({"order": True}, id="order-True"),
+    pytest.param({"order": 5.0}, id="order-5.0"),
+    pytest.param({"order": np.float64(2)}, id="order-float64-2"),
     pytest.param({"cap": "third"}, id="cap-third"),
     # a hybrid's orders come from HYBRID_PARTS: any other order is ignored
     pytest.param({"solver": "hybrid-1", "order": 1}, id="hybrid-1-order-1"),
@@ -56,6 +61,11 @@ def test_equal_labels_build_equal_parts():
 def test_invalid_scheme_rejected_at_construction(settings):
     with pytest.raises(ValueError):
         Scheme(**settings)
+
+
+def test_numpy_integer_order_is_accepted():
+    scheme = Scheme(order=np.int64(2))
+    assert scheme == Scheme(order=2) and scheme.label() == Scheme(order=2).label()
 
 
 @pytest.mark.parametrize("scheme", [Scheme(), Scheme(cap="second", space="characteristic"),

@@ -543,9 +543,20 @@ def test_config_validation():
     (lambda: cfg(converge_tol=0.0), "converge_tol"),
     (lambda: cfg(converge_tol=-1e-12), "converge_tol"),
     (lambda: cfg(converge_tol=float("inf")), "converge_tol"),
+    (lambda: cfg(nx=11.5), "nx must be an integer"),
+    (lambda: cfg(nx=11.0), "nx must be an integer"),
+    (lambda: cfg(ny=True), "ny must be an integer"),
+    (lambda: cfg(shock_column=6.5), "shock_column must be an integer"),
 ], ids=["ny=0", "nx=0", "amplitude=nan", "end_time=0", "end_time<0", "end_time=nan",
         "end_time=inf", "cfl=inf", "cfl=nan", "amplitude=inf", "mach=inf",
-        "converge_tol=nan", "converge_tol=0", "converge_tol<0", "converge_tol=inf"])
+        "converge_tol=nan", "converge_tol=0", "converge_tol<0", "converge_tol=inf",
+        "nx=11.5", "nx=11.0", "ny=True", "shock_column=6.5"])
 def test_empty_or_nan_settings_are_refused_at_construction(make, match):
     with pytest.raises(ValueError, match=match):
         make()
+
+
+def test_numpy_integer_grid_settings_are_accepted():
+    config = cfg(nx=np.int64(9), ny=np.int32(2), shock_column=np.int64(5))
+    assert config == cfg(nx=9, ny=2, shock_column=5)
+    assert sp.build_initial_field(config).U.shape == (9, 2, 4)
