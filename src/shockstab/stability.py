@@ -32,8 +32,13 @@ into ny Fourier blocks of size 4nx, one per transverse wavenumber k; S is
 real, so block ny - k is the conjugate of block k, and only the
 floor(ny/2) + 1 blocks k <= ny/2 are solved densely.  This is what makes
 wide grids affordable, since the dense solve of the whole S grows as
-(nx ny)^3.  Any other S, a field that varies along y or a hand-built matrix,
-is densified and solved whole.
+(nx ny)^3.  A projected steady shock has v = 0, and every flux is symmetric
+under y -> -y, so S is too: component 2 of each cell (v, or rho v) changes
+sign with j -> -j.  ``eigensolve`` checks that on the blocks, and then each
+Fourier block is similar to a real matrix, whose real solve costs about a
+quarter of the complex one; a block-circulant S without the symmetry keeps
+the complex blocks.  Any other S, a field that varies along y or a
+hand-built matrix, is densified and solved whole.
 
 Variable spaces:
 
@@ -73,6 +78,10 @@ class StabilityMatrix:
 class Spectrum:
     eigenvalues: np.ndarray  # complex (4N,)
     max_real: float
+    # the eigenvalue of largest real part.  Of a complex pair it is, with real
+    # Fourier blocks (``eigensolve``), the member with Im > 0, which LAPACK
+    # lists first; otherwise the member that the solve of block k* <= ny/2,
+    # or the dense solve, ranks first.  The other member is in ``eigenvalues``
     dominant: complex
     eigvec_grid: np.ndarray  # complex (nx, ny, 4), native perturbation space
     eigvec_primitive: np.ndarray  # complex (nx, ny, 4)
@@ -251,23 +260,53 @@ def assemble(field: MeanField, scheme: Scheme, check_steady: bool = True) -> Sta
 def _tile_along_y(S0, ny: int) -> scipy.sparse.csr_array:
     """The block-circulant S whose block row j is block row j = 0 of ``S0``,
     its only nonzero rows, shifted by j along y: entry (i, 0, a; i', j', b)
-    becomes (i, j, a; i', j' + j mod ny, b)."""
-    A = S0.tocoo()
+    becomes (i, j, a; i', j' + j mod ny, b).
+
+    ``S0`` is canonical CSR, so a row's entries in column block i' form a run
+    in (j', b) order.  Shift j wraps the run's entries with j' >= ny - j round
+    to its front, which rotates the run.  The CSR arrays of S are written in
+    that order, sorted without a sort.
+    """
+    nnz = S0.nnz
+    row = np.repeat(np.arange(S0.shape[0]), np.diff(S0.indptr))
+    i, j = np.divmod(S0.indices // 4, ny)
+    starts = np.r_[True, (row[1:] != row[:-1]) | (i[1:] != i[:-1])]
+    run = np.cumsum(starts) - 1
+    run_start = np.flatnonzero(starts)
+    length = np.diff(np.r_[run_start, nnz])[run]
+    # every run twice over, first at the columns of j' - ny, then at those of
+    # j': shift j reads its sorted run from the first copy's last wrapped[j]
+    # entries on, and adds 4j to the columns
+    first = run_start[run] + np.arange(nnz)
+    data, cols = np.empty(2 * nnz), np.empty(2 * nnz, dtype=S0.indices.dtype)
+    data[first] = data[first + length] = S0.data
+    cols[first], cols[first + length] = S0.indices - 4 * ny, S0.indices
+    count = np.bincount(run * ny + ny - 1 - j, minlength=run_start.size * ny).reshape(-1, ny)
+    wrapped = (np.cumsum(count, axis=1) - count).T  # (j, run): entries with j' >= ny - j
+    src = first + length - wrapped[:, run]
     shift = np.arange(ny)[:, None]
-    cell, comp = np.divmod(A.col, 4)
-    i, j = np.divmod(cell, ny)
-    rows = A.row + 4 * shift
-    cols = 4 * (i * ny + (j + shift) % ny) + comp
-    return scipy.sparse.coo_array(
-        (np.tile(A.data, ny), (rows.ravel(), cols.ravel())), shape=S0.shape
-    ).tocsr()
+    # S's rows run by block row i, then j, then a: block row i of S0 once per j
+    bounds = S0.indptr[:: 4 * ny]
+
+    def by_block_row(a):
+        return np.concatenate([a[:, lo:hi].ravel() for lo, hi in zip(bounds[:-1], bounds[1:])])
+
+    lengths = np.diff(S0.indptr).reshape(-1, ny, 4)[:, :1]
+    indptr = np.zeros_like(S0.indptr)
+    np.cumsum(np.broadcast_to(lengths, (lengths.shape[0], ny, 4)), out=indptr[1:])
+    return scipy.sparse.csr_array(
+        (by_block_row(data[src]), by_block_row(cols[src] + 4 * shift), indptr), shape=S0.shape
+    )
 
 
 # S counts as block-circulant when every row matches the first one, shifted,
 # to this fraction of its largest entry.  ``assemble`` tiles the S of an
 # exactly y-uniform field, which is then circulant bit for bit; a field
 # uniform along y only to rounding, or a hand-built matrix, sums its rows in
-# orders that depend on the row, which leaves a few ulps (2.5e-16 measured)
+# orders that depend on the row, which leaves a few ulps (2.5e-16 measured).
+# ``eigensolve`` holds the blocks' y -> -y symmetry to the same fraction.  The
+# benchmark's steady shocks keep it to 0 (HLLC, van Leer) or 3e-15 to 8e-15
+# (Roe) of max|C|; roe-o5/characteristic, off by 1.2e-14, stays complex
 CIRCULANT_RTOL = 1e-14
 
 
@@ -312,9 +351,19 @@ def eigensolve(S: StabilityMatrix) -> Spectrum:
     all ny blocks' (in block order, not the order of a dense solve),
     ``max_real_by_k`` holds each block's largest real part, equal for k and
     ny - k, and the eigenvector of the dominant block k*, the lower k of a
-    conjugate pair, is v^[i] exp(2 pi i k* j / ny).  Any other S (a field
-    that varies along y, a hand-built matrix) gets one dense ``eig`` of the
-    whole matrix and ``max_real_by_k = None``.
+    conjugate pair, is v^[i] exp(2 pi i k* j / ny).
+
+    The blocks are solved as real matrices when S is symmetric under
+    y -> -y: C(-d mod ny) = P C(d) P to ``CIRCULANT_RTOL`` of max |C|, where
+    P = diag(1, 1, -1, 1) per cell flips component 2, v in the primitive
+    space and rho v in the other two.  Then conj S^(k) = P S^(k) P, so with
+    D = diag(1, 1, i, 1) per cell T(k) = Re(D^-1 S^(k) D) is similar to
+    S^(k); the blocks T(k) go to the solves and the dominant eigenvector of
+    T(k*) maps back as D v.  A circulant S without that symmetry (a scheme
+    whose Jacobians break it by more than the tolerance, a hand-built
+    matrix) has its complex blocks S^(k) solved.  Any other S (a field that
+    varies along y, a hand-built matrix) gets one dense ``eig`` of the whole
+    matrix and ``max_real_by_k = None``.
     """
     C = _circulant_blocks(S)
     if C is None:
@@ -323,13 +372,21 @@ def eigensolve(S: StabilityMatrix) -> Spectrum:
         grid = vecs[:, k].reshape(S.nx, S.ny, 4)
         by_k = None
     else:
-        S_hat = S.ny * np.fft.ifft(C, axis=0)
-        block_vals = list(np.linalg.eigvals(S_hat[: S.ny // 2 + 1]))
+        S_hat = S.ny * np.fft.ifft(C, axis=0)[: S.ny // 2 + 1]
+        # y -> -y flips component 2 of every cell, v or rho v: P = diag(1, 1, -1, 1)
+        flip = np.tile([1.0, 1.0, -1.0, 1.0], S.nx)
+        D = np.ones(4 * S.nx, dtype=complex)  # diagonal of the similarity D^-1 S^(k) D
+        asymmetry = np.abs(C[-np.arange(S.ny) % S.ny] - flip[:, None] * C * flip).max()
+        if asymmetry <= CIRCULANT_RTOL * np.abs(C).max():
+            # C(-d) = P C(d) P: with D = diag(1, 1, i, 1) per cell, D^-1 S^(k) D is real
+            D[flip < 0] = 1j
+            S_hat = (S_hat * (D.conj()[:, None] * D)).real
+        block_vals = list(np.linalg.eigvals(S_hat))
         k_star = int(np.argmax([v.real.max() for v in block_vals]))
         block_vals[k_star], vecs = scipy.linalg.eig(S_hat[k_star])
         m = int(np.argmax(block_vals[k_star].real))
         phase = np.exp(2j * np.pi * k_star * np.arange(S.ny) / S.ny)
-        grid = vecs[:, m].reshape(S.nx, 1, 4) * phase[:, None]
+        grid = (D * vecs[:, m]).reshape(S.nx, 1, 4) * phase[:, None]
         # S is real, so S^(ny - k) = conj S^(k)
         block_vals += [block_vals[S.ny - k].conj() for k in range(len(block_vals), S.ny)]
         vals = np.concatenate(block_vals)

@@ -334,6 +334,44 @@ def test_state_windows_equal_the_padded_reference_windows():
                 assert np.array_equal(win, expect), (field.U.shape, orientation, side)
 
 
+def block_row_0(S, ny):
+    """S with every row outside block row j = 0 emptied, as canonical CSR."""
+    A = S.tocoo()
+    keep = A.row // 4 % ny == 0
+    return scipy.sparse.coo_array((A.data[keep], (A.row[keep], A.col[keep])), shape=S.shape).tocsr()
+
+
+def coo_tile(S0, ny):
+    """``stability._tile_along_y`` as a COO scatter of the shifted block rows
+    whose ``tocsr`` sorts each row's indices: the reference."""
+    A = S0.tocoo()
+    shift = np.arange(ny)[:, None]
+    cell, comp = np.divmod(A.col, 4)
+    i, j = np.divmod(cell, ny)
+    rows = A.row + 4 * shift
+    cols = 4 * (i * ny + (j + shift) % ny) + comp
+    return scipy.sparse.coo_array(
+        (np.tile(A.data, ny), (rows.ravel(), cols.ravel())), shape=S0.shape
+    ).tocsr()
+
+
+@pytest.mark.parametrize("ny", [1, 2, 3, 4, 5, 8, 32])
+def test_tiling_writes_the_csr_arrays_of_the_sorted_scatter(ny):
+    # random block rows j = 0, one of them empty: their runs of a column block
+    # start and end at every j', so each shift wraps some of them round
+    nx = 3
+    n = 4 * nx * ny
+    rng = np.random.default_rng(60 + ny)
+    row0 = (4 * ny * np.arange(nx)[:, None] + np.arange(4)).ravel()
+    dense = np.zeros((n, n))
+    dense[row0] = rng.standard_normal((row0.size, n)) * (rng.random((row0.size, n)) < 0.4)
+    dense[row0[5]] = 0.0
+    S0 = scipy.sparse.csr_array(dense)
+    got, want = stability._tile_along_y(S0, ny), coo_tile(S0, ny)
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
+
+
 def _uniform_fields():
     """Shock fields of every height the tests sample, uniform along y, then a
     periodic-x field uniform along y with a transverse velocity."""
@@ -361,6 +399,10 @@ def test_y_uniform_assembly_tiles_the_reference_block_row(field):
         blocks = S.matrix.toarray().reshape(nx, ny, 4, nx, ny, 4)  # (i, j, a, i', j', b)
         for j in range(ny):
             assert np.array_equal(blocks[:, j], np.roll(blocks[:, 0], j, axis=3)), (scheme.label(), j)
+        # and the CSR arrays are those of the sorted scatter of the shifted rows
+        tiled = coo_tile(block_row_0(S.matrix, ny), ny)
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(S.matrix, attr), getattr(tiled, attr)), scheme.label()
         # the eigensolve reads block row 0, so both give the same spectrum
         got = stability.eigensolve(S)
         want = stability.eigensolve(replace(S, matrix=ref))

@@ -490,14 +490,25 @@ def _dominant_residual(S, spec):
     return np.linalg.norm(r) / (np.linalg.norm(v) * np.abs(S.matrix).max())
 
 
-def _random_circulant(nx, ny, seed):
+def _random_circulant(nx, ny, seed, reflected=False):
     """S = circ(C(0), ..., C(ny-1)) of random real blocks: generically
     non-defective, so the whole multiset of eigenvalues is well posed.  As in
-    a fifth-order S, a cell couples to at most 3 cells on either side along y."""
+    a fifth-order S, a cell couples to at most 3 cells on either side along y.
+    ``reflected`` makes C(-d) = P C(d) P exactly, P = diag(1, 1, -1, 1) per
+    cell: the symmetry under y -> -y of an S about a field with v = 0."""
     rng = np.random.default_rng(seed)
     C = rng.standard_normal((ny, 4 * nx, 4 * nx))
     shift = np.arange(ny)
     C[np.minimum(shift, ny - shift) > 3] = 0.0
+    if reflected:
+        flip = np.tile([1.0, 1.0, -1.0, 1.0], nx)
+        C = 0.5 * (C + flip[:, None] * C[-shift % ny] * flip)  # the sum commutes: exact
+    return _circulant(C)
+
+
+def _circulant(C):
+    """(dense A, StabilityMatrix) of circ(C(0), ..., C(ny-1))."""
+    ny, nx = C.shape[0], C.shape[1] // 4
     A = np.zeros((4 * nx * ny, 4 * nx * ny))
     for j in range(ny):
         for d in range(ny):
@@ -511,6 +522,43 @@ def _random_circulant(nx, ny, seed):
     )
 
 
+def _reflected(C):
+    """Whether C(-d mod ny) = P C(d) P to ``CIRCULANT_RTOL`` of max |C|, which
+    makes every Fourier block similar to a real matrix."""
+    ny, n = C.shape[:2]
+    flip = np.tile([1.0, 1.0, -1.0, 1.0], n // 4)
+    deviation = np.abs(C[-np.arange(ny) % ny] - flip[:, None] * C * flip).max()
+    return bool(deviation <= stability.CIRCULANT_RTOL * np.abs(C).max())
+
+
+def _residual_bound(S, reflected):
+    """Bound on ``_dominant_residual``.  The complex blocks keep the 1e-14
+    they always had.  The real form's bound comes from the dtype: a
+    backward-stable solve of T(k) leaves a residual of a small multiple of
+    eps ||T(k)||_F, and ||T(k)||_F <= sum_d ||C(d)||_F <= 7 * 4nx * max|S|
+    for the at most 7 nonzero blocks C(d) of 4nx columns.  With 8 for 7 and
+    a factor 4 for the solver's constant, that is 32 * 4nx * eps."""
+    if not reflected:
+        return 1e-14
+    return 32 * 4 * S.nx * np.finfo(float).eps
+
+
+@pytest.fixture
+def solved_dtypes(monkeypatch):
+    """dtypes of the arrays that ``eigensolve`` hands to its two solvers."""
+    seen = []
+
+    def recording(solve):
+        def wrapped(a, *args, **kwargs):
+            seen.append(np.asarray(a).dtype)
+            return solve(a, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "eigvals", recording(np.linalg.eigvals))
+    monkeypatch.setattr(scipy.linalg, "eig", recording(scipy.linalg.eig))
+    return seen
+
+
 def _assert_full_spectrum(A, spec):
     dense = scipy.linalg.eigvals(A)
     dist = np.abs(spec.eigenvalues[:, None] - dense[None, :])
@@ -519,25 +567,31 @@ def _assert_full_spectrum(A, spec):
     assert spec.max_real == spec.eigenvalues.real.max()
 
 
-def test_fourier_blocks_give_the_full_spectrum():
-    A, S = _random_circulant(nx=2, ny=5, seed=49)
+@pytest.mark.parametrize("reflected", [False, True], ids=["complex", "real"])
+def test_fourier_blocks_give_the_full_spectrum(solved_dtypes, reflected):
+    A, S = _random_circulant(nx=2, ny=5, seed=49, reflected=reflected)
     spec = eigensolve(S)
+    # a reflected S hands real blocks T(k) to both solves, any other complex ones
+    assert solved_dtypes == [np.dtype(float if reflected else complex)] * 2
     assert spec.max_real_by_k.shape == (5,)
     # ny is odd, so every block but k = 0 is complex: the residual below then
-    # also checks the phase exp(2 pi i k j / ny) of the grid eigenvector
+    # also checks the phase exp(2 pi i k j / ny) of the grid eigenvector, and
+    # on a real block the component-2 factor i of D
     assert int(np.argmax(spec.max_real_by_k)) != 0
     _assert_full_spectrum(A, spec)
-    assert _dominant_residual(S, spec) < 1e-14
+    assert _dominant_residual(S, spec) < _residual_bound(S, reflected)
 
 
+@pytest.mark.parametrize("reflected", [False, True], ids=["complex", "real"])
 @pytest.mark.parametrize("ny", [1, 2, 3, 4, 5, 8, 16, 32])
-def test_half_spectrum_mirrors_the_conjugate_blocks(ny):
+def test_half_spectrum_mirrors_the_conjugate_blocks(solved_dtypes, ny, reflected):
     # only blocks k <= ny // 2 are solved; ny = 1 and 2 mirror none, and an
     # even ny has the real Nyquist block k = ny / 2, its own conjugate.  From
     # ny = 16 the FFT's S^(ny - k) differs from conj S^(k) in the last bits,
     # so a solve of every block breaks the exact mirror below
-    A, S = _random_circulant(nx=2, ny=ny, seed=50 + ny)
+    A, S = _random_circulant(nx=2, ny=ny, seed=50 + ny, reflected=reflected)
     spec = eigensolve(S)
+    assert solved_dtypes == [np.dtype(float if reflected else complex)] * 2
     _assert_full_spectrum(A, spec)
     by_k = spec.max_real_by_k
     assert np.array_equal(by_k[1:], by_k[1:][::-1])
@@ -545,6 +599,26 @@ def test_half_spectrum_mirrors_the_conjugate_blocks(ny):
     k_star = int(np.argmax(np.abs(np.fft.fft(spec.eigvec_grid, axis=1)).sum(axis=(0, 2))))
     assert k_star <= ny // 2
     assert by_k[k_star] == spec.max_real
+    assert _dominant_residual(S, spec) < _residual_bound(S, reflected)
+    if reflected:  # a real solve returns a conjugate pair's upper member first
+        assert spec.dominant.imag >= 0.0
+
+
+def test_one_odd_entry_keeps_the_complex_blocks(solved_dtypes):
+    # one entry of C(1) off its reflection by 1e-12 max|C|, above
+    # CIRCULANT_RTOL: every block stays complex, solved as before
+    ny = 8
+    _, S = _random_circulant(nx=2, ny=ny, seed=52, reflected=True)
+    C = stability._circulant_blocks(S)
+    assert _reflected(C)
+    C[1, 0, 5] += 1e-12 * np.abs(C).max()
+    A, S = _circulant(C)
+    assert not _reflected(stability._circulant_blocks(S))
+    spec = eigensolve(S)
+    assert solved_dtypes == [np.dtype(complex)] * 2
+    by_k, _ = _all_blocks_reference(S, real=False)
+    assert np.array_equal(spec.max_real_by_k[: ny // 2 + 1], by_k[: ny // 2 + 1])
+    _assert_full_spectrum(A, spec)
     assert _dominant_residual(S, spec) < 1e-14
 
 
@@ -618,29 +692,43 @@ def test_max_real_by_transverse_wavenumber(base_flow_cache):
     assert np.all(lam[1:] < 0.0)
 
 
-def _all_blocks_reference(S):
+def _all_blocks_reference(S, real):
     """(max_real_by_k, max_real) of a solve of every Fourier block, the
-    conjugate ones included: the Fourier path before it mirrored them."""
+    conjugate ones included: the Fourier path before it mirrored them.
+    ``real`` solves T(k) = Re(D^-1 S^(k) D), D = diag(1, 1, i, 1) per cell,
+    written out entry by entry, in place of S^(k)."""
     S_hat = S.ny * np.fft.ifft(stability._circulant_blocks(S), axis=0)
+    if real:
+        v = np.arange(4 * S.nx) % 4 == 2  # rows and columns of component 2
+        T = S_hat.real.copy()
+        T[:, v[:, None] & ~v] = S_hat.imag[:, v[:, None] & ~v]
+        T[:, ~v[:, None] & v] = -S_hat.imag[:, ~v[:, None] & v]
+        S_hat = T
     block_vals = [scipy.linalg.eigvals(B) for B in S_hat]
     k_star = int(np.argmax([v.real.max() for v in block_vals]))
     block_vals[k_star] = scipy.linalg.eig(S_hat[k_star])[0]
     return np.array([v.real.max() for v in block_vals]), np.concatenate(block_vals).real.max()
 
 
-@pytest.mark.parametrize("solver, order, space, epsilon, ny", [
-    ("roe", 1, "primitive", 0.1, 8),
-    ("roe", 5, "characteristic", 0.5, 4),
+@pytest.mark.parametrize("solver, order, space, epsilon, ny, real", [
+    ("roe", 1, "primitive", 0.1, 8, True),
+    # its Roe y-face Jacobians miss the reflection by 1.2e-14 max|C|
+    ("roe", 5, "characteristic", 0.5, 4, False),
 ])
-def test_half_spectrum_matches_all_block_solve(base_flow_cache, solver, order, space, epsilon, ny):
+def test_half_spectrum_matches_all_block_solve(base_flow_cache, solver, order, space, epsilon,
+                                               ny, real):
     scheme = Scheme(solver=solver, order=order, space=space)
     field, _ = base_flow_cache(scheme, epsilon=epsilon, ny=ny)
     S = assemble(field, scheme)
+    assert _reflected(stability._circulant_blocks(S)) == real
     spec = eigensolve(S)
-    by_k, lam = _all_blocks_reference(S)
+    by_k, lam = _all_blocks_reference(S, real)
     assert np.array_equal(spec.max_real_by_k[: ny // 2 + 1], by_k[: ny // 2 + 1])
     tol = max(1e-12 * max(1.0, abs(lam)), 1e-15 * np.abs(S.matrix).max())
     assert abs(spec.max_real - lam) <= tol
+    # across the forms: the real blocks' lambda_max is the complex blocks'
+    _, lam_complex = _all_blocks_reference(S, real=False)
+    assert abs(spec.max_real - lam_complex) <= tol
 
 
 def test_localize_synthetic():
