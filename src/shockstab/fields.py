@@ -118,12 +118,6 @@ class FaceTable:
     carries each face's unit normal as (F,) arrays, or as the one scalar
     normal of a table of a single orientation.  Tables compare and hash by
     identity; ``face_table`` builds one per grid.
-
-    ``row0`` is the table of the faces of row j = 0 alone, x faces (k, 0)
-    and y faces (i, 0) in table order, with windows into the same state
-    axis, and ``to_row0`` (F,) gives each face the position of its row-0
-    face (same k or i) in it.  On a field uniform along y a face reads the
-    same window values as its row-0 face.  A row-0 table has neither.
     """
 
     grids: tuple[tuple[str, tuple[int, int]], ...]
@@ -131,8 +125,6 @@ class FaceTable:
     sides: np.ndarray  # (2F, 5) state indices, left windows then mirrored right ones
     shock: np.ndarray  # (F,) bool
     frame: euler.FaceFrame
-    row0: "FaceTable | None" = None
-    to_row0: np.ndarray | None = None  # (F,) positions in row0
 
     def split(self, values: np.ndarray, axis: int):
         """Yield (orientation, part): the flat face axis ``axis`` of
@@ -184,23 +176,9 @@ def face_table(nx: int, ny: int, orientations: tuple[str, ...], periodic_x: bool
     else:
         frame = euler.FaceFrame(np.repeat([f.nx for f in normal], sizes),
                                 np.repeat([f.ny for f in normal], sizes))
-    row0, to_row0, start = [], [], 0
-    for _, (n, m) in grids:  # face (a, b) sits at start + a*m + b; its row-0 face is (a, 0)
-        to_row0.append(sum(map(len, row0)) + np.repeat(np.arange(n), m))
-        row0.append(start + m * np.arange(n))
-        start += n * m
-    row0, to_row0 = np.concatenate(row0), np.concatenate(to_row0)
-    to_row0.flags.writeable = False
-    row0_table = _table([(o, (n, 1)) for o, (n, _) in grids], window[row0], shock[row0],
-                        frame.at(row0))
-    return _table(grids, window, shock, frame, row0_table, to_row0)
-
-
-def _table(grids, window, shock, frame, row0=None, to_row0=None) -> FaceTable:
-    """A ``FaceTable`` with its side index, its arrays made read-only."""
     if np.ndim(frame.nx):
         frame.nx.flags.writeable = frame.ny.flags.writeable = False
     sides = np.concatenate([window[:, :5], window[:, :0:-1]])
     for a in (window, sides, shock):
         a.flags.writeable = False
-    return FaceTable(tuple(grids), window, sides, shock, frame, row0, to_row0)
+    return FaceTable(tuple(grids), window, sides, shock, frame)

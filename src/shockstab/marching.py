@@ -46,16 +46,18 @@ class GrowthFit:
     r2: float
 
 
-def face_parts(field: MeanField, scheme: Scheme):
+def face_parts(field: MeanField, scheme: Scheme, linearise: bool = False):
     """Yield (table, solver, cfg, cap_cfg) once per part of ``scheme.parts``,
     in its order: one part of all x and y faces for a plain scheme, the x
-    faces and then the y faces for a direction hybrid.  A single row keeps
-    only its x faces: its periodic j+1/2 and j-1/2 fluxes are identical.
-    ``table`` is the part's ``FaceTable``.  It orders the flat face axis,
-    carries the per-face normals and the faces a cap applies to, and splits
-    per-face results back into face grids."""
+    faces and then the y faces for a direction hybrid.  The residual of a
+    single row keeps only its x faces: its periodic j+1/2 and j-1/2 fluxes
+    are identical.  With ``linearise`` a single row keeps its y faces too, as
+    the row of a y-uniform field whose perturbations vary along y
+    (``stability.assemble``).  ``table`` is the part's ``FaceTable``.  It
+    orders the flat face axis, carries the per-face normals and the faces a
+    cap applies to, and splits per-face results back into face grids."""
     for orientations, solver, cfg, cap_cfg in scheme.parts:
-        if field.ny == 1:
+        if field.ny == 1 and not linearise:
             if "x" not in orientations:
                 continue
             orientations = ("x",)
@@ -78,23 +80,20 @@ def reconstruction_states(field: MeanField, states: np.ndarray, space: str) -> n
 
 
 def face_reconstructions(field: MeanField, states: np.ndarray, scheme: Scheme,
-                         linearise: bool = True, row0: bool = False):
+                         linearise: bool = True):
     """Yield (table, solver, FaceRecon) once per part of ``face_parts``.
 
     Every part gathers both windows of its faces, side-stacked
     (..., 2F, 5, 4) behind the field's batch axes, in one take along
     ``table.sides`` from ``states``, the state axis of ``apply_boundaries``
     as ``reconstruction_states`` converts it; ``linearise`` is passed on to
-    ``reconstruct_pair``.  With ``row0`` only the faces of ``table.row0``,
-    those of row j = 0, are reconstructed, in their frame and with their
-    shock flags; ``table`` is still the whole part's.
+    ``face_parts`` and ``reconstruct_pair``.
     """
     states = reconstruction_states(field, states, scheme.space)
-    for table, solver, cfg, cap_cfg in face_parts(field, scheme):
-        faces = table.row0 if row0 else table
+    for table, solver, cfg, cap_cfg in face_parts(field, scheme, linearise):
         recon = reconstruction.reconstruct_pair(
-            gather_windows(states, faces.sides), cfg, faces.frame,
-            cap_cfg=cap_cfg, cap_mask=None if cap_cfg is None else faces.shock,
+            gather_windows(states, table.sides), cfg, table.frame,
+            cap_cfg=cap_cfg, cap_mask=None if cap_cfg is None else table.shock,
             linearise=linearise,
         )
         yield table, solver, recon

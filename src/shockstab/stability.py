@@ -7,38 +7,38 @@ linearization coefficients of the reconstruction.  Block o acts on the
 state at slot o of the face's stencil in ``fields.face_table``, the very
 indices ``marching.rhs`` gathers, and the face's flux leaves the cell at
 slot 2 and enters the cell at slot 3.  ``assemble`` scatters all of them at
-once, with the sign for the two adjacent unit cells, into one sparse CSR
-matrix: duplicate entries are summed and exact zeros dropped, which leaves
-rows with up to 13 nonzero blocks at fifth order and 5 at first order.  Row
-and column 4*(i*ny + j) + c belong to component c of interior cell (i, j).
-Ghost states never appear: the inflow state carries no perturbation and
-each row's outflow state folds onto the row's last cell through
-``fields.outflow_jacobian``, the derivative of the pressure-pinned copy.
+once, with the sign for the two adjacent unit cells, and sums duplicate
+entries with one ``tocsr``.  Ghost states never appear: the inflow state
+carries no perturbation and each row's outflow state folds onto the row's
+last cell through ``fields.outflow_jacobian``, the derivative of the
+pressure-pinned copy.
 
-A field whose cell averages are exactly equal along y (every projected
-steady shock) has the same blocks at every face of a column of faces.
-``assemble`` sees that in the field itself and then reconstructs, probes
-and blocks only the faces of row j = 0 (``FaceTable.row0``), hands every
-face its row-0 face's blocks, sums only the entries of block row j = 0 and
-tiles that block row along j, so S comes out exactly block-circulant.
-Block row j = 0 is summed in the order of the whole scatter and so holds
-the very bits a scatter of every row gives it.
+S takes one of two forms, and ``assemble`` picks it from the field itself.
+A field whose rows of cell averages are exactly equal along the periodic y
+direction (every projected steady shock) makes S block-circulant in j: the
+block coupling cell (i, j) to cell (i', j') depends on j' - j mod ny only.
+A y face's stencil reaches three cells to either side of it, so S is fixed
+by the signed block row C(d), d = -3..3, the coupling of a cell to the
+cells d rows above it, and S = circ(C) with C(d) summed onto slot d mod ny.
+``assemble`` takes those seven blocks from the field's row alone, a
+one-row field whose y faces read the row itself, and builds no 4N x 4N
+matrix: slot o of the face below the row sits at d = o - 3, slot o of the
+face above it at d = o - 2.  Any other field, one that varies along y,
+gets every face of its own and S as a sparse CSR matrix, exact zeros
+dropped, with row and column 4*(i*ny + j) + c for component c of interior
+cell (i, j).
 
-``eigensolve`` takes one of two paths, chosen by a property of S that it
-checks itself.  A base flow uniform along the periodic y direction (every
-projected steady shock) makes S block-circulant in j: the block coupling
-(i, j) to (i', j') depends on j' - j mod ny only.  Then S splits exactly
-into ny Fourier blocks of size 4nx, one per transverse wavenumber k; S is
-real, so block ny - k is the conjugate of block k, and only the
-floor(ny/2) + 1 blocks k <= ny/2 are solved densely.  This is what makes
-wide grids affordable, since the dense solve of the whole S grows as
-(nx ny)^3.  A projected steady shock has v = 0, and every flux is symmetric
-under y -> -y, so S is too: component 2 of each cell (v, or rho v) changes
-sign with j -> -j.  ``eigensolve`` checks that on the blocks, and then each
+``eigensolve`` follows the form.  A block row splits S exactly into ny
+Fourier blocks of size 4nx, one per transverse wavenumber k; S is real, so
+block ny - k is the conjugate of block k, and only the floor(ny/2) + 1
+blocks k <= ny/2 are solved densely.  This is what makes wide grids
+affordable, since the dense solve of the whole S grows as (nx ny)^3.  A
+projected steady shock has v = 0, and every flux is symmetric under
+y -> -y, so S is too: component 2 of each cell (v, or rho v) changes sign
+with j -> -j.  ``eigensolve`` checks that on the blocks, and then each
 Fourier block is similar to a real matrix, whose real solve costs about a
-quarter of the complex one; a block-circulant S without the symmetry keeps
-the complex blocks.  Any other S, a field that varies along y or a
-hand-built matrix, is densified and solved whole.
+quarter of the complex one; blocks without the symmetry stay complex.  A
+CSR S is densified and solved whole.
 
 Variable spaces:
 
@@ -52,7 +52,7 @@ Variable spaces:
                    post-multiplied by the face's left eigen-matrix
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -67,11 +67,16 @@ from .scheme import Scheme
 
 @dataclass
 class StabilityMatrix:
-    matrix: scipy.sparse.csr_array  # (4N, 4N), exact zeros pruned
+    """S about a mean field in one of the two forms of the module docstring:
+    ``block_row`` for a field uniform along y, ``matrix`` for any other."""
+
     nx: int
     ny: int
     space: str
     W_mean: np.ndarray  # interior primitive states (nx, ny, 4)
+    # (OFFSETS, 4nx, 4nx): C(d) at index d mod OFFSETS, d = -3..3, so block_row[d] is C(d)
+    block_row: np.ndarray | None = None
+    matrix: scipy.sparse.csr_array | None = None  # (4N, 4N), exact zeros pruned
 
 
 @dataclass
@@ -155,15 +160,19 @@ def face_blocks(recon: FaceRecon, A_U) -> np.ndarray:
 
 
 def _face_triplets(B, window, axis: str, field: MeanField, T_out):
-    """(row cells, column cells, signs, 4x4 blocks) of one face orientation,
-    once for the cell before the faces and once for the cell after them.
+    """(row cells, column cells, y offsets d, signs, 4x4 blocks) of one face
+    orientation, once for the cell before the faces and once for the cell
+    after them.
 
     ``B`` holds the blocks of one face grid as ``face_blocks`` returns them
     and ``window`` its part of ``FaceTable.window``: block o acts on the
     state at slot o, and the flux leaves slot 2's cell and enters slot 3's.
-    Only the nx*ny cells that lead the state axis carry a perturbation: the
-    inflow state is dropped, and row t's outflow state folds onto the cell
-    before the row's last face through ``T_out[t]``.
+    The column cell of a y face's block o lies d = o - 2 rows above the cell
+    the flux leaves and d = o - 3 rows above the cell it enters, unwrapped;
+    an x face's blocks have d = 0.  Only the nx*ny cells that lead the state
+    axis carry a perturbation: the inflow state is dropped, and row t's
+    outflow state folds onto the cell before the row's last face through
+    ``T_out[t]``.
     """
     if axis == "y":
         B, window = B.swapaxes(0, 1), window.swapaxes(0, 1)  # normal face first
@@ -181,13 +190,17 @@ def _face_triplets(B, window, axis: str, field: MeanField, T_out):
     parts = []
     for slot, sign in ((2, -1.0), (3, 1.0)):
         row = np.broadcast_to(window[..., slot : slot + 1], col.shape)
+        d = np.broadcast_to(np.arange(6) - slot if axis == "y" else 0, col.shape)
         ok = keep & (row < cells)
-        parts.append((row[ok], col[ok], np.full(ok.sum(), sign), B[ok]))
+        parts.append((row[ok], col[ok], d[ok], np.full(ok.sum(), sign), B[ok]))
     return parts
 
 
 # largest density residual of a mean field that ``assemble`` accepts as steady
 STEADY_TOL = 1e-8
+
+# the signed offsets d = -3..3 of a y-uniform field's block row, stored at d mod OFFSETS
+OFFSETS = 7
 
 
 def assemble(field: MeanField, scheme: Scheme, check_steady: bool = True) -> StabilityMatrix:
@@ -195,17 +208,25 @@ def assemble(field: MeanField, scheme: Scheme, check_steady: bool = True) -> Sta
 
     The field must be a single (nx, ny, 4) field: the scatter reads the
     leading axis as the face normal, so a batch is refused with ValueError.
-    A field uniform along y (ny > 1, every row equal to row 0 bit for bit)
-    has only the faces of row j = 0 reconstructed and differentiated, so an
-    error of theirs names a face of ``FaceTable.row0``; its S is block row
-    j = 0 tiled along j (module docstring).  Any other field has every face
-    of its own.  The steady check runs on the whole field either way.
+    A field uniform along y (every row equal to row 0 bit for bit; any
+    single row is) is assembled from its row alone, the one-row field
+    ``field.U[:, :1]``: the steady check, the reconstruction and the probes
+    run on the row's cells and faces, and an error names those.  Its S is
+    returned as ``block_row``.  The row's entries meet ``tocsr`` in the
+    order, and with their columns (i', d) sorted as, those of block row
+    j = 0 in a scatter of every row, so where no two offsets share a slot
+    (ny >= 7) circ(C) holds that scatter's bits.  Any other field has every
+    face of its own, the steady check of every cell and S as ``matrix``.
     """
     if field.U.ndim != 3:
         raise ValueError(
             f"assemble takes a single (nx, ny, 4) field, got cell averages of shape {field.U.shape}"
         )
-    states = apply_boundaries(field)
+    nx, ny = field.nx, field.ny
+    W_mean = field.interior_primitive()
+    uniform = bool(np.all(field.U == field.U[:, :1]))
+    if uniform:  # every y-flux difference is exactly 0, so the row's residual is the field's
+        field = replace(field, U=field.U[:, :1])
     if check_steady:
         res = float(np.abs(marching.rhs(field, scheme)[..., 0]).max())
         if res > STEADY_TOL:
@@ -213,137 +234,55 @@ def assemble(field: MeanField, scheme: Scheme, check_steady: bool = True) -> Sta
                 f"mean field density residual {res:.3e} exceeds {STEADY_TOL:.1e}; "
                 "converge the base flow first"
             )
-    nx, ny = field.nx, field.ny
-    Wint = field.interior_primitive()
-    # every row of a y-uniform field repeats row 0: its faces read the windows of row 0's
-    uniform = ny > 1 and bool(np.all(field.U == field.U[:, :1]))
-
+    states = apply_boundaries(field)
     T_out = None if field.bc.periodic_x else outflow_jacobian(field, scheme.space == "primitive")
 
     parts = []
-    for table, solver, recon in marching.face_reconstructions(field, states, scheme, row0=uniform):
-        faces = table.row0 if uniform else table
+    for table, solver, recon in marching.face_reconstructions(field, states, scheme):
         orientations = "/".join(o for o, _ in table.grids)
-        A_U = _fd_jacobians_U(solver, euler.prim_to_cons(recon.W), faces.frame,
+        A_U = _fd_jacobians_U(solver, euler.prim_to_cons(recon.W), table.frame,
                               label=f"{orientations}-face")
         B = face_blocks(recon, A_U)
-        if uniform:
-            B = B[table.to_row0]
         for (axis, grid_blocks), (_, grid_window) in zip(table.split(B, 0),
                                                          table.split(table.window, 0)):
-            for part in _face_triplets(grid_blocks, grid_window, axis, field, T_out):
-                if uniform:  # only block row j = 0 is summed, in the order of the whole scatter
-                    first = part[0] % ny == 0
-                    part = tuple(a[first] for a in part)
-                parts.append(part)
-    rows, cols, signs, blocks = (np.concatenate(p) for p in zip(*parts))
+            parts += _face_triplets(grid_blocks, grid_window, axis, field, T_out)
+    rows, cols, offsets, signs, blocks = (np.concatenate(p) for p in zip(*parts))
     if scheme.space == "primitive":
-        blocks = euler.dw_du(Wint).reshape(-1, 4, 4)[rows] @ blocks
+        W = W_mean[:, :1] if uniform else W_mean
+        blocks = euler.dw_du(W).reshape(-1, 4, 4)[rows] @ blocks
     blocks = signs[:, None, None] * blocks
+    if uniform:  # column block (i', d mod OFFSETS) of the one row
+        cols = OFFSETS * cols + offsets % OFFSETS
 
     comp = np.arange(4)
     entry_rows = np.broadcast_to(4 * rows[:, None, None] + comp[:, None], blocks.shape)
     entry_cols = np.broadcast_to(4 * cols[:, None, None] + comp, blocks.shape)
-    n = 4 * nx * ny
-    # tocsr sums the duplicate entries
+    n = 4 * nx * field.ny
+    # tocsr sums the duplicate entries; a sum in another order moves bits of C(d)
     S = scipy.sparse.coo_array(
-        (blocks.ravel(), (entry_rows.ravel(), entry_cols.ravel())), shape=(n, n)
+        (blocks.ravel(), (entry_rows.ravel(), entry_cols.ravel())),
+        shape=(n, n * OFFSETS if uniform else n),
     ).tocsr()
-    S.eliminate_zeros()
     if uniform:
-        S = _tile_along_y(S, ny)
-    return StabilityMatrix(
-        matrix=S, nx=nx, ny=ny, space=scheme.space, W_mean=Wint,
-    )
+        C = S.toarray().reshape(n, nx, OFFSETS, 4).transpose(2, 0, 1, 3).reshape(OFFSETS, n, n)
+        return StabilityMatrix(nx=nx, ny=ny, space=scheme.space, W_mean=W_mean, block_row=C)
+    S.eliminate_zeros()
+    return StabilityMatrix(nx=nx, ny=ny, space=scheme.space, W_mean=W_mean, matrix=S)
 
 
-def _tile_along_y(S0, ny: int) -> scipy.sparse.csr_array:
-    """The block-circulant S whose block row j is block row j = 0 of ``S0``,
-    its only nonzero rows, shifted by j along y: entry (i, 0, a; i', j', b)
-    becomes (i, j, a; i', j' + j mod ny, b).
-
-    ``S0`` is canonical CSR, so a row's entries in column block i' form a run
-    in (j', b) order.  Shift j wraps the run's entries with j' >= ny - j round
-    to its front, which rotates the run.  The CSR arrays of S are written in
-    that order, sorted without a sort.
-    """
-    nnz = S0.nnz
-    row = np.repeat(np.arange(S0.shape[0]), np.diff(S0.indptr))
-    i, j = np.divmod(S0.indices // 4, ny)
-    starts = np.r_[True, (row[1:] != row[:-1]) | (i[1:] != i[:-1])]
-    run = np.cumsum(starts) - 1
-    run_start = np.flatnonzero(starts)
-    length = np.diff(np.r_[run_start, nnz])[run]
-    # every run twice over, first at the columns of j' - ny, then at those of
-    # j': shift j reads its sorted run from the first copy's last wrapped[j]
-    # entries on, and adds 4j to the columns
-    first = run_start[run] + np.arange(nnz)
-    data, cols = np.empty(2 * nnz), np.empty(2 * nnz, dtype=S0.indices.dtype)
-    data[first] = data[first + length] = S0.data
-    cols[first], cols[first + length] = S0.indices - 4 * ny, S0.indices
-    count = np.bincount(run * ny + ny - 1 - j, minlength=run_start.size * ny).reshape(-1, ny)
-    wrapped = (np.cumsum(count, axis=1) - count).T  # (j, run): entries with j' >= ny - j
-    src = first + length - wrapped[:, run]
-    shift = np.arange(ny)[:, None]
-    # S's rows run by block row i, then j, then a: block row i of S0 once per j
-    bounds = S0.indptr[:: 4 * ny]
-
-    def by_block_row(a):
-        return np.concatenate([a[:, lo:hi].ravel() for lo, hi in zip(bounds[:-1], bounds[1:])])
-
-    lengths = np.diff(S0.indptr).reshape(-1, ny, 4)[:, :1]
-    indptr = np.zeros_like(S0.indptr)
-    np.cumsum(np.broadcast_to(lengths, (lengths.shape[0], ny, 4)), out=indptr[1:])
-    return scipy.sparse.csr_array(
-        (by_block_row(data[src]), by_block_row(cols[src] + 4 * shift), indptr), shape=S0.shape
-    )
-
-
-# S counts as block-circulant when every row matches the first one, shifted,
-# to this fraction of its largest entry.  ``assemble`` tiles the S of an
-# exactly y-uniform field, which is then circulant bit for bit; a field
-# uniform along y only to rounding, or a hand-built matrix, sums its rows in
-# orders that depend on the row, which leaves a few ulps (2.5e-16 measured).
-# ``eigensolve`` holds the blocks' y -> -y symmetry to the same fraction.  The
-# benchmark's steady shocks keep it to 0 (HLLC, van Leer) or 3e-15 to 8e-15
-# (Roe) of max|C|; roe-o5/characteristic, off by 1.2e-14, stays complex
-CIRCULANT_RTOL = 1e-14
-
-
-def _circulant_blocks(S: StabilityMatrix):
-    """Blocks C(d), shape (ny, 4nx, 4nx), of S when S is block-circulant in j.
-
-    C(d) couples cell (i, j) to cell (i', j + d mod ny); it is read from the
-    j = 0 block row.  Returns None unless S matches circ(C) on every row to
-    ``CIRCULANT_RTOL``.  max |S - circ(C)| is taken in one pass over S: the
-    larger of max |S - C(d)| over S's entries and max |C| over the nonzeros
-    of C that some block row lacks.
-    """
-    nx, ny = S.nx, S.ny
-    A = S.matrix.tocoo()
-    cell_r, comp_r = np.divmod(A.row, 4)
-    cell_c, comp_c = np.divmod(A.col, 4)
-    i_r, j_r = np.divmod(cell_r, ny)
-    i_c, j_c = np.divmod(cell_c, ny)
-    # flat index into C of every entry's counterpart C(d)[a, b]
-    a, b = 4 * i_r + comp_r, 4 * i_c + comp_c
-    key = ((j_c - j_r) % ny * 4 * nx + a) * 4 * nx + b
-    first = j_r == 0
-    C = np.zeros(ny * (4 * nx) ** 2)
-    C[key[first]] = A.data[first]
-    lacked = (C != 0.0) & (np.bincount(key, minlength=C.size) < ny)
-    deviation = max(np.abs(A.data - C[key]).max(initial=0.0), np.abs(C[lacked]).max(initial=0.0))
-    if deviation > CIRCULANT_RTOL * np.abs(A.data).max(initial=0.0):
-        return None
-    return C.reshape(ny, 4 * nx, 4 * nx)
+# ``eigensolve`` solves the Fourier blocks as real matrices when the blocks
+# are symmetric under y -> -y to this fraction of max|C|.  The flux of a base
+# flow with v = 0 is, but its FD Jacobians need not be to the last bit: the
+# benchmark's steady shocks keep the symmetry to 0 (HLLC, van Leer) or 3e-15
+# to 8e-15 (Roe) of max|C|; roe-o5/characteristic, off by 1.2e-14, stays complex
+REFLECTION_RTOL = 1e-14
 
 
 def eigensolve(S: StabilityMatrix) -> Spectrum:
     """Full spectrum plus the grid-mapped most-unstable eigenvector.
 
-    A base flow uniform along the periodic y direction makes S
-    block-circulant in j, which ``_circulant_blocks`` checks on S itself.
-    Then S splits exactly into ny Fourier blocks
+    A block row ``S.block_row`` is summed onto ny slots, C(d mod ny) += C(d),
+    and S splits exactly into ny Fourier blocks
     S^(k) = sum_d C(d) exp(2 pi i k d / ny) of size 4nx, one per transverse
     wavenumber k.  C is real, so S^(ny - k) = conj S^(k): only the blocks
     k = 0..floor(ny/2) are solved, and every block k > ny/2 takes the
@@ -354,30 +293,32 @@ def eigensolve(S: StabilityMatrix) -> Spectrum:
     conjugate pair, is v^[i] exp(2 pi i k* j / ny).
 
     The blocks are solved as real matrices when S is symmetric under
-    y -> -y: C(-d mod ny) = P C(d) P to ``CIRCULANT_RTOL`` of max |C|, where
+    y -> -y: C(-d mod ny) = P C(d) P to ``REFLECTION_RTOL`` of max |C|, where
     P = diag(1, 1, -1, 1) per cell flips component 2, v in the primitive
     space and rho v in the other two.  Then conj S^(k) = P S^(k) P, so with
     D = diag(1, 1, i, 1) per cell T(k) = Re(D^-1 S^(k) D) is similar to
     S^(k); the blocks T(k) go to the solves and the dominant eigenvector of
-    T(k*) maps back as D v.  A circulant S without that symmetry (a scheme
-    whose Jacobians break it by more than the tolerance, a hand-built
-    matrix) has its complex blocks S^(k) solved.  Any other S (a field that
-    varies along y, a hand-built matrix) gets one dense ``eig`` of the whole
-    matrix and ``max_real_by_k = None``.
+    T(k*) maps back as D v.  Blocks without that symmetry (a scheme whose
+    Jacobians break it by more than the tolerance) have their complex
+    blocks S^(k) solved.  A CSR ``S.matrix`` (a field that varies along y,
+    a hand-built matrix) gets one dense ``eig`` of the whole matrix and
+    ``max_real_by_k = None``.
     """
-    C = _circulant_blocks(S)
-    if C is None:
+    if S.block_row is None:
         vals, vecs = scipy.linalg.eig(S.matrix.toarray(), overwrite_a=True)
         k = int(np.argmax(vals.real))
         grid = vecs[:, k].reshape(S.nx, S.ny, 4)
         by_k = None
     else:
+        C = np.zeros((S.ny,) + S.block_row.shape[1:])
+        for d in range(-(OFFSETS // 2), OFFSETS // 2 + 1):
+            C[d % S.ny] += S.block_row[d]
         S_hat = S.ny * np.fft.ifft(C, axis=0)[: S.ny // 2 + 1]
         # y -> -y flips component 2 of every cell, v or rho v: P = diag(1, 1, -1, 1)
         flip = np.tile([1.0, 1.0, -1.0, 1.0], S.nx)
         D = np.ones(4 * S.nx, dtype=complex)  # diagonal of the similarity D^-1 S^(k) D
         asymmetry = np.abs(C[-np.arange(S.ny) % S.ny] - flip[:, None] * C * flip).max()
-        if asymmetry <= CIRCULANT_RTOL * np.abs(C).max():
+        if asymmetry <= REFLECTION_RTOL * np.abs(C).max():
             # C(-d) = P C(d) P: with D = diag(1, 1, i, 1) per cell, D^-1 S^(k) D is real
             D[flip < 0] = 1j
             S_hat = (S_hat * (D.conj()[:, None] * D)).real

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -11,6 +13,7 @@ from shockstab.fields import BoundarySpec, MeanField
 from shockstab.scheme import Scheme
 from shockstab.stability import Spectrum, assemble, eigensolve, localize
 
+from circulant import dense, wrapped_blocks
 from padded_reference import NG
 from side_axis import face_flux, halves, side_states, side_windows
 from test_euler import random_states
@@ -30,8 +33,8 @@ def initial_shock_field(**kw):
 
 def block_pattern(S):
     """(row cell, column cell) of every nonzero 4x4 block of S."""
-    A = S.matrix.tocoo()
-    return set(zip((A.row // 4).tolist(), (A.col // 4).tolist()))
+    rows, cols = np.nonzero(dense(S))
+    return set(zip((rows // 4).tolist(), (cols // 4).tolist()))
 
 
 def block_cols(S, i, j):
@@ -217,6 +220,24 @@ def test_assemble_refuses_a_batch_of_fields():
         assemble(batch, Scheme(solver="roe", order=1), check_steady=False)
 
 
+@pytest.mark.parametrize("ny", [8, 11, 32])
+@pytest.mark.parametrize("scheme", [
+    Scheme(solver="roe", order=5, space="primitive"),
+    Scheme(solver="roe", order=1),
+    Scheme(solver="hybrid-1"),
+    Scheme(solver="roe", order=5, space="characteristic"),
+], ids=lambda scheme: scheme.label())
+def test_signed_blocks_do_not_depend_on_the_grid_height(base_flow_cache, scheme, ny):
+    # C(d) couples a cell to the cell d rows above it: a steady shock on ny
+    # rows has the very bits of its C(d) on 7 rows, the fewest rows on which
+    # the offsets d = -3..3 keep slots of their own
+    field, _ = base_flow_cache(scheme, epsilon=0.5, ny=4)
+    C = {n: assemble(replace(field, U=np.repeat(field.U[:, :1], n, axis=1)), scheme).block_row
+         for n in (7, ny)}
+    assert C[7].shape == (7, 4 * field.nx, 4 * field.nx)
+    assert np.array_equal(C[ny], C[7])
+
+
 def test_circulant_spectrum_first_order_upwind():
     # supersonic 1xN periodic strip: S is the classic circulant upwind
     # difference; eigenvalues lie on circles -s*lam*(1 - exp(-i theta)),
@@ -246,7 +267,7 @@ def test_uniform_field_kernel(order, space):
     S = assemble(field, Scheme(solver="hllc", order=order, space=space))
     rng = np.random.default_rng(43)
     c = rng.standard_normal(4)
-    A = S.matrix.toarray()
+    A = dense(S)
     vec = np.tile(c, S.nx * S.ny)
     out = A @ vec
     assert np.abs(out).max() < 1e-7 * max(1.0, np.abs(A).max())
@@ -264,7 +285,7 @@ def test_first_order_space_equivalence():
     for space in ("conservative", "primitive", "characteristic"):
         S = assemble(field, Scheme(solver="roe", order=1, space=space),
                      check_steady=False)
-        mats[space] = S.matrix.toarray()
+        mats[space] = dense(S)
         doms[space] = eigensolve(S).max_real
     scale = np.abs(mats["conservative"]).max()
     # primitive: similarity by block-diag(dU/dW) at the cell means
@@ -390,7 +411,7 @@ def test_sparse_scatter_matches_loop_reference():
     ]
     for field, scheme in cases:
         ref = _loop_assembly(field, scheme)
-        S = assemble(field, scheme, check_steady=False).matrix.toarray()
+        S = dense(assemble(field, scheme, check_steady=False))
         assert np.abs(S - ref).max() <= 1e-14 * np.abs(ref).max(), scheme.label()
 
 
@@ -404,7 +425,7 @@ def _rhs_derivative_mismatch(field, scheme, v, eps=1e-7):
     fm = field.copy()
     fm.U -= eps * v.reshape(field.nx, field.ny, 4)
     dr = (marching.rhs(fp, scheme) - marching.rhs(fm, scheme)) / (2 * eps)
-    Sv = (S.matrix @ v).reshape(field.nx, field.ny, 4)
+    Sv = (dense(S) @ v).reshape(field.nx, field.ny, 4)
     return np.max(np.abs(dr - Sv)), np.abs(dr).max()
 
 
@@ -464,8 +485,8 @@ def test_eigensolve_rotation_block():
 
 def test_eigensolve_characteristic_polynomial_oracle():
     # coefficients via Faddeev-LeVerrier (trace recursion), roots via the
-    # companion matrix: an independent route to the same spectrum.  The
-    # random matrix is not block-circulant, so the dense path runs
+    # companion matrix: an independent route to the same spectrum.  A CSR
+    # matrix takes the dense path
     rng = np.random.default_rng(45)
     M = rng.standard_normal((8, 8))
     n = M.shape[0]
@@ -485,61 +506,51 @@ def test_eigensolve_characteristic_polynomial_oracle():
 
 def _dominant_residual(S, spec):
     """||S v - lambda v|| / (||v|| max|S|) of the returned dominant pair."""
-    v = spec.eigvec_grid.ravel()
-    r = S.matrix @ v - spec.dominant * v
-    return np.linalg.norm(r) / (np.linalg.norm(v) * np.abs(S.matrix).max())
+    A, v = dense(S), spec.eigvec_grid.ravel()
+    r = A @ v - spec.dominant * v
+    return np.linalg.norm(r) / (np.linalg.norm(v) * np.abs(A).max())
 
 
 def _random_circulant(nx, ny, seed, reflected=False):
-    """S = circ(C(0), ..., C(ny-1)) of random real blocks: generically
-    non-defective, so the whole multiset of eigenvalues is well posed.  As in
-    a fifth-order S, a cell couples to at most 3 cells on either side along y.
-    ``reflected`` makes C(-d) = P C(d) P exactly, P = diag(1, 1, -1, 1) per
-    cell: the symmetry under y -> -y of an S about a field with v = 0."""
+    """(dense A, StabilityMatrix) of S = circ(C) for a random real block row
+    C(d), d = -3..3, as in a fifth-order S: generically non-defective, so the
+    whole multiset of eigenvalues is well posed.  ``reflected`` makes
+    C(-d) = P C(d) P exactly, P = diag(1, 1, -1, 1) per cell: the symmetry
+    under y -> -y of an S about a field with v = 0."""
     rng = np.random.default_rng(seed)
-    C = rng.standard_normal((ny, 4 * nx, 4 * nx))
-    shift = np.arange(ny)
-    C[np.minimum(shift, ny - shift) > 3] = 0.0
+    C = rng.standard_normal((7, 4 * nx, 4 * nx))
     if reflected:
         flip = np.tile([1.0, 1.0, -1.0, 1.0], nx)
-        C = 0.5 * (C + flip[:, None] * C[-shift % ny] * flip)  # the sum commutes: exact
-    return _circulant(C)
+        C = 0.5 * (C + flip[:, None] * C[-np.arange(7)] * flip)  # the sum commutes: exact
+    return _circulant(C, ny)
 
 
-def _circulant(C):
-    """(dense A, StabilityMatrix) of circ(C(0), ..., C(ny-1))."""
-    ny, nx = C.shape[0], C.shape[1] // 4
-    A = np.zeros((4 * nx * ny, 4 * nx * ny))
-    for j in range(ny):
-        for d in range(ny):
-            for i in range(nx):
-                for ic in range(nx):
-                    r, c = 4 * (i * ny + j), 4 * (ic * ny + (j + d) % ny)
-                    A[r : r + 4, c : c + 4] = C[d, 4 * i : 4 * i + 4, 4 * ic : 4 * ic + 4]
-    return A, stability.StabilityMatrix(
-        matrix=scipy.sparse.csr_array(A), nx=nx, ny=ny, space="conservative",
-        W_mean=np.tile([1.0, 0.0, 0.0, 1.0], (nx, ny, 1)),
+def _circulant(C, ny):
+    """(dense A, StabilityMatrix) of the block row C on ny rows."""
+    nx = C.shape[1] // 4
+    S = stability.StabilityMatrix(
+        nx=nx, ny=ny, space="conservative", W_mean=np.tile([1.0, 0.0, 0.0, 1.0], (nx, ny, 1)),
+        block_row=C,
     )
+    return dense(S), S
 
 
 def _reflected(C):
-    """Whether C(-d mod ny) = P C(d) P to ``CIRCULANT_RTOL`` of max |C|, which
+    """Whether C(-d mod ny) = P C(d) P to ``REFLECTION_RTOL`` of max |C|, which
     makes every Fourier block similar to a real matrix."""
     ny, n = C.shape[:2]
     flip = np.tile([1.0, 1.0, -1.0, 1.0], n // 4)
     deviation = np.abs(C[-np.arange(ny) % ny] - flip[:, None] * C * flip).max()
-    return bool(deviation <= stability.CIRCULANT_RTOL * np.abs(C).max())
+    return bool(deviation <= stability.REFLECTION_RTOL * np.abs(C).max())
 
 
-def _residual_bound(S, reflected):
-    """Bound on ``_dominant_residual``.  The complex blocks keep the 1e-14
-    they always had.  The real form's bound comes from the dtype: a
-    backward-stable solve of T(k) leaves a residual of a small multiple of
-    eps ||T(k)||_F, and ||T(k)||_F <= sum_d ||C(d)||_F <= 7 * 4nx * max|S|
-    for the at most 7 nonzero blocks C(d) of 4nx columns.  With 8 for 7 and
-    a factor 4 for the solver's constant, that is 32 * 4nx * eps."""
-    if not reflected:
-        return 1e-14
+def _residual_bound(S):
+    """Bound on ``_dominant_residual``, from the dtype: a backward-stable
+    solve of a Fourier block S^(k), or of its real form T(k), leaves a
+    residual of a small multiple of eps ||S^(k)||_F, and
+    ||S^(k)||_F <= sum_d ||C(d)||_F <= 7 * 4nx * max|S| for the at most 7
+    nonzero blocks C(d) of 4nx columns.  With 8 for 7 and a factor 4 for
+    the solver's constant, that is 32 * 4nx * eps."""
     return 32 * 4 * S.nx * np.finfo(float).eps
 
 
@@ -579,7 +590,7 @@ def test_fourier_blocks_give_the_full_spectrum(solved_dtypes, reflected):
     # on a real block the component-2 factor i of D
     assert int(np.argmax(spec.max_real_by_k)) != 0
     _assert_full_spectrum(A, spec)
-    assert _dominant_residual(S, spec) < _residual_bound(S, reflected)
+    assert _dominant_residual(S, spec) < _residual_bound(S)
 
 
 @pytest.mark.parametrize("reflected", [False, True], ids=["complex", "real"])
@@ -599,21 +610,21 @@ def test_half_spectrum_mirrors_the_conjugate_blocks(solved_dtypes, ny, reflected
     k_star = int(np.argmax(np.abs(np.fft.fft(spec.eigvec_grid, axis=1)).sum(axis=(0, 2))))
     assert k_star <= ny // 2
     assert by_k[k_star] == spec.max_real
-    assert _dominant_residual(S, spec) < _residual_bound(S, reflected)
+    assert _dominant_residual(S, spec) < _residual_bound(S)
     if reflected:  # a real solve returns a conjugate pair's upper member first
         assert spec.dominant.imag >= 0.0
 
 
 def test_one_odd_entry_keeps_the_complex_blocks(solved_dtypes):
     # one entry of C(1) off its reflection by 1e-12 max|C|, above
-    # CIRCULANT_RTOL: every block stays complex, solved as before
+    # REFLECTION_RTOL: every block stays complex, solved as before
     ny = 8
     _, S = _random_circulant(nx=2, ny=ny, seed=52, reflected=True)
-    C = stability._circulant_blocks(S)
-    assert _reflected(C)
+    assert _reflected(wrapped_blocks(S))
+    C = S.block_row.copy()
     C[1, 0, 5] += 1e-12 * np.abs(C).max()
-    A, S = _circulant(C)
-    assert not _reflected(stability._circulant_blocks(S))
+    A, S = _circulant(C, ny)
+    assert not _reflected(wrapped_blocks(S))
     spec = eigensolve(S)
     assert solved_dtypes == [np.dtype(complex)] * 2
     by_k, _ = _all_blocks_reference(S, real=False)
@@ -622,19 +633,12 @@ def test_one_odd_entry_keeps_the_complex_blocks(solved_dtypes):
     assert _dominant_residual(S, spec) < 1e-14
 
 
-@pytest.mark.parametrize("j", [0, 2])
-def test_a_block_row_lacking_one_entry_takes_the_dense_path(j):
-    # circ(C) with one nonzero of C removed from block row j: on row 0 the
-    # read C lacks an entry the other rows hold, on row 2 that row lacks one
-    # entry of C, which no entry of S itself shows
+def test_a_csr_matrix_takes_the_dense_path(solved_dtypes):
+    # only a field that varies along y has its S as a CSR matrix, and that is
+    # solved whole, even when it happens to be block-circulant
     A, S = _random_circulant(nx=2, ny=5, seed=51)
-    assert stability._circulant_blocks(S) is not None
-    rows = (4 * (np.arange(2)[:, None] * 5 + j) + np.arange(4)).ravel()  # block row j
-    r = rows[3]
-    A[r, np.flatnonzero(A[r])[5]] = 0.0
-    S.matrix = scipy.sparse.csr_array(A)
-    assert stability._circulant_blocks(S) is None
-    spec = eigensolve(S)
+    spec = eigensolve(replace(S, block_row=None, matrix=scipy.sparse.csr_array(A)))
+    assert solved_dtypes == [np.dtype(float)]
     assert spec.max_real_by_k is None
     _assert_full_spectrum(A, spec)
 
@@ -651,8 +655,9 @@ def test_fourier_lambda_max_matches_dense_on_steady_shock(base_flow_cache, order
     S = assemble(field, scheme)
     spec = eigensolve(S)
     assert spec.max_real_by_k is not None
-    lam_dense = scipy.linalg.eigvals(S.matrix.toarray()).real.max()
-    tol = max(1e-12 * max(1.0, abs(lam_dense)), 1e-15 * np.abs(S.matrix).max())
+    A = dense(S)
+    lam_dense = scipy.linalg.eigvals(A).real.max()
+    tol = max(1e-12 * max(1.0, abs(lam_dense)), 1e-15 * np.abs(A).max())
     assert abs(spec.max_real - lam_dense) <= tol
     assert _dominant_residual(S, spec) < 1e-14
 
@@ -697,7 +702,7 @@ def _all_blocks_reference(S, real):
     conjugate ones included: the Fourier path before it mirrored them.
     ``real`` solves T(k) = Re(D^-1 S^(k) D), D = diag(1, 1, i, 1) per cell,
     written out entry by entry, in place of S^(k)."""
-    S_hat = S.ny * np.fft.ifft(stability._circulant_blocks(S), axis=0)
+    S_hat = S.ny * np.fft.ifft(wrapped_blocks(S), axis=0)
     if real:
         v = np.arange(4 * S.nx) % 4 == 2  # rows and columns of component 2
         T = S_hat.real.copy()
@@ -720,11 +725,12 @@ def test_half_spectrum_matches_all_block_solve(base_flow_cache, solver, order, s
     scheme = Scheme(solver=solver, order=order, space=space)
     field, _ = base_flow_cache(scheme, epsilon=epsilon, ny=ny)
     S = assemble(field, scheme)
-    assert _reflected(stability._circulant_blocks(S)) == real
+    C = wrapped_blocks(S)
+    assert _reflected(C) == real
     spec = eigensolve(S)
     by_k, lam = _all_blocks_reference(S, real)
     assert np.array_equal(spec.max_real_by_k[: ny // 2 + 1], by_k[: ny // 2 + 1])
-    tol = max(1e-12 * max(1.0, abs(lam)), 1e-15 * np.abs(S.matrix).max())
+    tol = max(1e-12 * max(1.0, abs(lam)), 1e-15 * np.abs(C).max())
     assert abs(spec.max_real - lam) <= tol
     # across the forms: the real blocks' lambda_max is the complex blocks'
     _, lam_complex = _all_blocks_reference(S, real=False)
