@@ -13,32 +13,28 @@ carries no perturbation and each row's outflow state folds onto the row's
 last cell through ``fields.outflow_jacobian``, the derivative of the
 pressure-pinned copy.
 
-S takes one of two forms, and ``assemble`` picks it from the field itself.
-A field whose rows of cell averages are exactly equal along the periodic y
-direction (every projected steady shock) makes S block-circulant in j: the
-block coupling cell (i, j) to cell (i', j') depends on j' - j mod ny only.
-A y face's stencil reaches three cells to either side of it, so S is fixed
-by the signed block row C(d), d = -3..3, the coupling of a cell to the
-cells d rows above it, and S = circ(C) with C(d) summed onto slot d mod ny.
-``assemble`` takes those seven blocks from the field's row alone, a
-one-row field whose y faces read the row itself, and builds no 4N x 4N
-matrix: slot o of the face below the row sits at d = o - 3, slot o of the
-face above it at d = o - 2.  Any other field, one that varies along y,
-gets every face of its own and S as a sparse CSR matrix, exact zeros
-dropped, with row and column 4*(i*ny + j) + c for component c of interior
-cell (i, j).
+The linearisation is about a steady captured shock, whose rows of cell
+averages are exactly equal along the periodic y direction.  S is then
+block-circulant in j: the block coupling cell (i, j) to cell (i', j')
+depends on j' - j mod ny only.  A y face's stencil reaches three cells to
+either side of it, so S is fixed by its signed block row C(d), d = -3..3,
+the coupling of a cell to the cells d rows above it, and S = circ(C) with
+C(d) summed onto slot d mod ny.  That block row is the one form of S.
+``assemble`` takes the seven blocks from the field's row alone, a one-row
+field whose y faces read the row itself, and builds no 4N x 4N matrix:
+slot o of the face below the row sits at d = o - 3, slot o of the face
+above it at d = o - 2.  A field that varies along y is refused.
 
-``eigensolve`` follows the form.  A block row splits S exactly into ny
-Fourier blocks of size 4nx, one per transverse wavenumber k; S is real, so
-block ny - k is the conjugate of block k, and only the floor(ny/2) + 1
-blocks k <= ny/2 are solved densely.  This is what makes wide grids
-affordable, since the dense solve of the whole S grows as (nx ny)^3.  A
-projected steady shock has v = 0, and every flux is symmetric under
-y -> -y, so S is too: component 2 of each cell (v, or rho v) changes sign
-with j -> -j.  ``eigensolve`` checks that on the blocks, and then each
-Fourier block is similar to a real matrix, whose real solve costs about a
-quarter of the complex one; blocks without the symmetry stay complex.  A
-CSR S is densified and solved whole.
+``eigensolve`` splits S exactly into ny Fourier blocks of size 4nx, one per
+transverse wavenumber k; S is real, so block ny - k is the conjugate of
+block k, and only the floor(ny/2) + 1 blocks k <= ny/2 are solved densely.
+This is what makes wide grids affordable, since the dense solve of the
+whole S grows as (nx ny)^3.  A projected steady shock has v = 0, and every
+flux is symmetric under y -> -y, so S is too: component 2 of each cell (v,
+or rho v) changes sign with j -> -j.  ``eigensolve`` checks that on the
+blocks, and then each Fourier block is similar to a real matrix, whose real
+solve costs about a quarter of the complex one; blocks without the symmetry
+stay complex.
 
 Variable spaces:
 
@@ -67,16 +63,15 @@ from .scheme import Scheme
 
 @dataclass
 class StabilityMatrix:
-    """S about a mean field in one of the two forms of the module docstring:
-    ``block_row`` for a field uniform along y, ``matrix`` for any other."""
+    """S about a mean field uniform along y, as its signed block row (module
+    docstring)."""
 
     nx: int
     ny: int
     space: str
     W_mean: np.ndarray  # interior primitive states (nx, ny, 4)
     # (OFFSETS, 4nx, 4nx): C(d) at index d mod OFFSETS, d = -3..3, so block_row[d] is C(d)
-    block_row: np.ndarray | None = None
-    matrix: scipy.sparse.csr_array | None = None  # (4N, 4N), exact zeros pruned
+    block_row: np.ndarray
 
 
 @dataclass
@@ -85,13 +80,13 @@ class Spectrum:
     max_real: float
     # the eigenvalue of largest real part.  Of a complex pair it is, with real
     # Fourier blocks (``eigensolve``), the member with Im > 0, which LAPACK
-    # lists first; otherwise the member that the solve of block k* <= ny/2,
-    # or the dense solve, ranks first.  The other member is in ``eigenvalues``
+    # lists first; otherwise the member that the solve of block k* <= ny/2
+    # ranks first.  The other member is in ``eigenvalues``
     dominant: complex
     eigvec_grid: np.ndarray  # complex (nx, ny, 4), native perturbation space
     eigvec_primitive: np.ndarray  # complex (nx, ny, 4)
     # (ny,) per transverse wavenumber k; entry ny - k mirrors entry k exactly
-    max_real_by_k: np.ndarray | None = None
+    max_real_by_k: np.ndarray
 
 
 # relative step of the central-difference flux Jacobians
@@ -208,25 +203,31 @@ def assemble(field: MeanField, scheme: Scheme, check_steady: bool = True) -> Sta
 
     The field must be a single (nx, ny, 4) field: the scatter reads the
     leading axis as the face normal, so a batch is refused with ValueError.
-    A field uniform along y (every row equal to row 0 bit for bit; any
-    single row is) is assembled from its row alone, the one-row field
-    ``field.U[:, :1]``: the steady check, the reconstruction and the probes
-    run on the row's cells and faces, and an error names those.  Its S is
-    returned as ``block_row``.  The row's entries meet ``tocsr`` in the
-    order, and with their columns (i', d) sorted as, those of block row
-    j = 0 in a scatter of every row, so where no two offsets share a slot
-    (ny >= 7) circ(C) holds that scatter's bits.  Any other field has every
-    face of its own, the steady check of every cell and S as ``matrix``.
+    It must be uniform along y, every row equal to row 0 bit for bit; a
+    field that varies along y is refused with ValueError naming its first
+    cell (i, j) that differs from cell (i, 0).  The field is assembled from its row alone, the
+    one-row field ``field.U[:, :1]``: the steady check, the reconstruction
+    and the probes run on the row's cells and faces, and an error names
+    those.  S is returned as ``block_row``.  The row's entries meet
+    ``tocsr`` in the order, and with their columns (i', d) sorted as, those
+    of block row j = 0 in a scatter of every row, so where no two offsets
+    share a slot (ny >= 7) circ(C) holds that scatter's bits.
     """
     if field.U.ndim != 3:
         raise ValueError(
             f"assemble takes a single (nx, ny, 4) field, got cell averages of shape {field.U.shape}"
         )
+    bits = field.U.view(np.uint64)
+    differs = np.argwhere((bits[:, 1:] != bits[:, :1]).any(axis=-1))
+    if len(differs):
+        i, j = differs[0] + (0, 1)
+        raise ValueError(
+            f"assemble takes a field uniform along y, but cell ({i}, {j}) differs from cell ({i}, 0)"
+        )
     nx, ny = field.nx, field.ny
     W_mean = field.interior_primitive()
-    uniform = bool(np.all(field.U == field.U[:, :1]))
-    if uniform:  # every y-flux difference is exactly 0, so the row's residual is the field's
-        field = replace(field, U=field.U[:, :1])
+    # every y-flux difference is exactly 0, so the row's residual is the field's
+    field = replace(field, U=field.U[:, :1])
     if check_steady:
         res = float(np.abs(marching.rhs(field, scheme)[..., 0]).max())
         if res > STEADY_TOL:
@@ -248,26 +249,20 @@ def assemble(field: MeanField, scheme: Scheme, check_steady: bool = True) -> Sta
             parts += _face_triplets(grid_blocks, grid_window, axis, field, T_out)
     rows, cols, offsets, signs, blocks = (np.concatenate(p) for p in zip(*parts))
     if scheme.space == "primitive":
-        W = W_mean[:, :1] if uniform else W_mean
-        blocks = euler.dw_du(W).reshape(-1, 4, 4)[rows] @ blocks
+        blocks = euler.dw_du(W_mean[:, 0])[rows] @ blocks
     blocks = signs[:, None, None] * blocks
-    if uniform:  # column block (i', d mod OFFSETS) of the one row
-        cols = OFFSETS * cols + offsets % OFFSETS
+    cols = OFFSETS * cols + offsets % OFFSETS  # column block (i', d mod OFFSETS)
 
     comp = np.arange(4)
     entry_rows = np.broadcast_to(4 * rows[:, None, None] + comp[:, None], blocks.shape)
     entry_cols = np.broadcast_to(4 * cols[:, None, None] + comp, blocks.shape)
-    n = 4 * nx * field.ny
+    n = 4 * nx
     # tocsr sums the duplicate entries; a sum in another order moves bits of C(d)
-    S = scipy.sparse.coo_array(
-        (blocks.ravel(), (entry_rows.ravel(), entry_cols.ravel())),
-        shape=(n, n * OFFSETS if uniform else n),
-    ).tocsr()
-    if uniform:
-        C = S.toarray().reshape(n, nx, OFFSETS, 4).transpose(2, 0, 1, 3).reshape(OFFSETS, n, n)
-        return StabilityMatrix(nx=nx, ny=ny, space=scheme.space, W_mean=W_mean, block_row=C)
-    S.eliminate_zeros()
-    return StabilityMatrix(nx=nx, ny=ny, space=scheme.space, W_mean=W_mean, matrix=S)
+    C = scipy.sparse.coo_array(
+        (blocks.ravel(), (entry_rows.ravel(), entry_cols.ravel())), shape=(n, n * OFFSETS)
+    ).tocsr().toarray()
+    C = C.reshape(n, nx, OFFSETS, 4).transpose(2, 0, 1, 3).reshape(OFFSETS, n, n)
+    return StabilityMatrix(nx=nx, ny=ny, space=scheme.space, W_mean=W_mean, block_row=C)
 
 
 # ``eigensolve`` solves the Fourier blocks as real matrices when the blocks
@@ -281,8 +276,8 @@ REFLECTION_RTOL = 1e-14
 def eigensolve(S: StabilityMatrix) -> Spectrum:
     """Full spectrum plus the grid-mapped most-unstable eigenvector.
 
-    A block row ``S.block_row`` is summed onto ny slots, C(d mod ny) += C(d),
-    and S splits exactly into ny Fourier blocks
+    The block row ``S.block_row`` is summed onto ny slots,
+    C(d mod ny) += C(d), and S splits exactly into ny Fourier blocks
     S^(k) = sum_d C(d) exp(2 pi i k d / ny) of size 4nx, one per transverse
     wavenumber k.  C is real, so S^(ny - k) = conj S^(k): only the blocks
     k = 0..floor(ny/2) are solved, and every block k > ny/2 takes the
@@ -300,39 +295,29 @@ def eigensolve(S: StabilityMatrix) -> Spectrum:
     S^(k); the blocks T(k) go to the solves and the dominant eigenvector of
     T(k*) maps back as D v.  Blocks without that symmetry (a scheme whose
     Jacobians break it by more than the tolerance) have their complex
-    blocks S^(k) solved.  A CSR ``S.matrix`` (a field that varies along y,
-    a hand-built matrix) gets one dense ``eig`` of the whole matrix and
-    ``max_real_by_k = None``.
+    blocks S^(k) solved.
     """
-    if S.block_row is None:
-        vals, vecs = scipy.linalg.eig(S.matrix.toarray(), overwrite_a=True)
-        k = int(np.argmax(vals.real))
-        grid = vecs[:, k].reshape(S.nx, S.ny, 4)
-        by_k = None
-    else:
-        C = np.zeros((S.ny,) + S.block_row.shape[1:])
-        for d in range(-(OFFSETS // 2), OFFSETS // 2 + 1):
-            C[d % S.ny] += S.block_row[d]
-        S_hat = S.ny * np.fft.ifft(C, axis=0)[: S.ny // 2 + 1]
-        # y -> -y flips component 2 of every cell, v or rho v: P = diag(1, 1, -1, 1)
-        flip = np.tile([1.0, 1.0, -1.0, 1.0], S.nx)
-        D = np.ones(4 * S.nx, dtype=complex)  # diagonal of the similarity D^-1 S^(k) D
-        asymmetry = np.abs(C[-np.arange(S.ny) % S.ny] - flip[:, None] * C * flip).max()
-        if asymmetry <= REFLECTION_RTOL * np.abs(C).max():
-            # C(-d) = P C(d) P: with D = diag(1, 1, i, 1) per cell, D^-1 S^(k) D is real
-            D[flip < 0] = 1j
-            S_hat = (S_hat * (D.conj()[:, None] * D)).real
-        block_vals = list(np.linalg.eigvals(S_hat))
-        k_star = int(np.argmax([v.real.max() for v in block_vals]))
-        block_vals[k_star], vecs = scipy.linalg.eig(S_hat[k_star])
-        m = int(np.argmax(block_vals[k_star].real))
-        phase = np.exp(2j * np.pi * k_star * np.arange(S.ny) / S.ny)
-        grid = (D * vecs[:, m]).reshape(S.nx, 1, 4) * phase[:, None]
-        # S is real, so S^(ny - k) = conj S^(k)
-        block_vals += [block_vals[S.ny - k].conj() for k in range(len(block_vals), S.ny)]
-        vals = np.concatenate(block_vals)
-        k = k_star * 4 * S.nx + m
-        by_k = np.array([v.real.max() for v in block_vals])
+    C = np.zeros((S.ny,) + S.block_row.shape[1:])
+    for d in range(-(OFFSETS // 2), OFFSETS // 2 + 1):
+        C[d % S.ny] += S.block_row[d]
+    S_hat = S.ny * np.fft.ifft(C, axis=0)[: S.ny // 2 + 1]
+    # y -> -y flips component 2 of every cell, v or rho v: P = diag(1, 1, -1, 1)
+    flip = np.tile([1.0, 1.0, -1.0, 1.0], S.nx)
+    D = np.ones(4 * S.nx, dtype=complex)  # diagonal of the similarity D^-1 S^(k) D
+    asymmetry = np.abs(C[-np.arange(S.ny) % S.ny] - flip[:, None] * C * flip).max()
+    if asymmetry <= REFLECTION_RTOL * np.abs(C).max():
+        # C(-d) = P C(d) P: with D = diag(1, 1, i, 1) per cell, D^-1 S^(k) D is real
+        D[flip < 0] = 1j
+        S_hat = (S_hat * (D.conj()[:, None] * D)).real
+    block_vals = list(np.linalg.eigvals(S_hat))
+    k_star = int(np.argmax([v.real.max() for v in block_vals]))
+    block_vals[k_star], vecs = scipy.linalg.eig(S_hat[k_star])
+    m = int(np.argmax(block_vals[k_star].real))
+    phase = np.exp(2j * np.pi * k_star * np.arange(S.ny) / S.ny)
+    grid = (D * vecs[:, m]).reshape(S.nx, 1, 4) * phase[:, None]
+    # S is real, so S^(ny - k) = conj S^(k)
+    block_vals += [block_vals[S.ny - k].conj() for k in range(len(block_vals), S.ny)]
+    vals = np.concatenate(block_vals)
     pivot = np.unravel_index(np.argmax(np.abs(grid)), grid.shape)
     grid = grid / grid[pivot]  # deterministic phase and scale
     if S.space == "primitive":
@@ -343,10 +328,10 @@ def eigensolve(S: StabilityMatrix) -> Spectrum:
     return Spectrum(
         eigenvalues=vals,
         max_real=float(vals.real.max()),
-        dominant=complex(vals[k]),
+        dominant=complex(block_vals[k_star][m]),
         eigvec_grid=grid,
         eigvec_primitive=prim,
-        max_real_by_k=by_k,
+        max_real_by_k=np.array([v.real.max() for v in block_vals]),
     )
 
 
