@@ -6,6 +6,7 @@ inflow velocity equals the Mach number.  The grid is square with unit cells.
 """
 
 import functools
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -163,21 +164,23 @@ def _probe_faces(table, cells: tuple[int, ...], periodic_x: bool):
     return probe, face, sides, shock
 
 
-def _fd_jacobian_1d(field, scheme, cols) -> np.ndarray:
+def _fd_jacobian_1d(field, scheme, cols):
     """True Jacobian columns of the 1D residual (differentiates through the
-    weights), shape (4 nx, m) for the m flat coordinates ``cols``.
+    weights) and the residual itself: (J, r), J of shape (4 nx, m) for the m
+    flat coordinates ``cols`` and r of shape (4 nx,).
 
     Column ``col`` (cell i, component c) is probed at U +- h e_col with
     h = 1e-7 max(1, |U[i, 0, c]|) and is (R(U + h) - R(U - h)) / (2h), R
     the residual of ``rhs``, bit for bit.  The 2m probes and the row itself
-    are stacked on a batch axis and pass through one ``apply_boundaries``
-    and the conversion of ``marching.reconstruction_states``; then one
-    ``reconstruct_pair`` and one ``compute_flux`` call evaluate only the
-    faces each probe touches (``_probe_faces``) together with the row's
-    faces.  Each probe's face fluxes are the row's with its touched faces
-    written over, differenced as ``rhs`` does.  A probe that leaves the
-    admissible states makes that one pass raise; the LM solve then ends its
-    attempt.
+    (member 2m) are stacked on a batch axis and pass through one
+    ``apply_boundaries`` and the conversion of
+    ``marching.reconstruction_states``; then one ``reconstruct_pair`` and one
+    ``compute_flux`` call evaluate only the faces each probe touches
+    (``_probe_faces``) together with the row's faces.  Each probe's face
+    fluxes are the row's with its touched faces written over.  Every member,
+    the row included, is differenced as ``rhs`` does, so r equals
+    ``_residual_1d`` of the row bit for bit.  A probe that leaves the
+    admissible states makes that one pass raise.
     """
     cols = np.asarray(cols)
     m = len(cols)
@@ -197,12 +200,16 @@ def _fd_jacobian_1d(field, scheme, cols) -> np.ndarray:
     )
     flux = riemann.compute_flux(solver, recon.W, table.frame)
     n = len(probe)
-    F = np.repeat(flux[None, n:], 2 * m, axis=0)  # (2m, nx + 1, 4): the row's fluxes
+    F = np.repeat(flux[None, n:], 2 * m + 1, axis=0)  # (2m + 1, nx + 1, 4): the row's fluxes
     F[probe, face] = flux[:n]
-    res = np.zeros((2 * m, field.nx, 4))
+    res = np.zeros((2 * m + 1, field.nx, 4))
     res -= F[:, 1:] - F[:, :-1]
-    R = res.reshape(2 * m, -1)
-    return ((R[:m] - R[m:]) / (2 * h)[:, None]).T
+    R = res.reshape(2 * m + 1, -1)
+    return ((R[:m] - R[m : 2 * m]) / (2 * h)[:, None]).T, R[2 * m]
+
+
+# the Jacobian of an accepted trial whose probes have not run yet
+_UNPROBED = object()
 
 
 def _lm_refine_1d(field, scheme, tol, clamp_cells, pin_dofs):
@@ -217,10 +224,27 @@ def _lm_refine_1d(field, scheme, tol, clamp_cells, pin_dofs):
     sub-cell positions, and pinning the shock-cell density to the
     shock-position prescription selects the labeled member.
 
+    Each iteration tries up to 25 damped steps, step k with damping
+    lambda_k = lambda 4^k, and accepts the first whose cost is finite and
+    lower; lambda starts at 1e-3 and becomes max(lambda_k / 3, 1e-14) when
+    step k is accepted (More, LNM 630, 1978).  The
+    first admissible trial is evaluated by ``_fd_jacobian_1d``, which gives
+    its residual and, if it is accepted, the next iteration's Jacobian in one
+    pass; the start state gets both from one call too.  If that trial is
+    rejected, the admissible trials left are evaluated together in one
+    batched ``_residual_1d`` call (one at a time, in order, if the batch
+    raises), and an accepted one is probed when the next iteration needs
+    its Jacobian.  A trial whose probes leave the admissible states is
+    judged by its residual alone.
+
     An attempt ends when no damped step lowers the cost, or when a probe of
-    the finite-difference Jacobian leaves the admissible states; either way
-    it returns the best state so far, its residual and the iterations run.
-    Errors from outside the package propagate.
+    the Jacobian of the current state leaves the admissible states; either
+    way it returns the best state so far, its residual, the iterations run
+    and the calls made: ``jacobians`` of ``_fd_jacobian_1d`` (raising ones
+    included) and ``residuals`` of ``_residual_1d`` (a batch counts once).
+    Errors from outside the package propagate, also from the probes of a
+    trial that is then rejected and from trials after the accepted one in a
+    batch.
     """
     nx = field.nx
     # per-component residual scales (flux magnitude over the unit cell)
@@ -233,7 +257,10 @@ def _lm_refine_1d(field, scheme, tol, clamp_cells, pin_dofs):
     p_floor = 1e-3 * float(W[..., 3].min())
 
     def admissible(f):
-        Wt = euler.cons_to_prim(f.U)
+        try:
+            Wt = euler.cons_to_prim(f.U)
+        except ShockStabError:
+            return False
         return bool((Wt[..., 0].min() > rho_floor) and (Wt[..., 3].min() > p_floor))
 
     free = np.ones(4 * nx, dtype=bool)
@@ -241,8 +268,65 @@ def _lm_refine_1d(field, scheme, tol, clamp_cells, pin_dofs):
         free[4 * cell : 4 * cell + 4] = False
     for dof in pin_dofs:
         free[dof] = False
+    cols = np.flatnonzero(free)
+    calls = {"jacobians": 0, "residuals": 0}
 
-    r = _residual_1d(field, scheme)
+    def residual(f):
+        calls["residuals"] += 1
+        return _residual_1d(f, scheme)
+
+    def trial_residual(f):
+        try:
+            return residual(f)
+        except ShockStabError:
+            return None  # an inadmissible trial is rejected
+
+    def jacobian(f):
+        """(J / s, r) of f from one pass; (None, None) if a probe raises."""
+        calls["jacobians"] += 1
+        try:
+            J, r = _fd_jacobian_1d(f, scheme, cols)
+        except ShockStabError:
+            return None, None
+        return J / s[:, None], r
+
+    def admissible_trials(field, H, g, dH, lam):
+        """(lambda_k, trial) of the damped steps k = 0..24 that solve and
+        stay admissible, in order; lambda 4^k is exact (4 is a power of 2)."""
+        for k in range(25):
+            lam_k = lam * 4.0**k
+            try:
+                step_free = np.linalg.solve(H + lam_k * np.diag(dH), -g)
+            except np.linalg.LinAlgError:
+                continue
+            step = np.zeros(4 * nx)
+            step[free] = step_free
+            trial = replace(field, U=field.U + step.reshape(nx, 1, 4))
+            if admissible(trial):
+                yield lam_k, trial
+
+    def evaluated(trials):
+        """(lambda_k, trial, J, r) of the trials in order, r None where it
+        raised: the first from its Jacobian pass, the rest in one batch."""
+        first = next(trials, None)
+        if first is None:
+            return
+        lam_k, trial = first
+        J_t, r_t = jacobian(trial)
+        yield lam_k, trial, J_t, trial_residual(trial) if r_t is None else r_t
+        rest = list(trials)
+        if not rest:
+            return
+        try:
+            R = residual(replace(rest[0][1], U=np.stack([t.U for _, t in rest])))
+        except ShockStabError:
+            R = map(trial_residual, (t for _, t in rest))
+        for (lam_k, trial), r_t in zip(rest, R):
+            yield lam_k, trial, _UNPROBED, r_t
+
+    J, r = jacobian(field)
+    if r is None:
+        r = residual(field)
     cost = float(np.linalg.norm(r / s))
     lam = 1e-3
     it = 0
@@ -250,42 +334,25 @@ def _lm_refine_1d(field, scheme, tol, clamp_cells, pin_dofs):
         it += 1
         if np.abs(r.reshape(nx, 4)[:, 0]).max() < tol:
             break
-        try:
-            J = _fd_jacobian_1d(field, scheme, np.flatnonzero(free)) / s[:, None]
-        except ShockStabError:
+        if J is _UNPROBED:
+            J, _ = jacobian(field)
+        if J is None:
             break  # an inadmissible probe ends the attempt, as a stall does
         g = J.T @ (r / s)
         H = J.T @ J
         dH = np.diag(H).copy()
         dH[dH <= 0] = 1.0
-        accepted = False
-        for _ in range(25):
-            try:
-                step_free = np.linalg.solve(H + lam * np.diag(dH), -g)
-            except np.linalg.LinAlgError:
-                lam *= 4.0
-                continue
-            step = np.zeros(4 * nx)
-            step[free] = step_free
-            trial = replace(field, U=field.U + step.reshape(nx, 1, 4))
-            try:
-                if not admissible(trial):
-                    lam *= 4.0
-                    continue
-                r2 = _residual_1d(trial, scheme)
-            except ShockStabError:
-                lam *= 4.0
+        for lam_k, trial, J_t, r2 in evaluated(admissible_trials(field, H, g, dH, lam)):
+            if r2 is None:
                 continue
             cost2 = float(np.linalg.norm(r2 / s))
             if np.isfinite(cost2) and cost2 < cost:
-                field, r, cost = trial, r2, cost2
-                lam = max(lam / 3.0, 1e-14)
-                accepted = True
+                field, J, r, cost = trial, J_t, r2, cost2
+                lam = max(lam_k / 3.0, 1e-14)
                 break
-            lam *= 4.0
-        if not accepted:
+        else:
             break
-    return field, float(np.abs(r.reshape(nx, 4)[:, 0]).max()), it
+    return field, float(np.abs(r.reshape(nx, 4)[:, 0]).max()), it, calls
 
 
 def converge_1d(cfg: ShockProblemConfig, scheme: Scheme):
@@ -293,9 +360,11 @@ def converge_1d(cfg: ShockProblemConfig, scheme: Scheme):
 
     Ten small pseudo-time steps release the transient of the raw jump data.
     Then a damped Newton (Levenberg-Marquardt) solve of rhs = 0 finds the
-    steady state.  Its Jacobian is the central finite difference of rhs,
-    weights included, with every probe of one Jacobian evaluated in one
-    pass over the faces it touches (``_fd_jacobian_1d``).  Pure marching
+    steady state (``_lm_refine_1d``).  Its Jacobian is the central finite
+    difference of rhs, weights included, with every probe of one Jacobian
+    and the state itself evaluated in one pass over the faces they touch
+    (``_fd_jacobian_1d``), so that an accepted step costs one pass and a
+    rejected one is retried with its damped successors in one batch.  Pure marching
     does not converge: the fifth-order schemes only orbit their steady
     state in a weight-chatter limit cycle, and the low-dissipation solvers
     slowly drift the captured shock off its initial sub-cell position,
@@ -309,7 +378,10 @@ def converge_1d(cfg: ShockProblemConfig, scheme: Scheme):
 
     Returns the (nx, 4) conservative profile and ``info`` with the smoothing
     ``steps``, the total ``lm_iterations``, the jitter ``restarts`` started
-    (failed ones included) and the final ``residual``.  Success is
+    (failed ones included), the final ``residual``, and the calls the solve
+    made over all attempts: ``jacobians`` of ``_fd_jacobian_1d`` (raising
+    ones included) and ``residuals`` of ``_residual_1d`` (a batch of damped
+    trials counts once).  Success is
     max|d rho/dt| < converge_tol.  Anything else raises ConvergenceError
     naming the scheme, the residual and the 1-based cell of largest
     |d rho/dt|.
@@ -335,7 +407,8 @@ def converge_1d(cfg: ShockProblemConfig, scheme: Scheme):
         raise ConvergenceError(f"1D smoothing march diverged for {scheme.label()}")
 
     field.U[cfg.shock_column - 1, 0, 0] = rho_m
-    field, res, lm_iters = _lm_refine_1d(field, scheme, cfg.converge_tol, clamp, pin)
+    field, res, lm_iters, calls = _lm_refine_1d(field, scheme, cfg.converge_tol, clamp, pin)
+    calls = Counter(calls)
 
     # the WENO weight kinks occasionally trap the solve in a shallow local
     # minimum; a seeded jitter restart dislodges it
@@ -354,8 +427,9 @@ def converge_1d(cfg: ShockProblemConfig, scheme: Scheme):
             trial.interior_primitive()
         except InvalidStateError:
             continue  # the jitter left the admissible states: a failed restart
-        trial, tres, tit = _lm_refine_1d(trial, scheme, cfg.converge_tol, clamp, pin)
+        trial, tres, tit, tcalls = _lm_refine_1d(trial, scheme, cfg.converge_tol, clamp, pin)
         lm_iters += tit
+        calls.update(tcalls)
         if tres < res:
             field, res = trial, tres
 
@@ -366,7 +440,8 @@ def converge_1d(cfg: ShockProblemConfig, scheme: Scheme):
             f"{cfg.converge_tol:.0e} after the implicit solve and its restarts; "
             f"largest |d rho/dt| in cell {int(np.argmax(drho)) + 1}"
         )
-    info = {"steps": n_smooth, "lm_iterations": lm_iters, "restarts": restarts, "residual": res}
+    info = {"steps": n_smooth, "lm_iterations": lm_iters, "restarts": restarts, "residual": res,
+            **calls}
     return field.U[:, 0].copy(), info
 
 

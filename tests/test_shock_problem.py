@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from shockstab import euler, fields, marching, reconstruction, riemann, shock_problem as sp
-from shockstab.errors import ConvergenceError, InvalidStateError
+from shockstab.errors import ConvergenceError, InvalidStateError, ShockStabError
 from shockstab.fields import BoundarySpec, MeanField, apply_boundaries, outflow_jacobian
 from shockstab.scheme import Scheme
 
@@ -306,33 +306,166 @@ def test_converge_1d_inadmissible_jitter_start_is_a_failed_restart():
         sp.converge_1d(cfg(), Scheme(solver="roe", order=5, space="conservative"))
 
 
-@pytest.mark.parametrize("stage", ["fd_probe", "trial"])
+@pytest.mark.parametrize("stage", ["start_probe", "trial_probe", "trial", "batch"])
 def test_lm_refine_propagates_errors_from_outside_the_package(monkeypatch, stage):
     # only package errors (an inadmissible probe or trial state) are handled;
-    # anything else is a bug and must surface
+    # anything else is a bug and must surface: from the probes of the start
+    # (Jacobian call 1) or of the first trial (call 2), from the residual of
+    # a trial whose probes were inadmissible, or from the batched residual of
+    # the damped retries that follow a rejected first trial
     c = cfg()
     scheme = Scheme(solver="roe", order=1)
     field = sp.build_initial_field(c, ny=1)
     residual, jacobian = sp._residual_1d, sp._fd_jacobian_1d
-    calls = {"residual": 0, "jacobian_done": False}
+    jacobian_calls = []
+
+    def failing_jacobian(*args):
+        jacobian_calls.append(len(jacobian_calls) + 1)
+        call = jacobian_calls[-1]
+        if (stage, call) in (("start_probe", 1), ("trial_probe", 2)):
+            raise RuntimeError(stage)
+        if (stage, call) == ("trial", 2):
+            raise InvalidStateError("inadmissible probe")  # the trial is judged by its residual
+        J, r = jacobian(*args)
+        if (stage, call) == ("batch", 2):
+            return J, np.full_like(r, np.nan)  # a non-finite cost rejects the first trial
+        return J, r
 
     def failing_residual(f, s):
-        calls["residual"] += 1
-        # call 1 is the starting residual, call 2 the first Jacobian probe
-        probe = calls["residual"] == 2
-        if (stage == "fd_probe" and probe) or (stage == "trial" and calls["jacobian_done"]):
+        batched = f.U.ndim == 4
+        if (stage == "trial" and not batched) or (stage == "batch" and batched):
             raise RuntimeError(stage)
         return residual(f, s)
 
-    def recording_jacobian(*args, **kwargs):
-        J = jacobian(*args, **kwargs)
-        calls["jacobian_done"] = True
-        return J
-
     monkeypatch.setattr(sp, "_residual_1d", failing_residual)
-    monkeypatch.setattr(sp, "_fd_jacobian_1d", recording_jacobian)
+    monkeypatch.setattr(sp, "_fd_jacobian_1d", failing_jacobian)
     with pytest.raises(RuntimeError, match=stage):
         sp._lm_refine_1d(field, scheme, c.converge_tol, clamp_cells=(0, 1, 2, 3), pin_dofs=(20,))
+
+
+def _loop_lm_refine_1d(field, scheme, tol, clamp_cells, pin_dofs):
+    """Reference: the sequential Levenberg-Marquardt loop, one residual call
+    per damped trial and a Jacobian call at the top of every iteration;
+    returns (state, residual, iterations) as ``sp._lm_refine_1d`` does."""
+    nx = field.nx
+    W = field.interior_primitive()
+    c = euler.sound_speed(W)
+    speed = float((np.abs(W[..., 1]) + c).max())
+    scale = np.maximum(1.0, np.abs(field.U).max(axis=(0, 1))) * speed
+    s = np.tile(scale, nx)
+    rho_floor = 1e-3 * float(W[..., 0].min())
+    p_floor = 1e-3 * float(W[..., 3].min())
+
+    def admissible(f):
+        Wt = euler.cons_to_prim(f.U)
+        return bool((Wt[..., 0].min() > rho_floor) and (Wt[..., 3].min() > p_floor))
+
+    free = np.ones(4 * nx, dtype=bool)
+    for cell in clamp_cells:
+        free[4 * cell : 4 * cell + 4] = False
+    for dof in pin_dofs:
+        free[dof] = False
+
+    r = sp._residual_1d(field, scheme)
+    cost = float(np.linalg.norm(r / s))
+    lam = 1e-3
+    it = 0
+    while it < sp.LM_MAX_ITER:
+        it += 1
+        if np.abs(r.reshape(nx, 4)[:, 0]).max() < tol:
+            break
+        try:
+            J = sp._fd_jacobian_1d(field, scheme, np.flatnonzero(free))[0] / s[:, None]
+        except ShockStabError:
+            break
+        g = J.T @ (r / s)
+        H = J.T @ J
+        dH = np.diag(H).copy()
+        dH[dH <= 0] = 1.0
+        accepted = False
+        for _ in range(25):
+            try:
+                step_free = np.linalg.solve(H + lam * np.diag(dH), -g)
+            except np.linalg.LinAlgError:
+                lam *= 4.0
+                continue
+            step = np.zeros(4 * nx)
+            step[free] = step_free
+            trial = replace(field, U=field.U + step.reshape(nx, 1, 4))
+            try:
+                if not admissible(trial):
+                    lam *= 4.0
+                    continue
+                r2 = sp._residual_1d(trial, scheme)
+            except ShockStabError:
+                lam *= 4.0
+                continue
+            cost2 = float(np.linalg.norm(r2 / s))
+            if np.isfinite(cost2) and cost2 < cost:
+                field, r, cost = trial, r2, cost2
+                lam = max(lam / 3.0, 1e-14)
+                accepted = True
+                break
+            lam *= 4.0
+        if not accepted:
+            break
+    return field, float(np.abs(r.reshape(nx, 4)[:, 0]).max()), it
+
+
+@pytest.mark.parametrize("scheme, epsilon, refuse_batches", [
+    (Scheme(solver="roe", order=1), 0.1, False),  # every first trial is accepted
+    (Scheme(solver="roe", order=5), 0.1, False),  # a batch of damped retries ends in an acceptance
+    # a batch accepts a step that moves the Jacobian, and the solve goes on
+    (Scheme(solver="roe", order=5), 0.5, False),
+    # the same, when every batch raises and its trials run one at a time
+    (Scheme(solver="roe", order=5), 0.5, True),
+    (Scheme(solver="hll", order=1), 0.1, False),  # batches reject every trial: the attempts stall
+    (Scheme(solver="roe", order=5, space="conservative"), 0.1, False),  # inadmissible trials
+], ids=lambda v: v.label() if isinstance(v, Scheme) else str(v))
+def test_lm_refine_equals_the_sequential_loop(monkeypatch, scheme, epsilon, refuse_batches):
+    # each attempt of converge_1d, restarts included, returns the state,
+    # residual and iteration count of the sequential loop, and counts the
+    # calls it makes
+    refine, jacobian, residual = sp._lm_refine_1d, sp._fd_jacobian_1d, sp._residual_1d
+    calls, batches, attempts = {"jacobians": 0, "residuals": 0}, [], []
+
+    def counted_jacobian(*args):
+        calls["jacobians"] += 1
+        return jacobian(*args)
+
+    def counted_residual(f, s):
+        calls["residuals"] += 1
+        if f.U.ndim == 4:
+            batches.append(len(f.U))
+            if refuse_batches:
+                raise InvalidStateError("a trial of the batch")
+        return residual(f, s)
+
+    def compared(field, *args):
+        expected = _loop_lm_refine_1d(field.copy(), *args)
+        before = dict(calls)
+        got = refine(field, *args)
+        made = {key: calls[key] - before[key] for key in calls}
+        attempts.append((got, made, expected))
+        return got
+
+    monkeypatch.setattr(sp, "_fd_jacobian_1d", counted_jacobian)
+    monkeypatch.setattr(sp, "_residual_1d", counted_residual)
+    monkeypatch.setattr(sp, "_lm_refine_1d", compared)
+    try:
+        sp.converge_1d(cfg(epsilon=epsilon), scheme)
+    except ConvergenceError:
+        assert scheme.solver == "hll" or scheme.space == "conservative"
+    for (got, res, it, lm_calls), made, (expected, expected_res, expected_it) in attempts:
+        assert np.array_equal(got.U, expected.U)
+        assert res == expected_res and it == expected_it
+        assert lm_calls == made
+    if scheme.order == 1 and scheme.solver == "roe":
+        assert batches == []
+    elif scheme.space == "conservative":
+        assert min(batches) < 24  # a damped step that is not admissible is left out
+    else:
+        assert batches and set(batches) == {24}
 
 
 def _loop_fd_jacobian(field, scheme, cols):
@@ -382,6 +515,10 @@ def _low_energy_row():
     return MeanField(U=euler.prim_to_cons(W), bc=BoundarySpec(periodic_x=True))
 
 
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def test_fd_jacobian_equals_the_column_loop_on_a_converged_row(base_flow_cache, monkeypatch):
     scheme = Scheme(solver="roe", order=5)
     field2d, _ = base_flow_cache(scheme, epsilon=0.1)
@@ -390,11 +527,13 @@ def test_fd_jacobian_equals_the_column_loop_on_a_converged_row(base_flow_cache, 
     # all columns, and the LM solve's free ones: cells 1-4 clamped, rho_6 pinned
     for cols in (every, every[(every >= 16) & (every != 20)]):
         expected = _loop_fd_jacobian(row, scheme, cols)
+        residual = sp._residual_1d(row, scheme)
         with monkeypatch.context() as m:
             calls = _counting_layers(m)
-            J = sp._fd_jacobian_1d(row, scheme, cols)
+            J, r = sp._fd_jacobian_1d(row, scheme, cols)
         assert J.shape == (4 * row.nx, len(cols))
         assert np.array_equal(J, expected)
+        assert _same_bits(r, residual)
         # every probe and the row itself in one pass, and no rhs call
         assert calls["rhs"] == []
         assert calls["apply_boundaries"] == [(2 * len(cols) + 1,)]
@@ -431,8 +570,9 @@ def _jacobian_rows():
 @pytest.mark.parametrize("solver", ["roe", "hll", "hllc", "van_leer", "hybrid-1", "hybrid-2"])
 def test_fd_jacobian_equals_the_column_loop_on_every_column(monkeypatch, solver, space):
     # only the faces a probe touches are evaluated; the Jacobian is still the
-    # one of rhs bit for bit, on inflow/outflow and periodic rows, every order
-    # and cap, and where the positivity fallback drops faces to first order
+    # one of rhs bit for bit, and the row's residual is rhs's, on
+    # inflow/outflow and periodic rows, every order and cap, and where the
+    # positivity fallback drops faces to first order
     orders = (5,) if solver.startswith("hybrid") else (1, 2, 5)
     caps = ("none", "first", "second", "smoothest-third")
     fell_back = []
@@ -448,10 +588,12 @@ def test_fd_jacobian_equals_the_column_loop_on_every_column(monkeypatch, solver,
         for order, cap in itertools.product(orders, caps):
             scheme = Scheme(solver=solver, order=order, space=space, cap=cap)
             expected = _loop_fd_jacobian(row, scheme, every)
+            residual = sp._residual_1d(row, scheme)
             with monkeypatch.context() as m:
                 m.setattr(reconstruction, "reconstruct_pair", recording)
-                J = sp._fd_jacobian_1d(row, scheme, every)
+                J, r = sp._fd_jacobian_1d(row, scheme, every)
             assert np.array_equal(J, expected), (row.bc.periodic_x, scheme.label())
+            assert _same_bits(r, residual), (row.bc.periodic_x, scheme.label())
     if space == "conservative" and solver in ("roe", "hll", "hllc", "van_leer"):
         assert any(fell_back)  # the fifth-order shock faces drop to first order
 
@@ -482,31 +624,65 @@ def test_fd_jacobian_fluxes_only_the_touched_faces(monkeypatch, solver):
 
 
 def test_lm_refine_ends_the_attempt_when_the_jacobian_raises(monkeypatch):
-    # an inadmissible probe ends the attempt as a stall does: the state after
-    # the one accepted step comes back, and the iteration whose Jacobian
-    # raised is counted
+    # the probes of the first trial leave the admissible states: the trial is
+    # still accepted on its residual, and the attempt ends at the next
+    # iteration, as a stall does, returning that state with that iteration
+    # counted
     c = cfg()
     scheme = Scheme(solver="roe", order=1)
     field = sp.build_initial_field(c, ny=1)
     args = (scheme, c.converge_tol, (0, 1, 2, 3), (20,))
     with monkeypatch.context() as m:
         m.setattr(sp, "LM_MAX_ITER", 1)
-        one_step, res_one, it_one = sp._lm_refine_1d(field, *args)
+        one_step, res_one, it_one, _ = sp._lm_refine_1d(field, *args)
     assert it_one == 1 and not np.array_equal(one_step.U, field.U)
 
-    jacobian, calls = sp._fd_jacobian_1d, []
+    jacobian, residual, calls = sp._fd_jacobian_1d, sp._residual_1d, []
 
     def failing_second_call(*a):
-        calls.append(len(calls))
-        if len(calls) == 2:
+        calls.append("jacobian")
+        if calls.count("jacobian") == 2:
             raise InvalidStateError("inadmissible probe")
         return jacobian(*a)
 
+    def recording_residual(*a):
+        calls.append("residual")
+        return residual(*a)
+
     monkeypatch.setattr(sp, "_fd_jacobian_1d", failing_second_call)
-    got, res, it = sp._lm_refine_1d(field, *args)
-    assert len(calls) == 2
+    monkeypatch.setattr(sp, "_residual_1d", recording_residual)
+    got, res, it, lm_calls = sp._lm_refine_1d(field, *args)
+    # the start's pass, the trial's raising pass, its residual; no more probes
+    assert calls == ["jacobian", "jacobian", "residual"]
+    assert lm_calls == {"jacobians": 2, "residuals": 1}
     assert np.array_equal(got.U, one_step.U) and res == res_one
     assert it == 2
+
+
+def test_lm_solve_takes_one_pass_per_accepted_step(monkeypatch):
+    # roe-o1 accepts every first trial, and the start and each accepted
+    # trial get their residual and Jacobian from one _fd_jacobian_1d pass:
+    # the LM phase makes one reconstruct_pair call per accepted step plus
+    # the start's.  A separate residual pass per trial would double that.
+    refine = sp._lm_refine_1d
+    calls = _counting_layers(monkeypatch)
+    attempts = []
+
+    def counted(*args):
+        before = len(calls["reconstruct_pair"])
+        out = refine(*args)
+        attempts.append((len(calls["reconstruct_pair"]) - before, out))
+        return out
+
+    monkeypatch.setattr(sp, "_lm_refine_1d", counted)
+    _, info = sp.converge_1d(cfg(), Scheme(solver="roe", order=1))
+    (passes, (_, res, it, lm_calls)), = attempts
+    accepted = it - 1  # the last iteration stops at the converged residual
+    assert res < cfg().converge_tol and info["restarts"] == 0
+    assert passes == accepted + 1
+    assert lm_calls == {"jacobians": accepted + 1, "residuals": 0}
+    assert info["lm_iterations"] == it and info["jacobians"] == accepted + 1
+    assert info["residuals"] == 0
 
 
 def test_project_to_2d_rows_equal():
