@@ -6,7 +6,6 @@ inflow velocity equals the Mach number.  The grid is square with unit cells.
 """
 
 import functools
-from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -164,7 +163,7 @@ def _probe_faces(table, cells: tuple[int, ...], periodic_x: bool):
     return probe, face, sides, shock
 
 
-def _fd_jacobian_1d(field, scheme, cols):
+def _fd_jacobian_1d(field, scheme, cols) -> tuple[np.ndarray, np.ndarray]:
     """True Jacobian columns of the 1D residual (differentiates through the
     weights) and the residual itself: (J, r), J of shape (4 nx, m) for the m
     flat coordinates ``cols`` and r of shape (4 nx,).
@@ -227,15 +226,14 @@ def _lm_refine_1d(field, scheme, tol, clamp_cells, pin_dofs):
     Each iteration tries up to 25 damped steps, step k with damping
     lambda_k = lambda 4^k, and accepts the first whose cost is finite and
     lower; lambda starts at 1e-3 and becomes max(lambda_k / 3, 1e-14) when
-    step k is accepted (More, LNM 630, 1978).  The
-    first admissible trial is evaluated by ``_fd_jacobian_1d``, which gives
-    its residual and, if it is accepted, the next iteration's Jacobian in one
-    pass; the start state gets both from one call too.  If that trial is
-    rejected, the admissible trials left are evaluated together in one
-    batched ``_residual_1d`` call (one at a time, in order, if the batch
-    raises), and an accepted one is probed when the next iteration needs
-    its Jacobian.  A trial whose probes leave the admissible states is
-    judged by its residual alone.
+    step k is accepted (More, LNM 630, 1978).  The first admissible trial
+    is evaluated by ``_fd_jacobian_1d``, which gives its residual and, if it
+    is accepted, the next iteration's Jacobian in one pass; the start state
+    gets both from one call too.  If that trial is rejected, the admissible
+    trials left are evaluated together in one batched ``_residual_1d`` call
+    (one at a time, in order, if the batch raises), and an accepted one is
+    probed when the next iteration needs its Jacobian.  A trial whose
+    probes leave the admissible states is judged by its residual alone.
 
     An attempt ends when no damped step lowers the cost, or when a probe of
     the Jacobian of the current state leaves the admissible states; either
@@ -364,17 +362,17 @@ def converge_1d(cfg: ShockProblemConfig, scheme: Scheme):
     difference of rhs, weights included, with every probe of one Jacobian
     and the state itself evaluated in one pass over the faces they touch
     (``_fd_jacobian_1d``), so that an accepted step costs one pass and a
-    rejected one is retried with its damped successors in one batch.  Pure marching
-    does not converge: the fifth-order schemes only orbit their steady
-    state in a weight-chatter limit cycle, and the low-dissipation solvers
-    slowly drift the captured shock off its initial sub-cell position,
-    losing the family member the shock-position parameter selects.  During
-    the solve the supersonic upstream columns (exactly uniform in the
-    steady state) stay clamped and the shock-cell density stays pinned.  An
-    attempt ends when no damped step lowers the cost or when a Jacobian
-    probe leaves the admissible states.  Up to two seeded jitter restarts
-    then retry from the best state so far; a jittered start that leaves the
-    admissible states counts as a failed restart.
+    rejected one is retried with its damped successors in one batch.  Pure
+    marching does not converge: the fifth-order schemes only orbit their
+    steady state in a weight-chatter limit cycle, and the low-dissipation
+    solvers slowly drift the captured shock off its initial sub-cell
+    position, losing the family member the shock-position parameter
+    selects.  During the solve the supersonic upstream columns (exactly
+    uniform in the steady state) stay clamped and the shock-cell density
+    stays pinned.  An attempt ends when no damped step lowers the cost or
+    when a Jacobian probe leaves the admissible states.  Up to two seeded
+    jitter restarts then retry from the best state so far; a jittered start
+    that leaves the admissible states counts as a failed restart.
 
     Returns the (nx, 4) conservative profile and ``info`` with the smoothing
     ``steps``, the total ``lm_iterations``, the jitter ``restarts`` started
@@ -408,7 +406,6 @@ def converge_1d(cfg: ShockProblemConfig, scheme: Scheme):
 
     field.U[cfg.shock_column - 1, 0, 0] = rho_m
     field, res, lm_iters, calls = _lm_refine_1d(field, scheme, cfg.converge_tol, clamp, pin)
-    calls = Counter(calls)
 
     # the WENO weight kinks occasionally trap the solve in a shallow local
     # minimum; a seeded jitter restart dislodges it
@@ -429,7 +426,7 @@ def converge_1d(cfg: ShockProblemConfig, scheme: Scheme):
             continue  # the jitter left the admissible states: a failed restart
         trial, tres, tit, tcalls = _lm_refine_1d(trial, scheme, cfg.converge_tol, clamp, pin)
         lm_iters += tit
-        calls.update(tcalls)
+        calls = {key: calls[key] + tcalls[key] for key in calls}
         if tres < res:
             field, res = trial, tres
 

@@ -317,11 +317,10 @@ def test_lm_refine_propagates_errors_from_outside_the_package(monkeypatch, stage
     scheme = Scheme(solver="roe", order=1)
     field = sp.build_initial_field(c, ny=1)
     residual, jacobian = sp._residual_1d, sp._fd_jacobian_1d
-    jacobian_calls = []
+    jacobian_calls = itertools.count(1)
 
     def failing_jacobian(*args):
-        jacobian_calls.append(len(jacobian_calls) + 1)
-        call = jacobian_calls[-1]
+        call = next(jacobian_calls)
         if (stage, call) in (("start_probe", 1), ("trial_probe", 2)):
             raise RuntimeError(stage)
         if (stage, call) == ("trial", 2):
