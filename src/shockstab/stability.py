@@ -51,7 +51,6 @@ Variable spaces:
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 
 from . import euler, marching, riemann
@@ -257,7 +256,10 @@ def assemble(field: MeanField, scheme: Scheme, check_steady: bool = True) -> Sta
     entry_rows = np.broadcast_to(4 * rows[:, None, None] + comp[:, None], blocks.shape)
     entry_cols = np.broadcast_to(4 * cols[:, None, None] + comp, blocks.shape)
     n = 4 * nx
-    # tocsr sums the duplicate entries; a sum in another order moves bits of C(d)
+    # tocsr sorts each row's entries with an unstable sort and then sums the
+    # duplicates, so the bits of C(d) follow SciPy's order, not the scatter's.
+    # A sum in scatter order (np.bincount) moves C(d) by about 1e-16 max|C|
+    # and a tier-1 lambda on ny = 2 past its bound, so scipy.sparse stays
     C = scipy.sparse.coo_array(
         (blocks.ravel(), (entry_rows.ravel(), entry_cols.ravel())), shape=(n, n * OFFSETS)
     ).tocsr().toarray()
@@ -297,21 +299,24 @@ def eigensolve(S: StabilityMatrix) -> Spectrum:
     Jacobians break it by more than the tolerance) have their complex
     blocks S^(k) solved.
     """
+    offsets = np.arange(OFFSETS) - OFFSETS // 2  # d = -3..3
     C = np.zeros((S.ny,) + S.block_row.shape[1:])
-    for d in range(-(OFFSETS // 2), OFFSETS // 2 + 1):
+    for d in offsets:
         C[d % S.ny] += S.block_row[d]
     S_hat = S.ny * np.fft.ifft(C, axis=0)[: S.ny // 2 + 1]
     # y -> -y flips component 2 of every cell, v or rho v: P = diag(1, 1, -1, 1)
     flip = np.tile([1.0, 1.0, -1.0, 1.0], S.nx)
     D = np.ones(4 * S.nx, dtype=complex)  # diagonal of the similarity D^-1 S^(k) D
-    asymmetry = np.abs(C[-np.arange(S.ny) % S.ny] - flip[:, None] * C * flip).max()
+    # only the slots d mod ny can be nonzero, a set closed under d -> -d
+    asymmetry = np.abs(C[-offsets % S.ny] - flip[:, None] * C[offsets % S.ny] * flip).max()
     if asymmetry <= REFLECTION_RTOL * np.abs(C).max():
         # C(-d) = P C(d) P: with D = diag(1, 1, i, 1) per cell, D^-1 S^(k) D is real
         D[flip < 0] = 1j
         S_hat = (S_hat * (D.conj()[:, None] * D)).real
     block_vals = list(np.linalg.eigvals(S_hat))
     k_star = int(np.argmax([v.real.max() for v in block_vals]))
-    block_vals[k_star], vecs = scipy.linalg.eig(S_hat[k_star])
+    # NumPy returns a real spectrum as real arrays; as complex they keep their bits
+    block_vals[k_star], vecs = (a.astype(complex) for a in np.linalg.eig(S_hat[k_star]))
     m = int(np.argmax(block_vals[k_star].real))
     phase = np.exp(2j * np.pi * k_star * np.arange(S.ny) / S.ny)
     grid = (D * vecs[:, m]).reshape(S.nx, 1, 4) * phase[:, None]

@@ -1,13 +1,16 @@
 """The dependencies declared in pyproject.toml are the third-party packages
 the source imports, no more and no fewer; every console script it declares
-resolves; every dataclass field is read; every public name has a caller
-outside the tests; every traced layer function is reached through a module
-attribute the benchmark's tracer rebinds."""
+resolves; a verdict loads no ``scipy.linalg``; every dataclass field is
+read; every public name has a caller outside the tests; every traced layer
+function is reached through a module attribute the benchmark's tracer
+rebinds."""
 
 import ast
 import importlib
 import importlib.util
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -41,6 +44,28 @@ def test_console_scripts_resolve():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), name
+
+
+VERDICT = """
+import sys
+from shockstab import shock_problem, stability
+from shockstab.scheme import Scheme
+
+cfg = shock_problem.ShockProblemConfig(epsilon=0.1, nx=11, ny=4)
+scheme = Scheme(solver="roe", order=1)
+profile, _ = shock_problem.converge_1d(cfg, scheme)
+stability.eigensolve(stability.assemble(shock_problem.project_to_2d(profile, cfg), scheme))
+sys.exit("scipy.linalg" in sys.modules and "the verdict imported scipy.linalg")
+"""
+
+
+def test_a_verdict_loads_no_scipy_linalg():
+    # scipy.linalg loads SciPy's own OpenBLAS beside NumPy's, 9 MB of peak
+    # memory; scipy.sparse, the one SciPy module the package imports, does
+    # not load it.  A fresh interpreter, since this one has it from the tests
+    env = os.environ | {"PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run([sys.executable, "-c", VERDICT], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 def _is_frozen_dataclass(node):
