@@ -60,7 +60,7 @@ sys.exit("scipy.linalg" in sys.modules and "the verdict imported scipy.linalg")
 
 
 def test_a_verdict_loads_no_scipy_linalg():
-    # scipy.linalg loads SciPy's own OpenBLAS beside NumPy's, 9 MB of peak
+    # scipy.linalg loads SciPy's own OpenBLAS beside NumPy's, about 10 MB of peak
     # memory; scipy.sparse, the one SciPy module the package imports, does
     # not load it.  A fresh interpreter, since this one has it from the tests
     env = os.environ | {"PYTHONPATH": str(ROOT / "src")}
