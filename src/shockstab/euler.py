@@ -223,49 +223,3 @@ def eigen_matrices(W, frame: FaceFrame) -> tuple[np.ndarray, np.ndarray]:
     if bad.any():
         raise InvalidStateError(_describe_bad(bad, "degenerate eigen-matrix"))
     return L, R
-
-
-def characteristic_eigenvalues(W, frame: FaceFrame) -> np.ndarray:
-    """Eigenvalues (q-c, q, q+c, q) matching the row order of the eigen-matrices."""
-    W = np.asarray(W, dtype=float)
-    c = sound_speed(W)
-    q = W[..., U_] * frame.nx + W[..., V_] * frame.ny
-    return np.stack([q - c, q, q + c, q], axis=-1)
-
-
-def analytic_flux_jacobian(U, frame: FaceFrame) -> np.ndarray:
-    """Closed-form dF/dU of the exact normal flux, shape (..., 4, 4)."""
-    W = cons_to_prim(U)
-    rho, u, v, p = W[..., RHO], W[..., U_], W[..., V_], W[..., P_]
-    nx, ny = frame.nx, frame.ny
-    g1 = GAMMA - 1.0
-    q = u * nx + v * ny
-    v2 = u * u + v * v
-    phi = 0.5 * g1 * v2
-    en = p / g1 + 0.5 * rho * v2
-    h = (en + p) / rho
-    z = np.zeros_like(rho)
-    one = np.ones_like(rho)
-    rows = [
-        [z, nx * one, ny * one, z],
-        [
-            phi * nx - u * q,
-            q + u * nx - g1 * u * nx,
-            u * ny - g1 * v * nx,
-            g1 * nx * one,
-        ],
-        [
-            phi * ny - v * q,
-            v * nx - g1 * u * ny,
-            q + v * ny - g1 * v * ny,
-            g1 * ny * one,
-        ],
-        [(phi - h) * q, h * nx - g1 * u * q, h * ny - g1 * v * q, GAMMA * q],
-    ]
-    return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
-
-
-def entropy(W) -> np.ndarray:
-    """Specific entropy surrogate s = ln(p / rho^gamma)."""
-    W = np.asarray(W, dtype=float)
-    return np.log(W[..., P_]) - GAMMA * np.log(W[..., RHO])

@@ -131,9 +131,6 @@ def test_result_fields_are_read():
 
 # public names whose only callers are tests, each kept for a stated reason
 TEST_ONLY_NAMES = {
-    "euler.analytic_flux_jacobian": "reference the finite-difference flux Jacobians are tested against",
-    "euler.characteristic_eigenvalues": "reference for the upwind spectrum and eigen-matrix tests",
-    "euler.entropy": "reference for the entropy rise across the Hugoniot jump",
     "stability.localize": "localises the unstable mode at the shock (paper claim C5)",
 }
 

@@ -9,6 +9,8 @@ from shockstab.errors import ConvergenceError, InvalidStateError, ShockStabError
 from shockstab.fields import BoundarySpec, MeanField, apply_boundaries, outflow_jacobian
 from shockstab.scheme import Scheme
 
+from euler_reference import entropy
+
 
 
 def cfg(**kw):
@@ -206,10 +208,10 @@ def test_boundary_spec_needs_inflow_and_outflow_unless_periodic():
 def entropy_increase(field, c):
     """Relative entropy rise (s_M - s_L) / (s_R - s_L) of the shock column,
     its state the row average of the column's conservative states."""
-    s_l = euler.entropy(sp.upstream_state(c))
-    s_r = euler.entropy(sp.downstream_state(c))
+    s_l = entropy(sp.upstream_state(c))
+    s_r = entropy(sp.downstream_state(c))
     col_mean = field.U[c.shock_column - 1].mean(axis=0)
-    return (euler.entropy(euler.cons_to_prim(col_mean)) - s_l) / (s_r - s_l)
+    return (entropy(euler.cons_to_prim(col_mean)) - s_l) / (s_r - s_l)
 
 
 def test_entropy_increase_endpoints():
@@ -229,8 +231,8 @@ def test_entropy_denominator_value():
     c = cfg(epsilon=0.5)
     field = sp.build_initial_field(c)
     w_m = sp.intermediate_state(c)
-    s_m = euler.entropy(w_m)
-    s_l = euler.entropy(sp.upstream_state(c))
+    s_m = entropy(w_m)
+    s_l = entropy(sp.upstream_state(c))
     expect = (s_m - s_l) / ds
     assert abs(entropy_increase(field, c) - expect) < 1e-12
 
@@ -281,7 +283,9 @@ def test_converge_1d_hll_first_order_short_row_raises():
 
 @pytest.mark.slow
 def test_converge_1d_jitter_restart_reaches_the_labelled_member():
-    # the first LM solve stalls at 2.1; only the seeded jitter restart converges
+    # the first LM attempt stops at 2.085 and the restart converges; what
+    # rescues it is the restart's damping, reset to 1e-3, since a restart
+    # without the jitter converges too
     c = cfg(epsilon=0.3)
     profile, info = sp.converge_1d(c, Scheme(solver="van_leer", order=5))
     assert info["residual"] < c.converge_tol
@@ -304,6 +308,25 @@ def test_converge_1d_inadmissible_jitter_start_is_a_failed_restart():
         ConvergenceError, match=r"roe-o5-z/conservative: 1D residual \d\.\d+e[-+]\d+ .*cell 6$"
     ):
         sp.converge_1d(cfg(), Scheme(solver="roe", order=5, space="conservative"))
+
+
+def test_converge_1d_refuses_a_diverged_smoothing_march(monkeypatch):
+    # the last smoothing step overflows without raising.  After an earlier
+    # step the next one would raise InvalidStateError at the NaN states the
+    # overflow spreads, before the check
+    step, steps = marching.step_ssprk3, []
+
+    def overflowing(field, dt, scheme):
+        out = step(field, dt, scheme)
+        steps.append(dt)
+        if len(steps) == 10:
+            out.U[7, 0, 3] = np.inf
+        return out
+
+    monkeypatch.setattr(marching, "step_ssprk3", overflowing)
+    with pytest.raises(ConvergenceError, match=r"^1D smoothing march diverged for roe-o1/primitive$"):
+        sp.converge_1d(cfg(), Scheme(solver="roe", order=1))
+    assert len(steps) == 10
 
 
 @pytest.mark.parametrize("stage", ["start_probe", "trial_probe", "trial", "batch"])
@@ -411,55 +434,112 @@ def _loop_lm_refine_1d(field, scheme, tol, clamp_cells, pin_dofs):
     return field, float(np.abs(r.reshape(nx, 4)[:, 0]).max()), it
 
 
-@pytest.mark.parametrize("scheme, epsilon, refuse_batches", [
-    (Scheme(solver="roe", order=1), 0.1, False),  # every first trial is accepted
-    (Scheme(solver="roe", order=5), 0.1, False),  # a batch of damped retries ends in an acceptance
+@pytest.mark.parametrize("scheme, epsilon, fault", [
+    (Scheme(solver="roe", order=1), 0.1, None),  # every first trial is accepted
+    (Scheme(solver="roe", order=5), 0.1, None),  # a batch of damped retries ends in an acceptance
     # a batch accepts a step that moves the Jacobian, and the solve goes on
-    (Scheme(solver="roe", order=5), 0.5, False),
+    (Scheme(solver="roe", order=5), 0.5, None),
     # the same, when every batch raises and its trials run one at a time
-    (Scheme(solver="roe", order=5), 0.5, True),
-    (Scheme(solver="hll", order=1), 0.1, False),  # batches reject every trial: the attempts stall
-    (Scheme(solver="roe", order=5, space="conservative"), 0.1, False),  # inadmissible trials
+    (Scheme(solver="roe", order=5), 0.5, "batch"),
+    (Scheme(solver="hll", order=1), 0.1, None),  # batches reject every trial: the attempts stall
+    (Scheme(solver="roe", order=5, space="conservative"), 0.1, None),  # inadmissible trials
+    # every damped system is singular: an attempt ends with no trial
+    (Scheme(solver="roe", order=1), 0.1, "singular"),
+    # only the least damped system of an iteration solves: a rejected first
+    # trial has no successor, and the attempt stalls
+    (Scheme(solver="hll", order=1), 0.1, "one damping"),
+    # a state whose density moved by more than 0.1 from the attempt's start
+    # has no residual: the probes and the residual of a first trial raise,
+    # then the batch of its successors, and one at a time its far members
+    (Scheme(solver="roe", order=5), 0.1, "far"),
+    # the probes of each attempt's start raise: it is judged by its residual
+    (Scheme(solver="roe", order=1), 0.1, "start probes"),
 ], ids=lambda v: v.label() if isinstance(v, Scheme) else str(v))
-def test_lm_refine_equals_the_sequential_loop(monkeypatch, scheme, epsilon, refuse_batches):
+def test_lm_refine_equals_the_sequential_loop(monkeypatch, scheme, epsilon, fault):
     # each attempt of converge_1d, restarts included, returns the state,
     # residual and iteration count of the sequential loop, and counts the
-    # calls it makes
-    refine, jacobian, residual = sp._lm_refine_1d, sp._fd_jacobian_1d, sp._residual_1d
+    # calls it makes, also under an injected fault.  A fault depends only on
+    # what the failing call is given: a state, or a damped system and the
+    # number of systems with its right-hand side solved before it in the run.
+    # So the loop and the package, which reach the same states in different
+    # orders, meet the same faults
+    refine, jacobian, residual, solve = (sp._lm_refine_1d, sp._fd_jacobian_1d, sp._residual_1d,
+                                         np.linalg.solve)
     calls, batches, attempts = {"jacobians": 0, "residuals": 0}, [], []
+    start, damping, raised = [], {}, []  # of the current run
 
-    def counted_jacobian(*args):
+    def far(U):
+        moved = np.abs(U[..., 0] - start[0][..., 0]).max(axis=(-2, -1))
+        return fault == "far" and bool(np.any(moved > 0.1))
+
+    def counted_jacobian(f, *args):
         calls["jacobians"] += 1
-        return jacobian(*args)
+        if far(f.U) or (fault == "start probes" and np.array_equal(f.U, start[0])):
+            raised.append("probes")
+            raise InvalidStateError("a probe")
+        return jacobian(f, *args)
 
     def counted_residual(f, s):
         calls["residuals"] += 1
-        if f.U.ndim == 4:
+        batched = f.U.ndim == 4
+        if batched:
             batches.append(len(f.U))
-            if refuse_batches:
-                raise InvalidStateError("a trial of the batch")
+        if (batched and fault == "batch") or far(f.U):
+            raised.append("batch" if batched else "trial")
+            raise InvalidStateError("a trial")
         return residual(f, s)
 
+    def faulty_solve(A, b):
+        k = damping[b.tobytes()] = damping.get(b.tobytes(), -1) + 1
+        if fault == "singular" or (fault == "one damping" and k > 0):
+            raised.append(f"system {k}")
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(A, b)
+
+    def run(solve_lm, field, *args):
+        start[:] = [field.U.copy()]
+        damping.clear()
+        raised.clear()
+        return solve_lm(field, *args)
+
     def compared(field, *args):
-        expected = _loop_lm_refine_1d(field.copy(), *args)
+        expected = run(_loop_lm_refine_1d, field.copy(), *args)
         before = dict(calls)
-        got = refine(field, *args)
+        got = run(refine, field, *args)
         made = {key: calls[key] - before[key] for key in calls}
-        attempts.append((got, made, expected))
+        attempts.append((got, made, expected, list(raised), start[0]))
         return got
 
     monkeypatch.setattr(sp, "_fd_jacobian_1d", counted_jacobian)
     monkeypatch.setattr(sp, "_residual_1d", counted_residual)
     monkeypatch.setattr(sp, "_lm_refine_1d", compared)
+    monkeypatch.setattr(np.linalg, "solve", faulty_solve)
     try:
         sp.converge_1d(cfg(epsilon=epsilon), scheme)
     except ConvergenceError:
-        assert scheme.solver == "hll" or scheme.space == "conservative"
-    for (got, res, it, lm_calls), made, (expected, expected_res, expected_it) in attempts:
+        assert scheme.solver == "hll" or scheme.space == "conservative" or fault in (
+            "singular", "start probes")
+    for (got, res, it, lm_calls), made, (expected, expected_res, expected_it), _, begun in attempts:
         assert np.array_equal(got.U, expected.U)
         assert res == expected_res and it == expected_it
         assert lm_calls == made
-    if scheme.order == 1 and scheme.solver == "roe":
+        if fault in ("singular", "start probes"):
+            assert it == 1 and np.array_equal(got.U, begun)  # the attempt ends at its start
+    faults = [raised for *_, raised, _ in attempts]
+    if fault == "singular":
+        assert faults == [[f"system {k}" for k in range(25)]] * 3
+    elif fault == "start probes":
+        assert faults == [["probes"]] * 3
+        assert [made for _, made, *_ in attempts] == [{"jacobians": 1, "residuals": 1}] * 3
+    elif fault == "one damping":
+        # the last iteration's first trial was rejected, then its 24 damped
+        # successors were singular
+        assert batches == [] and faults[0][-24:] == [f"system {k}" for k in range(1, 25)]
+    elif fault == "far":
+        # a first trial with no residual, then a batch that raises and a
+        # trial in it with no residual
+        assert faults[0][:4] == ["probes", "trial", "batch", "trial"]
+    elif scheme.order == 1 and scheme.solver == "roe":
         assert batches == []
     elif scheme.space == "conservative":
         assert min(batches) < 24  # a damped step that is not admissible is left out

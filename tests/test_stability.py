@@ -6,13 +6,14 @@ import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
 from shockstab import euler, fields, reconstruction as rc, riemann, shock_problem as sp, stability
-from shockstab.errors import InvalidStateError, UnsteadyFieldError
+from shockstab.errors import DifferentiationError, InvalidStateError, UnsteadyFieldError
 from shockstab.euler import X_FACE
 from shockstab.fields import BoundarySpec, MeanField
 from shockstab.scheme import Scheme
 from shockstab.stability import Spectrum, assemble, eigensolve, localize
 
 from circulant import dense, wrapped_blocks
+from euler_reference import analytic_flux_jacobian, characteristic_eigenvalues
 from padded_reference import NG
 from side_axis import face_flux, halves, side_states, side_windows
 from test_euler import random_states
@@ -54,7 +55,7 @@ def test_flux_jacobians_van_leer_supersonic():
     WL = np.array([1.0, 3.0, 0.2, 1.0])
     WR = np.array([0.9, 3.4, -0.1, 1.1])
     AL, AR = fd_jacobians("van_leer", euler.prim_to_cons(WL), euler.prim_to_cons(WR))
-    A_exact = euler.analytic_flux_jacobian(euler.prim_to_cons(WL), X_FACE)
+    A_exact = analytic_flux_jacobian(euler.prim_to_cons(WL), X_FACE)
     assert np.max(np.abs(AL - A_exact)) < 1e-5
     assert np.max(np.abs(AR)) < 1e-10
 
@@ -65,7 +66,7 @@ def test_flux_jacobians_consistency_identity(solver):
     for W in random_states(rng, 3, (0.0, 1.8)):
         U = euler.prim_to_cons(W)
         AL, AR = fd_jacobians(solver, U, U)
-        A_exact = euler.analytic_flux_jacobian(U, X_FACE)
+        A_exact = analytic_flux_jacobian(U, X_FACE)
         scale = max(1.0, np.abs(A_exact).max())
         assert np.max(np.abs(AL + AR - A_exact)) < 1e-5 * scale, solver
 
@@ -141,6 +142,29 @@ def test_assemble_makes_one_flux_call_per_batch(monkeypatch, solver, batches):
     assert len(calls) == batches
 
 
+@pytest.mark.parametrize("solver, orientation", [("roe", "x/y"), ("hybrid-1", "y")])
+def test_assemble_names_the_face_of_a_non_finite_flux_jacobian(monkeypatch, solver, orientation):
+    # one probe flux of face 15 of the probed part is NaN: the +h probe of
+    # the right state's rho v.  The row has 12 x faces and then 22 y faces, so
+    # face 15 is a y face of the joint table and of the hybrid's y part alike
+    original, broken = riemann.compute_flux, []
+
+    def one_nan(solver, W, frame):
+        flux = original(solver, W, frame)
+        probes = W.ndim == 5  # (sign, probed side, component, side axis, 4)
+        if probes and np.any(frame.ny) and not broken:  # the first part with y faces
+            flux[0, 1, 2, 15, 0] = np.nan
+            broken.append(frame)
+        return flux
+
+    monkeypatch.setattr(riemann, "compute_flux", one_nan)
+    field, _ = initial_shock_field(ny=4)
+    with pytest.raises(DifferentiationError,
+                       match=rf"^non-finite flux Jacobian at {orientation}-face \[\[15\]\]$"):
+        assemble(field, Scheme(solver=solver), check_steady=False)
+    assert len(broken) == 1
+
+
 # ------------------------------------------------------------- face blocks
 
 
@@ -151,8 +175,7 @@ def _recon_for(win, kind, space="conservative"):
 
 def side_jacobians(solver, recon):
     """The side-stacked flux Jacobians at a reconstruction's face states."""
-    return stability._fd_jacobians_U(
-        solver, euler.prim_to_cons(recon.W), X_FACE, riemann.ROE_DELTA0)
+    return stability._fd_jacobians_U(solver, euler.prim_to_cons(recon.W), X_FACE)
 
 
 def test_first_order_blocks_degenerate_to_jacobians():
@@ -174,7 +197,7 @@ def test_uniform_blocks_sum_to_analytic_jacobian():
     recon = _recon_for(win, "weno5")
     blocks = stability.face_blocks(recon, side_jacobians("roe", recon))
     total = blocks.sum(axis=1)[0]
-    A_exact = euler.analytic_flux_jacobian(euler.prim_to_cons(W), X_FACE)
+    A_exact = analytic_flux_jacobian(euler.prim_to_cons(W), X_FACE)
     assert np.max(np.abs(total - A_exact)) < 1e-5 * max(1.0, np.abs(A_exact).max())
 
 
@@ -263,7 +286,7 @@ def test_circulant_spectrum_first_order_upwind():
     S = assemble(field, Scheme(solver="roe", order=1), check_steady=True)
     spec = eigensolve(S)
     sigma = 1.0
-    lam_a = euler.characteristic_eigenvalues(W, X_FACE)
+    lam_a = characteristic_eigenvalues(W, X_FACE)
     thetas = 2.0 * np.pi * np.arange(N) / N
     expected = np.concatenate(
         [-sigma * la * (1.0 - np.exp(-1j * thetas)) for la in lam_a]
