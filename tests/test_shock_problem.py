@@ -468,9 +468,8 @@ def test_lm_refine_equals_the_sequential_loop(monkeypatch, scheme, epsilon, faul
     calls, batches, attempts = {"jacobians": 0, "residuals": 0}, [], []
     start, damping, raised = [], {}, []  # of the current run
 
-    def far(U):
-        moved = np.abs(U[..., 0] - start[0][..., 0]).max(axis=(-2, -1))
-        return fault == "far" and bool(np.any(moved > 0.1))
+    def far(U):  # a batch is far when one of its members is
+        return fault == "far" and bool((np.abs(U[..., 0] - start[0][..., 0]) > 0.1).any())
 
     def counted_jacobian(f, *args):
         calls["jacobians"] += 1
@@ -490,7 +489,8 @@ def test_lm_refine_equals_the_sequential_loop(monkeypatch, scheme, epsilon, faul
         return residual(f, s)
 
     def faulty_solve(A, b):
-        k = damping[b.tobytes()] = damping.get(b.tobytes(), -1) + 1
+        k = damping.get(b.tobytes(), 0)  # the damping index: lambda 4^k
+        damping[b.tobytes()] = k + 1
         if fault == "singular" or (fault == "one damping" and k > 0):
             raised.append(f"system {k}")
             raise np.linalg.LinAlgError("Singular matrix")
@@ -525,7 +525,7 @@ def test_lm_refine_equals_the_sequential_loop(monkeypatch, scheme, epsilon, faul
         assert lm_calls == made
         if fault in ("singular", "start probes"):
             assert it == 1 and np.array_equal(got.U, begun)  # the attempt ends at its start
-    faults = [raised for *_, raised, _ in attempts]
+    faults = [attempt_faults for *_, attempt_faults, _ in attempts]
     if fault == "singular":
         assert faults == [[f"system {k}" for k in range(25)]] * 3
     elif fault == "start probes":
