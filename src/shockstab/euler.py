@@ -93,6 +93,18 @@ def on_sides(fn, X, *args):
         raise
 
 
+def _primitive(U, rho) -> np.ndarray:
+    """Unchecked primitive states of U, the velocities and pressure formed with density rho."""
+    W = np.empty_like(U)
+    u = U[..., MX] / rho
+    v = U[..., MY] / rho
+    W[..., RHO] = U[..., RHO]
+    W[..., U_] = u
+    W[..., V_] = v
+    W[..., P_] = (GAMMA - 1.0) * (U[..., EN] - 0.5 * rho * (u * u + v * v))
+    return W
+
+
 def cons_to_prim(U, where: str = "state") -> np.ndarray:
     """Convert conservative to primitive variables, validating positivity."""
     U = np.asarray(U, dtype=float)
@@ -100,17 +112,10 @@ def cons_to_prim(U, where: str = "state") -> np.ndarray:
     bad = ~(rho > 0.0)
     if bad.any():
         raise InvalidStateError(_describe_bad(bad, f"non-positive density in {where}"))
-    W = np.empty_like(U)
-    u = U[..., MX] / rho
-    v = U[..., MY] / rho
-    p = (GAMMA - 1.0) * (U[..., EN] - 0.5 * rho * (u * u + v * v))
-    bad = ~(p > 0.0)
+    W = _primitive(U, rho)
+    bad = ~(W[..., P_] > 0.0)
     if bad.any():
         raise InvalidStateError(_describe_bad(bad, f"non-positive pressure in {where}"))
-    W[..., RHO] = rho
-    W[..., U_] = u
-    W[..., V_] = v
-    W[..., P_] = p
     return W
 
 

@@ -108,7 +108,8 @@ class FaceTable:
     ``grids`` lists each orientation with its face grid in table order: the
     x faces form an (nx+1, ny) grid whose face k lies between interior
     columns k-1 and k, the y faces an (nx, ny+1) grid likewise along y, and
-    each grid is flattened in C order.  Row f of ``window`` indexes into the
+    each grid is flattened in C order.  A single row has an (nx, 1) y grid:
+    its face above is its face below.  Row f of ``window`` indexes into the
     state axis of ``apply_boundaries`` the six cells of face f's stencil
     along the normal: slots 2 and 3 hold the cells before and after the
     face, slots 0..4 the window of its left state, slots 1..5 that of its
@@ -159,7 +160,7 @@ def face_table(nx: int, ny: int, orientations: tuple[str, ...], periodic_x: bool
                 windows.append(np.where((i >= 0) & (i < nx), i * ny + j, outside))
             normal.append(euler.X_FACE)
         else:
-            grid = (nx, ny + 1)
+            grid = (nx, ny + 1 if ny > 1 else 1)
             i, l = (a.reshape(-1, 1) for a in np.indices(grid))
             windows.append(i * ny + (l + slot) % ny)
             normal.append(euler.Y_FACE)

@@ -51,11 +51,11 @@ def face_parts(field: MeanField, scheme: Scheme, linearise: bool = False):
     in its order: one part of all x and y faces for a plain scheme, the x
     faces and then the y faces for a direction hybrid.  The residual of a
     single row keeps only its x faces: its periodic j+1/2 and j-1/2 fluxes
-    are identical.  With ``linearise`` a single row keeps its y faces too, as
-    the row of a y-uniform field whose perturbations vary along y
-    (``stability.assemble``).  ``table`` is the part's ``FaceTable``.  It
-    orders the flat face axis, carries the per-face normals and the faces a
-    cap applies to, and splits per-face results back into face grids."""
+    are identical.  With ``linearise`` a single row keeps one y face per
+    column too, as the row of a y-uniform field whose perturbations vary
+    along y (``stability.assemble``).  ``table`` is the part's ``FaceTable``.
+    It orders the flat face axis, carries the per-face normals and the faces
+    a cap applies to, and splits per-face results back into face grids."""
     for orientations, solver, cfg, cap_cfg in scheme.parts:
         if field.ny == 1 and not linearise:
             if "x" not in orientations:

@@ -25,12 +25,12 @@ state on the cell at offset 3-m.  The stability matrix is assembled from
 exactly these coefficients.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import euler
-from .euler import GAMMA, FaceFrame
+from .euler import FaceFrame
 
 LINEAR_WEIGHTS = np.array([0.1, 0.6, 0.3])
 # the eps of the nonlinear weights: keeps them finite on flat windows (beta = 0)
@@ -38,10 +38,6 @@ WENO_EPS = 1e-15
 
 VALID_KINDS = ("first", "muscl", "weno5", "eno3")
 VALID_SPACES = ("conservative", "primitive", "characteristic")
-
-_ORDER_TO_KIND = {1: "first", 2: "muscl", 5: "weno5"}
-# near-shock caps: the reconstruction kind each one imposes
-CAP_TO_KIND = {"first": "first", "second": "muscl", "smoothest-third": "eno3"}
 
 
 @dataclass(frozen=True)
@@ -57,14 +53,6 @@ class ReconConfig:
             raise ValueError(f"unknown variable space {self.space!r}")
         if self.weno_variant not in ("js", "z"):
             raise ValueError(f"unknown weno variant {self.weno_variant!r}")
-
-
-def config_for_order(order: int, **kw) -> ReconConfig:
-    return ReconConfig(kind=_ORDER_TO_KIND[order], **kw)
-
-
-def config_for_cap(cap: str, base: ReconConfig) -> ReconConfig:
-    return replace(base, kind=CAP_TO_KIND[cap])
 
 
 def _substencils(w):
@@ -177,16 +165,16 @@ def _left_state(win, cfg: ReconConfig, linearise: bool = True):
     return value, _weno_lin_coeffs(om) if linearise else None
 
 
+def _admissible(W):
+    """Primitive states W with positive density and pressure, every component finite."""
+    return (W[..., 0] > 0.0) & (W[..., 3] > 0.0) & np.isfinite(W).all(axis=-1)
+
+
 def _prim_soft(U):
-    """Primitive conversion without raising; returns (W, valid mask)."""
+    """(W, valid mask) of U, never raising: 1 stands in for a density that is not positive."""
     rho = U[..., 0]
-    safe = np.where(rho > 0.0, rho, 1.0)
-    u = U[..., 1] / safe
-    v = U[..., 2] / safe
-    p = (GAMMA - 1.0) * (U[..., 3] - 0.5 * safe * (u * u + v * v))
-    W = np.stack([rho, u, v, p], axis=-1)
-    valid = (rho > 0.0) & (p > 0.0) & np.isfinite(W).all(axis=-1)
-    return W, valid
+    W = euler._primitive(U, np.where(rho > 0.0, rho, 1.0))
+    return W, _admissible(W)
 
 
 @dataclass
@@ -259,7 +247,7 @@ def _reconstruct_sides(win, cfg, frame, linearise):
     if cfg.space == "conservative":
         W, ok = _prim_soft(Xs)
     elif cfg.space == "primitive":
-        W, ok = Xs, (Xs[..., 0] > 0) & (Xs[..., 3] > 0) & np.isfinite(Xs).all(axis=-1)
+        W, ok = Xs, _admissible(Xs)
     else:
         by_side = Xs.reshape(Xs.shape[:-2] + (2, n, 4))
         U = np.einsum("...ab,...b->...a", Rmat[..., None, :, :, :], by_side)

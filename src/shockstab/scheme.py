@@ -10,10 +10,14 @@ that choice once per scheme into the face batches that ``rhs`` and
 
 import functools
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .reconstruction import CAP_TO_KIND, ReconConfig, config_for_cap, config_for_order
+from .reconstruction import ReconConfig
 from .riemann import FLUXES
+
+# the reconstruction kind of each order, and the one each near-shock cap imposes
+ORDER_TO_KIND = {1: "first", 2: "muscl", 5: "weno5"}
+CAP_TO_KIND = {"first": "first", "second": "muscl", "smoothest-third": "eno3"}
 
 # direction hybrids: (solver, order) per face orientation
 HYBRID_PARTS = {
@@ -41,7 +45,7 @@ class Scheme:
     def __post_init__(self):
         if self.solver not in SOLVER_KINDS:
             raise ValueError(f"unknown solver {self.solver!r}")
-        if not is_int(self.order) or self.order not in (1, 2, 5):
+        if not is_int(self.order) or self.order not in ORDER_TO_KIND:
             raise ValueError(f"order must be the integer 1, 2 or 5, got {self.order!r}")
         if self.solver in HYBRID_PARTS and self.order != 5:
             raise ValueError(f"{self.solver} takes its orders from HYBRID_PARTS; "
@@ -62,8 +66,8 @@ class Scheme:
             pairs = [(("x", "y"), self.solver, self.order)]
         parts = []
         for orientations, solver, order in pairs:
-            recon = config_for_order(order, weno_variant=self.weno_variant, space=self.space)
-            cap = None if self.cap == "none" else config_for_cap(self.cap, recon)
+            recon = ReconConfig(ORDER_TO_KIND[order], self.weno_variant, self.space)
+            cap = None if self.cap == "none" else replace(recon, kind=CAP_TO_KIND[self.cap])
             parts.append((orientations, solver, recon, cap))
         return tuple(parts)
 

@@ -396,13 +396,17 @@ def converge_1d(cfg: ShockProblemConfig, scheme: Scheme):
     # shock off its sub-cell position within a handful of coarse steps, which
     # would silently swap the family member under analysis.  It is needed
     # all the same: without it roe-o5/characteristic at epsilon 0.5 does not
-    # converge and lambda_max of other schemes moves by up to 1e-7.
+    # converge and lambda_max of other schemes moves by up to 1e-7.  A state
+    # that is not finite, or that a step refuses, fails the march
     n_smooth = 10
+    diverged = f"1D smoothing march diverged for {scheme.label()}"
     for _ in range(n_smooth):
-        dt = marching.cfl_dt(field, 0.05)
-        field = marching.step_ssprk3(field, dt, scheme)
-    if not np.all(np.isfinite(field.U)):
-        raise ConvergenceError(f"1D smoothing march diverged for {scheme.label()}")
+        try:
+            field = marching.step_ssprk3(field, marching.cfl_dt(field, 0.05), scheme)
+        except InvalidStateError as err:
+            raise ConvergenceError(diverged) from err
+        if not np.all(np.isfinite(field.U)):
+            raise ConvergenceError(diverged)
 
     field.U[cfg.shock_column - 1, 0, 0] = rho_m
     field, res, lm_iters, calls = _lm_refine_1d(field, scheme, cfg.converge_tol, clamp, pin)

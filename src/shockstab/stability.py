@@ -21,9 +21,9 @@ either side of it, so S is fixed by its signed block row C(d), d = -3..3,
 the coupling of a cell to the cells d rows above it, and S = circ(C) with
 C(d) summed onto slot d mod ny.  That block row is the one form of S.
 ``assemble`` takes the seven blocks from the field's row alone, a one-row
-field whose y faces read the row itself, and builds no 4N x 4N matrix:
-slot o of the face below the row sits at d = o - 3, slot o of the face
-above it at d = o - 2.  A field that varies along y is refused.
+field with one y face per column, and builds no 4N x 4N matrix: slot o of
+that face sits at d = o - 3 as the face below the row and at d = o - 2 as
+the face above it.  A field that varies along y is refused.
 
 ``eigensolve`` splits S exactly into ny Fourier blocks of size 4nx, one per
 transverse wavenumber k; S is real, so block ny - k is the conjugate of
@@ -161,21 +161,18 @@ def _face_triplets(B, window, axis: str, field: MeanField, T_out):
     ``B`` holds the blocks of one face grid as ``face_blocks`` returns them
     and ``window`` its part of ``FaceTable.window``: block o acts on the
     state at slot o, and the flux leaves slot 2's cell and enters slot 3's.
-    The column cell of a y face's block o lies d = o - 2 rows above the cell
-    the flux leaves and d = o - 3 rows above the cell it enters, unwrapped;
-    an x face's blocks have d = 0.  Only the nx*ny cells that lead the state
-    axis carry a perturbation: the inflow state is dropped, and row t's
-    outflow state folds onto the cell before the row's last face through
-    ``T_out[t]``.
+    A row's one y face per column is the face above the row and the face
+    below it: the column cell of its block o lies d = o - 2 rows above the
+    cell the flux leaves and d = o - 3 rows above the cell it enters; an x
+    face's blocks have d = 0.  Only the nx*ny cells that lead the state axis
+    carry a perturbation: the inflow state is dropped, and row t's outflow
+    state folds onto the cell before the row's last face through ``T_out[t]``.
     """
-    if axis == "y":
-        B, window = B.swapaxes(0, 1), window.swapaxes(0, 1)  # normal face first
-    periodic = axis == "y" or field.bc.periodic_x
-    if periodic:
+    if axis == "x" and field.bc.periodic_x:
         B, window = B[:-1], window[:-1]  # the last face repeats the first
     cells = field.nx * field.ny
     col = window
-    if not periodic:
+    if axis == "x" and not field.bc.periodic_x:
         out = col > cells  # the states past the inflow state are outflow states
         t = np.indices(col.shape)[1]
         B[out] = B[out] @ T_out[t[out]]

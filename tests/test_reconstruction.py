@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from shockstab import euler, reconstruction as rc
 from shockstab.euler import X_FACE
+from shockstab.scheme import CAP_TO_KIND
 
 from side_axis import halves, side_states, side_windows
 
@@ -413,8 +416,6 @@ def _face_windows(batch):
     """Left and right conservative windows (*batch, F, 5, 4) of every face
     of a perturbed 9x3 shock field, with their table; in a batch, the right
     window of ``TRIPPED_FACE`` in the last member is ``_VIOLENT``."""
-    from dataclasses import replace
-
     from shockstab import fields, shock_problem as sp
 
     field = sp.build_initial_field(sp.ShockProblemConfig(nx=9, ny=3, shock_column=5))
@@ -437,7 +438,7 @@ def test_side_axis_reconstruction_equals_the_two_call_reference(space, kind, var
     # one left-state call on the side axis gives the bits of the two calls:
     # face states, frozen-weight coefficients, fallback faces, eigen-matrices
     cfg = rc.ReconConfig(kind=kind, weno_variant=variant, space=space)
-    cap_cfg = rc.config_for_cap(cap, cfg) if cap != "none" else None
+    cap_cfg = replace(cfg, kind=CAP_TO_KIND[cap]) if cap != "none" else None
     for batch in ((), (3,), (2, 3)):
         winL, winR, table = _face_windows(batch)
         cap_mask = None if cap_cfg is None else table.shock

@@ -4,8 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from shockstab.reconstruction import config_for_cap, config_for_order
-from shockstab.scheme import HYBRID_PARTS, Scheme
+from shockstab.reconstruction import ReconConfig
+from shockstab.scheme import CAP_TO_KIND, HYBRID_PARTS, ORDER_TO_KIND, Scheme
 
 
 def test_label_names_variant_at_fifth_order_and_cap():
@@ -81,7 +81,9 @@ def test_configs_are_built_once_per_scheme(scheme):
         else:
             expect_solver, order = scheme.solver, scheme.order
         assert solver == expect_solver
-        assert recon == config_for_order(order, weno_variant=scheme.weno_variant, space=scheme.space)
-        assert cap == (None if scheme.cap == "none" else config_for_cap(scheme.cap, recon))
+        assert recon == ReconConfig(kind=ORDER_TO_KIND[order], weno_variant=scheme.weno_variant,
+                                    space=scheme.space)
+        cap_kind = CAP_TO_KIND.get(scheme.cap)
+        assert cap == (None if cap_kind is None else replace(recon, kind=cap_kind))
     # the cache is no field: equal schemes compare and hash alike
     assert scheme == replace(scheme) and hash(scheme) == hash(replace(scheme))

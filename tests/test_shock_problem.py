@@ -310,23 +310,27 @@ def test_converge_1d_inadmissible_jitter_start_is_a_failed_restart():
         sp.converge_1d(cfg(), Scheme(solver="roe", order=5, space="conservative"))
 
 
-def test_converge_1d_refuses_a_diverged_smoothing_march(monkeypatch):
-    # the last smoothing step overflows without raising.  After an earlier
-    # step the next one would raise InvalidStateError at the NaN states the
-    # overflow spreads, before the check
+@pytest.mark.parametrize("broken, value", [(n, np.inf) for n in range(1, 11)] + [(5, -1.0)],
+                         ids=[f"inf-step-{n}" for n in range(1, 11)] + ["negative-rho-step-5"])
+def test_converge_1d_refuses_a_diverged_smoothing_march(monkeypatch, broken, value):
+    # a smoothing step overflows without raising: the march fails at once,
+    # before the next step spreads NaN states.  A finite state of negative
+    # density is refused by the next step, and fails the march the same way
     step, steps = marching.step_ssprk3, []
 
     def overflowing(field, dt, scheme):
         out = step(field, dt, scheme)
         steps.append(dt)
-        if len(steps) == 10:
-            out.U[7, 0, 3] = np.inf
+        if len(steps) == broken:
+            out.U[7, 0, 0 if value < 0 else 3] = value
         return out
 
     monkeypatch.setattr(marching, "step_ssprk3", overflowing)
-    with pytest.raises(ConvergenceError, match=r"^1D smoothing march diverged for roe-o1/primitive$"):
+    with pytest.raises(ConvergenceError,
+                       match=r"^1D smoothing march diverged for roe-o1/primitive$") as raised:
         sp.converge_1d(cfg(), Scheme(solver="roe", order=1))
-    assert len(steps) == 10
+    assert len(steps) == broken
+    assert isinstance(raised.value.__cause__, InvalidStateError) == (value < 0)
 
 
 @pytest.mark.parametrize("stage", ["start_probe", "trial_probe", "trial", "batch"])

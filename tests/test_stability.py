@@ -17,6 +17,7 @@ from euler_reference import analytic_flux_jacobian, characteristic_eigenvalues
 from padded_reference import NG
 from side_axis import face_flux, halves, side_states, side_windows
 from test_euler import random_states
+from test_face_batch import SOLVERS, SPACES, _schemes
 
 
 
@@ -142,25 +143,29 @@ def test_assemble_makes_one_flux_call_per_batch(monkeypatch, solver, batches):
     assert len(calls) == batches
 
 
-@pytest.mark.parametrize("solver, orientation", [("roe", "x/y"), ("hybrid-1", "y")])
-def test_assemble_names_the_face_of_a_non_finite_flux_jacobian(monkeypatch, solver, orientation):
-    # one probe flux of face 15 of the probed part is NaN: the +h probe of
-    # the right state's rho v.  The row has 12 x faces and then 22 y faces, so
-    # face 15 is a y face of the joint table and of the hybrid's y part alike
+@pytest.mark.parametrize("solver, orientation, face", [
+    pytest.param("roe", "x/y", 15, id="roe-x/y"),
+    pytest.param("hybrid-1", "y", 3, id="hybrid-1-y"),
+])
+def test_assemble_names_the_face_of_a_non_finite_flux_jacobian(monkeypatch, solver, orientation,
+                                                               face):
+    # one probe flux of y face 3 of the row is NaN: the +h probe of the right
+    # state's rho v.  The row has 12 x faces and then 11 y faces, so y face 3
+    # is face 15 of the joint table and face 3 of the hybrid's y part
     original, broken = riemann.compute_flux, []
 
     def one_nan(solver, W, frame):
         flux = original(solver, W, frame)
         probes = W.ndim == 5  # (sign, probed side, component, side axis, 4)
         if probes and np.any(frame.ny) and not broken:  # the first part with y faces
-            flux[0, 1, 2, 15, 0] = np.nan
+            flux[0, 1, 2, face, 0] = np.nan
             broken.append(frame)
         return flux
 
     monkeypatch.setattr(riemann, "compute_flux", one_nan)
     field, _ = initial_shock_field(ny=4)
     with pytest.raises(DifferentiationError,
-                       match=rf"^non-finite flux Jacobian at {orientation}-face \[\[15\]\]$"):
+                       match=rf"^non-finite flux Jacobian at {orientation}-face \[\[{face}\]\]$"):
         assemble(field, Scheme(solver=solver), check_steady=False)
     assert len(broken) == 1
 
@@ -356,6 +361,19 @@ def test_block_counts_by_order():
             assert max(counts) <= expect
 
 
+def test_transverse_blocks_couple_a_cell_to_its_own_column():
+    # a y face's window lies in its own column, so every C(d) with d != 0 is
+    # block-diagonal in the column i: each 4x4 block coupling column i to a
+    # column i' != i is exactly 0.  Every solver, order, space and cap
+    field, cfg = initial_shock_field(epsilon=0.1)
+    off_diagonal = ~np.eye(cfg.nx, dtype=bool)
+    for scheme in (s for solver in SOLVERS for space in SPACES for s in _schemes(solver, space)):
+        C = assemble(field, scheme, check_steady=False).block_row
+        blocks = C.reshape(stability.OFFSETS, cfg.nx, 4, cfg.nx, 4).transpose(0, 1, 3, 2, 4)
+        for d in (-3, -2, -1, 1, 2, 3):
+            assert np.all(blocks[d][off_diagonal] == 0.0), (scheme.label(), d)
+
+
 def test_inflow_rows_reference_no_ghosts():
     field, cfg = initial_shock_field()
     S = assemble(field, Scheme(solver="roe", order=5), check_steady=False)
@@ -489,17 +507,23 @@ def test_assemble_matches_rhs_directional_derivative():
 
     # the shock problem's initial field adds the inflow ghosts (dropped) and
     # the pressure-pinned outflow ghosts (folded onto the last column).
-    # HLLC is left out: at its y faces the transverse velocity is zero, so
-    # s* = 0 exactly and HLLC switches branch there; the central difference
-    # straddles that kink (1.1e-5 relative at step 1e-7, 1.8e-4 at 1e-6,
-    # against at most 1.4e-7 for the cases below) and does not measure S
+    # HLLC is left out of the direction v that varies along y: at its y faces
+    # the transverse velocity is zero, so s* = 0 exactly and HLLC switches
+    # branch there; the central difference straddles that kink (7.2e-6
+    # relative at step 1e-7, 1.3e-4 at 1e-6, against at most 1.6e-7 for the
+    # cases below) and does not measure S.  The k = 0 direction v0 is
+    # constant along y: the perturbed field stays uniform along y, the
+    # y-flux differences of rhs cancel and the kink drops out, so every
+    # solver runs it
     field = sp.build_initial_field(sp.ShockProblemConfig(ny=4))
     v = rng.standard_normal(4 * field.nx * field.ny)
-    for solver in ("roe", "hll", "van_leer"):
+    v0 = np.repeat(rng.standard_normal((field.nx, 1, 4)), field.ny, axis=1).ravel()
+    for solver in ("roe", "hll", "hllc", "van_leer"):
         for space in ("conservative", "characteristic"):
             scheme = Scheme(solver=solver, order=1, space=space)
-            err, scale = _rhs_derivative_mismatch(field, scheme, v)
-            assert err < 1e-5 * max(1.0, scale), (solver, space)
+            for direction in (v0,) if solver == "hllc" else (v, v0):
+                err, scale = _rhs_derivative_mismatch(field, scheme, direction)
+                assert err < 1e-5 * max(1.0, scale), (solver, space, direction is v0)
 
 
 # ---------------------------------------------------------------- eigensolve
