@@ -207,6 +207,41 @@ def _fd_jacobian_1d(field, scheme, cols) -> tuple[np.ndarray, np.ndarray]:
     return ((R[:m] - R[m : 2 * m]) / (2 * h)[:, None]).T, R[2 * m]
 
 
+def _damped_steps(H, g, dH, lam_k) -> np.ndarray:
+    """Solutions (K, n) of the damped systems (H + lam_k diag(dH)) x = -g,
+    one for each of the K dampings ``lam_k``.
+
+    The systems are solved as one (K, n, n) stack, which runs LAPACK's gesv
+    on each matrix as a single solve does, so every solution keeps its bits.
+    If the stack raises, each system is solved on its own, and one that
+    raises gets a NaN solution.
+    """
+    A = H + lam_k[:, None, None] * np.diag(dH)
+    try:
+        return np.linalg.solve(A, -g)
+    except np.linalg.LinAlgError:
+        x = np.full((len(lam_k), len(g)), np.nan)
+        for x_k, A_k in zip(x, A):
+            try:
+                x_k[:] = np.linalg.solve(A_k, -g)
+            except np.linalg.LinAlgError:
+                pass  # a singular system has no step
+        return x
+
+
+def _above_floors(U, rho_floor, p_floor) -> np.ndarray:
+    """(K,) mask of the stacked rows U (K, nx, 1, 4) whose every density
+    exceeds ``rho_floor`` and every pressure ``p_floor``; a NaN fails both.
+
+    With positive floors this is ``euler.cons_to_prim`` not raising and both
+    minima clearing the floors.  The pressure is formed as ``_prim_soft``
+    forms it, 1 standing in for a density that is not positive.
+    """
+    rho = U[..., 0]
+    p = euler._primitive(U, np.where(rho > 0.0, rho, 1.0))[..., 3]
+    return ((rho > rho_floor) & (p > p_floor)).reshape(len(U), -1).all(axis=1)
+
+
 # the Jacobian of an accepted trial whose probes have not run yet
 _UNPROBED = object()
 
@@ -226,14 +261,20 @@ def _lm_refine_1d(field, scheme, tol, clamp_cells, pin_dofs):
     Each iteration tries up to 25 damped steps, step k with damping
     lambda_k = lambda 4^k, and accepts the first whose cost is finite and
     lower; lambda starts at 1e-3 and becomes max(lambda_k / 3, 1e-14) when
-    step k is accepted (More, LNM 630, 1978).  The first admissible trial
-    is evaluated by ``_fd_jacobian_1d``, which gives its residual and, if it
-    is accepted, the next iteration's Jacobian in one pass; the start state
-    gets both from one call too.  If that trial is rejected, the admissible
-    trials left are evaluated together in one batched ``_residual_1d`` call
-    (one at a time, in order, if the batch raises), and an accepted one is
-    probed when the next iteration needs its Jacobian.  A trial whose
-    probes leave the admissible states is judged by its residual alone.
+    step k is accepted (More, LNM 630, 1978).  Steps are solved and checked
+    a run of k at a time: one ``np.linalg.solve`` of the stacked systems
+    (one system at a time if the stack raises; ``_damped_steps``) and one
+    admissibility mask over the stacked trials (``_above_floors``).  Step 0
+    is tried alone, and steps 1..24 as one stack only when step 0 gives no
+    admissible trial or its trial is rejected.  The first admissible trial
+    is evaluated by ``_fd_jacobian_1d``, which gives its residual and, if
+    it is accepted, the next iteration's Jacobian in one pass; the start
+    state gets both from one call too.  If that trial is rejected, the
+    admissible trials left are evaluated together in one batched
+    ``_residual_1d`` call (one at a time, in order, if the batch raises),
+    and an accepted one is probed when the next iteration needs its
+    Jacobian.  A trial whose probes leave the admissible states is judged
+    by its residual alone.
 
     An attempt ends when no damped step lowers the cost, or when a probe of
     the Jacobian of the current state leaves the admissible states; either
@@ -253,13 +294,6 @@ def _lm_refine_1d(field, scheme, tol, clamp_cells, pin_dofs):
     s = np.tile(scale, nx)
     rho_floor = 1e-3 * float(W[..., 0].min())
     p_floor = 1e-3 * float(W[..., 3].min())
-
-    def admissible(f):
-        try:
-            Wt = euler.cons_to_prim(f.U)
-        except ShockStabError:
-            return False
-        return bool((Wt[..., 0].min() > rho_floor) and (Wt[..., 3].min() > p_floor))
 
     free = np.ones(4 * nx, dtype=bool)
     for cell in clamp_cells:
@@ -288,39 +322,41 @@ def _lm_refine_1d(field, scheme, tol, clamp_cells, pin_dofs):
             return None, None
         return J / s[:, None], r
 
-    def admissible_trials(field, H, g, dH, lam):
-        """(lambda_k, trial) of the damped steps k = 0..24 that solve and
-        stay admissible, in order; lambda 4^k is exact (4 is a power of 2)."""
-        for k in range(25):
-            lam_k = lam * 4.0**k
-            try:
-                step_free = np.linalg.solve(H + lam_k * np.diag(dH), -g)
-            except np.linalg.LinAlgError:
-                continue
-            step = np.zeros(4 * nx)
-            step[free] = step_free
-            trial = replace(field, U=field.U + step.reshape(nx, 1, 4))
-            if admissible(trial):
-                yield lam_k, trial
+    def evaluated(field, H, g, dH, lam):
+        """(lambda_k, U_k, J, r) of the admissible damped trials in order, r
+        None where it raised: the first from its Jacobian pass, the rest in
+        one batch.  Steps 1..24 are solved only when step 0 gives no trial
+        or its trial is rejected."""
 
-    def evaluated(trials):
-        """(lambda_k, trial, J, r) of the trials in order, r None where it
-        raised: the first from its Jacobian pass, the rest in one batch."""
-        first = next(trials, None)
-        if first is None:
-            return
-        lam_k, trial = first
+        def damped(ks):
+            """(lambda_k, U_k) of the steps k in ``ks`` that solve and stay
+            admissible, in order; lambda 4^k is exact (4 is a power of 2)."""
+            lam_k = lam * 4.0**ks
+            step = np.zeros((len(ks), 4 * nx))
+            step[:, free] = _damped_steps(H, g, dH, lam_k)
+            U = field.U + step.reshape(-1, nx, 1, 4)
+            ok = _above_floors(U, rho_floor, p_floor)
+            return lam_k[ok], U[ok]
+
+        tail = np.arange(1, 25)
+        lams, Us = damped(np.arange(1))
+        first_of_tail = not len(lams)
+        if first_of_tail:
+            lams, Us = damped(tail)
+            if not len(lams):
+                return
+        trial = replace(field, U=Us[0])
         J_t, r_t = jacobian(trial)
-        yield lam_k, trial, J_t, trial_residual(trial) if r_t is None else r_t
-        rest = list(trials)
-        if not rest:
+        yield lams[0], Us[0], J_t, trial_residual(trial) if r_t is None else r_t
+        lams, Us = (lams[1:], Us[1:]) if first_of_tail else damped(tail)
+        if not len(lams):
             return
         try:
-            R = residual(replace(rest[0][1], U=np.stack([t.U for _, t in rest])))
+            R = residual(replace(field, U=Us))
         except ShockStabError:
-            R = map(trial_residual, (t for _, t in rest))
-        for (lam_k, trial), r_t in zip(rest, R):
-            yield lam_k, trial, _UNPROBED, r_t
+            R = map(trial_residual, (replace(field, U=U) for U in Us))
+        for lam_k, U, r_t in zip(lams, Us, R):
+            yield lam_k, U, _UNPROBED, r_t
 
     J, r = jacobian(field)
     if r is None:
@@ -340,12 +376,12 @@ def _lm_refine_1d(field, scheme, tol, clamp_cells, pin_dofs):
         H = J.T @ J
         dH = np.diag(H).copy()
         dH[dH <= 0] = 1.0
-        for lam_k, trial, J_t, r2 in evaluated(admissible_trials(field, H, g, dH, lam)):
+        for lam_k, U, J_t, r2 in evaluated(field, H, g, dH, lam):
             if r2 is None:
                 continue
             cost2 = float(np.linalg.norm(r2 / s))
             if np.isfinite(cost2) and cost2 < cost:
-                field, J, r, cost = trial, J_t, r2, cost2
+                field, J, r, cost = replace(field, U=U), J_t, r2, cost2
                 lam = max(lam_k / 3.0, 1e-14)
                 break
         else:
@@ -361,13 +397,14 @@ def converge_1d(cfg: ShockProblemConfig, scheme: Scheme):
     steady state (``_lm_refine_1d``).  Its Jacobian is the central finite
     difference of rhs, weights included, with every probe of one Jacobian
     and the state itself evaluated in one pass over the faces they touch
-    (``_fd_jacobian_1d``), so that an accepted step costs one pass and a
-    rejected one is retried with its damped successors in one batch.  Pure
-    marching does not converge: the fifth-order schemes only orbit their
-    steady state in a weight-chatter limit cycle, and the low-dissipation
-    solvers slowly drift the captured shock off its initial sub-cell
-    position, losing the family member the shock-position parameter
-    selects.  During the solve the supersonic upstream columns (exactly
+    (``_fd_jacobian_1d``), so that an accepted step costs one pass.  A
+    rejected one is followed by its damped successors, solved as one stack
+    of linear systems, checked by one admissibility mask and evaluated in
+    one batched residual.  Pure marching does not converge: the
+    fifth-order schemes only orbit their steady state in a weight-chatter
+    limit cycle, and the low-dissipation solvers slowly drift the captured
+    shock off its initial sub-cell position, losing the family member the
+    shock-position parameter selects.  During the solve the supersonic upstream columns (exactly
     uniform in the steady state) stay clamped and the shock-cell density
     stays pinned.  An attempt ends when no damped step lowers the cost or
     when a Jacobian probe leaves the admissible states.  Up to two seeded

@@ -452,6 +452,9 @@ def _loop_lm_refine_1d(field, scheme, tol, clamp_cells, pin_dofs):
     # only the least damped system of an iteration solves: a rejected first
     # trial has no successor, and the attempt stalls
     (Scheme(solver="hll", order=1), 0.1, "one damping"),
+    # only the system with k = 3 is singular: each stack of steps 1..24
+    # raises, and its systems are solved one at a time
+    (Scheme(solver="roe", order=5), 0.1, "damping 3"),
     # a state whose density moved by more than 0.1 from the attempt's start
     # has no residual: the probes and the residual of a first trial raise,
     # then the batch of its successors, and one at a time its far members
@@ -464,7 +467,7 @@ def test_lm_refine_equals_the_sequential_loop(monkeypatch, scheme, epsilon, faul
     # residual and iteration count of the sequential loop, and counts the
     # calls it makes, also under an injected fault.  A fault depends only on
     # what the failing call is given: a state, or a damped system and the
-    # number of systems with its right-hand side solved before it in the run.
+    # rank of a system among those with its right-hand side met in the run.
     # So the loop and the package, which reach the same states in different
     # orders, meet the same faults
     refine, jacobian, residual, solve = (sp._lm_refine_1d, sp._fd_jacobian_1d, sp._residual_1d,
@@ -493,10 +496,20 @@ def test_lm_refine_equals_the_sequential_loop(monkeypatch, scheme, epsilon, faul
         return residual(f, s)
 
     def faulty_solve(A, b):
-        k = damping.get(b.tobytes(), 0)  # the damping index: lambda 4^k
-        damping[b.tobytes()] = k + 1
-        if fault == "singular" or (fault == "one damping" and k > 0):
-            raised.append(f"system {k}")
+        # the damping index k of a system (lambda 4^k) is its rank among the
+        # distinct systems with its right-hand side met in the run, so a
+        # system solved again keeps its index.  A stack raises when any of
+        # its systems is faulted, as LAPACK does
+        met = damping.setdefault(b.tobytes(), [])
+        ks = []
+        for system in A.reshape(-1, *A.shape[-2:]):
+            if system.tobytes() not in met:
+                met.append(system.tobytes())
+            ks.append(met.index(system.tobytes()))
+        faulted = [k for k in ks if fault == "singular" or (fault == "one damping" and k > 0)
+                   or (fault == "damping 3" and k == 3)]
+        if faulted:
+            raised.append("stack" if A.ndim == 3 else f"system {faulted[0]}")
             raise np.linalg.LinAlgError("Singular matrix")
         return solve(A, b)
 
@@ -531,14 +544,22 @@ def test_lm_refine_equals_the_sequential_loop(monkeypatch, scheme, epsilon, faul
             assert it == 1 and np.array_equal(got.U, begun)  # the attempt ends at its start
     faults = [attempt_faults for *_, attempt_faults, _ in attempts]
     if fault == "singular":
-        assert faults == [[f"system {k}" for k in range(25)]] * 3
+        # step 0's stack of one raises, and so does its system on its own;
+        # then the stack of steps 1..24 and each of its systems
+        tail = [f"system {k}" for k in range(1, 25)]
+        assert faults == [["stack", "system 0", "stack", *tail]] * 3
     elif fault == "start probes":
         assert faults == [["probes"]] * 3
         assert [made for _, made, *_ in attempts] == [{"jacobians": 1, "residuals": 1}] * 3
     elif fault == "one damping":
-        # the last iteration's first trial was rejected, then its 24 damped
-        # successors were singular
-        assert batches == [] and faults[0][-24:] == [f"system {k}" for k in range(1, 25)]
+        # the last iteration's first trial was rejected, then the stack of
+        # its 24 damped successors and each of them were singular
+        assert batches == []
+        assert faults[0][-25:] == ["stack", *[f"system {k}" for k in range(1, 25)]]
+    elif fault == "damping 3":
+        # every batch follows a stack that raised and a step 3 left out
+        assert batches and set(batches) == {23}
+        assert sum(faults, []) == ["stack", "system 3"] * len(batches)
     elif fault == "far":
         # a first trial with no residual, then a batch that raises and a
         # trial in it with no residual
@@ -549,6 +570,67 @@ def test_lm_refine_equals_the_sequential_loop(monkeypatch, scheme, epsilon, faul
         assert min(batches) < 24  # a damped step that is not admissible is left out
     else:
         assert batches and set(batches) == {24}
+
+
+def _trial_admissible(U, rho_floor, p_floor):
+    """Reference: the admissibility of one trial row, cons_to_prim and the
+    minima of its density and pressure against the floors."""
+    try:
+        W = euler.cons_to_prim(U)
+    except ShockStabError:
+        return False
+    return bool((W[..., 0].min() > rho_floor) and (W[..., 3].min() > p_floor))
+
+
+def test_damped_stack_keeps_the_bits_of_one_system_at_a_time():
+    # the two facts the stacked damped trials of the LM solve rest on.  The
+    # stacked solve of a real damped stack (the first LM iteration of
+    # roe-o5 at epsilon 0.1, its 25 dampings) equals the solve of each
+    # system on its own, bit for bit
+    c = cfg()
+    field = sp.build_initial_field(c, ny=1)
+    free = np.ones(4 * c.nx, dtype=bool)
+    free[:16] = free[20] = False  # the clamped upstream cells and the pinned density
+    W = field.interior_primitive()
+    speed = float((np.abs(W[..., 1]) + euler.sound_speed(W)).max())
+    s = np.tile(np.maximum(1.0, np.abs(field.U).max(axis=(0, 1))) * speed, c.nx)
+    J, r = sp._fd_jacobian_1d(field, Scheme(solver="roe", order=5), np.flatnonzero(free))
+    J = J / s[:, None]
+    H, g = J.T @ J, J.T @ (r / s)
+    dH = np.diag(H).copy()
+    dH[dH <= 0] = 1.0
+    lam = 1e-3 * 4.0 ** np.arange(25)
+    steps = sp._damped_steps(H, g, dH, lam)
+    for k in range(25):
+        assert np.array_equal(steps[k], np.linalg.solve(H + 1e-3 * 4.0**k * np.diag(dH), -g)), k
+
+    # the stacked mask equals the per-trial check on hand-made rows: each
+    # changes cell 8 of the initial row
+    rho_floor, p_floor = 1e-3 * W[..., 0].min(), (euler.GAMMA - 1.0) * 1e-3
+    base = field.U[8, 0]
+    cells = {
+        "initial": base,
+        "rho 0": [0.0, *base[1:]],
+        "rho < 0": [-1.0, *base[1:]],
+        "rho NaN": [np.nan, *base[1:]],
+        "p 0": [1.0, 0.0, 0.0, 0.0],
+        "p < 0": [*base[:3], -1.0],
+        "p NaN": [*base[:3], np.nan],
+        "rho at its floor": [rho_floor, 0.0, 0.0, 1.0],
+        "rho above its floor": [np.nextafter(rho_floor, 1.0), 0.0, 0.0, 1.0],
+        "p at its floor": [1.0, 0.0, 0.0, 1e-3],  # (GAMMA - 1) (1e-3 - 0) is p_floor
+        "p above its floor": [1.0, 0.0, 0.0, np.nextafter(1e-3, 1.0)],
+        "rho u +inf": [base[0], np.inf, *base[2:]],
+        "rho u -inf": [base[0], -np.inf, *base[2:]],
+        "rho v +inf": [*base[:2], np.inf, base[3]],
+        "rho v -inf": [*base[:2], -np.inf, base[3]],
+    }
+    U = np.repeat(field.U[None], len(cells), axis=0)
+    U[:, 8, 0] = list(cells.values())
+    expected = [_trial_admissible(u, rho_floor, p_floor) for u in U]
+    assert dict(zip(cells, expected)) == {name: name in ("initial", "rho above its floor",
+                                                         "p above its floor") for name in cells}
+    assert sp._above_floors(U, rho_floor, p_floor).tolist() == expected
 
 
 def _loop_fd_jacobian(field, scheme, cols):
