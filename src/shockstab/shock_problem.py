@@ -239,7 +239,7 @@ def _above_floors(U, rho_floor, p_floor) -> np.ndarray:
     """
     rho = U[..., 0]
     p = euler._primitive(U, np.where(rho > 0.0, rho, 1.0))[..., 3]
-    return ((rho > rho_floor) & (p > p_floor)).reshape(len(U), -1).all(axis=1)
+    return ((rho > rho_floor) & (p > p_floor)).all(axis=(-2, -1))
 
 
 # the Jacobian of an accepted trial whose probes have not run yet
@@ -264,13 +264,14 @@ def _lm_refine_1d(field, scheme, tol, clamp_cells, pin_dofs):
     step k is accepted (More, LNM 630, 1978).  Steps are solved and checked
     a run of k at a time: one ``np.linalg.solve`` of the stacked systems
     (one system at a time if the stack raises; ``_damped_steps``) and one
-    admissibility mask over the stacked trials (``_above_floors``).  Step 0
-    is tried alone, and steps 1..24 as one stack only when step 0 gives no
-    admissible trial or its trial is rejected.  The first admissible trial
-    is evaluated by ``_fd_jacobian_1d``, which gives its residual and, if
-    it is accepted, the next iteration's Jacobian in one pass; the start
-    state gets both from one call too.  If that trial is rejected, the
-    admissible trials left are evaluated together in one batched
+    admissibility mask over the stacked trials (``_above_floors``).  The
+    steps up to the first admissible one are tried one k at a time, so an
+    iteration whose first trial is accepted solves no more systems than it
+    tries.  That first trial is evaluated by ``_fd_jacobian_1d``, which
+    gives its residual and, if it is accepted, the next iteration's
+    Jacobian in one pass; the start state gets both from one call too.  If
+    it is rejected, the steps after it are solved and checked as one stack,
+    their admissible trials are evaluated together in one batched
     ``_residual_1d`` call (one at a time, in order, if the batch raises),
     and an accepted one is probed when the next iteration needs its
     Jacobian.  A trial whose probes leave the admissible states is judged
@@ -325,8 +326,8 @@ def _lm_refine_1d(field, scheme, tol, clamp_cells, pin_dofs):
     def evaluated(field, H, g, dH, lam):
         """(lambda_k, U_k, J, r) of the admissible damped trials in order, r
         None where it raised: the first from its Jacobian pass, the rest in
-        one batch.  Steps 1..24 are solved only when step 0 gives no trial
-        or its trial is rejected."""
+        one batch.  The steps before the first trial are solved one at a
+        time and the steps after it, only if it is rejected, as one stack."""
 
         def damped(ks):
             """(lambda_k, U_k) of the steps k in ``ks`` that solve and stay
@@ -338,17 +339,16 @@ def _lm_refine_1d(field, scheme, tol, clamp_cells, pin_dofs):
             ok = _above_floors(U, rho_floor, p_floor)
             return lam_k[ok], U[ok]
 
-        tail = np.arange(1, 25)
-        lams, Us = damped(np.arange(1))
-        first_of_tail = not len(lams)
-        if first_of_tail:
-            lams, Us = damped(tail)
-            if not len(lams):
-                return
+        for k in range(25):
+            lams, Us = damped(np.arange(k, k + 1))
+            if len(lams):
+                break
+        else:
+            return
         trial = replace(field, U=Us[0])
         J_t, r_t = jacobian(trial)
         yield lams[0], Us[0], J_t, trial_residual(trial) if r_t is None else r_t
-        lams, Us = (lams[1:], Us[1:]) if first_of_tail else damped(tail)
+        lams, Us = damped(np.arange(k + 1, 25))
         if not len(lams):
             return
         try:

@@ -452,8 +452,8 @@ def _loop_lm_refine_1d(field, scheme, tol, clamp_cells, pin_dofs):
     # only the least damped system of an iteration solves: a rejected first
     # trial has no successor, and the attempt stalls
     (Scheme(solver="hll", order=1), 0.1, "one damping"),
-    # only the system with k = 3 is singular: each stack of steps 1..24
-    # raises, and its systems are solved one at a time
+    # only the system with k = 3 is singular: each stack of the steps after
+    # a rejected first trial raises, and its systems are solved one at a time
     (Scheme(solver="roe", order=5), 0.1, "damping 3"),
     # a state whose density moved by more than 0.1 from the attempt's start
     # has no residual: the probes and the residual of a first trial raise,
@@ -544,10 +544,9 @@ def test_lm_refine_equals_the_sequential_loop(monkeypatch, scheme, epsilon, faul
             assert it == 1 and np.array_equal(got.U, begun)  # the attempt ends at its start
     faults = [attempt_faults for *_, attempt_faults, _ in attempts]
     if fault == "singular":
-        # step 0's stack of one raises, and so does its system on its own;
-        # then the stack of steps 1..24 and each of its systems
-        tail = [f"system {k}" for k in range(1, 25)]
-        assert faults == [["stack", "system 0", "stack", *tail]] * 3
+        # no step gives a first trial, so each is solved as a stack of one,
+        # which raises, and then on its own
+        assert faults == [[fault for k in range(25) for fault in ("stack", f"system {k}")]] * 3
     elif fault == "start probes":
         assert faults == [["probes"]] * 3
         assert [made for _, made, *_ in attempts] == [{"jacobians": 1, "residuals": 1}] * 3

@@ -381,15 +381,18 @@ def test_transverse_blocks_couple_a_cell_to_its_own_column():
 
 def test_block_row_splits_into_x_faces_at_d_0_and_y_faces_that_sum_to_0(monkeypatch):
     # C = C_x + C_y, C_y assembled from the y faces alone.  An x face reads
-    # one row, so C_x(d) is exactly 0 for d != 0.  A y-uniform shift of the
-    # whole field moves no y-flux difference, so sum_d C_y(d) = 0.  Each
-    # entry of C_y(d) is one rounded sum of the two terms of a column's y
-    # face, the one the flux leaves by and the one it enters by, and they
-    # telescope to 0 over d.  So the exact sum of the K = OFFSETS stored
-    # entries is at most K u max|C_y|, and summing them in floating point
-    # adds at most (K - 1) K u max|C_y|: |sum_d C_y(d)| <= K^2 u max|C_y|,
-    # u = eps / 2.  Every solver, order, space and cap
-    field, _ = initial_shock_field(epsilon=0.1)
+    # one row, so C_x(d) is exactly 0 for d != 0.  A y face's window lies in
+    # its own column, so every C_y(d), d = 0 included, is block-diagonal in
+    # the column.  A y-uniform shift of the whole field moves no y-flux
+    # difference, so sum_d C_y(d) = 0.  Each entry of C_y(d) is one rounded
+    # sum of the two terms of a column's y face, the one the flux leaves by
+    # and the one it enters by, and they telescope to 0 over d.  So the
+    # exact sum of the K = OFFSETS stored entries is at most K u max|C_y|,
+    # and summing them in floating point adds at most (K - 1) K u max|C_y|:
+    # |sum_d C_y(d)| <= K^2 u max|C_y|, u = eps / 2.  Every solver, order,
+    # space and cap
+    field, cfg = initial_shock_field(epsilon=0.1)
+    off_diagonal = ~np.eye(cfg.nx, dtype=bool)
     K = stability.OFFSETS
     bound = K * K * np.finfo(float).eps / 2
     triplets = stability._face_triplets
@@ -406,6 +409,8 @@ def test_block_row_splits_into_x_faces_at_d_0_and_y_faces_that_sum_to_0(monkeypa
         C_x = C - C_y
         for d in (-3, -2, -1, 1, 2, 3):
             assert np.all(C_x[d] == 0.0), (scheme.label(), d)
+        blocks = C_y.reshape(K, cfg.nx, 4, cfg.nx, 4).transpose(0, 1, 3, 2, 4)
+        assert np.all(blocks[:, off_diagonal] == 0.0), scheme.label()
         assert np.abs(C_y.sum(axis=0)).max() <= bound * np.abs(C_y).max(), scheme.label()
 
 
