@@ -546,7 +546,7 @@ def test_lm_refine_equals_the_sequential_loop(monkeypatch, scheme, epsilon, faul
     if fault == "singular":
         # no step gives a first trial, so each is solved as a stack of one,
         # which raises, and then on its own
-        assert faults == [[fault for k in range(25) for fault in ("stack", f"system {k}")]] * 3
+        assert faults == [[entry for k in range(25) for entry in ("stack", f"system {k}")]] * 3
     elif fault == "start probes":
         assert faults == [["probes"]] * 3
         assert [made for _, made, *_ in attempts] == [{"jacobians": 1, "residuals": 1}] * 3
