@@ -171,10 +171,9 @@ def _admissible(W):
 
 
 def _prim_soft(U):
-    """(W, valid mask) of U, never raising: 1 stands in for a density that is not positive."""
+    """Primitive states of U, never raising: 1 stands in for a density that is not positive."""
     rho = U[..., 0]
-    W = euler._primitive(U, np.where(rho > 0.0, rho, 1.0))
-    return W, _admissible(W)
+    return euler._primitive(U, np.where(rho > 0.0, rho, 1.0))
 
 
 @dataclass
@@ -245,13 +244,14 @@ def _reconstruct_sides(win, cfg, frame, linearise):
     Xs, lin = _left_state(X, cfg, linearise)
 
     if cfg.space == "conservative":
-        W, ok = _prim_soft(Xs)
+        W = _prim_soft(Xs)
     elif cfg.space == "primitive":
-        W, ok = Xs, _admissible(Xs)
+        W = Xs
     else:
         by_side = Xs.reshape(Xs.shape[:-2] + (2, n, 4))
         U = np.einsum("...ab,...b->...a", Rmat[..., None, :, :, :], by_side)
-        W, ok = _prim_soft(U.reshape(Xs.shape))
+        W = _prim_soft(U.reshape(Xs.shape))
+    ok = _admissible(W)
 
     fallback = ~(ok[..., :n] & ok[..., n:])
     if fallback.any():

@@ -213,19 +213,22 @@ def _damped_steps(H, g, dH, lam_k) -> np.ndarray:
 
     The systems are solved as one (K, n, n) stack, which runs LAPACK's gesv
     on each matrix as a single solve does, so every solution keeps its bits.
-    If the stack raises, each system is solved on its own, and one that
-    raises gets a NaN solution.
+    The right-hand side is given as (1, n, 1), which NumPy 1.x and 2.x both
+    read as one one-column matrix, broadcast over the stack.  A singular
+    system gets a NaN solution: if a stack of more than one raises, each
+    system is solved on its own.
     """
     A = H + lam_k[:, None, None] * np.diag(dH)
     try:
-        return np.linalg.solve(A, -g)
+        return np.linalg.solve(A, -g[None, :, None])[..., 0]
     except np.linalg.LinAlgError:
         x = np.full((len(lam_k), len(g)), np.nan)
-        for x_k, A_k in zip(x, A):
-            try:
-                x_k[:] = np.linalg.solve(A_k, -g)
-            except np.linalg.LinAlgError:
-                pass  # a singular system has no step
+        if len(lam_k) > 1:
+            for x_k, A_k in zip(x, A):
+                try:
+                    x_k[:] = np.linalg.solve(A_k, -g)
+                except np.linalg.LinAlgError:
+                    pass  # a singular system has no step
         return x
 
 
@@ -234,12 +237,11 @@ def _above_floors(U, rho_floor, p_floor) -> np.ndarray:
     exceeds ``rho_floor`` and every pressure ``p_floor``; a NaN fails both.
 
     With positive floors this is ``euler.cons_to_prim`` not raising and both
-    minima clearing the floors.  The pressure is formed as ``_prim_soft``
-    forms it, 1 standing in for a density that is not positive.
+    minima clearing the floors.  The primitive states are
+    ``reconstruction._prim_soft``'s.
     """
-    rho = U[..., 0]
-    p = euler._primitive(U, np.where(rho > 0.0, rho, 1.0))[..., 3]
-    return ((rho > rho_floor) & (p > p_floor)).all(axis=(-2, -1))
+    W = reconstruction._prim_soft(U)
+    return ((W[..., 0] > rho_floor) & (W[..., 3] > p_floor)).all(axis=(-2, -1))
 
 
 # the Jacobian of an accepted trial whose probes have not run yet

@@ -372,15 +372,14 @@ def ref_reconstruct_pair_one(winL_U, winR_U, cfg, frame, XwinL, XwinR, linearise
     lin_R = lin_Rm[..., ::-1, :].copy() if linearise else None
 
     if cfg.space == "conservative":
-        WL, okL = rc._prim_soft(XL)
-        WR, okR = rc._prim_soft(XR)
+        WL, WR = rc._prim_soft(XL), rc._prim_soft(XR)
     elif cfg.space == "primitive":
         WL, WR = XL, XR
-        okL = (WL[..., 0] > 0) & (WL[..., 3] > 0) & np.isfinite(WL).all(axis=-1)
-        okR = (WR[..., 0] > 0) & (WR[..., 3] > 0) & np.isfinite(WR).all(axis=-1)
     else:
-        WL, okL = rc._prim_soft(np.einsum("...ab,...b->...a", Rmat, XL))
-        WR, okR = rc._prim_soft(np.einsum("...ab,...b->...a", Rmat, XR))
+        WL = rc._prim_soft(np.einsum("...ab,...b->...a", Rmat, XL))
+        WR = rc._prim_soft(np.einsum("...ab,...b->...a", Rmat, XR))
+    okL = (WL[..., 0] > 0) & (WL[..., 3] > 0) & np.isfinite(WL).all(axis=-1)
+    okR = (WR[..., 0] > 0) & (WR[..., 3] > 0) & np.isfinite(WR).all(axis=-1)
 
     fallback = ~(okL & okR)
     if fallback.any():
