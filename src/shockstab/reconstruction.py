@@ -167,7 +167,8 @@ def _left_state(win, cfg: ReconConfig, linearise: bool = True):
 
 def _admissible(W):
     """Primitive states W with positive density and pressure, every component finite."""
-    return (W[..., 0] > 0.0) & (W[..., 3] > 0.0) & np.isfinite(W).all(axis=-1)
+    f = np.isfinite(W)
+    return (W[..., 0] > 0.0) & (W[..., 3] > 0.0) & (f[..., 0] & f[..., 1] & f[..., 2] & f[..., 3])
 
 
 def _prim_soft(U):
@@ -217,7 +218,7 @@ def reconstruct_pair(
     """
     win = np.asarray(win, dtype=float)
     recon = _reconstruct_sides(win, cfg, frame, linearise)
-    if cap_mask is not None and np.any(cap_mask):
+    if cap_mask is not None and np.count_nonzero(cap_mask):
         batch = (slice(None),) * (win.ndim - 3)
         rows = batch + (np.tile(cap_mask, 2),)
         sub = _reconstruct_sides(win[rows], cap_cfg, frame.at(cap_mask), linearise)
@@ -254,7 +255,7 @@ def _reconstruct_sides(win, cfg, frame, linearise):
     ok = _admissible(W)
 
     fallback = ~(ok[..., :n] & ok[..., n:])
-    if fallback.any():
+    if np.count_nonzero(fallback):
         # drop to first order at the offending faces: both states are the
         # adjacent cell means, the middle slot of either window
         rows = np.concatenate([fallback, fallback], axis=-1)

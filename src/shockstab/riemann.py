@@ -10,6 +10,8 @@ sign) are computed once over the whole side axis, a bad state named by its
 side of the wave fan first and builds that side's star state only.
 """
 
+import functools
+
 import numpy as np
 
 from . import euler
@@ -43,12 +45,14 @@ def roe_flux(W, frame: FaceFrame) -> np.ndarray:
     WL, WR = W[..., :n, :], W[..., n:, :]
     sl, sr = s[..., :n], s[..., n:]
     wgt = sl / (sl + sr)
-    u = wgt * WL[..., 1] + (1 - wgt) * WR[..., 1]
-    v = wgt * WL[..., 2] + (1 - wgt) * WR[..., 2]
-    h = wgt * h_side[..., :n] + (1 - wgt) * h_side[..., n:]
-    c2 = g1 * (h - 0.5 * (u * u + v * v))
+    rest = 1 - wgt
+    u = wgt * WL[..., 1] + rest * WR[..., 1]
+    v = wgt * WL[..., 2] + rest * WR[..., 2]
+    h = wgt * h_side[..., :n] + rest * h_side[..., n:]
+    v2 = u * u + v * v
+    c2 = g1 * (h - 0.5 * v2)
     ok = c2 > 0.0
-    if not ok.all():
+    if np.count_nonzero(ok) < ok.size:
         raise InvalidStateError(
             euler._describe_bad(~ok, "Roe average breakdown: non-positive c^2", "face"))
     c = np.sqrt(c2)
@@ -64,9 +68,11 @@ def roe_flux(W, frame: FaceFrame) -> np.ndarray:
     d_p = WR[..., 3] - WL[..., 3]
     d_q = d_u * nx + d_v * ny
     d_ql = d_u * lx + d_v * ly
-    a1 = (d_p - rho * c * d_q) / (2.0 * c2)
+    rcd_q = rho * c * d_q
+    two_c2 = 2.0 * c2
+    a1 = (d_p - rcd_q) / two_c2
     a2 = d_rho - d_p / c2
-    a3 = (d_p + rho * c * d_q) / (2.0 * c2)
+    a3 = (d_p + rcd_q) / two_c2
     a4 = rho * d_ql
 
     abs_q = smooth_abs(q, ROE_DELTA0)
@@ -75,12 +81,13 @@ def roe_flux(W, frame: FaceFrame) -> np.ndarray:
     l3 = smooth_abs(q + c, ROE_DELTA0) * a3
     l4 = abs_q * a4
 
+    c_nx, c_ny, c_q = c * nx, c * ny, c * q
     diss = np.empty(q.shape + (4,))
     diss[..., 0] = l1 + l2 + l3
-    diss[..., 1] = l1 * (u - c * nx) + l2 * u + l3 * (u + c * nx) + l4 * lx
-    diss[..., 2] = l1 * (v - c * ny) + l2 * v + l3 * (v + c * ny) + l4 * ly
+    diss[..., 1] = l1 * (u - c_nx) + l2 * u + l3 * (u + c_nx) + l4 * lx
+    diss[..., 2] = l1 * (v - c_ny) + l2 * v + l3 * (v + c_ny) + l4 * ly
     diss[..., 3] = (
-        l1 * (h - c * q) + l2 * 0.5 * (u * u + v * v) + l3 * (h + c * q) + l4 * ql
+        l1 * (h - c_q) + l2 * 0.5 * v2 + l3 * (h + c_q) + l4 * ql
     )
     return 0.5 * (F[..., :n, :] + F[..., n:, :]) - 0.5 * diss
 
@@ -91,7 +98,7 @@ def davis_speeds(qL, cL, qR, cR):
     s_l = np.minimum(qL - cL, qR - cR)
     s_r = np.maximum(qL + cL, qR + cR)
     collapsed = s_r - s_l < 1e-12
-    if collapsed.any():
+    if np.count_nonzero(collapsed):
         raise DegenerateFanError(
             euler._describe_bad(collapsed, "wave fan collapsed: S_R - S_L below 1e-12", "face"))
     return s_l, s_r
@@ -131,8 +138,10 @@ def hllc_flux(W, frame: FaceFrame) -> np.ndarray:
     s_star = (WR[..., 3] - WL[..., 3] + qL * mL - qR * mR) / (mL - mR)
 
     # F_L if S_L >= 0, else F_R if S_R <= 0, else F*_L if S* >= 0, else F*_R
-    fan = ~(s_l >= 0.0) & ~(s_r <= 0.0)
-    left = (s_l >= 0.0) | (~(s_r <= 0.0) & (s_star >= 0.0))
+    left_out = s_l >= 0.0
+    right_in = ~(s_r <= 0.0)
+    fan = ~left_out & right_in
+    left = left_out | (right_in & (s_star >= 0.0))
     W = np.where(left[..., None], WL, WR)
     q = np.where(left, qL, qR)
     s_k = np.where(left, s_l, s_r)
@@ -152,6 +161,17 @@ def hllc_flux(W, frame: FaceFrame) -> np.ndarray:
     return np.where(fan[..., None], star, F)
 
 
+@functools.lru_cache(maxsize=None)
+def _side_signs(n):
+    """The side arrays +-1, +-0.25 and +-2 of a side axis of n faces, + on
+    the left states and - on the right, built once per face count."""
+    sign = np.repeat([1.0, -1.0], n)
+    arrays = sign, sign * 0.25, sign * 2.0
+    for a in arrays:
+        a.flags.writeable = False  # shared by every call
+    return arrays
+
+
 def van_leer_flux(W, frame: FaceFrame) -> np.ndarray:
     """Flux-vector splitting with the standard Mach polynomials, F+ of the
     left state plus F- of the right; fully one-sided for |M| >= 1."""
@@ -159,19 +179,20 @@ def van_leer_flux(W, frame: FaceFrame) -> np.ndarray:
     n = W.shape[-2] // 2
     g = GAMMA
     sides = frame.sides
-    sign = np.repeat([1.0, -1.0], n)  # +1 on the left states, -1 on the right
+    sign, quarter, two = _side_signs(n)
     rho, u, v = W[..., 0], W[..., 1], W[..., 2]
     c = euler.on_sides(euler.sound_speed, W)
     q = _normal_velocity(W, sides)
     m = q / c
-    fm = sign * 0.25 * rho * c * (m + sign) ** 2
-    vel = (-q + sign * 2.0 * c) / g
+    fm = quarter * rho * c * (m + sign) ** 2
+    two_c = two * c
+    vel = (-q + two_c) / g
     sub = np.empty(fm.shape + (4,))
     sub[..., 0] = fm
     sub[..., 1] = fm * (u + sides.nx * vel)
     sub[..., 2] = fm * (v + sides.ny * vel)
     sub[..., 3] = fm * (
-        ((g - 1.0) * q + sign * 2.0 * c) ** 2 / (2.0 * (g * g - 1.0))
+        ((g - 1.0) * q + two_c) ** 2 / (2.0 * (g * g - 1.0))
         + 0.5 * (u * u + v * v - q * q)
     )
     full = euler.exact_flux_w(W, sides)

@@ -47,11 +47,33 @@ def test_prim_cons_round_trip():
     assert np.allclose(euler.prim_to_cons(W2), U, rtol=1e-12, atol=0)
 
 
-def test_cons_to_prim_rejects_bad_states():
-    with pytest.raises(InvalidStateError):
-        euler.cons_to_prim(np.array([-1.0, 0.0, 0.0, 1.0]))
-    with pytest.raises(InvalidStateError):
-        euler.cons_to_prim(np.array([1.0, 0.0, 0.0, -1.0]))
+GOOD_CELL = [1.0, 0.5, -0.25, 2.0]  # p = 0.4 (2 - 0.15625) > 0
+DENSITY = r"^non-positive density in interior at cell\(s\) "
+PRESSURE = r"^non-positive pressure in interior at cell\(s\) "
+
+
+@pytest.mark.parametrize("cell, message", [
+    ([0.0, 0.5, -0.25, 2.0], DENSITY + r"\(1,\)$"),
+    ([-1.0, 0.5, -0.25, 2.0], DENSITY + r"\(1,\)$"),
+    ([np.nan, 0.5, -0.25, 2.0], DENSITY + r"\(1,\)$"),
+    ([1.0, 0.5, -0.25, -1.0], PRESSURE + r"\(1,\)$"),
+    ([1.0, 0.5, -0.25, np.nan], PRESSURE + r"\(1,\)$"),
+    ([-1.0, 0.5, -0.25, -1.0], DENSITY + r"\(1,\)$"),  # bad in both: density first
+], ids=["rho 0", "rho < 0", "rho NaN", "p < 0", "energy NaN", "rho and p"])
+def test_cons_to_prim_rejects_bad_states(cell, message):
+    U = np.array([GOOD_CELL, cell, GOOD_CELL])
+    with pytest.raises(InvalidStateError, match=message):
+        euler.cons_to_prim(U, "interior")
+
+
+def test_cons_to_prim_names_a_bad_cell_of_a_batch_by_its_full_index():
+    U = np.broadcast_to(GOOD_CELL, (2, 3, 4, 4)).copy()
+    U[1, 2, 3, 3] = -1.0
+    with pytest.raises(InvalidStateError, match=PRESSURE + r"\(1, 2, 3\)$"):
+        euler.cons_to_prim(U, "interior")
+    U[0, 1, 2, 0] = 0.0
+    with pytest.raises(InvalidStateError, match=DENSITY + r"\(0, 1, 2\)$"):
+        euler.cons_to_prim(U, "interior")
 
 
 def test_sound_speed_names_the_bad_cell():

@@ -244,6 +244,29 @@ def test_step_ending_in_an_inadmissible_state_is_a_collapse(monkeypatch):
     assert energy < 0.5 * (mx * mx + my * my) / rho  # the state returned has p < 0
 
 
+@pytest.mark.parametrize("component, value", [(0, np.nan), (3, np.inf)],
+                         ids=["rho NaN", "energy +inf"])
+def test_step_ending_in_a_non_finite_state_is_a_collapse(monkeypatch, component, value):
+    # caught by the finite-state check after the step itself: an infinite
+    # energy passes cons_to_prim as p = inf, and would give the next step dt = 0
+    field = sp.build_initial_field(sp.ShockProblemConfig(ny=4))
+    run = RunConfig(scheme=Scheme(solver="roe", order=1), end_time=1.0, amplitude=1e-9)
+    steps = []
+
+    def bad_step(state, dt, scheme):
+        assert not steps, "the march went on after a non-finite step"
+        U = state.U.copy()
+        U[2, 1, component] = value
+        steps.append(MeanField(U, state.bc, state.shock_column))
+        return steps[-1]
+
+    monkeypatch.setattr(marching, "step_ssprk3", bad_step)
+    series, state = marching.march(field, run)
+    assert series.collapsed is True  # a plain bool, as the run records write it
+    assert np.array_equal(series.t, [0.0]) and len(series.vmax) == 1
+    assert state is steps[0]
+
+
 def synthetic_series(lam, t_end=30.0, n=600, v0=1e-7):
     t = np.linspace(0.0, t_end, n)
     return MonitorSeries(t=t, vmax=v0 * np.exp(lam * t))

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -295,6 +296,36 @@ def test_positivity_fallback(linear_weights):
     out = rc.reconstruct_pair(side_windows(U, U), cfg, X_FACE)
     assert out.fallback.all()
     assert np.all(out.W[..., 0] > 0) and np.all(out.W[..., 3] > 0)
+
+
+def _admissible_row(w):
+    """Reference: one primitive state, spelled out."""
+    return bool(w[0] > 0.0 and w[3] > 0.0 and all(math.isfinite(x) for x in w))
+
+
+def test_admissible_equals_the_spelled_out_predicate():
+    base = [1.0, 0.5, -0.25, 2.0]
+    rows = {"base": base}
+    for k in range(4):
+        for value in (np.nan, np.inf, -np.inf):
+            row = list(base)
+            row[k] = value
+            rows[f"component {k} = {value}"] = row
+    for k, name in ((0, "rho"), (3, "p")):
+        for label, value in (("0", 0.0), ("-0", -0.0), ("< 0", -1.0),
+                             ("just above 0", np.nextafter(0.0, 1.0))):
+            row = list(base)
+            row[k] = value
+            rows[f"{name} {label}"] = row
+    W = np.array(list(rows.values()))
+    expected = [_admissible_row(w) for w in W]
+    assert sum(expected) == 3  # the base row and both just above 0
+    assert dict(zip(rows, rc._admissible(W).tolist())) == dict(zip(rows, expected))
+    # a batch shape: one mask entry per state
+    batch = np.stack([W, W[::-1]]).reshape(2, 3, -1, 4)
+    assert np.array_equal(rc._admissible(batch),
+                          np.reshape([_admissible_row(w) for w in batch.reshape(-1, 4)],
+                                     batch.shape[:-1]))
 
 
 def test_eno3_picks_single_stencil():
