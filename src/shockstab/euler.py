@@ -16,8 +16,8 @@ shape-(4,) array.
 
 A check that raises when any entry of a mask is bad counts the mask with
 ``np.count_nonzero``: on the few hundred faces of a residual call that is
-about half the cost of ``ndarray.any()`` or ``.all()``, and every stage of a
-march runs some twenty such checks.
+about half the cost of ``ndarray.any()`` or ``.all()``, and each SSP-RK3
+step of a march runs some twenty such checks.
 """
 
 import functools

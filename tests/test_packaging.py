@@ -1,9 +1,9 @@
 """The dependencies declared in pyproject.toml are the third-party packages
 the source imports, no more and no fewer; every console script it declares
-resolves; a verdict loads no ``scipy.linalg``; every dataclass field is
-read; every public name has a caller outside the tests; every traced layer
-function is reached through a module attribute the benchmark's tracer
-rebinds."""
+resolves; a verdict loads no ``scipy.linalg``; a misspelt test marker fails
+collection; every dataclass field is read; every public name has a caller
+outside the tests; every traced layer function is reached through a module
+attribute the benchmark's tracer rebinds."""
 
 import ast
 import importlib
@@ -66,6 +66,18 @@ def test_a_verdict_loads_no_scipy_linalg():
     env = os.environ | {"PYTHONPATH": str(ROOT / "src")}
     run = subprocess.run([sys.executable, "-c", VERDICT], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
+
+
+def test_a_misspelt_marker_fails_collection(tmp_path):
+    # else the test runs unmarked, and -m "not slow" quietly keeps it
+    test = tmp_path / "test_typo.py"
+    test.write_text("import pytest\n\n\n@pytest.mark.slwo\ndef test_a():\n    pass\n")
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path),
+         "-p", "no:cacheprovider", "-q", str(test)],
+        capture_output=True, text=True)
+    assert run.returncode == pytest.ExitCode.INTERRUPTED, run.stdout
+    assert "'slwo' not found in `markers`" in run.stdout
 
 
 def _is_frozen_dataclass(node):
