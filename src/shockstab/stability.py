@@ -8,7 +8,7 @@ state at slot o of the face's stencil in ``fields.face_table``, the very
 indices ``marching.rhs`` gathers, and the face's flux leaves the cell at
 slot 2 and enters the cell at slot 3.  ``assemble`` scatters all of them at
 once, with the sign for the two adjacent unit cells, and sums duplicate
-entries with one ``tocsr``.  Ghost states never appear: the inflow state
+entries in scatter order.  Ghost states never appear: the inflow state
 carries no perturbation and each row's outflow state folds onto the row's
 last cell through ``fields.outflow_jacobian``, the derivative of the
 pressure-pinned copy.
@@ -51,7 +51,6 @@ Variable spaces:
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse
 
 from . import euler, marching, riemann
 from .errors import DifferentiationError, UnsteadyFieldError
@@ -204,10 +203,10 @@ def assemble(field: MeanField, scheme: Scheme, check_steady: bool = True) -> Sta
     cell (i, j) that differs from cell (i, 0).  The field is assembled from its row alone, the
     one-row field ``field.U[:, :1]``: the steady check, the reconstruction
     and the probes run on the row's cells and faces, and an error names
-    those.  S is returned as ``block_row``.  The row's entries meet
-    ``tocsr`` in the order, and with their columns (i', d) sorted as, those
-    of block row j = 0 in a scatter of every row, so where no two offsets
-    share a slot (ny >= 7) circ(C) holds that scatter's bits.
+    those.  S is returned as ``block_row``, its duplicate entries summed in
+    scatter order.  The row's entries come in the order of those of block
+    row j = 0 in a scatter of every row, so where no two offsets share a
+    slot (ny >= 7) circ(C) holds that scatter's bits.
     """
     if field.U.ndim != 3:
         raise ValueError(
@@ -247,28 +246,23 @@ def assemble(field: MeanField, scheme: Scheme, check_steady: bool = True) -> Sta
     if scheme.space == "primitive":
         blocks = euler.dw_du(W_mean[:, 0])[rows] @ blocks
     blocks = signs[:, None, None] * blocks
-    cols = OFFSETS * cols + offsets % OFFSETS  # column block (i', d mod OFFSETS)
 
-    comp = np.arange(4)
-    entry_rows = np.broadcast_to(4 * rows[:, None, None] + comp[:, None], blocks.shape)
-    entry_cols = np.broadcast_to(4 * cols[:, None, None] + comp, blocks.shape)
     n = 4 * nx
-    # tocsr sorts each row's entries with an unstable sort and then sums the
-    # duplicates, so the bits of C(d) follow SciPy's order, not the scatter's.
-    # A sum in scatter order (np.bincount) moves C(d) by about 1e-16 max|C|
-    # and a tier-1 lambda on ny = 2 past its bound, so scipy.sparse stays
-    C = scipy.sparse.coo_array(
-        (blocks.ravel(), (entry_rows.ravel(), entry_cols.ravel())), shape=(n, n * OFFSETS)
-    ).tocsr().toarray()
-    C = C.reshape(n, nx, OFFSETS, 4).transpose(2, 0, 1, 3).reshape(OFFSETS, n, n)
+    comp = np.arange(4)
+    # entry (a, b) of a block is entry (d mod OFFSETS, 4i + a, 4i' + b) of the
+    # block row; np.bincount sums the duplicates in scatter order
+    entry_rows = (offsets % OFFSETS * n + 4 * rows)[:, None, None] + comp[:, None]
+    entries = entry_rows * n + (4 * cols)[:, None, None] + comp
+    C = np.bincount(entries.ravel(), blocks.ravel(), OFFSETS * n * n).reshape(OFFSETS, n, n)
     return StabilityMatrix(nx=nx, ny=ny, space=scheme.space, W_mean=W_mean, block_row=C)
 
 
 # ``eigensolve`` solves the Fourier blocks as real matrices when the blocks
 # are symmetric under y -> -y to this fraction of max|C|.  The flux of a base
 # flow with v = 0 is, but its FD Jacobians need not be to the last bit: the
-# benchmark's steady shocks keep the symmetry to 0 (HLLC, van Leer) or 3e-15
-# to 8e-15 (Roe) of max|C|; roe-o5/characteristic, off by 1.2e-14, stays complex
+# benchmark's steady shocks keep the symmetry to 0 (HLLC or van Leer on the y
+# faces) or 3.3e-15 to 8.4e-15 (Roe) of max|C|; roe-o5/characteristic, off by
+# 1.23e-14, stays complex
 REFLECTION_RTOL = 1e-14
 
 

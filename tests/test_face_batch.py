@@ -11,7 +11,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse
 
 from shockstab import euler, fields, marching, reconstruction, riemann, shock_problem as sp, stability
 from shockstab.euler import X_FACE, Y_FACE
@@ -127,7 +126,7 @@ def face_triplets(B, axis, field, T_out):
 
 
 def per_direction_assemble(field, scheme):
-    """S as a CSR array, every face reconstructed and every row scattered on
+    """S as a dense array, every face reconstructed and every row scattered on
     its own.  On a y-uniform field with ny >= 7, block row j = 0 of the
     circ(C) of ``stability.assemble`` has these very bits."""
     nx, ny = field.nx, field.ny
@@ -150,15 +149,11 @@ def per_direction_assemble(field, scheme):
     if scheme.space == "primitive":
         blocks = euler.dw_du(Wint).reshape(-1, 4, 4)[rows] @ blocks
     blocks = signs[:, None, None] * blocks
-    comp = np.arange(4)
-    entry_rows = np.broadcast_to(4 * rows[:, None, None] + comp[:, None], blocks.shape)
-    entry_cols = np.broadcast_to(4 * cols[:, None, None] + comp, blocks.shape)
     n = 4 * nx * ny
-    S = scipy.sparse.coo_array(
-        (blocks.ravel(), (entry_rows.ravel(), entry_cols.ravel())), shape=(n, n)
-    ).tocsr()
-    S.eliminate_zeros()
-    return S
+    comp = np.arange(4)
+    # the duplicates are summed in scatter order
+    entries = ((4 * rows)[:, None, None] + comp[:, None]) * n + (4 * cols)[:, None, None] + comp
+    return np.bincount(entries.ravel(), blocks.ravel(), n * n).reshape(n, n)
 
 
 def _fields():
@@ -230,7 +225,7 @@ def test_face_batch_assembly_equals_the_per_direction_reference(solver, space):
         for scheme in _schemes(solver, space):
             A = dense(stability.assemble(field, scheme, check_steady=False))
             ref = per_direction_assemble(field, scheme)
-            assert np.array_equal(A[row0], ref[row0].toarray()), scheme.label()
+            assert np.array_equal(A[row0], ref[row0]), scheme.label()
     if space == "conservative" and Scheme(solver=solver).parts[0][2].kind == "weno5":
         # the raw M = 20 jump drives p < 0 at a fifth-order x face
         shock = _y_uniform_fields()[0]
@@ -371,6 +366,15 @@ def _uniform_fields():
     yield replace(periodic, U=np.repeat(periodic.U[:, :1], periodic.ny, axis=1))
 
 
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
+# The two lambdas are eigenvalues of S perturbed by E, and to first order an
+# eigenvalue of condition number kappa moves by at most kappa ||E||_2
+# (Wilkinson 1965).  E is counted as one rounding u ||S||_2 for each of the
+# two orders the entries are summed in and for each of the two eigensolves,
+# as LAPACK bounds a solve's error by EPSMCH ||S|| / RCONDE, EPSMCH = u
+ROUNDINGS = 4
+
+
 @pytest.mark.parametrize("field", list(_uniform_fields()),
                          ids=[f"ny={ny}" for ny in (1, 2, 3, 4, 7, 8)] + ["periodic-x"])
 def test_y_uniform_assembly_tiles_the_reference_block_row(field):
@@ -384,13 +388,17 @@ def test_y_uniform_assembly_tiles_the_reference_block_row(field):
         A = dense(S)
         if ny >= 7:
             # no two offsets share a slot: block row j = 0 holds the reference's bits
-            assert np.array_equal(A[row0], ref[row0].toarray()), scheme.label()
+            assert np.array_equal(A[row0], ref[row0]), scheme.label()
         else:
             # the offsets that share a slot are summed in another order
             lam = stability.eigensolve(S).max_real
-            lam_ref = scipy.linalg.eigvals(ref.toarray()).real.max()
-            tol = max(1e-12 * max(1.0, abs(lam_ref)), 1e-15 * np.abs(A).max())
-            assert abs(lam - lam_ref) <= tol, scheme.label()
+            w, vl, vr = scipy.linalg.eig(ref, left=True, right=True)
+            m = np.argmax(w.real)
+            x, y = vr[:, m], vl[:, m]
+            kappa = np.linalg.norm(x) * np.linalg.norm(y) / abs(y.conj() @ x)
+            floor = max(1e-12 * max(1.0, abs(w[m].real)), 1e-15 * np.abs(A).max())
+            tol = max(floor, ROUNDINGS * kappa * UNIT_ROUNDOFF * np.linalg.norm(ref, 2))
+            assert abs(lam - w[m].real) <= tol, (scheme.label(), kappa)
 
 
 @pytest.mark.parametrize("moved, named", [

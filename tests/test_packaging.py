@@ -1,6 +1,7 @@
 """The dependencies declared in pyproject.toml are the third-party packages
-the source imports, no more and no fewer; every console script it declares
-resolves; a verdict loads no ``scipy.linalg``; a misspelt test marker fails
+the source imports, no more and no fewer, and its ``test`` extra declares the
+rest of what the tests import; every console script it declares resolves; a
+verdict and a march load no SciPy module; a misspelt test marker fails
 collection; every dataclass field is read; every public name has a caller
 outside the tests; every traced layer function is reached through a module
 attribute the benchmark's tracer rebinds."""
@@ -19,19 +20,40 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_declared_dependencies_match_imports():
-    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
-    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
-    declared = {re.split(r"[<>=!~;\[ ]", dep, maxsplit=1)[0].lower() for dep in project["dependencies"]}
+def _declared(requirements):
+    """Distribution names of PEP 508 requirement strings."""
+    return {re.split(r"[<>=!~;\[ ]", dep, maxsplit=1)[0].lower() for dep in requirements}
+
+
+def _third_party_imports(paths):
+    """Top-level names of the absolute imports of ``paths``, wherever in a
+    module they sit, less the standard library's."""
     imported = set()
-    for path in (ROOT / "src" / "shockstab").glob("*.py"):
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
                 imported.update(alias.name.split(".")[0] for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.split(".")[0])
-    third_party = {name for name in imported if name not in sys.stdlib_module_names}
-    assert third_party - {"shockstab"} == declared
+    return {name for name in imported if name not in sys.stdlib_module_names}
+
+
+def test_declared_dependencies_match_imports():
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    imported = _third_party_imports((ROOT / "src" / "shockstab").glob("*.py"))
+    assert imported - {"shockstab"} == _declared(project["dependencies"])
+
+
+def test_test_extra_declares_what_the_tests_import():
+    # a package the tests import that neither list declares is missing from an
+    # install made with the test extra
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    tests = sorted((ROOT / "tests").glob("*.py"))
+    local = {path.stem for path in tests} | {"shockstab"}
+    declared = _declared(project["dependencies"]) | _declared(project["optional-dependencies"]["test"])
+    assert sorted(_third_party_imports(tests) - local - declared) == []
 
 
 def test_console_scripts_resolve():
@@ -46,25 +68,30 @@ def test_console_scripts_resolve():
         assert callable(obj), name
 
 
-VERDICT = """
+VERDICT_AND_MARCH = """
 import sys
-from shockstab import shock_problem, stability
+from shockstab import marching, shock_problem, stability
 from shockstab.scheme import Scheme
 
 cfg = shock_problem.ShockProblemConfig(epsilon=0.1, nx=11, ny=4)
 scheme = Scheme(solver="roe", order=1)
 profile, _ = shock_problem.converge_1d(cfg, scheme)
-stability.eigensolve(stability.assemble(shock_problem.project_to_2d(profile, cfg), scheme))
-sys.exit("scipy.linalg" in sys.modules and "the verdict imported scipy.linalg")
+field = shock_problem.project_to_2d(profile, cfg)
+stability.eigensolve(stability.assemble(field, scheme))
+run = marching.RunConfig(scheme=scheme)
+series, _ = marching.march(field, run)
+marching.fit_growth_rate(series, run.amplitude)
+loaded = sorted(name for name in sys.modules if name.partition(".")[0] == "scipy")
+sys.exit(f"the verdict and the march imported {loaded[:3]}" if loaded else None)
 """
 
 
-def test_a_verdict_loads_no_scipy_linalg():
-    # scipy.linalg loads SciPy's own OpenBLAS beside NumPy's, about 10 MB of peak
-    # memory; scipy.sparse, the one SciPy module the package imports, does
-    # not load it.  A fresh interpreter, since this one has it from the tests
+def test_a_verdict_and_a_march_load_no_scipy():
+    # SciPy is a test dependency only: scipy.linalg alone loads SciPy's own
+    # OpenBLAS beside NumPy's, about 10 MB of peak memory.  A fresh
+    # interpreter, since this one has SciPy from the tests
     env = os.environ | {"PYTHONPATH": str(ROOT / "src")}
-    run = subprocess.run([sys.executable, "-c", VERDICT], env=env, capture_output=True, text=True)
+    run = subprocess.run([sys.executable, "-c", VERDICT_AND_MARCH], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
 
 
