@@ -17,7 +17,7 @@ shape-(4,) array.
 A check that raises when any entry of a mask is bad counts the mask with
 ``np.count_nonzero``: on the few hundred faces of a residual call that is
 about half the cost of ``ndarray.any()`` or ``.all()``, and each SSP-RK3
-step of a march runs some twenty such checks.
+step of a march runs fifteen to thirty such checks.
 """
 
 import functools

@@ -8,10 +8,13 @@ A single field has batch shape ().  Ghost cells are not state:
 ``apply_boundaries`` lays the cells out on one state axis (..., S, 4), cell
 (i, j) at i*ny + j, and unless x is periodic appends the inflow ghost state
 at nx*ny and the pressure-pinned outflow ghost state of row j at
-nx*ny + 1 + j, whose derivative is ``outflow_jacobian``.  Interior indices
-are 0-based; problem metadata (shock column) uses the 1-based cell
-numbering of the test problem.  An ``InvalidStateError`` names cells by
-their full index, so in a batch the tuple leads with the batch index.
+nx*ny + 1 + j, whose derivative is ``outflow_jacobian``.  The axis holds
+the variables the face windows read, primitive in the primitive space and
+conservative otherwise, so a primitive residual converts its cells once.
+Interior indices are 0-based; problem metadata (shock column) uses the
+1-based cell numbering of the test problem.  An ``InvalidStateError`` names
+cells by their full index, so in a batch the tuple leads with the batch
+index.
 
 ``face_table`` lays the faces of a grid on one flat face axis, x faces then
 y faces, each with the state indices of its six-cell stencil, and both
@@ -69,19 +72,26 @@ class MeanField:
         return euler.cons_to_prim(self.U, "interior")
 
 
-def apply_boundaries(field: MeanField) -> np.ndarray:
-    """The state axis (..., S, 4) that the module docstring lays out; a new
-    C-contiguous array, the field is left as it is."""
+def apply_boundaries(field: MeanField, primitive: bool) -> np.ndarray:
+    """The state axis (..., S, 4) that the module docstring lays out, in
+    primitive variables if ``primitive``, else conservative; a new
+    C-contiguous array, the field is left as it is.  The primitive axis is
+    one ``interior_primitive`` conversion, its inflow state ``bc.inflow_W``
+    and its outflow states the last column's with the pressure pinned."""
     U, bc = field.U, field.bc
     batch, n = U.shape[:-3], field.nx * field.ny
+    X = field.interior_primitive() if primitive else U
+    states = np.empty(batch + (n if bc.periodic_x else n + 1 + field.ny, 4))
+    states[..., :n, :] = X.reshape(batch + (n, 4))
     if bc.periodic_x:
-        return U.reshape(batch + (n, 4)).copy()
-    last = euler.cons_to_prim(U[..., -1, :, :], "outflow column")
+        return states
+    if primitive:
+        last = X[..., -1, :, :].copy()
+    else:
+        last = euler.cons_to_prim(U[..., -1, :, :], "outflow column")
     last[..., 3] = bc.outflow_pressure
-    states = np.empty(batch + (n + 1 + field.ny, 4))
-    states[..., :n, :] = U.reshape(batch + (n, 4))
-    states[..., n, :] = bc.inflow_U
-    states[..., n + 1:, :] = euler.prim_to_cons(last)
+    states[..., n, :] = bc.inflow_W if primitive else bc.inflow_U
+    states[..., n + 1:, :] = last if primitive else euler.prim_to_cons(last)
     return states
 
 

@@ -66,30 +66,16 @@ def face_parts(field: MeanField, scheme: Scheme, linearise: bool = False):
         yield table, solver, cfg, cap_cfg
 
 
-def reconstruction_states(field: MeanField, states: np.ndarray, space: str) -> np.ndarray:
-    """The state axis ``states`` of ``apply_boundaries`` in the variables the
-    windows are gathered in: converted once to primitive variables in the
-    primitive space, an inadmissible cell named by its interior (i, j)."""
-    if space != "primitive":
-        return states
-    try:
-        return euler.cons_to_prim(states)
-    except InvalidStateError:
-        field.interior_primitive()  # names the (i, j) of the bad cell
-        raise
-
-
 def face_reconstructions(field: MeanField, states: np.ndarray, scheme: Scheme,
                          linearise: bool = True):
     """Yield (table, solver, FaceRecon) once per part of ``face_parts``.
 
     Every part gathers both windows of its faces, side-stacked
     (..., 2F, 5, 4) behind the field's batch axes, in one take along
-    ``table.sides`` from ``states``, the state axis of ``apply_boundaries``
-    as ``reconstruction_states`` converts it; ``linearise`` is passed on to
-    ``face_parts`` and ``reconstruct_pair``.
+    ``table.sides`` from ``states``, the state axis that
+    ``apply_boundaries`` builds in the scheme's window variables;
+    ``linearise`` is passed on to ``face_parts`` and ``reconstruct_pair``.
     """
-    states = reconstruction_states(field, states, scheme.space)
     for table, solver, cfg, cap_cfg in face_parts(field, scheme, linearise):
         recon = reconstruction.reconstruct_pair(
             gather_windows(states, table.sides), cfg, table.frame,
@@ -109,7 +95,7 @@ def gather_windows(states: np.ndarray, index: np.ndarray) -> np.ndarray:
 def rhs(field: MeanField, scheme: Scheme) -> np.ndarray:
     """Semi-discrete residual dU/dt on the interior unit cells, shaped like
     ``field.U``: a batch of fields gives the stack of their residuals."""
-    states = apply_boundaries(field)
+    states = apply_boundaries(field, scheme.space == "primitive")
     res = np.zeros(field.U.shape)
     for table, solver, recon in face_reconstructions(field, states, scheme, linearise=False):
         flux = riemann.compute_flux(solver, recon.W, table.frame)

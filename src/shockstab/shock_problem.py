@@ -172,14 +172,14 @@ def _fd_jacobian_1d(field, scheme, cols) -> tuple[np.ndarray, np.ndarray]:
     h = 1e-7 max(1, |U[i, 0, c]|) and is (R(U + h) - R(U - h)) / (2h), R
     the residual of ``rhs``, bit for bit.  The 2m probes and the row itself
     (member 2m) are stacked on a batch axis and pass through one
-    ``apply_boundaries`` and the conversion of
-    ``marching.reconstruction_states``; then one ``reconstruct_pair`` and one
-    ``compute_flux`` call evaluate only the faces each probe touches
-    (``_probe_faces``) together with the row's faces.  Each probe's face
-    fluxes are the row's with its touched faces written over.  Every member,
-    the row included, is differenced as ``rhs`` does, so r equals
-    ``_residual_1d`` of the row bit for bit.  A probe that leaves the
-    admissible states makes that one pass raise.
+    ``apply_boundaries``, which in the primitive space converts the stack
+    once; then one ``reconstruct_pair`` and one ``compute_flux`` call
+    evaluate only the faces each probe touches (``_probe_faces``) together
+    with the row's faces.  Each probe's face fluxes are the row's with its
+    touched faces written over.  Every member, the row included, is
+    differenced as ``rhs`` does, so r equals ``_residual_1d`` of the row bit
+    for bit.  A probe that leaves the admissible states makes that one pass
+    raise.
     """
     cols = np.asarray(cols)
     m = len(cols)
@@ -192,7 +192,7 @@ def _fd_jacobian_1d(field, scheme, cols) -> tuple[np.ndarray, np.ndarray]:
     probes = replace(field, U=stack)
     (table, solver, cfg, cap_cfg), = marching.face_parts(field, scheme)  # a row's x faces
     probe, face, sides, shock = _probe_faces(table, tuple(i.tolist()), field.bc.periodic_x)
-    states = marching.reconstruction_states(probes, fields.apply_boundaries(probes), scheme.space)
+    states = fields.apply_boundaries(probes, scheme.space == "primitive")
     recon = reconstruction.reconstruct_pair(
         marching.gather_windows(states.reshape(-1, 4), sides), cfg, table.frame,
         cap_cfg=cap_cfg, cap_mask=None if cap_cfg is None else shock, linearise=False,

@@ -230,7 +230,7 @@ def assemble(field: MeanField, scheme: Scheme, check_steady: bool = True) -> Sta
                 f"mean field density residual {res:.3e} exceeds {STEADY_TOL:.1e}; "
                 "converge the base flow first"
             )
-    states = apply_boundaries(field)
+    states = apply_boundaries(field, scheme.space == "primitive")
     T_out = None if field.bc.periodic_x else outflow_jacobian(field, scheme.space == "primitive")
 
     parts = []

@@ -53,18 +53,17 @@ def shock_face_masks(field):
     return mask_x, mask_y
 
 
-def per_direction_face_reconstructions(field, Upad, scheme, linearise=True):
+def per_direction_face_reconstructions(field, Xpad, scheme, linearise=True):
     """Yield (axis, solver, frame, grid, FaceRecon) per face orientation: the
-    windows of the (nx+1, ny) or (nx, ny+1) face grid are flattened onto the
-    side axis."""
-    if scheme.space == "primitive":
-        Upad = euler.cons_to_prim(Upad, "padded field")
+    windows of the (nx+1, ny) or (nx, ny+1) face grid of the padded states
+    ``Xpad``, in the scheme's window variables, are flattened onto the side
+    axis."""
     cap_masks = shock_face_masks(field) if scheme.cap != "none" else (None, None)
     axes = ("x", "y") if field.ny > 1 else ("x",)
     for axis, cap_mask in zip(axes, cap_masks):
         _, solver, cfg, cap_cfg = next(part for part in scheme.parts if axis in part[0])
         windows, frame = (_x_face_windows, X_FACE) if axis == "x" else (_y_face_windows, Y_FACE)
-        winL, winR = (w.reshape(w.shape[:-4] + (-1, 5, 4)) for w in windows(Upad, field.nx, field.ny))
+        winL, winR = (w.reshape(w.shape[:-4] + (-1, 5, 4)) for w in windows(Xpad, field.nx, field.ny))
         recon = reconstruction.reconstruct_pair(
             side_windows(winL, winR), cfg, frame,
             cap_cfg=cap_cfg, cap_mask=None if cap_mask is None else cap_mask.ravel(),
@@ -75,10 +74,10 @@ def per_direction_face_reconstructions(field, Upad, scheme, linearise=True):
 
 
 def per_direction_rhs(field, scheme):
-    Upad = padded(field)
+    Xpad = padded(field, scheme.space == "primitive")
     res = np.zeros(field.U.shape)
     for axis, solver, frame, grid, recon in per_direction_face_reconstructions(
-            field, Upad, scheme, linearise=False):
+            field, Xpad, scheme, linearise=False):
         flux = riemann.compute_flux(solver, recon.W, frame)
         flux = flux.reshape(flux.shape[:-2] + grid + (4,))
         res -= np.diff(flux, axis=-3 if axis == "x" else -2)
@@ -140,8 +139,8 @@ def per_direction_assemble(field, scheme):
             T_out[:, 3, 1] = Wint[nx - 1, :, 1]
             T_out[:, 3, 2] = Wint[nx - 1, :, 2]
     parts = []
-    Upad = padded(field)
-    for axis, solver, frame, grid, recon in per_direction_face_reconstructions(field, Upad, scheme):
+    Xpad = padded(field, scheme.space == "primitive")
+    for axis, solver, frame, grid, recon in per_direction_face_reconstructions(field, Xpad, scheme):
         A_U = stability._fd_jacobians_U(solver, euler.prim_to_cons(recon.W), frame)
         B = stability.face_blocks(recon, A_U).reshape(grid + (6, 4, 4))
         parts += face_triplets(B, axis, field, T_out)
@@ -193,8 +192,8 @@ def test_face_batch_rhs_equals_the_per_direction_reference(solver, space):
         # the raw M = 20 jump drives p < 0 at a fifth-order x face
         shock = _fields()[0]
         batches = marching.face_reconstructions(
-            shock, fields.apply_boundaries(shock), Scheme(solver=solver, order=5, space=space),
-            linearise=False)
+            shock, fields.apply_boundaries(shock, False),
+            Scheme(solver=solver, order=5, space=space), linearise=False)
         assert any(recon.fallback.any() for _, _, recon in batches)
 
 
@@ -230,8 +229,8 @@ def test_face_batch_assembly_equals_the_per_direction_reference(solver, space):
         # the raw M = 20 jump drives p < 0 at a fifth-order x face
         shock = _y_uniform_fields()[0]
         batches = marching.face_reconstructions(
-            shock, fields.apply_boundaries(shock), Scheme(solver=solver, order=5, space=space),
-            linearise=False)
+            shock, fields.apply_boundaries(shock, False),
+            Scheme(solver=solver, order=5, space=space), linearise=False)
         assert any(recon.fallback.any() for _, _, recon in batches)
 
 
@@ -334,16 +333,18 @@ def test_face_table_shock_flags_equal_the_per_direction_masks(column):
     assert table.shock.any() == (column is not None)
 
 
-def test_state_windows_equal_the_padded_reference_windows():
+@pytest.mark.parametrize("primitive", [False, True])
+def test_state_windows_equal_the_padded_reference_windows(primitive):
     # the windows gathered from the state axis are the very windows of the
-    # padded layout, for both boundary kinds, a single row and a batch.  The
-    # row's one y face per column stands for both y faces of the reference
+    # padded layout, for both boundary kinds, a single row and a batch, in
+    # either variables.  The row's one y face per column stands for both y
+    # faces of the reference
     shock, periodic = _fields()
     row = sp.build_initial_field(sp.ShockProblemConfig(ny=1))
     rng = np.random.default_rng(92)
     batch = replace(shock, U=shock.U * (1.0 + 1e-4 * rng.standard_normal((3,) + shock.U.shape)))
     for field in (shock, periodic, row, batch):
-        states, Upad = fields.apply_boundaries(field), padded(field)
+        states, Xpad = fields.apply_boundaries(field, primitive), padded(field, primitive)
         table = fields.face_table(field.nx, field.ny, ("x", "y"), field.bc.periodic_x,
                                   field.shock_column)
         windows = marching.gather_windows(states, table.sides)
@@ -352,7 +353,7 @@ def test_state_windows_equal_the_padded_reference_windows():
         for side, windows in enumerate((windows[..., :n, :, :], windows[..., n:, ::-1, :])):
             gathered = table.split(windows, field.U.ndim - 3)
             for (orientation, win), ref in zip(gathered, (_x_face_windows, _y_face_windows)):
-                expect = ref(Upad, field.nx, field.ny)[side]
+                expect = ref(Xpad, field.nx, field.ny)[side]
                 win = np.broadcast_to(win, expect.shape)
                 assert np.array_equal(win, expect), (field.U.shape, orientation, side)
 

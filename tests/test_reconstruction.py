@@ -350,7 +350,7 @@ def test_face_states_do_not_depend_on_linearise(order, space, cap):
     from shockstab.scheme import Scheme
 
     field = sp.build_initial_field(sp.ShockProblemConfig(ny=3))
-    states = fields.apply_boundaries(field)
+    states = fields.apply_boundaries(field, space == "primitive")
     scheme = Scheme(solver="roe", order=order, space=space, cap=cap)
     fallback_faces = 0
     for on, off in zip(marching.face_reconstructions(field, states, scheme),
@@ -451,7 +451,7 @@ def _face_windows(batch):
     field = sp.build_initial_field(sp.ShockProblemConfig(nx=9, ny=3, shock_column=5))
     rng = np.random.default_rng(22)
     U = field.U * (1.0 + 1e-3 * rng.standard_normal(batch + field.U.shape))
-    states = fields.apply_boundaries(replace(field, U=U))
+    states = fields.apply_boundaries(replace(field, U=U), False)
     table = fields.face_table(9, 3, ("x", "y"), False, 5)
     winL = states[..., table.window[:, :5], :]
     winR = states[..., table.window[:, 1:], :]

@@ -82,48 +82,62 @@ def test_build_initial_field_structure():
     assert np.all(interior[..., 2] == 0.0)
 
 
-def test_padding_contract():
-    # the state axis holds the cell averages unchanged in (i, j) order, then
-    # the inflow state and the pressure-pinned outflow state of every row;
-    # it is derived anew on every call, leaving the field untouched
+@pytest.mark.parametrize("primitive", [False, True])
+def test_padding_contract(primitive):
+    # the state axis holds the cells in (i, j) order, then the inflow state
+    # and the pressure-pinned outflow state of every row, conservative or
+    # primitive; it is derived anew on every call, leaving the field untouched
     c = cfg()
     field = sp.build_initial_field(c)
     snap = field.U.copy()
-    U = apply_boundaries(field)
+    X = apply_boundaries(field, primitive)
     n = c.nx * c.ny
-    assert U.shape == (n + 1 + c.ny, 4)
+    assert X.shape == (n + 1 + c.ny, 4)
     # C order, batched or not: the face gathers read it without a copy
-    assert U.flags.c_contiguous
-    assert apply_boundaries(replace(field, U=np.stack([field.U] * 3))).flags.c_contiguous
-    assert np.array_equal(U[:n], field.U.reshape(n, 4))
+    assert X.flags.c_contiguous
+    assert apply_boundaries(replace(field, U=np.stack([field.U] * 3)), primitive).flags.c_contiguous
     assert np.array_equal(snap, field.U)
-    assert np.array_equal(apply_boundaries(field), U)
-    up = euler.prim_to_cons(sp.upstream_state(c))
-    assert np.allclose(U[n], up, atol=1e-13)
-    # outflow: the last column's state with the pressure pinned
-    W_out = euler.cons_to_prim(U[n + 1 :])
-    assert np.allclose(W_out[:, :3], field.interior_primitive()[-1, :, :3], atol=0)
-    assert np.all(W_out[:, 3] == sp.downstream_state(c)[3])
+    assert np.array_equal(apply_boundaries(field, primitive), X)
+    W = field.interior_primitive()
+    if primitive:
+        # one conversion and no round trip: the inflow state is P_LEFT = 1 to
+        # the bit, where a cons -> prim round trip reads 0x1.ffffffffffffep-1
+        assert np.array_equal(X[:n], W.reshape(n, 4))
+        assert np.array_equal(X[n], sp.upstream_state(c))
+        assert np.array_equal(X[n + 1 :, :3], W[-1, :, :3])
+        assert np.all(X[n + 1 :, 3] == sp.downstream_state(c)[3])
+    else:
+        assert np.array_equal(X[:n], field.U.reshape(n, 4))
+        assert np.allclose(X[n], euler.prim_to_cons(sp.upstream_state(c)), atol=1e-13)
+        # outflow: the last column's state with the pressure pinned
+        W_out = euler.cons_to_prim(X[n + 1 :])
+        assert np.allclose(W_out[:, :3], W[-1, :, :3], atol=0)
+        assert np.all(W_out[:, 3] == sp.downstream_state(c)[3])
     # a periodic x has no ghost states
     periodic = replace(field, bc=BoundarySpec(periodic_x=True))
-    assert np.array_equal(apply_boundaries(periodic), field.U.reshape(n, 4))
+    assert np.array_equal(apply_boundaries(periodic, primitive),
+                          (W if primitive else field.U).reshape(n, 4))
 
 
-def concatenated_states(field):
+def concatenated_states(field, primitive):
     """The state axis as ``apply_boundaries`` built it with ``np.concatenate``
-    before it wrote into one preallocated array; kept as the reference."""
+    before it wrote into one preallocated array; kept as the reference.  Its
+    primitive axis converts the cells once, takes the inflow state as
+    ``inflow_W`` and pins the pressure of the last column's states."""
     U, bc = field.U, field.bc
-    cells = U.reshape(U.shape[:-3] + (-1, 4))
+    X = euler.cons_to_prim(U) if primitive else U
+    cells = X.reshape(U.shape[:-3] + (-1, 4))
     if bc.periodic_x:
         return cells.copy()
     last = euler.cons_to_prim(U[..., -1, :, :], "outflow column")
     last[..., 3] = bc.outflow_pressure
-    inflow = np.broadcast_to(bc.inflow_U, U.shape[:-3] + (1, 4))
-    return np.concatenate([cells, inflow, euler.prim_to_cons(last)], axis=-2)
+    inflow = np.broadcast_to(bc.inflow_W if primitive else bc.inflow_U, U.shape[:-3] + (1, 4))
+    return np.concatenate([cells, inflow, last if primitive else euler.prim_to_cons(last)], axis=-2)
 
 
+@pytest.mark.parametrize("primitive", [False, True])
 @pytest.mark.parametrize("case", ["single", "batch", "row", "periodic_x"])
-def test_apply_boundaries_equals_the_concatenated_reference(case):
+def test_apply_boundaries_equals_the_concatenated_reference(case, primitive):
     # a fresh C-contiguous array, bit for bit the concatenated states
     field = sp.build_initial_field(cfg(ny=3), ny=1 if case == "row" else None)
     rng = np.random.default_rng(13)
@@ -133,9 +147,18 @@ def test_apply_boundaries_equals_the_concatenated_reference(case):
     elif case == "periodic_x":
         field = replace(field, bc=BoundarySpec(periodic_x=True))
     snap = field.U.copy()
-    states = apply_boundaries(field)
+    states = apply_boundaries(field, primitive)
     assert states.flags.c_contiguous and states.flags.owndata
-    assert np.array_equal(states, concatenated_states(field))
+    assert np.array_equal(states, concatenated_states(field, primitive))
+    if primitive:
+        # the interior is interior_primitive, the inflow state inflow_W and
+        # every outflow state the last column's W with p = outflow_pressure
+        W, bc, n = field.interior_primitive(), field.bc, field.nx * field.ny
+        assert np.array_equal(states[..., :n, :], W.reshape(W.shape[:-3] + (n, 4)))
+        if not bc.periodic_x:
+            assert np.all(states[..., n, :] == bc.inflow_W)
+            assert np.all(states[..., n + 1 :, 3] == bc.outflow_pressure)
+            assert np.array_equal(states[..., n + 1 :, :3], W[..., -1, :, :3])
     states[...] = -1.0
     assert np.array_equal(field.U, snap)
 
@@ -144,7 +167,8 @@ def test_apply_boundaries_equals_the_concatenated_reference(case):
 def test_outflow_jacobian_is_the_derivative_of_the_outflow_states(primitive):
     # central differences of the outflow states of apply_boundaries with
     # respect to each component of the row's last cell, both in conservative
-    # or both in primitive variables, on a column with transverse velocity
+    # or both in primitive variables, on a column with transverse velocity:
+    # the very ghost states that the residual of that space reads
     field = sp.build_initial_field(cfg(ny=3))
     rng = np.random.default_rng(12)
     W = field.interior_primitive()
@@ -163,7 +187,7 @@ def test_outflow_jacobian_is_the_derivative_of_the_outflow_states(primitive):
         for sign in (1.0, -1.0):
             Xp = X.copy()
             Xp[-1, :, c] += sign * h
-            ghosts.append(to_var(apply_boundaries(replace(field, U=from_var(Xp)))[n + 1 :]))
+            ghosts.append(apply_boundaries(replace(field, U=from_var(Xp)), primitive)[n + 1 :])
         fd = (ghosts[0] - ghosts[1]) / (2.0 * h[:, None])
         # rounding of the ghost states (|E| ~ 1e3) over the 1e-6 step
         assert np.abs(T[:, :, c] - fd).max() < 1e-6 * max(1.0, np.abs(T).max()), c
@@ -178,9 +202,10 @@ def test_single_row_has_nx_plus_two_states():
     # a row reads its cells, the inflow state and its one outflow state: 13
     # states for nx = 11, where a padded grid held 17 x 7 cells
     field = sp.build_initial_field(cfg(nx=11), ny=1)
-    assert apply_boundaries(field).shape == (13, 4)
-    stack = replace(field, U=np.stack([field.U] * 54))
-    assert apply_boundaries(stack).shape == (54, 13, 4)
+    for primitive in (False, True):
+        assert apply_boundaries(field, primitive).shape == (13, 4)
+        stack = replace(field, U=np.stack([field.U] * 54))
+        assert apply_boundaries(stack, primitive).shape == (54, 13, 4)
 
 
 def test_primitive_rhs_names_the_bad_interior_cell():
@@ -193,6 +218,29 @@ def test_primitive_rhs_names_the_bad_interior_cell():
     stack = replace(field, U=np.stack([sp.build_initial_field(cfg(ny=5)).U, field.U]))
     with pytest.raises(InvalidStateError, match=r"density in interior at cell\(s\) \(1, 4, 2\)$"):
         marching.rhs(stack, scheme)
+
+
+def test_a_primitive_residual_converts_its_states_once(monkeypatch):
+    # apply_boundaries owns the one conversion: a 2D primitive rhs converts
+    # its cells once and never back, and the probe stack of one
+    # _fd_jacobian_1d is converted once as a whole
+    scheme = Scheme(solver="roe", order=5, space="primitive")
+    field, row = sp.build_initial_field(cfg()), sp.build_initial_field(cfg(), ny=1)
+    cols = np.arange(4 * row.nx)
+    calls = {"cons_to_prim": [], "prim_to_cons": []}
+    for name in calls:
+        original = getattr(euler, name)
+
+        def counted(X, *args, _name=name, _original=original):
+            calls[_name].append(np.shape(X))
+            return _original(X, *args)
+
+        monkeypatch.setattr(euler, name, counted)
+    marching.rhs(field, scheme)
+    assert calls == {"cons_to_prim": [field.U.shape], "prim_to_cons": []}
+    calls["cons_to_prim"].clear()
+    sp._fd_jacobian_1d(row, scheme, cols)
+    assert calls == {"cons_to_prim": [(2 * len(cols) + 1,) + row.U.shape], "prim_to_cons": []}
 
 
 def test_boundary_spec_needs_inflow_and_outflow_unless_periodic():
@@ -674,7 +722,7 @@ def _counting_layers(monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     counting(marching, "rhs", lambda field, scheme: field.U.shape[:-3])
-    counting(fields, "apply_boundaries", lambda field: field.U.shape[:-3])
+    counting(fields, "apply_boundaries", lambda field, primitive: field.U.shape[:-3])
     counting(reconstruction, "reconstruct_pair", lambda win, *a: win.shape[-3])
     counting(riemann, "compute_flux", lambda kind, W, frame: W.shape[-2])
     return calls

@@ -464,7 +464,7 @@ def _loop_assembly(field, scheme):
         return T
 
     periodic_x = field.bc.periodic_x
-    states = fields.apply_boundaries(field)
+    states = fields.apply_boundaries(field, scheme.space == "primitive")
     for table, solver, recon in marching.face_reconstructions(field, states, scheme):
         A = stability._fd_jacobians_U(
             solver, euler.prim_to_cons(recon.W), table.frame)
