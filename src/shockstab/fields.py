@@ -6,11 +6,11 @@ square cells: the grid axes are the last three, and any leading axes form a
 batch of fields that share the grid, the boundaries and the shock column.
 A single field has batch shape ().  Ghost cells are not state:
 ``apply_boundaries`` lays the cells out on one state axis (..., S, 4), cell
-(i, j) at i*ny + j, and unless x is periodic appends the inflow ghost state
-at nx*ny and the pressure-pinned outflow ghost state of row j at
-nx*ny + 1 + j, whose derivative is ``outflow_jacobian``.  The axis holds
-the variables the face windows read, primitive in the primitive space and
-conservative otherwise, so a primitive residual converts its cells once.
+(i, j) at i*ny + j, then appends the inflow ghost state at nx*ny and the
+pressure-pinned outflow ghost state of row j at nx*ny + 1 + j, whose
+derivative is ``outflow_jacobian``.  The axis holds the variables the face
+windows read, primitive in the primitive space and conservative otherwise,
+so a primitive residual converts its cells once.
 Interior indices are 0-based; problem metadata (shock column) uses the
 1-based cell numbering of the test problem.  An ``InvalidStateError`` names
 cells by their full index, so in a batch the tuple leads with the batch
@@ -32,19 +32,10 @@ from . import euler
 
 @dataclass(frozen=True)
 class BoundarySpec:
-    """Left inflow / right outflow (pressure pinned) / periodic in y.
+    """Left inflow / right outflow (pressure pinned) / periodic in y."""
 
-    ``periodic_x = True`` wraps the x direction instead (synthetic test
-    fields only); otherwise ``inflow_W`` and ``outflow_pressure`` are required.
-    """
-
-    inflow_W: np.ndarray | None = None  # primitive (4,)
-    outflow_pressure: float | None = None
-    periodic_x: bool = False
-
-    def __post_init__(self):
-        if not self.periodic_x and (self.inflow_W is None or self.outflow_pressure is None):
-            raise ValueError("non-periodic boundaries need inflow state and outflow pressure")
+    inflow_W: np.ndarray  # primitive (4,)
+    outflow_pressure: float
 
     @functools.cached_property
     def inflow_U(self) -> np.ndarray:  # converted once per spec
@@ -81,10 +72,8 @@ def apply_boundaries(field: MeanField, primitive: bool) -> np.ndarray:
     U, bc = field.U, field.bc
     batch, n = U.shape[:-3], field.nx * field.ny
     X = field.interior_primitive() if primitive else U
-    states = np.empty(batch + (n if bc.periodic_x else n + 1 + field.ny, 4))
+    states = np.empty(batch + (n + 1 + field.ny, 4))
     states[..., :n, :] = X.reshape(batch + (n, 4))
-    if bc.periodic_x:
-        return states
     if primitive:
         last = X[..., -1, :, :].copy()
     else:
@@ -149,13 +138,12 @@ class FaceTable:
 
 
 @functools.lru_cache(maxsize=None)
-def face_table(nx: int, ny: int, orientations: tuple[str, ...], periodic_x: bool,
+def face_table(nx: int, ny: int, orientations: tuple[str, ...],
                shock_column: int | None) -> FaceTable:
     """The ``FaceTable`` of the listed orientations ("x", "y"), built once
-    per grid, orientations, x boundary and 1-based shock column (None for
-    none); its arrays are read-only.  Stencils wrap along a periodic
-    direction; along a non-periodic x they read the inflow state left of the
-    grid and the row's outflow state right of it."""
+    per grid, orientations and 1-based shock column (None for none); its
+    arrays are read-only.  Stencils wrap along y; along x they read the
+    inflow state left of the grid and the row's outflow state right of it."""
     slot = np.arange(6) - 3  # face k's stencil spans cells k-3 .. k+2
     grids, windows, shock, normal = [], [], [], []
     for orientation in orientations:
@@ -163,11 +151,8 @@ def face_table(nx: int, ny: int, orientations: tuple[str, ...], periodic_x: bool
             grid = (nx + 1, ny)
             k, j = (a.reshape(-1, 1) for a in np.indices(grid))
             i = k + slot
-            if periodic_x:
-                windows.append(i % nx * ny + j)
-            else:
-                outside = np.where(i < 0, nx * ny, nx * ny + 1 + j)
-                windows.append(np.where((i >= 0) & (i < nx), i * ny + j, outside))
+            outside = np.where(i < 0, nx * ny, nx * ny + 1 + j)
+            windows.append(np.where((i >= 0) & (i < nx), i * ny + j, outside))
             normal.append(euler.X_FACE)
         else:
             grid = (nx, ny + 1 if ny > 1 else 1)

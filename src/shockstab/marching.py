@@ -61,8 +61,7 @@ def face_parts(field: MeanField, scheme: Scheme, linearise: bool = False):
             if "x" not in orientations:
                 continue
             orientations = ("x",)
-        table = face_table(field.nx, field.ny, orientations, field.bc.periodic_x,
-                           field.shock_column)
+        table = face_table(field.nx, field.ny, orientations, field.shock_column)
         yield table, solver, cfg, cap_cfg
 
 

@@ -129,7 +129,7 @@ def _residual_1d(field, scheme) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _probe_faces(table, cells: tuple[int, ...], periodic_x: bool):
+def _probe_faces(table, cells: tuple[int, ...]):
     """The faces that a single row's probe stack changes, built once per face
     table (x faces of a row) and probed cells; the arrays are read-only.
 
@@ -141,16 +141,15 @@ def _probe_faces(table, cells: tuple[int, ...], periodic_x: bool):
     pairs in (probe, face) order, then, for those faces followed by all of
     the row's faces, the side index (2F', 5) into the stack's flattened
     state axis (laid out as ``fields.apply_boundaries``: cell i at i, the
-    outflow ghost at nx + 1 unless x is periodic) and the shock flags (F',).
+    outflow ghost at nx + 1) and the shock flags (F',).
     """
     n_faces = len(table.window)  # nx + 1 x faces
     nx = n_faces - 1
-    n_states = nx if periodic_x else nx + 2
+    n_states = nx + 2
     cells = np.array(cells)
     moved = np.zeros((len(cells), n_states), dtype=bool)
     moved[np.arange(len(cells)), cells] = True
-    if not periodic_x:
-        moved[:, nx + 1] = cells == nx - 1
+    moved[:, nx + 1] = cells == nx - 1
     touched = moved[:, table.window].any(axis=-1)
     probe, face = np.nonzero(np.concatenate([touched, touched]))  # +h probes, then -h
     member = np.concatenate([probe, np.full(n_faces, 2 * len(cells))])
@@ -191,7 +190,7 @@ def _fd_jacobian_1d(field, scheme, cols) -> tuple[np.ndarray, np.ndarray]:
     stack[m + plus, i, 0, c] -= h
     probes = replace(field, U=stack)
     (table, solver, cfg, cap_cfg), = marching.face_parts(field, scheme)  # a row's x faces
-    probe, face, sides, shock = _probe_faces(table, tuple(i.tolist()), field.bc.periodic_x)
+    probe, face, sides, shock = _probe_faces(table, tuple(i.tolist()))
     states = fields.apply_boundaries(probes, scheme.space == "primitive")
     recon = reconstruction.reconstruct_pair(
         marching.gather_windows(states.reshape(-1, 4), sides), cfg, table.frame,

@@ -152,7 +152,7 @@ def face_blocks(recon: FaceRecon, A_U) -> np.ndarray:
     return blocks
 
 
-def _face_triplets(B, window, axis: str, field: MeanField, T_out):
+def _face_triplets(B, window, axis: str, cells: int, T_out):
     """(row cells, column cells, y offsets d, signs, 4x4 blocks) of one face
     orientation, once for the cell before the faces and once for the cell
     after them.
@@ -163,15 +163,12 @@ def _face_triplets(B, window, axis: str, field: MeanField, T_out):
     A row's one y face per column is the face above the row and the face
     below it: the column cell of its block o lies d = o - 2 rows above the
     cell the flux leaves and d = o - 3 rows above the cell it enters; an x
-    face's blocks have d = 0.  Only the nx*ny cells that lead the state axis
+    face's blocks have d = 0.  Only the first ``cells`` states, the cells,
     carry a perturbation: the inflow state is dropped, and row t's outflow
     state folds onto the cell before the row's last face through ``T_out[t]``.
     """
-    if axis == "x" and field.bc.periodic_x:
-        B, window = B[:-1], window[:-1]  # the last face repeats the first
-    cells = field.nx * field.ny
     col = window
-    if axis == "x" and not field.bc.periodic_x:
+    if axis == "x":
         out = col > cells  # the states past the inflow state are outflow states
         t = np.indices(col.shape)[1]
         B[out] = B[out] @ T_out[t[out]]
@@ -231,7 +228,7 @@ def assemble(field: MeanField, scheme: Scheme, check_steady: bool = True) -> Sta
                 "converge the base flow first"
             )
     states = apply_boundaries(field, scheme.space == "primitive")
-    T_out = None if field.bc.periodic_x else outflow_jacobian(field, scheme.space == "primitive")
+    T_out = outflow_jacobian(field, scheme.space == "primitive")
 
     parts = []
     for table, solver, recon in marching.face_reconstructions(field, states, scheme):
@@ -241,7 +238,7 @@ def assemble(field: MeanField, scheme: Scheme, check_steady: bool = True) -> Sta
         B = face_blocks(recon, A_U)
         for (axis, grid_blocks), (_, grid_window) in zip(table.split(B, 0),
                                                          table.split(table.window, 0)):
-            parts += _face_triplets(grid_blocks, grid_window, axis, field, T_out)
+            parts += _face_triplets(grid_blocks, grid_window, axis, nx, T_out)
     rows, cols, offsets, signs, blocks = (np.concatenate(p) for p in zip(*parts))
     if scheme.space == "primitive":
         blocks = euler.dw_du(W_mean[:, 0])[rows] @ blocks

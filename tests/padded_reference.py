@@ -18,19 +18,16 @@ def padded(field, primitive: bool) -> np.ndarray:
     through conservative variables."""
     U, bc = field.U, field.bc
     X = euler.cons_to_prim(U) if primitive else U
-    if bc.periodic_x:
-        Xpad = X[..., np.arange(-NG, field.nx + NG) % field.nx, :, :]
-    else:
-        last = euler.cons_to_prim(U[..., -1, :, :], "outflow column")
-        last[..., 3] = bc.outflow_pressure
-        inflow, outflow = bc.inflow_W, last
-        if not primitive:
-            inflow, outflow = euler.prim_to_cons(inflow), euler.prim_to_cons(outflow)
-        ghosts = U.shape[:-3] + (NG,) + U.shape[-2:]
-        Xpad = np.concatenate([
-            np.broadcast_to(inflow, ghosts),
-            X,
-            np.broadcast_to(outflow[..., None, :, :], ghosts),
-        ], axis=-3)
+    last = euler.cons_to_prim(U[..., -1, :, :], "outflow column")
+    last[..., 3] = bc.outflow_pressure
+    inflow, outflow = bc.inflow_W, last
+    if not primitive:
+        inflow, outflow = euler.prim_to_cons(inflow), euler.prim_to_cons(outflow)
+    ghosts = U.shape[:-3] + (NG,) + U.shape[-2:]
+    Xpad = np.concatenate([
+        np.broadcast_to(inflow, ghosts),
+        X,
+        np.broadcast_to(outflow[..., None, :, :], ghosts),
+    ], axis=-3)
     # periodic in y, wrapped last so the x-ghost corners wrap too
     return np.take(Xpad, np.arange(-NG, field.ny + NG) % field.ny, axis=-2)

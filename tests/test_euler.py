@@ -157,7 +157,7 @@ def test_face_frame_takes_one_normal_per_face():
 def test_face_frame_compares_and_hashes_by_identity():
     # per-face array normals: generated field-wise __eq__/__hash__ would
     # raise on the arrays
-    frame = face_table(4, 3, ("x", "y"), False, None).frame
+    frame = face_table(4, 3, ("x", "y"), None).frame
     twin = copy.copy(frame)
     assert np.array_equal(twin.nx, frame.nx) and np.array_equal(twin.ny, frame.ny)
     assert frame == frame and frame != twin

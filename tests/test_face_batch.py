@@ -19,7 +19,7 @@ from shockstab.scheme import Scheme
 from circulant import dense
 from padded_reference import padded
 from side_axis import side_windows
-from test_marching import _periodic_x_field
+from test_marching import _smooth_field
 
 
 def _x_face_windows(Upad, nx, ny):
@@ -90,14 +90,14 @@ def face_triplets(B, axis, field, T_out):
 
     ``B`` holds the face blocks as ``face_blocks`` returns them.  Face k
     along the normal lies between interior cells k-1 and k, and its offset
-    o reaches interior cell k+o-3.  Periodic directions wrap; along a
-    non-periodic x the inflow ghost columns are dropped and the outflow ghost
-    columns fold onto the last column through ``T_out``.
+    o reaches interior cell k+o-3.  The periodic y direction wraps; along x
+    the inflow ghost columns are dropped and the outflow ghost columns fold
+    onto the last column through ``T_out``.
     """
     if axis == "y":
         B = B.swapaxes(0, 1)  # normal face index first
     n = field.nx if axis == "x" else field.ny
-    periodic = axis == "y" or field.bc.periodic_x
+    periodic = axis == "y"
     if periodic:
         B = B[:n]  # face n repeats face 0
     k, t, o = np.indices(B.shape[:3])  # normal face, transverse cell, offset
@@ -130,14 +130,12 @@ def per_direction_assemble(field, scheme):
     circ(C) of ``stability.assemble`` has these very bits."""
     nx, ny = field.nx, field.ny
     Wint = field.interior_primitive()
-    T_out = None
-    if not field.bc.periodic_x:
-        T_out = np.zeros((ny, 4, 4))
-        T_out[:, 0, 0] = T_out[:, 1, 1] = T_out[:, 2, 2] = 1.0
-        if scheme.space != "primitive":
-            T_out[:, 3, 0] = -0.5 * (Wint[nx - 1, :, 1] ** 2 + Wint[nx - 1, :, 2] ** 2)
-            T_out[:, 3, 1] = Wint[nx - 1, :, 1]
-            T_out[:, 3, 2] = Wint[nx - 1, :, 2]
+    T_out = np.zeros((ny, 4, 4))
+    T_out[:, 0, 0] = T_out[:, 1, 1] = T_out[:, 2, 2] = 1.0
+    if scheme.space != "primitive":
+        T_out[:, 3, 0] = -0.5 * (Wint[nx - 1, :, 1] ** 2 + Wint[nx - 1, :, 2] ** 2)
+        T_out[:, 3, 1] = Wint[nx - 1, :, 1]
+        T_out[:, 3, 2] = Wint[nx - 1, :, 2]
     parts = []
     Xpad = padded(field, scheme.space == "primitive")
     for axis, solver, frame, grid, recon in per_direction_face_reconstructions(field, Xpad, scheme):
@@ -157,11 +155,11 @@ def per_direction_assemble(field, scheme):
 
 def _fields():
     """A shock field with a transverse perturbation, whose conservative
-    high-order faces hit the positivity fallback, and a periodic field."""
+    high-order faces hit the positivity fallback, and a smooth field."""
     shock = sp.build_initial_field(sp.ShockProblemConfig(nx=9, ny=3, shock_column=5))
     rng = np.random.default_rng(90)
     shock.U[..., 2] += 1e-3 * rng.standard_normal(shock.U.shape[:-1])
-    return shock, _periodic_x_field()
+    return shock, _smooth_field()
 
 
 SOLVERS = ("roe", "hll", "hllc", "van_leer", "hybrid-1", "hybrid-2")
@@ -199,14 +197,14 @@ def test_face_batch_rhs_equals_the_per_direction_reference(solver, space):
 
 def _y_uniform_fields():
     """The fields of ``_fields`` made uniform along y on 7 rows: the shock's
-    transverse perturbation is drawn per column, and the periodic field
+    transverse perturbation is drawn per column, and the smooth field
     repeats its row 0."""
     ny = 7
     shock = sp.build_initial_field(sp.ShockProblemConfig(nx=9, ny=ny, shock_column=5))
     rng = np.random.default_rng(90)
     shock.U[..., 2] += 1e-3 * rng.standard_normal((shock.nx, 1))
-    periodic = _periodic_x_field()
-    return shock, replace(periodic, U=np.repeat(periodic.U[:, :1], ny, axis=1))
+    smooth = _smooth_field()
+    return shock, replace(smooth, U=np.repeat(smooth.U[:, :1], ny, axis=1))
 
 
 def _block_row_0(nx, ny):
@@ -283,7 +281,7 @@ def test_one_left_state_call_and_one_window_gather_per_face_batch(monkeypatch, s
 def test_face_table_windows_and_normals():
     # every stencil runs along its face's normal through the face's two cells
     nx, ny = 4, 3
-    table = fields.face_table(nx, ny, ("x", "y"), False, None)
+    table = fields.face_table(nx, ny, ("x", "y"), None)
     assert table.grids == (("x", (nx + 1, ny)), ("y", (nx, ny + 1)))
     window = table.window
     n_x = table.frame.nx.astype(int)[:, None]
@@ -311,9 +309,9 @@ def test_face_table_windows_and_normals():
     # the side axis: every left window, then every right window mirrored
     assert not table.sides.flags.writeable
     assert np.array_equal(table.sides, np.concatenate([window[:, 0:5], window[:, 5:0:-1]]))
-    assert fields.face_table(nx, ny, ("x", "y"), False, None) is table
+    assert fields.face_table(nx, ny, ("x", "y"), None) is table
     # a single orientation keeps its scalar normal
-    assert fields.face_table(nx, ny, ("y",), False, None).frame is euler.Y_FACE
+    assert fields.face_table(nx, ny, ("y",), None).frame is euler.Y_FACE
 
 
 @pytest.mark.parametrize("column", [None, 1, 3, 5])
@@ -324,11 +322,11 @@ def test_face_table_shock_flags_equal_the_per_direction_masks(column):
     field = replace(sp.build_initial_field(sp.ShockProblemConfig(nx=nx, ny=ny, shock_column=3)),
                     shock_column=column)
     masks = shock_face_masks(field)
-    table = fields.face_table(nx, ny, ("x", "y"), False, column)
+    table = fields.face_table(nx, ny, ("x", "y"), column)
     assert table.shock.dtype == bool and not table.shock.flags.writeable
     assert np.array_equal(table.shock, np.concatenate([m.ravel() for m in masks]))
     for orientation, mask in zip(("x", "y"), masks):
-        single = fields.face_table(nx, ny, (orientation,), True, column)
+        single = fields.face_table(nx, ny, (orientation,), column)
         assert np.array_equal(single.shock, mask.ravel()), orientation
     assert table.shock.any() == (column is not None)
 
@@ -336,17 +334,16 @@ def test_face_table_shock_flags_equal_the_per_direction_masks(column):
 @pytest.mark.parametrize("primitive", [False, True])
 def test_state_windows_equal_the_padded_reference_windows(primitive):
     # the windows gathered from the state axis are the very windows of the
-    # padded layout, for both boundary kinds, a single row and a batch, in
-    # either variables.  The row's one y face per column stands for both y
+    # padded layout, for a shock and a smooth field, a single row and a
+    # batch, in either variables.  The row's one y face per column stands for both y
     # faces of the reference
-    shock, periodic = _fields()
+    shock, smooth = _fields()
     row = sp.build_initial_field(sp.ShockProblemConfig(ny=1))
     rng = np.random.default_rng(92)
     batch = replace(shock, U=shock.U * (1.0 + 1e-4 * rng.standard_normal((3,) + shock.U.shape)))
-    for field in (shock, periodic, row, batch):
+    for field in (shock, smooth, row, batch):
         states, Xpad = fields.apply_boundaries(field, primitive), padded(field, primitive)
-        table = fields.face_table(field.nx, field.ny, ("x", "y"), field.bc.periodic_x,
-                                  field.shock_column)
+        table = fields.face_table(field.nx, field.ny, ("x", "y"), field.shock_column)
         windows = marching.gather_windows(states, table.sides)
         n = windows.shape[-3] // 2
         # the right windows come mirrored
@@ -360,11 +357,11 @@ def test_state_windows_equal_the_padded_reference_windows(primitive):
 
 def _uniform_fields():
     """Shock fields of every height the tests sample, uniform along y, then a
-    periodic-x field uniform along y with a transverse velocity."""
+    smooth field uniform along y with a transverse velocity."""
     for ny in (1, 2, 3, 4, 7, 8):
         yield sp.build_initial_field(sp.ShockProblemConfig(nx=9, ny=ny, shock_column=5))
-    periodic = _periodic_x_field()
-    yield replace(periodic, U=np.repeat(periodic.U[:, :1], periodic.ny, axis=1))
+    smooth = _smooth_field()
+    yield replace(smooth, U=np.repeat(smooth.U[:, :1], smooth.ny, axis=1))
 
 
 UNIT_ROUNDOFF = np.finfo(float).eps / 2
@@ -377,7 +374,7 @@ ROUNDINGS = 4
 
 
 @pytest.mark.parametrize("field", list(_uniform_fields()),
-                         ids=[f"ny={ny}" for ny in (1, 2, 3, 4, 7, 8)] + ["periodic-x"])
+                         ids=[f"ny={ny}" for ny in (1, 2, 3, 4, 7, 8)] + ["smooth"])
 def test_y_uniform_assembly_tiles_the_reference_block_row(field):
     # every solver, hybrid, order and space; the caps are sampled in turn
     nx, ny = field.nx, field.ny
@@ -431,6 +428,6 @@ def test_y_uniform_assembly_probes_only_the_row_0_faces(monkeypatch):
 
     monkeypatch.setattr(riemann, "compute_flux", counted)
     field = sp.build_initial_field(sp.ShockProblemConfig(ny=32))
-    assert len(fields.face_table(11, 1, ("x", "y"), False, 6).window) == 23
+    assert len(fields.face_table(11, 1, ("x", "y"), 6).window) == 23
     stability.assemble(field, Scheme(solver="roe", order=1), check_steady=False)
     assert calls == [(2, 2, 4, 2 * 23, 4)]

@@ -2,9 +2,10 @@
 the source imports, no more and no fewer, and its ``test`` extra declares the
 rest of what the tests import; every console script it declares resolves; a
 verdict and a march load no SciPy module; a misspelt test marker fails
-collection; every dataclass field is read; every public name has a caller
-outside the tests; every traced layer function is reached through a module
-attribute the benchmark's tracer rebinds."""
+collection; every dataclass field is read and every field default is set by
+some caller; every public name has a caller outside the tests; every traced
+layer function is reached through a module attribute the benchmark's tracer
+rebinds."""
 
 import ast
 import importlib
@@ -234,12 +235,12 @@ def _defaulted_parameters(path):
                     yield f"{path.stem}.{node.name}.{param.arg}", node.name, None, param.arg
 
 
-def test_every_default_is_passed_by_some_caller():
-    # a default that no call overrides is a constant in disguise: a knob the
-    # program never turns
-    src = sorted((ROOT / "src" / "shockstab").glob("*.py"))
-    passed = set()  # (function name, position or keyword)
-    for path in src + sorted((ROOT / "shockbench").rglob("*.py")):
+def _call_arguments():
+    """(callee name, position or keyword) of every argument that a call in
+    the package or the benchmark passes; a starred argument gives "*" and a
+    double-starred one "**"."""
+    passed = set()
+    for path in sorted((ROOT / "src" / "shockstab").glob("*.py")) + sorted((ROOT / "shockbench").rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if not isinstance(node, ast.Call):
                 continue
@@ -248,7 +249,15 @@ def test_every_default_is_passed_by_some_caller():
                 passed.add((name, "*"))
             passed.update((name, position) for position in range(len(node.args)))
             passed.update((name, k.arg or "**") for k in node.keywords)
-    params = [p for path in src for p in _defaulted_parameters(path)]
+    return passed
+
+
+def test_every_default_is_passed_by_some_caller():
+    # a default that no call overrides is a constant in disguise: a knob the
+    # program never turns
+    passed = _call_arguments()
+    params = [p for path in sorted((ROOT / "src" / "shockstab").glob("*.py"))
+              for p in _defaulted_parameters(path)]
     assert params
     unpassed = sorted(
         qualified for qualified, function, position, keyword in params
@@ -256,6 +265,43 @@ def test_every_default_is_passed_by_some_caller():
         and not (position is not None and (function, "*") in passed)
     )
     assert unpassed == sorted(UNPASSED_DEFAULTS)
+
+
+# dataclass fields with a default that no call in the package or the
+# benchmark sets, each kept for a stated reason
+UNSET_FIELD_DEFAULTS = {
+    "scheme.Scheme.weno_variant": "the WENO-JS weights stay selectable beside WENO-Z; tests run both",
+    "scheme.Scheme.cap": "near-shock order caps are an option of the lab; tests assemble and march them",
+    "shock_problem.ShockProblemConfig.mach": "tests check the jump relations at other Mach numbers",
+    "shock_problem.ShockProblemConfig.shock_column": "tests place the shock in column 5 of a 9-column grid",
+    "shock_problem.ShockProblemConfig.converge_tol": "the steady tolerance that the benchmark's verdict reads",
+}
+
+
+def _defaulted_fields(path):
+    """(qualified name, class name, position in the constructor, field name)
+    of every dataclass field with a default."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ClassDef) and (_is_frozen_dataclass(node) or _is_plain_dataclass(node)):
+            fields = [item for item in node.body if isinstance(item, ast.AnnAssign)]
+            for position, item in enumerate(fields):
+                if item.value is not None:
+                    name = item.target.id
+                    yield f"{path.stem}.{node.name}.{name}", node.name, position, name
+
+
+def test_every_field_default_is_set_by_some_caller():
+    # a field default that no construction and no replace(..., field=...)
+    # overrides is a config field the program never sets
+    passed = _call_arguments()
+    defaulted = [f for path in sorted((ROOT / "src" / "shockstab").glob("*.py"))
+                 for f in _defaulted_fields(path)]
+    assert defaulted
+    unset = sorted(
+        qualified for qualified, cls, position, name in defaulted
+        if not {(cls, position), (cls, name), (cls, "*"), (cls, "**"), ("replace", name)} & passed
+    )
+    assert unset == sorted(UNSET_FIELD_DEFAULTS)
 
 
 def test_traced_layers_are_not_imported_by_name_elsewhere():

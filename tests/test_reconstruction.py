@@ -452,7 +452,7 @@ def _face_windows(batch):
     rng = np.random.default_rng(22)
     U = field.U * (1.0 + 1e-3 * rng.standard_normal(batch + field.U.shape))
     states = fields.apply_boundaries(replace(field, U=U), False)
-    table = fields.face_table(9, 3, ("x", "y"), False, 5)
+    table = fields.face_table(9, 3, ("x", "y"), 5)
     winL = states[..., table.window[:, :5], :]
     winR = states[..., table.window[:, 1:], :]
     if batch:

@@ -257,7 +257,7 @@ def test_hllc_picks_every_branch():
 
 def test_face_table_frame_matches_reference():
     # the mixed x/y normals of a real face batch
-    table = face_table(4, 3, ("x", "y"), False, None)
+    table = face_table(4, 3, ("x", "y"), None)
     n = table.frame.nx.size
     rng = np.random.default_rng(102)
     WL, WR = _pairs(rng, 6 * (n // 6 + 1))

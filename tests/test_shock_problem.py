@@ -6,10 +6,11 @@ import pytest
 
 from shockstab import euler, fields, marching, reconstruction, riemann, shock_problem as sp
 from shockstab.errors import ConvergenceError, InvalidStateError, ShockStabError
-from shockstab.fields import BoundarySpec, MeanField, apply_boundaries, outflow_jacobian
+from shockstab.fields import MeanField, apply_boundaries, outflow_jacobian
 from shockstab.scheme import Scheme
 
 from euler_reference import entropy
+from test_marching import edge_boundaries
 
 
 
@@ -113,10 +114,6 @@ def test_padding_contract(primitive):
         W_out = euler.cons_to_prim(X[n + 1 :])
         assert np.allclose(W_out[:, :3], W[-1, :, :3], atol=0)
         assert np.all(W_out[:, 3] == sp.downstream_state(c)[3])
-    # a periodic x has no ghost states
-    periodic = replace(field, bc=BoundarySpec(periodic_x=True))
-    assert np.array_equal(apply_boundaries(periodic, primitive),
-                          (W if primitive else field.U).reshape(n, 4))
 
 
 def concatenated_states(field, primitive):
@@ -127,8 +124,6 @@ def concatenated_states(field, primitive):
     U, bc = field.U, field.bc
     X = euler.cons_to_prim(U) if primitive else U
     cells = X.reshape(U.shape[:-3] + (-1, 4))
-    if bc.periodic_x:
-        return cells.copy()
     last = euler.cons_to_prim(U[..., -1, :, :], "outflow column")
     last[..., 3] = bc.outflow_pressure
     inflow = np.broadcast_to(bc.inflow_W if primitive else bc.inflow_U, U.shape[:-3] + (1, 4))
@@ -136,7 +131,7 @@ def concatenated_states(field, primitive):
 
 
 @pytest.mark.parametrize("primitive", [False, True])
-@pytest.mark.parametrize("case", ["single", "batch", "row", "periodic_x"])
+@pytest.mark.parametrize("case", ["single", "batch", "row"])
 def test_apply_boundaries_equals_the_concatenated_reference(case, primitive):
     # a fresh C-contiguous array, bit for bit the concatenated states
     field = sp.build_initial_field(cfg(ny=3), ny=1 if case == "row" else None)
@@ -144,8 +139,6 @@ def test_apply_boundaries_equals_the_concatenated_reference(case, primitive):
     if case == "batch":
         scale = 1.0 + 0.01 * rng.standard_normal((2, 3) + field.U.shape)
         field = replace(field, U=euler.prim_to_cons(field.interior_primitive() * scale))
-    elif case == "periodic_x":
-        field = replace(field, bc=BoundarySpec(periodic_x=True))
     snap = field.U.copy()
     states = apply_boundaries(field, primitive)
     assert states.flags.c_contiguous and states.flags.owndata
@@ -155,10 +148,9 @@ def test_apply_boundaries_equals_the_concatenated_reference(case, primitive):
         # every outflow state the last column's W with p = outflow_pressure
         W, bc, n = field.interior_primitive(), field.bc, field.nx * field.ny
         assert np.array_equal(states[..., :n, :], W.reshape(W.shape[:-3] + (n, 4)))
-        if not bc.periodic_x:
-            assert np.all(states[..., n, :] == bc.inflow_W)
-            assert np.all(states[..., n + 1 :, 3] == bc.outflow_pressure)
-            assert np.array_equal(states[..., n + 1 :, :3], W[..., -1, :, :3])
+        assert np.all(states[..., n, :] == bc.inflow_W)
+        assert np.all(states[..., n + 1 :, 3] == bc.outflow_pressure)
+        assert np.array_equal(states[..., n + 1 :, :3], W[..., -1, :, :3])
     states[...] = -1.0
     assert np.array_equal(field.U, snap)
 
@@ -241,16 +233,6 @@ def test_a_primitive_residual_converts_its_states_once(monkeypatch):
     calls["cons_to_prim"].clear()
     sp._fd_jacobian_1d(row, scheme, cols)
     assert calls == {"cons_to_prim": [(2 * len(cols) + 1,) + row.U.shape], "prim_to_cons": []}
-
-
-def test_boundary_spec_needs_inflow_and_outflow_unless_periodic():
-    with pytest.raises(ValueError, match="inflow state and outflow pressure"):
-        BoundarySpec()
-    with pytest.raises(ValueError, match="inflow state and outflow pressure"):
-        BoundarySpec(inflow_W=sp.upstream_state(cfg()))
-    with pytest.raises(ValueError, match="inflow state and outflow pressure"):
-        BoundarySpec(outflow_pressure=1.0)
-    assert BoundarySpec(periodic_x=True).periodic_x
 
 
 def entropy_increase(field, c):
@@ -729,13 +711,13 @@ def _counting_layers(monkeypatch):
 
 
 def _low_energy_row():
-    # a periodic row moving at u = 1 in which one cell's internal energy
-    # 2.5e-8 lies below its probe step 1e-7: that cell's -h energy probe and
-    # its +h x-momentum probe have p < 0
+    # a row moving at u = 1 in which one cell's internal energy 2.5e-8 lies
+    # below its probe step 1e-7: that cell's -h energy probe and its +h
+    # x-momentum probe have p < 0
     nx = 8
     W = np.tile([1.0, 1.0, 0.0, 1.0], (nx, 1, 1))
     W[3, 0, 3] = 1e-8
-    return MeanField(U=euler.prim_to_cons(W), bc=BoundarySpec(periodic_x=True))
+    return MeanField(U=euler.prim_to_cons(W), bc=edge_boundaries(W))
 
 
 def _same_bits(a, b):
@@ -775,26 +757,25 @@ def test_fd_jacobian_raises_at_an_inadmissible_probe_in_one_pass(monkeypatch):
 
 
 def _jacobian_rows():
-    """A perturbed shock row (inflow and outflow ghosts, shock column 6) and
-    a periodic row of 5 cells, shorter than the 6-cell stencil, so that a
-    window reads one cell twice."""
+    """A perturbed shock row (shock column 6) and a smooth row of 5 cells,
+    shorter than the 6-cell stencil, so that every face's stencil reads a
+    ghost state and the windows of the outer faces read one more than once."""
     rng = np.random.default_rng(18)
     shock = sp.build_initial_field(cfg(), ny=1)
     shock = replace(shock, U=shock.U * (1.0 + 1e-3 * rng.standard_normal(shock.U.shape)))
     x = 2 * np.pi * np.arange(5) / 5
     W = np.stack([1.0 + 0.3 * np.sin(x), 0.5 + 0.1 * np.cos(x), 0.05 * np.sin(2 * x),
                   1.0 + 0.2 * np.cos(x)], axis=-1)[:, None]
-    periodic = MeanField(U=euler.prim_to_cons(W), bc=BoundarySpec(periodic_x=True),
-                         shock_column=2)
-    return shock, periodic
+    short = MeanField(U=euler.prim_to_cons(W), bc=edge_boundaries(W), shock_column=2)
+    return shock, short
 
 
 @pytest.mark.parametrize("space", ["conservative", "primitive", "characteristic"])
 @pytest.mark.parametrize("solver", ["roe", "hll", "hllc", "van_leer", "hybrid-1", "hybrid-2"])
 def test_fd_jacobian_equals_the_column_loop_on_every_column(monkeypatch, solver, space):
     # only the faces a probe touches are evaluated; the Jacobian is still the
-    # one of rhs bit for bit, and the row's residual is rhs's, on
-    # inflow/outflow and periodic rows, every order and cap, and where the
+    # one of rhs bit for bit, and the row's residual is rhs's, on a shock row
+    # and a row shorter than the stencil, every order and cap, and where the
     # positivity fallback drops faces to first order
     orders = (5,) if solver.startswith("hybrid") else (1, 2, 5)
     caps = ("none", "first", "second", "smoothest-third")
@@ -815,8 +796,8 @@ def test_fd_jacobian_equals_the_column_loop_on_every_column(monkeypatch, solver,
             with monkeypatch.context() as m:
                 m.setattr(reconstruction, "reconstruct_pair", recording)
                 J, r = sp._fd_jacobian_1d(row, scheme, every)
-            assert np.array_equal(J, expected), (row.bc.periodic_x, scheme.label())
-            assert _same_bits(r, residual), (row.bc.periodic_x, scheme.label())
+            assert np.array_equal(J, expected), (row.nx, scheme.label())
+            assert _same_bits(r, residual), (row.nx, scheme.label())
     if space == "conservative" and solver in ("roe", "hll", "hllc", "van_leer"):
         assert any(fell_back)  # the fifth-order shock faces drop to first order
 

@@ -8,23 +8,17 @@ from scipy.optimize import linear_sum_assignment
 from shockstab import euler, fields, reconstruction as rc, riemann, shock_problem as sp, stability
 from shockstab.errors import DifferentiationError, InvalidStateError, UnsteadyFieldError
 from shockstab.euler import X_FACE
-from shockstab.fields import BoundarySpec, MeanField
+from shockstab.fields import MeanField
 from shockstab.scheme import Scheme
 from shockstab.stability import Spectrum, assemble, eigensolve, localize
 
 from circulant import dense, wrapped_blocks
-from euler_reference import analytic_flux_jacobian, characteristic_eigenvalues
+from euler_reference import analytic_flux_jacobian
 from padded_reference import NG
 from side_axis import face_flux, halves, side_states, side_windows
 from test_euler import random_states
 from test_face_batch import SOLVERS, SPACES, _schemes
-
-
-
-def uniform_periodic_field(W, nx=6, ny=5):
-    U = euler.prim_to_cons(np.asarray(W, dtype=float))
-    interior = np.broadcast_to(U, (nx, ny, 4)).copy()
-    return MeanField(U=interior, bc=BoundarySpec(periodic_x=True))
+from test_marching import uniform_field
 
 
 def initial_shock_field(**kw):
@@ -282,37 +276,35 @@ def test_signed_blocks_do_not_depend_on_the_grid_height(base_flow_cache, scheme,
 
 
 def test_circulant_spectrum_first_order_upwind():
-    # supersonic 1xN periodic strip: S is the classic circulant upwind
-    # difference; eigenvalues lie on circles -s*lam*(1 - exp(-i theta)),
-    # s = 1 on unit cells
+    # supersonic 16x1 strip between inflow and outflow: S is the classic
+    # block upwind difference, -A on the diagonal and +A on the subdiagonal,
+    # s = 1 on unit cells, with A the flux Jacobian of the state in the
+    # space's variables.  Its eigenvalues, those of -A, are defective, so the
+    # entries are compared
     N = 16
     W = np.array([1.4, 20.0, 0.0, 1.0])
-    field = uniform_periodic_field(W, nx=N, ny=1)
-    S = assemble(field, Scheme(solver="roe", order=1), check_steady=True)
-    spec = eigensolve(S)
-    sigma = 1.0
-    lam_a = characteristic_eigenvalues(W, X_FACE)
-    thetas = 2.0 * np.pi * np.arange(N) / N
-    expected = np.concatenate(
-        [-sigma * la * (1.0 - np.exp(-1j * thetas)) for la in lam_a]
-    )
-    # every computed eigenvalue matches one expected value
-    d = np.abs(spec.eigenvalues[:, None] - expected[None, :]).min(axis=1)
-    assert d.max() < 1e-5 * sigma * np.abs(lam_a).max()
-    assert spec.max_real < 1e-8
+    field = uniform_field(W, nx=N, ny=1)
+    A_U = analytic_flux_jacobian(euler.prim_to_cons(W), X_FACE)
+    for space in ("conservative", "characteristic", "primitive"):
+        S = assemble(field, Scheme(solver="roe", order=1, space=space), check_steady=True)
+        A = euler.dw_du(W) @ A_U @ euler.du_dw(W) if space == "primitive" else A_U
+        expected = np.kron(np.eye(N), -A) + np.kron(np.eye(N, k=-1), A)
+        C = wrapped_blocks(S)[0]  # one row: every offset d sums onto slot 0
+        assert np.abs(C - expected).max() < 1e-5 * np.abs(A).max(), space
 
 
 @pytest.mark.parametrize("order", [1, 2, 5])
 @pytest.mark.parametrize("space", ["conservative", "primitive", "characteristic"])
 def test_uniform_field_kernel(order, space):
-    # constant perturbations are invisible to consistent flux differences
-    field = uniform_periodic_field([1.4, 0.7, 0.4, 1.0])
+    # constant perturbations are invisible to consistent flux differences in
+    # the rows of the columns 3..nx-4, whose x stencils read no ghost state
+    field = uniform_field([1.4, 0.7, 0.4, 1.0], nx=10, ny=5)
     S = assemble(field, Scheme(solver="hllc", order=order, space=space))
     rng = np.random.default_rng(43)
     c = rng.standard_normal(4)
     A = dense(S)
     vec = np.tile(c, S.nx * S.ny)
-    out = A @ vec
+    out = (A @ vec).reshape(S.nx, S.ny, 4)[3 : S.nx - 3]
     assert np.abs(out).max() < 1e-7 * max(1.0, np.abs(A).max())
 
 
@@ -463,26 +455,21 @@ def _loop_assembly(field, scheme):
             T[3, :3] = [-0.5 * (u * u + v * v), u, v]
         return T
 
-    periodic_x = field.bc.periodic_x
     states = fields.apply_boundaries(field, scheme.space == "primitive")
     for table, solver, recon in marching.face_reconstructions(field, states, scheme):
         A = stability._fd_jacobians_U(
             solver, euler.prim_to_cons(recon.W), table.frame)
         for axis, B in table.split(stability.face_blocks(recon, A), 0):
             if axis == "x":
-                for k in range(nx if periodic_x else nx + 1):
+                for k in range(nx + 1):
                     for j in range(ny):
                         for o in range(6):
                             i_col, blk = k + o - ng, B[k, j, o]
-                            if periodic_x:
-                                i_col %= nx
-                            elif i_col < 0:
+                            if i_col < 0:
                                 continue  # inflow ghost
-                            elif i_col >= nx:
+                            if i_col >= nx:
                                 i_col, blk = nx - 1, blk @ outflow_chain(j)
                             for i_row, sign in ((k - 1, -sigma), (k, sigma)):
-                                if periodic_x:
-                                    i_row %= nx
                                 if 0 <= i_row < nx:
                                     add(i_row, j, i_col, j, sign, blk)
             else:
@@ -496,18 +483,19 @@ def _loop_assembly(field, scheme):
 
 def test_sparse_scatter_matches_loop_reference():
     # the vectorised scatter sums in another order, so agreement is to a few
-    # ulps of the largest entry, for every order, space, cap and boundary kind.
-    # The periodic field varies along x only, so its rows stay equal
+    # ulps of the largest entry, for every order, space and cap, on a shock
+    # and on a smooth field.  The smooth field varies along x only, so its
+    # rows stay equal
     shock = sp.build_initial_field(sp.ShockProblemConfig(ny=5))
-    periodic = uniform_periodic_field([1.4, 0.9, 0.3, 1.1], nx=6, ny=6)
+    smooth = uniform_field([1.4, 0.9, 0.3, 1.1], nx=6, ny=6)
     rng = np.random.default_rng(46)
-    periodic.U *= 1.0 + 0.01 * rng.standard_normal((periodic.nx, 1, 4))
+    smooth.U *= 1.0 + 0.01 * rng.standard_normal((smooth.nx, 1, 4))
     cases = [
         (shock, Scheme(solver="roe", order=5, space="primitive", cap="second")),
         (shock, Scheme(solver="hllc", order=2, space="conservative")),
         (shock, Scheme(solver="hybrid-1", space="characteristic", cap="first")),
-        (periodic, Scheme(solver="hll", order=5, space="characteristic")),
-        (periodic, Scheme(solver="van_leer", order=1, space="primitive")),
+        (smooth, Scheme(solver="hll", order=5, space="characteristic")),
+        (smooth, Scheme(solver="van_leer", order=1, space="primitive")),
     ]
     for field, scheme in cases:
         ref = _loop_assembly(field, scheme)
@@ -533,7 +521,7 @@ def test_assemble_matches_rhs_directional_derivative():
     # S is the (frozen-weight) linearization of the nonlinear residual: for
     # first order (no weights at all) a directional derivative of rhs must
     # match S @ v
-    field = uniform_periodic_field([1.4, 0.9, 0.3, 1.1], nx=6, ny=6)
+    field = uniform_field([1.4, 0.9, 0.3, 1.1], nx=6, ny=6)
     # make it vary along x, with rows that stay equal; it is not steady, so
     # skip the steadiness check and compare derivatives only.  The direction
     # v varies along y too
