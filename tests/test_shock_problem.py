@@ -6,11 +6,11 @@ import pytest
 
 from shockstab import euler, fields, marching, reconstruction, riemann, shock_problem as sp
 from shockstab.errors import ConvergenceError, InvalidStateError, ShockStabError
-from shockstab.fields import MeanField, apply_boundaries, outflow_jacobian
+from shockstab.fields import BoundarySpec, MeanField, apply_boundaries, outflow_jacobian
 from shockstab.scheme import Scheme
 
 from euler_reference import entropy
-from test_marching import edge_boundaries
+from test_marching import _smooth_field, edge_boundaries
 
 
 
@@ -131,12 +131,17 @@ def concatenated_states(field, primitive):
 
 
 @pytest.mark.parametrize("primitive", [False, True])
-@pytest.mark.parametrize("case", ["single", "batch", "row"])
+@pytest.mark.parametrize("case", ["single", "batch", "row", "smooth"])
 def test_apply_boundaries_equals_the_concatenated_reference(case, primitive):
-    # a fresh C-contiguous array, bit for bit the concatenated states
+    # a fresh C-contiguous array, bit for bit the concatenated states; the
+    # smooth field has a transverse velocity and an outflow pressure that
+    # differs from its last column's pressure on every row but row 0
     field = sp.build_initial_field(cfg(ny=3), ny=1 if case == "row" else None)
     rng = np.random.default_rng(13)
-    if case == "batch":
+    if case == "smooth":
+        field = _smooth_field()
+        assert np.any(field.interior_primitive()[-1, :, 3] != field.bc.outflow_pressure)
+    elif case == "batch":
         scale = 1.0 + 0.01 * rng.standard_normal((2, 3) + field.U.shape)
         field = replace(field, U=euler.prim_to_cons(field.interior_primitive() * scale))
     snap = field.U.copy()
@@ -233,6 +238,20 @@ def test_a_primitive_residual_converts_its_states_once(monkeypatch):
     calls["cons_to_prim"].clear()
     sp._fd_jacobian_1d(row, scheme, cols)
     assert calls == {"cons_to_prim": [(2 * len(cols) + 1,) + row.U.shape], "prim_to_cons": []}
+
+
+def test_boundary_spec_needs_inflow_and_outflow():
+    # both fields are required; the conservative inflow state is converted
+    # once per spec
+    with pytest.raises(TypeError):
+        BoundarySpec()
+    with pytest.raises(TypeError):
+        BoundarySpec(inflow_W=sp.upstream_state(cfg()))
+    with pytest.raises(TypeError):
+        BoundarySpec(outflow_pressure=1.0)
+    bc = BoundarySpec(inflow_W=sp.upstream_state(cfg()), outflow_pressure=1.0)
+    assert np.array_equal(bc.inflow_U, euler.prim_to_cons(bc.inflow_W))
+    assert bc.inflow_U is bc.inflow_U
 
 
 def entropy_increase(field, c):
