@@ -1,6 +1,8 @@
 """Semi-discrete residual, SSP-RK3 stepping, perturbation experiments and
 exponential growth-rate fitting.  ``rhs`` reads every face's stencil from
-``fields.face_table`` and differences the face fluxes over unit cells."""
+``fields.face_table`` and differences the face fluxes over unit cells.  It
+takes the field's state axis from its caller, so that an SSP-RK3 step builds
+the axis of its start state once, for its time step and its first stage."""
 
 from dataclasses import dataclass
 
@@ -69,32 +71,43 @@ def face_reconstructions(field: MeanField, states: np.ndarray, scheme: Scheme,
                          linearise: bool = True):
     """Yield (table, solver, FaceRecon) once per part of ``face_parts``.
 
-    Every part gathers both windows of its faces, side-stacked
-    (..., 2F, 5, 4) behind the field's batch axes, in one take along
-    ``table.sides`` from ``states``, the state axis that
-    ``apply_boundaries`` builds in the scheme's window variables;
+    Every part takes what its kind reads of both sides of its faces,
+    side-stacked behind the field's batch axes, in one ``gather_windows``
+    from ``states``, the state axis that ``apply_boundaries`` builds in the
+    scheme's window variables: the cells (..., 2F, 4) where
+    ``reconstruction.reads_cells``, else the windows (..., 2F, 5, 4).
     ``linearise`` is passed on to ``face_parts`` and ``reconstruct_pair``.
     """
     for table, solver, cfg, cap_cfg in face_parts(field, scheme, linearise):
         recon = reconstruction.reconstruct_pair(
-            gather_windows(states, table.sides), cfg, table.frame,
+            gather_windows(states, part_slots(table.sides, cfg, cap_cfg)), cfg, table.frame,
             cap_cfg=cap_cfg, cap_mask=None if cap_cfg is None else table.shock,
             linearise=linearise,
         )
         yield table, solver, recon
 
 
+def part_slots(sides: np.ndarray, cfg, cap_cfg) -> np.ndarray:
+    """The slots of a (2F, 5) side index that a part reads: slot 2, each
+    side's own cell, where ``reconstruction.reads_cells``, else all five."""
+    return sides[:, 2] if reconstruction.reads_cells(cfg, cap_cfg) else sides
+
+
 def gather_windows(states: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """(..., R, 5, 4) windows of (..., S, 4) states gathered by an (R, 5)
-    index.  They are stored slot-major: one slot of a batch's windows, the
-    operand of each reconstruction formula, is then one run of memory."""
-    return np.take(states, index.T, axis=-2).swapaxes(-3, -2)
+    """The states of (..., S, 4) ``states`` that an index into the state
+    axis names: (..., R, 4) cells for an (R,) index, (..., R, 5, 4) windows
+    for an (R, 5) one.  Windows are stored slot-major: one slot of a batch's
+    windows, the operand of each reconstruction formula, is then one run of
+    memory."""
+    taken = np.take(states, index.T, axis=-2)
+    return taken if index.ndim == 1 else taken.swapaxes(-3, -2)
 
 
-def rhs(field: MeanField, scheme: Scheme) -> np.ndarray:
+def rhs(field: MeanField, states: np.ndarray, scheme: Scheme) -> np.ndarray:
     """Semi-discrete residual dU/dt on the interior unit cells, shaped like
-    ``field.U``: a batch of fields gives the stack of their residuals."""
-    states = apply_boundaries(field, scheme.space == "primitive")
+    ``field.U``: a batch of fields gives the stack of their residuals.
+    ``states`` is the field's state axis in the scheme's window variables,
+    ``apply_boundaries(field, scheme.space == "primitive")``."""
     res = np.zeros(field.U.shape)
     for table, solver, recon in face_reconstructions(field, states, scheme, linearise=False):
         flux = riemann.compute_flux(solver, recon.W, table.frame)
@@ -106,23 +119,38 @@ def rhs(field: MeanField, scheme: Scheme) -> np.ndarray:
     return res
 
 
-def cfl_dt(field: MeanField, cfl: float) -> float:
-    W = field.interior_primitive()
+def cfl_dt(W: np.ndarray, cfl: float) -> float:
+    """The time step cfl / max(|u| + c, |v| + c) over primitive cell states
+    W (..., 4) of unit cells."""
     c = euler.sound_speed(W)
     speed = np.maximum(np.abs(W[..., 1]) + c, np.abs(W[..., 2]) + c)
     return cfl / float(speed.max())
 
 
-def step_ssprk3(field: MeanField, dt: float, scheme: Scheme) -> MeanField:
-    """Three-stage SSP Runge-Kutta update; returns a new field."""
+def step_ssprk3(field: MeanField, scheme: Scheme, cfl: float,
+                dt_max: float) -> tuple[MeanField, float]:
+    """One three-stage SSP Runge-Kutta step of dt = min(cfl_dt, dt_max);
+    returns (new field, dt).
+
+    The start state is converted once.  The first stage's state axis is
+    built before the step's length is known, and in the primitive space
+    ``cfl_dt`` reads the interior cells of that axis; elsewhere it reads
+    ``field.interior_primitive()``.  An inadmissible start state raises
+    ``InvalidStateError`` from that conversion.
+    """
+    primitive = scheme.space == "primitive"
+    states = apply_boundaries(field, primitive)
+    W = states[..., : field.nx * field.ny, :] if primitive else field.interior_primitive()
+    dt = min(cfl_dt(W, cfl), dt_max)
 
     def stage(prev):
-        return prev + dt * rhs(MeanField(prev, field.bc, field.shock_column), scheme)
+        f = MeanField(prev, field.bc, field.shock_column)
+        return prev + dt * rhs(f, apply_boundaries(f, primitive), scheme)
 
     u0 = field.U
-    u1 = stage(u0)
+    u1 = u0 + dt * rhs(field, states, scheme)
     u2 = 0.75 * u0 + 0.25 * stage(u1)
-    return MeanField(u0 / 3.0 + 2.0 / 3.0 * stage(u2), field.bc, field.shock_column)
+    return MeanField(u0 / 3.0 + 2.0 / 3.0 * stage(u2), field.bc, field.shock_column), dt
 
 
 def inject_perturbation(field: MeanField, amplitude: float, seed: int) -> MeanField:
@@ -143,9 +171,10 @@ def transverse_velocity_norm(field: MeanField) -> float:
 def march(field: MeanField, run: RunConfig):
     """Advance a perturbed field to the end time, sampling ||v||_inf each step.
 
-    Returns (MonitorSeries, final field).  A NaN or invalid state flags a
-    collapse instead of raising, whether it is the perturbed start, a stage
-    or the state a step ends in.
+    Returns (MonitorSeries, final field).  Each step takes its own length
+    from the state it starts from (``step_ssprk3``).  A NaN or invalid state
+    flags a collapse instead of raising, whether it is the perturbed start, a
+    stage or the state a step ends in.
     """
     state = inject_perturbation(field, run.amplitude, run.seed)
     t = 0.0
@@ -154,8 +183,7 @@ def march(field: MeanField, run: RunConfig):
     collapsed = False
     while t < run.end_time:
         try:
-            dt = min(cfl_dt(state, run.cfl), run.end_time - t)
-            state = step_ssprk3(state, dt, run.scheme)
+            state, dt = step_ssprk3(state, run.scheme, run.cfl, run.end_time - t)
         except InvalidStateError:
             collapsed = True
         else:

@@ -2,13 +2,15 @@
 
 A face between cells i and i+1 owns two reconstructed states.  The left state
 uses the window (i-2 .. i+2), the right state the window (i+3 .. i-1): the
-right state is the left state of the mirrored window.  Windows are always
-five cell states of shape (..., 5, 4) even for the compact schemes, which
-only read the middle slots.  A batch of F faces of any orientation comes on
+right state is the left state of the mirrored window.  Windows are five cell
+states of shape (..., 5, 4).  A batch of F faces of any orientation comes on
 one side axis, windows (..., 2F, 5, 4) behind the field's batch axes: the
 left windows, then the right windows mirrored, gathered along each face's
 normal by ``fields.face_table``, so that one left-state formula
-reconstructs every row.  The ``FaceFrame`` holds one normal per face.
+reconstructs every row.  A first-order part outside the characteristic
+space (``reads_cells``) needs only slot 2 of each window, the side's own
+cell: it takes the cells (..., 2F, 4), and its face states are those cells.
+The ``FaceFrame`` holds one normal per face.
 
 WENO5 and ENO3 work on the substencil axis -2 of length 3: substencil m of a
 window covers slots m..m+2, so its three overlapping slices (slots 0..2, 1..3
@@ -64,45 +66,71 @@ def _substencils(w):
 # Coefficient columns of the substencil formulas.  A unit or negated
 # coefficient repeats the plain add or subtract bit for bit, and the 0 of
 # beta_1 adds a signed zero that its square removes.
-_BETA_A, _BETA_B, _BETA_C = (np.array(c, dtype=float)[:, None] for c in
-                             ((1, 1, 3), (-4, 0, -4), (3, -1, 1)))
-_CAND_A, _CAND_B, _CAND_C = (np.array(c, dtype=float)[:, None] for c in
-                             ((2, -1, 2), (-7, 5, 5), (11, 2, -1)))
+_BETA = tuple(np.array(c, dtype=float)[:, None] for c in ((1, 1, 3), (-4, 0, -4), (3, -1, 1)))
+_CAND = tuple(np.array(c, dtype=float)[:, None] for c in ((2, -1, 2), (-7, 5, 5), (11, 2, -1)))
+
+
+def _combine(coeffs, slices) -> np.ndarray:
+    """A a + B b + C c of the coefficient columns (A, B, C) and the
+    substencil slices (a, b, c), added in that order in two buffers."""
+    (A, B, C), (a, b, c) = coeffs, slices
+    out = A * a
+    tmp = B * b
+    out += tmp
+    np.multiply(C, c, out=tmp)
+    out += tmp
+    return out
 
 
 def smoothness_indicators(w) -> np.ndarray:
     """The three quadratic smoothness measures of 5-point windows.
 
     ``w`` has shape (..., 5, comps); returns the betas on the substencil
-    axis -2, shape (..., 3, comps), each formula one array expression over
-    the slices of ``_substencils``:
+    axis -2, shape (..., 3, comps), each formula formed over the slices of
+    ``_substencils`` in place, in the order of
     beta_m = 13/12 (a - 2b + c)^2 + 1/4 (A_m a + B_m b + C_m c)^2.
     """
-    a, b, c = _substencils(w)
-    return (13.0 / 12.0 * (a - 2 * b + c) ** 2
-            + 0.25 * (_BETA_A * a + _BETA_B * b + _BETA_C * c) ** 2)
+    slices = a, b, c = _substencils(w)
+    beta = 2 * b
+    np.subtract(a, beta, out=beta)
+    beta += c
+    np.square(beta, out=beta)
+    beta *= 13.0 / 12.0
+    slope = _combine(_BETA, slices)
+    np.square(slope, out=slope)
+    slope *= 0.25
+    beta += slope
+    return beta
 
 
 def weights_js(beta) -> np.ndarray:
     """Classic nonlinear weights alpha_m = d_m / (beta_m + eps)^2, normalized
     over the substencil axis -2."""
-    alpha = LINEAR_WEIGHTS[:, None] / (beta + WENO_EPS) ** 2
-    return alpha / alpha.sum(axis=-2, keepdims=True)
+    alpha = beta + WENO_EPS
+    np.square(alpha, out=alpha)
+    np.divide(LINEAR_WEIGHTS[:, None], alpha, out=alpha)
+    alpha /= alpha.sum(axis=-2, keepdims=True)
+    return alpha
 
 
 def weights_z(beta) -> np.ndarray:
     """WENO-Z weights alpha_m = d_m (1 + tau5/(beta_m + eps)), tau5 = |b0 - b2|."""
     tau5 = np.abs(beta[..., 0, :] - beta[..., 2, :])[..., None, :]
-    alpha = LINEAR_WEIGHTS[:, None] * (1.0 + tau5 / (beta + WENO_EPS))
-    return alpha / alpha.sum(axis=-2, keepdims=True)
+    alpha = beta + WENO_EPS
+    np.divide(tau5, alpha, out=alpha)
+    alpha += 1.0
+    alpha *= LINEAR_WEIGHTS[:, None]
+    alpha /= alpha.sum(axis=-2, keepdims=True)
+    return alpha
 
 
 def weno5_candidates(w) -> np.ndarray:
     """Left-state values of the three substencil polynomials on the
     substencil axis -2, (A_m a + B_m b + C_m c)/6 over the slices of
     ``_substencils``."""
-    a, b, c = _substencils(w)
-    return (_CAND_A * a + _CAND_B * b + _CAND_C * c) / 6.0
+    cand = _combine(_CAND, _substencils(w))
+    cand /= 6.0
+    return cand
 
 
 def _weno_lin_coeffs(om) -> np.ndarray:
@@ -161,8 +189,9 @@ def _left_state(win, cfg: ReconConfig, linearise: bool = True):
         om = weights_js(beta)
     else:
         om = weights_z(beta)
-    value = (om * weno5_candidates(win)).sum(axis=-2)
-    return value, _weno_lin_coeffs(om) if linearise else None
+    cand = weno5_candidates(win)
+    cand *= om
+    return cand.sum(axis=-2), _weno_lin_coeffs(om) if linearise else None
 
 
 def _admissible(W):
@@ -197,6 +226,15 @@ class FaceRecon:
     fallback: np.ndarray
 
 
+def reads_cells(cfg: ReconConfig, cap_cfg: ReconConfig | None) -> bool:
+    """True when a part's face states are the cells next to its faces,
+    window slot 2: first order outside the characteristic space, with no
+    cap or a first-order one.  A characteristic part takes its bits from the
+    R L round trip, and a higher-order cap reads the whole window."""
+    return (cfg.kind == "first" and cfg.space != "characteristic"
+            and (cap_cfg is None or cap_cfg.kind == "first"))
+
+
 def reconstruct_pair(
     win,
     cfg: ReconConfig,
@@ -205,9 +243,12 @@ def reconstruct_pair(
     cap_mask=None,
     linearise: bool = True,
 ) -> FaceRecon:
-    """Reconstruct both states of every face from its side-stacked windows
-    (..., 2F, 5, 4): primitive states in the primitive space, else
-    conservative ones.
+    """Reconstruct both states of every face from the side-stacked slots its
+    part reads: the cells (..., 2F, 4) where ``reads_cells``, else the
+    windows (..., 2F, 5, 4).  A part that reads cells takes slot 2 of
+    windows too; a side axis has even length, so an axis -2 of length 5 is
+    a slot axis.  The states are primitive in the primitive space, else
+    conservative.
 
     ``cap_mask`` (F,) selects faces whose order is capped (near-shock
     treatment); both rows of those faces are re-reconstructed with
@@ -217,6 +258,8 @@ def reconstruct_pair(
     face states and the fallback mask are the same either way.
     """
     win = np.asarray(win, dtype=float)
+    if reads_cells(cfg, cap_cfg):
+        return _cell_states(win[..., 2, :] if win.shape[-2] == 5 else win, cfg.space, linearise)
     recon = _reconstruct_sides(win, cfg, frame, linearise)
     if cap_mask is not None and np.count_nonzero(cap_mask):
         batch = (slice(None),) * (win.ndim - 3)
@@ -227,6 +270,19 @@ def reconstruct_pair(
             recon.lin[rows] = sub.lin
         recon.fallback[batch + (cap_mask,)] = sub.fallback
     return recon
+
+
+def _cell_states(cells, space, linearise):
+    """First-order states of the faces whose adjacent cells are ``cells``
+    (..., 2F, 4): the cells themselves, converted in the conservative space,
+    where a bad cell raises named by its (side, face).  No face falls back."""
+    W = cells if space == "primitive" else euler.on_sides(euler.cons_to_prim, cells, "face cell")
+    lin = None
+    if linearise:
+        lin = np.zeros(cells.shape[:-1] + (5, 4))
+        lin[..., 2, :] = 1.0
+    fallback = np.zeros(cells.shape[:-2] + (cells.shape[-2] // 2,), dtype=bool)
+    return FaceRecon(W=W, lin=lin, Lmat=None, Rmat=None, space=space, fallback=fallback)
 
 
 def _reconstruct_sides(win, cfg, frame, linearise):

@@ -37,10 +37,10 @@ def roe_flux(W, frame: FaceFrame) -> np.ndarray:
     through the quadratic smoothing floor ``ROE_DELTA0``."""
     W = np.asarray(W, dtype=float)
     n = W.shape[-2] // 2
-    F = euler.exact_flux_w(W, frame.sides)
+    F, v2_side, _ = euler.flux_terms(W, frame.sides)
     g1 = GAMMA - 1.0
     s = np.sqrt(W[..., 0])
-    h_side = GAMMA * W[..., 3] / (g1 * W[..., 0]) + 0.5 * (W[..., 1] ** 2 + W[..., 2] ** 2)
+    h_side = GAMMA * W[..., 3] / (g1 * W[..., 0]) + 0.5 * v2_side
 
     WL, WR = W[..., :n, :], W[..., n:, :]
     sl, sr = s[..., :n], s[..., n:]
@@ -116,8 +116,8 @@ def hll_flux(W, frame: FaceFrame) -> np.ndarray:
     W = np.asarray(W, dtype=float)
     n = W.shape[-2] // 2
     _, s_l, s_r = _side_speeds(W, frame)
-    F = euler.exact_flux_w(W, frame.sides)
-    U = euler.prim_to_cons(W)
+    F, _, en = euler.flux_terms(W, frame.sides)
+    U = euler.cons_with_energy(W, en)
     FL, FR = F[..., :n, :], F[..., n:, :]
     sl = s_l[..., None]
     sr = s_r[..., None]
@@ -146,8 +146,8 @@ def hllc_flux(W, frame: FaceFrame) -> np.ndarray:
     q = np.where(left, qL, qR)
     s_k = np.where(left, s_l, s_r)
     m_k = np.where(left, mL, mR)
-    F = euler.exact_flux_w(W, frame)
-    U = euler.prim_to_cons(W)
+    F, _, en = euler.flux_terms(W, frame)
+    U = euler.cons_with_energy(W, en)
 
     rho, p = W[..., 0], W[..., 3]
     factor = m_k / (s_k - s_star)
@@ -156,7 +156,7 @@ def hllc_flux(W, frame: FaceFrame) -> np.ndarray:
     u_star[..., 0] = 1.0
     u_star[..., 1] = W[..., 1] + d_q * frame.nx
     u_star[..., 2] = W[..., 2] + d_q * frame.ny
-    u_star[..., 3] = U[..., 3] / rho + d_q * (s_star + p / m_k)
+    u_star[..., 3] = en / rho + d_q * (s_star + p / m_k)
     star = F + s_k[..., None] * (factor[..., None] * u_star - U)
     return np.where(fan[..., None], star, F)
 
@@ -182,6 +182,7 @@ def van_leer_flux(W, frame: FaceFrame) -> np.ndarray:
     sign, quarter, two = _side_signs(n)
     rho, u, v = W[..., 0], W[..., 1], W[..., 2]
     c = euler.on_sides(euler.sound_speed, W)
+    full, v2, _ = euler.flux_terms(W, sides)
     q = _normal_velocity(W, sides)
     m = q / c
     fm = quarter * rho * c * (m + sign) ** 2
@@ -193,9 +194,8 @@ def van_leer_flux(W, frame: FaceFrame) -> np.ndarray:
     sub[..., 2] = fm * (v + sides.ny * vel)
     sub[..., 3] = fm * (
         ((g - 1.0) * q + two_c) ** 2 / (2.0 * (g * g - 1.0))
-        + 0.5 * (u * u + v * v - q * q)
+        + 0.5 * (v2 - q * q)
     )
-    full = euler.exact_flux_w(W, sides)
     # the side's own Mach number: sign * m >= 1 flows wholly out of it
     sm = (sign * m)[..., None]
     split = np.where(sm >= 1.0, full, np.where(sm <= -1.0, 0.0, sub))

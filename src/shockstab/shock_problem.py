@@ -125,7 +125,8 @@ def build_initial_field(cfg: ShockProblemConfig, ny: int | None = None) -> MeanF
 
 def _residual_1d(field, scheme) -> np.ndarray:
     """rhs of a row (or a batch of rows) flattened to (..., 4 nx)."""
-    return marching.rhs(field, scheme).reshape(field.U.shape[:-3] + (-1,))
+    states = fields.apply_boundaries(field, scheme.space == "primitive")
+    return marching.rhs(field, states, scheme).reshape(field.U.shape[:-3] + (-1,))
 
 
 @functools.lru_cache(maxsize=None)
@@ -172,9 +173,11 @@ def _fd_jacobian_1d(field, scheme, cols) -> tuple[np.ndarray, np.ndarray]:
     the residual of ``rhs``, bit for bit.  The 2m probes and the row itself
     (member 2m) are stacked on a batch axis and pass through one
     ``apply_boundaries``, which in the primitive space converts the stack
-    once; then one ``reconstruct_pair`` and one ``compute_flux`` call
-    evaluate only the faces each probe touches (``_probe_faces``) together
-    with the row's faces.  Each probe's face fluxes are the row's with its
+    once.  Then one ``gather_windows`` reads the slots the part reads
+    (``marching.part_slots``: the cells at first order, else the windows)
+    of only the faces each probe touches (``_probe_faces``) together with
+    the row's faces, and one ``reconstruct_pair`` and one ``compute_flux``
+    call evaluate them.  Each probe's face fluxes are the row's with its
     touched faces written over.  Every member, the row included, is
     differenced as ``rhs`` does, so r equals ``_residual_1d`` of the row bit
     for bit.  A probe that leaves the admissible states makes that one pass
@@ -193,7 +196,8 @@ def _fd_jacobian_1d(field, scheme, cols) -> tuple[np.ndarray, np.ndarray]:
     probe, face, sides, shock = _probe_faces(table, tuple(i.tolist()))
     states = fields.apply_boundaries(probes, scheme.space == "primitive")
     recon = reconstruction.reconstruct_pair(
-        marching.gather_windows(states.reshape(-1, 4), sides), cfg, table.frame,
+        marching.gather_windows(states.reshape(-1, 4), marching.part_slots(sides, cfg, cap_cfg)),
+        cfg, table.frame,
         cap_cfg=cap_cfg, cap_mask=None if cap_cfg is None else shock, linearise=False,
     )
     flux = riemann.compute_flux(solver, recon.W, table.frame)
@@ -440,7 +444,7 @@ def converge_1d(cfg: ShockProblemConfig, scheme: Scheme):
     diverged = f"1D smoothing march diverged for {scheme.label()}"
     for _ in range(n_smooth):
         try:
-            field = marching.step_ssprk3(field, marching.cfl_dt(field, 0.05), scheme)
+            field, _ = marching.step_ssprk3(field, scheme, 0.05, np.inf)
         except InvalidStateError as err:
             raise ConvergenceError(diverged) from err
         if not np.all(np.isfinite(field.U)):
@@ -477,7 +481,7 @@ def converge_1d(cfg: ShockProblemConfig, scheme: Scheme):
             field, res = trial, tres
 
     if res >= cfg.converge_tol:
-        drho = np.abs(marching.rhs(field, scheme)[:, 0, 0])
+        drho = np.abs(_residual_1d(field, scheme)[0::4])
         raise ConvergenceError(
             f"{scheme.label()}: 1D residual {res:.3e} >= converge_tol "
             f"{cfg.converge_tol:.0e} after the implicit solve and its restarts; "

@@ -220,14 +220,14 @@ def assemble(field: MeanField, scheme: Scheme, check_steady: bool = True) -> Sta
     W_mean = field.interior_primitive()
     # every y-flux difference is exactly 0, so the row's residual is the field's
     field = replace(field, U=field.U[:, :1])
+    states = apply_boundaries(field, scheme.space == "primitive")
     if check_steady:
-        res = float(np.abs(marching.rhs(field, scheme)[..., 0]).max())
+        res = float(np.abs(marching.rhs(field, states, scheme)[..., 0]).max())
         if res > STEADY_TOL:
             raise UnsteadyFieldError(
                 f"mean field density residual {res:.3e} exceeds {STEADY_TOL:.1e}; "
                 "converge the base flow first"
             )
-    states = apply_boundaries(field, scheme.space == "primitive")
     T_out = outflow_jacobian(field, scheme.space == "primitive")
 
     parts = []

@@ -13,11 +13,13 @@ import pytest
 import scipy.linalg
 
 from shockstab import euler, fields, marching, reconstruction, riemann, shock_problem as sp, stability
+from shockstab.errors import InvalidStateError
 from shockstab.euler import X_FACE, Y_FACE
 from shockstab.scheme import Scheme
 
 from circulant import dense
 from padded_reference import padded
+from residual import residual
 from side_axis import side_windows
 from test_marching import _smooth_field
 
@@ -184,7 +186,7 @@ def test_face_batch_rhs_equals_the_per_direction_reference(solver, space):
         for scheme in _schemes(solver, space):
             for U in (field.U, batch):
                 f = replace(field, U=U)
-                assert np.array_equal(marching.rhs(f, scheme), per_direction_rhs(f, scheme)), (
+                assert np.array_equal(residual(f, scheme), per_direction_rhs(f, scheme)), (
                     scheme.label(), U.shape)
     if space == "conservative" and Scheme(solver=solver).parts[0][2].kind == "weno5":
         # the raw M = 20 jump drives p < 0 at a fifth-order x face
@@ -250,7 +252,7 @@ def test_one_reconstruction_and_one_flux_call_per_scheme_part(monkeypatch, solve
     counting(reconstruction, "reconstruct_pair")
     counting(riemann, "compute_flux")
     field = sp.build_initial_field(sp.ShockProblemConfig(ny=4))
-    marching.rhs(field, Scheme(solver=solver, order=5, cap="second"))
+    residual(field, Scheme(solver=solver, order=5, cap="second"))
     assert calls == {"reconstruct_pair": batches, "compute_flux": batches}
 
 
@@ -258,24 +260,88 @@ def test_one_reconstruction_and_one_flux_call_per_scheme_part(monkeypatch, solve
 @pytest.mark.parametrize("solver, batches", [("roe", 1), ("hybrid-2", 2)])
 def test_one_left_state_call_and_one_window_gather_per_face_batch(monkeypatch, space, solver,
                                                                    batches):
-    # both states of every face come from one gather and one reconstruction,
-    # in the primitive space too, where the cells are converted first
-    calls = {"_left_state": 0, "gather_windows": 0}
+    # one gather per part, of the slots its kind reads, in the primitive
+    # space too, where the cells are converted first.  A WENO part gathers
+    # five-slot windows and makes one left-state call.  hybrid-2's
+    # first-order y part takes its faces' own cells and makes none, except
+    # in the characteristic space, whose bits come from the R L round trip
+    # of whole windows
+    calls = {"_left_state": 0, "gather_windows": []}
 
-    def counting(module, name):
+    def counting(module, name, record):
         original = getattr(module, name)
 
         def counted(*args, **kwargs):
-            calls[name] += 1
+            record(*args)
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
 
-    counting(reconstruction, "_left_state")
-    counting(marching, "gather_windows")
+    def left_state(*args):
+        calls["_left_state"] += 1
+
+    counting(reconstruction, "_left_state", left_state)
+    counting(marching, "gather_windows", lambda states, index: calls["gather_windows"].append(
+        index.shape[1:]))
     field = sp.build_initial_field(sp.ShockProblemConfig(ny=4))
-    marching.rhs(field, Scheme(solver=solver, order=5, space=space))
-    assert calls == {"_left_state": batches, "gather_windows": batches}
+    residual(field, Scheme(solver=solver, order=5, space=space))
+    y_slots = (5,) if space == "characteristic" else ()
+    assert calls["gather_windows"] == [(5,), y_slots][:batches]
+    assert calls["_left_state"] == 1 + (batches - 1) * (space == "characteristic")
+
+
+def _adjacent_cells(field, primitive):
+    """(2F, 4) side-stacked cells before and after every face of the flat
+    face axis, x faces then y faces, from the padded reference: x face k of
+    row j lies between cells (k-1, j) and (k, j), y face l of column i
+    between cells (i, l-1) and (i, l)."""
+    P = padded(field, primitive)[2:, 2:]  # cell (i, j) at [i + 1, j + 1]
+    nx, ny = field.nx, field.ny
+    left = [P[: nx + 1, 1 : ny + 1], P[1 : nx + 1, : ny + 1]]
+    right = [P[1 : nx + 2, 1 : ny + 1], P[1 : nx + 1, 1 : ny + 2]]
+    return np.concatenate([c.reshape(-1, 4) for c in left + right])
+
+
+@pytest.mark.parametrize("space", ["primitive", "conservative"])
+@pytest.mark.parametrize("solver", ["roe", "hllc", "van_leer"])
+def test_first_order_faces_are_their_cells(solver, space):
+    # a first-order part's two states of a face are the cells before and
+    # after it, converted in the conservative space, bit for bit, and no
+    # face falls back; linearised, each state reads its own cell, window
+    # slot 2, with weight 1
+    scheme = Scheme(solver=solver, order=1, space=space)
+    primitive = space == "primitive"
+    shock = sp.build_initial_field(sp.ShockProblemConfig(ny=3))
+    rng = np.random.default_rng(34)
+    perturbed = replace(shock, U=shock.U * (1.0 + 1e-3 * rng.standard_normal(shock.U.shape)))
+    first = np.zeros((5, 4))
+    first[2] = 1.0
+    for field in (shock, perturbed):
+        cells = _adjacent_cells(field, primitive)
+        expected = cells if primitive else euler.cons_to_prim(cells)
+        states = fields.apply_boundaries(field, primitive)
+        for linearise in (True, False):
+            (table, _, recon), = marching.face_reconstructions(field, states, scheme, linearise)
+            assert recon.W.shape == expected.shape == (2 * len(table.window), 4)
+            assert recon.W.tobytes() == expected.tobytes()
+            assert recon.fallback.shape == (len(table.window),) and not recon.fallback.any()
+            if linearise:
+                assert np.array_equal(recon.lin, np.broadcast_to(first, recon.W.shape[:1] + (5, 4)))
+            else:
+                assert recon.lin is None
+    # a conservative row whose cell 7 has p < 0 is refused where its faces
+    # read it: as the left cell of face 8 and the right cell of face 7, by
+    # (side, face)
+    row = sp.build_initial_field(sp.ShockProblemConfig(), ny=1)
+    W = euler.cons_to_prim(row.U)
+    W[7, 0, 3] = -1e-3
+    row.U = euler.prim_to_cons(W)
+    if primitive:
+        match = r"non-positive pressure in interior at cell\(s\) \(7, 0\)$"
+    else:
+        match = r"non-positive pressure in face cell at cell\(s\) \(0, 8\), \(1, 7\)$"
+    with pytest.raises(InvalidStateError, match=match):
+        residual(row, scheme)
 
 
 def test_face_table_windows_and_normals():

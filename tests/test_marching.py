@@ -10,6 +10,7 @@ from shockstab.marching import MonitorSeries, RunConfig, fit_growth_rate
 from shockstab.scheme import Scheme
 
 from padded_reference import padded
+from residual import residual
 from side_axis import face_flux
 
 
@@ -29,7 +30,7 @@ def uniform_field(W, nx=8, ny=8):
 @pytest.mark.parametrize("solver", ["roe", "hll", "hllc", "van_leer"])
 def test_rhs_uniform_field_vanishes(solver, order):
     field = uniform_field([1.4, 20.0, 3.0, 1.0])
-    r = marching.rhs(field, Scheme(solver=solver, order=order, space="primitive"))
+    r = residual(field, Scheme(solver=solver, order=order, space="primitive"))
     assert np.abs(r).max() < 1e-11
 
 
@@ -37,7 +38,7 @@ def test_rhs_steady_two_state_shock(monkeypatch):
     monkeypatch.setattr(riemann, "ROE_DELTA0", 1e-13)
     c = sp.ShockProblemConfig(epsilon=0.0)
     field = sp.build_initial_field(c)
-    r = marching.rhs(field, Scheme(solver="roe", order=1))
+    r = residual(field, Scheme(solver="roe", order=1))
     assert np.abs(r[..., 0]).max() < 1e-9
 
 
@@ -52,7 +53,7 @@ def test_rhs_matches_flux_divergence_manufactured():
             W[i, j] = [1.0 + 0.05 * i + 0.02 * j, 0.3 + 0.01 * i, 0.1 - 0.01 * j, 1.0 + 0.03 * i]
     field = MeanField(U=euler.prim_to_cons(W), bc=edge_boundaries(W))
     scheme = Scheme(solver="hll", order=1)
-    r = marching.rhs(field, scheme)
+    r = residual(field, scheme)
     from shockstab import riemann
 
     Wpad = padded(field, True)
@@ -73,7 +74,7 @@ def test_flux_telescoping_row_sums():
     c = sp.ShockProblemConfig()
     field = sp.build_initial_field(c)
     scheme = Scheme(solver="hll", order=5)
-    r = marching.rhs(field, scheme)
+    r = residual(field, scheme)
     from shockstab import reconstruction, riemann
 
     table = fields.face_table(c.nx, c.ny, ("x",), None)
@@ -122,9 +123,9 @@ def test_batched_rhs_is_the_stack_of_single_rhs(monkeypatch, order, space, cap):
         for batch in ((3,), (2, 2)):
             U = field.U * (1.0 + 1e-3 * rng.standard_normal(batch + field.U.shape))
             fallbacks.clear()
-            batched = marching.rhs(replace(field, U=U), scheme)
+            batched = residual(replace(field, U=U), scheme)
             hit_fallback = any(fallbacks)
-            single = [marching.rhs(replace(field, U=u), scheme)
+            single = [residual(replace(field, U=u), scheme)
                       for u in U.reshape((-1,) + field.U.shape)]
             assert batched.shape == U.shape
             assert np.array_equal(batched, np.stack(single).reshape(U.shape))
@@ -146,20 +147,34 @@ def test_window_scan_tries_a_window_of_exactly_min_len():
 
 
 def test_cfl_dt():
-    field = uniform_field([1.4, 20.0, 0.0, 1.0])
-    dt = marching.cfl_dt(field, 0.1)
+    W = uniform_field([1.4, 20.0, 0.0, 1.0]).interior_primitive()
+    dt = marching.cfl_dt(W, 0.1)
     assert abs(dt - 0.1 / 21.0) < 1e-15
-    assert abs(marching.cfl_dt(field, 0.2) - 2 * dt) < 1e-15
-    still = uniform_field([1.4, 0.0, 0.0, 1.0])
+    assert abs(marching.cfl_dt(W, 0.2) - 2 * dt) < 1e-15
+    still = uniform_field([1.4, 0.0, 0.0, 1.0]).interior_primitive()
     assert abs(marching.cfl_dt(still, 0.1) - 0.1) < 1e-15  # c = 1
 
 
 def test_step_ssprk3_fixed_point_and_dt0():
     field = uniform_field([1.0, 0.5, -0.2, 2.0])
-    out = marching.step_ssprk3(field, 0.01, Scheme(solver="roe", order=5))
+    out, dt = marching.step_ssprk3(field, Scheme(solver="roe", order=5), 1.0, 0.01)
+    assert dt == 0.01
     assert np.allclose(out.U, field.U, atol=1e-13)
-    out0 = marching.step_ssprk3(field, 0.0, Scheme(solver="roe", order=2))
+    out0, dt0 = marching.step_ssprk3(field, Scheme(solver="roe", order=2), 1.0, 0.0)
+    assert dt0 == 0.0
     assert np.array_equal(out0.U, field.U)
+
+
+@pytest.mark.parametrize("space", ["conservative", "primitive", "characteristic"])
+def test_step_length_is_the_cfl_step_of_its_start_state(space):
+    # the step reads its length from the state it starts from, capped by dt_max
+    field = marching.inject_perturbation(sp.build_initial_field(sp.ShockProblemConfig()), 1e-3, 5)
+    scheme = Scheme(solver="roe", order=1, space=space)
+    expected = marching.cfl_dt(field.interior_primitive(), 0.3)
+    _, dt = marching.step_ssprk3(field, scheme, 0.3, np.inf)
+    assert dt == expected
+    _, capped = marching.step_ssprk3(field, scheme, 0.3, 0.5 * expected)
+    assert capped == 0.5 * expected
 
 
 def test_entropy_wave_advection_order():
@@ -181,8 +196,7 @@ def test_entropy_wave_advection_order():
     t, t_end = 0.0, float(shift)
     state = field
     while t < t_end - 1e-12:
-        dt = min(marching.cfl_dt(state, 0.4), t_end - t)
-        state = marching.step_ssprk3(state, dt, scheme)
+        state, dt = marching.step_ssprk3(state, scheme, 0.4, t_end - t)
         t += dt
     err = np.abs(state.U[..., 0] - np.roll(field.U[..., 0], shift, axis=0)).max()
     assert err < 2e-4  # advected by half the domain: high-order scheme keeps the bump
@@ -222,6 +236,24 @@ def test_march_determinism():
     assert np.array_equal(f1.U, f2.U)
 
 
+def test_a_primitive_step_converts_its_start_state_once(monkeypatch):
+    # one step of a primitive march converts once per stage: its time step
+    # reads the first stage's cells, so the start state is converted once
+    field = sp.build_initial_field(sp.ShockProblemConfig())
+    run = RunConfig(scheme=Scheme(solver="roe", order=5, space="primitive"), end_time=1e-6)
+    calls = []
+    original = euler.cons_to_prim
+
+    def counted(U, *args):
+        calls.append(np.shape(U))
+        return original(U, *args)
+
+    monkeypatch.setattr(euler, "cons_to_prim", counted)
+    series, _ = marching.march(field, run)
+    assert len(series.t) == 2  # one step
+    assert calls == [field.U.shape] * 3
+
+
 def test_inadmissible_start_is_a_collapse():
     # the perturbation at amplitude 0.3 leaves p < 0 in some cell: the march
     # reports a collapse at t = 0 instead of raising from its time step
@@ -235,14 +267,16 @@ def test_inadmissible_start_is_a_collapse():
 
 def test_step_ending_in_an_inadmissible_state_is_a_collapse(monkeypatch):
     # a finite state with p < 0 after a step (its final RK combination) is
-    # caught when the next step's dt is computed
+    # caught when the next step converts its start state
     field = sp.build_initial_field(sp.ShockProblemConfig(ny=4))
     run = RunConfig(scheme=Scheme(solver="roe", order=1), end_time=1.0, amplitude=1e-9)
+    step = marching.step_ssprk3
 
-    def bad_step(state, dt, scheme):
-        W = euler.cons_to_prim(state.U)
+    def bad_step(state, scheme, cfl, dt_max):
+        out, dt = step(state, scheme, cfl, dt_max)
+        W = euler.cons_to_prim(out.U)
         W[2, 1, 3] = -1e-3
-        return replace(state, U=euler.prim_to_cons(W))
+        return replace(out, U=euler.prim_to_cons(W)), dt
 
     monkeypatch.setattr(marching, "step_ssprk3", bad_step)
     series, state = marching.march(field, run)
@@ -261,12 +295,12 @@ def test_step_ending_in_a_non_finite_state_is_a_collapse(monkeypatch, component,
     run = RunConfig(scheme=Scheme(solver="roe", order=1), end_time=1.0, amplitude=1e-9)
     steps = []
 
-    def bad_step(state, dt, scheme):
+    def bad_step(state, scheme, cfl, dt_max):
         assert not steps, "the march went on after a non-finite step"
         U = state.U.copy()
         U[2, 1, component] = value
         steps.append(MeanField(U, state.bc, state.shock_column))
-        return steps[-1]
+        return steps[-1], 0.01
 
     monkeypatch.setattr(marching, "step_ssprk3", bad_step)
     series, state = marching.march(field, run)

@@ -10,6 +10,7 @@ from shockstab.fields import BoundarySpec, MeanField, apply_boundaries, outflow_
 from shockstab.scheme import Scheme
 
 from euler_reference import entropy
+from residual import residual
 from test_marching import _smooth_field, edge_boundaries
 
 
@@ -211,10 +212,10 @@ def test_primitive_rhs_names_the_bad_interior_cell():
     scheme = Scheme(solver="roe", order=5, space="primitive")
     field.U[4, 2, 0] = -1.0
     with pytest.raises(InvalidStateError, match=r"density in interior at cell\(s\) \(4, 2\)$"):
-        marching.rhs(field, scheme)
+        residual(field, scheme)
     stack = replace(field, U=np.stack([sp.build_initial_field(cfg(ny=5)).U, field.U]))
     with pytest.raises(InvalidStateError, match=r"density in interior at cell\(s\) \(1, 4, 2\)$"):
-        marching.rhs(stack, scheme)
+        residual(stack, scheme)
 
 
 def test_a_primitive_residual_converts_its_states_once(monkeypatch):
@@ -233,7 +234,7 @@ def test_a_primitive_residual_converts_its_states_once(monkeypatch):
             return _original(X, *args)
 
         monkeypatch.setattr(euler, name, counted)
-    marching.rhs(field, scheme)
+    residual(field, scheme)
     assert calls == {"cons_to_prim": [field.U.shape], "prim_to_cons": []}
     calls["cons_to_prim"].clear()
     sp._fd_jacobian_1d(row, scheme, cols)
@@ -300,7 +301,7 @@ def test_converge_1d_roe_first_order_eps0(monkeypatch):
     c = cfg(epsilon=0.0)
     scheme = Scheme(solver="roe", order=1)
     field = sp.build_initial_field(c, ny=1)
-    r = marching.rhs(field, scheme)
+    r = residual(field, scheme)
     assert np.abs(r[..., 0]).max() < 1e-9
     profile, info = sp.converge_1d(c, scheme)
     assert info["steps"] <= 100
@@ -318,7 +319,7 @@ def test_converge_1d_hll_first_order():
     assert profile[5, 0] == sp.intermediate_state(c)[0]
     field = sp.project_to_2d(profile, c)
     assert np.all(field.U[..., 2] == 0.0)
-    r = marching.rhs(field, Scheme(solver="hll", order=1))
+    r = residual(field, Scheme(solver="hll", order=1))
     assert np.abs(r[..., 0]).max() < 1e-11
 
 
@@ -367,12 +368,12 @@ def test_converge_1d_refuses_a_diverged_smoothing_march(monkeypatch, broken, val
     # density is refused by the next step, and fails the march the same way
     step, steps = marching.step_ssprk3, []
 
-    def overflowing(field, dt, scheme):
-        out = step(field, dt, scheme)
+    def overflowing(field, scheme, cfl, dt_max):
+        out, dt = step(field, scheme, cfl, dt_max)
         steps.append(dt)
         if len(steps) == broken:
             out.U[7, 0, 0 if value < 0 else 3] = value
-        return out
+        return out, dt
 
     monkeypatch.setattr(marching, "step_ssprk3", overflowing)
     with pytest.raises(ConvergenceError,
@@ -710,21 +711,25 @@ def _loop_fd_jacobian(field, scheme, cols):
 def _counting_layers(monkeypatch):
     """Wrap the layers a Jacobian may call; return, per layer, the list of
     the batch shape (fields) or the side-axis length (face states) of each
-    call's first array argument."""
+    call's first array argument: the cells (..., 2F, 4) of a part that
+    reads cells, else the windows (..., 2F, 5, 4)."""
     calls = {"rhs": [], "apply_boundaries": [], "reconstruct_pair": [], "compute_flux": []}
 
     def counting(module, name, size):
         original = getattr(module, name)
 
         def counted(*args, **kwargs):
-            calls[name].append(size(*args))
+            calls[name].append(size(*args, **kwargs))
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
 
-    counting(marching, "rhs", lambda field, scheme: field.U.shape[:-3])
+    def side_axis(X, cfg, frame, cap_cfg=None, **kwargs):
+        return X.shape[-2 if reconstruction.reads_cells(cfg, cap_cfg) else -3]
+
+    counting(marching, "rhs", lambda field, states, scheme: field.U.shape[:-3])
     counting(fields, "apply_boundaries", lambda field, primitive: field.U.shape[:-3])
-    counting(reconstruction, "reconstruct_pair", lambda win, *a: win.shape[-3])
+    counting(reconstruction, "reconstruct_pair", side_axis)
     counting(riemann, "compute_flux", lambda kind, W, frame: W.shape[-2])
     return calls
 

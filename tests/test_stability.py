@@ -16,6 +16,7 @@ from circulant import dense, wrapped_blocks
 from euler_reference import analytic_flux_jacobian
 from padded_reference import NG
 from side_axis import face_flux, halves, side_states, side_windows
+from residual import residual
 from test_euler import random_states
 from test_face_batch import SOLVERS, SPACES, _schemes
 from test_marching import uniform_field
@@ -512,7 +513,7 @@ def _rhs_derivative_mismatch(field, scheme, v, eps=1e-7):
     fp.U += eps * v.reshape(field.nx, field.ny, 4)
     fm = field.copy()
     fm.U -= eps * v.reshape(field.nx, field.ny, 4)
-    dr = (marching.rhs(fp, scheme) - marching.rhs(fm, scheme)) / (2 * eps)
+    dr = (residual(fp, scheme) - residual(fm, scheme)) / (2 * eps)
     Sv = (dense(S) @ v).reshape(field.nx, field.ny, 4)
     return np.max(np.abs(dr - Sv)), np.abs(dr).max()
 
