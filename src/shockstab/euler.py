@@ -160,16 +160,11 @@ def sound_speed(W) -> np.ndarray:
     return np.sqrt(c2)
 
 
-def exact_flux_w(W, frame: FaceFrame) -> np.ndarray:
-    """Physical flux normal to the face, from a primitive state."""
-    return flux_terms(W, frame)[0]
-
-
 def flux_terms(W, frame: FaceFrame):
-    """``exact_flux_w``'s flux F with the two per-state terms it forms on
-    the way, (F, v2, en): v2 = u^2 + v^2 and the total energy per volume en,
-    which is ``prim_to_cons``'s energy bit for bit.  The flux solvers read
-    them instead of forming them again."""
+    """The physical flux F normal to the face, from a primitive state, with
+    the two per-state terms it forms on the way, (F, v2, en): v2 = u^2 + v^2
+    and the total energy per volume en, which is ``prim_to_cons``'s energy
+    bit for bit.  The flux solvers read them instead of forming them again."""
     W = np.asarray(W, dtype=float)
     rho, u, v, p = W[..., RHO], W[..., U_], W[..., V_], W[..., P_]
     q = u * frame.nx + v * frame.ny

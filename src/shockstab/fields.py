@@ -84,12 +84,12 @@ def apply_boundaries(field: MeanField, primitive: bool) -> np.ndarray:
     return states
 
 
-def outflow_jacobian(field: MeanField, primitive: bool) -> np.ndarray:
-    """(..., ny, 4, 4) derivative of row j's outflow ghost state with respect
-    to the row's last cell (nx-1, j), both in primitive variables if
-    ``primitive``, else both conservative: the ghost copies rho, u and v and
-    pins the pressure.  The inflow ghost state moves with no cell."""
-    W_last = euler.cons_to_prim(field.U[..., -1, :, :], "outflow column")
+def outflow_jacobian(W_last: np.ndarray, primitive: bool) -> np.ndarray:
+    """(..., 4, 4) derivative of a row's outflow ghost state with respect to
+    the row's last cell, whose primitive state is ``W_last`` (..., 4), both
+    in primitive variables if ``primitive``, else both conservative: the
+    ghost copies rho, u and v and pins the pressure.  The inflow ghost state
+    moves with no cell."""
     T = np.zeros(W_last.shape + (4,))
     T[..., 0, 0] = T[..., 1, 1] = T[..., 2, 2] = 1.0
     if not primitive:

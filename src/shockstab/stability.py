@@ -9,9 +9,9 @@ indices ``marching.rhs`` gathers, and the face's flux leaves the cell at
 slot 2 and enters the cell at slot 3.  ``assemble`` scatters all of them at
 once, with the sign for the two adjacent unit cells, and sums duplicate
 entries in scatter order.  Ghost states never appear: the inflow state
-carries no perturbation and each row's outflow state folds onto the row's
-last cell through ``fields.outflow_jacobian``, the derivative of the
-pressure-pinned copy.
+carries no perturbation and the row's outflow state folds onto the row's
+last cell through ``fields.outflow_jacobian`` of that cell's state, the
+derivative of the pressure-pinned copy.
 
 The linearisation is about a steady captured shock, whose rows of cell
 averages are exactly equal along the periodic y direction.  S is then
@@ -67,7 +67,7 @@ class StabilityMatrix:
     nx: int
     ny: int
     space: str
-    W_mean: np.ndarray  # interior primitive states (nx, ny, 4)
+    W_row: np.ndarray  # the row's primitive cell states (nx, 4), assemble's one conversion
     # (OFFSETS, 4nx, 4nx): C(d) at index d mod OFFSETS, d = -3..3, so block_row[d] is C(d)
     block_row: np.ndarray
 
@@ -164,14 +164,13 @@ def _face_triplets(B, window, axis: str, cells: int, T_out):
     below it: the column cell of its block o lies d = o - 2 rows above the
     cell the flux leaves and d = o - 3 rows above the cell it enters; an x
     face's blocks have d = 0.  Only the first ``cells`` states, the cells,
-    carry a perturbation: the inflow state is dropped, and row t's outflow
-    state folds onto the cell before the row's last face through ``T_out[t]``.
+    carry a perturbation: the inflow state is dropped, and the row's outflow
+    state folds onto the cell before the row's last face through ``T_out``.
     """
     col = window
     if axis == "x":
-        out = col > cells  # the states past the inflow state are outflow states
-        t = np.indices(col.shape)[1]
-        B[out] = B[out] @ T_out[t[out]]
+        out = col > cells  # the state past the inflow state is the outflow state
+        B[out] = B[out] @ T_out
         col = np.where(out, window[-1:, :, 2:3], col)
     keep = col < cells
     parts = []
@@ -197,13 +196,14 @@ def assemble(field: MeanField, scheme: Scheme, check_steady: bool = True) -> Sta
     leading axis as the face normal, so a batch is refused with ValueError.
     It must be uniform along y, every row equal to row 0 bit for bit; a
     field that varies along y is refused with ValueError naming its first
-    cell (i, j) that differs from cell (i, 0).  The field is assembled from its row alone, the
-    one-row field ``field.U[:, :1]``: the steady check, the reconstruction
-    and the probes run on the row's cells and faces, and an error names
-    those.  S is returned as ``block_row``, its duplicate entries summed in
-    scatter order.  The row's entries come in the order of those of block
-    row j = 0 in a scatter of every row, so where no two offsets share a
-    slot (ny >= 7) circ(C) holds that scatter's bits.
+    cell (i, j) that differs from cell (i, 0).  The field is assembled from
+    its row alone, the one-row field ``field.U[:, :1]``: the conversion to
+    the row's primitive states ``W_row``, the steady check, the
+    reconstruction and the probes run on the row's cells and faces, and an
+    error names those.  S is returned as ``block_row``, its duplicate
+    entries summed in scatter order.  The row's entries come in the order of
+    those of block row j = 0 in a scatter of every row, so where no two
+    offsets share a slot (ny >= 7) circ(C) holds that scatter's bits.
     """
     if field.U.ndim != 3:
         raise ValueError(
@@ -217,10 +217,11 @@ def assemble(field: MeanField, scheme: Scheme, check_steady: bool = True) -> Sta
             f"assemble takes a field uniform along y, but cell ({i}, {j}) differs from cell ({i}, 0)"
         )
     nx, ny = field.nx, field.ny
-    W_mean = field.interior_primitive()
+    primitive = scheme.space == "primitive"
     # every y-flux difference is exactly 0, so the row's residual is the field's
     field = replace(field, U=field.U[:, :1])
-    states = apply_boundaries(field, scheme.space == "primitive")
+    states = apply_boundaries(field, primitive)
+    W_row = states[:nx] if primitive else field.interior_primitive()[:, 0]
     if check_steady:
         res = float(np.abs(marching.rhs(field, states, scheme)[..., 0]).max())
         if res > STEADY_TOL:
@@ -228,7 +229,7 @@ def assemble(field: MeanField, scheme: Scheme, check_steady: bool = True) -> Sta
                 f"mean field density residual {res:.3e} exceeds {STEADY_TOL:.1e}; "
                 "converge the base flow first"
             )
-    T_out = outflow_jacobian(field, scheme.space == "primitive")
+    T_out = outflow_jacobian(W_row[-1], primitive)
 
     parts = []
     for table, solver, recon in marching.face_reconstructions(field, states, scheme):
@@ -240,8 +241,8 @@ def assemble(field: MeanField, scheme: Scheme, check_steady: bool = True) -> Sta
                                                          table.split(table.window, 0)):
             parts += _face_triplets(grid_blocks, grid_window, axis, nx, T_out)
     rows, cols, offsets, signs, blocks = (np.concatenate(p) for p in zip(*parts))
-    if scheme.space == "primitive":
-        blocks = euler.dw_du(W_mean[:, 0])[rows] @ blocks
+    if primitive:
+        blocks = euler.dw_du(W_row)[rows] @ blocks
     blocks = signs[:, None, None] * blocks
 
     n = 4 * nx
@@ -251,7 +252,7 @@ def assemble(field: MeanField, scheme: Scheme, check_steady: bool = True) -> Sta
     entry_rows = (offsets % OFFSETS * n + 4 * rows)[:, None, None] + comp[:, None]
     entries = entry_rows * n + (4 * cols)[:, None, None] + comp
     C = np.bincount(entries.ravel(), blocks.ravel(), OFFSETS * n * n).reshape(OFFSETS, n, n)
-    return StabilityMatrix(nx=nx, ny=ny, space=scheme.space, W_mean=W_mean, block_row=C)
+    return StabilityMatrix(nx=nx, ny=ny, space=scheme.space, W_row=W_row, block_row=C)
 
 
 # ``eigensolve`` solves the Fourier blocks as real matrices when the blocks
@@ -316,8 +317,7 @@ def eigensolve(S: StabilityMatrix) -> Spectrum:
     if S.space == "primitive":
         prim = grid.copy()
     else:
-        M = euler.dw_du(S.W_mean)
-        prim = np.einsum("ijab,ijb->ija", M, grid)
+        prim = np.einsum("iab,ijb->ija", euler.dw_du(S.W_row), grid)
     return Spectrum(
         eigenvalues=vals,
         max_real=float(vals.real.max()),

@@ -1,10 +1,17 @@
 """Closed-form Euler formulas that the tests check the package against: the
-exact normal-flux Jacobian, its eigenvalues and the specific entropy.  The
-package differentiates its fluxes numerically and uses none of them."""
+physical normal flux alone, its exact Jacobian, its eigenvalues and the
+specific entropy.  The package differentiates its fluxes numerically and
+uses none of them; its solvers read the flux with its terms (``flux_terms``)."""
 
 import numpy as np
 
-from shockstab.euler import GAMMA, P_, RHO, U_, V_, FaceFrame, cons_to_prim, sound_speed
+from shockstab.euler import (GAMMA, P_, RHO, U_, V_, FaceFrame, cons_to_prim, flux_terms,
+                             sound_speed)
+
+
+def exact_flux_w(W, frame: FaceFrame) -> np.ndarray:
+    """Physical flux normal to the face, from a primitive state."""
+    return flux_terms(W, frame)[0]
 
 
 def characteristic_eigenvalues(W, frame: FaceFrame) -> np.ndarray:

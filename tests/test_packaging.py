@@ -172,8 +172,6 @@ def test_result_fields_are_read():
 # public names whose only callers are tests, each kept for a stated reason
 TEST_ONLY_NAMES = {
     "stability.localize": "localises the unstable mode at the shock (paper claim C5)",
-    "euler.exact_flux_w": "the physical flux alone, on which the flux tests build their "
-                          "references; the solvers read it with its terms (flux_terms)",
 }
 
 

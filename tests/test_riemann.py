@@ -6,6 +6,7 @@ from shockstab.errors import DegenerateFanError, InvalidStateError
 from shockstab.euler import FaceFrame, X_FACE
 from shockstab.scheme import Scheme
 
+from euler_reference import exact_flux_w
 from side_axis import face_flux
 from test_euler import random_frames, random_states
 
@@ -31,7 +32,7 @@ def test_consistency_random_states(kind):
     rng = np.random.default_rng(10)
     W = random_states(rng, 1000)
     F = flux(kind, W, W)
-    exact = euler.exact_flux_w(W, X_FACE)
+    exact = exact_flux_w(W, X_FACE)
     scale = np.abs(exact).max(axis=-1, keepdims=True) + 1e-30
     assert np.max(np.abs(F - exact) / scale) < 1e-12
 
@@ -47,7 +48,7 @@ def test_full_upwind_supersonic(kind):
     WR = WL * rng.uniform(0.95, 1.05, (50, 4))
     WR[:, 1] = np.maximum(WR[:, 1], 1.2 * np.sqrt(euler.GAMMA * WR[:, 3] / WR[:, 0]))
     F = flux(kind, WL, WR)
-    exact = euler.exact_flux_w(WL, X_FACE)
+    exact = exact_flux_w(WL, X_FACE)
     assert np.allclose(F, exact, rtol=1e-10, atol=1e-10)
 
 
@@ -76,8 +77,8 @@ def test_roe_steady_shock_flux_equality(monkeypatch):
     # negligible, Roe must return that common value
     monkeypatch.setattr(riemann, "ROE_DELTA0", 1e-13)
     WL, WR = rh_pair()
-    FL = euler.exact_flux_w(WL, X_FACE)
-    FR = euler.exact_flux_w(WR, X_FACE)
+    FL = exact_flux_w(WL, X_FACE)
+    FR = exact_flux_w(WR, X_FACE)
     assert np.allclose(FL, FR, rtol=1e-12)
     F = face_flux(riemann.roe_flux, WL, WR, X_FACE)
     assert np.max(np.abs(F - FL)) < 1e-8 * np.abs(FL).max()
@@ -88,7 +89,7 @@ def test_roe_smoothing_perturbs_steady_shock_at_default_delta():
     # the vanishing eigenvalue; the steady-shock flux is no longer exact
     assert riemann.ROE_DELTA0 == 1e-4
     WL, WR = rh_pair()
-    FL = euler.exact_flux_w(WL, X_FACE)
+    FL = exact_flux_w(WL, X_FACE)
     F = face_flux(riemann.roe_flux, WL, WR, X_FACE)
     dev = np.max(np.abs(F - FL))
     assert 1e-8 < dev < 1.0
@@ -103,7 +104,7 @@ def test_hll_dissipates_steady_shock():
     )
     UL = euler.prim_to_cons(WL)
     UR = euler.prim_to_cons(WR)
-    expected = euler.exact_flux_w(WL, X_FACE) + s_l * s_r * (UR - UL) / (s_r - s_l)
+    expected = exact_flux_w(WL, X_FACE) + s_l * s_r * (UR - UL) / (s_r - s_l)
     F = face_flux(riemann.hll_flux, WL, WR, X_FACE)
     assert np.allclose(F, expected, rtol=1e-12)
     assert abs(F[0] - WL[0] * WL[1]) > 1.0  # mass flux visibly off the RH value
@@ -115,14 +116,14 @@ def test_hll_supersonic_branch():
     WR = np.array([1.1, 3.2, 0.0, 1.1])
     for kind in ("hll", "hllc"):
         F = flux(kind, WL, WR)
-        assert np.allclose(F, euler.exact_flux_w(WL, X_FACE), atol=1e-12)
+        assert np.allclose(F, exact_flux_w(WL, X_FACE), atol=1e-12)
 
 
 def test_hllc_resolves_contact():
     # pure contact discontinuity: HLLC is exact, HLL is not
     WL = np.array([1.0, 0.5, 0.3, 1.0])
     WR = np.array([2.0, 0.5, 0.3, 1.0])
-    FL = euler.exact_flux_w(WL, X_FACE)
+    FL = exact_flux_w(WL, X_FACE)
     # moving contact: flux of the upwind side
     F = face_flux(riemann.hllc_flux, WL, WR, X_FACE)
     assert np.allclose(F, FL, atol=1e-12)
@@ -134,7 +135,7 @@ def test_van_leer_splitting_consistency():
     rng = np.random.default_rng(14)
     W = random_states(rng, 100, (0.0, 0.95))
     F = face_flux(riemann.van_leer_flux, W, W, X_FACE)
-    exact = euler.exact_flux_w(W, X_FACE)
+    exact = exact_flux_w(W, X_FACE)
     scale = np.abs(exact).max() + 1.0
     assert np.max(np.abs(F - exact)) < 1e-12 * scale
 
@@ -143,7 +144,7 @@ def test_van_leer_supersonic_one_sided():
     WL = np.array([1.0, 3.0, 0.4, 1.0])
     WR = np.array([0.9, 3.5, -0.2, 1.2])
     F = face_flux(riemann.van_leer_flux, WL, WR, X_FACE)
-    assert np.allclose(F, euler.exact_flux_w(WL, X_FACE), atol=1e-13)
+    assert np.allclose(F, exact_flux_w(WL, X_FACE), atol=1e-13)
 
 
 def test_degenerate_fan_raises():

@@ -14,6 +14,7 @@ from shockstab.errors import DegenerateFanError, InvalidStateError
 from shockstab.euler import GAMMA, FaceFrame, X_FACE
 from shockstab.fields import face_table
 
+from euler_reference import exact_flux_w
 from side_axis import side_states
 from test_euler import random_states
 
@@ -31,8 +32,8 @@ def ref_sound_speeds(WL, WR):
 def ref_roe_flux(WL, WR, frame, delta0=riemann.ROE_DELTA0):
     WL = np.asarray(WL, dtype=float)
     WR = np.asarray(WR, dtype=float)
-    FL = euler.exact_flux_w(WL, frame)
-    FR = euler.exact_flux_w(WR, frame)
+    FL = exact_flux_w(WL, frame)
+    FR = exact_flux_w(WR, frame)
 
     sl = np.sqrt(WL[..., 0])
     sr = np.sqrt(WR[..., 0])
@@ -95,8 +96,8 @@ def ref_hll_flux(WL, WR, frame):
     WL = np.asarray(WL, dtype=float)
     WR = np.asarray(WR, dtype=float)
     s_l, s_r = ref_davis_speeds(WL, WR, frame)
-    FL = euler.exact_flux_w(WL, frame)
-    FR = euler.exact_flux_w(WR, frame)
+    FL = exact_flux_w(WL, frame)
+    FR = exact_flux_w(WR, frame)
     UL = euler.prim_to_cons(WL)
     UR = euler.prim_to_cons(WR)
     sl = s_l[..., None]
@@ -117,8 +118,8 @@ def ref_hllc_flux(WL, WR, frame):
     mR = rhoR * (s_r - qR)
     s_star = (pR - pL + qL * mL - qR * mR) / (mL - mR)
 
-    FL = euler.exact_flux_w(WL, frame)
-    FR = euler.exact_flux_w(WR, frame)
+    FL = exact_flux_w(WL, frame)
+    FR = exact_flux_w(WR, frame)
     UL = euler.prim_to_cons(WL)
     UR = euler.prim_to_cons(WR)
 
@@ -165,7 +166,7 @@ def ref_van_leer_flux(WL, WR, frame):
             + 0.5 * (u * u + v * v - q * q)
         )
         sub = np.stack([fm, fu, fv, fe], axis=-1)
-        full = euler.exact_flux_w(W, frame)
+        full = exact_flux_w(W, frame)
         zero = np.zeros_like(sub)
         m_ = m[..., None]
         if sign > 0:

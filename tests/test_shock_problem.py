@@ -177,7 +177,8 @@ def test_outflow_jacobian_is_the_derivative_of_the_outflow_states(primitive):
     to_var = euler.cons_to_prim if primitive else np.copy
     from_var = euler.prim_to_cons if primitive else np.copy
     X = to_var(field.U)
-    T = outflow_jacobian(field, primitive)
+    W_last = field.interior_primitive()[-1]  # the last column's states
+    T = outflow_jacobian(W_last, primitive)
     assert T.shape == (field.ny, 4, 4)
     for c in range(4):
         h = 1e-6 * np.maximum(1.0, np.abs(X[-1, :, c]))
@@ -191,9 +192,8 @@ def test_outflow_jacobian_is_the_derivative_of_the_outflow_states(primitive):
         assert np.abs(T[:, :, c] - fd).max() < 1e-6 * max(1.0, np.abs(T).max()), c
     # the pinned pressure never moves; a batch gives the stack of its members
     assert np.all(T[:, 3, :] == 0.0) == primitive
-    batch = replace(field, U=np.stack([field.U, 2.0 * field.U]))
-    assert np.array_equal(outflow_jacobian(batch, primitive),
-                          np.stack([T, outflow_jacobian(replace(field, U=2.0 * field.U), primitive)]))
+    assert np.array_equal(outflow_jacobian(np.stack([W_last, 2.0 * W_last]), primitive),
+                          np.stack([T, outflow_jacobian(2.0 * W_last, primitive)]))
 
 
 def test_single_row_has_nx_plus_two_states():
@@ -826,18 +826,27 @@ def test_fd_jacobian_equals_the_column_loop_on_every_column(monkeypatch, solver,
         assert any(fell_back)  # the fifth-order shock faces drop to first order
 
 
-@pytest.mark.parametrize("solver", ["roe", "hybrid-2"])
-def test_fd_jacobian_fluxes_only_the_touched_faces(monkeypatch, solver):
-    # a probe of cell i changes the faces i-2 .. i+3 of the row (its last
-    # cell also through the outflow ghost, which the same faces read): one
-    # reconstruct_pair and one compute_flux call take those faces of every
-    # probe and the row's nx + 1 faces, and rhs is not called
+@pytest.mark.parametrize("scheme, reach", [
+    (Scheme(solver="roe", order=5, cap="second"), (-2, 3)),
+    (Scheme(solver="hybrid-2", cap="second"), (-2, 3)),
+    (Scheme(solver="roe", order=1), (0, 1)),
+    (Scheme(solver="hybrid-1"), (0, 1)),  # its row's x faces are van_leer-o1
+], ids=["roe", "hybrid-2", "roe-o1", "hybrid-1"])
+def test_fd_jacobian_fluxes_only_the_touched_faces(monkeypatch, scheme, reach):
+    # a probe of cell i changes the faces whose read slots hold it: the
+    # faces i-2 .. i+3 of the row where the part reads windows, the faces i
+    # and i+1 where it reads cells (its last cell also through the outflow
+    # ghost, which the same faces read).  One reconstruct_pair and one
+    # compute_flux call take those faces of every probe and the row's
+    # nx + 1 faces, and rhs is not called
     c = cfg()
     row = sp.build_initial_field(c, ny=1)
-    scheme = Scheme(solver=solver, order=5, cap="second")
-    cols = np.arange(16, 4 * c.nx)
+    # the columns the steady solve probes: the cells past the clamped
+    # upstream ones, less the pinned shock-cell density
+    cols = np.setdiff1d(np.arange(4 * (c.shock_column - 2), 4 * c.nx), [4 * (c.shock_column - 1)])
     cells = cols // 4
-    touched = sum(min(i + 3, c.nx) - max(i - 2, 0) + 1 for i in cells)
+    touched = sum(min(i + reach[1], c.nx) - max(i + reach[0], 0) + 1 for i in cells)
+    assert len(cols) == 27 and 2 * touched == {(-2, 3): 300, (0, 1): 108}[reach]
     calls = _counting_layers(monkeypatch)
     sp._fd_jacobian_1d(row, scheme, cols)
     sp._fd_jacobian_1d(row, scheme, cols)
