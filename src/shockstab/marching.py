@@ -13,8 +13,8 @@ from .errors import InvalidStateError, NoExponentialStageError
 from .fields import MeanField, apply_boundaries, face_table
 from .scheme import Scheme
 
-# a perturbed march stops early once the monitor ||v||_inf exceeds this
-STOP_LEVEL = 1e-3
+# a perturbed march stops above this ||v||_inf, which also tops the fit's band
+STOP_LEVEL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -169,7 +169,8 @@ def transverse_velocity_norm(field: MeanField) -> float:
 
 
 def march(field: MeanField, run: RunConfig):
-    """Advance a perturbed field to the end time, sampling ||v||_inf each step.
+    """Advance a perturbed field, sampling ||v||_inf each step, to the end time
+    or, when perturbed, to its first sample above ``STOP_LEVEL``.
 
     Returns (MonitorSeries, final field).  Each step takes its own length
     from the state it starts from (``step_ssprk3``).  A NaN or invalid state
@@ -257,8 +258,8 @@ def fit_growth_rate(series: MonitorSeries, amplitude: float | None = None) -> Gr
     """Least-squares slope of ln||v|| over an automatically selected window.
 
     The window is the longest stretch with log-linear R^2 >= 0.99, restricted
-    to the exponential band (above 10x the injection level, below 1% of the
-    saturation level) when the series grows overall.
+    to the exponential band (above 10x the injection level, up to
+    ``STOP_LEVEL``) when the series grows overall.
     """
     good = np.isfinite(series.vmax) & (series.vmax > 0)
     t = series.t[good]
@@ -271,9 +272,8 @@ def fit_growth_rate(series: MonitorSeries, amplitude: float | None = None) -> Gr
 
     sel = np.ones(len(t), dtype=bool)
     if growing:
-        vmax = v.max()
-        for lo, hi in [(10.0 * ref, 0.01 * vmax), (3.0 * ref, 0.1 * vmax)]:
-            band = (v >= lo) & (v <= hi)
+        for lo in (10.0 * ref, 3.0 * ref):
+            band = (v >= lo) & (v <= STOP_LEVEL)
             if band.sum() >= 20:
                 sel = band
                 break

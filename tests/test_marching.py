@@ -336,6 +336,53 @@ def test_fit_growth_rate_three_stage():
     assert fit.window[0] > 10.0 and fit.window[1] < 60.0
 
 
+@pytest.mark.parametrize("tail", ["rising", "falling", "scattered"])
+def test_fit_growth_rate_reads_nothing_above_the_stop_level(tail):
+    # What a march no longer computes past STOP_LEVEL cannot move the fit of
+    # a growing series.  This holds while a band holds >= 20 samples; when both
+    # hold fewer, the fit reads the whole series, appended samples included.
+    t = np.linspace(0.0, 30.0, 600)
+    v = 1e-7 * np.exp(0.5 * t + 0.01 * np.sin(7.0 * t))
+    stop = int(np.argmax(v > marching.STOP_LEVEL))
+    series = MonitorSeries(t=t[: stop + 1], vmax=v[: stop + 1])  # as march leaves it
+    band = (series.vmax >= 10.0 * 1e-7) & (series.vmax <= marching.STOP_LEVEL)
+    assert band.sum() >= 20
+
+    rng = np.random.default_rng(7)
+    extra = {
+        "rising": marching.STOP_LEVEL * np.exp(np.linspace(0.1, 12.0, 300)),
+        "falling": marching.STOP_LEVEL * np.exp(np.linspace(5.0, 0.01, 40)),
+        "scattered": marching.STOP_LEVEL * 10.0 ** rng.uniform(1e-6, 6.0, 150),
+    }[tail]
+    t_extra = t[stop] + 0.05 * np.arange(1, len(extra) + 1)
+    longer = MonitorSeries(t=np.concatenate([series.t, t_extra]),
+                           vmax=np.concatenate([series.vmax, extra]))
+
+    def hexed(fit):
+        return [float.hex(fit.lam), *map(float.hex, fit.window), float.hex(fit.r2)]
+
+    for amplitude in (1e-7, None):
+        assert hexed(fit_growth_rate(longer, amplitude)) == hexed(fit_growth_rate(series, amplitude))
+
+
+@pytest.mark.parametrize("solver", ["roe", "hllc"])
+def test_march_stops_at_the_level_its_fit_reads_to(base_flow_cache, solver):
+    # The last sample is the first above STOP_LEVEL, and the band below it
+    # holds enough of the exponential stage for a fit the benchmark accepts.
+    scheme = Scheme(solver=solver, order=1)
+    field, _ = base_flow_cache(scheme, epsilon=0.1, ny=4)
+    for seed in (1, 2, 3):
+        run = RunConfig(scheme=scheme, amplitude=1e-7, seed=seed)
+        series, _ = marching.march(field, run)
+        assert not series.collapsed
+        assert series.vmax[-1] > marching.STOP_LEVEL, seed
+        assert np.all(series.vmax[:-1] <= marching.STOP_LEVEL), seed
+        band = (series.vmax >= 10.0 * run.amplitude) & (series.vmax <= marching.STOP_LEVEL)
+        assert band.sum() >= 20, seed
+        fit = fit_growth_rate(series, run.amplitude)
+        assert fit.r2 >= 0.99 and fit.lam > 0, seed
+
+
 def test_fit_growth_rate_rejects_junk():
     rng = np.random.default_rng(31)
     t = np.linspace(0, 10, 400)
