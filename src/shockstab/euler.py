@@ -17,7 +17,8 @@ shape-(4,) array.
 A check that raises when any entry of a mask is bad counts the good entries
 with ``np.count_nonzero``: on the few hundred faces of a residual call that
 is about half the cost of ``ndarray.any()`` or ``.all()``, and each SSP-RK3
-step of an 11x11 march runs fourteen to twenty-eight such checks.
+step of an 11x11 march runs eleven (first order, primitive) to twenty-eight
+(characteristic) of them, ``march``'s finiteness check included.
 """
 
 import functools
@@ -222,34 +223,43 @@ def eigen_matrices(W, frame: FaceFrame) -> tuple[np.ndarray, np.ndarray]:
     q = u * nx + v * ny
     ql = u * lx + v * ly
     v2 = u * u + v * v
-    one = np.ones_like(rho)
-    z = np.zeros_like(rho)
     k = g1 / (c * c)
-    rows = [
-        [
-            0.5 * (0.5 * k * v2 + q / c),
-            -0.5 * (k * u + nx / c),
-            -0.5 * (k * v + ny / c),
-            0.5 * k * one,
-        ],
-        [1.0 - 0.5 * k * v2, k * u, k * v, -k * one],
-        [
-            0.5 * (0.5 * k * v2 - q / c),
-            -0.5 * (k * u - nx / c),
-            -0.5 * (k * v - ny / c),
-            0.5 * k * one,
-        ],
-        [-ql, lx * one, ly * one, z],
-    ]
-    L = np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
     h = c * c / g1 + 0.5 * v2  # total specific enthalpy
-    cols = [
-        [one, u - c * nx, v - c * ny, h - c * q],
-        [one, u, v, 0.5 * v2],
-        [one, u + c * nx, v + c * ny, h + c * q],
-        [z, lx * one, ly * one, ql],
-    ]
-    R = np.stack([np.stack(col, axis=-1) for col in cols], axis=-1)
+    # every entry is written once into its slot; a scalar entry fills its
+    # slot across the broadcast shape of the states and the frame
+    shape = np.broadcast_shapes(rho.shape, np.shape(nx)) + (4, 4)
+    L = np.empty(shape)
+    L[..., 0, 0] = 0.5 * (0.5 * k * v2 + q / c)
+    L[..., 0, 1] = -0.5 * (k * u + nx / c)
+    L[..., 0, 2] = -0.5 * (k * v + ny / c)
+    L[..., 0, 3] = 0.5 * k
+    L[..., 1, 0] = 1.0 - 0.5 * k * v2
+    L[..., 1, 1] = k * u
+    L[..., 1, 2] = k * v
+    L[..., 1, 3] = -k
+    L[..., 2, 0] = 0.5 * (0.5 * k * v2 - q / c)
+    L[..., 2, 1] = -0.5 * (k * u - nx / c)
+    L[..., 2, 2] = -0.5 * (k * v - ny / c)
+    L[..., 2, 3] = 0.5 * k
+    L[..., 3, 0] = -ql
+    L[..., 3, 1] = lx
+    L[..., 3, 2] = ly
+    L[..., 3, 3] = 0.0
+    R = np.empty(shape)  # columns in L's row order
+    R[..., 0, :3] = 1.0
+    R[..., 0, 3] = 0.0
+    R[..., 1, 0] = u - c * nx
+    R[..., 2, 0] = v - c * ny
+    R[..., 3, 0] = h - c * q
+    R[..., 1, 1] = u
+    R[..., 2, 1] = v
+    R[..., 3, 1] = 0.5 * v2
+    R[..., 1, 2] = u + c * nx
+    R[..., 2, 2] = v + c * ny
+    R[..., 3, 2] = h + c * q
+    R[..., 1, 3] = lx
+    R[..., 2, 3] = ly
+    R[..., 3, 3] = ql
     finite = np.isfinite(R)
     if np.count_nonzero(finite) < finite.size:
         bad = ~finite.all(axis=(-2, -1))

@@ -285,6 +285,19 @@ def _cell_states(cells, space, linearise):
     return FaceRecon(W=W, lin=lin, Lmat=None, Rmat=None, space=space, fallback=fallback)
 
 
+def _project(M, X):
+    """The products M x of matrices M (..., 4, 4) and states X (..., 4) that
+    broadcast against them, as four column products summed (0 + 2) + (1 + 3).
+    That is the order in which ``np.einsum`` summed them on NumPy 2.4, with
+    which the recorded characteristic-space results were computed; written
+    out, the bits no longer depend on einsum's choice of kernel."""
+    t0, t1, t2, t3 = (M[..., b] * X[..., b, None] for b in range(4))
+    t0 += t2
+    t1 += t3
+    t0 += t1
+    return t0
+
+
 def _reconstruct_sides(win, cfg, frame, linearise):
     n = win.shape[-3] // 2
     Lmat = Rmat = None
@@ -293,10 +306,9 @@ def _reconstruct_sides(win, cfg, frame, linearise):
         W_c = euler.on_sides(euler.cons_to_prim, win[..., 2, :], "face cell")
         W_eval = 0.5 * (W_c[..., :n, :] + W_c[..., n:, :])
         Lmat, Rmat = euler.eigen_matrices(W_eval, frame)
-        # one projection per face, broadcast over its two rows
+        # one projection per face, broadcast over its two rows and five slots
         by_side = win.reshape(win.shape[:-3] + (2, n, 5, 4))
-        X = np.einsum("...ab,...wb->...wa", Lmat[..., None, :, :, :], by_side)
-        X = X.reshape(win.shape)
+        X = _project(Lmat[..., None, :, None, :, :], by_side).reshape(win.shape)
 
     Xs, lin = _left_state(X, cfg, linearise)
 
@@ -306,7 +318,7 @@ def _reconstruct_sides(win, cfg, frame, linearise):
         W = Xs
     else:
         by_side = Xs.reshape(Xs.shape[:-2] + (2, n, 4))
-        U = np.einsum("...ab,...b->...a", Rmat[..., None, :, :, :], by_side)
+        U = _project(Rmat[..., None, :, :, :], by_side)
         W = _prim_soft(U.reshape(Xs.shape))
     ok = _admissible(W)
 

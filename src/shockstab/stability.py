@@ -32,9 +32,11 @@ This is what makes wide grids affordable, since the dense solve of the
 whole S grows as (nx ny)^3.  A projected steady shock has v = 0, and every
 flux is symmetric under y -> -y, so S is too: component 2 of each cell (v,
 or rho v) changes sign with j -> -j.  ``eigensolve`` checks that on the
-blocks, and then each Fourier block is similar to a real matrix, whose real
-solve costs about a quarter of the complex one; blocks without the symmetry
-stay complex.
+blocks to the rounding floor of their FD entries, and then each Fourier
+block is similar to a real matrix, whose real solve costs about a third of
+the complex one.  The steady shocks measured keep the symmetry to
+rounding in every variable space, so they take the real form; a field with
+a real tangential velocity (v != 0) breaks it, and its blocks stay complex.
 
 Variable spaces:
 
@@ -256,12 +258,18 @@ def assemble(field: MeanField, scheme: Scheme, check_steady: bool = True) -> Sta
 
 
 # ``eigensolve`` solves the Fourier blocks as real matrices when the blocks
-# are symmetric under y -> -y to this fraction of max|C|.  The flux of a base
-# flow with v = 0 is, but its FD Jacobians need not be to the last bit: the
-# benchmark's steady shocks keep the symmetry to 0 (HLLC or van Leer on the y
-# faces) or 3.3e-15 to 8.4e-15 (Roe) of max|C|; roe-o5/characteristic, off by
-# 1.23e-14, stays complex
-REFLECTION_RTOL = 1e-14
+# are symmetric under y -> -y to this fraction of max|C|: the rounding floor
+# of C's FD entries (Higham, Accuracy and Stability of Numerical Algorithms,
+# 2002, ch. 4).  An entry (F(U + h) - F(U - h)) / 2h carries the flux's
+# rounding, eps |F|, divided by the step h = FD_STEP max(1, |U|): an error
+# of eps / FD_STEP of the entry's scale |F| / max(1, |U|), so two entries
+# equal in exact arithmetic may differ by that much, and an asymmetry below
+# it is rounding.  The flux of a steady shock (v = 0) is symmetric, and the
+# benchmark's steady shocks sit at 0 (HLLC or van Leer on the y faces) to
+# 1.25e-14 (Roe) of max|C|.  A uniform tangential velocity v0 breaks the
+# symmetry far above the floor: 5.6e-8 to 3.2e-7 of max|C| at v0 = 1e-6,
+# 5.5e-3 to 2.6e-2 at v0 = 0.1 (Roe and HLLC shocks, first and fifth order)
+REFLECTION_RTOL = np.finfo(float).eps / FD_STEP
 
 
 def eigensolve(S: StabilityMatrix) -> Spectrum:
@@ -279,14 +287,15 @@ def eigensolve(S: StabilityMatrix) -> Spectrum:
     conjugate pair, is v^[i] exp(2 pi i k* j / ny).
 
     The blocks are solved as real matrices when S is symmetric under
-    y -> -y: C(-d mod ny) = P C(d) P to ``REFLECTION_RTOL`` of max |C|, where
-    P = diag(1, 1, -1, 1) per cell flips component 2, v in the primitive
-    space and rho v in the other two.  Then conj S^(k) = P S^(k) P, so with
-    D = diag(1, 1, i, 1) per cell T(k) = Re(D^-1 S^(k) D) is similar to
-    S^(k); the blocks T(k) go to the solves and the dominant eigenvector of
-    T(k*) maps back as D v.  Blocks without that symmetry (a scheme whose
-    Jacobians break it by more than the tolerance) have their complex
-    blocks S^(k) solved.
+    y -> -y: C(-d mod ny) = P C(d) P to ``REFLECTION_RTOL`` of max |C|, the
+    rounding floor of the FD entries, where P = diag(1, 1, -1, 1) per cell
+    flips component 2, v in the primitive space and rho v in the other two.
+    Then conj S^(k) = P S^(k) P, so with D = diag(1, 1, i, 1) per cell
+    T(k) = Re(D^-1 S^(k) D) is similar to S^(k); the blocks T(k) go to the
+    solves and the dominant eigenvector of T(k*) maps back as D v.  A steady
+    shock's asymmetry is rounding, and T(k) drops it.  Blocks without that
+    symmetry (a base flow with v != 0) have their complex blocks S^(k)
+    solved.
     """
     offsets = np.arange(OFFSETS) - OFFSETS // 2  # d = -3..3
     C = np.zeros((S.ny,) + S.block_row.shape[1:])

@@ -9,7 +9,7 @@ from shockstab.euler import FaceFrame, X_FACE, Y_FACE
 from shockstab.fields import face_table
 
 from euler_reference import (analytic_flux_jacobian, characteristic_eigenvalues, entropy,
-                             exact_flux_w)
+                             exact_flux_w, stacked_eigen_matrices)
 
 
 
@@ -90,6 +90,45 @@ def test_right_eigen_matrix_names_the_degenerate_cell():
     with np.errstate(invalid="ignore"), pytest.raises(
             InvalidStateError, match=r"^degenerate eigen-matrix at cell\(s\) \(1, 2\)$"):
         euler.eigen_matrices(W, X_FACE)
+
+
+def _angles_frame(rng, n):
+    ang = rng.uniform(0.0, 2 * np.pi, n)
+    return FaceFrame(np.cos(ang), np.sin(ang))
+
+
+@pytest.mark.parametrize("case", ["scalar-frame", "per-face-frames", "batch-per-face-frames",
+                                  "batch-scalar-frame", "one-state"])
+def test_eigen_matrices_equal_the_stacked_formula(case):
+    # the entries written in place are the stacked formula's, bit for bit,
+    # for any broadcast of states against frames
+    rng = np.random.default_rng(11)
+    shape, frame = {
+        "scalar-frame": ((9,), Y_FACE),
+        "per-face-frames": ((9,), _angles_frame(rng, 9)),
+        "batch-per-face-frames": ((3, 9), _angles_frame(rng, 9)),
+        "batch-scalar-frame": ((3, 9), X_FACE),
+        "one-state": ((), _angles_frame(rng, 1).at(0)),
+    }[case]
+    W = random_states(rng, int(np.prod(shape))).reshape(shape + (4,))
+    W[..., 2].flat[::2] = 0.0  # v = 0, as on a steady shock's faces
+    for got, ref in zip(euler.eigen_matrices(W, frame), stacked_eigen_matrices(W, frame)):
+        assert got.shape == shape + (4, 4)
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_eigen_matrices_name_a_bad_state_in_a_batch():
+    rng = np.random.default_rng(12)
+    frame = _angles_frame(rng, 4)
+    W = random_states(rng, 8).reshape(2, 4, 4)
+    W[1, 3, 3] = -1.0
+    with pytest.raises(InvalidStateError, match=r"^non-positive sound speed at cell\(s\) \(1, 3\)$"):
+        euler.eigen_matrices(W, frame)
+    W[1, 3, 3] = 1.0
+    W[0, 2, 2] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(
+            InvalidStateError, match=r"^degenerate eigen-matrix at cell\(s\) \(0, 2\)$"):
+        euler.eigen_matrices(W, frame)
 
 
 def test_exact_flux_stationary_gas():
