@@ -68,8 +68,6 @@ class StabilityMatrix:
 
     nx: int
     ny: int
-    space: str
-    W_row: np.ndarray  # the row's primitive cell states (nx, 4), assemble's one conversion
     # (OFFSETS, 4nx, 4nx): C(d) at index d mod OFFSETS, d = -3..3, so block_row[d] is C(d)
     block_row: np.ndarray
 
@@ -83,8 +81,11 @@ class Spectrum:
     # lists first; otherwise the member that the solve of block k* <= ny/2
     # ranks first.  The other member is in ``eigenvalues``
     dominant: complex
-    eigvec_grid: np.ndarray  # complex (nx, ny, 4), native perturbation space
-    eigvec_primitive: np.ndarray  # complex (nx, ny, 4)
+    k_star: int  # the Fourier block that holds ``dominant``, k* <= ny/2
+    # complex (4nx,): a right eigenvector of block k* for ``dominant``, in S's
+    # own variable space, of unit 2-norm and with the phase LAPACK returns;
+    # compare eigenvectors by residual and angle, not by bits
+    eigvec: np.ndarray
     # (ny,) per transverse wavenumber k; entry ny - k mirrors entry k exactly
     max_real_by_k: np.ndarray
 
@@ -200,12 +201,12 @@ def assemble(field: MeanField, scheme: Scheme, check_steady: bool = True) -> Sta
     field that varies along y is refused with ValueError naming its first
     cell (i, j) that differs from cell (i, 0).  The field is assembled from
     its row alone, the one-row field ``field.U[:, :1]``: the conversion to
-    the row's primitive states ``W_row``, the steady check, the
-    reconstruction and the probes run on the row's cells and faces, and an
-    error names those.  S is returned as ``block_row``, its duplicate
-    entries summed in scatter order.  The row's entries come in the order of
-    those of block row j = 0 in a scatter of every row, so where no two
-    offsets share a slot (ny >= 7) circ(C) holds that scatter's bits.
+    the row's primitive states, the steady check, the reconstruction and
+    the probes run on the row's cells and faces, and an error names those.
+    S is returned as ``block_row``, its duplicate entries summed in scatter
+    order.  The row's entries come in the order of those of block row
+    j = 0 in a scatter of every row, so where no two offsets share a slot
+    (ny >= 7) circ(C) holds that scatter's bits.
     """
     if field.U.ndim != 3:
         raise ValueError(
@@ -254,7 +255,7 @@ def assemble(field: MeanField, scheme: Scheme, check_steady: bool = True) -> Sta
     entry_rows = (offsets % OFFSETS * n + 4 * rows)[:, None, None] + comp[:, None]
     entries = entry_rows * n + (4 * cols)[:, None, None] + comp
     C = np.bincount(entries.ravel(), blocks.ravel(), OFFSETS * n * n).reshape(OFFSETS, n, n)
-    return StabilityMatrix(nx=nx, ny=ny, space=scheme.space, W_row=W_row, block_row=C)
+    return StabilityMatrix(nx=nx, ny=ny, block_row=C)
 
 
 # ``eigensolve`` solves the Fourier blocks as real matrices when the blocks
@@ -273,7 +274,7 @@ REFLECTION_RTOL = np.finfo(float).eps / FD_STEP
 
 
 def eigensolve(S: StabilityMatrix) -> Spectrum:
-    """Full spectrum plus the grid-mapped most-unstable eigenvector.
+    """Full spectrum plus the dominant Fourier block's eigenpair.
 
     The block row ``S.block_row`` is summed onto ny slots,
     C(d mod ny) += C(d), and S splits exactly into ny Fourier blocks
@@ -283,8 +284,9 @@ def eigensolve(S: StabilityMatrix) -> Spectrum:
     conjugate eigenvalues of block ny - k.  The spectrum is the union of
     all ny blocks' (in block order, not the order of a dense solve),
     ``max_real_by_k`` holds each block's largest real part, equal for k and
-    ny - k, and the eigenvector of the dominant block k*, the lower k of a
-    conjugate pair, is v^[i] exp(2 pi i k* j / ny).
+    ny - k.  ``Spectrum`` holds the dominant block k*, the lower k of a
+    conjugate pair, and its eigenvector v; the grid eigenvector of S,
+    v[i] exp(2 pi i k* j / ny) at cell (i, j), is the caller's to build.
 
     The blocks are solved as real matrices when S is symmetric under
     y -> -y: C(-d mod ny) = P C(d) P to ``REFLECTION_RTOL`` of max |C|, the
@@ -316,33 +318,15 @@ def eigensolve(S: StabilityMatrix) -> Spectrum:
     # NumPy returns a real spectrum as real arrays; as complex they keep their bits
     block_vals[k_star], vecs = (a.astype(complex) for a in np.linalg.eig(S_hat[k_star]))
     m = int(np.argmax(block_vals[k_star].real))
-    phase = np.exp(2j * np.pi * k_star * np.arange(S.ny) / S.ny)
-    grid = (D * vecs[:, m]).reshape(S.nx, 1, 4) * phase[:, None]
     # S is real, so S^(ny - k) = conj S^(k)
     block_vals += [block_vals[S.ny - k].conj() for k in range(len(block_vals), S.ny)]
     vals = np.concatenate(block_vals)
-    pivot = np.unravel_index(np.argmax(np.abs(grid)), grid.shape)
-    grid = grid / grid[pivot]  # deterministic phase and scale
-    if S.space == "primitive":
-        prim = grid.copy()
-    else:
-        prim = np.einsum("iab,ijb->ija", euler.dw_du(S.W_row), grid)
     return Spectrum(
         eigenvalues=vals,
         max_real=float(vals.real.max()),
         dominant=complex(block_vals[k_star][m]),
-        eigvec_grid=grid,
-        eigvec_primitive=prim,
+        k_star=k_star,
+        eigvec=D * vecs[:, m],
         max_real_by_k=np.array([v.real.max() for v in block_vals]),
     )
-
-
-def localize(spectrum: Spectrum):
-    """Per-column peak amplitude of the unstable mode (primitive variables).
-
-    Returns (profile of length nx, 1-based argmax column).
-    """
-    amp = np.abs(spectrum.eigvec_primitive)
-    profile = amp.max(axis=(1, 2))
-    return profile, int(np.argmax(profile)) + 1
 

@@ -170,9 +170,7 @@ def test_result_fields_are_read():
 
 
 # public names whose only callers are tests, each kept for a stated reason
-TEST_ONLY_NAMES = {
-    "stability.localize": "localises the unstable mode at the shock (paper claim C5)",
-}
+TEST_ONLY_NAMES = {}
 
 
 def _public_top_level_names(tree):

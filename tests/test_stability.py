@@ -10,7 +10,7 @@ from shockstab.errors import DifferentiationError, InvalidStateError, UnsteadyFi
 from shockstab.euler import X_FACE
 from shockstab.fields import MeanField
 from shockstab.scheme import Scheme
-from shockstab.stability import Spectrum, assemble, eigensolve, localize
+from shockstab.stability import assemble, eigensolve
 
 from circulant import dense, wrapped_blocks
 from euler_reference import analytic_flux_jacobian
@@ -264,10 +264,10 @@ def test_assemble_names_a_nan_column_as_an_invalid_state():
 def test_assemble_converts_its_row_once(base_flow_cache, monkeypatch, space, conversions):
     # the row's primitive states come from one conversion of the row, the
     # apply_boundaries state axis in the primitive space: no conversion sees
-    # the field's other rows, and the outflow fold and the eigenvector map
-    # convert nothing.  The primitive space converts the row and the flux
-    # probes; the other two also the face cells of the steady check and of
-    # the reconstruction and the row's last column for its outflow state
+    # the field's other rows, and the outflow fold and the eigensolve convert
+    # nothing.  The primitive space converts the row and the flux probes;
+    # the other two also the face cells of the steady check and of the
+    # reconstruction and the row's last column for its outflow state
     field, _ = base_flow_cache(Scheme(solver="roe", order=1), epsilon=0.1, ny=32)
     cons_to_prim, shapes = euler.cons_to_prim, []
 
@@ -281,10 +281,6 @@ def test_assemble_converts_its_row_once(base_flow_cache, monkeypatch, space, con
     assert len(shapes) == conversions, shapes
     assert shapes.count((field.nx, 1, 4)) == 1
     assert not any(field.ny in shape for shape in shapes), shapes
-    monkeypatch.undo()
-    row = field.interior_primitive()[:, 0]
-    assert S.W_row.shape == row.shape
-    assert np.array_equal(S.W_row.view(np.uint64), row.view(np.uint64))
 
 
 @pytest.mark.parametrize("ny", [8, 11, 32])
@@ -592,10 +588,7 @@ def _spectrum_of_matrix(M):
     C(0) = M on ny = 1, every other offset zero."""
     C = np.zeros((stability.OFFSETS,) + M.shape)
     C[0] = M
-    S = stability.StabilityMatrix(
-        nx=M.shape[0] // 4, ny=1, space="conservative",
-        W_row=np.tile([1.0, 0.0, 0.0, 1.0], (M.shape[0] // 4, 1)), block_row=C,
-    )
+    S = stability.StabilityMatrix(nx=M.shape[0] // 4, ny=1, block_row=C)
     spec = eigensolve(S)
     assert spec.max_real_by_k.shape == (1,)
     return spec
@@ -636,8 +629,12 @@ def test_eigensolve_characteristic_polynomial_oracle():
 
 
 def _dominant_residual(S, spec):
-    """||S v - lambda v|| / (||v|| max|S|) of the returned dominant pair."""
-    A, v = dense(S), spec.eigvec_grid.ravel()
+    """||S v - lambda v|| / (||v|| max|S|) of the returned dominant pair, with
+    the grid vector v built from the block eigenvector as
+    eigvec[i] exp(2 pi i k* j / ny) at cell (i, j)."""
+    phase = np.exp(2j * np.pi * spec.k_star * np.arange(S.ny) / S.ny)
+    v = (spec.eigvec.reshape(S.nx, 1, 4) * phase[:, None]).ravel()
+    A = dense(S)
     r = A @ v - spec.dominant * v
     return np.linalg.norm(r) / (np.linalg.norm(v) * np.abs(A).max())
 
@@ -659,10 +656,7 @@ def _random_circulant(nx, ny, seed, reflected=False):
 def _circulant(C, ny):
     """(dense A, StabilityMatrix) of the block row C on ny rows."""
     nx = C.shape[1] // 4
-    S = stability.StabilityMatrix(
-        nx=nx, ny=ny, space="conservative", W_row=np.tile([1.0, 0.0, 0.0, 1.0], (nx, 1)),
-        block_row=C,
-    )
+    S = stability.StabilityMatrix(nx=nx, ny=ny, block_row=C)
     return dense(S), S
 
 
@@ -741,10 +735,8 @@ def test_half_spectrum_mirrors_the_conjugate_blocks(solved_dtypes, ny, reflected
     _assert_full_spectrum(A, spec)
     by_k = spec.max_real_by_k
     assert np.array_equal(by_k[1:], by_k[1:][::-1])
-    # the dominant mode is v[i] exp(2 pi i k* j / ny): its FFT along j peaks at k*
-    k_star = int(np.argmax(np.abs(np.fft.fft(spec.eigvec_grid, axis=1)).sum(axis=(0, 2))))
-    assert k_star <= ny // 2
-    assert by_k[k_star] == spec.max_real
+    assert spec.k_star <= ny // 2
+    assert by_k[spec.k_star] == spec.max_real
     assert _dominant_residual(S, spec) < _residual_bound(S)
     if reflected:  # a real solve returns a conjugate pair's upper member first
         assert spec.dominant.imag >= 0.0
@@ -860,6 +852,9 @@ def _with_tangential_velocity(field, v0):
 
 @pytest.mark.parametrize("solver, order, space, epsilon, ny, v0, real", [
     ("roe", 1, "primitive", 0.1, 8, 0.0, True),
+    # k* = 2 of ny = 5 is no block's own conjugate, so its eigenvector has a
+    # component 2 and the real form's D shows; k* = 0 and ny/2 decouple it
+    ("roe", 1, "primitive", 0.1, 5, 0.0, True),
     # its Roe y-face Jacobians miss the reflection by 1.2e-14 max|C|, rounding
     ("roe", 5, "characteristic", 0.5, 4, 0.0, True),
     # v0 = 0.1 breaks the reflection by 5.6e-3 max|C|
@@ -884,22 +879,17 @@ def test_half_spectrum_matches_all_block_solve(base_flow_cache, solved_dtypes, s
     _, lam_complex = _all_blocks_reference(S, real=False)
     assert abs(spec.max_real - lam_complex) <= tol
     assert abs(spec.max_real - scipy.linalg.eigvals(dense(S)).real.max()) <= tol
-
-
-def test_localize_synthetic():
-    vec = np.zeros((11, 11, 4), dtype=complex)
-    vec[5, 3, 2] = 1.0  # cell (6, 4) in 1-based labels
-    spec = Spectrum(
-        eigenvalues=np.zeros(4), max_real=0.0, dominant=0j,
-        eigvec_grid=vec, eigvec_primitive=vec, max_real_by_k=np.zeros(11),
-    )
-    profile, col = localize(spec)
-    assert col == 6
-    assert profile[5] == 1.0
-    flat = Spectrum(
-        eigenvalues=np.zeros(4), max_real=0.0, dominant=0j,
-        eigvec_grid=np.ones((7, 7, 4), dtype=complex),
-        eigvec_primitive=np.ones((7, 7, 4), dtype=complex), max_real_by_k=np.zeros(7),
-    )
-    prof, _ = localize(flat)
-    assert np.allclose(prof, 1.0)
+    # the block eigenpair against S^(k*) = sum_d C(d) exp(2 pi i k* d / ny),
+    # summed here rather than by eigensolve's FFT.  Its residual over max|C|
+    # is the solve's, bounded by _residual_bound, plus the difference of the
+    # two sums' roundings, bounded alike.  A real form also drops
+    # Im(D^-1 S^(k*) D): each entry is half a sum over the at most 7 slots
+    # of C(-d) - P C(d) P, at most 7/2 asymmetries, and its 2-norm is at
+    # most 4nx times that
+    d = np.arange(stability.OFFSETS) - stability.OFFSETS // 2
+    S_k = np.tensordot(np.exp(2j * np.pi * spec.k_star * d / ny), S.block_row[d], axes=1)
+    v = spec.eigvec
+    assert abs(np.linalg.norm(v) - 1.0) <= 1e-14
+    dropped = 4 * S.nx * 3.5 * _asymmetry(C) if real else 0.0
+    r = np.linalg.norm(S_k @ v - spec.dominant * v) / np.abs(C).max()
+    assert r < 2 * _residual_bound(S) + dropped
