@@ -80,17 +80,17 @@ def face_reconstructions(field: MeanField, states: np.ndarray, scheme: Scheme,
     """
     for table, solver, cfg, cap_cfg in face_parts(field, scheme, linearise):
         recon = reconstruction.reconstruct_pair(
-            gather_windows(states, part_slots(table.sides, cfg, cap_cfg)), cfg, table.frame,
+            gather_windows(states, part_slots(table.sides, cfg)), cfg, table.frame,
             cap_cfg=cap_cfg, cap_mask=None if cap_cfg is None else table.shock,
             linearise=linearise,
         )
         yield table, solver, recon
 
 
-def part_slots(sides: np.ndarray, cfg, cap_cfg) -> np.ndarray:
-    """The slots of a (2F, 5) side index that a part reads: slot 2, each
-    side's own cell, where ``reconstruction.reads_cells``, else all five."""
-    return sides[:, 2] if reconstruction.reads_cells(cfg, cap_cfg) else sides
+def part_slots(sides: np.ndarray, cfg) -> np.ndarray:
+    """The slots of a (2F, 5) side index that a part reads: at first order
+    (``reconstruction.reads_cells``) slot 2, each side's own cell, else all five."""
+    return sides[:, 2] if reconstruction.reads_cells(cfg) else sides
 
 
 def gather_windows(states: np.ndarray, index: np.ndarray) -> np.ndarray:

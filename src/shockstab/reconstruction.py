@@ -7,9 +7,10 @@ states of shape (..., 5, 4).  A batch of F faces of any orientation comes on
 one side axis, windows (..., 2F, 5, 4) behind the field's batch axes: the
 left windows, then the right windows mirrored, gathered along each face's
 normal by ``fields.face_table``, so that one left-state formula
-reconstructs every row.  A first-order part outside the characteristic
-space (``reads_cells``) needs only slot 2 of each window, the side's own
-cell: it takes the cells (..., 2F, 4), and its face states are those cells.
+reconstructs every row.  A first-order face state is its side's own cell,
+slot 2 of the window, in every space (R L = I): a first-order part
+(``reads_cells``) takes the cells (..., 2F, 4), and it, a first-order cap
+and the positivity fallback take their states through ``_cell_states``.
 The ``FaceFrame`` holds one normal per face.
 
 WENO5 and ENO3 work on the substencil axis -2 of length 3: substencil m of a
@@ -168,15 +169,9 @@ def _muscl_left(win, linearise: bool):
 
 
 def _left_state(win, cfg: ReconConfig, linearise: bool = True):
-    """Reconstructed left state and its linearization coefficients (None
-    unless ``linearise``)."""
+    """Reconstructed left state of MUSCL, WENO5 or ENO3 windows and its
+    linearization coefficients (None unless ``linearise``)."""
     win = np.asarray(win, dtype=float)
-    if cfg.kind == "first":
-        lin = None
-        if linearise:
-            lin = np.zeros(win.shape)
-            lin[..., 2, :] = 1.0
-        return win[..., 2, :].copy(), lin
     if cfg.kind == "muscl":
         return _muscl_left(win, linearise)
     beta = smoothness_indicators(win)
@@ -212,10 +207,11 @@ class FaceRecon:
 
     ``W`` holds both states of every face on the side axis (..., 2F, 4),
     always primitive (ready for flux evaluation); ``lin`` acts on each row's
-    window in the configured reconstruction space, which for the
-    characteristic space is the projection by the face's ``Lmat`` (inverse
-    ``Rmat``).  It is None when the reconstruction was asked for face states
-    only.  ``fallback`` (..., F) flags the faces dropped to first order.
+    window in the variables of ``space`` (a first-order part reports the
+    conservative space outside the primitive one), for the characteristic
+    space the projection by the face's ``Lmat`` (inverse ``Rmat``), and is
+    None when only face states were asked for.  ``fallback`` (..., F) flags
+    the faces dropped to first order.
     """
 
     W: np.ndarray
@@ -226,13 +222,11 @@ class FaceRecon:
     fallback: np.ndarray
 
 
-def reads_cells(cfg: ReconConfig, cap_cfg: ReconConfig | None) -> bool:
+def reads_cells(cfg: ReconConfig) -> bool:
     """True when a part's face states are the cells next to its faces,
-    window slot 2: first order outside the characteristic space, with no
-    cap or a first-order one.  A characteristic part takes its bits from the
-    R L round trip, and a higher-order cap reads the whole window."""
-    return (cfg.kind == "first" and cfg.space != "characteristic"
-            and (cap_cfg is None or cap_cfg.kind == "first"))
+    window slot 2: at first order, in every space.  A first-order part
+    carries no cap (``Scheme.parts``)."""
+    return cfg.kind == "first"
 
 
 def reconstruct_pair(
@@ -250,16 +244,15 @@ def reconstruct_pair(
     a slot axis.  The states are primitive in the primitive space, else
     conservative.
 
-    ``cap_mask`` (F,) selects faces whose order is capped (near-shock
-    treatment); both rows of those faces are re-reconstructed with
-    ``cap_cfg``, in the frame of the selected faces, and spliced in.  One
+    ``cap_mask`` (F,), given with the ``cap_cfg`` of a part that has a cap,
+    selects faces whose order is capped (near-shock treatment); both rows of
+    those faces are reconstructed with ``cap_cfg`` (at first order from
+    their cells), in the frame of the selected faces, and spliced in.  One
     mask serves every member of a batch.  ``linearise=False`` skips the
     frozen-weight coefficients, which only the stability assembly reads; the
     face states and the fallback mask are the same either way.
     """
     win = np.asarray(win, dtype=float)
-    if reads_cells(cfg, cap_cfg):
-        return _cell_states(win[..., 2, :] if win.shape[-2] == 5 else win, cfg.space, linearise)
     recon = _reconstruct_sides(win, cfg, frame, linearise)
     if cap_mask is not None and np.count_nonzero(cap_mask):
         batch = (slice(None),) * (win.ndim - 3)
@@ -273,15 +266,16 @@ def reconstruct_pair(
 
 
 def _cell_states(cells, space, linearise):
-    """First-order states of the faces whose adjacent cells are ``cells``
-    (..., 2F, 4): the cells themselves, converted in the conservative space,
-    where a bad cell raises named by its (side, face).  No face falls back."""
+    """First-order states of the face rows whose own cells are ``cells``
+    (..., 2F, 4): the cells themselves, converted outside the primitive
+    space, where a bad cell raises named by its (side, face), with the
+    coefficient 1 on slot 2 in every space.  No face falls back."""
     W = cells if space == "primitive" else euler.on_sides(euler.cons_to_prim, cells, "face cell")
-    lin = None
+    lin = np.zeros(cells.shape[:-1] + (5, 4)) if linearise else None
     if linearise:
-        lin = np.zeros(cells.shape[:-1] + (5, 4))
         lin[..., 2, :] = 1.0
     fallback = np.zeros(cells.shape[:-2] + (cells.shape[-2] // 2,), dtype=bool)
+    space = "primitive" if space == "primitive" else "conservative"
     return FaceRecon(W=W, lin=lin, Lmat=None, Rmat=None, space=space, fallback=fallback)
 
 
@@ -299,6 +293,8 @@ def _project(M, X):
 
 
 def _reconstruct_sides(win, cfg, frame, linearise):
+    if reads_cells(cfg):
+        return _cell_states(win[..., 2, :] if win.shape[-2] == 5 else win, cfg.space, linearise)
     n = win.shape[-3] // 2
     Lmat = Rmat = None
     X = win
@@ -327,11 +323,9 @@ def _reconstruct_sides(win, cfg, frame, linearise):
         # drop to first order at the offending faces: both states are the
         # adjacent cell means, the middle slot of either window
         rows = np.concatenate([fallback, fallback], axis=-1)
+        first = _cell_states(win[..., 2, :][rows], cfg.space, linearise)
+        W[rows] = first.W
         if linearise:
-            first = np.zeros(lin.shape[-2:])
-            first[2] = 1.0
-            lin[rows] = first
-        cells = win[..., 2, :][rows]
-        W[rows] = cells if cfg.space == "primitive" else euler.cons_to_prim(cells, "fallback")
+            lin[rows] = first.lin
 
     return FaceRecon(W=W, lin=lin, Lmat=Lmat, Rmat=Rmat, space=cfg.space, fallback=fallback)

@@ -4,8 +4,8 @@ A plain scheme uses one (solver, order) on every face; a direction hybrid
 uses one pair on the normal faces (x-oriented, along the shock normal) and
 another on the transverse faces (y-oriented), both fixed by ``HYBRID_PARTS``,
 so a hybrid refuses any order but the default 5.  ``Scheme.parts`` resolves
-that choice once per scheme into the face batches that ``rhs`` and
-``assemble`` run.
+that choice and the near-shock cap, which only ever lowers a part's order,
+once per scheme into the face batches that ``rhs`` and ``assemble`` run.
 """
 
 import functools
@@ -15,9 +15,10 @@ from dataclasses import dataclass, replace
 from .reconstruction import ReconConfig
 from .riemann import FLUXES
 
-# the reconstruction kind of each order, and the one each near-shock cap imposes
+# the reconstruction kind of each order, and the kind and order of each near-shock cap
 ORDER_TO_KIND = {1: "first", 2: "muscl", 5: "weno5"}
 CAP_TO_KIND = {"first": "first", "second": "muscl", "smoothest-third": "eno3"}
+CAP_ORDER = {"first": 1, "second": 2, "smoothest-third": 3}
 
 # direction hybrids: (solver, order) per face orientation
 HYBRID_PARTS = {
@@ -59,7 +60,8 @@ class Scheme:
         """The scheme's face batches, x faces first, each (face orientations,
         solver, reconstruction config, cap config or None): one part of both
         orientations for a plain scheme, an x part and a y part for a direction
-        hybrid.  Built once per scheme: ``rhs`` runs them on every call."""
+        hybrid.  A cap only lowers the order: a part carries it only below its
+        own order.  Built once per scheme: ``rhs`` runs them on every call."""
         if self.solver in HYBRID_PARTS:
             pairs = [((o,), *HYBRID_PARTS[self.solver][o]) for o in ("x", "y")]
         else:
@@ -67,7 +69,8 @@ class Scheme:
         parts = []
         for orientations, solver, order in pairs:
             recon = ReconConfig(ORDER_TO_KIND[order], self.weno_variant, self.space)
-            cap = None if self.cap == "none" else replace(recon, kind=CAP_TO_KIND[self.cap])
+            lowers = CAP_ORDER.get(self.cap, order) < order  # "none" lowers nothing
+            cap = replace(recon, kind=CAP_TO_KIND[self.cap]) if lowers else None
             parts.append((orientations, solver, recon, cap))
         return tuple(parts)
 

@@ -130,20 +130,21 @@ def _residual_1d(field, scheme) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _probe_faces(table, cells: tuple[int, ...], cfg, cap_cfg):
+def _probe_faces(table, cells: tuple[int, ...], cfg):
     """The faces that a single row's probe stack changes, built once per face
     table (x faces of a row), probed cells and part; the arrays are read-only.
 
     The stack holds 2m probes, probe p moving cell ``cells[p % m]``, and then
-    the unperturbed row at member 2m.  A probe touches face f when a slot
-    that the part reads of f (``marching.part_slots``) holds the probe's
-    cell or, for the row's last cell, the outflow ghost state that copies
-    it; every other face of the probe equals the row's.  Returns (probe,
-    face, sides, shock): the touched pairs in (probe, face) order, then, for
-    those faces followed by all of the row's faces, the index of the slots
-    the part reads, ``part_slots`` of a (2F', 5) side index, into the
-    stack's flattened state axis (laid out as ``fields.apply_boundaries``:
-    cell i at i, the outflow ghost at nx + 1) and the shock flags (F',).
+    the unperturbed row at member 2m.  A probe touches face f when a slot that
+    the part reads of f (``marching.part_slots``: the cells at first order,
+    else the windows) holds the probe's cell or, for the row's last cell, the
+    outflow ghost state that copies it; every other face of the probe equals
+    the row's.  Returns (probe, face, sides, shock): the touched pairs in
+    (probe, face) order, then, for those faces followed by all of the row's
+    faces, the index of the slots the part reads, ``part_slots`` of a (2F', 5)
+    side index, into the stack's flattened state axis (laid out as
+    ``fields.apply_boundaries``: cell i at i, the outflow ghost at nx + 1) and
+    the shock flags (F',).
     """
     n_faces = len(table.shock)  # nx + 1 x faces
     nx = n_faces - 1
@@ -152,14 +153,14 @@ def _probe_faces(table, cells: tuple[int, ...], cfg, cap_cfg):
     moved = np.zeros((len(cells), n_states), dtype=bool)
     moved[np.arange(len(cells)), cells] = True
     moved[:, nx + 1] = cells == nx - 1
-    read = moved[:, marching.part_slots(table.sides, cfg, cap_cfg)]
+    read = moved[:, marching.part_slots(table.sides, cfg)]
     touched = read.reshape(len(cells), 2, n_faces, -1).any(axis=(1, 3))
     probe, face = np.nonzero(np.concatenate([touched, touched]))  # +h probes, then -h
     member = np.concatenate([probe, np.full(n_faces, 2 * len(cells))])
     faces = np.concatenate([face, np.arange(n_faces)])
     offset = np.tile(member * n_states, 2)[:, None]  # both sides' stack member
     sides = offset + table.sides[np.concatenate([faces, n_faces + faces])]
-    sides = marching.part_slots(sides, cfg, cap_cfg)
+    sides = marching.part_slots(sides, cfg)
     shock = table.shock[faces]
     for a in (probe, face, sides, shock):
         a.flags.writeable = False
@@ -197,7 +198,7 @@ def _fd_jacobian_1d(field, scheme, cols) -> tuple[np.ndarray, np.ndarray]:
     stack[m + plus, i, 0, c] -= h
     probes = replace(field, U=stack)
     (table, solver, cfg, cap_cfg), = marching.face_parts(field, scheme)  # a row's x faces
-    probe, face, sides, shock = _probe_faces(table, tuple(i.tolist()), cfg, cap_cfg)
+    probe, face, sides, shock = _probe_faces(table, tuple(i.tolist()), cfg)
     states = fields.apply_boundaries(probes, scheme.space == "primitive")
     recon = reconstruction.reconstruct_pair(
         marching.gather_windows(states.reshape(-1, 4), sides), cfg, table.frame,

@@ -59,16 +59,15 @@ def per_direction_face_reconstructions(field, Xpad, scheme, linearise=True):
     """Yield (axis, solver, frame, grid, FaceRecon) per face orientation: the
     windows of the (nx+1, ny) or (nx, ny+1) face grid of the padded states
     ``Xpad``, in the scheme's window variables, are flattened onto the side
-    axis."""
-    cap_masks = shock_face_masks(field) if scheme.cap != "none" else (None, None)
+    axis.  A part that carries a cap takes it on the shock's faces."""
     axes = ("x", "y") if field.ny > 1 else ("x",)
-    for axis, cap_mask in zip(axes, cap_masks):
+    for axis, cap_mask in zip(axes, shock_face_masks(field)):
         _, solver, cfg, cap_cfg = next(part for part in scheme.parts if axis in part[0])
         windows, frame = (_x_face_windows, X_FACE) if axis == "x" else (_y_face_windows, Y_FACE)
         winL, winR = (w.reshape(w.shape[:-4] + (-1, 5, 4)) for w in windows(Xpad, field.nx, field.ny))
         recon = reconstruction.reconstruct_pair(
             side_windows(winL, winR), cfg, frame,
-            cap_cfg=cap_cfg, cap_mask=None if cap_mask is None else cap_mask.ravel(),
+            cap_cfg=cap_cfg, cap_mask=None if cap_cfg is None else cap_mask.ravel(),
             linearise=linearise,
         )
         grid = (field.nx + 1, field.ny) if axis == "x" else (field.nx, field.ny + 1)
@@ -263,9 +262,8 @@ def test_one_left_state_call_and_one_window_gather_per_face_batch(monkeypatch, s
     # one gather per part, of the slots its kind reads, in the primitive
     # space too, where the cells are converted first.  A WENO part gathers
     # five-slot windows and makes one left-state call.  hybrid-2's
-    # first-order y part takes its faces' own cells and makes none, except
-    # in the characteristic space, whose bits come from the R L round trip
-    # of whole windows
+    # first-order y part takes its faces' own cells and makes none, in every
+    # space
     calls = {"_left_state": 0, "gather_windows": []}
 
     def counting(module, name, record):
@@ -285,9 +283,8 @@ def test_one_left_state_call_and_one_window_gather_per_face_batch(monkeypatch, s
         index.shape[1:]))
     field = sp.build_initial_field(sp.ShockProblemConfig(ny=4))
     residual(field, Scheme(solver=solver, order=5, space=space))
-    y_slots = (5,) if space == "characteristic" else ()
-    assert calls["gather_windows"] == [(5,), y_slots][:batches]
-    assert calls["_left_state"] == 1 + (batches - 1) * (space == "characteristic")
+    assert calls["gather_windows"] == [(5,), ()][:batches]
+    assert calls["_left_state"] == 1
 
 
 def _adjacent_cells(field, primitive):
@@ -302,11 +299,11 @@ def _adjacent_cells(field, primitive):
     return np.concatenate([c.reshape(-1, 4) for c in left + right])
 
 
-@pytest.mark.parametrize("space", ["primitive", "conservative"])
+@pytest.mark.parametrize("space", ["primitive", "conservative", "characteristic"])
 @pytest.mark.parametrize("solver", ["roe", "hllc", "van_leer"])
 def test_first_order_faces_are_their_cells(solver, space):
     # a first-order part's two states of a face are the cells before and
-    # after it, converted in the conservative space, bit for bit, and no
+    # after it, converted outside the primitive space, bit for bit, and no
     # face falls back; linearised, each state reads its own cell, window
     # slot 2, with weight 1
     scheme = Scheme(solver=solver, order=1, space=space)

@@ -158,20 +158,31 @@ def test_muscl_left_state_cases():
 
 
 def test_first_order_left_state():
-    assert left_state(np.arange(5.0), "first") == 2.0
+    # a first-order face state is the side's own cell, window slot 2, in
+    # every space, and its coefficients are 1 on that slot alone
+    W = np.array([[1.0 + m, 0.5 * m - 1.0, 0.1 * m, 2.0 + m * m] for m in range(5)])
+    slot2 = np.zeros((5, 4))
+    slot2[2] = 1.0
+    for space in ("conservative", "primitive", "characteristic"):
+        win = (W if space == "primitive" else euler.prim_to_cons(W))[None]
+        cell = W[2] if space == "primitive" else euler.cons_to_prim(win[0, 2])
+        cfg = rc.ReconConfig(kind="first", space=space)
+        out = rc.reconstruct_pair(side_windows(win, win), cfg, X_FACE)
+        assert np.array_equal(out.W, np.stack([cell, cell])), space
+        assert np.array_equal(out.lin, np.stack([slot2, slot2])), space
+        assert out.Lmat is None and out.Rmat is None and not out.fallback.any()
 
 
 def test_exactness_all_orders():
     rng = np.random.default_rng(2)
     const = np.full((1, 5, 1), 3.3)
     lin = (np.arange(5.0) * 0.7 + 1.0)[None, :, None]
-    for kind in ("first", "muscl", "weno5", "eno3"):
+    for kind in ("muscl", "weno5", "eno3"):
         cfg = rc.ReconConfig(kind=kind, space="conservative")
         val, _ = rc._left_state(const, cfg)
         assert np.allclose(val, 3.3, atol=1e-13), kind
-        if kind != "first":
-            val, _ = rc._left_state(lin, cfg)
-            assert np.allclose(val, 1.0 + 2.5 * 0.7, atol=1e-12), kind
+        val, _ = rc._left_state(lin, cfg)
+        assert np.allclose(val, 1.0 + 2.5 * 0.7, atol=1e-12), kind
 
 
 def test_weno5_linear_weights_equal_upstream_scheme(linear_weights):
@@ -190,7 +201,7 @@ def test_lin_coeffs_reproduce_values():
     # frozen-weight linearization evaluated at the window reproduces the value
     rng = np.random.default_rng(4)
     w = rng.uniform(0.5, 2.0, (30, 5, 4))
-    for kind in ("first", "muscl", "weno5", "eno3"):
+    for kind in ("muscl", "weno5", "eno3"):
         cfg = rc.ReconConfig(kind=kind, space="conservative", weno_variant="z")
         val, lin = rc._left_state(w, cfg)
         assert np.allclose((lin * w).sum(axis=-2), val, atol=1e-12), kind
@@ -199,7 +210,7 @@ def test_lin_coeffs_reproduce_values():
 def test_lin_coeffs_sum_to_one():
     rng = np.random.default_rng(5)
     w = rng.uniform(0.5, 2.0, (30, 5, 4))
-    for kind in ("first", "muscl", "weno5", "eno3"):
+    for kind in ("muscl", "weno5", "eno3"):
         cfg = rc.ReconConfig(kind=kind, space="conservative")
         _, lin = rc._left_state(w, cfg)
         assert np.allclose(lin.sum(axis=-2), 1.0, atol=1e-12), kind
@@ -360,7 +371,7 @@ def test_face_states_do_not_depend_on_linearise(order, space, cap):
             assert np.array_equal(getattr(a, name), getattr(b, name)), (on[0].grids, name)
         assert a.lin is not None and b.lin is None
         fallback_faces += int(a.fallback.sum())
-    if space == "conservative" and (order > 1 or cap == "second"):
+    if space == "conservative" and order > 1:
         assert fallback_faces > 0
 
 
@@ -387,6 +398,15 @@ def ref_reconstruct_pair(winL_U, winR_U, cfg, frame, cap_cfg=None, cap_mask=None
 
 
 def ref_reconstruct_pair_one(winL_U, winR_U, cfg, frame, XwinL, XwinR, linearise):
+    if cfg.kind == "first":
+        # a first-order state is the side's own cell, slot 2, in every space
+        WL, WR = (X[..., 2, :] if cfg.space == "primitive" else euler.cons_to_prim(U[..., 2, :])
+                  for X, U in ((XwinL, winL_U), (XwinR, winR_U)))
+        slot2 = np.zeros(winL_U.shape)
+        slot2[..., 2, :] = 1.0
+        lin = slot2 if linearise else None
+        return {"WL": WL, "WR": WR, "lin_L": lin, "lin_R": lin, "Lmat": None, "Rmat": None,
+                "fallback": np.zeros(winL_U.shape[:-2], dtype=bool)}
     Lmat = Rmat = None
     if cfg.space == "characteristic":
         W_l = euler.cons_to_prim(winL_U[..., 2, :], "face-left cell")
@@ -461,9 +481,12 @@ def _face_windows(batch):
 
 
 @pytest.mark.parametrize("space", ["conservative", "primitive", "characteristic"])
-@pytest.mark.parametrize("kind, variant", [("first", "z"), ("muscl", "z"), ("weno5", "z"),
-                                           ("weno5", "js"), ("eno3", "z")])
-@pytest.mark.parametrize("cap", ["none", "second"])
+@pytest.mark.parametrize("cap, kind, variant", [
+    (cap, kind, variant) for cap in ("none", "second")
+    for kind, variant in (("first", "z"), ("muscl", "z"), ("weno5", "z"), ("weno5", "js"),
+                          ("eno3", "z"))
+    if not (cap == "second" and kind == "first")  # a first-order part carries no cap
+])
 def test_side_axis_reconstruction_equals_the_two_call_reference(space, kind, variant, cap):
     # one left-state call on the side axis gives the bits of the two calls:
     # face states, frozen-weight coefficients, fallback faces, eigen-matrices

@@ -724,8 +724,8 @@ def _counting_layers(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    def side_axis(X, cfg, frame, cap_cfg=None, **kwargs):
-        return X.shape[-2 if reconstruction.reads_cells(cfg, cap_cfg) else -3]
+    def side_axis(X, cfg, frame, **kwargs):
+        return X.shape[-2 if reconstruction.reads_cells(cfg) else -3]
 
     counting(marching, "rhs", lambda field, states, scheme: field.U.shape[:-3])
     counting(fields, "apply_boundaries", lambda field, primitive: field.U.shape[:-3])

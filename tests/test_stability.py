@@ -5,7 +5,8 @@ import pytest
 import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
-from shockstab import euler, fields, reconstruction as rc, riemann, shock_problem as sp, stability
+from shockstab import (euler, fields, marching, reconstruction as rc, riemann,
+                       shock_problem as sp, stability)
 from shockstab.errors import DifferentiationError, InvalidStateError, UnsteadyFieldError
 from shockstab.euler import X_FACE
 from shockstab.fields import MeanField
@@ -359,10 +360,31 @@ def test_first_order_space_equivalence():
             D[c : c + 4, c : c + 4] = euler.du_dw(W[i, j])
     sim = np.linalg.solve(D, mats["conservative"] @ D)
     assert np.abs(sim - mats["primitive"]).max() < 1e-10 * scale
-    # characteristic: R L = I makes the first-order matrix identical
-    assert np.abs(mats["characteristic"] - mats["conservative"]).max() < 1e-8 * scale
+    # characteristic: R L = I, so a first-order face state is its cell and
+    # the first-order matrix is the conservative one, bit for bit
+    assert np.array_equal(mats["characteristic"], mats["conservative"])
     for space in ("primitive", "characteristic"):
         assert abs(doms[space] - doms["conservative"]) < 1e-6 * max(1.0, abs(doms["conservative"]))
+
+
+@pytest.mark.parametrize("epsilon", [0.1, 0.5])
+@pytest.mark.parametrize("solver", ["roe", "hllc"])
+def test_first_order_characteristic_scheme_is_the_conservative_one(solver, epsilon):
+    # a first-order face state is its cell in every space, so the
+    # characteristic scheme never meets its eigen-matrices: the steady solve,
+    # S, its lambda_max and a march step all keep the conservative bits
+    cfg = sp.ShockProblemConfig(epsilon=epsilon, nx=11, ny=4)
+    out = {}
+    for space in ("conservative", "characteristic"):
+        scheme = Scheme(solver=solver, order=1, space=space)
+        profile, info = sp.converge_1d(cfg, scheme)
+        field = sp.project_to_2d(profile, cfg)
+        S = assemble(field, scheme)
+        perturbed = marching.inject_perturbation(field, 1e-7, 3)
+        stepped, dt = marching.step_ssprk3(perturbed, scheme, 0.1, 1.0)
+        out[space] = (profile.tobytes(), info, S.block_row.tobytes(),
+                      float.hex(eigensolve(S).max_real), stepped.U.tobytes(), float.hex(dt))
+    assert out["characteristic"] == out["conservative"]
 
 
 def test_block_counts_by_order():
@@ -460,8 +482,6 @@ def test_outflow_ghost_chain_rule():
 def _loop_assembly(field, scheme):
     """Dense S scattered face by face, offset by offset: the reference for
     the vectorised scatter of ``assemble``."""
-    from shockstab import marching
-
     nx, ny, ng = field.nx, field.ny, NG
     sigma = 1.0  # unit cells
     W = field.interior_primitive()
