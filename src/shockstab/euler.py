@@ -17,9 +17,11 @@ shape-(4,) array.
 A check that raises when any entry of a mask is bad counts the good entries
 with ``np.count_nonzero``: on the few hundred faces of a residual call that
 is about half the cost of ``ndarray.any()`` or ``.all()``, and each SSP-RK3
-step of an 11x11 march runs 11 (first order, primitive) to 37 (characteristic
-hybrid) of them, ``march``'s finiteness check included.  A first-order step
-runs as many in the characteristic space as in the conservative one.
+step of an 11x11 march runs 11 (first order, primitive) to 29 (characteristic
+hybrid) of them, ``march``'s finiteness check included.  Every space checks
+each stage's cells in the one conversion of ``fields.apply_boundaries``, and
+a first-order step runs as many in the characteristic space as in the
+conservative one.
 """
 
 import functools

@@ -5,25 +5,29 @@ A field is its (..., nx, ny, 4) array of conservative averages over unit
 square cells: the grid axes are the last three, and any leading axes form a
 batch of fields that share the grid, the boundaries and the shock column.
 A single field has batch shape ().  Ghost cells are not state:
-``apply_boundaries`` lays the cells out on one state axis (..., S, 4), cell
+``apply_boundaries`` lays the cells out on a state axis (..., S, 4), cell
 (i, j) at i*ny + j, then appends the inflow ghost state at nx*ny and the
 pressure-pinned outflow ghost state of row j at nx*ny + 1 + j, whose
-derivative is ``outflow_jacobian``.  The axis holds the variables the face
-windows read, primitive in the primitive space and conservative otherwise,
-so a primitive residual converts its cells once.
+derivative is ``outflow_jacobian``.  It returns the axis in two forms,
+``StateAxes``: ``X`` in the variables the face windows read, conservative
+outside the primitive space, and ``W`` primitive, one array with ``X`` in
+the primitive space.  ``apply_boundaries`` is the one place that converts
+a field's cells, once per call and checked, in every space.
 Interior indices are 0-based; problem metadata (shock column) uses the
 1-based cell numbering of the test problem.  An ``InvalidStateError`` names
-cells by their full index, so in a batch the tuple leads with the batch
-index.
+cells by their full index (i, j), so in a batch the tuple leads with the
+batch index.
 
 ``face_table`` lays the faces of a grid on one flat face axis, x faces then
 y faces, each with the state indices of its six-cell stencil, and both
-windows of every face on one side axis: ``rhs`` gathers its windows from
-the side axis and ``assemble`` scatters its blocks by the stencils.
+windows of every face on one side axis: ``rhs`` gathers its windows and
+cells from the side axis and ``assemble`` scatters its blocks by the
+stencils.
 """
 
 import functools
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,25 +67,39 @@ class MeanField:
         return euler.cons_to_prim(self.U, "interior")
 
 
-def apply_boundaries(field: MeanField, primitive: bool) -> np.ndarray:
-    """The state axis (..., S, 4) that the module docstring lays out, in
-    primitive variables if ``primitive``, else conservative; a new
-    C-contiguous array, the field is left as it is.  The primitive axis is
-    one ``interior_primitive`` conversion, its inflow state ``bc.inflow_W``
-    and its outflow states the last column's with the pressure pinned."""
-    U, bc = field.U, field.bc
-    batch, n = U.shape[:-3], field.nx * field.ny
-    X = field.interior_primitive() if primitive else U
-    states = np.empty(batch + (n + 1 + field.ny, 4))
-    states[..., :n, :] = X.reshape(batch + (n, 4))
-    if primitive:
-        last = X[..., -1, :, :].copy()
-    else:
-        last = euler.cons_to_prim(U[..., -1, :, :], "outflow column")
+class StateAxes(NamedTuple):
+    """The state axis of a field in the two forms its faces read: ``X`` in
+    the window variables of the scheme's space, ``W`` primitive.  In the
+    primitive space they are one array."""
+
+    X: np.ndarray
+    W: np.ndarray
+
+
+def apply_boundaries(field: MeanField, primitive: bool) -> StateAxes:
+    """The state axes (..., S, 4) that the module docstring lays out, ``X``
+    primitive if ``primitive``, else conservative; new C-contiguous arrays,
+    the field is left as it is.  The interior is one ``interior_primitive``
+    conversion, which names a bad cell by its (i, j), and the outflow states
+    are the last column's with the pressure pinned.  Outside the primitive
+    space the ghosts of ``X`` are conservative, and those of ``W`` are
+    converted back from them."""
+    batch, n, bc = field.U.shape[:-3], field.nx * field.ny, field.bc
+    W_int = field.interior_primitive()
+    last = W_int[..., -1, :, :].copy()
     last[..., 3] = bc.outflow_pressure
-    states[..., n, :] = bc.inflow_W if primitive else bc.inflow_U
-    states[..., n + 1:, :] = last if primitive else euler.prim_to_cons(last)
-    return states
+    W = np.empty(batch + (n + 1 + field.ny, 4))
+    W[..., :n, :] = W_int.reshape(batch + (n, 4))
+    if primitive:
+        W[..., n, :] = bc.inflow_W
+        W[..., n + 1:, :] = last
+        return StateAxes(W, W)
+    X = np.empty_like(W)
+    X[..., :n, :] = field.U.reshape(batch + (n, 4))
+    X[..., n, :] = bc.inflow_U
+    X[..., n + 1:, :] = euler.prim_to_cons(last)
+    W[..., n:, :] = euler.cons_to_prim(X[..., n:, :], "boundary ghost")
+    return StateAxes(X, W)
 
 
 def outflow_jacobian(W_last: np.ndarray, primitive: bool) -> np.ndarray:

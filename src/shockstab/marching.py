@@ -1,8 +1,10 @@
 """Semi-discrete residual, SSP-RK3 stepping, perturbation experiments and
 exponential growth-rate fitting.  ``rhs`` reads every face's stencil from
 ``fields.face_table`` and differences the face fluxes over unit cells.  It
-takes the field's state axis from its caller, so that an SSP-RK3 step builds
-the axis of its start state once, for its time step and its first stage."""
+takes the field's state axes from its caller, so that an SSP-RK3 step builds
+the axes of its start state once, for its time step and its first stage.
+No function here converts a cell: ``fields.apply_boundaries`` does, once
+per stage, and the step and the faces read its primitive axis."""
 
 from dataclasses import dataclass
 
@@ -10,7 +12,7 @@ import numpy as np
 
 from . import euler, reconstruction, riemann
 from .errors import InvalidStateError, NoExponentialStageError
-from .fields import MeanField, apply_boundaries, face_table
+from .fields import MeanField, StateAxes, apply_boundaries, face_table
 from .scheme import Scheme
 
 # a perturbed march stops above this ||v||_inf, which also tops the fit's band
@@ -48,7 +50,7 @@ class GrowthFit:
     r2: float
 
 
-def face_parts(field: MeanField, scheme: Scheme, linearise: bool = False):
+def face_parts(field: MeanField, scheme: Scheme, *, linearise: bool):
     """Yield (table, solver, cfg, cap_cfg) once per part of ``scheme.parts``,
     in its order: one part of all x and y faces for a plain scheme, the x
     faces and then the y faces for a direction hybrid.  The residual of a
@@ -67,30 +69,31 @@ def face_parts(field: MeanField, scheme: Scheme, linearise: bool = False):
         yield table, solver, cfg, cap_cfg
 
 
-def face_reconstructions(field: MeanField, states: np.ndarray, scheme: Scheme,
-                         linearise: bool = True):
+def face_reconstructions(field: MeanField, states: StateAxes, scheme: Scheme, *,
+                         linearise: bool):
     """Yield (table, solver, FaceRecon) once per part of ``face_parts``.
 
-    Every part takes what its kind reads of both sides of its faces,
-    side-stacked behind the field's batch axes, in one ``gather_windows``
-    from ``states``, the state axis that ``apply_boundaries`` builds in the
-    scheme's window variables: the cells (..., 2F, 4) where
-    ``reconstruction.reads_cells``, else the windows (..., 2F, 5, 4).
-    ``linearise`` is passed on to ``face_parts`` and ``reconstruct_pair``.
+    Every part takes both sides of its faces, side-stacked behind the
+    field's batch axes, from ``states``, the state axes that
+    ``apply_boundaries`` builds (``part_states``).  ``linearise`` is passed
+    on to ``face_parts`` and ``reconstruct_pair``.
     """
-    for table, solver, cfg, cap_cfg in face_parts(field, scheme, linearise):
+    for table, solver, cfg, cap_cfg in face_parts(field, scheme, linearise=linearise):
         recon = reconstruction.reconstruct_pair(
-            gather_windows(states, part_slots(table.sides, cfg)), cfg, table.frame,
+            *part_states(states, table.sides, cfg), cfg, table.frame,
             cap_cfg=cap_cfg, cap_mask=None if cap_cfg is None else table.shock,
             linearise=linearise,
         )
         yield table, solver, recon
 
 
-def part_slots(sides: np.ndarray, cfg) -> np.ndarray:
-    """The slots of a (2F, 5) side index that a part reads: at first order
-    (``reconstruction.reads_cells``) slot 2, each side's own cell, else all five."""
-    return sides[:, 2] if reconstruction.reads_cells(cfg) else sides
+def part_states(states: StateAxes, sides: np.ndarray, cfg):
+    """(win, cells), the first two arguments of ``reconstruct_pair``, of the
+    rows of a (R, 5) side index: ``cells`` (..., R, 4) from ``states.W`` at
+    slot 2, each row's own cell, and ``win`` the windows (..., R, 5, 4) from
+    ``states.X``, or the cells where the part reads cells."""
+    cells = gather_windows(states.W, sides[:, 2])
+    return (cells if reconstruction.reads_cells(cfg) else gather_windows(states.X, sides)), cells
 
 
 def gather_windows(states: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -103,10 +106,10 @@ def gather_windows(states: np.ndarray, index: np.ndarray) -> np.ndarray:
     return taken if index.ndim == 1 else taken.swapaxes(-3, -2)
 
 
-def rhs(field: MeanField, states: np.ndarray, scheme: Scheme) -> np.ndarray:
+def rhs(field: MeanField, states: StateAxes, scheme: Scheme) -> np.ndarray:
     """Semi-discrete residual dU/dt on the interior unit cells, shaped like
     ``field.U``: a batch of fields gives the stack of their residuals.
-    ``states`` is the field's state axis in the scheme's window variables,
+    ``states`` are the field's state axes,
     ``apply_boundaries(field, scheme.space == "primitive")``."""
     res = np.zeros(field.U.shape)
     for table, solver, recon in face_reconstructions(field, states, scheme, linearise=False):
@@ -132,16 +135,15 @@ def step_ssprk3(field: MeanField, scheme: Scheme, cfl: float,
     """One three-stage SSP Runge-Kutta step of dt = min(cfl_dt, dt_max);
     returns (new field, dt).
 
-    The start state is converted once.  The first stage's state axis is
-    built before the step's length is known, and in the primitive space
-    ``cfl_dt`` reads the interior cells of that axis; elsewhere it reads
-    ``field.interior_primitive()``.  An inadmissible start state raises
-    ``InvalidStateError`` from that conversion.
+    Each stage's state is converted once, by ``apply_boundaries``.  The
+    first stage's state axes are built before the step's length is known,
+    and ``cfl_dt`` reads the interior cells of their primitive axis.  An
+    inadmissible start or stage state raises ``InvalidStateError`` from
+    that conversion, naming its cell (i, j).
     """
     primitive = scheme.space == "primitive"
     states = apply_boundaries(field, primitive)
-    W = states[..., : field.nx * field.ny, :] if primitive else field.interior_primitive()
-    dt = min(cfl_dt(W, cfl), dt_max)
+    dt = min(cfl_dt(states.W[..., : field.nx * field.ny, :], cfl), dt_max)
 
     def stage(prev):
         f = MeanField(prev, field.bc, field.shock_column)

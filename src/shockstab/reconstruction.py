@@ -7,11 +7,14 @@ states of shape (..., 5, 4).  A batch of F faces of any orientation comes on
 one side axis, windows (..., 2F, 5, 4) behind the field's batch axes: the
 left windows, then the right windows mirrored, gathered along each face's
 normal by ``fields.face_table``, so that one left-state formula
-reconstructs every row.  A first-order face state is its side's own cell,
-slot 2 of the window, in every space (R L = I): a first-order part
-(``reads_cells``) takes the cells (..., 2F, 4), and it, a first-order cap
-and the positivity fallback take their states through ``_cell_states``.
-The ``FaceFrame`` holds one normal per face.
+reconstructs every row.  Beside the windows come the cells (..., 2F, 4),
+the primitive state of each row's own cell, slot 2 of its window, as
+``fields.apply_boundaries`` converted and checked it: this module converts
+no cell.  A first-order face state is that cell in every space (R L = I):
+a first-order part (``reads_cells``) takes only the cells, and it, a
+first-order cap and the positivity fallback take their states through
+``_cell_states``; the characteristic frame of a face is evaluated at the
+mean of its two cells.  The ``FaceFrame`` holds one normal per face.
 
 WENO5 and ENO3 work on the substencil axis -2 of length 3: substencil m of a
 window covers slots m..m+2, so its three overlapping slices (slots 0..2, 1..3
@@ -231,18 +234,19 @@ def reads_cells(cfg: ReconConfig) -> bool:
 
 def reconstruct_pair(
     win,
+    cells,
     cfg: ReconConfig,
     frame: FaceFrame,
     cap_cfg: ReconConfig | None = None,
     cap_mask=None,
     linearise: bool = True,
 ) -> FaceRecon:
-    """Reconstruct both states of every face from the side-stacked slots its
-    part reads: the cells (..., 2F, 4) where ``reads_cells``, else the
-    windows (..., 2F, 5, 4).  A part that reads cells takes slot 2 of
-    windows too; a side axis has even length, so an axis -2 of length 5 is
-    a slot axis.  The states are primitive in the primitive space, else
-    conservative.
+    """Reconstruct both states of every face from its side-stacked slots:
+    ``cells`` (..., 2F, 4), the primitive state of each row's own cell
+    (window slot 2), and ``win``, what the part reads, the windows
+    (..., 2F, 5, 4) in the window variables of its space, or its ``cells``
+    where ``reads_cells``.  The window variables are primitive in the
+    primitive space, else conservative.
 
     ``cap_mask`` (F,), given with the ``cap_cfg`` of a part that has a cap,
     selects faces whose order is capped (near-shock treatment); both rows of
@@ -253,11 +257,11 @@ def reconstruct_pair(
     face states and the fallback mask are the same either way.
     """
     win = np.asarray(win, dtype=float)
-    recon = _reconstruct_sides(win, cfg, frame, linearise)
+    recon = _reconstruct_sides(win, cells, cfg, frame, linearise)
     if cap_mask is not None and np.count_nonzero(cap_mask):
-        batch = (slice(None),) * (win.ndim - 3)
+        batch = (slice(None),) * (cells.ndim - 2)
         rows = batch + (np.tile(cap_mask, 2),)
-        sub = _reconstruct_sides(win[rows], cap_cfg, frame.at(cap_mask), linearise)
+        sub = _reconstruct_sides(win[rows], cells[rows], cap_cfg, frame.at(cap_mask), linearise)
         recon.W[rows] = sub.W
         if linearise:
             recon.lin[rows] = sub.lin
@@ -266,17 +270,15 @@ def reconstruct_pair(
 
 
 def _cell_states(cells, space, linearise):
-    """First-order states of the face rows whose own cells are ``cells``
-    (..., 2F, 4): the cells themselves, converted outside the primitive
-    space, where a bad cell raises named by its (side, face), with the
-    coefficient 1 on slot 2 in every space.  No face falls back."""
-    W = cells if space == "primitive" else euler.on_sides(euler.cons_to_prim, cells, "face cell")
+    """First-order states of the face rows whose own cells have the primitive
+    states ``cells`` (..., R, 4): the cells themselves, with the coefficient
+    1 on slot 2 in every space.  No face falls back."""
     lin = np.zeros(cells.shape[:-1] + (5, 4)) if linearise else None
     if linearise:
         lin[..., 2, :] = 1.0
     fallback = np.zeros(cells.shape[:-2] + (cells.shape[-2] // 2,), dtype=bool)
     space = "primitive" if space == "primitive" else "conservative"
-    return FaceRecon(W=W, lin=lin, Lmat=None, Rmat=None, space=space, fallback=fallback)
+    return FaceRecon(W=cells, lin=lin, Lmat=None, Rmat=None, space=space, fallback=fallback)
 
 
 def _project(M, X):
@@ -292,15 +294,14 @@ def _project(M, X):
     return t0
 
 
-def _reconstruct_sides(win, cfg, frame, linearise):
+def _reconstruct_sides(win, cells, cfg, frame, linearise):
     if reads_cells(cfg):
-        return _cell_states(win[..., 2, :] if win.shape[-2] == 5 else win, cfg.space, linearise)
+        return _cell_states(cells, cfg.space, linearise)
     n = win.shape[-3] // 2
     Lmat = Rmat = None
     X = win
     if cfg.space == "characteristic":
-        W_c = euler.on_sides(euler.cons_to_prim, win[..., 2, :], "face cell")
-        W_eval = 0.5 * (W_c[..., :n, :] + W_c[..., n:, :])
+        W_eval = 0.5 * (cells[..., :n, :] + cells[..., n:, :])
         Lmat, Rmat = euler.eigen_matrices(W_eval, frame)
         # one projection per face, broadcast over its two rows and five slots
         by_side = win.reshape(win.shape[:-3] + (2, n, 5, 4))
@@ -321,9 +322,9 @@ def _reconstruct_sides(win, cfg, frame, linearise):
     fallback = ~(ok[..., :n] & ok[..., n:])
     if np.count_nonzero(fallback):
         # drop to first order at the offending faces: both states are the
-        # adjacent cell means, the middle slot of either window
+        # adjacent cells, the middle slot of either window
         rows = np.concatenate([fallback, fallback], axis=-1)
-        first = _cell_states(win[..., 2, :][rows], cfg.space, linearise)
+        first = _cell_states(cells[rows], cfg.space, linearise)
         W[rows] = first.W
         if linearise:
             lin[rows] = first.lin

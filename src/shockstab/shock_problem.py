@@ -136,15 +136,13 @@ def _probe_faces(table, cells: tuple[int, ...], cfg):
 
     The stack holds 2m probes, probe p moving cell ``cells[p % m]``, and then
     the unperturbed row at member 2m.  A probe touches face f when a slot that
-    the part reads of f (``marching.part_slots``: the cells at first order,
-    else the windows) holds the probe's cell or, for the row's last cell, the
-    outflow ghost state that copies it; every other face of the probe equals
-    the row's.  Returns (probe, face, sides, shock): the touched pairs in
+    the part reads of f (the cells at first order, else the windows) holds
+    the probe's cell or, for the row's last cell, the outflow ghost state
+    that copies it; every other face of the probe equals the row's.  Returns (probe, face, sides, shock): the touched pairs in
     (probe, face) order, then, for those faces followed by all of the row's
-    faces, the index of the slots the part reads, ``part_slots`` of a (2F', 5)
-    side index, into the stack's flattened state axis (laid out as
-    ``fields.apply_boundaries``: cell i at i, the outflow ghost at nx + 1) and
-    the shock flags (F',).
+    faces, their (2F', 5) side index into the stack's flattened state axes
+    (laid out as ``fields.apply_boundaries``: cell i at i, the outflow ghost
+    at nx + 1) and the shock flags (F',).
     """
     n_faces = len(table.shock)  # nx + 1 x faces
     nx = n_faces - 1
@@ -153,14 +151,13 @@ def _probe_faces(table, cells: tuple[int, ...], cfg):
     moved = np.zeros((len(cells), n_states), dtype=bool)
     moved[np.arange(len(cells)), cells] = True
     moved[:, nx + 1] = cells == nx - 1
-    read = moved[:, marching.part_slots(table.sides, cfg)]
+    read = moved[:, table.sides[:, 2] if reconstruction.reads_cells(cfg) else table.sides]
     touched = read.reshape(len(cells), 2, n_faces, -1).any(axis=(1, 3))
     probe, face = np.nonzero(np.concatenate([touched, touched]))  # +h probes, then -h
     member = np.concatenate([probe, np.full(n_faces, 2 * len(cells))])
     faces = np.concatenate([face, np.arange(n_faces)])
     offset = np.tile(member * n_states, 2)[:, None]  # both sides' stack member
     sides = offset + table.sides[np.concatenate([faces, n_faces + faces])]
-    sides = marching.part_slots(sides, cfg)
     shock = table.shock[faces]
     for a in (probe, face, sides, shock):
         a.flags.writeable = False
@@ -176,17 +173,16 @@ def _fd_jacobian_1d(field, scheme, cols) -> tuple[np.ndarray, np.ndarray]:
     h = 1e-7 max(1, |U[i, 0, c]|) and is (R(U + h) - R(U - h)) / (2h), R
     the residual of ``rhs``, bit for bit.  The 2m probes and the row itself
     (member 2m) are stacked on a batch axis and pass through one
-    ``apply_boundaries``, which in the primitive space converts the stack
-    once.  Then one ``gather_windows`` reads the slots the part reads
-    (``marching.part_slots``: the cells at first order, else the windows)
-    of only the faces whose read slots hold a probed cell (``_probe_faces``:
-    two faces per probe at first order, up to six otherwise) together with
-    the row's faces, and one ``reconstruct_pair`` and one ``compute_flux``
-    call evaluate them.  Each probe's face fluxes are the row's with its
-    touched faces written over.  Every member, the row included, is
-    differenced as ``rhs`` does, so r equals ``_residual_1d`` of the row bit
-    for bit.  A probe that leaves the admissible states makes that one pass
-    raise.
+    ``apply_boundaries``, which converts the stack once.  Then
+    ``marching.part_states`` gathers what the part reads (the cells at first
+    order, else the windows and the cells) of only the faces whose read
+    slots hold a probed cell (``_probe_faces``: two faces per probe at first
+    order, up to six otherwise) together with the row's faces, and one
+    ``reconstruct_pair`` and one ``compute_flux`` call evaluate them.  Each
+    probe's face fluxes are the row's with its touched faces written over.
+    Every member, the row included, is differenced as ``rhs`` does, so r
+    equals ``_residual_1d`` of the row bit for bit.  A probe that leaves
+    the admissible states makes that one pass raise.
     """
     cols = np.asarray(cols)
     m = len(cols)
@@ -197,11 +193,13 @@ def _fd_jacobian_1d(field, scheme, cols) -> tuple[np.ndarray, np.ndarray]:
     stack[plus, i, 0, c] += h
     stack[m + plus, i, 0, c] -= h
     probes = replace(field, U=stack)
-    (table, solver, cfg, cap_cfg), = marching.face_parts(field, scheme)  # a row's x faces
+    # a row's x faces
+    (table, solver, cfg, cap_cfg), = marching.face_parts(field, scheme, linearise=False)
     probe, face, sides, shock = _probe_faces(table, tuple(i.tolist()), cfg)
     states = fields.apply_boundaries(probes, scheme.space == "primitive")
+    flat = fields.StateAxes(*(a.reshape(-1, 4) for a in states))
     recon = reconstruction.reconstruct_pair(
-        marching.gather_windows(states.reshape(-1, 4), sides), cfg, table.frame,
+        *marching.part_states(flat, sides, cfg), cfg, table.frame,
         cap_cfg=cap_cfg, cap_mask=None if cap_cfg is None else shock, linearise=False,
     )
     flux = riemann.compute_flux(solver, recon.W, table.frame)

@@ -203,6 +203,8 @@ def assemble(field: MeanField, scheme: Scheme, check_steady: bool = True) -> Sta
     its row alone, the one-row field ``field.U[:, :1]``: the conversion to
     the row's primitive states, the steady check, the reconstruction and
     the probes run on the row's cells and faces, and an error names those.
+    The row's cells are converted once, by ``apply_boundaries``, in every
+    space; only the flux probes convert again, their perturbed face states.
     S is returned as ``block_row``, its duplicate entries summed in scatter
     order.  The row's entries come in the order of those of block row
     j = 0 in a scatter of every row, so where no two offsets share a slot
@@ -224,7 +226,7 @@ def assemble(field: MeanField, scheme: Scheme, check_steady: bool = True) -> Sta
     # every y-flux difference is exactly 0, so the row's residual is the field's
     field = replace(field, U=field.U[:, :1])
     states = apply_boundaries(field, primitive)
-    W_row = states[:nx] if primitive else field.interior_primitive()[:, 0]
+    W_row = states.W[:nx]
     if check_steady:
         res = float(np.abs(marching.rhs(field, states, scheme)[..., 0]).max())
         if res > STEADY_TOL:
@@ -235,7 +237,8 @@ def assemble(field: MeanField, scheme: Scheme, check_steady: bool = True) -> Sta
     T_out = outflow_jacobian(W_row[-1], primitive)
 
     parts = []
-    for table, solver, recon in marching.face_reconstructions(field, states, scheme):
+    for table, solver, recon in marching.face_reconstructions(field, states, scheme,
+                                                              linearise=True):
         orientations = "/".join(o for o, _ in table.grids)
         A_U = _fd_jacobians_U(solver, euler.prim_to_cons(recon.W), table.frame,
                               label=f"{orientations}-face")

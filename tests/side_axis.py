@@ -4,6 +4,8 @@ rows, the left ones first and the right windows mirrored."""
 
 import numpy as np
 
+from shockstab import euler
+
 
 def side_states(WL, WR) -> np.ndarray:
     """(..., 2F, 4) from (..., F, 4) left and right states; one face's (4,)
@@ -15,6 +17,14 @@ def side_windows(winL, winR) -> np.ndarray:
     """(..., 2F, 5, 4) from (..., F, 5, 4) left and right windows, both in
     cell order."""
     return np.concatenate([winL, winR[..., ::-1, :]], axis=-3)
+
+
+def window_cells(win, space: str) -> np.ndarray:
+    """The primitive states (..., 2F, 4) of slot 2, each row's own cell, of
+    side-stacked windows (..., 2F, 5, 4) in the window variables of
+    ``space``: the cells that ``reconstruct_pair`` takes beside them."""
+    cells = np.asarray(win, dtype=float)[..., 2, :]
+    return cells if space == "primitive" else euler.cons_to_prim(cells)
 
 
 def halves(a, axis: int):

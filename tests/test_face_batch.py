@@ -20,7 +20,7 @@ from shockstab.scheme import Scheme
 from circulant import dense
 from padded_reference import padded
 from residual import residual
-from side_axis import side_windows
+from side_axis import side_windows, window_cells
 from test_marching import _smooth_field
 
 
@@ -65,8 +65,9 @@ def per_direction_face_reconstructions(field, Xpad, scheme, linearise=True):
         _, solver, cfg, cap_cfg = next(part for part in scheme.parts if axis in part[0])
         windows, frame = (_x_face_windows, X_FACE) if axis == "x" else (_y_face_windows, Y_FACE)
         winL, winR = (w.reshape(w.shape[:-4] + (-1, 5, 4)) for w in windows(Xpad, field.nx, field.ny))
+        win = side_windows(winL, winR)
         recon = reconstruction.reconstruct_pair(
-            side_windows(winL, winR), cfg, frame,
+            win, window_cells(win, cfg.space), cfg, frame,
             cap_cfg=cap_cfg, cap_mask=None if cap_cfg is None else cap_mask.ravel(),
             linearise=linearise,
         )
@@ -259,11 +260,10 @@ def test_one_reconstruction_and_one_flux_call_per_scheme_part(monkeypatch, solve
 @pytest.mark.parametrize("solver, batches", [("roe", 1), ("hybrid-2", 2)])
 def test_one_left_state_call_and_one_window_gather_per_face_batch(monkeypatch, space, solver,
                                                                    batches):
-    # one gather per part, of the slots its kind reads, in the primitive
-    # space too, where the cells are converted first.  A WENO part gathers
-    # five-slot windows and makes one left-state call.  hybrid-2's
-    # first-order y part takes its faces' own cells and makes none, in every
-    # space
+    # one gather per part of its faces' own cells from the primitive axis,
+    # then, for a WENO part, one of five-slot windows and one left-state
+    # call.  hybrid-2's first-order y part gathers only its cells and makes
+    # no left-state call, in every space
     calls = {"_left_state": 0, "gather_windows": []}
 
     def counting(module, name, record):
@@ -283,7 +283,7 @@ def test_one_left_state_call_and_one_window_gather_per_face_batch(monkeypatch, s
         index.shape[1:]))
     field = sp.build_initial_field(sp.ShockProblemConfig(ny=4))
     residual(field, Scheme(solver=solver, order=5, space=space))
-    assert calls["gather_windows"] == [(5,), ()][:batches]
+    assert calls["gather_windows"] == [(), (5,), ()][:batches + 1]
     assert calls["_left_state"] == 1
 
 
@@ -302,8 +302,9 @@ def _adjacent_cells(field, primitive):
 @pytest.mark.parametrize("space", ["primitive", "conservative", "characteristic"])
 @pytest.mark.parametrize("solver", ["roe", "hllc", "van_leer"])
 def test_first_order_faces_are_their_cells(solver, space):
-    # a first-order part's two states of a face are the cells before and
-    # after it, converted outside the primitive space, bit for bit, and no
+    # a first-order part's two states of a face are the primitive states of
+    # the cells before and after it, the ghosts' converted back outside the
+    # primitive space, bit for bit, and no
     # face falls back; linearised, each state reads its own cell, window
     # slot 2, with weight 1
     scheme = Scheme(solver=solver, order=1, space=space)
@@ -318,7 +319,8 @@ def test_first_order_faces_are_their_cells(solver, space):
         expected = cells if primitive else euler.cons_to_prim(cells)
         states = fields.apply_boundaries(field, primitive)
         for linearise in (True, False):
-            (table, _, recon), = marching.face_reconstructions(field, states, scheme, linearise)
+            (table, _, recon), = marching.face_reconstructions(field, states, scheme,
+                                                               linearise=linearise)
             assert recon.W.shape == expected.shape == (2 * len(table.window), 4)
             assert recon.W.tobytes() == expected.tobytes()
             assert recon.fallback.shape == (len(table.window),) and not recon.fallback.any()
@@ -326,17 +328,13 @@ def test_first_order_faces_are_their_cells(solver, space):
                 assert np.array_equal(recon.lin, np.broadcast_to(first, recon.W.shape[:1] + (5, 4)))
             else:
                 assert recon.lin is None
-    # a conservative row whose cell 7 has p < 0 is refused where its faces
-    # read it: as the left cell of face 8 and the right cell of face 7, by
-    # (side, face)
+    # a row whose cell 7 has p < 0 is refused by the conversion of its
+    # cells, which names the cell by (i, j), in every space
     row = sp.build_initial_field(sp.ShockProblemConfig(), ny=1)
     W = euler.cons_to_prim(row.U)
     W[7, 0, 3] = -1e-3
     row.U = euler.prim_to_cons(W)
-    if primitive:
-        match = r"non-positive pressure in interior at cell\(s\) \(7, 0\)$"
-    else:
-        match = r"non-positive pressure in face cell at cell\(s\) \(0, 8\), \(1, 7\)$"
+    match = r"non-positive pressure in interior at cell\(s\) \(7, 0\)$"
     with pytest.raises(InvalidStateError, match=match):
         residual(row, scheme)
 
@@ -396,10 +394,11 @@ def test_face_table_shock_flags_equal_the_per_direction_masks(column):
 
 @pytest.mark.parametrize("primitive", [False, True])
 def test_state_windows_equal_the_padded_reference_windows(primitive):
-    # the windows gathered from the state axis are the very windows of the
+    # the windows gathered from the window axis are the very windows of the
     # padded layout, for a shock and a smooth field, a single row and a
-    # batch, in either variables.  The row's one y face per column stands for both y
-    # faces of the reference
+    # batch, in either variables, and the cells gathered from the primitive
+    # axis are their slot 2 in primitive variables.  The row's one y face
+    # per column stands for both y faces of the reference
     shock, smooth = _fields()
     row = sp.build_initial_field(sp.ShockProblemConfig(ny=1))
     rng = np.random.default_rng(92)
@@ -407,7 +406,10 @@ def test_state_windows_equal_the_padded_reference_windows(primitive):
     for field in (shock, smooth, row, batch):
         states, Xpad = fields.apply_boundaries(field, primitive), padded(field, primitive)
         table = fields.face_table(field.nx, field.ny, ("x", "y"), field.shock_column)
-        windows = marching.gather_windows(states, table.sides)
+        windows = marching.gather_windows(states.X, table.sides)
+        cells = marching.gather_windows(states.W, table.sides[:, 2])
+        space = "primitive" if primitive else "conservative"
+        assert cells.tobytes() == window_cells(windows, space).tobytes()
         n = windows.shape[-3] // 2
         # the right windows come mirrored
         for side, windows in enumerate((windows[..., :n, :, :], windows[..., n:, ::-1, :])):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from shockstab import euler, fields, marching, reconstruction, riemann, shock_problem as sp
-from shockstab.errors import NoExponentialStageError
+from shockstab.errors import InvalidStateError, NoExponentialStageError
 from shockstab.fields import BoundarySpec, MeanField
 from shockstab.marching import MonitorSeries, RunConfig, fit_growth_rate
 from shockstab.scheme import Scheme
@@ -78,8 +78,9 @@ def test_flux_telescoping_row_sums():
     from shockstab import reconstruction, riemann
 
     table = fields.face_table(c.nx, c.ny, ("x",), None)
-    windows = fields.apply_boundaries(field, True)[table.sides]  # primitive space
-    recon = reconstruction.reconstruct_pair(windows, scheme.parts[0][2], euler.X_FACE)
+    windows = fields.apply_boundaries(field, True).W[table.sides]  # primitive space
+    recon = reconstruction.reconstruct_pair(windows, windows[..., 2, :], scheme.parts[0][2],
+                                            euler.X_FACE)
     fx = riemann.hll_flux(recon.W, euler.X_FACE).reshape(c.nx + 1, c.ny, 4)
     for j in range(c.ny):
         row_sum = r[:, j].sum(axis=0)
@@ -236,11 +237,16 @@ def test_march_determinism():
     assert np.array_equal(f1.U, f2.U)
 
 
-def test_a_primitive_step_converts_its_start_state_once(monkeypatch):
-    # one step of a primitive march converts once per stage: its time step
-    # reads the first stage's cells, so the start state is converted once
+@pytest.mark.parametrize("space", ["conservative", "primitive", "characteristic"])
+@pytest.mark.parametrize("solver, order", [("roe", 1), ("roe", 5), ("hybrid-2", 5)])
+def test_a_step_converts_each_stage_state_once(monkeypatch, solver, order, space):
+    # one step of a march: apply_boundaries converts each of the three stage
+    # states once and checks it, and nothing else converts a cell, as the
+    # time step reads the first stage's primitive axis.  Outside the
+    # primitive space each stage also converts its ghost states back from
+    # conservative variables
     field = sp.build_initial_field(sp.ShockProblemConfig())
-    run = RunConfig(scheme=Scheme(solver="roe", order=5, space="primitive"), end_time=1e-6)
+    run = RunConfig(scheme=Scheme(solver=solver, order=order, space=space), end_time=1e-6)
     calls = []
     original = euler.cons_to_prim
 
@@ -251,7 +257,64 @@ def test_a_primitive_step_converts_its_start_state_once(monkeypatch):
     monkeypatch.setattr(euler, "cons_to_prim", counted)
     series, _ = marching.march(field, run)
     assert len(series.t) == 2  # one step
-    assert calls == [field.U.shape] * 3
+    ghosts = [] if space == "primitive" else [(1 + field.ny, 4)]
+    assert calls == ([field.U.shape] + ghosts) * 3
+
+
+def _bad_cell_field(batch=False):
+    """The 11x3 initial shock at epsilon 0.1 with p = -1e-3 in cell (8, 1);
+    with ``batch``, the second member of a batch of two, after the shock."""
+    field = sp.build_initial_field(sp.ShockProblemConfig(ny=3))
+    W = field.interior_primitive()
+    W[8, 1, 3] = -1e-3
+    U = euler.prim_to_cons(W)
+    return replace(field, U=np.stack([field.U, U]) if batch else U)
+
+
+@pytest.mark.parametrize("space", ["conservative", "primitive", "characteristic"])
+@pytest.mark.parametrize("order", [1, 2, 5])
+def test_a_bad_cell_is_named_by_its_place_in_every_space(order, space):
+    # the one conversion of the cells names the bad cell by (i, j), batch
+    # index first, whatever face reads it and whether or not it falls back
+    scheme = Scheme(solver="roe", order=order, space=space)
+    for batch, where in ((False, r"\(8, 1\)"), (True, r"\(1, 8, 1\)")):
+        with pytest.raises(InvalidStateError,
+                           match=rf"^non-positive pressure in interior at cell\(s\) {where}$"):
+            residual(_bad_cell_field(batch), scheme)
+
+
+@pytest.mark.parametrize("space", ["conservative", "characteristic"])
+def test_every_stage_of_a_weno_step_checks_its_cells(monkeypatch, space):
+    # a conservative WENO5 residual reads the bad cell only through
+    # admissible face states, so no face falls back: the conversion of the
+    # cells is what refuses it, at each stage of a step and in a march,
+    # which flags the collapse
+    scheme = Scheme(solver="roe", order=5, space=space)
+    bad = _bad_cell_field()
+    with pytest.raises(InvalidStateError, match=r"interior at cell\(s\) \(8, 1\)$"):
+        residual(bad, scheme)
+    good = sp.build_initial_field(sp.ShockProblemConfig(ny=3))
+    apply_boundaries = marching.apply_boundaries
+    for stage in range(3):
+        calls = []
+
+        def bad_at_stage(field, primitive):
+            # the stage's state axes are built from the bad field instead
+            calls.append(stage)
+            if len(calls) == stage + 1:
+                field = replace(field, U=bad.U)
+            return apply_boundaries(field, primitive)
+
+        with monkeypatch.context() as m:
+            m.setattr(marching, "apply_boundaries", bad_at_stage)
+            with pytest.raises(InvalidStateError, match=r"interior at cell\(s\) \(8, 1\)$"):
+                marching.step_ssprk3(good, scheme, 0.1, np.inf)
+            assert len(calls) == stage + 1
+            if stage == 1:
+                calls.clear()
+                run = RunConfig(scheme=scheme, end_time=1.0, amplitude=0.0)
+                series, _ = marching.march(good, run)
+                assert series.collapsed and np.array_equal(series.t, [0.0])
 
 
 def test_inadmissible_start_is_a_collapse():

@@ -5,7 +5,7 @@ verdict and a march load no SciPy module; a misspelt test marker fails
 collection; every dataclass field is read and every field default is set by
 some caller; every public name has a caller outside the tests; every traced
 layer function is reached through a module attribute the benchmark's tracer
-rebinds."""
+rebinds; only ``fields`` converts cells."""
 
 import ast
 import importlib
@@ -326,3 +326,33 @@ def test_traced_layers_are_not_imported_by_name_elsewhere():
                 if modules is not None and importer not in modules:
                     unseen.append(f"{importer} imports {source}.{alias.name}")
     assert unseen == []
+
+
+# the functions that may name euler.cons_to_prim: the one conversion of a
+# field's cells and ghost states, and the flux probes' conversion of
+# perturbed face states
+CONVERTERS = {
+    "fields.MeanField.interior_primitive",
+    "fields.apply_boundaries",
+    "stability._fd_jacobians_U",
+}
+
+
+def test_only_fields_converts_cells():
+    # every other module reads primitive cell states from the state axes
+    # that fields.apply_boundaries builds
+    named = set()
+    for path in sorted((ROOT / "src" / "shockstab").glob("*.py")):
+        def visit(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    visit(child, scope + (child.name,))
+                    continue
+                name = getattr(child, "id", None) or getattr(child, "attr", None)
+                if name == "cons_to_prim" or (isinstance(child, ast.alias)
+                                              and child.name == "cons_to_prim"):
+                    named.add(".".join((path.stem,) + scope))
+                visit(child, scope)
+
+        visit(ast.parse(path.read_text()), ())
+    assert named == CONVERTERS

@@ -8,7 +8,7 @@ from shockstab import euler, reconstruction as rc
 from shockstab.euler import X_FACE
 from shockstab.scheme import CAP_TO_KIND
 
-from side_axis import halves, side_states, side_windows
+from side_axis import halves, side_states, side_windows, window_cells
 
 
 # The per-slot WENO5 formulas that the substencil-axis kernels replaced, kept
@@ -142,7 +142,8 @@ def test_weno5_right_symmetry():
     w = np.repeat(rng.uniform(0.5, 2.0, (50, 5, 1)), 4, axis=-1)  # primitive windows
     cfg = rc.ReconConfig(space="primitive")
     W = euler.cons_to_prim(euler.prim_to_cons(w))  # the primitive windows rhs gathers
-    _, right = halves(rc.reconstruct_pair(side_windows(W, W), cfg, X_FACE).W, -2)
+    sides = side_windows(W, W)
+    _, right = halves(rc.reconstruct_pair(sides, window_cells(sides, cfg.space), cfg, X_FACE).W, -2)
     left, _ = rc._left_state(W[:, ::-1], cfg)
     assert np.array_equal(right, left)
 
@@ -158,8 +159,9 @@ def test_muscl_left_state_cases():
 
 
 def test_first_order_left_state():
-    # a first-order face state is the side's own cell, window slot 2, in
-    # every space, and its coefficients are 1 on that slot alone
+    # a first-order face state is the primitive state of the side's own
+    # cell, window slot 2, in every space, and its coefficients are 1 on
+    # that slot alone
     W = np.array([[1.0 + m, 0.5 * m - 1.0, 0.1 * m, 2.0 + m * m] for m in range(5)])
     slot2 = np.zeros((5, 4))
     slot2[2] = 1.0
@@ -167,7 +169,8 @@ def test_first_order_left_state():
         win = (W if space == "primitive" else euler.prim_to_cons(W))[None]
         cell = W[2] if space == "primitive" else euler.cons_to_prim(win[0, 2])
         cfg = rc.ReconConfig(kind="first", space=space)
-        out = rc.reconstruct_pair(side_windows(win, win), cfg, X_FACE)
+        sides = side_windows(win, win)
+        out = rc.reconstruct_pair(sides, window_cells(sides, space), cfg, X_FACE)
         assert np.array_equal(out.W, np.stack([cell, cell])), space
         assert np.array_equal(out.lin, np.stack([slot2, slot2])), space
         assert out.Lmat is None and out.Rmat is None and not out.fallback.any()
@@ -256,7 +259,8 @@ def test_reconstruct_pair_uniform_any_space():
     for space in ("conservative", "primitive", "characteristic"):
         win = np.broadcast_to(W if space == "primitive" else U, (3, 5, 4))
         cfg = rc.ReconConfig(space=space)
-        out = rc.reconstruct_pair(side_windows(win, win), cfg, X_FACE)
+        sides = side_windows(win, win)
+        out = rc.reconstruct_pair(sides, window_cells(sides, space), cfg, X_FACE)
         assert np.allclose(out.W, W, atol=1e-12)
         assert out.W.shape == (6, 4)
         assert not out.fallback.any()
@@ -271,7 +275,8 @@ def test_characteristic_projection_round_trip():
     U = euler.prim_to_cons(W)
     win = np.repeat(U[:, None, :], 5, axis=1)  # constant windows
     cfg = rc.ReconConfig(kind="first", space="characteristic")
-    out = rc.reconstruct_pair(side_windows(win, win), cfg, X_FACE)
+    sides = side_windows(win, win)
+    out = rc.reconstruct_pair(sides, window_cells(sides, cfg.space), cfg, X_FACE)
     assert np.allclose(out.W, side_states(W, W), rtol=1e-12, atol=1e-12)
 
 
@@ -285,7 +290,8 @@ def test_characteristic_differs_from_primitive_on_curved_profile():
     outs = {}
     for space, w in (("conservative", win), ("primitive", euler.cons_to_prim(win))):
         cfg = rc.ReconConfig(space=space)
-        outs[space] = rc.reconstruct_pair(side_windows(w, w), cfg, X_FACE)
+        sides = side_windows(w, w)
+        outs[space] = rc.reconstruct_pair(sides, window_cells(sides, space), cfg, X_FACE)
     assert np.all(np.isfinite(outs["conservative"].W))
     assert np.all(np.isfinite(outs["primitive"].W))
     assert not np.allclose(outs["conservative"].W[0], outs["primitive"].W[0])
@@ -304,7 +310,8 @@ def test_positivity_fallback(linear_weights):
     )
     U = euler.prim_to_cons(W)[None]
     cfg = rc.ReconConfig(space="conservative")
-    out = rc.reconstruct_pair(side_windows(U, U), cfg, X_FACE)
+    sides = side_windows(U, U)
+    out = rc.reconstruct_pair(sides, window_cells(sides, cfg.space), cfg, X_FACE)
     assert out.fallback.all()
     assert np.all(out.W[..., 0] > 0) and np.all(out.W[..., 3] > 0)
 
@@ -364,7 +371,7 @@ def test_face_states_do_not_depend_on_linearise(order, space, cap):
     states = fields.apply_boundaries(field, space == "primitive")
     scheme = Scheme(solver="roe", order=order, space=space, cap=cap)
     fallback_faces = 0
-    for on, off in zip(marching.face_reconstructions(field, states, scheme),
+    for on, off in zip(marching.face_reconstructions(field, states, scheme, linearise=True),
                        marching.face_reconstructions(field, states, scheme, linearise=False)):
         a, b = on[2], off[2]
         for name in ("W", "fallback"):
@@ -473,8 +480,8 @@ def _face_windows(batch):
     U = field.U * (1.0 + 1e-3 * rng.standard_normal(batch + field.U.shape))
     states = fields.apply_boundaries(replace(field, U=U), False)
     table = fields.face_table(9, 3, ("x", "y"), 5)
-    winL = states[..., table.window[:, :5], :]
-    winR = states[..., table.window[:, 1:], :]
+    winL = states.X[..., table.window[:, :5], :]
+    winR = states.X[..., table.window[:, 1:], :]
     if batch:
         winR[(-1,) * len(batch) + (TRIPPED_FACE,)] = _VIOLENT
     return winL, winR, table
@@ -499,10 +506,11 @@ def test_side_axis_reconstruction_equals_the_two_call_reference(space, kind, var
         if space == "primitive":
             XwinL, XwinR = euler.cons_to_prim(winL), euler.cons_to_prim(winR)
         sides = side_windows(winL, winR) if XwinL is None else side_windows(XwinL, XwinR)
+        cells = window_cells(side_windows(winL, winR), "conservative")
         for linearise in (True, False):
             ref = ref_reconstruct_pair(winL, winR, cfg, table.frame, cap_cfg, cap_mask,
                                        XwinL, XwinR, linearise)
-            got = rc.reconstruct_pair(sides, cfg, table.frame, cap_cfg, cap_mask, linearise)
+            got = rc.reconstruct_pair(sides, cells, cfg, table.frame, cap_cfg, cap_mask, linearise)
             WL, WR = halves(got.W, -2)
             assert _same_bits(WL, ref["WL"]) and _same_bits(WR, ref["WR"]), (batch, linearise)
             assert np.array_equal(got.fallback, ref["fallback"])

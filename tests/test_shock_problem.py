@@ -86,21 +86,28 @@ def test_build_initial_field_structure():
 
 @pytest.mark.parametrize("primitive", [False, True])
 def test_padding_contract(primitive):
-    # the state axis holds the cells in (i, j) order, then the inflow state
-    # and the pressure-pinned outflow state of every row, conservative or
-    # primitive; it is derived anew on every call, leaving the field untouched
+    # the state axes hold the cells in (i, j) order, then the inflow state
+    # and the pressure-pinned outflow state of every row, the window axis X
+    # conservative or primitive and the axis W primitive; they are derived
+    # anew on every call, leaving the field untouched
     c = cfg()
     field = sp.build_initial_field(c)
     snap = field.U.copy()
-    X = apply_boundaries(field, primitive)
+    X, W_axis = apply_boundaries(field, primitive)
     n = c.nx * c.ny
-    assert X.shape == (n + 1 + c.ny, 4)
-    # C order, batched or not: the face gathers read it without a copy
-    assert X.flags.c_contiguous
-    assert apply_boundaries(replace(field, U=np.stack([field.U] * 3)), primitive).flags.c_contiguous
+    assert X.shape == W_axis.shape == (n + 1 + c.ny, 4)
+    # C order, batched or not: the face gathers read them without a copy
+    assert X.flags.c_contiguous and W_axis.flags.c_contiguous
+    for axis in apply_boundaries(replace(field, U=np.stack([field.U] * 3)), primitive):
+        assert axis.flags.c_contiguous
     assert np.array_equal(snap, field.U)
-    assert np.array_equal(apply_boundaries(field, primitive), X)
+    assert all(np.array_equal(a, b) for a, b in zip(apply_boundaries(field, primitive),
+                                                    (X, W_axis)))
     W = field.interior_primitive()
+    # the primitive axis holds the interior converted once; in the primitive
+    # space it is the window axis itself
+    assert (W_axis is X) == primitive
+    assert np.array_equal(W_axis[:n], W.reshape(n, 4))
     if primitive:
         # one conversion and no round trip: the inflow state is P_LEFT = 1 to
         # the bit, where a cons -> prim round trip reads 0x1.ffffffffffffep-1
@@ -146,9 +153,14 @@ def test_apply_boundaries_equals_the_concatenated_reference(case, primitive):
         scale = 1.0 + 0.01 * rng.standard_normal((2, 3) + field.U.shape)
         field = replace(field, U=euler.prim_to_cons(field.interior_primitive() * scale))
     snap = field.U.copy()
-    states = apply_boundaries(field, primitive)
+    states, W_axis = apply_boundaries(field, primitive)
     assert states.flags.c_contiguous and states.flags.owndata
     assert np.array_equal(states, concatenated_states(field, primitive))
+    # the primitive axis is the window axis in the primitive space, else its
+    # cells converted, each bit as the cells' own conversion, checked
+    reference = concatenated_states(field, primitive) if primitive else euler.cons_to_prim(states)
+    assert W_axis.tobytes() == reference.tobytes()
+    assert (W_axis is states) == primitive
     if primitive:
         # the interior is interior_primitive, the inflow state inflow_W and
         # every outflow state the last column's W with p = outflow_pressure
@@ -186,7 +198,7 @@ def test_outflow_jacobian_is_the_derivative_of_the_outflow_states(primitive):
         for sign in (1.0, -1.0):
             Xp = X.copy()
             Xp[-1, :, c] += sign * h
-            ghosts.append(apply_boundaries(replace(field, U=from_var(Xp)), primitive)[n + 1 :])
+            ghosts.append(apply_boundaries(replace(field, U=from_var(Xp)), primitive).X[n + 1 :])
         fd = (ghosts[0] - ghosts[1]) / (2.0 * h[:, None])
         # rounding of the ghost states (|E| ~ 1e3) over the 1e-6 step
         assert np.abs(T[:, :, c] - fd).max() < 1e-6 * max(1.0, np.abs(T).max()), c
@@ -201,9 +213,9 @@ def test_single_row_has_nx_plus_two_states():
     # states for nx = 11, where a padded grid held 17 x 7 cells
     field = sp.build_initial_field(cfg(nx=11), ny=1)
     for primitive in (False, True):
-        assert apply_boundaries(field, primitive).shape == (13, 4)
+        assert [a.shape for a in apply_boundaries(field, primitive)] == [(13, 4)] * 2
         stack = replace(field, U=np.stack([field.U] * 54))
-        assert apply_boundaries(stack, primitive).shape == (54, 13, 4)
+        assert [a.shape for a in apply_boundaries(stack, primitive)] == [(54, 13, 4)] * 2
 
 
 def test_primitive_rhs_names_the_bad_interior_cell():
@@ -710,9 +722,8 @@ def _loop_fd_jacobian(field, scheme, cols):
 
 def _counting_layers(monkeypatch):
     """Wrap the layers a Jacobian may call; return, per layer, the list of
-    the batch shape (fields) or the side-axis length (face states) of each
-    call's first array argument: the cells (..., 2F, 4) of a part that
-    reads cells, else the windows (..., 2F, 5, 4)."""
+    the batch shape of each call's field or the side-axis length of its
+    face states (``reconstruct_pair``'s cells (..., 2F, 4))."""
     calls = {"rhs": [], "apply_boundaries": [], "reconstruct_pair": [], "compute_flux": []}
 
     def counting(module, name, size):
@@ -724,8 +735,8 @@ def _counting_layers(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    def side_axis(X, cfg, frame, **kwargs):
-        return X.shape[-2 if reconstruction.reads_cells(cfg) else -3]
+    def side_axis(X, cells, cfg, frame, **kwargs):
+        return cells.shape[-2]
 
     counting(marching, "rhs", lambda field, states, scheme: field.U.shape[:-3])
     counting(fields, "apply_boundaries", lambda field, primitive: field.U.shape[:-3])

@@ -16,7 +16,7 @@ from shockstab.stability import assemble, eigensolve
 from circulant import dense, wrapped_blocks
 from euler_reference import analytic_flux_jacobian
 from padded_reference import NG
-from side_axis import face_flux, halves, side_states, side_windows
+from side_axis import face_flux, halves, side_states, side_windows, window_cells
 from residual import residual
 from test_euler import random_states
 from test_face_batch import SOLVERS, SPACES, _schemes
@@ -171,7 +171,8 @@ def test_assemble_names_the_face_of_a_non_finite_flux_jacobian(monkeypatch, solv
 
 def _recon_for(win, kind, space="conservative"):
     cfg = rc.ReconConfig(kind=kind, space=space, weno_variant="z")
-    return rc.reconstruct_pair(side_windows(win, win), cfg, X_FACE)
+    sides = side_windows(win, win)
+    return rc.reconstruct_pair(sides, window_cells(sides, space), cfg, X_FACE)
 
 
 def side_jacobians(solver, recon):
@@ -211,7 +212,8 @@ def test_linear_weights_blocks_match_upstream_coefficients(linear_weights):
     for m in range(5):
         win[0, m] = euler.prim_to_cons(base * (1.0 + 0.02 * m))
     cfg = rc.ReconConfig(space="conservative")
-    recon = rc.reconstruct_pair(side_windows(win, win), cfg, X_FACE)
+    sides = side_windows(win, win)
+    recon = rc.reconstruct_pair(sides, window_cells(sides, cfg.space), cfg, X_FACE)
     A = side_jacobians("hll", recon)
     AL, AR = halves(A, -3)
     blocks = stability.face_blocks(recon, A)
@@ -260,15 +262,15 @@ def test_assemble_names_a_nan_column_as_an_invalid_state():
 
 
 @pytest.mark.parametrize("space, conversions", [
-    ("primitive", 2), ("conservative", 5), ("characteristic", 5),
+    ("primitive", 2), ("conservative", 3), ("characteristic", 3),
 ])
 def test_assemble_converts_its_row_once(base_flow_cache, monkeypatch, space, conversions):
     # the row's primitive states come from one conversion of the row, the
-    # apply_boundaries state axis in the primitive space: no conversion sees
-    # the field's other rows, and the outflow fold and the eigensolve convert
-    # nothing.  The primitive space converts the row and the flux probes;
-    # the other two also the face cells of the steady check and of the
-    # reconstruction and the row's last column for its outflow state
+    # primitive axis of apply_boundaries in every space: no conversion sees
+    # the field's other rows, the steady check, the reconstruction, the
+    # outflow fold and the eigensolve convert nothing, and the flux probes
+    # convert once.  Outside the primitive space apply_boundaries also
+    # converts its ghost states back from conservative variables
     field, _ = base_flow_cache(Scheme(solver="roe", order=1), epsilon=0.1, ny=32)
     cons_to_prim, shapes = euler.cons_to_prim, []
 
@@ -282,6 +284,27 @@ def test_assemble_converts_its_row_once(base_flow_cache, monkeypatch, space, con
     assert len(shapes) == conversions, shapes
     assert shapes.count((field.nx, 1, 4)) == 1
     assert not any(field.ny in shape for shape in shapes), shapes
+
+
+@pytest.mark.parametrize("space", SPACES)
+@pytest.mark.parametrize("solver, order", [("roe", 1), ("roe", 5), ("hybrid-2", 5)])
+def test_assemble_converts_its_cells_only_in_apply_boundaries(monkeypatch, solver, order, space):
+    # besides the flux probes, whose stacks lead with (sign, side,
+    # component), assemble converts the row's cells once, and its ghost
+    # states back outside the primitive space, with the steady check run
+    field, _ = initial_shock_field(ny=4)
+    cons_to_prim, shapes = euler.cons_to_prim, []
+
+    def counted(U, *args):
+        shapes.append(np.shape(U))
+        return cons_to_prim(U, *args)
+
+    monkeypatch.setattr(euler, "cons_to_prim", counted)
+    monkeypatch.setattr(stability, "STEADY_TOL", np.inf)
+    assemble(field, Scheme(solver=solver, order=order, space=space))
+    cells = [shape for shape in shapes if shape[:3] != (2, 2, 4)]
+    assert cells == [(field.nx, 1, 4)] + ([] if space == "primitive" else [(2, 4)])
+    assert len(shapes) - len(cells) == len(Scheme(solver=solver).parts)
 
 
 @pytest.mark.parametrize("ny", [8, 11, 32])
@@ -502,7 +525,8 @@ def _loop_assembly(field, scheme):
         return T
 
     states = fields.apply_boundaries(field, scheme.space == "primitive")
-    for table, solver, recon in marching.face_reconstructions(field, states, scheme):
+    for table, solver, recon in marching.face_reconstructions(field, states, scheme,
+                                                              linearise=True):
         A = stability._fd_jacobians_U(
             solver, euler.prim_to_cons(recon.W), table.frame)
         for axis, B in table.split(stability.face_blocks(recon, A), 0):
