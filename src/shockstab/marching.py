@@ -256,12 +256,13 @@ def _window_r2_scan(t, y, min_len):
     return None
 
 
-def fit_growth_rate(series: MonitorSeries, amplitude: float | None = None) -> GrowthFit:
+def fit_growth_rate(series: MonitorSeries, amplitude: float) -> GrowthFit:
     """Least-squares slope of ln||v|| over an automatically selected window.
 
     The window is the longest stretch with log-linear R^2 >= 0.99, restricted
-    to the exponential band (above 10x the injection level, up to
-    ``STOP_LEVEL``) when the series grows overall.
+    to the exponential band (above 10x the injected ``amplitude``, or 3x
+    where that band is short, up to ``STOP_LEVEL``) when the series grows
+    overall.
     """
     good = np.isfinite(series.vmax) & (series.vmax > 0)
     t = series.t[good]
@@ -269,12 +270,11 @@ def fit_growth_rate(series: MonitorSeries, amplitude: float | None = None) -> Gr
     if len(t) < 10:
         raise NoExponentialStageError("fewer than 10 positive samples")
     y = np.log(v)
-    ref = amplitude if amplitude is not None else v[0]
     growing = np.median(y[-max(3, len(y) // 4):]) > np.median(y[: max(3, len(y) // 4)])
 
     sel = np.ones(len(t), dtype=bool)
     if growing:
-        for lo in (10.0 * ref, 3.0 * ref):
+        for lo in (10.0 * amplitude, 3.0 * amplitude):
             band = (v >= lo) & (v <= STOP_LEVEL)
             if band.sum() >= 20:
                 sel = band

@@ -171,7 +171,7 @@ def _muscl_left(win, linearise: bool):
     return value, lin
 
 
-def _left_state(win, cfg: ReconConfig, linearise: bool = True):
+def _left_state(win, cfg: ReconConfig, *, linearise: bool):
     """Reconstructed left state of MUSCL, WENO5 or ENO3 windows and its
     linearization coefficients (None unless ``linearise``)."""
     win = np.asarray(win, dtype=float)
@@ -239,7 +239,8 @@ def reconstruct_pair(
     frame: FaceFrame,
     cap_cfg: ReconConfig | None = None,
     cap_mask=None,
-    linearise: bool = True,
+    *,
+    linearise: bool,
 ) -> FaceRecon:
     """Reconstruct both states of every face from its side-stacked slots:
     ``cells`` (..., 2F, 4), the primitive state of each row's own cell
@@ -307,7 +308,7 @@ def _reconstruct_sides(win, cells, cfg, frame, linearise):
         by_side = win.reshape(win.shape[:-3] + (2, n, 5, 4))
         X = _project(Lmat[..., None, :, None, :, :], by_side).reshape(win.shape)
 
-    Xs, lin = _left_state(X, cfg, linearise)
+    Xs, lin = _left_state(X, cfg, linearise=linearise)
 
     if cfg.space == "conservative":
         W = _prim_soft(Xs)

@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import euler, fields, marching, reconstruction, riemann
+from . import euler, fields, marching, reconstruction, riemann, stability
 from .errors import ConvergenceError, InvalidStateError, ShockStabError
 from .euler import GAMMA
 from .fields import BoundarySpec, MeanField
@@ -169,11 +169,12 @@ def _fd_jacobian_1d(field, scheme, cols) -> tuple[np.ndarray, np.ndarray]:
     weights) and the residual itself: (J, r), J of shape (4 nx, m) for the m
     flat coordinates ``cols`` and r of shape (4 nx,).
 
-    Column ``col`` (cell i, component c) is probed at U +- h e_col with
-    h = 1e-7 max(1, |U[i, 0, c]|) and is (R(U + h) - R(U - h)) / (2h), R
-    the residual of ``rhs``, bit for bit.  The 2m probes and the row itself
-    (member 2m) are stacked on a batch axis and pass through one
-    ``apply_boundaries``, which converts the stack once.  Then
+    Column ``col`` (cell i, component c) is probed at U +- h e_col with the
+    step h = ``stability.fd_step`` of U[i, 0, c], the flux Jacobians' own,
+    and is (R(U + h) - R(U - h)) / (2h), R the residual of ``rhs``, bit for
+    bit.  The 2m probes and the row itself (member 2m) are stacked on a
+    batch axis and pass through one ``apply_boundaries``, which converts
+    the stack once.  Then
     ``marching.part_states`` gathers what the part reads (the cells at first
     order, else the windows and the cells) of only the faces whose read
     slots hold a probed cell (``_probe_faces``: two faces per probe at first
@@ -187,7 +188,7 @@ def _fd_jacobian_1d(field, scheme, cols) -> tuple[np.ndarray, np.ndarray]:
     cols = np.asarray(cols)
     m = len(cols)
     i, c = np.divmod(cols, 4)
-    h = 1e-7 * np.maximum(1.0, np.abs(field.U[i, 0, c]))
+    h = stability.fd_step(field.U[i, 0, c])
     stack = np.repeat(field.U[None], 2 * m + 1, axis=0)  # +h probes, -h probes, the row
     plus = np.arange(m)
     stack[plus, i, 0, c] += h
@@ -253,17 +254,12 @@ def _above_floors(U, rho_floor, p_floor) -> np.ndarray:
 _UNPROBED = object()
 
 
-def _lm_refine_1d(field, scheme, tol, clamp_cells, pin_dofs):
+def _lm_refine_1d(field, scheme, tol, free):
     """Levenberg-Marquardt steady solve; the marching limit cycles of the
     high-order schemes orbit an unstable fixed point this locates exactly.
 
-    ``clamp_cells`` lists interior columns held fixed (the supersonic
-    upstream cells, which the exact steady state keeps uniform; freezing
-    them keeps the solver away from the non-smooth uniform-window regime).
-    ``pin_dofs`` lists flat (cell*4 + component) coordinates held at their
-    entry values: the discrete steady shocks form a one-parameter family of
-    sub-cell positions, and pinning the shock-cell density to the
-    shock-position prescription selects the labeled member.
+    ``free`` (4 nx,) flags the flat (cell*4 + component) unknowns the solve
+    moves; the others keep their entry values (``converge_1d`` says which).
 
     Each iteration tries up to 25 damped steps, step k with damping
     lambda_k = lambda 4^k, and accepts the first whose cost is finite and
@@ -286,9 +282,10 @@ def _lm_refine_1d(field, scheme, tol, clamp_cells, pin_dofs):
 
     An attempt ends when no damped step lowers the cost, or when a probe of
     the Jacobian of the current state leaves the admissible states; either
-    way it returns the best state so far, its residual, the iterations run
-    and the calls made: ``jacobians`` of ``_fd_jacobian_1d`` (raising ones
-    included) and ``residuals`` of ``_residual_1d`` (a batch counts once).
+    way it returns the best state so far, its residual vector (4 nx,), the
+    bits ``_residual_1d`` gives it, the iterations run and the calls made:
+    ``jacobians`` of ``_fd_jacobian_1d`` (raising ones included) and
+    ``residuals`` of ``_residual_1d`` (a batch counts once).
     Errors from outside the package propagate, also from the probes of a
     trial that is then rejected and from trials after the accepted one in a
     batch.
@@ -303,11 +300,6 @@ def _lm_refine_1d(field, scheme, tol, clamp_cells, pin_dofs):
     rho_floor = 1e-3 * float(W[..., 0].min())
     p_floor = 1e-3 * float(W[..., 3].min())
 
-    free = np.ones(4 * nx, dtype=bool)
-    for cell in clamp_cells:
-        free[4 * cell : 4 * cell + 4] = False
-    for dof in pin_dofs:
-        free[dof] = False
     cols = np.flatnonzero(free)
     calls = {"jacobians": 0, "residuals": 0}
 
@@ -373,7 +365,7 @@ def _lm_refine_1d(field, scheme, tol, clamp_cells, pin_dofs):
     it = 0
     while it < LM_MAX_ITER:
         it += 1
-        if np.abs(r.reshape(nx, 4)[:, 0]).max() < tol:
+        if np.abs(r[0::4]).max() < tol:
             break
         if J is _UNPROBED:
             J, _ = jacobian(field)
@@ -393,7 +385,7 @@ def _lm_refine_1d(field, scheme, tol, clamp_cells, pin_dofs):
                 break
         else:
             break
-    return field, float(np.abs(r.reshape(nx, 4)[:, 0]).max()), it, calls
+    return field, r, it, calls
 
 
 def converge_1d(cfg: ShockProblemConfig, scheme: Scheme):
@@ -411,12 +403,15 @@ def converge_1d(cfg: ShockProblemConfig, scheme: Scheme):
     fifth-order schemes only orbit their steady state in a weight-chatter
     limit cycle, and the low-dissipation solvers slowly drift the captured
     shock off its initial sub-cell position, losing the family member the
-    shock-position parameter selects.  During the solve the supersonic upstream columns (exactly
-    uniform in the steady state) stay clamped and the shock-cell density
-    stays pinned.  An attempt ends when no damped step lowers the cost or
+    shock-position parameter selects.  During the solve the supersonic
+    upstream columns (exactly uniform in the steady state) stay clamped and
+    the shock-cell density stays pinned: the solve moves only the other,
+    free, unknowns.  An attempt ends when no damped step lowers the cost or
     when a Jacobian probe leaves the admissible states.  Up to two seeded
-    jitter restarts then retry from the best state so far; a jittered start
-    that leaves the admissible states counts as a failed restart.
+    jitter restarts then retry from the best state so far, jittering only
+    its free unknowns; a jittered start that leaves the admissible states
+    counts as a failed restart.  The better attempt, the residual and the
+    failing cell all come from the residual vector each attempt ends on.
 
     Returns the (nx, 4) conservative profile and ``info`` with the smoothing
     ``steps``, the total ``lm_iterations``, the jitter ``restarts`` started
@@ -429,12 +424,17 @@ def converge_1d(cfg: ShockProblemConfig, scheme: Scheme):
     |d rho/dt|.
     """
     field = build_initial_field(cfg, ny=1)
-    clamp = tuple(range(max(cfg.shock_column - 2, 0)))
-    # the steady captured shocks form a family of sub-cell positions; the
-    # shock-cell density is held at the shock-position prescription so every
-    # epsilon label selects its own member deterministically
-    rho_m = float(intermediate_state(cfg)[0])
-    pin = (4 * (cfg.shock_column - 1),)
+    # the LM's free unknowns, flat (cell*4 + component).  The supersonic
+    # upstream columns, which the exact steady state keeps uniform, are
+    # clamped: freezing them keeps the solver away from the non-smooth
+    # uniform-window regime.  The steady captured shocks form a family of
+    # sub-cell positions; the shock-cell density is pinned at the
+    # shock-position prescription so every epsilon label selects its own
+    # member deterministically
+    col = cfg.shock_column - 1
+    free = np.ones(4 * cfg.nx, dtype=bool)
+    free[: 4 * max(col - 1, 0)] = False
+    free[4 * col] = False
 
     # gentle smoothing only: the low-dissipation solvers slide the captured
     # shock off its sub-cell position within a handful of coarse steps, which
@@ -452,8 +452,9 @@ def converge_1d(cfg: ShockProblemConfig, scheme: Scheme):
         if not np.all(np.isfinite(field.U)):
             raise ConvergenceError(diverged)
 
-    field.U[cfg.shock_column - 1, 0, 0] = rho_m
-    field, res, lm_iters, calls = _lm_refine_1d(field, scheme, cfg.converge_tol, clamp, pin)
+    field.U[col, 0, 0] = intermediate_state(cfg)[0]
+    field, r, lm_iters, calls = _lm_refine_1d(field, scheme, cfg.converge_tol, free)
+    res = float(np.abs(r[0::4]).max())
 
     # a restart from the best state rescues two kinds of stopped attempt.
     # van_leer-o5 at epsilon 0.3 stops its first attempt at 2.085; a restart
@@ -467,27 +468,24 @@ def converge_1d(cfg: ShockProblemConfig, scheme: Scheme):
         if res < cfg.converge_tol:
             break
         restarts += 1
-        trial = field.copy()
-        noise = 1e-6 * rng.standard_normal(trial.U.shape)
-        trial.U *= 1.0 + noise
-        trial.U[: len(clamp)] = field.U[: len(clamp)]
-        trial.U[cfg.shock_column - 1, 0, 0] = rho_m
+        jitter = np.where(free, 1.0 + 1e-6 * rng.standard_normal(free.shape), 1.0)
+        trial = replace(field, U=field.U * jitter.reshape(field.U.shape))
         try:
             trial.interior_primitive()
         except InvalidStateError:
             continue  # the jitter left the admissible states: a failed restart
-        trial, tres, tit, tcalls = _lm_refine_1d(trial, scheme, cfg.converge_tol, clamp, pin)
+        trial, tr, tit, tcalls = _lm_refine_1d(trial, scheme, cfg.converge_tol, free)
         lm_iters += tit
         calls = {key: calls[key] + tcalls[key] for key in calls}
+        tres = float(np.abs(tr[0::4]).max())
         if tres < res:
-            field, res = trial, tres
+            field, r, res = trial, tr, tres
 
     if res >= cfg.converge_tol:
-        drho = np.abs(_residual_1d(field, scheme)[0::4])
         raise ConvergenceError(
             f"{scheme.label()}: 1D residual {res:.3e} >= converge_tol "
             f"{cfg.converge_tol:.0e} after the implicit solve and its restarts; "
-            f"largest |d rho/dt| in cell {int(np.argmax(drho)) + 1}"
+            f"largest |d rho/dt| in cell {int(np.argmax(np.abs(r[0::4]))) + 1}"
         )
     info = {"steps": n_smooth, "lm_iterations": lm_iters, "restarts": restarts, "residual": res,
             **calls}

@@ -90,15 +90,21 @@ class Spectrum:
     max_real_by_k: np.ndarray
 
 
-# relative step of the central-difference flux Jacobians
+# relative step of the central differences of both linearisations: the flux
+# Jacobians of S and the steady solve's 1D Jacobian
 FD_STEP = 1e-7
+
+
+def fd_step(x):
+    """The central-difference step FD_STEP max(1, |x|) of each value x."""
+    return FD_STEP * np.maximum(1.0, np.abs(x))
 
 
 def _fd_jacobians_U(solver, U, frame, label="face"):
     """Central-difference d(flux)/dU of each side-stacked face state U
     (..., 2F, 4), side-stacked likewise: (..., 2F, 4, 4).
 
-    Component k is probed with the step FD_STEP * max(1, |U_k|).  Probes
+    Component k is probed with the step ``fd_step`` of U_k.  Probes
     act on the conservative components; derivatives against other
     variable spaces are obtained by chaining with the analytic transforms.
     All 16 probes (+h and -h, either side, four components) of every face
@@ -106,7 +112,7 @@ def _fd_jacobians_U(solver, U, frame, label="face"):
     ``InvalidStateError`` of a probe names it by those axes first.
     """
     n = U.shape[-2] // 2
-    h = np.maximum(FD_STEP, FD_STEP * np.abs(U))  # the step of each probe
+    h = fd_step(U)  # the step of each probe
     e = np.zeros((4,) + U.shape)  # (probed component, ..., 2F, 4)
     for k in range(4):
         e[k, ..., k] = h[..., k]
@@ -192,7 +198,7 @@ STEADY_TOL = 1e-8
 OFFSETS = 7
 
 
-def assemble(field: MeanField, scheme: Scheme, check_steady: bool = True) -> StabilityMatrix:
+def assemble(field: MeanField, scheme: Scheme) -> StabilityMatrix:
     """Build the stability matrix of the scheme around a steady mean field.
 
     The field must be a single (nx, ny, 4) field: the scatter reads the
@@ -208,7 +214,9 @@ def assemble(field: MeanField, scheme: Scheme, check_steady: bool = True) -> Sta
     S is returned as ``block_row``, its duplicate entries summed in scatter
     order.  The row's entries come in the order of those of block row
     j = 0 in a scatter of every row, so where no two offsets share a slot
-    (ny >= 7) circ(C) holds that scatter's bits.
+    (ny >= 7) circ(C) holds that scatter's bits.  A field whose largest
+    density residual exceeds ``STEADY_TOL`` is refused with
+    UnsteadyFieldError.
     """
     if field.U.ndim != 3:
         raise ValueError(
@@ -227,13 +235,12 @@ def assemble(field: MeanField, scheme: Scheme, check_steady: bool = True) -> Sta
     field = replace(field, U=field.U[:, :1])
     states = apply_boundaries(field, primitive)
     W_row = states.W[:nx]
-    if check_steady:
-        res = float(np.abs(marching.rhs(field, states, scheme)[..., 0]).max())
-        if res > STEADY_TOL:
-            raise UnsteadyFieldError(
-                f"mean field density residual {res:.3e} exceeds {STEADY_TOL:.1e}; "
-                "converge the base flow first"
-            )
+    res = float(np.abs(marching.rhs(field, states, scheme)[..., 0]).max())
+    if res > STEADY_TOL:
+        raise UnsteadyFieldError(
+            f"mean field density residual {res:.3e} exceeds {STEADY_TOL:.1e}; "
+            "converge the base flow first"
+        )
     T_out = outflow_jacobian(W_row[-1], primitive)
 
     parts = []

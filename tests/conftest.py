@@ -1,11 +1,13 @@
 """Shared fixtures: converged base flows are expensive, so they are computed
 once per session and cached by (scheme, problem config);
-``linear_weights`` freezes the WENO-Z weights at their linear values."""
+``linear_weights`` freezes the WENO-Z weights at their linear values;
+``unsteady_base_flow`` lets ``stability.assemble`` linearise about a field
+that is not steady."""
 
 import numpy as np
 import pytest
 
-from shockstab import reconstruction
+from shockstab import reconstruction, stability
 from shockstab.scheme import Scheme
 from shockstab.shock_problem import ShockProblemConfig, converge_1d, project_to_2d
 
@@ -34,3 +36,10 @@ def linear_weights(monkeypatch):
         return np.broadcast_to(reconstruction.LINEAR_WEIGHTS[:, None], beta.shape).copy()
 
     monkeypatch.setattr(reconstruction, "weights_z", linear)
+
+
+@pytest.fixture
+def unsteady_base_flow(monkeypatch):
+    """``stability.assemble``'s steady check accepts every density residual,
+    for tests that linearise about initial or manufactured fields."""
+    monkeypatch.setattr(stability, "STEADY_TOL", np.inf)

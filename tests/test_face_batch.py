@@ -216,13 +216,13 @@ def _block_row_0(nx, ny):
 
 @pytest.mark.parametrize("space", SPACES)
 @pytest.mark.parametrize("solver", SOLVERS)
-def test_face_batch_assembly_equals_the_per_direction_reference(solver, space):
+def test_face_batch_assembly_equals_the_per_direction_reference(solver, space, unsteady_base_flow):
     # every order and cap on 7 rows, where no two offsets share a slot: block
     # row j = 0 of circ(C) holds the bits of the reference's block row 0
     for field in _y_uniform_fields():
         row0 = _block_row_0(field.nx, field.ny)
         for scheme in _schemes(solver, space):
-            A = dense(stability.assemble(field, scheme, check_steady=False))
+            A = dense(stability.assemble(field, scheme))
             ref = per_direction_assemble(field, scheme)
             assert np.array_equal(A[row0], ref[row0]), scheme.label()
     if space == "conservative" and Scheme(solver=solver).parts[0][2].kind == "weno5":
@@ -440,13 +440,13 @@ ROUNDINGS = 4
 
 @pytest.mark.parametrize("field", list(_uniform_fields()),
                          ids=[f"ny={ny}" for ny in (1, 2, 3, 4, 7, 8)] + ["smooth"])
-def test_y_uniform_assembly_tiles_the_reference_block_row(field):
+def test_y_uniform_assembly_tiles_the_reference_block_row(field, unsteady_base_flow):
     # every solver, hybrid, order and space; the caps are sampled in turn
     nx, ny = field.nx, field.ny
     row0 = _block_row_0(nx, ny)
     schemes = [s for solver in SOLVERS for space in SPACES for s in _schemes(solver, space)]
     for scheme in schemes[ny % len(CAPS)::len(CAPS)]:
-        S = stability.assemble(field, scheme, check_steady=False)
+        S = stability.assemble(field, scheme)
         ref = per_direction_assemble(field, scheme)
         A = dense(S)
         if ny >= 7:
@@ -481,7 +481,7 @@ def test_field_off_uniform_by_one_ulp_is_refused(moved, named):
         stability.assemble(field, Scheme(solver="roe", order=5, space="characteristic"))
 
 
-def test_y_uniform_assembly_probes_only_the_row_0_faces(monkeypatch):
+def test_y_uniform_assembly_probes_only_the_row_0_faces(monkeypatch, unsteady_base_flow):
     # 11x32: the probes of the 12 x faces and 11 y faces of the one row,
     # one y face per column, not of all 747 faces
     calls = []
@@ -494,5 +494,7 @@ def test_y_uniform_assembly_probes_only_the_row_0_faces(monkeypatch):
     monkeypatch.setattr(riemann, "compute_flux", counted)
     field = sp.build_initial_field(sp.ShockProblemConfig(ny=32))
     assert len(fields.face_table(11, 1, ("x", "y"), 6).window) == 23
-    stability.assemble(field, Scheme(solver="roe", order=1), check_steady=False)
-    assert calls == [(2, 2, 4, 2 * 23, 4)]
+    stability.assemble(field, Scheme(solver="roe", order=1))
+    # the steady check's residual of the row's 12 x faces (its y fluxes
+    # cancel), then the probes
+    assert calls == [(2 * 12, 4), (2, 2, 4, 2 * 23, 4)]

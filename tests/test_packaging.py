@@ -5,7 +5,8 @@ verdict and a march load no SciPy module; a misspelt test marker fails
 collection; every dataclass field is read and every field default is set by
 some caller; every public name has a caller outside the tests; every traced
 layer function is reached through a module attribute the benchmark's tracer
-rebinds; only ``fields`` converts cells."""
+rebinds; only ``fields`` converts cells, and the soft conversion has its
+listed callers."""
 
 import ast
 import importlib
@@ -209,9 +210,7 @@ def test_public_names_have_a_package_caller():
 
 # parameters with a default that no call in the package or the benchmark
 # passes, each kept for a stated reason
-UNPASSED_DEFAULTS = {
-    "stability.assemble.check_steady": "tests linearise about fields that are not steady",
-}
+UNPASSED_DEFAULTS = {}
 
 
 def _defaulted_parameters(path):
@@ -338,9 +337,9 @@ CONVERTERS = {
 }
 
 
-def test_only_fields_converts_cells():
-    # every other module reads primitive cell states from the state axes
-    # that fields.apply_boundaries builds
+def _scopes_naming(target):
+    """The qualified functions and classes of the package whose code names
+    ``target``, as a name, an attribute or an imported alias."""
     named = set()
     for path in sorted((ROOT / "src" / "shockstab").glob("*.py")):
         def visit(node, scope):
@@ -349,10 +348,31 @@ def test_only_fields_converts_cells():
                     visit(child, scope + (child.name,))
                     continue
                 name = getattr(child, "id", None) or getattr(child, "attr", None)
-                if name == "cons_to_prim" or (isinstance(child, ast.alias)
-                                              and child.name == "cons_to_prim"):
+                if name == target or (isinstance(child, ast.alias) and child.name == target):
                     named.add(".".join((path.stem,) + scope))
                 visit(child, scope)
 
         visit(ast.parse(path.read_text()), ())
-    assert named == CONVERTERS
+    return named
+
+
+def test_only_fields_converts_cells():
+    # every other module reads primitive cell states from the state axes
+    # that fields.apply_boundaries builds
+    assert _scopes_naming("cons_to_prim") == CONVERTERS
+
+
+# the soft conversion, which never raises: euler._primitive is the formula
+# both conversions share, and reconstruction._prim_soft screens the
+# reconstructed face states and the LM's damped trial rows
+SOFT_CONVERTERS = {
+    "_primitive": {"euler.cons_to_prim", "reconstruction._prim_soft"},
+    "_prim_soft": {"reconstruction._reconstruct_sides", "shock_problem._above_floors"},
+}
+
+
+@pytest.mark.parametrize("target", sorted(SOFT_CONVERTERS))
+def test_the_soft_conversion_has_its_listed_callers(target):
+    # a new caller is one more conversion site that a complex-safe
+    # conversion of the face states has to reach
+    assert _scopes_naming(target) == SOFT_CONVERTERS[target]

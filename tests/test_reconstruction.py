@@ -70,10 +70,10 @@ def test_weno_left_state_equals_the_per_slot_reference(monkeypatch, batch, kind,
     cfg = rc.ReconConfig(kind=kind, weno_variant=variant, space="conservative")
     wins = [random_windows(rng, batch) for _ in range(10)]
     wins += [w[..., ::-1, :] for w in wins]
-    got = [rc._left_state(w, cfg, linearise) for w in wins]
+    got = [rc._left_state(w, cfg, linearise=linearise) for w in wins]
     monkeypatch.setattr(rc, "smoothness_indicators", ref_smoothness_indicators)
     monkeypatch.setattr(rc, "weno5_candidates", ref_weno5_candidates)
-    expect = [rc._left_state(w, cfg, linearise) for w in wins]
+    expect = [rc._left_state(w, cfg, linearise=linearise) for w in wins]
     for (value, lin), (ref_value, ref_lin) in zip(got, expect):
         assert np.all(np.isfinite(value))
         assert np.array_equal(value, ref_value)
@@ -124,7 +124,8 @@ def test_weno5_candidates_linear_window():
 
 def left_state(win, kind="weno5"):
     """Left state of one scalar 5-window (compact kinds read the middle)."""
-    val, _ = rc._left_state(np.asarray(win, dtype=float)[:, None], rc.ReconConfig(kind=kind))
+    val, _ = rc._left_state(np.asarray(win, dtype=float)[:, None], rc.ReconConfig(kind=kind),
+                            linearise=True)
     return val[0]
 
 
@@ -143,8 +144,9 @@ def test_weno5_right_symmetry():
     cfg = rc.ReconConfig(space="primitive")
     W = euler.cons_to_prim(euler.prim_to_cons(w))  # the primitive windows rhs gathers
     sides = side_windows(W, W)
-    _, right = halves(rc.reconstruct_pair(sides, window_cells(sides, cfg.space), cfg, X_FACE).W, -2)
-    left, _ = rc._left_state(W[:, ::-1], cfg)
+    _, right = halves(rc.reconstruct_pair(sides, window_cells(sides, cfg.space), cfg, X_FACE,
+                                        linearise=True).W, -2)
+    left, _ = rc._left_state(W[:, ::-1], cfg, linearise=True)
     assert np.array_equal(right, left)
 
 
@@ -170,7 +172,7 @@ def test_first_order_left_state():
         cell = W[2] if space == "primitive" else euler.cons_to_prim(win[0, 2])
         cfg = rc.ReconConfig(kind="first", space=space)
         sides = side_windows(win, win)
-        out = rc.reconstruct_pair(sides, window_cells(sides, space), cfg, X_FACE)
+        out = rc.reconstruct_pair(sides, window_cells(sides, space), cfg, X_FACE, linearise=True)
         assert np.array_equal(out.W, np.stack([cell, cell])), space
         assert np.array_equal(out.lin, np.stack([slot2, slot2])), space
         assert out.Lmat is None and out.Rmat is None and not out.fallback.any()
@@ -182,9 +184,9 @@ def test_exactness_all_orders():
     lin = (np.arange(5.0) * 0.7 + 1.0)[None, :, None]
     for kind in ("muscl", "weno5", "eno3"):
         cfg = rc.ReconConfig(kind=kind, space="conservative")
-        val, _ = rc._left_state(const, cfg)
+        val, _ = rc._left_state(const, cfg, linearise=True)
         assert np.allclose(val, 3.3, atol=1e-13), kind
-        val, _ = rc._left_state(lin, cfg)
+        val, _ = rc._left_state(lin, cfg, linearise=True)
         assert np.allclose(val, 1.0 + 2.5 * 0.7, atol=1e-12), kind
 
 
@@ -194,7 +196,7 @@ def test_weno5_linear_weights_equal_upstream_scheme(linear_weights):
     rng = np.random.default_rng(3)
     w = rng.uniform(0.5, 2.0, (20, 5, 1))
     cfg = rc.ReconConfig(space="conservative")
-    val, lin = rc._left_state(w, cfg)
+    val, lin = rc._left_state(w, cfg, linearise=True)
     expect = w[:, :, 0] @ (np.array([2.0, -13.0, 47.0, 27.0, -3.0]) / 60.0)
     assert np.allclose(val[:, 0], expect, atol=1e-13)
     assert np.allclose(lin[:, :, 0], np.array([2, -13, 47, 27, -3]) / 60.0, atol=1e-14)
@@ -206,7 +208,7 @@ def test_lin_coeffs_reproduce_values():
     w = rng.uniform(0.5, 2.0, (30, 5, 4))
     for kind in ("muscl", "weno5", "eno3"):
         cfg = rc.ReconConfig(kind=kind, space="conservative", weno_variant="z")
-        val, lin = rc._left_state(w, cfg)
+        val, lin = rc._left_state(w, cfg, linearise=True)
         assert np.allclose((lin * w).sum(axis=-2), val, atol=1e-12), kind
 
 
@@ -215,7 +217,7 @@ def test_lin_coeffs_sum_to_one():
     w = rng.uniform(0.5, 2.0, (30, 5, 4))
     for kind in ("muscl", "weno5", "eno3"):
         cfg = rc.ReconConfig(kind=kind, space="conservative")
-        _, lin = rc._left_state(w, cfg)
+        _, lin = rc._left_state(w, cfg, linearise=True)
         assert np.allclose(lin.sum(axis=-2), 1.0, atol=1e-12), kind
 
 
@@ -246,7 +248,7 @@ def test_weno5_convergence_order(variant, profile):
         avg = (F(edges[1:]) - F(edges[:-1])) / h
         win = np.lib.stride_tricks.sliding_window_view(avg, 5)  # (n-4, 5)
         cfg = rc.ReconConfig(space="conservative", weno_variant=variant)
-        val, _ = rc._left_state(win[:, :, None], cfg)
+        val, _ = rc._left_state(win[:, :, None], cfg, linearise=True)
         exact = f(edges[3 : n - 1])  # face right of each window's center cell
         errs.append(np.abs(val[:, 0] - exact).max())
     ratio = errs[0] / errs[1]
@@ -260,7 +262,7 @@ def test_reconstruct_pair_uniform_any_space():
         win = np.broadcast_to(W if space == "primitive" else U, (3, 5, 4))
         cfg = rc.ReconConfig(space=space)
         sides = side_windows(win, win)
-        out = rc.reconstruct_pair(sides, window_cells(sides, space), cfg, X_FACE)
+        out = rc.reconstruct_pair(sides, window_cells(sides, space), cfg, X_FACE, linearise=True)
         assert np.allclose(out.W, W, atol=1e-12)
         assert out.W.shape == (6, 4)
         assert not out.fallback.any()
@@ -276,7 +278,7 @@ def test_characteristic_projection_round_trip():
     win = np.repeat(U[:, None, :], 5, axis=1)  # constant windows
     cfg = rc.ReconConfig(kind="first", space="characteristic")
     sides = side_windows(win, win)
-    out = rc.reconstruct_pair(sides, window_cells(sides, cfg.space), cfg, X_FACE)
+    out = rc.reconstruct_pair(sides, window_cells(sides, cfg.space), cfg, X_FACE, linearise=True)
     assert np.allclose(out.W, side_states(W, W), rtol=1e-12, atol=1e-12)
 
 
@@ -291,7 +293,7 @@ def test_characteristic_differs_from_primitive_on_curved_profile():
     for space, w in (("conservative", win), ("primitive", euler.cons_to_prim(win))):
         cfg = rc.ReconConfig(space=space)
         sides = side_windows(w, w)
-        outs[space] = rc.reconstruct_pair(sides, window_cells(sides, space), cfg, X_FACE)
+        outs[space] = rc.reconstruct_pair(sides, window_cells(sides, space), cfg, X_FACE, linearise=True)
     assert np.all(np.isfinite(outs["conservative"].W))
     assert np.all(np.isfinite(outs["primitive"].W))
     assert not np.allclose(outs["conservative"].W[0], outs["primitive"].W[0])
@@ -311,7 +313,7 @@ def test_positivity_fallback(linear_weights):
     U = euler.prim_to_cons(W)[None]
     cfg = rc.ReconConfig(space="conservative")
     sides = side_windows(U, U)
-    out = rc.reconstruct_pair(sides, window_cells(sides, cfg.space), cfg, X_FACE)
+    out = rc.reconstruct_pair(sides, window_cells(sides, cfg.space), cfg, X_FACE, linearise=True)
     assert out.fallback.all()
     assert np.all(out.W[..., 0] > 0) and np.all(out.W[..., 3] > 0)
 
@@ -349,7 +351,7 @@ def test_admissible_equals_the_spelled_out_predicate():
 def test_eno3_picks_single_stencil():
     w = np.array([1.0, 1.1, 1.2, 5.0, 9.0])[None, :, None]  # jump on the right
     cfg = rc.ReconConfig(kind="eno3", space="conservative")
-    val, lin = rc._left_state(w, cfg)
+    val, lin = rc._left_state(w, cfg, linearise=True)
     # the smoothest substencil is the left one, (2 w0 - 7 w1 + 11 w2) / 6,
     # and it alone carries the linearization
     assert np.array_equal(lin[0, :, 0], np.array([2.0, -7.0, 11.0, 0.0, 0.0]) / 6.0)
@@ -425,8 +427,8 @@ def ref_reconstruct_pair_one(winL_U, winR_U, cfg, frame, XwinL, XwinR, linearise
     elif cfg.space == "conservative":
         XwinL, XwinR = winL_U, winR_U
 
-    XL, lin_L = rc._left_state(XwinL, cfg, linearise)
-    XR, lin_Rm = rc._left_state(XwinR[..., ::-1, :], cfg, linearise)
+    XL, lin_L = rc._left_state(XwinL, cfg, linearise=linearise)
+    XR, lin_Rm = rc._left_state(XwinR[..., ::-1, :], cfg, linearise=linearise)
     lin_R = lin_Rm[..., ::-1, :].copy() if linearise else None
 
     if cfg.space == "conservative":
@@ -510,7 +512,8 @@ def test_side_axis_reconstruction_equals_the_two_call_reference(space, kind, var
         for linearise in (True, False):
             ref = ref_reconstruct_pair(winL, winR, cfg, table.frame, cap_cfg, cap_mask,
                                        XwinL, XwinR, linearise)
-            got = rc.reconstruct_pair(sides, cells, cfg, table.frame, cap_cfg, cap_mask, linearise)
+            got = rc.reconstruct_pair(sides, cells, cfg, table.frame, cap_cfg, cap_mask,
+                                     linearise=linearise)
             WL, WR = halves(got.W, -2)
             assert _same_bits(WL, ref["WL"]) and _same_bits(WR, ref["WR"]), (batch, linearise)
             assert np.array_equal(got.fallback, ref["fallback"])

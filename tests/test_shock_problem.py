@@ -428,13 +428,23 @@ def test_lm_refine_propagates_errors_from_outside_the_package(monkeypatch, stage
     monkeypatch.setattr(sp, "_residual_1d", failing_residual)
     monkeypatch.setattr(sp, "_fd_jacobian_1d", failing_jacobian)
     with pytest.raises(RuntimeError, match=stage):
-        sp._lm_refine_1d(field, scheme, c.converge_tol, clamp_cells=(0, 1, 2, 3), pin_dofs=(20,))
+        sp._lm_refine_1d(field, scheme, c.converge_tol, _lm_free(c))
 
 
-def _loop_lm_refine_1d(field, scheme, tol, clamp_cells, pin_dofs):
+def _lm_free(c):
+    """The unknowns that converge_1d's LM moves for a shock in column 6:
+    all but the clamped upstream cells 1-4 and the pinned density rho_6."""
+    assert c.shock_column == 6
+    free = np.ones(4 * c.nx, dtype=bool)
+    free[:16] = free[20] = False
+    return free
+
+
+def _loop_lm_refine_1d(field, scheme, tol, free):
     """Reference: the sequential Levenberg-Marquardt loop, one residual call
     per damped trial and a Jacobian call at the top of every iteration;
-    returns (state, residual, iterations) as ``sp._lm_refine_1d`` does."""
+    returns (state, residual vector, iterations) as ``sp._lm_refine_1d``
+    does."""
     nx = field.nx
     W = field.interior_primitive()
     c = euler.sound_speed(W)
@@ -447,12 +457,6 @@ def _loop_lm_refine_1d(field, scheme, tol, clamp_cells, pin_dofs):
     def admissible(f):
         Wt = euler.cons_to_prim(f.U)
         return bool((Wt[..., 0].min() > rho_floor) and (Wt[..., 3].min() > p_floor))
-
-    free = np.ones(4 * nx, dtype=bool)
-    for cell in clamp_cells:
-        free[4 * cell : 4 * cell + 4] = False
-    for dof in pin_dofs:
-        free[dof] = False
 
     r = sp._residual_1d(field, scheme)
     cost = float(np.linalg.norm(r / s))
@@ -497,7 +501,7 @@ def _loop_lm_refine_1d(field, scheme, tol, clamp_cells, pin_dofs):
             lam *= 4.0
         if not accepted:
             break
-    return field, float(np.abs(r.reshape(nx, 4)[:, 0]).max()), it
+    return field, r, it
 
 
 @pytest.mark.parametrize("scheme, epsilon, fault", [
@@ -601,7 +605,7 @@ def test_lm_refine_equals_the_sequential_loop(monkeypatch, scheme, epsilon, faul
             "singular", "start probes")
     for (got, res, it, lm_calls), made, (expected, expected_res, expected_it), _, begun in attempts:
         assert np.array_equal(got.U, expected.U)
-        assert res == expected_res and it == expected_it
+        assert _same_bits(res, expected_res) and it == expected_it
         assert lm_calls == made
         if fault in ("singular", "start probes"):
             assert it == 1 and np.array_equal(got.U, begun)  # the attempt ends at its start
@@ -879,7 +883,7 @@ def test_lm_refine_ends_the_attempt_when_the_jacobian_raises(monkeypatch):
     c = cfg()
     scheme = Scheme(solver="roe", order=1)
     field = sp.build_initial_field(c, ny=1)
-    args = (scheme, c.converge_tol, (0, 1, 2, 3), (20,))
+    args = (scheme, c.converge_tol, _lm_free(c))
     with monkeypatch.context() as m:
         m.setattr(sp, "LM_MAX_ITER", 1)
         one_step, res_one, it_one, _ = sp._lm_refine_1d(field, *args)
@@ -903,7 +907,7 @@ def test_lm_refine_ends_the_attempt_when_the_jacobian_raises(monkeypatch):
     # the start's pass, the trial's raising pass, its residual; no more probes
     assert calls == ["jacobian", "jacobian", "residual"]
     assert lm_calls == {"jacobians": 2, "residuals": 1}
-    assert np.array_equal(got.U, one_step.U) and res == res_one
+    assert np.array_equal(got.U, one_step.U) and _same_bits(res, res_one)
     assert it == 2
 
 
@@ -926,11 +930,81 @@ def test_lm_solve_takes_one_pass_per_accepted_step(monkeypatch):
     _, info = sp.converge_1d(cfg(), Scheme(solver="roe", order=1))
     (passes, (_, res, it, lm_calls)), = attempts
     accepted = it - 1  # the last iteration stops at the converged residual
-    assert res < cfg().converge_tol and info["restarts"] == 0
+    assert np.abs(res[0::4]).max() < cfg().converge_tol and info["restarts"] == 0
     assert passes == accepted + 1
     assert lm_calls == {"jacobians": accepted + 1, "residuals": 0}
     assert info["lm_iterations"] == it and info["jacobians"] == accepted + 1
     assert info["residuals"] == 0
+
+
+def _recorded_attempts(monkeypatch):
+    """Wrap ``sp._lm_refine_1d``; return the list of each attempt's
+    (start state, free mask, result), and fail a residual that converge_1d
+    evaluates outside its attempts."""
+    refine, residual, attempts, running = sp._lm_refine_1d, sp._residual_1d, [], []
+
+    def recorded(field, scheme, tol, free):
+        start = field.U.copy()
+        running.append(True)
+        out = refine(field, scheme, tol, free)
+        running.pop()
+        attempts.append((start, free, out))
+        return out
+
+    def inside_an_attempt(f, s):
+        assert running, "converge_1d evaluated a residual outside its attempts"
+        return residual(f, s)
+
+    monkeypatch.setattr(sp, "_lm_refine_1d", recorded)
+    monkeypatch.setattr(sp, "_residual_1d", inside_an_attempt)
+    return attempts
+
+
+@pytest.mark.parametrize("scheme, epsilon, cell", [
+    (Scheme(solver="roe", order=1), 0.1, None),  # converges in one attempt
+    # stalls; its second restart's jittered start is inadmissible
+    (Scheme(solver="roe", order=5, space="conservative"), 0.1, 6),
+    # stalls; the second restart ends lowest, in cell 2, and the first
+    # attempt in cell 4
+    (Scheme(solver="roe", order=2, space="characteristic"), 0.0, 2),
+], ids=lambda v: v.label() if isinstance(v, Scheme) else str(v))
+def test_lm_refine_returns_the_residual_of_the_state_it_returns(monkeypatch, scheme, epsilon,
+                                                                cell):
+    # converge_1d picks the better attempt and names the failing cell from
+    # the residual vector each attempt returns, with no residual of its own:
+    # the vector is _residual_1d of the returned state bit for bit, whether
+    # a Jacobian pass or a batch of damped trials gave it
+    residual = sp._residual_1d
+    attempts = _recorded_attempts(monkeypatch)
+    try:
+        sp.converge_1d(cfg(epsilon=epsilon), scheme)
+    except ConvergenceError as err:
+        drho = [np.abs(r[0::4]) for _, _, (_, r, _, _) in attempts]
+        best = min(range(len(drho)), key=lambda k: drho[k].max())  # the first of equals
+        assert int(np.argmax(drho[best])) + 1 == cell and str(err).endswith(f"cell {cell}")
+        assert f"residual {drho[best].max():.3e} >=" in str(err)
+    else:
+        assert cell is None and len(attempts) == 1
+    for _, _, (got, r, _, _) in attempts:
+        assert _same_bits(r, residual(got, scheme))
+
+
+def test_a_jittered_restart_moves_only_the_free_unknowns(monkeypatch):
+    # roe-o5/conservative at epsilon 0.1 stalls, and its first restart starts
+    # from the best state jittered: the clamped upstream cells and the pinned
+    # shock-cell density keep their bits, and every other nonzero unknown
+    # moves.  Both attempts move the one free mask that converge_1d built
+    c = cfg()
+    attempts = _recorded_attempts(monkeypatch)
+    with pytest.raises(ConvergenceError):
+        sp.converge_1d(c, Scheme(solver="roe", order=5, space="conservative"))
+    (_, free, (best, _, _, _)), (start, restart_free, _) = attempts
+    assert restart_free is free and np.array_equal(free, _lm_free(c))
+    best, start = best.U.reshape(-1), start.reshape(-1)
+    assert _same_bits(start[~free], best[~free])
+    assert start[20] == sp.intermediate_state(c)[0]
+    moved = start != best
+    assert moved[free & (best != 0.0)].all() and not moved[~free].any()
 
 
 def test_project_to_2d_rows_equal():

@@ -125,7 +125,7 @@ def test_fd_jacobian_probe_stack_equals_probe_loop(solver):
 
 
 @pytest.mark.parametrize("solver, batches", [("hllc", 1), ("hybrid-2", 2)])
-def test_assemble_makes_one_flux_call_per_batch(monkeypatch, solver, batches):
+def test_assemble_makes_one_flux_call_per_batch(monkeypatch, solver, batches, unsteady_base_flow):
     calls = []
     original = riemann.compute_flux
 
@@ -135,16 +135,18 @@ def test_assemble_makes_one_flux_call_per_batch(monkeypatch, solver, batches):
 
     monkeypatch.setattr(riemann, "compute_flux", counted)
     field, _ = initial_shock_field(ny=4)
-    assemble(field, Scheme(solver=solver, order=5), check_steady=False)
-    assert len(calls) == batches
+    assemble(field, Scheme(solver=solver, order=5))
+    # one per batch for its probes, and one for the steady check's residual
+    # of the row, which fluxes only its x faces (its y fluxes cancel)
+    assert len(calls) == batches + 1
 
 
 @pytest.mark.parametrize("solver, orientation, face", [
     pytest.param("roe", "x/y", 15, id="roe-x/y"),
     pytest.param("hybrid-1", "y", 3, id="hybrid-1-y"),
 ])
-def test_assemble_names_the_face_of_a_non_finite_flux_jacobian(monkeypatch, solver, orientation,
-                                                               face):
+def test_assemble_names_the_face_of_a_non_finite_flux_jacobian(monkeypatch, unsteady_base_flow,
+                                                               solver, orientation, face):
     # one probe flux of y face 3 of the row is NaN: the +h probe of the right
     # state's rho v.  The row has 12 x faces and then 11 y faces, so y face 3
     # is face 15 of the joint table and face 3 of the hybrid's y part
@@ -162,7 +164,7 @@ def test_assemble_names_the_face_of_a_non_finite_flux_jacobian(monkeypatch, solv
     field, _ = initial_shock_field(ny=4)
     with pytest.raises(DifferentiationError,
                        match=rf"^non-finite flux Jacobian at {orientation}-face \[\[{face}\]\]$"):
-        assemble(field, Scheme(solver=solver), check_steady=False)
+        assemble(field, Scheme(solver=solver))
     assert len(broken) == 1
 
 
@@ -172,7 +174,7 @@ def test_assemble_names_the_face_of_a_non_finite_flux_jacobian(monkeypatch, solv
 def _recon_for(win, kind, space="conservative"):
     cfg = rc.ReconConfig(kind=kind, space=space, weno_variant="z")
     sides = side_windows(win, win)
-    return rc.reconstruct_pair(sides, window_cells(sides, space), cfg, X_FACE)
+    return rc.reconstruct_pair(sides, window_cells(sides, space), cfg, X_FACE, linearise=True)
 
 
 def side_jacobians(solver, recon):
@@ -213,7 +215,7 @@ def test_linear_weights_blocks_match_upstream_coefficients(linear_weights):
         win[0, m] = euler.prim_to_cons(base * (1.0 + 0.02 * m))
     cfg = rc.ReconConfig(space="conservative")
     sides = side_windows(win, win)
-    recon = rc.reconstruct_pair(sides, window_cells(sides, cfg.space), cfg, X_FACE)
+    recon = rc.reconstruct_pair(sides, window_cells(sides, cfg.space), cfg, X_FACE, linearise=True)
     A = side_jacobians("hll", recon)
     AL, AR = halves(A, -3)
     blocks = stability.face_blocks(recon, A)
@@ -240,7 +242,7 @@ def test_assemble_refuses_a_batch_of_fields():
     field, _ = initial_shock_field(ny=4)
     batch = MeanField(U=np.stack([field.U, field.U]), bc=field.bc, shock_column=field.shock_column)
     with pytest.raises(ValueError, match=r"\(2, 11, 4, 4\)"):
-        assemble(batch, Scheme(solver="roe", order=1), check_steady=False)
+        assemble(batch, Scheme(solver="roe", order=1))
 
 
 def test_assemble_refuses_a_signed_zero_off_row_0():
@@ -249,7 +251,7 @@ def test_assemble_refuses_a_signed_zero_off_row_0():
     assert field.U[4, 0, 2] == 0.0 and not np.signbit(field.U[4, 0, 2])
     field.U[4, 2, 2] = -0.0
     with pytest.raises(ValueError, match=r"cell \(4, 2\) differs from cell \(4, 0\)$"):
-        assemble(field, Scheme(solver="roe", order=1), check_steady=False)
+        assemble(field, Scheme(solver="roe", order=1))
 
 
 def test_assemble_names_a_nan_column_as_an_invalid_state():
@@ -336,7 +338,7 @@ def test_circulant_spectrum_first_order_upwind():
     field = uniform_field(W, nx=N, ny=1)
     A_U = analytic_flux_jacobian(euler.prim_to_cons(W), X_FACE)
     for space in ("conservative", "characteristic", "primitive"):
-        S = assemble(field, Scheme(solver="roe", order=1, space=space), check_steady=True)
+        S = assemble(field, Scheme(solver="roe", order=1, space=space))
         A = euler.dw_du(W) @ A_U @ euler.du_dw(W) if space == "primitive" else A_U
         expected = np.kron(np.eye(N), -A) + np.kron(np.eye(N, k=-1), A)
         C = wrapped_blocks(S)[0]  # one row: every offset d sums onto slot 0
@@ -358,7 +360,7 @@ def test_uniform_field_kernel(order, space):
     assert np.abs(out).max() < 1e-7 * max(1.0, np.abs(A).max())
 
 
-def test_first_order_space_equivalence():
+def test_first_order_space_equivalence(unsteady_base_flow):
     # the three assemblies are similar matrices, so their spectra coincide.
     # The upstream convection chain makes most eigenvalues badly defective
     # (pointwise comparison is ill-posed in floating point), so the
@@ -368,8 +370,7 @@ def test_first_order_space_equivalence():
     mats = {}
     doms = {}
     for space in ("conservative", "primitive", "characteristic"):
-        S = assemble(field, Scheme(solver="roe", order=1, space=space),
-                     check_steady=False)
+        S = assemble(field, Scheme(solver="roe", order=1, space=space))
         mats[space] = dense(S)
         doms[space] = eigensolve(S).max_real
     scale = np.abs(mats["conservative"]).max()
@@ -410,13 +411,13 @@ def test_first_order_characteristic_scheme_is_the_conservative_one(solver, epsil
     assert out["characteristic"] == out["conservative"]
 
 
-def test_block_counts_by_order():
+def test_block_counts_by_order(unsteady_base_flow):
     field, cfg = initial_shock_field()
     # downstream interior cell: all couplings alive for Roe and HLL
     i, j = 7, 5
     for solver in ("roe", "hll"):
         for order, expect in ((1, 5), (2, 9), (5, 13)):
-            S = assemble(field, Scheme(solver=solver, order=order), check_steady=False)
+            S = assemble(field, Scheme(solver=solver, order=order))
             cols = block_cols(S)
             assert len(cols[i][j]) == expect, (solver, order)
             # structure bound everywhere
@@ -429,20 +430,20 @@ def _every_scheme():
     return (s for solver in SOLVERS for space in SPACES for s in _schemes(solver, space))
 
 
-def test_transverse_blocks_couple_a_cell_to_its_own_column():
+def test_transverse_blocks_couple_a_cell_to_its_own_column(unsteady_base_flow):
     # a y face's window lies in its own column, so every C(d) with d != 0 is
     # block-diagonal in the column i: each 4x4 block coupling column i to a
     # column i' != i is exactly 0.  Every solver, order, space and cap
     field, cfg = initial_shock_field(epsilon=0.1)
     off_diagonal = ~np.eye(cfg.nx, dtype=bool)
     for scheme in _every_scheme():
-        C = assemble(field, scheme, check_steady=False).block_row
+        C = assemble(field, scheme).block_row
         blocks = C.reshape(stability.OFFSETS, cfg.nx, 4, cfg.nx, 4).transpose(0, 1, 3, 2, 4)
         for d in (-3, -2, -1, 1, 2, 3):
             assert np.all(blocks[d][off_diagonal] == 0.0), (scheme.label(), d)
 
 
-def test_block_row_splits_into_x_faces_at_d_0_and_y_faces_that_sum_to_0(monkeypatch):
+def test_block_row_splits_into_x_faces_at_d_0_and_y_faces_that_sum_to_0(monkeypatch, unsteady_base_flow):
     # C = C_x + C_y, C_y assembled from the y faces alone.  An x face reads
     # one row, so C_x(d) is exactly 0 for d != 0.  A y face's window lies in
     # its own column, so every C_y(d), d = 0 included, is block-diagonal in
@@ -465,10 +466,10 @@ def test_block_row_splits_into_x_faces_at_d_0_and_y_faces_that_sum_to_0(monkeypa
         return parts if axis == "y" else []
 
     for scheme in _every_scheme():
-        C = assemble(field, scheme, check_steady=False).block_row
+        C = assemble(field, scheme).block_row
         with monkeypatch.context() as patch:
             patch.setattr(stability, "_face_triplets", y_triplets)
-            C_y = assemble(field, scheme, check_steady=False).block_row
+            C_y = assemble(field, scheme).block_row
         C_x = C - C_y
         for d in (-3, -2, -1, 1, 2, 3):
             assert np.all(C_x[d] == 0.0), (scheme.label(), d)
@@ -477,9 +478,9 @@ def test_block_row_splits_into_x_faces_at_d_0_and_y_faces_that_sum_to_0(monkeypa
         assert np.abs(C_y.sum(axis=0)).max() <= bound * np.abs(C_y).max(), scheme.label()
 
 
-def test_inflow_rows_reference_no_ghosts():
+def test_inflow_rows_reference_no_ghosts(unsteady_base_flow):
     field, cfg = initial_shock_field()
-    S = assemble(field, Scheme(solver="roe", order=5), check_steady=False)
+    S = assemble(field, Scheme(solver="roe", order=5))
     pattern = block_cols(S)
     n = cfg.nx * cfg.ny
     for row in pattern:
@@ -491,12 +492,12 @@ def test_inflow_rows_reference_no_ghosts():
     assert min(cols) == 0  # nothing left of the boundary
 
 
-def test_outflow_ghost_chain_rule():
+def test_outflow_ghost_chain_rule(unsteady_base_flow):
     # the last column's rightward couplings fold onto itself through the
     # pressure-pinned copy; with the pin, a pressure perturbation of the
     # last cell must not propagate through the ghost energy entry
     field, cfg = initial_shock_field()
-    S = assemble(field, Scheme(solver="roe", order=5), check_steady=False)
+    S = assemble(field, Scheme(solver="roe", order=5))
     last = cfg.nx - 1
     cols = sorted(c // cfg.ny for c in block_cols(S)[last][5])
     assert max(cols) == last  # ghost blocks were folded, not dropped
@@ -551,7 +552,7 @@ def _loop_assembly(field, scheme):
     return S
 
 
-def test_sparse_scatter_matches_loop_reference():
+def test_sparse_scatter_matches_loop_reference(unsteady_base_flow):
     # the vectorised scatter sums in another order, so agreement is to a few
     # ulps of the largest entry, for every order, space and cap, on a shock
     # and on a smooth field.  The smooth field varies along x only, so its
@@ -569,7 +570,7 @@ def test_sparse_scatter_matches_loop_reference():
     ]
     for field, scheme in cases:
         ref = _loop_assembly(field, scheme)
-        S = dense(assemble(field, scheme, check_steady=False))
+        S = dense(assemble(field, scheme))
         assert np.abs(S - ref).max() <= 1e-14 * np.abs(ref).max(), scheme.label()
 
 
@@ -577,7 +578,7 @@ def _rhs_derivative_mismatch(field, scheme, v, eps=1e-7):
     """max |d rhs/d U . v - S v| by central differences, and max |d rhs . v|."""
     from shockstab import marching
 
-    S = assemble(field, scheme, check_steady=False)
+    S = assemble(field, scheme)
     fp = field.copy()
     fp.U += eps * v.reshape(field.nx, field.ny, 4)
     fm = field.copy()
@@ -587,7 +588,7 @@ def _rhs_derivative_mismatch(field, scheme, v, eps=1e-7):
     return np.max(np.abs(dr - Sv)), np.abs(dr).max()
 
 
-def test_assemble_matches_rhs_directional_derivative():
+def test_assemble_matches_rhs_directional_derivative(unsteady_base_flow):
     # S is the (frozen-weight) linearization of the nonlinear residual: for
     # first order (no weights at all) a directional derivative of rhs must
     # match S @ v
