@@ -8,10 +8,12 @@ A single field has batch shape ().  Ghost cells are not state:
 ``apply_boundaries`` lays the cells out on a state axis (..., S, 4), cell
 (i, j) at i*ny + j, then appends the inflow ghost state at nx*ny and the
 pressure-pinned outflow ghost state of row j at nx*ny + 1 + j, whose
-derivative is ``outflow_jacobian``.  It returns the axis in two forms,
-``StateAxes``: ``X`` in the variables the face windows read, conservative
-outside the primitive space, and ``W`` primitive, one array with ``X`` in
-the primitive space.  ``apply_boundaries`` is the one place that converts
+derivative is ``outflow_jacobian``.  This module is the one place that
+says so: every other reader of the axis asks ``FaceTable.source``, the
+cell that each state is or copies.  ``apply_boundaries`` returns the axis
+in two forms, ``StateAxes``: ``X`` in the variables the face windows
+read, conservative outside the primitive space, and ``W`` primitive, one
+array with ``X`` in the primitive space.  ``apply_boundaries`` is the one place that converts
 a field's cells, once per call and checked, in every space.
 Interior indices are 0-based; problem metadata (shock column) uses the
 1-based cell numbering of the test problem.  An ``InvalidStateError`` names
@@ -21,8 +23,9 @@ batch index.
 ``face_table`` lays the faces of a grid on one flat face axis, x faces then
 y faces, each with the state indices of its six-cell stencil, and both
 windows of every face on one side axis: ``rhs`` gathers its windows and
-cells from the side axis and ``assemble`` scatters its blocks by the
-stencils.
+cells from the side axis, ``assemble`` scatters its blocks by the stencils
+and folds the ghost copies by ``source``, and the steady solve's probes
+find the states that a cell moves by ``source``.
 """
 
 import functools
@@ -132,7 +135,11 @@ class FaceTable:
     face, slots 0..4 the window of its left state, slots 1..5 that of its
     right state.  ``sides`` holds both windows on one side axis: row f is
     face f's left window (slots 0..4), row F+f its right window mirrored
-    (slots 5..1).  ``shock`` flags the faces of the shock column.  ``frame``
+    (slots 5..1).  ``source`` maps the state axis to the grid: entry s is
+    the cell that state s is or copies, the cell itself, the row's last
+    cell for its outflow ghost, and -1 for the inflow state, which moves
+    with no cell.  ``shock`` flags the faces of the near-shock zone, those
+    with a cell (slot 2 or 3) in the shock column.  ``frame``
     carries each face's unit normal as (F,) arrays, or as the one scalar
     normal of a table of a single orientation.  Tables compare and hash by
     identity; ``face_table`` builds one per grid.
@@ -141,6 +148,7 @@ class FaceTable:
     grids: tuple[tuple[str, tuple[int, int]], ...]
     window: np.ndarray  # (F, 6) state indices
     sides: np.ndarray  # (2F, 5) state indices, left windows then mirrored right ones
+    source: np.ndarray  # (S,) the cell each state is or copies, -1 for the inflow state
     shock: np.ndarray  # (F,) bool
     frame: euler.FaceFrame
 
@@ -159,32 +167,34 @@ class FaceTable:
 def face_table(nx: int, ny: int, orientations: tuple[str, ...],
                shock_column: int | None) -> FaceTable:
     """The ``FaceTable`` of the listed orientations ("x", "y"), built once
-    per grid, orientations and 1-based shock column (None for none); its
-    arrays are read-only.  Stencils wrap along y; along x they read the
-    inflow state left of the grid and the row's outflow state right of it."""
+    per grid, orientations and 1-based shock column (None for no near-shock
+    zone); its arrays are read-only.  Stencils wrap along y; along x they
+    read the inflow state left of the grid and the row's outflow state
+    right of it, the two places where ``source`` differs from the state."""
+    n = nx * ny
+    source = np.concatenate([np.arange(n), [-1], np.arange(n - ny, n)])
     slot = np.arange(6) - 3  # face k's stencil spans cells k-3 .. k+2
-    grids, windows, shock, normal = [], [], [], []
+    grids, windows, normal = [], [], []
     for orientation in orientations:
         if orientation == "x":
             grid = (nx + 1, ny)
             k, j = (a.reshape(-1, 1) for a in np.indices(grid))
             i = k + slot
-            outside = np.where(i < 0, nx * ny, nx * ny + 1 + j)
-            windows.append(np.where((i >= 0) & (i < nx), i * ny + j, outside))
+            windows.append(np.where(i < 0, n, np.where(i < nx, i * ny + j, n + 1 + j)))
             normal.append(euler.X_FACE)
         else:
             grid = (nx, ny + 1 if ny > 1 else 1)
             i, l = (a.reshape(-1, 1) for a in np.indices(grid))
             windows.append(i * ny + (l + slot) % ny)
             normal.append(euler.Y_FACE)
-        flag = np.zeros(grid, dtype=bool)
-        if shock_column is not None:
-            col = shock_column - 1  # to 0-based
-            flag[col : col + 2 if orientation == "x" else col + 1] = True
-        shock.append(flag.ravel())
         grids.append((orientation, grid))
     sizes = [len(w) for w in windows]
-    window, shock = np.concatenate(windows), np.concatenate(shock)
+    window = np.concatenate(windows)
+    shock = np.zeros(len(window), dtype=bool)
+    if shock_column is not None:
+        # the faces with a cell, slot 2 or 3, in the shock column; the
+        # inflow state's -1 lies in no column
+        shock = (source[window[:, 2:4]] // ny == shock_column - 1).any(axis=1)
     if len(normal) == 1:
         frame = normal[0]  # a single orientation: one normal for every face
     else:
@@ -193,6 +203,6 @@ def face_table(nx: int, ny: int, orientations: tuple[str, ...],
     if np.ndim(frame.nx):
         frame.nx.flags.writeable = frame.ny.flags.writeable = False
     sides = np.concatenate([window[:, :5], window[:, :0:-1]])
-    for a in (window, sides, shock):
+    for a in (window, sides, source, shock):
         a.flags.writeable = False
-    return FaceTable(tuple(grids), window, sides, shock, frame)
+    return FaceTable(tuple(grids), window, sides, source, shock, frame)

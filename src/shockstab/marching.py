@@ -75,14 +75,14 @@ def face_reconstructions(field: MeanField, states: StateAxes, scheme: Scheme, *,
 
     Every part takes both sides of its faces, side-stacked behind the
     field's batch axes, from ``states``, the state axes that
-    ``apply_boundaries`` builds (``part_states``).  ``linearise`` is passed
-    on to ``face_parts`` and ``reconstruct_pair``.
+    ``apply_boundaries`` builds (``part_states``), and passes its
+    near-shock zone ``table.shock`` with its cap, if any.  ``linearise`` is
+    passed on to ``face_parts`` and ``reconstruct_pair``.
     """
     for table, solver, cfg, cap_cfg in face_parts(field, scheme, linearise=linearise):
         recon = reconstruction.reconstruct_pair(
             *part_states(states, table.sides, cfg), cfg, table.frame,
-            cap_cfg=cap_cfg, cap_mask=None if cap_cfg is None else table.shock,
-            linearise=linearise,
+            cap_cfg=cap_cfg, cap_mask=table.shock, linearise=linearise,
         )
         yield table, solver, recon
 

@@ -237,8 +237,8 @@ def reconstruct_pair(
     cells,
     cfg: ReconConfig,
     frame: FaceFrame,
-    cap_cfg: ReconConfig | None = None,
-    cap_mask=None,
+    cap_cfg: ReconConfig | None,
+    cap_mask,
     *,
     linearise: bool,
 ) -> FaceRecon:
@@ -249,17 +249,18 @@ def reconstruct_pair(
     where ``reads_cells``.  The window variables are primitive in the
     primitive space, else conservative.
 
-    ``cap_mask`` (F,), given with the ``cap_cfg`` of a part that has a cap,
-    selects faces whose order is capped (near-shock treatment); both rows of
-    those faces are reconstructed with ``cap_cfg`` (at first order from
-    their cells), in the frame of the selected faces, and spliced in.  One
-    mask serves every member of a batch.  ``linearise=False`` skips the
-    frozen-weight coefficients, which only the stability assembly reads; the
-    face states and the fallback mask are the same either way.
+    ``cap_mask`` (F,), the near-shock zone, selects the faces whose order
+    the ``cap_cfg`` of a part that has a cap lowers; without a cap (None)
+    the mask is not read.  Both rows of those faces are reconstructed with
+    ``cap_cfg`` (at first order from their cells), in the frame of the
+    selected faces, and spliced in.  One mask serves every member of a
+    batch.  ``linearise=False`` skips the frozen-weight coefficients, which
+    only the stability assembly reads; the face states and the fallback
+    mask are the same either way.
     """
     win = np.asarray(win, dtype=float)
     recon = _reconstruct_sides(win, cells, cfg, frame, linearise)
-    if cap_mask is not None and np.count_nonzero(cap_mask):
+    if cap_cfg is not None and np.count_nonzero(cap_mask):
         batch = (slice(None),) * (cells.ndim - 2)
         rows = batch + (np.tile(cap_mask, 2),)
         sub = _reconstruct_sides(win[rows], cells[rows], cap_cfg, frame.at(cap_mask), linearise)

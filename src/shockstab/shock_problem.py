@@ -135,22 +135,18 @@ def _probe_faces(table, cells: tuple[int, ...], cfg):
     table (x faces of a row), probed cells and part; the arrays are read-only.
 
     The stack holds 2m probes, probe p moving cell ``cells[p % m]``, and then
-    the unperturbed row at member 2m.  A probe touches face f when a slot that
-    the part reads of f (the cells at first order, else the windows) holds
-    the probe's cell or, for the row's last cell, the outflow ghost state
-    that copies it; every other face of the probe equals the row's.  Returns (probe, face, sides, shock): the touched pairs in
-    (probe, face) order, then, for those faces followed by all of the row's
-    faces, their (2F', 5) side index into the stack's flattened state axes
-    (laid out as ``fields.apply_boundaries``: cell i at i, the outflow ghost
-    at nx + 1) and the shock flags (F',).
+    the unperturbed row at member 2m.  Probe p moves the states whose
+    ``table.source`` is its cell: the cell and any ghost that copies it.  A
+    probe touches face f when a slot that the part reads of f (the cells at
+    first order, else the windows) holds a state it moves; every other face
+    of the probe equals the row's.  Returns (probe, face, sides, shock): the
+    touched pairs in (probe, face) order, then, for those faces followed by
+    all of the row's faces, their (2F', 5) side index into the stack's
+    flattened state axes, each member's axis laid out as ``table.source``,
+    and the shock flags (F',).
     """
-    n_faces = len(table.shock)  # nx + 1 x faces
-    nx = n_faces - 1
-    n_states = nx + 2
-    cells = np.array(cells)
-    moved = np.zeros((len(cells), n_states), dtype=bool)
-    moved[np.arange(len(cells)), cells] = True
-    moved[:, nx + 1] = cells == nx - 1
+    n_faces, n_states = len(table.shock), len(table.source)
+    moved = table.source == np.array(cells)[:, None]
     read = moved[:, table.sides[:, 2] if reconstruction.reads_cells(cfg) else table.sides]
     touched = read.reshape(len(cells), 2, n_faces, -1).any(axis=(1, 3))
     probe, face = np.nonzero(np.concatenate([touched, touched]))  # +h probes, then -h
@@ -174,11 +170,11 @@ def _fd_jacobian_1d(field, scheme, cols) -> tuple[np.ndarray, np.ndarray]:
     and is (R(U + h) - R(U - h)) / (2h), R the residual of ``rhs``, bit for
     bit.  The 2m probes and the row itself (member 2m) are stacked on a
     batch axis and pass through one ``apply_boundaries``, which converts
-    the stack once.  Then
-    ``marching.part_states`` gathers what the part reads (the cells at first
-    order, else the windows and the cells) of only the faces whose read
-    slots hold a probed cell (``_probe_faces``: two faces per probe at first
-    order, up to six otherwise) together with the row's faces, and one
+    the stack once.  Then ``marching.part_states`` gathers what the part
+    reads (the cells at first order, else the windows and the cells) of
+    only the faces whose read slots hold a state that a probe moves
+    (``_probe_faces``: two faces per probe at first order, up to six
+    otherwise) together with the row's faces, and one
     ``reconstruct_pair`` and one ``compute_flux`` call evaluate them.  Each
     probe's face fluxes are the row's with its touched faces written over.
     Every member, the row included, is differenced as ``rhs`` does, so r
@@ -201,7 +197,7 @@ def _fd_jacobian_1d(field, scheme, cols) -> tuple[np.ndarray, np.ndarray]:
     flat = fields.StateAxes(*(a.reshape(-1, 4) for a in states))
     recon = reconstruction.reconstruct_pair(
         *marching.part_states(flat, sides, cfg), cfg, table.frame,
-        cap_cfg=cap_cfg, cap_mask=None if cap_cfg is None else shock, linearise=False,
+        cap_cfg=cap_cfg, cap_mask=shock, linearise=False,
     )
     flux = riemann.compute_flux(solver, recon.W, table.frame)
     n = len(probe)
@@ -415,13 +411,15 @@ def converge_1d(cfg: ShockProblemConfig, scheme: Scheme):
 
     Returns the (nx, 4) conservative profile and ``info`` with the smoothing
     ``steps``, the total ``lm_iterations``, the jitter ``restarts`` started
-    (failed ones included), the final ``residual``, and the calls the solve
-    made over all attempts: ``jacobians`` of ``_fd_jacobian_1d`` (raising
-    ones included) and ``residuals`` of ``_residual_1d`` (a batch of damped
-    trials counts once).  Success is
-    max|d rho/dt| < converge_tol.  Anything else raises ConvergenceError
-    naming the scheme, the residual and the 1-based cell of largest
-    |d rho/dt|.
+    (failed ones included), the final ``residual`` max|d rho/dt| and
+    ``residual_by_component``, the largest |dU/dt| of each conservative
+    component, density first (``residual``), both read from the returned
+    state's residual vector, and the calls the solve made over all
+    attempts: ``jacobians`` of ``_fd_jacobian_1d`` (raising ones included)
+    and ``residuals`` of ``_residual_1d`` (a batch of damped trials counts
+    once).  Success is max|d rho/dt| < converge_tol; the other components
+    are reported, not judged.  Anything else raises ConvergenceError naming
+    the scheme, the residual and the 1-based cell of largest |d rho/dt|.
     """
     field = build_initial_field(cfg, ny=1)
     # the LM's free unknowns, flat (cell*4 + component).  The supersonic
@@ -488,6 +486,7 @@ def converge_1d(cfg: ShockProblemConfig, scheme: Scheme):
             f"largest |d rho/dt| in cell {int(np.argmax(np.abs(r[0::4]))) + 1}"
         )
     info = {"steps": n_smooth, "lm_iterations": lm_iters, "restarts": restarts, "residual": res,
+            "residual_by_component": tuple(np.abs(r.reshape(-1, 4)).max(axis=0).tolist()),
             **calls}
     return field.U[:, 0].copy(), info
 

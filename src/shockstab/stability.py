@@ -8,10 +8,12 @@ state at slot o of the face's stencil in ``fields.face_table``, the very
 indices ``marching.rhs`` gathers, and the face's flux leaves the cell at
 slot 2 and enters the cell at slot 3.  ``assemble`` scatters all of them at
 once, with the sign for the two adjacent unit cells, and sums duplicate
-entries in scatter order.  Ghost states never appear: the inflow state
-carries no perturbation and the row's outflow state folds onto the row's
-last cell through ``fields.outflow_jacobian`` of that cell's state, the
-derivative of the pressure-pinned copy.
+entries in scatter order.  Ghost states never appear: ``FaceTable.source``
+names the cell that each state is or copies.  A block on a state that
+copies a cell, a row's outflow state, folds onto that cell through
+``fields.outflow_jacobian`` of the cell's state, the derivative of the
+pressure-pinned copy, and a block on the inflow state, which copies no
+cell, is dropped: it carries no perturbation.
 
 The linearisation is about a steady captured shock, whose rows of cell
 averages are exactly equal along the periodic y direction.  S is then
@@ -161,7 +163,7 @@ def face_blocks(recon: FaceRecon, A_U) -> np.ndarray:
     return blocks
 
 
-def _face_triplets(B, window, axis: str, cells: int, T_out):
+def _face_triplets(B, window, axis: str, source, T_out):
     """(row cells, column cells, y offsets d, signs, 4x4 blocks) of one face
     orientation, once for the cell before the faces and once for the cell
     after them.
@@ -172,21 +174,20 @@ def _face_triplets(B, window, axis: str, cells: int, T_out):
     A row's one y face per column is the face above the row and the face
     below it: the column cell of its block o lies d = o - 2 rows above the
     cell the flux leaves and d = o - 3 rows above the cell it enters; an x
-    face's blocks have d = 0.  Only the first ``cells`` states, the cells,
-    carry a perturbation: the inflow state is dropped, and the row's outflow
-    state folds onto the cell before the row's last face through ``T_out``.
+    face's blocks have d = 0.  ``source`` is ``FaceTable.source``: a block
+    on a state that copies another cell, an outflow state, folds onto that
+    cell through ``T_out``, a block on the inflow state (-1) is dropped,
+    and the blocks of the cell at slot 2, or at slot 3, are kept only where
+    that slot's state is its own cell.
     """
-    col = window
-    if axis == "x":
-        out = col > cells  # the state past the inflow state is the outflow state
-        B[out] = B[out] @ T_out
-        col = np.where(out, window[-1:, :, 2:3], col)
-    keep = col < cells
+    col = source[window]
+    copy = (col >= 0) & (col != window)
+    B[copy] = B[copy] @ T_out
     parts = []
     for slot, sign in ((2, -1.0), (3, 1.0)):
         row = np.broadcast_to(window[..., slot : slot + 1], col.shape)
         d = np.broadcast_to(np.arange(6) - slot if axis == "y" else 0, col.shape)
-        ok = keep & (row < cells)
+        ok = (col >= 0) & (source[row] == row)
         parts.append((row[ok], col[ok], d[ok], np.full(ok.sum(), sign), B[ok]))
     return parts
 
@@ -252,7 +253,7 @@ def assemble(field: MeanField, scheme: Scheme) -> StabilityMatrix:
         B = face_blocks(recon, A_U)
         for (axis, grid_blocks), (_, grid_window) in zip(table.split(B, 0),
                                                          table.split(table.window, 0)):
-            parts += _face_triplets(grid_blocks, grid_window, axis, nx, T_out)
+            parts += _face_triplets(grid_blocks, grid_window, axis, table.source, T_out)
     rows, cols, offsets, signs, blocks = (np.concatenate(p) for p in zip(*parts))
     if primitive:
         blocks = euler.dw_du(W_row)[rows] @ blocks

@@ -66,11 +66,8 @@ def per_direction_face_reconstructions(field, Xpad, scheme, linearise=True):
         windows, frame = (_x_face_windows, X_FACE) if axis == "x" else (_y_face_windows, Y_FACE)
         winL, winR = (w.reshape(w.shape[:-4] + (-1, 5, 4)) for w in windows(Xpad, field.nx, field.ny))
         win = side_windows(winL, winR)
-        recon = reconstruction.reconstruct_pair(
-            win, window_cells(win, cfg.space), cfg, frame,
-            cap_cfg=cap_cfg, cap_mask=None if cap_cfg is None else cap_mask.ravel(),
-            linearise=linearise,
-        )
+        recon = reconstruction.reconstruct_pair(win, window_cells(win, cfg.space), cfg, frame,
+                                                cap_cfg, cap_mask.ravel(), linearise=linearise)
         grid = (field.nx + 1, field.ny) if axis == "x" else (field.nx, field.ny + 1)
         yield axis, solver, frame, grid, recon
 
@@ -373,6 +370,37 @@ def test_face_table_windows_and_normals():
     assert fields.face_table(nx, ny, ("x", "y"), None) is table
     # a single orientation keeps its scalar normal
     assert fields.face_table(nx, ny, ("y",), None).frame is euler.Y_FACE
+
+
+@pytest.mark.parametrize("primitive", [False, True])
+@pytest.mark.parametrize("nx, ny", [(5, 1), (5, 3), (11, 4)])
+def test_a_cell_moves_exactly_the_states_whose_source_it_is(nx, ny, primitive):
+    # perturb one cell of a smooth admissible field: the states of
+    # apply_boundaries that change, in either form, are those whose source
+    # is that cell, the cell and, in the last column, its row's outflow
+    # ghost; no cell moves the inflow state
+    i, j = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+    W = np.stack([
+        1.0 + 0.3 * np.sin(2 * np.pi * i / nx),
+        0.5 + 0.1 * np.cos(2 * np.pi * j / ny),
+        np.full((nx, ny), 0.2),
+        1.0 + 0.2 * np.cos(2 * np.pi * (i + j) / nx),
+    ], axis=-1)
+    field = fields.MeanField(euler.prim_to_cons(W), fields.BoundarySpec(W[0, 0], 0.9))
+    source = fields.face_table(nx, ny, ("x", "y"), None).source
+    assert not source.flags.writeable
+    for orientations in (("x",), ("y",)):
+        assert np.array_equal(fields.face_table(nx, ny, orientations, 1).source, source)
+    inflow = source < 0
+    assert np.count_nonzero(inflow) == 1
+    base = fields.apply_boundaries(field, primitive)
+    for cell in range(nx * ny):
+        moved = field.copy()
+        moved.U.reshape(-1, 4)[cell] *= 1.0 + 1e-3 * np.arange(1, 5)
+        states = fields.apply_boundaries(moved, primitive)
+        changed = (states.X != base.X).any(axis=-1) | (states.W != base.W).any(axis=-1)
+        assert np.array_equal(changed, source == cell), cell
+        assert not changed[inflow].any(), cell
 
 
 @pytest.mark.parametrize("column", [None, 1, 3, 5])

@@ -80,7 +80,7 @@ def test_flux_telescoping_row_sums():
     table = fields.face_table(c.nx, c.ny, ("x",), None)
     windows = fields.apply_boundaries(field, True).W[table.sides]  # primitive space
     recon = reconstruction.reconstruct_pair(windows, windows[..., 2, :], scheme.parts[0][2],
-                                            euler.X_FACE, linearise=True)
+                                            euler.X_FACE, None, None, linearise=True)
     fx = riemann.hll_flux(recon.W, euler.X_FACE).reshape(c.nx + 1, c.ny, 4)
     for j in range(c.ny):
         row_sum = r[:, j].sum(axis=0)

@@ -145,7 +145,7 @@ def test_weno5_right_symmetry():
     W = euler.cons_to_prim(euler.prim_to_cons(w))  # the primitive windows rhs gathers
     sides = side_windows(W, W)
     _, right = halves(rc.reconstruct_pair(sides, window_cells(sides, cfg.space), cfg, X_FACE,
-                                        linearise=True).W, -2)
+                                          None, None, linearise=True).W, -2)
     left, _ = rc._left_state(W[:, ::-1], cfg, linearise=True)
     assert np.array_equal(right, left)
 
@@ -172,7 +172,8 @@ def test_first_order_left_state():
         cell = W[2] if space == "primitive" else euler.cons_to_prim(win[0, 2])
         cfg = rc.ReconConfig(kind="first", space=space)
         sides = side_windows(win, win)
-        out = rc.reconstruct_pair(sides, window_cells(sides, space), cfg, X_FACE, linearise=True)
+        out = rc.reconstruct_pair(sides, window_cells(sides, space), cfg, X_FACE,
+                                  None, None, linearise=True)
         assert np.array_equal(out.W, np.stack([cell, cell])), space
         assert np.array_equal(out.lin, np.stack([slot2, slot2])), space
         assert out.Lmat is None and out.Rmat is None and not out.fallback.any()
@@ -262,7 +263,8 @@ def test_reconstruct_pair_uniform_any_space():
         win = np.broadcast_to(W if space == "primitive" else U, (3, 5, 4))
         cfg = rc.ReconConfig(space=space)
         sides = side_windows(win, win)
-        out = rc.reconstruct_pair(sides, window_cells(sides, space), cfg, X_FACE, linearise=True)
+        out = rc.reconstruct_pair(sides, window_cells(sides, space), cfg, X_FACE,
+                                  None, None, linearise=True)
         assert np.allclose(out.W, W, atol=1e-12)
         assert out.W.shape == (6, 4)
         assert not out.fallback.any()
@@ -278,7 +280,8 @@ def test_characteristic_projection_round_trip():
     win = np.repeat(U[:, None, :], 5, axis=1)  # constant windows
     cfg = rc.ReconConfig(kind="first", space="characteristic")
     sides = side_windows(win, win)
-    out = rc.reconstruct_pair(sides, window_cells(sides, cfg.space), cfg, X_FACE, linearise=True)
+    out = rc.reconstruct_pair(sides, window_cells(sides, cfg.space), cfg, X_FACE,
+                              None, None, linearise=True)
     assert np.allclose(out.W, side_states(W, W), rtol=1e-12, atol=1e-12)
 
 
@@ -293,7 +296,8 @@ def test_characteristic_differs_from_primitive_on_curved_profile():
     for space, w in (("conservative", win), ("primitive", euler.cons_to_prim(win))):
         cfg = rc.ReconConfig(space=space)
         sides = side_windows(w, w)
-        outs[space] = rc.reconstruct_pair(sides, window_cells(sides, space), cfg, X_FACE, linearise=True)
+        outs[space] = rc.reconstruct_pair(sides, window_cells(sides, space), cfg, X_FACE,
+                                          None, None, linearise=True)
     assert np.all(np.isfinite(outs["conservative"].W))
     assert np.all(np.isfinite(outs["primitive"].W))
     assert not np.allclose(outs["conservative"].W[0], outs["primitive"].W[0])
@@ -313,7 +317,8 @@ def test_positivity_fallback(linear_weights):
     U = euler.prim_to_cons(W)[None]
     cfg = rc.ReconConfig(space="conservative")
     sides = side_windows(U, U)
-    out = rc.reconstruct_pair(sides, window_cells(sides, cfg.space), cfg, X_FACE, linearise=True)
+    out = rc.reconstruct_pair(sides, window_cells(sides, cfg.space), cfg, X_FACE,
+                              None, None, linearise=True)
     assert out.fallback.all()
     assert np.all(out.W[..., 0] > 0) and np.all(out.W[..., 3] > 0)
 
@@ -503,16 +508,16 @@ def test_side_axis_reconstruction_equals_the_two_call_reference(space, kind, var
     cap_cfg = replace(cfg, kind=CAP_TO_KIND[cap]) if cap != "none" else None
     for batch in ((), (3,), (2, 3)):
         winL, winR, table = _face_windows(batch)
-        cap_mask = None if cap_cfg is None else table.shock
         XwinL = XwinR = None
         if space == "primitive":
             XwinL, XwinR = euler.cons_to_prim(winL), euler.cons_to_prim(winR)
         sides = side_windows(winL, winR) if XwinL is None else side_windows(XwinL, XwinR)
         cells = window_cells(side_windows(winL, winR), "conservative")
         for linearise in (True, False):
-            ref = ref_reconstruct_pair(winL, winR, cfg, table.frame, cap_cfg, cap_mask,
+            ref = ref_reconstruct_pair(winL, winR, cfg, table.frame, cap_cfg,
+                                       None if cap_cfg is None else table.shock,
                                        XwinL, XwinR, linearise)
-            got = rc.reconstruct_pair(sides, cells, cfg, table.frame, cap_cfg, cap_mask,
+            got = rc.reconstruct_pair(sides, cells, cfg, table.frame, cap_cfg, table.shock,
                                      linearise=linearise)
             WL, WR = halves(got.W, -2)
             assert _same_bits(WL, ref["WL"]) and _same_bits(WR, ref["WR"]), (batch, linearise)

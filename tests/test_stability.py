@@ -174,7 +174,8 @@ def test_assemble_names_the_face_of_a_non_finite_flux_jacobian(monkeypatch, unst
 def _recon_for(win, kind, space="conservative"):
     cfg = rc.ReconConfig(kind=kind, space=space, weno_variant="z")
     sides = side_windows(win, win)
-    return rc.reconstruct_pair(sides, window_cells(sides, space), cfg, X_FACE, linearise=True)
+    return rc.reconstruct_pair(sides, window_cells(sides, space), cfg, X_FACE,
+                               None, None, linearise=True)
 
 
 def side_jacobians(solver, recon):
@@ -215,7 +216,8 @@ def test_linear_weights_blocks_match_upstream_coefficients(linear_weights):
         win[0, m] = euler.prim_to_cons(base * (1.0 + 0.02 * m))
     cfg = rc.ReconConfig(space="conservative")
     sides = side_windows(win, win)
-    recon = rc.reconstruct_pair(sides, window_cells(sides, cfg.space), cfg, X_FACE, linearise=True)
+    recon = rc.reconstruct_pair(sides, window_cells(sides, cfg.space), cfg, X_FACE,
+                                None, None, linearise=True)
     A = side_jacobians("hll", recon)
     AL, AR = halves(A, -3)
     blocks = stability.face_blocks(recon, A)
