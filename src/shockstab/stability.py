@@ -28,17 +28,19 @@ that face sits at d = o - 3 as the face below the row and at d = o - 2 as
 the face above it.  A field that varies along y is refused.
 
 ``eigensolve`` splits S exactly into ny Fourier blocks of size 4nx, one per
-transverse wavenumber k; S is real, so block ny - k is the conjugate of
-block k, and only the floor(ny/2) + 1 blocks k <= ny/2 are solved densely.
-This is what makes wide grids affordable, since the dense solve of the
-whole S grows as (nx ny)^3.  A projected steady shock has v = 0, and every
-flux is symmetric under y -> -y, so S is too: component 2 of each cell (v,
-or rho v) changes sign with j -> -j.  ``eigensolve`` checks that on the
-blocks to the rounding floor of their FD entries, and then each Fourier
-block is similar to a real matrix, whose real solve costs about a third of
-the complex one.  The steady shocks measured keep the symmetry to
-rounding in every variable space, so they take the real form; a field with
-a real tangential velocity (v != 0) breaks it, and its blocks stay complex.
+transverse wavenumber k, the symbol S^(k) = sum_d C(d) exp(2 pi i k d / ny)
+of the seven offsets; S is real, so block ny - k is the conjugate of block
+k, and only the floor(ny/2) + 1 blocks k <= ny/2 are built, each straight
+from the offsets, and solved densely, once.  This is what makes wide grids
+affordable, since the dense solve of the whole S grows as (nx ny)^3.  A
+projected steady shock has v = 0, and every flux is symmetric under
+y -> -y, so S is too: component 2 of each cell (v, or rho v) changes sign
+with j -> -j.  ``eigensolve`` checks that on the offsets to the rounding
+floor of their FD entries, and then each Fourier block is similar to a real
+matrix, whose real solve costs about a third of the complex one.  The
+steady shocks measured keep the symmetry to rounding in every variable
+space, so they take the real form; a field with a real tangential velocity
+(v != 0) breaks it, and its blocks stay complex.
 
 Variable spaces:
 
@@ -53,6 +55,7 @@ Variable spaces:
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -76,6 +79,10 @@ class StabilityMatrix:
 
 @dataclass
 class Spectrum:
+    """The spectrum of S from its Fourier blocks k <= ny/2 (``eigensolve``),
+    each solved once for its eigenvalues; ``eigvec`` solves block k* again,
+    on its first read only."""
+
     eigenvalues: np.ndarray  # complex (4N,)
     max_real: float
     # the eigenvalue of largest real part.  Of a complex pair it is, with real
@@ -84,12 +91,22 @@ class Spectrum:
     # ranks first.  The other member is in ``eigenvalues``
     dominant: complex
     k_star: int  # the Fourier block that holds ``dominant``, k* <= ny/2
-    # complex (4nx,): a right eigenvector of block k* for ``dominant``, in S's
-    # own variable space, of unit 2-norm and with the phase LAPACK returns;
-    # compare eigenvectors by residual and angle, not by bits
-    eigvec: np.ndarray
     # (ny,) per transverse wavenumber k; entry ny - k mirrors entry k exactly
     max_real_by_k: np.ndarray
+    # block k* as it was solved, T(k*) or S^(k*), and the diagonal D that maps
+    # an eigenvector of it to one of S^(k*)
+    block: np.ndarray
+    similarity: np.ndarray
+
+    @cached_property
+    def eigvec(self) -> np.ndarray:
+        """complex (4nx,): a right eigenvector of block k* for ``dominant``,
+        in S's own variable space, of unit 2-norm and with the phase LAPACK
+        returns; compare eigenvectors by residual and angle, not by bits.
+        The eigenpair solve of ``block`` runs on the first read, which keeps
+        its result."""
+        vals, vecs = np.linalg.eig(self.block)
+        return self.similarity * vecs[:, int(np.argmin(np.abs(vals - self.dominant)))]
 
 
 # relative step of the central differences of both linearisations: the flux
@@ -269,7 +286,7 @@ def assemble(field: MeanField, scheme: Scheme) -> StabilityMatrix:
     return StabilityMatrix(nx=nx, ny=ny, block_row=C)
 
 
-# ``eigensolve`` solves the Fourier blocks as real matrices when the blocks
+# ``eigensolve`` solves the Fourier blocks as real matrices when the offsets
 # are symmetric under y -> -y to this fraction of max|C|: the rounding floor
 # of C's FD entries (Higham, Accuracy and Stability of Numerical Algorithms,
 # 2002, ch. 4).  An entry (F(U + h) - F(U - h)) / 2h carries the flux's
@@ -285,59 +302,65 @@ REFLECTION_RTOL = np.finfo(float).eps / FD_STEP
 
 
 def eigensolve(S: StabilityMatrix) -> Spectrum:
-    """Full spectrum plus the dominant Fourier block's eigenpair.
+    """Full spectrum plus the dominant Fourier block.
 
-    The block row ``S.block_row`` is summed onto ny slots,
-    C(d mod ny) += C(d), and S splits exactly into ny Fourier blocks
+    S = circ(C) splits exactly into ny Fourier blocks
     S^(k) = sum_d C(d) exp(2 pi i k d / ny) of size 4nx, one per transverse
-    wavenumber k.  C is real, so S^(ny - k) = conj S^(k): only the blocks
-    k = 0..floor(ny/2) are solved, and every block k > ny/2 takes the
-    conjugate eigenvalues of block ny - k.  The spectrum is the union of
-    all ny blocks' (in block order, not the order of a dense solve),
-    ``max_real_by_k`` holds each block's largest real part, equal for k and
-    ny - k.  ``Spectrum`` holds the dominant block k*, the lower k of a
-    conjugate pair, and its eigenvector v; the grid eigenvector of S,
-    v[i] exp(2 pi i k* j / ny) at cell (i, j), is the caller's to build.
+    wavenumber k, built here from the seven offsets d = -3..3 of
+    ``S.block_row`` with the phase exponent k d reduced mod ny: one
+    (K, OFFSETS) matrix of phases times the (OFFSETS, (4nx)^2) block row, for
+    the K = floor(ny/2) + 1 blocks k <= ny/2 alone.  C is real, so
+    S^(ny - k) = conj S^(k): every block k > ny/2 takes the conjugate
+    eigenvalues of block ny - k.  The K blocks go to one eigenvalue solve,
+    which gives ``eigenvalues``, the union of all ny blocks' (in block order,
+    not the order of a dense solve), ``max_real_by_k``, each block's largest
+    real part, equal for k and ny - k, ``max_real``, the dominant block k*,
+    the lower k of a conjugate pair, and ``dominant``.  ``Spectrum.eigvec``,
+    the eigenvector v of block k* for ``dominant``, is solved when it is
+    first read; the grid eigenvector of S, v[i] exp(2 pi i k* j / ny) at
+    cell (i, j), is the caller's to build.
 
     The blocks are solved as real matrices when S is symmetric under
-    y -> -y: C(-d mod ny) = P C(d) P to ``REFLECTION_RTOL`` of max |C|, the
-    rounding floor of the FD entries, where P = diag(1, 1, -1, 1) per cell
-    flips component 2, v in the primitive space and rho v in the other two.
-    Then conj S^(k) = P S^(k) P, so with D = diag(1, 1, i, 1) per cell
-    T(k) = Re(D^-1 S^(k) D) is similar to S^(k); the blocks T(k) go to the
-    solves and the dominant eigenvector of T(k*) maps back as D v.  A steady
-    shock's asymmetry is rounding, and T(k) drops it.  Blocks without that
-    symmetry (a base flow with v != 0) have their complex blocks S^(k)
-    solved.
+    y -> -y: C(-d) = P C(d) P for every offset d to ``REFLECTION_RTOL`` of
+    max |C|, the rounding floor of the FD entries, where P = diag(1, 1, -1, 1)
+    per cell flips component 2, v in the primitive space and rho v in the
+    other two.  That makes the ny wrapped slots symmetric too, which is all
+    the Fourier blocks need, so for ny < 7, where offsets share a slot, the
+    check is sufficient rather than necessary.  Then conj S^(k) = P S^(k) P,
+    so with D = diag(1, 1, i, 1) per cell T(k) = Re(D^-1 S^(k) D) is similar
+    to S^(k); the blocks T(k) go to the solve and an eigenvector of T(k*)
+    maps back as D v.  A steady shock's asymmetry is rounding, and T(k)
+    drops it.  Blocks without that symmetry (a base flow with v != 0) are
+    solved as the complex blocks S^(k).
     """
-    offsets = np.arange(OFFSETS) - OFFSETS // 2  # d = -3..3
-    C = np.zeros((S.ny,) + S.block_row.shape[1:])
-    for d in offsets:
-        C[d % S.ny] += S.block_row[d]
-    S_hat = S.ny * np.fft.ifft(C, axis=0)[: S.ny // 2 + 1]
+    C, n, ny = S.block_row, 4 * S.nx, S.ny
+    # the offset d of each slot of the block row, which stores C(d) at d mod OFFSETS
+    d = (np.arange(OFFSETS) + OFFSETS // 2) % OFFSETS - OFFSETS // 2
+    # the phases exp(2 pi i k d / ny) of the blocks k = 0..floor(ny/2)
+    phase = np.exp(2j * np.pi * (np.outer(np.arange(ny // 2 + 1), d) % ny) / ny)
+    S_hat = (phase @ C.reshape(OFFSETS, n * n)).reshape(-1, n, n)
     # y -> -y flips component 2 of every cell, v or rho v: P = diag(1, 1, -1, 1)
     flip = np.tile([1.0, 1.0, -1.0, 1.0], S.nx)
-    D = np.ones(4 * S.nx, dtype=complex)  # diagonal of the similarity D^-1 S^(k) D
-    # only the slots d mod ny can be nonzero, a set closed under d -> -d
-    asymmetry = np.abs(C[-offsets % S.ny] - flip[:, None] * C[offsets % S.ny] * flip).max()
+    D = np.ones(n, dtype=complex)  # diagonal of the similarity D^-1 S^(k) D
+    # slot -s mod OFFSETS holds C(-d) of slot s's C(d)
+    asymmetry = np.abs(C[-np.arange(OFFSETS)] - flip[:, None] * C * flip).max()
     if asymmetry <= REFLECTION_RTOL * np.abs(C).max():
         # C(-d) = P C(d) P: with D = diag(1, 1, i, 1) per cell, D^-1 S^(k) D is real
         D[flip < 0] = 1j
         S_hat = (S_hat * (D.conj()[:, None] * D)).real
-    block_vals = list(np.linalg.eigvals(S_hat))
-    k_star = int(np.argmax([v.real.max() for v in block_vals]))
     # NumPy returns a real spectrum as real arrays; as complex they keep their bits
-    block_vals[k_star], vecs = (a.astype(complex) for a in np.linalg.eig(S_hat[k_star]))
+    block_vals = list(np.linalg.eigvals(S_hat).astype(complex, copy=False))
+    k_star = int(np.argmax([v.real.max() for v in block_vals]))
     m = int(np.argmax(block_vals[k_star].real))
     # S is real, so S^(ny - k) = conj S^(k)
-    block_vals += [block_vals[S.ny - k].conj() for k in range(len(block_vals), S.ny)]
+    block_vals += [block_vals[ny - k].conj() for k in range(len(block_vals), ny)]
     vals = np.concatenate(block_vals)
     return Spectrum(
         eigenvalues=vals,
         max_real=float(vals.real.max()),
         dominant=complex(block_vals[k_star][m]),
         k_star=k_star,
-        eigvec=D * vecs[:, m],
         max_real_by_k=np.array([v.real.max() for v in block_vals]),
+        block=S_hat[k_star].copy(),
+        similarity=D,
     )
-

@@ -732,18 +732,28 @@ def _residual_bound(S):
 
 @pytest.fixture
 def solved_dtypes(monkeypatch):
-    """dtypes of the arrays that ``eigensolve`` hands to its two solvers."""
+    """(solver, dtype) of every LAPACK solve, in call order: ``eigensolve``
+    hands its stack of Fourier blocks to ``eigvals`` once, and the first
+    read of ``Spectrum.eigvec`` hands block k* to ``eig``."""
     seen = []
 
     def recording(solve):
         def wrapped(a, *args, **kwargs):
-            seen.append(np.asarray(a).dtype)
+            seen.append((solve.__name__, np.asarray(a).dtype))
             return solve(a, *args, **kwargs)
         return wrapped
 
     monkeypatch.setattr(np.linalg, "eigvals", recording(np.linalg.eigvals))
     monkeypatch.setattr(np.linalg, "eig", recording(np.linalg.eig))
     return seen
+
+
+def _solves(real, eigvec_read):
+    """What ``solved_dtypes`` holds after one ``eigensolve``: its one
+    eigenvalue solve, then, once ``eigvec`` has been read, one eigenpair
+    solve of block k*, each on real blocks T(k) or complex blocks S^(k)."""
+    dtype = np.dtype(float if real else complex)
+    return [("eigvals", dtype)] + [("eig", dtype)] * eigvec_read
 
 
 def _assert_full_spectrum(A, spec):
@@ -758,33 +768,42 @@ def _assert_full_spectrum(A, spec):
 def test_fourier_blocks_give_the_full_spectrum(solved_dtypes, reflected):
     A, S = _random_circulant(nx=2, ny=5, seed=49, reflected=reflected)
     spec = eigensolve(S)
-    # a reflected S hands real blocks T(k) to both solves, any other complex ones
-    assert solved_dtypes == [np.dtype(float if reflected else complex)] * 2
+    # a reflected S hands real blocks T(k) to the solves, any other complex
+    # ones; the eigenvector is solved on its first read only
+    assert solved_dtypes == _solves(reflected, eigvec_read=False)
     assert spec.max_real_by_k.shape == (5,)
     # ny is odd, so every block but k = 0 is complex: the residual below then
     # also checks the phase exp(2 pi i k j / ny) of the grid eigenvector, and
     # on a real block the component-2 factor i of D
     assert int(np.argmax(spec.max_real_by_k)) != 0
     _assert_full_spectrum(A, spec)
+    assert solved_dtypes == _solves(reflected, eigvec_read=False)
     assert _dominant_residual(S, spec) < _residual_bound(S)
+    assert solved_dtypes == _solves(reflected, eigvec_read=True)
+    # a second read returns the kept vector and solves nothing
+    assert spec.eigvec is spec.eigvec
+    assert _dominant_residual(S, spec) < _residual_bound(S)
+    assert solved_dtypes == _solves(reflected, eigvec_read=True)
 
 
 @pytest.mark.parametrize("reflected", [False, True], ids=["complex", "real"])
 @pytest.mark.parametrize("ny", [1, 2, 3, 4, 5, 8, 16, 32])
 def test_half_spectrum_mirrors_the_conjugate_blocks(solved_dtypes, ny, reflected):
     # only blocks k <= ny // 2 are solved; ny = 1 and 2 mirror none, and an
-    # even ny has the real Nyquist block k = ny / 2, its own conjugate.  From
-    # ny = 16 the FFT's S^(ny - k) differs from conj S^(k) in the last bits,
-    # so a solve of every block breaks the exact mirror below
+    # even ny has the real Nyquist block k = ny / 2, its own conjugate.  Built
+    # on its own, S^(ny - k) need not equal conj S^(k) in the last bits (the
+    # FFT's do not from ny = 16), so a solve of every block would break the
+    # exact mirror below
     A, S = _random_circulant(nx=2, ny=ny, seed=50 + ny, reflected=reflected)
     spec = eigensolve(S)
-    assert solved_dtypes == [np.dtype(float if reflected else complex)] * 2
+    assert solved_dtypes == _solves(reflected, eigvec_read=False)
     _assert_full_spectrum(A, spec)
     by_k = spec.max_real_by_k
     assert np.array_equal(by_k[1:], by_k[1:][::-1])
     assert spec.k_star <= ny // 2
     assert by_k[spec.k_star] == spec.max_real
     assert _dominant_residual(S, spec) < _residual_bound(S)
+    assert solved_dtypes == _solves(reflected, eigvec_read=True)
     if reflected:  # a real solve returns a conjugate pair's upper member first
         assert spec.dominant.imag >= 0.0
 
@@ -802,12 +821,13 @@ def test_one_odd_entry_keeps_the_complex_blocks(solved_dtypes):
         A, S = _circulant(C, ny)
         assert not _reflected(wrapped_blocks(S))
         spec = eigensolve(S)
-        assert solved_dtypes == [np.dtype(complex)] * 2
+        assert solved_dtypes == _solves(real=False, eigvec_read=False)
         by_k, _ = _all_blocks_reference(S, real=False)
         assert np.array_equal(spec.max_real_by_k[: ny // 2 + 1], by_k[: ny // 2 + 1])
         _assert_full_spectrum(A, spec)
         # ny = 32 leaves 1.4e-14, above ny = 8's fixed bound: it gets the dtype's
         assert _dominant_residual(S, spec) < (1e-14 if ny == 8 else _residual_bound(S))
+        assert solved_dtypes == _solves(real=False, eigvec_read=True)
 
 
 @pytest.mark.parametrize("order", [1, 5])
@@ -851,22 +871,78 @@ def test_max_real_by_transverse_wavenumber(base_flow_cache):
     assert np.all(lam[1:] < 0.0)
 
 
-def _all_blocks_reference(S, real):
+def _offset_blocks(S):
+    """(ny, 4nx, 4nx): every Fourier block S^(k), k = 0..ny-1, summed over the
+    seven slots of ``S.block_row`` as ``eigensolve`` sums its blocks
+    k <= ny/2: in slot order, d = 0..3, -3..-1, with phases
+    exp(2 pi i (k d mod ny) / ny), in one matrix product, whose rows k <= ny/2
+    hold the bits of eigensolve's."""
+    n = 4 * S.nx
+    d = (np.arange(stability.OFFSETS) + 3) % stability.OFFSETS - 3
+    phase = np.exp(2j * np.pi * (np.outer(np.arange(S.ny), d) % S.ny) / S.ny)
+    return (phase @ S.block_row.reshape(stability.OFFSETS, n * n)).reshape(S.ny, n, n)
+
+
+def _fft_blocks(S):
+    """(ny, 4nx, 4nx): every Fourier block S^(k) as the length-ny FFT of the
+    wrapped slots C(d mod ny), an independent construction."""
+    return S.ny * np.fft.ifft(wrapped_blocks(S), axis=0)
+
+
+def _real_form(S_hat):
+    """T(k) = Re(D^-1 S^(k) D), D = diag(1, 1, i, 1) per cell, of each block,
+    written out entry by entry."""
+    v = np.arange(S_hat.shape[-1]) % 4 == 2  # rows and columns of component 2
+    T = S_hat.real.copy()
+    T[:, v[:, None] & ~v] = S_hat.imag[:, v[:, None] & ~v]
+    T[:, ~v[:, None] & v] = -S_hat.imag[:, ~v[:, None] & v]
+    return T
+
+
+def _all_blocks_reference(S, real, blocks=_offset_blocks):
     """(max_real_by_k, max_real) of a solve of every Fourier block, the
-    conjugate ones included: the Fourier path before it mirrored them.
-    ``real`` solves T(k) = Re(D^-1 S^(k) D), D = diag(1, 1, i, 1) per cell,
-    written out entry by entry, in place of S^(k)."""
-    S_hat = S.ny * np.fft.ifft(wrapped_blocks(S), axis=0)
+    conjugate ones included: the Fourier path before it mirrored them.  The
+    blocks are ``blocks(S)``, by default summed from the offsets as
+    ``eigensolve`` sums them; ``real`` solves their ``_real_form``."""
+    S_hat = blocks(S)
     if real:
-        v = np.arange(4 * S.nx) % 4 == 2  # rows and columns of component 2
-        T = S_hat.real.copy()
-        T[:, v[:, None] & ~v] = S_hat.imag[:, v[:, None] & ~v]
-        T[:, ~v[:, None] & v] = -S_hat.imag[:, ~v[:, None] & v]
-        S_hat = T
+        S_hat = _real_form(S_hat)
     block_vals = [scipy.linalg.eigvals(B) for B in S_hat]
     k_star = int(np.argmax([v.real.max() for v in block_vals]))
     block_vals[k_star] = scipy.linalg.eig(S_hat[k_star])[0]
     return np.array([v.real.max() for v in block_vals]), np.concatenate(block_vals).real.max()
+
+
+@pytest.mark.parametrize("reflected", [False, True], ids=["complex", "real"])
+@pytest.mark.parametrize("ny", [1, 2, 3, 4, 5, 6, 7, 8, 16, 32])
+def test_offset_blocks_match_the_fft_of_the_wrapped_slots(monkeypatch, ny, reflected):
+    # below ny = 7 offsets share a slot, so these cases check that the phase
+    # sum wraps them as the fold onto slot d mod ny does
+    A, S = _random_circulant(nx=2, ny=ny, seed=60 + ny, reflected=reflected)
+    solved = []
+    eigvals = np.linalg.eigvals
+
+    def recording(a):
+        solved.append(a)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", recording)
+    spec = eigensolve(S)
+    (blocks,) = solved
+    fft = _fft_blocks(S)[: ny // 2 + 1]
+    assert blocks.dtype == (float if reflected else complex)
+    if reflected:
+        fft = _real_form(fft)
+    # each entry of either construction sums at most seven terms C(d) times a
+    # phase of modulus 1; each rounds the sum by a few eps per term
+    # (the phase's angle and exp, the products and the sums, or the FFT's
+    # butterflies), so the two agree to 8 eps sum_d |C(d)| per entry
+    bound = 8 * np.finfo(float).eps * np.abs(S.block_row).sum(axis=0)
+    assert np.all(np.abs(blocks - fft) <= bound)
+    _, lam = _all_blocks_reference(S, reflected, blocks=_fft_blocks)
+    tol = max(1e-12 * max(1.0, abs(lam)), 1e-15 * np.abs(S.block_row).max())
+    assert abs(spec.max_real - lam) <= tol
+    _assert_full_spectrum(A, spec)
 
 
 @pytest.mark.parametrize("scheme, epsilon", [
@@ -917,7 +993,7 @@ def test_half_spectrum_matches_all_block_solve(base_flow_cache, solved_dtypes, s
     C = wrapped_blocks(S)
     assert _reflected(C) == real
     spec = eigensolve(S)
-    assert solved_dtypes == [np.dtype(float if real else complex)] * 2
+    assert solved_dtypes == _solves(real, eigvec_read=False)
     by_k, lam = _all_blocks_reference(S, real)
     assert np.array_equal(spec.max_real_by_k[: ny // 2 + 1], by_k[: ny // 2 + 1])
     tol = max(1e-12 * max(1.0, abs(lam)), 1e-15 * np.abs(C).max())
@@ -927,7 +1003,8 @@ def test_half_spectrum_matches_all_block_solve(base_flow_cache, solved_dtypes, s
     assert abs(spec.max_real - lam_complex) <= tol
     assert abs(spec.max_real - scipy.linalg.eigvals(dense(S)).real.max()) <= tol
     # the block eigenpair against S^(k*) = sum_d C(d) exp(2 pi i k* d / ny),
-    # summed here rather than by eigensolve's FFT.  Its residual over max|C|
+    # summed here over d = -3..3 with the exponent unreduced, not in
+    # eigensolve's order and phases.  Its residual over max|C|
     # is the solve's, bounded by _residual_bound, plus the difference of the
     # two sums' roundings, bounded alike.  A real form also drops
     # Im(D^-1 S^(k*) D): each entry is half a sum over the at most 7 slots
@@ -940,3 +1017,36 @@ def test_half_spectrum_matches_all_block_solve(base_flow_cache, solved_dtypes, s
     dropped = 4 * S.nx * 3.5 * _asymmetry(C) if real else 0.0
     r = np.linalg.norm(S_k @ v - spec.dominant * v) / np.abs(C).max()
     assert r < 2 * _residual_bound(S) + dropped
+    assert solved_dtypes == _solves(real, eigvec_read=True)
+
+
+@pytest.mark.parametrize("solver", ["roe", "hllc"])
+def test_lambda_max_matches_the_march(base_flow_cache, solver):
+    # A perturbation of the steady shock evolves under the linear scheme
+    # dW/dt = S dW, and a step of SSP-RK3 of fixed length dt applies its
+    # stability polynomial P(z) = 1 + z + z^2/2 + z^3/6 at z = dt S.  So the
+    # march's perturbation after n steps is P(dt S)^n dW_0, and its growth is
+    # S's, lambda_max included, up to the nonlinear terms, of relative size
+    # the perturbation's, and the rounding of a difference of states.  The
+    # steps are fixed at 0.999 times the base flow's CFL step, passed as
+    # dt_max, which stays below each perturbed state's own CFL step
+    scheme = Scheme(solver=solver, order=1, space="primitive")
+    field, _ = base_flow_cache(scheme, epsilon=0.1, ny=4)
+    A = dense(assemble(field, scheme))
+    W0 = field.interior_primitive()
+    dt = 0.999 * marching.cfl_dt(W0, 0.1)
+    z, I = dt * A, np.eye(len(A))
+    P = I + z @ (I + z @ (I + z / 3.0) / 2.0)
+    state = marching.inject_perturbation(field, 1e-9, seed=1)
+    predicted = (state.interior_primitive() - W0).ravel()
+    start = np.linalg.norm(predicted)
+    for steps in range(1, 2001):
+        state, step = marching.step_ssprk3(state, scheme, 0.1, dt)
+        assert step == dt
+        predicted = P @ predicted
+        dW = (state.interior_primitive() - W0).ravel()
+        assert np.linalg.norm(dW - predicted) <= 1e-3 * np.linalg.norm(dW), steps
+        if np.linalg.norm(dW) >= np.exp(8.0) * start:
+            break
+    else:
+        pytest.fail("the perturbation did not grow by e^8 in 2000 steps")
