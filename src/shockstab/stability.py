@@ -31,9 +31,13 @@ the face above it.  A field that varies along y is refused.
 transverse wavenumber k, the symbol S^(k) = sum_d C(d) exp(2 pi i k d / ny)
 of the seven offsets; S is real, so block ny - k is the conjugate of block
 k, and only the floor(ny/2) + 1 blocks k <= ny/2 are built, each straight
-from the offsets, and solved densely, once.  This is what makes wide grids
-affordable, since the dense solve of the whole S grows as (nx ny)^3.  A
-projected steady shock has v = 0, and every flux is symmetric under
+from the offsets, and solved once.  This is what makes wide grids
+affordable, since the dense solve of the whole S grows as (nx ny)^3.  Ahead
+of the shock, where HLL, HLLC and van Leer x faces take the upwind flux
+exactly, the leading cells couple to no later cell, and ``eigensolve``
+solves their 4x4 diagonal blocks apart from the coupled rest of each block.
+
+A projected steady shock has v = 0, and every flux is symmetric under
 y -> -y, so S is too: component 2 of each cell (v, or rho v) changes sign
 with j -> -j.  ``eigensolve`` checks that on the offsets to the rounding
 floor of their FD entries, and then each Fourier block is similar to a real
@@ -83,7 +87,10 @@ class Spectrum:
     each solved once for its eigenvalues; ``eigvec`` solves block k* again,
     on its first read only."""
 
-    eigenvalues: np.ndarray  # complex (4N,)
+    # complex (4N,), block by block, k = 0..ny-1; within a block the values
+    # of the cells split off ahead of the shock come first, 4 per cell in cell
+    # order, then those of the rest of the block (``eigensolve``)
+    eigenvalues: np.ndarray
     max_real: float
     # the eigenvalue of largest real part.  Of a complex pair it is, with real
     # Fourier blocks (``eigensolve``), the member with Im > 0, which LAPACK
@@ -311,14 +318,29 @@ def eigensolve(S: StabilityMatrix) -> Spectrum:
     (K, OFFSETS) matrix of phases times the (OFFSETS, (4nx)^2) block row, for
     the K = floor(ny/2) + 1 blocks k <= ny/2 alone.  C is real, so
     S^(ny - k) = conj S^(k): every block k > ny/2 takes the conjugate
-    eigenvalues of block ny - k.  The K blocks go to one eigenvalue solve,
-    which gives ``eigenvalues``, the union of all ny blocks' (in block order,
-    not the order of a dense solve), ``max_real_by_k``, each block's largest
+    eigenvalues of block ny - k.  The K blocks' eigenvalues give
+    ``eigenvalues``, the union of all ny blocks' (in block order, not the
+    order of a dense solve), ``max_real_by_k``, each block's largest
     real part, equal for k and ny - k, ``max_real``, the dominant block k*,
     the lower k of a conjugate pair, and ``dominant``.  ``Spectrum.eigvec``,
     the eigenvector v of block k* for ``dominant``, is solved when it is
     first read; the grid eigenvector of S, v[i] exp(2 pi i k* j / ny) at
     cell (i, j), is the caller's to build.
+
+    Each block is solved only where it is coupled.  Cell i couples to cell
+    i' where some C(d) has a nonzero entry, -0.0 counting as zero, in block
+    (i, i'), and p counts the leading cells, short of the last, that couple
+    to no later cell.  Every block S^(k) is then block lower triangular over
+    those p cells, so its eigenvalues are those of their 4x4 diagonal blocks
+    and of its trailing (4nx - 4p)^2 block: the K p cell blocks go to one
+    eigenvalue solve, then the K trailing blocks to another, and each
+    block's eigenvalues list the cells' first.  The zeros are exact: at a
+    supersonic face HLL and HLLC (S_L >= 0) and van Leer (|M| >= 1) return
+    the upwind side's flux through np.where, so a probe of the downstream
+    state leaves the flux's bits as they are and its FD Jacobian is 0.
+    Roe's flux is upwind there only up to rounding, and a WENO state reads
+    downstream cells, so for them p = 0 and the K blocks go whole to the one
+    solve.  ``block`` is always the whole block k*.
 
     The blocks are solved as real matrices when S is symmetric under
     y -> -y: C(-d) = P C(d) P for every offset d to ``REFLECTION_RTOL`` of
@@ -348,8 +370,21 @@ def eigensolve(S: StabilityMatrix) -> Spectrum:
         # C(-d) = P C(d) P: with D = diag(1, 1, i, 1) per cell, D^-1 S^(k) D is real
         D[flip < 0] = 1j
         S_hat = (S_hat * (D.conj()[:, None] * D)).real
+    # p: the leading cells, short of the last, that couple to no later cell
+    coupled = (C != 0.0).any(axis=0).reshape(S.nx, 4, S.nx, 4).any(axis=(1, 3))
+    later = np.triu(coupled, 1).any(axis=1)
+    later[-1] = True
+    p = int(np.argmax(later))
+    K = len(S_hat)
+    pieces = []
+    if p:
+        # the leading cells' diagonal 4x4 blocks, (K, 4, 4, p) as np.diagonal lays them out
+        cells = np.diagonal(S_hat[:, : 4 * p, : 4 * p].reshape(K, p, 4, p, 4), axis1=1, axis2=3)
+        pieces.append(np.linalg.eigvals(np.moveaxis(cells, -1, 1).reshape(K * p, 4, 4))
+                      .reshape(K, 4 * p))
+    pieces.append(np.linalg.eigvals(S_hat[:, 4 * p:, 4 * p:]))
     # NumPy returns a real spectrum as real arrays; as complex they keep their bits
-    block_vals = list(np.linalg.eigvals(S_hat).astype(complex, copy=False))
+    block_vals = list(np.concatenate([v.astype(complex, copy=False) for v in pieces], axis=1))
     k_star = int(np.argmax([v.real.max() for v in block_vals]))
     m = int(np.argmax(block_vals[k_star].real))
     # S is real, so S^(ny - k) = conj S^(k)

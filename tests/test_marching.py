@@ -455,6 +455,36 @@ def test_fit_growth_rate_rejects_junk():
         fit_growth_rate(MonitorSeries(t=t[:5], vmax=np.ones(5)), 1e-7)
 
 
+def test_fit_growth_rate_of_a_flat_series():
+    # constant data: the window scan's flat-data branch gives R^2 = 1, and
+    # so does the fit, whose slope is 0 up to the least-squares rounding of
+    # y = ln 1e-6 = -13.8, a few eps |y| per unit time
+    t = np.linspace(0.0, 10.0, 50)
+    fit = fit_growth_rate(MonitorSeries(t=t, vmax=np.full(50, 1e-6)), 1e-7)
+    assert abs(fit.lam) < 10 * np.finfo(float).eps * 13.8
+    assert fit.r2 == 1.0
+
+
+def test_fit_growth_rate_rejects_a_band_of_short_runs():
+    # a growing series whose band (>= 10x the amplitude) holds 50 samples,
+    # but in runs of 5 between dips below it: the longest run is shorter than
+    # the scan's 10-sample minimum, so no window is fitted
+    amplitude = 1e-7
+    v = np.concatenate([np.full(30, amplitude), np.tile([100.0] * 5 + [1.0] * 2, 10) * amplitude])
+    t = np.linspace(0.0, 10.0, len(v))
+    with pytest.raises(NoExponentialStageError, match="no window"):
+        fit_growth_rate(MonitorSeries(t=t, vmax=v), amplitude)
+
+
+def test_fit_growth_rate_of_ten_decaying_samples_uses_every_one():
+    # a series that does not grow drops its first 5 % of time, which leaves
+    # 9 of 10 samples, fewer than the 10 a fit needs, so it keeps all 10
+    series = synthetic_series(-0.3, t_end=9.0, n=10, v0=1.0)
+    fit = fit_growth_rate(series, amplitude=1.0)
+    assert fit.window == (0.0, 9.0)
+    assert abs(fit.lam + 0.3) < 1e-12
+
+
 @pytest.mark.slow
 def test_stable_scheme_decays(base_flow_cache):
     # first-order van Leer at the paper conditions: ||v|| must decay

@@ -82,6 +82,11 @@ def test_weno_left_state_equals_the_per_slot_reference(monkeypatch, batch, kind,
             assert np.array_equal(lin, ref_lin)
 
 
+def test_unknown_reconstruction_kind_raises():
+    with pytest.raises(ValueError, match="unknown reconstruction kind 'bogus'"):
+        rc.ReconConfig(kind="bogus")
+
+
 def test_smoothness_indicators_constant():
     assert np.allclose(rc.smoothness_indicators(np.full(5, 3.7)[:, None]), 0.0, atol=1e-28)
 

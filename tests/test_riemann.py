@@ -147,6 +147,12 @@ def test_van_leer_supersonic_one_sided():
     assert np.allclose(F, exact_flux_w(WL, X_FACE), atol=1e-13)
 
 
+def test_unknown_solver_kind_raises():
+    W = np.array([1.0, 1.0, 0.0, 1.0])
+    with pytest.raises(ValueError, match="unknown solver kind 'bogus'"):
+        flux("bogus", W, W)
+
+
 def test_degenerate_fan_raises():
     # a near-vacuum pressure gives c ~ 1e-15 on both sides of identical
     # states: the Davis fan is narrower than the 1e-12 guard

@@ -30,6 +30,11 @@ def test_jump_ratios_m20():
     assert abs(g - 466.5) < 1e-10
 
 
+def test_jump_ratios_refuse_a_subsonic_mach_number():
+    with pytest.raises(ValueError, match="M0 >= 1"):
+        sp.jump_ratios(0.5)
+
+
 def test_jump_ratio_strong_shock_limit():
     f, _ = sp.jump_ratios(1e6)
     assert abs(f - 6.0) < 1e-3

@@ -58,6 +58,21 @@ def test_flux_jacobians_van_leer_supersonic():
 
 
 @pytest.mark.parametrize("solver", ["roe", "hll", "hllc", "van_leer"])
+@pytest.mark.parametrize("mach", [1.2, 20.0])
+def test_supersonic_face_jacobian_of_the_downstream_state(solver, mach):
+    # HLL and HLLC with S_L >= 0, and van Leer with |M| >= 1, return the
+    # upwind side's flux through np.where, so every probe of the right state
+    # leaves the flux's bits as they are and its block is exactly 0: the
+    # zeros that let eigensolve split off the cells upstream of a shock.
+    # Roe's dissipation cancels the right state's terms only up to rounding
+    W = sp.upstream_state(sp.ShockProblemConfig(mach=mach))
+    U = euler.prim_to_cons(W)
+    AL, AR = fd_jacobians(solver, U, U)
+    assert AL.any()
+    assert AR.any() == (solver == "roe")
+
+
+@pytest.mark.parametrize("solver", ["roe", "hll", "hllc", "van_leer"])
 def test_flux_jacobians_consistency_identity(solver):
     rng = np.random.default_rng(40)
     for W in random_states(rng, 3, (0.0, 1.8)):
@@ -732,14 +747,16 @@ def _residual_bound(S):
 
 @pytest.fixture
 def solved_dtypes(monkeypatch):
-    """(solver, dtype) of every LAPACK solve, in call order: ``eigensolve``
-    hands its stack of Fourier blocks to ``eigvals`` once, and the first
-    read of ``Spectrum.eigvec`` hands block k* to ``eig``."""
+    """(solver, dtype, shape) of every LAPACK solve, in call order:
+    ``eigensolve`` hands ``eigvals`` the stack of its leading cells' 4x4
+    blocks, when it splits any off, and then the stack of the rest of its
+    Fourier blocks, and the first read of ``Spectrum.eigvec`` hands block k*
+    to ``eig``."""
     seen = []
 
     def recording(solve):
         def wrapped(a, *args, **kwargs):
-            seen.append((solve.__name__, np.asarray(a).dtype))
+            seen.append((solve.__name__, np.asarray(a).dtype, np.shape(a)))
             return solve(a, *args, **kwargs)
         return wrapped
 
@@ -748,12 +765,18 @@ def solved_dtypes(monkeypatch):
     return seen
 
 
-def _solves(real, eigvec_read):
-    """What ``solved_dtypes`` holds after one ``eigensolve``: its one
-    eigenvalue solve, then, once ``eigvec`` has been read, one eigenpair
-    solve of block k*, each on real blocks T(k) or complex blocks S^(k)."""
+def _solves(S, real, eigvec_read, p=0):
+    """What ``solved_dtypes`` holds after one ``eigensolve`` of S that splits
+    off p leading cells: for p > 0 one eigenvalue solve of the K = ny/2 + 1
+    blocks' p cell blocks, (K p, 4, 4), then one of their trailing blocks,
+    (K, 4nx - 4p, 4nx - 4p), and, once ``eigvec`` has been read, one
+    eigenpair solve of the whole block k*; each on real blocks T(k) or
+    complex blocks S^(k)."""
     dtype = np.dtype(float if real else complex)
-    return [("eigvals", dtype)] + [("eig", dtype)] * eigvec_read
+    K, n = S.ny // 2 + 1, 4 * S.nx
+    cells = [("eigvals", dtype, (K * p, 4, 4))] if p else []
+    rest = [("eigvals", dtype, (K, n - 4 * p, n - 4 * p))]
+    return cells + rest + [("eig", dtype, (n, n))] * eigvec_read
 
 
 def _assert_full_spectrum(A, spec):
@@ -770,20 +793,20 @@ def test_fourier_blocks_give_the_full_spectrum(solved_dtypes, reflected):
     spec = eigensolve(S)
     # a reflected S hands real blocks T(k) to the solves, any other complex
     # ones; the eigenvector is solved on its first read only
-    assert solved_dtypes == _solves(reflected, eigvec_read=False)
+    assert solved_dtypes == _solves(S, reflected, eigvec_read=False)
     assert spec.max_real_by_k.shape == (5,)
     # ny is odd, so every block but k = 0 is complex: the residual below then
     # also checks the phase exp(2 pi i k j / ny) of the grid eigenvector, and
     # on a real block the component-2 factor i of D
     assert int(np.argmax(spec.max_real_by_k)) != 0
     _assert_full_spectrum(A, spec)
-    assert solved_dtypes == _solves(reflected, eigvec_read=False)
+    assert solved_dtypes == _solves(S, reflected, eigvec_read=False)
     assert _dominant_residual(S, spec) < _residual_bound(S)
-    assert solved_dtypes == _solves(reflected, eigvec_read=True)
+    assert solved_dtypes == _solves(S, reflected, eigvec_read=True)
     # a second read returns the kept vector and solves nothing
     assert spec.eigvec is spec.eigvec
     assert _dominant_residual(S, spec) < _residual_bound(S)
-    assert solved_dtypes == _solves(reflected, eigvec_read=True)
+    assert solved_dtypes == _solves(S, reflected, eigvec_read=True)
 
 
 @pytest.mark.parametrize("reflected", [False, True], ids=["complex", "real"])
@@ -796,14 +819,14 @@ def test_half_spectrum_mirrors_the_conjugate_blocks(solved_dtypes, ny, reflected
     # exact mirror below
     A, S = _random_circulant(nx=2, ny=ny, seed=50 + ny, reflected=reflected)
     spec = eigensolve(S)
-    assert solved_dtypes == _solves(reflected, eigvec_read=False)
+    assert solved_dtypes == _solves(S, reflected, eigvec_read=False)
     _assert_full_spectrum(A, spec)
     by_k = spec.max_real_by_k
     assert np.array_equal(by_k[1:], by_k[1:][::-1])
     assert spec.k_star <= ny // 2
     assert by_k[spec.k_star] == spec.max_real
     assert _dominant_residual(S, spec) < _residual_bound(S)
-    assert solved_dtypes == _solves(reflected, eigvec_read=True)
+    assert solved_dtypes == _solves(S, reflected, eigvec_read=True)
     if reflected:  # a real solve returns a conjugate pair's upper member first
         assert spec.dominant.imag >= 0.0
 
@@ -821,13 +844,13 @@ def test_one_odd_entry_keeps_the_complex_blocks(solved_dtypes):
         A, S = _circulant(C, ny)
         assert not _reflected(wrapped_blocks(S))
         spec = eigensolve(S)
-        assert solved_dtypes == _solves(real=False, eigvec_read=False)
+        assert solved_dtypes == _solves(S, real=False, eigvec_read=False)
         by_k, _ = _all_blocks_reference(S, real=False)
         assert np.array_equal(spec.max_real_by_k[: ny // 2 + 1], by_k[: ny // 2 + 1])
         _assert_full_spectrum(A, spec)
         # ny = 32 leaves 1.4e-14, above ny = 8's fixed bound: it gets the dtype's
         assert _dominant_residual(S, spec) < (1e-14 if ny == 8 else _residual_bound(S))
-        assert solved_dtypes == _solves(real=False, eigvec_read=True)
+        assert solved_dtypes == _solves(S, real=False, eigvec_read=True)
 
 
 @pytest.mark.parametrize("order", [1, 5])
@@ -993,7 +1016,7 @@ def test_half_spectrum_matches_all_block_solve(base_flow_cache, solved_dtypes, s
     C = wrapped_blocks(S)
     assert _reflected(C) == real
     spec = eigensolve(S)
-    assert solved_dtypes == _solves(real, eigvec_read=False)
+    assert solved_dtypes == _solves(S, real, eigvec_read=False)
     by_k, lam = _all_blocks_reference(S, real)
     assert np.array_equal(spec.max_real_by_k[: ny // 2 + 1], by_k[: ny // 2 + 1])
     tol = max(1e-12 * max(1.0, abs(lam)), 1e-15 * np.abs(C).max())
@@ -1017,7 +1040,104 @@ def test_half_spectrum_matches_all_block_solve(base_flow_cache, solved_dtypes, s
     dropped = 4 * S.nx * 3.5 * _asymmetry(C) if real else 0.0
     r = np.linalg.norm(S_k @ v - spec.dominant * v) / np.abs(C).max()
     assert r < 2 * _residual_bound(S) + dropped
-    assert solved_dtypes == _solves(real, eigvec_read=True)
+    assert solved_dtypes == _solves(S, real, eigvec_read=True)
+
+
+def _decoupled_circulant(nx, ny, p, seed, reflected=False, lifted=None):
+    """(dense A, StabilityMatrix) of a random block row whose leading p cells
+    couple to no later cell at any offset, their blocks written as -0.0,
+    which counts as zero: every Fourier block is block lower triangular over
+    those cells.  Cell ``lifted``, if any, has 50 I added to its C(0): its
+    eigenvalues in every block rise by 50, above the other cells' spectral
+    radius of about sqrt(7 * 4nx) for nx = 4."""
+    _, S = _random_circulant(nx, ny, seed, reflected)
+    C = S.block_row.copy()
+    cell = np.arange(4 * nx) // 4
+    C[:, (cell[:, None] < p) & (cell > cell[:, None])] = -0.0  # keeps C(-d) = P C(d) P
+    if lifted is not None:
+        C[0, 4 * lifted:4 * lifted + 4, 4 * lifted:4 * lifted + 4] += 50.0 * np.eye(4)
+    return _circulant(C, ny)
+
+
+@pytest.mark.parametrize("reflected", [False, True], ids=["complex", "real"])
+@pytest.mark.parametrize("lifted", [0, 3], ids=["cells", "rest"])
+@pytest.mark.parametrize("p", [1, 3])
+@pytest.mark.parametrize("ny", [1, 4, 11])
+def test_split_spectrum_of_decoupled_leading_cells(solved_dtypes, ny, p, lifted, reflected):
+    # nx = 4, so p = 3 leaves the last cell alone in the trailing block; the
+    # dominant eigenvalue is cell 0's, split off, or the last cell's, in the rest
+    A, S = _decoupled_circulant(nx=4, ny=ny, p=p, seed=70 + ny, reflected=reflected, lifted=lifted)
+    spec = eigensolve(S)
+    assert solved_dtypes == _solves(S, reflected, eigvec_read=False, p=p)
+    _assert_full_spectrum(A, spec)
+    # within each block the leading cells' values come first, cell by cell
+    S_hat = _offset_blocks(S)
+    vals = spec.eigenvalues.reshape(ny, 16)
+    for k in range(ny // 2 + 1):
+        for i in range(p):
+            want = scipy.linalg.eigvals(S_hat[k, 4 * i:4 * i + 4, 4 * i:4 * i + 4])
+            dist = np.abs(vals[k, 4 * i:4 * i + 4, None] - want)
+            assert dist[linear_sum_assignment(dist)].max() < 1e-12 * np.abs(A).max()
+    m = np.argmax(vals[spec.k_star].real)  # cell 0's values, or among the rest's
+    assert m < 4 if lifted < p else m >= 4 * p
+    assert _dominant_residual(S, spec) < _residual_bound(S)
+    assert solved_dtypes == _solves(S, reflected, eigvec_read=True, p=p)
+
+
+def test_one_nonzero_entry_couples_its_cells(solved_dtypes):
+    # the smallest subnormal in block (0, 2) of one offset couples cell 0 to
+    # a later cell: nothing splits off, and the blocks take the one solve
+    _, S = _decoupled_circulant(nx=4, ny=4, p=3, seed=75)
+    C = S.block_row.copy()
+    C[-2, 1, 9] = np.nextafter(0.0, 1.0)
+    A, S = _circulant(C, 4)
+    spec = eigensolve(S)
+    assert solved_dtypes == _solves(S, real=False, eigvec_read=False)
+    _assert_full_spectrum(A, spec)
+
+
+@pytest.mark.parametrize("ny", [1, 4, 11, 32])
+@pytest.mark.parametrize("space", SPACES)
+@pytest.mark.parametrize("solver, order, epsilon, p", [
+    ("hllc", 1, 0.1, 5),
+    ("van_leer", 1, 0.1, 5),
+    ("hybrid-1", 5, 0.1, 5),
+    ("hybrid-1", 5, 0.5, 4),
+])
+def test_upstream_cells_split_off_a_steady_shock(base_flow_cache, solved_dtypes, solver, order,
+                                                  epsilon, p, space, ny):
+    # One-sided x fluxes at the supersonic faces before the shock (HLLC, van
+    # Leer, hybrid-1's van Leer x faces) make those cells' rows exactly 0
+    # beyond their own cell, so each block splits into p cells and the rest.
+    # Their spectra are defective: equal cells, upstream and downstream,
+    # chain into Jordan blocks, which a dense solve of a whole block scatters
+    # by up to 0.24 on these fields.  So the split is checked where a
+    # solve is well posed: lambda_max, well conditioned, against a solve of
+    # every whole block, and each eigenvalue in the backward sense against its
+    # whole block S^(k)
+    scheme = Scheme(solver=solver, order=order, space=space)
+    field, _ = base_flow_cache(scheme, epsilon=epsilon, ny=ny)
+    S = assemble(field, scheme)
+    C = wrapped_blocks(S)
+    assert _reflected(C)
+    spec = eigensolve(S)
+    assert solved_dtypes == _solves(S, real=True, eigvec_read=False, p=p)
+    _, lam = _all_blocks_reference(S, real=True)
+    tol = max(1e-12 * max(1.0, abs(lam)), 1e-15 * np.abs(C).max())
+    assert abs(spec.max_real - lam) <= tol
+    # A backward-stable solve of a diagonal piece of a block lower-triangular
+    # S^(k) returns the eigenvalues of S^(k) + E, ||E|| bounded as in
+    # _residual_bound, plus the real form's dropped asymmetry (as in
+    # test_half_spectrum_matches_all_block_solve): so sigma_min(S^(k) - lam)
+    # is at most that, and the block's values sum to its trace to 4nx times it
+    n = 4 * S.nx
+    bound = (_residual_bound(S) + n * 3.5 * _asymmetry(C)) * np.abs(C).max()
+    S_hat = _offset_blocks(S)
+    vals = spec.eigenvalues.reshape(ny, n)
+    for k in range(ny // 2 + 1):
+        shifted = S_hat[k] - vals[k][:, None, None] * np.eye(n)
+        assert np.linalg.svd(shifted, compute_uv=False)[:, -1].max() <= bound
+        assert abs(vals[k].sum() - np.trace(S_hat[k])) <= n * bound
 
 
 @pytest.mark.parametrize("solver", ["roe", "hllc"])
