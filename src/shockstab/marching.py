@@ -202,67 +202,38 @@ def march(field: MeanField, run: RunConfig):
 
 
 def _window_r2_scan(t, y, min_len):
-    """Select the fit window inside the exponential stage.
-
-    The growth of the dominant mode only emerges once the subdominant modes
-    have decayed relative to it, so the window is anchored at the end of the
-    stage and grown backwards while the log-linear fit stays at R^2 >= 0.99.
-    If no end-anchored window qualifies, the longest qualifying window
-    anywhere is used.  Returns (a, b) slice bounds or None.
+    """The fit window of samples (t, y): the longest slice [a, b) of at least
+    ``min_len`` samples whose least-squares line has R^2 >= 0.99.  Among the
+    windows of that length it is the one with the largest R^2, the earliest
+    on a tie.  Returns (a, b, slope, r2), the window's bounds and its line's
+    slope and R^2, or None when no window qualifies.
     """
     n = len(t)
-    if n < min_len:
-        return None
-    ones = np.ones_like(t)
-    pref = {}
-    for name, arr in [("n", ones), ("t", t), ("y", y), ("tt", t * t),
-                      ("ty", t * y), ("yy", y * y)]:
-        pref[name] = np.concatenate([[0.0], np.cumsum(arr)])
-
-    def window_r2(a, b):  # slice [a, b)
-        s = {k: pref[k][b] - pref[k][a] for k in pref}
-        num = s["n"] * s["ty"] - s["t"] * s["y"]
-        den_t = s["n"] * s["tt"] - s["t"] ** 2
-        den_y = s["n"] * s["yy"] - s["y"] ** 2
-        if den_t <= 0:
-            return 0.0
-        if den_y <= 0:
-            return 1.0  # constant data: a flat line fits exactly
-        return min(1.0, num * num / (den_t * den_y))
-
-    # grow a window backwards from the end of the stage
-    best_end = None
-    length = min_len
-    while length <= n:
-        if window_r2(n - length, n) >= 0.99:
-            best_end = (n - length, n)
-            length = int(length * 1.25) + 1
-        else:
-            break
-    if best_end is not None:
-        return best_end
-
-    length = n
-    while length >= min_len:
-        starts = range(0, n - length + 1, max(1, length // 8))
-        best = None
-        for a in starts:
-            r2 = window_r2(a, a + length)
-            if r2 >= 0.99 and (best is None or r2 > best[2]):
-                best = (a, a + length, r2)
-        if best is not None:
-            return best[0], best[1]
-        length = max(min_len, int(length * 0.9)) if length > min_len else length - 1
+    pref = np.zeros((5, n + 1))
+    np.cumsum([t, y, t * t, t * y, y * y], axis=1, out=pref[:, 1:])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for length in range(n, min_len - 1, -1):
+            st, sy, stt, sty, syy = pref[:, length:] - pref[:, :-length]
+            num = length * sty - st * sy
+            den_t = length * stt - st**2
+            den_y = length * syy - sy**2
+            # den_y <= 0 is constant data, which a flat line fits exactly
+            r2 = np.where(den_t <= 0, 0.0, np.where(
+                den_y <= 0, 1.0, np.minimum(1.0, num * num / (den_t * den_y))))
+            a = int(np.argmax(r2))
+            if r2[a] >= 0.99:
+                return a, a + length, num[a] / den_t[a], r2[a]
     return None
 
 
 def fit_growth_rate(series: MonitorSeries, amplitude: float) -> GrowthFit:
     """Least-squares slope of ln||v|| over an automatically selected window.
 
-    The window is the longest stretch with log-linear R^2 >= 0.99, restricted
-    to the exponential band (above 10x the injected ``amplitude``, or 3x
-    where that band is short, up to ``STOP_LEVEL``) when the series grows
-    overall.
+    The window is the longest stretch with log-linear R^2 >= 0.99
+    (``_window_r2_scan``), restricted to the exponential band (above 10x the
+    injected ``amplitude``, or 3x where that band is short, up to
+    ``STOP_LEVEL``) when the series grows overall.  The slope and R^2 come
+    from the one least-squares pass that chose the window.
     """
     good = np.isfinite(series.vmax) & (series.vmax > 0)
     t = series.t[good]
@@ -298,14 +269,5 @@ def fit_growth_rate(series: MonitorSeries, amplitude: float) -> GrowthFit:
     span = _window_r2_scan(tt, yy, min_len)
     if span is None:
         raise NoExponentialStageError("no window reaches R^2 >= 0.99")
-    a, b = span
-    coef = np.polyfit(tt[a:b], yy[a:b], 1)
-    resid = yy[a:b] - np.polyval(coef, tt[a:b])
-    var = np.var(yy[a:b])
-    r2 = 1.0 if var == 0 else max(0.0, min(1.0, 1.0 - np.var(resid) / var))
-    return GrowthFit(
-        lam=float(coef[0]),
-        window=(float(tt[a]), float(tt[b - 1])),
-        r2=float(r2),
-    )
-
+    a, b, lam, r2 = span
+    return GrowthFit(lam=float(lam), window=(float(tt[a]), float(tt[b - 1])), r2=float(r2))

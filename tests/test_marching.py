@@ -135,16 +135,101 @@ def test_batched_rhs_is_the_stack_of_single_rhs(monkeypatch, order, space, cap):
 
 
 def test_window_scan_tries_a_window_of_exactly_min_len():
-    # n = 11, min_len = 10: the shrink step from 11 must not skip length 10.
-    # An outlier at the end spoils every end-anchored window
+    # n = 11 and 12, min_len = 10: the outliers at the end leave one window
+    # with R^2 >= 0.99, the first of exactly min_len samples
     t = np.arange(11.0)
     y = 0.5 * t
     y[-1] += 5.0
-    assert marching._window_r2_scan(t, y, 10) == (0, 10)
+    assert marching._window_r2_scan(t, y, 10)[:2] == (0, 10)
     t12 = np.arange(12.0)
     y12 = 0.5 * t12
     y12[-2:] += 5.0
-    assert marching._window_r2_scan(t12, y12, 10) == (0, 10)
+    assert marching._window_r2_scan(t12, y12, 10)[:2] == (0, 10)
+
+
+def test_window_scan_breaks_a_tie_to_the_earliest_window():
+    # an exact line on integers with one outlier in the middle: the windows
+    # on either side of it have R^2 = 1 exactly, and the first one is taken
+    t = np.arange(21.0)
+    y = 2.0 * t
+    y[10] += 50.0
+    assert marching._window_r2_scan(t, y, 10) == (0, 10, 2.0, 1.0)
+
+
+def brute_force_window(t, y, min_len):
+    """(a, b, slope, r2) of the longest window [a, b) of at least ``min_len``
+    samples whose line has R^2 >= 0.99, the first with the best R^2 at that
+    length, each window fitted on its own by np.polyfit."""
+    n = len(t)
+    for length in range(n, min_len - 1, -1):
+        best = None
+        for a in range(n - length + 1):
+            tw, yw = t[a : a + length], y[a : a + length]
+            coef = np.polyfit(tw, yw, 1)
+            r2 = 1.0 - np.var(yw - np.polyval(coef, tw)) / np.var(yw)
+            if r2 >= 0.99 and (best is None or r2 > best[3]):
+                best = (a, a + length, coef[0], r2)
+        if best is not None:
+            return best
+    return None
+
+
+def window_series(kind, seed):
+    """A seeded series of 12-40 samples at uneven times, its ln||v|| offset
+    as a march's is: a clean exponential with one outlier in its first
+    third, two exponentials joined at a kink, or a ramp whose noise settles
+    as it goes, as a march's transient does."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(12, 41))
+    t = np.cumsum(rng.uniform(0.05, 0.15, n))
+    if kind == "outlier":
+        y = 2.0 * t
+        y[rng.integers(1, n // 3)] += 3.0
+    elif kind == "joined":
+        kink = t[rng.integers(n // 4, 3 * n // 4)]
+        y = np.where(t < kink, 3.0 * t, 3.0 * kink + 0.5 * (t - kink))
+    else:
+        y = 0.8 * t + rng.normal(0.0, 0.2, n) * (1.0 - t / t[-1])
+    return t, np.log(1e-7) + y
+
+
+@pytest.mark.parametrize("kind", ["outlier", "joined", "ramp"])
+def test_window_scan_is_the_brute_force_search(kind):
+    # the one search returns what trying every window of every length finds:
+    # the longest with R^2 >= 0.99, the first best at that length, and that
+    # window's least-squares slope and R^2, or None for both
+    shorter = 0
+    for seed in range(10):
+        t, y = window_series(kind, seed)
+        got, want = marching._window_r2_scan(t, y, 10), brute_force_window(t, y, 10)
+        assert (got is None) == (want is None), seed
+        if got is None:
+            continue
+        (a, b, slope, r2), (a0, b0, slope0, r20) = got, want
+        assert (a, b) == (a0, b0), seed
+        assert abs(slope - slope0) <= 1e-10 * abs(slope0), seed
+        assert abs(r2 - r20) <= 1e-10 and r2 <= 1.0, seed
+        shorter += b - a < len(t)
+    assert shorter > 0  # some series qualify only in a window shorter than the series
+
+
+def test_every_fit_that_returns_reaches_r2_099():
+    # log-amplitude random walks with a drift: a fit raises or reports the
+    # R^2 >= 0.99 of the window that its one least-squares pass chose
+    rng = np.random.default_rng(11)
+    fitted = 0
+    for _ in range(40):
+        n = int(rng.integers(12, 400))
+        t = np.cumsum(rng.uniform(0.005, 0.015, n))
+        drift = rng.normal(0.0, 5.0)
+        v = 1e-7 * np.exp(drift * t + np.cumsum(rng.normal(0.0, 0.05, n)))
+        try:
+            fit = fit_growth_rate(MonitorSeries(t=t, vmax=v), 1e-7)
+        except NoExponentialStageError:
+            continue
+        fitted += 1
+        assert fit.r2 >= 0.99
+    assert fitted > 0
 
 
 def test_cfl_dt():
@@ -455,14 +540,26 @@ def test_fit_growth_rate_rejects_junk():
         fit_growth_rate(MonitorSeries(t=t[:5], vmax=np.ones(5)), 1e-7)
 
 
+def test_fit_growth_rate_of_samples_at_one_time():
+    # a series whose samples all share one time has no slope: every window's
+    # R^2 is 0.  march never records one, but a caller can build it.  At some
+    # times the sums round to den_t = 0 with num != 0, which without the
+    # den_t <= 0 guard would read as R^2 = 1.
+    for t0 in (0.3, 0.7, 1.0, 3.0):
+        series = MonitorSeries(t=np.full(12, t0), vmax=1e-7 * 2.0 ** np.arange(12))
+        with pytest.raises(NoExponentialStageError, match="no window"):
+            fit_growth_rate(series, 1e-7)
+
+
 def test_fit_growth_rate_of_a_flat_series():
-    # constant data: the window scan's flat-data branch gives R^2 = 1, and
-    # so does the fit, whose slope is 0 up to the least-squares rounding of
-    # y = ln 1e-6 = -13.8, a few eps |y| per unit time
+    # constant data: the window scan's flat-data branch gives R^2 = 1, and a
+    # slope of 0 up to the rounding of the sums of y = ln 1e-6 = -13.8, a few
+    # eps |y| per unit time.  At v = 1 every sum of y is exactly 0.
     t = np.linspace(0.0, 10.0, 50)
-    fit = fit_growth_rate(MonitorSeries(t=t, vmax=np.full(50, 1e-6)), 1e-7)
-    assert abs(fit.lam) < 10 * np.finfo(float).eps * 13.8
-    assert fit.r2 == 1.0
+    for level in (1e-6, 1.0):
+        fit = fit_growth_rate(MonitorSeries(t=t, vmax=np.full(50, level)), 1e-7)
+        assert abs(fit.lam) < 10 * np.finfo(float).eps * 13.8
+        assert fit.r2 == 1.0
 
 
 def test_fit_growth_rate_rejects_a_band_of_short_runs():
