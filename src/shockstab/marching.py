@@ -122,6 +122,13 @@ def rhs(field: MeanField, states: StateAxes, scheme: Scheme) -> np.ndarray:
     return res
 
 
+def density_residual(res: np.ndarray) -> float:
+    """max|d rho/dt| of a residual (..., 4) or flat (4 nx,), the measure of a
+    steady row; +inf when any entry is not finite, which fails every bound."""
+    res = np.reshape(res, (-1, 4))
+    return float(np.abs(res[:, 0]).max()) if np.isfinite(res).all() else np.inf
+
+
 def cfl_dt(W: np.ndarray, cfl: float) -> float:
     """The time step cfl / max(|u| + c, |v| + c) over primitive cell states
     W (..., 4) of unit cells."""

@@ -22,10 +22,10 @@ from .euler import GAMMA, FaceFrame
 ROE_DELTA0 = 1e-4
 
 
-def smooth_abs(lam, delta0: float) -> np.ndarray:
-    """|lam| with the C1 floor (lam^2 + delta0^2) / (2 delta0) below delta0."""
-    a = np.abs(lam)
-    return np.where(a >= delta0, a, (lam * lam + delta0 * delta0) / (2.0 * delta0))
+def smooth_abs(lam) -> np.ndarray:
+    """|lam| with the C1 floor (lam^2 + d^2) / (2 d) below d = ``ROE_DELTA0``."""
+    a, d = np.abs(lam), ROE_DELTA0
+    return np.where(a >= d, a, (lam * lam + d * d) / (2.0 * d))
 
 
 def _normal_velocity(W, frame):
@@ -75,10 +75,10 @@ def roe_flux(W, frame: FaceFrame) -> np.ndarray:
     a3 = (d_p + rcd_q) / two_c2
     a4 = rho * d_ql
 
-    abs_q = smooth_abs(q, ROE_DELTA0)
-    l1 = smooth_abs(q - c, ROE_DELTA0) * a1
+    abs_q = smooth_abs(q)
+    l1 = smooth_abs(q - c) * a1
     l2 = abs_q * a2
-    l3 = smooth_abs(q + c, ROE_DELTA0) * a3
+    l3 = smooth_abs(q + c) * a3
     l4 = abs_q * a4
 
     c_nx, c_ny, c_q = c * nx, c * ny, c * q

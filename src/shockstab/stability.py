@@ -239,9 +239,9 @@ def assemble(field: MeanField, scheme: Scheme) -> StabilityMatrix:
     S is returned as ``block_row``, its duplicate entries summed in scatter
     order.  The row's entries come in the order of those of block row
     j = 0 in a scatter of every row, so where no two offsets share a slot
-    (ny >= 7) circ(C) holds that scatter's bits.  A field whose largest
-    density residual exceeds ``STEADY_TOL`` is refused with
-    UnsteadyFieldError.
+    (ny >= 7) circ(C) holds that scatter's bits.  A field whose
+    ``marching.density_residual`` exceeds ``STEADY_TOL``, +inf if not
+    finite, is refused with UnsteadyFieldError.
     """
     if field.U.ndim != 3:
         raise ValueError(
@@ -260,7 +260,7 @@ def assemble(field: MeanField, scheme: Scheme) -> StabilityMatrix:
     field = replace(field, U=field.U[:, :1])
     states = apply_boundaries(field, primitive)
     W_row = states.W[:nx]
-    res = float(np.abs(marching.rhs(field, states, scheme)[..., 0]).max())
+    res = marching.density_residual(marching.rhs(field, states, scheme))
     if res > STEADY_TOL:
         raise UnsteadyFieldError(
             f"mean field density residual {res:.3e} exceeds {STEADY_TOL:.1e}; "

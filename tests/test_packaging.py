@@ -271,7 +271,6 @@ UNSET_FIELD_DEFAULTS = {
     "scheme.Scheme.cap": "near-shock order caps are an option of the lab; tests assemble and march them",
     "shock_problem.ShockProblemConfig.mach": "tests check the jump relations at other Mach numbers",
     "shock_problem.ShockProblemConfig.shock_column": "tests place the shock in column 5 of a 9-column grid",
-    "shock_problem.ShockProblemConfig.converge_tol": "the steady tolerance that the benchmark's verdict reads",
 }
 
 
@@ -362,9 +361,19 @@ def test_only_fields_converts_cells():
     assert _scopes_naming("cons_to_prim") == CONVERTERS
 
 
+# the verdicts on whether a row is steady, each through the one measure: the
+# LM's stop test, the steady solve's attempts and assemble's steady check
+STEADY_VERDICTS = {"shock_problem._lm_refine_1d", "shock_problem.converge_1d", "stability.assemble"}
+
+
+def test_one_measure_says_whether_a_row_is_steady():
+    assert _scopes_naming("density_residual") == STEADY_VERDICTS
+
+
 # the soft conversion, which never raises: euler._primitive is the formula
 # both conversions share, and reconstruction._prim_soft screens the
-# reconstructed face states and the LM's damped trial rows
+# reconstructed face states, the LM's damped trial rows and the steady
+# solve's jittered restart starts
 SOFT_CONVERTERS = {
     "_primitive": {"euler.cons_to_prim", "reconstruction._prim_soft"},
     "_prim_soft": {"reconstruction._reconstruct_sides", "shock_problem._above_floors"},

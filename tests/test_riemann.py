@@ -178,17 +178,18 @@ def test_collapsed_fan_names_the_face():
 
 
 def test_smooth_abs_properties():
-    d0 = 1e-4
+    d0 = riemann.ROE_DELTA0
+    assert d0 == 1e-4
     lam = np.linspace(-3e-4, 3e-4, 10001)
-    phi = riemann.smooth_abs(lam, d0)
+    phi = riemann.smooth_abs(lam)
     assert np.all(phi >= d0 / 2 - 1e-18)
     # continuity and C1 match at |lam| = d0
-    assert abs(riemann.smooth_abs(d0, d0) - d0) < 1e-18
+    assert abs(riemann.smooth_abs(d0) - d0) < 1e-18
     h = 1e-9
-    left = (riemann.smooth_abs(d0 - h, d0) - riemann.smooth_abs(d0 - 2 * h, d0)) / h
-    right = (riemann.smooth_abs(d0 + 2 * h, d0) - riemann.smooth_abs(d0 + h, d0)) / h
+    left = (riemann.smooth_abs(d0 - h) - riemann.smooth_abs(d0 - 2 * h)) / h
+    right = (riemann.smooth_abs(d0 + 2 * h) - riemann.smooth_abs(d0 + h)) / h
     assert abs(left - right) < 1e-4
-    assert np.allclose(riemann.smooth_abs(np.array([5.0, -5.0]), d0), 5.0)
+    assert np.allclose(riemann.smooth_abs(np.array([5.0, -5.0])), 5.0)
 
 
 def test_hybrid_dispatch():

@@ -29,7 +29,7 @@ def ref_sound_speeds(WL, WR):
     return c[..., 0, :], c[..., 1, :]
 
 
-def ref_roe_flux(WL, WR, frame, delta0=riemann.ROE_DELTA0):
+def ref_roe_flux(WL, WR, frame):
     WL = np.asarray(WL, dtype=float)
     WR = np.asarray(WR, dtype=float)
     FL = exact_flux_w(WL, frame)
@@ -65,10 +65,10 @@ def ref_roe_flux(WL, WR, frame, delta0=riemann.ROE_DELTA0):
     a3 = (d_p + rho * c * d_q) / (2.0 * c2)
     a4 = rho * d_ql
 
-    l1 = riemann.smooth_abs(q - c, delta0) * a1
-    l2 = riemann.smooth_abs(q, delta0) * a2
-    l3 = riemann.smooth_abs(q + c, delta0) * a3
-    l4 = riemann.smooth_abs(q, delta0) * a4
+    l1 = riemann.smooth_abs(q - c) * a1
+    l2 = riemann.smooth_abs(q) * a2
+    l3 = riemann.smooth_abs(q + c) * a3
+    l4 = riemann.smooth_abs(q) * a4
 
     diss = np.empty_like(FL)
     diss[..., 0] = l1 + l2 + l3

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from dataclasses import replace
 
@@ -449,7 +450,7 @@ def test_lm_refine_propagates_errors_from_outside_the_package(monkeypatch, stage
     monkeypatch.setattr(sp, "_residual_1d", failing_residual)
     monkeypatch.setattr(sp, "_fd_jacobian_1d", failing_jacobian)
     with pytest.raises(RuntimeError, match=stage):
-        sp._lm_refine_1d(field, scheme, c.converge_tol, _lm_free(c))
+        sp._lm_refine_1d(field, scheme, _lm_free(c))
 
 
 def _lm_free(c):
@@ -461,12 +462,12 @@ def _lm_free(c):
     return free
 
 
-def _loop_lm_refine_1d(field, scheme, tol, free):
+def _loop_lm_refine_1d(field, scheme, free):
     """Reference: the sequential Levenberg-Marquardt loop, one residual call
     per damped trial and a Jacobian call at the top of every iteration;
     returns (state, residual vector, iterations) as ``sp._lm_refine_1d``
     does."""
-    nx = field.nx
+    nx, tol = field.nx, sp.ShockProblemConfig.converge_tol
     W = field.interior_primitive()
     c = euler.sound_speed(W)
     speed = float((np.abs(W[..., 1]) + c).max())
@@ -485,7 +486,7 @@ def _loop_lm_refine_1d(field, scheme, tol, free):
     it = 0
     while it < sp.LM_MAX_ITER:
         it += 1
-        if np.abs(r.reshape(nx, 4)[:, 0]).max() < tol:
+        if np.isfinite(r).all() and np.abs(r.reshape(nx, 4)[:, 0]).max() < tol:
             break
         try:
             J = sp._fd_jacobian_1d(field, scheme, np.flatnonzero(free))[0] / s[:, None]
@@ -729,6 +730,21 @@ def test_damped_stack_keeps_the_bits_of_one_system_at_a_time(monkeypatch):
                                                          "p above its floor") for name in cells}
     assert sp._above_floors(U, rho_floor, p_floor).tolist() == expected
 
+    # at zero floors the mask is converge_1d's screen of a jittered restart
+    # start: it fails exactly where the checked conversion raises
+    def converts(u):
+        try:
+            replace(field, U=u).interior_primitive()
+        except InvalidStateError:
+            return False
+        return True
+
+    converted = [converts(u) for u in U]
+    assert dict(zip(cells, converted)) == {name: name in (
+        "initial", "rho at its floor", "rho above its floor", "p at its floor",
+        "p above its floor") for name in cells}
+    assert sp._above_floors(U, 0.0, 0.0).tolist() == converted
+
 
 def _loop_fd_jacobian(field, scheme, cols):
     """Reference: the column-by-column finite-difference Jacobian, one rhs
@@ -904,7 +920,7 @@ def test_lm_refine_ends_the_attempt_when_the_jacobian_raises(monkeypatch):
     c = cfg()
     scheme = Scheme(solver="roe", order=1)
     field = sp.build_initial_field(c, ny=1)
-    args = (scheme, c.converge_tol, _lm_free(c))
+    args = (scheme, _lm_free(c))
     with monkeypatch.context() as m:
         m.setattr(sp, "LM_MAX_ITER", 1)
         one_step, res_one, it_one, _ = sp._lm_refine_1d(field, *args)
@@ -964,10 +980,10 @@ def _recorded_attempts(monkeypatch):
     evaluates outside its attempts."""
     refine, residual, attempts, running = sp._lm_refine_1d, sp._residual_1d, [], []
 
-    def recorded(field, scheme, tol, free):
+    def recorded(field, scheme, free):
         start = field.U.copy()
         running.append(True)
-        out = refine(field, scheme, tol, free)
+        out = refine(field, scheme, free)
         running.pop()
         attempts.append((start, free, out))
         return out
@@ -1028,6 +1044,52 @@ def test_a_jittered_restart_moves_only_the_free_unknowns(monkeypatch):
     assert moved[free & (best != 0.0)].all() and not moved[~free].any()
 
 
+def _spoilt_attempts(monkeypatch, entry, spoilt):
+    """Wrap ``sp._lm_refine_1d`` so that the residual vector of each attempt
+    whose index is in ``spoilt`` reads NaN at flat ``entry``; return the list
+    of each attempt's returned state."""
+    refine, attempts = sp._lm_refine_1d, []
+
+    def spoiling(*args):
+        got, r, it, calls = refine(*args)
+        if len(attempts) in spoilt:
+            r = r.copy()
+            r[entry] = np.nan
+        attempts.append(got)
+        return got, r, it, calls
+
+    monkeypatch.setattr(sp, "_lm_refine_1d", spoiling)
+    return attempts
+
+
+def test_a_nan_attempt_gives_way_to_a_converged_restart(monkeypatch):
+    # roe-o1 converges in one attempt; with that attempt's density residual
+    # NaN in cell 8, the first restart runs and its converged state wins
+    attempts = _spoilt_attempts(monkeypatch, 4 * 7, {0})
+    profile, info = sp.converge_1d(cfg(), Scheme(solver="roe", order=1))
+    assert info["restarts"] == 1 and len(attempts) == 2
+    assert np.isfinite(info["residual"]) and info["residual"] < cfg().converge_tol
+    assert np.array_equal(profile, attempts[1].U[:, 0])
+
+
+@pytest.mark.parametrize("entry", [4 * 7, 4 * 7 + 3], ids=["density", "energy"])
+def test_a_residual_that_is_not_finite_never_converges(monkeypatch, entry):
+    # every attempt ends on a NaN, in the density of cell 8 or, with the
+    # density below tolerance, in its energy: the solve raises
+    attempts = _spoilt_attempts(monkeypatch, entry, {0, 1, 2})
+    with pytest.raises(ConvergenceError,
+                       match=r"^roe-o1/primitive: 1D residual inf >= converge_tol 1e-12 "):
+        sp.converge_1d(cfg(), Scheme(solver="roe", order=1))
+    assert len(attempts) == 3
+
+
+def test_the_steady_tolerance_is_a_constant_no_caller_sets():
+    with pytest.raises(TypeError):
+        cfg(converge_tol=1e-10)
+    assert cfg().converge_tol == 1e-12
+    assert "converge_tol" not in {f.name for f in dataclasses.fields(sp.ShockProblemConfig)}
+
+
 def test_project_to_2d_rows_equal():
     c = cfg(nx=7, ny=5, shock_column=4)
     profile = sp.initial_profile(c)
@@ -1058,17 +1120,12 @@ def test_config_validation():
     (lambda: marching.RunConfig(scheme=Scheme(), cfl=float("nan")), "CFL"),
     (lambda: marching.RunConfig(scheme=Scheme(), amplitude=float("inf")), "amplitude"),
     (lambda: cfg(mach=float("inf")), "Mach"),
-    (lambda: cfg(converge_tol=float("nan")), "converge_tol"),
-    (lambda: cfg(converge_tol=0.0), "converge_tol"),
-    (lambda: cfg(converge_tol=-1e-12), "converge_tol"),
-    (lambda: cfg(converge_tol=float("inf")), "converge_tol"),
     (lambda: cfg(nx=11.5), "nx must be an integer"),
     (lambda: cfg(nx=11.0), "nx must be an integer"),
     (lambda: cfg(ny=True), "ny must be an integer"),
     (lambda: cfg(shock_column=6.5), "shock_column must be an integer"),
 ], ids=["ny=0", "nx=0", "amplitude=nan", "end_time=0", "end_time<0", "end_time=nan",
         "end_time=inf", "cfl=inf", "cfl=nan", "amplitude=inf", "mach=inf",
-        "converge_tol=nan", "converge_tol=0", "converge_tol<0", "converge_tol=inf",
         "nx=11.5", "nx=11.0", "ny=True", "shock_column=6.5"])
 def test_empty_or_nan_settings_are_refused_at_construction(make, match):
     with pytest.raises(ValueError, match=match):

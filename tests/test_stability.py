@@ -254,6 +254,26 @@ def test_assemble_refuses_unsteady_field():
         assemble(field, Scheme(solver="hll", order=1))
 
 
+@pytest.mark.parametrize("component, value", [(slice(None), np.nan), (3, np.nan), (3, np.inf)],
+                         ids=["nan", "energy-nan", "energy-inf"])
+def test_assemble_refuses_a_residual_that_is_not_finite(monkeypatch, base_flow_cache,
+                                                        component, value):
+    # a steady row whose residual has a NaN or an infinite entry, in any
+    # component, is not steady
+    scheme = Scheme(solver="roe", order=1)
+    field, _ = base_flow_cache(scheme, epsilon=0.1)
+    rhs = marching.rhs
+
+    def spoilt(*args):
+        res = rhs(*args)
+        res[..., component] = value
+        return res
+
+    monkeypatch.setattr(marching, "rhs", spoilt)
+    with pytest.raises(UnsteadyFieldError, match=r"^mean field density residual inf exceeds"):
+        assemble(field, scheme)
+
+
 def test_assemble_refuses_a_batch_of_fields():
     # the scatter would read the batch axis as the face normal
     field, _ = initial_shock_field(ny=4)
