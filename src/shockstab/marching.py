@@ -17,6 +17,8 @@ from .scheme import Scheme
 
 # a perturbed march stops above this ||v||_inf, which also tops the fit's band
 STOP_LEVEL = 1e-5
+# a row is steady when its ``density_residual`` is below this bound
+STEADY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -124,9 +126,15 @@ def rhs(field: MeanField, states: StateAxes, scheme: Scheme) -> np.ndarray:
 
 def density_residual(res: np.ndarray) -> float:
     """max|d rho/dt| of a residual (..., 4) or flat (4 nx,), the measure of a
-    steady row; +inf when any entry is not finite, which fails every bound."""
+    steady row (below ``STEADY_TOL``); +inf when any entry is not finite."""
     res = np.reshape(res, (-1, 4))
     return float(np.abs(res[:, 0]).max()) if np.isfinite(res).all() else np.inf
+
+
+def first_non_finite(res: np.ndarray) -> tuple[int, str]:
+    """(cell, component) of a residual's first non-finite entry, cells from 0."""
+    cell, c = divmod(int(np.flatnonzero(~np.isfinite(res))[0]), 4)
+    return cell, ("rho", "rho u", "rho v", "rho e")[c]
 
 
 def cfl_dt(W: np.ndarray, cfl: float) -> float:
@@ -146,7 +154,7 @@ def step_ssprk3(field: MeanField, scheme: Scheme, cfl: float,
     first stage's state axes are built before the step's length is known,
     and ``cfl_dt`` reads the interior cells of their primitive axis.  An
     inadmissible start or stage state raises ``InvalidStateError`` from
-    that conversion, naming its cell (i, j).
+    that conversion, naming its cell (i, j), as does a non-finite end state.
     """
     primitive = scheme.space == "primitive"
     states = apply_boundaries(field, primitive)
@@ -159,7 +167,12 @@ def step_ssprk3(field: MeanField, scheme: Scheme, cfl: float,
     u0 = field.U
     u1 = u0 + dt * rhs(field, states, scheme)
     u2 = 0.75 * u0 + 0.25 * stage(u1)
-    return MeanField(u0 / 3.0 + 2.0 / 3.0 * stage(u2), field.bc, field.shock_column), dt
+    u3 = u0 / 3.0 + 2.0 / 3.0 * stage(u2)
+    finite = np.isfinite(u3)
+    if np.count_nonzero(finite) < finite.size:
+        raise InvalidStateError(euler._describe_bad(~finite.all(axis=-1),
+                                                    "non-finite state after a step"))
+    return MeanField(u3, field.bc, field.shock_column), dt
 
 
 def inject_perturbation(field: MeanField, amplitude: float, seed: int) -> MeanField:
@@ -182,9 +195,9 @@ def march(field: MeanField, run: RunConfig):
     or, when perturbed, to its first sample above ``STOP_LEVEL``.
 
     Returns (MonitorSeries, final field).  Each step takes its own length
-    from the state it starts from (``step_ssprk3``).  A NaN or invalid state
-    flags a collapse instead of raising, whether it is the perturbed start, a
-    stage or the state a step ends in.
+    from the state it starts from (``step_ssprk3``).  A state that a step
+    refuses, the perturbed start, a stage or a non-finite end state, flags a
+    collapse instead of raising; the field returned is that step's start.
     """
     state = inject_perturbation(field, run.amplitude, run.seed)
     t = 0.0
@@ -196,9 +209,6 @@ def march(field: MeanField, run: RunConfig):
             state, dt = step_ssprk3(state, run.scheme, run.cfl, run.end_time - t)
         except InvalidStateError:
             collapsed = True
-        else:
-            collapsed = bool(np.count_nonzero(np.isfinite(state.U)) < state.U.size)
-        if collapsed:
             break
         t += dt
         times.append(t)

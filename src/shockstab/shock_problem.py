@@ -30,7 +30,7 @@ class ShockProblemConfig:
     nx: int = 11
     ny: int = 11
     shock_column: int = 6  # 1-based
-    converge_tol = 1e-12  # unannotated: the steady bound on max|d rho/dt| is not a field
+    converge_tol = marching.STEADY_TOL  # unannotated: not a field, and read by no package code
 
     def __post_init__(self):
         for name in ("nx", "ny", "shock_column"):
@@ -274,7 +274,7 @@ def _lm_refine_1d(field, scheme, free):
     Jacobian.  A trial whose probes leave the admissible states is judged
     by its residual alone.
 
-    An attempt stops once ``marching.density_residual(r)`` < converge_tol,
+    An attempt stops once ``marching.density_residual(r)`` < ``marching.STEADY_TOL``,
     and ends when no damped step lowers the cost, or when a probe of the
     Jacobian of the current state leaves the admissible states; either
     way it returns the best state so far, its residual vector (4 nx,), the
@@ -360,7 +360,7 @@ def _lm_refine_1d(field, scheme, free):
     it = 0
     while it < LM_MAX_ITER:
         it += 1
-        if marching.density_residual(r) < ShockProblemConfig.converge_tol:
+        if marching.density_residual(r) < marching.STEADY_TOL:
             break
         if J is _UNPROBED:
             J, _ = jacobian(field)
@@ -416,10 +416,10 @@ def converge_1d(cfg: ShockProblemConfig, scheme: Scheme):
     state's residual vector, and the calls the solve made over all
     attempts: ``jacobians`` of ``_fd_jacobian_1d`` (raising ones included)
     and ``residuals`` of ``_residual_1d`` (a batch of damped trials counts
-    once).  Success is ``marching.density_residual`` < converge_tol, +inf
-    for a residual that is not finite: the other components are checked
-    only to be finite.  Anything else raises ConvergenceError naming
-    the scheme, the residual and the 1-based cell of largest |d rho/dt|.
+    once).  Success is ``marching.density_residual`` < ``marching.STEADY_TOL``:
+    the other components are checked only to be finite.  Anything else raises
+    ConvergenceError naming the scheme, the residual and the 1-based cell of
+    largest |d rho/dt|, or the cell and component of a non-finite entry.
     """
     field = build_initial_field(cfg, ny=1)
     # the LM's free unknowns, flat (cell*4 + component).  The supersonic
@@ -439,16 +439,13 @@ def converge_1d(cfg: ShockProblemConfig, scheme: Scheme):
     # would silently swap the family member under analysis.  It is needed
     # all the same: without it roe-o5/characteristic at epsilon 0.5 does not
     # converge and lambda_max of other schemes moves by up to 1e-7.  A state
-    # that is not finite, or that a step refuses, fails the march
+    # that a step refuses, inadmissible or not finite, fails the march
     n_smooth = 10
-    diverged = f"1D smoothing march diverged for {scheme.label()}"
     for _ in range(n_smooth):
         try:
             field, _ = marching.step_ssprk3(field, scheme, 0.05, np.inf)
         except InvalidStateError as err:
-            raise ConvergenceError(diverged) from err
-        if not np.all(np.isfinite(field.U)):
-            raise ConvergenceError(diverged)
+            raise ConvergenceError(f"1D smoothing march diverged for {scheme.label()}") from err
 
     field.U[col, 0, 0] = intermediate_state(cfg)[0]
     field, r, lm_iters, calls = _lm_refine_1d(field, scheme, free)
@@ -463,7 +460,7 @@ def converge_1d(cfg: ShockProblemConfig, scheme: Scheme):
     rng = np.random.default_rng(2024)
     restarts = 0
     for _ in range(2):
-        if res < cfg.converge_tol:
+        if res < marching.STEADY_TOL:
             break
         restarts += 1
         jitter = np.where(free, 1.0 + 1e-6 * rng.standard_normal(free.shape), 1.0)
@@ -477,12 +474,14 @@ def converge_1d(cfg: ShockProblemConfig, scheme: Scheme):
         if tres < res:
             field, r, res = trial, tr, tres
 
-    if res >= cfg.converge_tol:
+    if not res < marching.STEADY_TOL:
+        where = f"largest |d rho/dt| in cell {int(np.argmax(np.abs(r[0::4]))) + 1}"
+        if res == np.inf:
+            cell, name = marching.first_non_finite(r)
+            where = f"d({name})/dt not finite in cell {cell + 1}"
         raise ConvergenceError(
             f"{scheme.label()}: 1D residual {res:.3e} >= converge_tol "
-            f"{cfg.converge_tol:.0e} after the implicit solve and its restarts; "
-            f"largest |d rho/dt| in cell {int(np.argmax(np.abs(r[0::4]))) + 1}"
-        )
+            f"{marching.STEADY_TOL:.0e} after the implicit solve and its restarts; {where}")
     info = {"steps": n_smooth, "lm_iterations": lm_iters, "restarts": restarts, "residual": res,
             "residual_by_component": tuple(np.abs(r.reshape(-1, 4)).max(axis=0).tolist()),
             **calls}

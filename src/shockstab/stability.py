@@ -216,9 +216,6 @@ def _face_triplets(B, window, axis: str, source, T_out):
     return parts
 
 
-# largest density residual of a mean field that ``assemble`` accepts as steady
-STEADY_TOL = 1e-8
-
 # the signed offsets d = -3..3 of a y-uniform field's block row, stored at d mod OFFSETS
 OFFSETS = 7
 
@@ -240,8 +237,9 @@ def assemble(field: MeanField, scheme: Scheme) -> StabilityMatrix:
     order.  The row's entries come in the order of those of block row
     j = 0 in a scatter of every row, so where no two offsets share a slot
     (ny >= 7) circ(C) holds that scatter's bits.  A field whose
-    ``marching.density_residual`` exceeds ``STEADY_TOL``, +inf if not
-    finite, is refused with UnsteadyFieldError.
+    ``marching.density_residual`` is not below ``marching.STEADY_TOL``, as
+    ``converge_1d`` requires, is refused with UnsteadyFieldError, which names
+    the cell (i, 0) and component of a non-finite entry.
     """
     if field.U.ndim != 3:
         raise ValueError(
@@ -260,12 +258,15 @@ def assemble(field: MeanField, scheme: Scheme) -> StabilityMatrix:
     field = replace(field, U=field.U[:, :1])
     states = apply_boundaries(field, primitive)
     W_row = states.W[:nx]
-    res = marching.density_residual(marching.rhs(field, states, scheme))
-    if res > STEADY_TOL:
+    r = marching.rhs(field, states, scheme)
+    res = marching.density_residual(r)
+    if not res < marching.STEADY_TOL:
+        where = "converge the base flow first"
+        if res == np.inf:
+            i, name = marching.first_non_finite(r)
+            where = f"d({name})/dt not finite at cell ({i}, 0)"
         raise UnsteadyFieldError(
-            f"mean field density residual {res:.3e} exceeds {STEADY_TOL:.1e}; "
-            "converge the base flow first"
-        )
+            f"mean field density residual {res:.3e} exceeds {marching.STEADY_TOL:.1e}; {where}")
     T_out = outflow_jacobian(W_row[-1], primitive)
 
     parts = []

@@ -2,12 +2,13 @@
 once per session and cached by (scheme, problem config);
 ``linear_weights`` freezes the WENO-Z weights at their linear values;
 ``unsteady_base_flow`` lets ``stability.assemble`` linearise about a field
-that is not steady."""
+that is not steady, by lifting the steady bound ``marching.STEADY_TOL``,
+which no test that uses it reaches through ``converge_1d``."""
 
 import numpy as np
 import pytest
 
-from shockstab import reconstruction, stability
+from shockstab import marching, reconstruction
 from shockstab.scheme import Scheme
 from shockstab.shock_problem import ShockProblemConfig, converge_1d, project_to_2d
 
@@ -40,6 +41,6 @@ def linear_weights(monkeypatch):
 
 @pytest.fixture
 def unsteady_base_flow(monkeypatch):
-    """``stability.assemble``'s steady check accepts every density residual,
-    for tests that linearise about initial or manufactured fields."""
-    monkeypatch.setattr(stability, "STEADY_TOL", np.inf)
+    """``stability.assemble``'s steady check accepts every finite density
+    residual, for tests that linearise about initial or manufactured fields."""
+    monkeypatch.setattr(marching, "STEADY_TOL", np.inf)

@@ -434,27 +434,50 @@ def test_step_ending_in_an_inadmissible_state_is_a_collapse(monkeypatch):
     assert energy < 0.5 * (mx * mx + my * my) / rho  # the state returned has p < 0
 
 
-@pytest.mark.parametrize("component, value", [(0, np.nan), (3, np.inf)],
-                         ids=["rho NaN", "energy +inf"])
-def test_step_ending_in_a_non_finite_state_is_a_collapse(monkeypatch, component, value):
-    # caught by the finite-state check after the step itself: an infinite
-    # energy passes cons_to_prim as p = inf, and would give the next step dt = 0
+def _spoil_rhs(monkeypatch, call, entry, value):
+    """Wrap ``marching.rhs`` so that its ``call``-th call, counted from 1,
+    returns ``value`` at index ``entry``; return the list of the fields
+    that the calls take, in order."""
+    rhs, taken = marching.rhs, []
+
+    def spoilt(field, states, scheme):
+        taken.append(field)
+        res = rhs(field, states, scheme)
+        if len(taken) == call:
+            res[entry] = value
+        return res
+
+    monkeypatch.setattr(marching, "rhs", spoilt)
+    return taken
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
+def test_a_step_refuses_the_non_finite_state_it_ends_in(monkeypatch, value):
+    # the last stage's energy residual is not finite in cell (2, 1), so the
+    # state the step would end in is not either: the step names that cell
+    field = sp.build_initial_field(sp.ShockProblemConfig(ny=4))
+    taken = _spoil_rhs(monkeypatch, 3, (2, 1, 3), value)
+    with pytest.raises(InvalidStateError,
+                       match=r"^non-finite state after a step at cell\(s\) \(2, 1\)$"):
+        marching.step_ssprk3(field, Scheme(solver="roe", order=1), 0.1, np.inf)
+    assert len(taken) == 3
+
+
+@pytest.mark.parametrize("component, value, k", [(0, np.nan, 1), (3, np.inf, 1), (3, np.inf, 5)],
+                         ids=["rho NaN", "energy +inf", "energy +inf at step 5"])
+def test_step_ending_in_a_non_finite_state_is_a_collapse(monkeypatch, component, value, k):
+    # refused by step k itself: an infinite energy passes cons_to_prim as
+    # p = inf, and would give the next step dt = 0.  The march keeps the
+    # samples of its start and of the k - 1 steps before, and returns the
+    # state step k started from, the one its first stage took
     field = sp.build_initial_field(sp.ShockProblemConfig(ny=4))
     run = RunConfig(scheme=Scheme(solver="roe", order=1), end_time=1.0, amplitude=1e-9)
-    steps = []
-
-    def bad_step(state, scheme, cfl, dt_max):
-        assert not steps, "the march went on after a non-finite step"
-        U = state.U.copy()
-        U[2, 1, component] = value
-        steps.append(MeanField(U, state.bc, state.shock_column))
-        return steps[-1], 0.01
-
-    monkeypatch.setattr(marching, "step_ssprk3", bad_step)
+    taken = _spoil_rhs(monkeypatch, 3 * k, (2, 1, component), value)
     series, state = marching.march(field, run)
     assert series.collapsed is True  # a plain bool, as the run records write it
-    assert np.array_equal(series.t, [0.0]) and len(series.vmax) == 1
-    assert state is steps[0]
+    assert len(series.t) == len(series.vmax) == k and series.t[0] == 0.0
+    assert len(taken) == 3 * k, "the march went on after a non-finite step"
+    assert state is taken[3 * (k - 1)] and np.all(np.isfinite(state.U))
 
 
 def synthetic_series(lam, t_end=30.0, n=600, v0=1e-7):
@@ -528,6 +551,24 @@ def test_march_stops_at_the_level_its_fit_reads_to(base_flow_cache, solver):
         assert band.sum() >= 20, seed
         fit = fit_growth_rate(series, run.amplitude)
         assert fit.r2 >= 0.99 and fit.lam > 0, seed
+
+
+@pytest.mark.parametrize("n, selected", [(12001, 11401), (12003, 11402)])
+def test_fit_growth_rate_decimates_a_long_run(n, selected):
+    # a stable march to t = 60 samples about 12,600 times.  Of n samples of
+    # a decay on [0, 60], the fit selects those from t = 3 on, a run longer
+    # than 4,000, which it thins to every third sample: the window it
+    # returns is that whole grid, and the slope is exact to rounding.  Of
+    # 12,003 samples the last is off the grid, so the window ends before it
+    t = np.linspace(0.0, 60.0, n)
+    series = MonitorSeries(t=t, vmax=1e-7 * np.exp(-2.0 * t))
+    fit = fit_growth_rate(series, amplitude=1e-7)
+    assert abs(fit.lam + 2.0) <= 1e-12 * 2.0
+    run = t[t >= 3.0]
+    assert len(run) == selected and len(run) // 4000 + 1 == 3
+    grid = run[::3]
+    assert fit.window == (grid[0], grid[-1])
+    assert (grid[-1] == t[-1]) == (n == 12001)
 
 
 def test_fit_growth_rate_rejects_junk():

@@ -370,6 +370,30 @@ def test_one_measure_says_whether_a_row_is_steady():
     assert _scopes_naming("density_residual") == STEADY_VERDICTS
 
 
+def _assigned_in(target):
+    """The modules of the package that assign the name ``target`` anywhere."""
+    return {path.stem for path in sorted((ROOT / "src" / "shockstab").glob("*.py"))
+            if any(isinstance(node, ast.Name) and node.id == target
+                   and isinstance(node.ctx, ast.Store)
+                   for node in ast.walk(ast.parse(path.read_text())))}
+
+
+def test_one_bound_says_whether_a_row_is_steady():
+    # the verdicts compare the one measure with the one bound, defined in
+    # marching next to the measure; ShockProblemConfig.converge_tol only
+    # shows it to the code that reads a config
+    assert _assigned_in("STEADY_TOL") == {"marching"}
+    assert _scopes_naming("STEADY_TOL") == STEADY_VERDICTS | {
+        "marching", "shock_problem.ShockProblemConfig"}
+
+
+def test_the_step_owns_the_check_of_its_end_state():
+    # step_ssprk3 refuses a non-finite end state, so neither march scans it
+    named = _scopes_naming("isfinite")
+    assert "marching.step_ssprk3" in named
+    assert not named & {"marching.march", "shock_problem.converge_1d"}
+
+
 # the soft conversion, which never raises: euler._primitive is the formula
 # both conversions share, and reconstruction._prim_soft screens the
 # reconstructed face states, the LM's damped trial rows and the steady

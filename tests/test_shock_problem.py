@@ -397,24 +397,37 @@ def test_converge_1d_inadmissible_jitter_start_is_a_failed_restart():
 @pytest.mark.parametrize("broken, value", [(n, np.inf) for n in range(1, 11)] + [(5, -1.0)],
                          ids=[f"inf-step-{n}" for n in range(1, 11)] + ["negative-rho-step-5"])
 def test_converge_1d_refuses_a_diverged_smoothing_march(monkeypatch, broken, value):
-    # a smoothing step overflows without raising: the march fails at once,
-    # before the next step spreads NaN states.  A finite state of negative
-    # density is refused by the next step, and fails the march the same way
-    step, steps = marching.step_ssprk3, []
+    # the last stage of a smoothing step overflows in cell 8: the step
+    # refuses the state it would end in, naming the cell, and the march
+    # fails at once, before a next step spreads NaN states.  A finite state
+    # of negative density is refused by the next step's conversion, and
+    # fails the march the same way
+    step, rhs, steps, stages = marching.step_ssprk3, marching.rhs, [], []
 
-    def overflowing(field, scheme, cfl, dt_max):
+    def counted(field, scheme, cfl, dt_max):
         out, dt = step(field, scheme, cfl, dt_max)
         steps.append(dt)
-        if len(steps) == broken:
-            out.U[7, 0, 0 if value < 0 else 3] = value
+        if value < 0 and len(steps) == broken:
+            out.U[7, 0, 0] = value
         return out, dt
 
-    monkeypatch.setattr(marching, "step_ssprk3", overflowing)
+    def overflowing(*args):
+        res = rhs(*args)
+        stages.append(None)
+        if value > 0 and len(stages) == 3 * broken:
+            res[7, 0, 3] = value
+        return res
+
+    monkeypatch.setattr(marching, "step_ssprk3", counted)
+    monkeypatch.setattr(marching, "rhs", overflowing)
     with pytest.raises(ConvergenceError,
                        match=r"^1D smoothing march diverged for roe-o1/primitive$") as raised:
         sp.converge_1d(cfg(), Scheme(solver="roe", order=1))
-    assert len(steps) == broken
-    assert isinstance(raised.value.__cause__, InvalidStateError) == (value < 0)
+    # the overflowing step raises; the negative density passes its own step
+    assert len(steps) == broken - (value > 0)
+    cause = raised.value.__cause__
+    assert isinstance(cause, InvalidStateError)
+    assert str(cause).endswith("(7, 0)")
 
 
 @pytest.mark.parametrize("stage", ["start_probe", "trial_probe", "trial", "batch"])
@@ -1072,14 +1085,17 @@ def test_a_nan_attempt_gives_way_to_a_converged_restart(monkeypatch):
     assert np.array_equal(profile, attempts[1].U[:, 0])
 
 
-@pytest.mark.parametrize("entry", [4 * 7, 4 * 7 + 3], ids=["density", "energy"])
-def test_a_residual_that_is_not_finite_never_converges(monkeypatch, entry):
+@pytest.mark.parametrize("entry, name", [(4 * 7, "rho"), (4 * 7 + 3, "rho e")],
+                         ids=["density", "energy"])
+def test_a_residual_that_is_not_finite_never_converges(monkeypatch, entry, name):
     # every attempt ends on a NaN, in the density of cell 8 or, with the
-    # density below tolerance, in its energy: the solve raises
+    # density below tolerance, in its energy: the solve raises, naming that
+    # entry, not the cell of largest finite |d rho/dt|
     attempts = _spoilt_attempts(monkeypatch, entry, {0, 1, 2})
     with pytest.raises(ConvergenceError,
-                       match=r"^roe-o1/primitive: 1D residual inf >= converge_tol 1e-12 "):
+                       match=r"^roe-o1/primitive: 1D residual inf >= converge_tol 1e-12 ") as raised:
         sp.converge_1d(cfg(), Scheme(solver="roe", order=1))
+    assert str(raised.value).endswith(f"; d({name})/dt not finite in cell 8")
     assert len(attempts) == 3
 
 

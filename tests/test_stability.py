@@ -254,24 +254,65 @@ def test_assemble_refuses_unsteady_field():
         assemble(field, Scheme(solver="hll", order=1))
 
 
-@pytest.mark.parametrize("component, value", [(slice(None), np.nan), (3, np.nan), (3, np.inf)],
-                         ids=["nan", "energy-nan", "energy-inf"])
+@pytest.mark.parametrize("entries, value, named", [
+    (np.s_[..., :], np.nan, "d(rho)/dt not finite at cell (0, 0)"),
+    (np.s_[..., 3], np.nan, "d(rho e)/dt not finite at cell (0, 0)"),
+    (np.s_[..., 3], np.inf, "d(rho e)/dt not finite at cell (0, 0)"),
+    (np.s_[7, 0, 3], np.nan, "d(rho e)/dt not finite at cell (7, 0)"),
+], ids=["nan", "energy-nan", "energy-inf", "energy-nan-in-one-cell"])
 def test_assemble_refuses_a_residual_that_is_not_finite(monkeypatch, base_flow_cache,
-                                                        component, value):
+                                                        entries, value, named):
     # a steady row whose residual has a NaN or an infinite entry, in any
-    # component, is not steady
+    # component, is not steady; the error names the row's first such entry
     scheme = Scheme(solver="roe", order=1)
     field, _ = base_flow_cache(scheme, epsilon=0.1)
     rhs = marching.rhs
 
     def spoilt(*args):
         res = rhs(*args)
-        res[..., component] = value
+        res[entries] = value
         return res
 
     monkeypatch.setattr(marching, "rhs", spoilt)
-    with pytest.raises(UnsteadyFieldError, match=r"^mean field density residual inf exceeds"):
+    with pytest.raises(UnsteadyFieldError,
+                       match=r"^mean field density residual inf exceeds") as raised:
         assemble(field, scheme)
+    assert str(raised.value).endswith(f"exceeds 1.0e-12; {named}")
+
+
+def test_assemble_refuses_what_the_steady_solve_refuses(base_flow_cache):
+    # the converged roe-o1 row with the density of cell (8, j) raised by
+    # 1e-10 lies between the steady solve's bound, 1e-12, and 1e-8, the
+    # looser bound assemble once had: assemble refuses it, as converge_1d
+    # would, and accepts the converged row itself
+    scheme = Scheme(solver="roe", order=1)
+    field, info = base_flow_cache(scheme, epsilon=0.1, ny=4)
+    assert info["residual"] < 1e-12
+    assemble(field, scheme)
+    field.U[8, :, 0] += 1e-10
+    res = marching.density_residual(residual(field, scheme))
+    assert 1e-12 < res < 1e-8
+    with pytest.raises(UnsteadyFieldError,
+                       match=r"^mean field density residual 2\.\d{3}e-10 exceeds 1\.0e-12; "
+                             r"converge the base flow first$"):
+        assemble(field, scheme)
+
+
+@pytest.mark.parametrize("space", SPACES)
+@pytest.mark.parametrize("eps", [0.1, 0.5])
+def test_hybrid_1_is_the_same_under_both_weno_variants(base_flow_cache, eps, space):
+    # hybrid-1's fifth-order faces are its y faces, and on a y-uniform row
+    # every y window is flat, where WENO-JS and WENO-Z both take the linear
+    # weights: the steady profiles are equal bit for bit, and the block rows,
+    # whose flux probes differ in rounding, agree to REFLECTION_RTOL
+    rows = {}
+    for variant in ("js", "z"):
+        scheme = Scheme(solver="hybrid-1", weno_variant=variant, space=space)
+        field, _ = base_flow_cache(scheme, epsilon=eps, ny=4)
+        rows[variant] = field.U, assemble(field, scheme).block_row
+    (U_js, C_js), (U_z, C_z) = rows["js"], rows["z"]
+    assert np.array_equal(U_js, U_z)
+    assert np.abs(C_js - C_z).max() <= stability.REFLECTION_RTOL * np.abs(C_z).max()
 
 
 def test_assemble_refuses_a_batch_of_fields():
@@ -339,7 +380,7 @@ def test_assemble_converts_its_cells_only_in_apply_boundaries(monkeypatch, solve
         return cons_to_prim(U, *args)
 
     monkeypatch.setattr(euler, "cons_to_prim", counted)
-    monkeypatch.setattr(stability, "STEADY_TOL", np.inf)
+    monkeypatch.setattr(marching, "STEADY_TOL", np.inf)
     assemble(field, Scheme(solver=solver, order=order, space=space))
     cells = [shape for shape in shapes if shape[:3] != (2, 2, 4)]
     assert cells == [(field.nx, 1, 4)] + ([] if space == "primitive" else [(2, 4)])
