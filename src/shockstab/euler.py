@@ -14,14 +14,19 @@ Array conventions used throughout the package:
 All functions broadcast over leading axes, so a single state is a plain
 shape-(4,) array.
 
+``cons_to_prim`` and ``soft_primitive``, which never raises, share one
+conversion formula; ``admissible`` is the one mask of usable primitive states,
+read by the positivity fallback and by the steady solve's trial screens.
+
 A check that raises when any entry of a mask is bad counts the good entries
 with ``np.count_nonzero``: on the few hundred faces of a residual call that
 is about half the cost of ``ndarray.any()`` or ``.all()``, and each SSP-RK3
-step of an 11x11 march runs 11 (first order, primitive) to 29 (characteristic
-hybrid) of them, the step's finiteness check of its end state included.
-Every space checks each stage's cells in the one conversion of
-``fields.apply_boundaries``, and a first-order step runs as many in the
-characteristic space as in the conservative one.
+step of an 11x11 march runs 11 (first order, primitive) to 26
+(characteristic: the hybrids, and HLLC above first order) of them, the step's
+finiteness check of its end state included.  Every space checks each
+stage's cells in the one conversion of ``fields.apply_boundaries``, and a
+first-order step runs as many in the characteristic space as in the
+conservative one.
 """
 
 import functools
@@ -130,6 +135,20 @@ def cons_to_prim(U, where: str = "state") -> np.ndarray:
     if np.count_nonzero(ok) < ok.size:
         raise InvalidStateError(_describe_bad(~ok, f"non-positive pressure in {where}"))
     return W
+
+
+def soft_primitive(U) -> np.ndarray:
+    """Primitive states of U, never raising: 1 stands in for a density that is not positive."""
+    rho = U[..., RHO]
+    return _primitive(U, np.where(rho > 0.0, rho, 1.0))
+
+
+def admissible(W, rho_floor, p_floor) -> np.ndarray:
+    """Mask of the primitive states W with density above ``rho_floor``, pressure
+    above ``p_floor`` and every component finite; a NaN fails."""
+    f = np.isfinite(W)
+    finite = f[..., 0] & f[..., 1] & f[..., 2] & f[..., 3]
+    return (W[..., RHO] > rho_floor) & (W[..., P_] > p_floor) & finite
 
 
 def _total_energy(rho, v2, p):

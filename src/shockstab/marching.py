@@ -13,7 +13,7 @@ import numpy as np
 from . import euler, reconstruction, riemann
 from .errors import InvalidStateError, NoExponentialStageError
 from .fields import MeanField, StateAxes, apply_boundaries, face_table
-from .scheme import Scheme
+from .scheme import Scheme, is_int
 
 # a perturbed march stops above this ||v||_inf, which also tops the fit's band
 STOP_LEVEL = 1e-5
@@ -36,6 +36,8 @@ class RunConfig:
             raise ValueError("end time must be positive and finite")
         if not 0 <= self.amplitude < np.inf:
             raise ValueError("amplitude must be non-negative and finite")
+        if not (is_int(self.seed) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass

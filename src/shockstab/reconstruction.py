@@ -192,18 +192,6 @@ def _left_state(win, cfg: ReconConfig, *, linearise: bool):
     return cand.sum(axis=-2), _weno_lin_coeffs(om) if linearise else None
 
 
-def _admissible(W):
-    """Primitive states W with positive density and pressure, every component finite."""
-    f = np.isfinite(W)
-    return (W[..., 0] > 0.0) & (W[..., 3] > 0.0) & (f[..., 0] & f[..., 1] & f[..., 2] & f[..., 3])
-
-
-def _prim_soft(U):
-    """Primitive states of U, never raising: 1 stands in for a density that is not positive."""
-    rho = U[..., 0]
-    return euler._primitive(U, np.where(rho > 0.0, rho, 1.0))
-
-
 @dataclass
 class FaceRecon:
     """Reconstructed states of a batch of faces plus the frozen linearization.
@@ -312,14 +300,14 @@ def _reconstruct_sides(win, cells, cfg, frame, linearise):
     Xs, lin = _left_state(X, cfg, linearise=linearise)
 
     if cfg.space == "conservative":
-        W = _prim_soft(Xs)
+        W = euler.soft_primitive(Xs)
     elif cfg.space == "primitive":
         W = Xs
     else:
         by_side = Xs.reshape(Xs.shape[:-2] + (2, n, 4))
         U = _project(Rmat[..., None, :, :, :], by_side)
-        W = _prim_soft(U.reshape(Xs.shape))
-    ok = _admissible(W)
+        W = euler.soft_primitive(U.reshape(Xs.shape))
+    ok = euler.admissible(W, 0.0, 0.0)
 
     fallback = ~(ok[..., :n] & ok[..., n:])
     if np.count_nonzero(fallback):

@@ -232,18 +232,6 @@ def _damped_steps(H, g, dH, lam_k) -> np.ndarray:
         return x
 
 
-def _above_floors(U, rho_floor, p_floor) -> np.ndarray:
-    """(K,) mask of the stacked rows U (K, nx, 1, 4) whose every density
-    exceeds ``rho_floor`` and every pressure ``p_floor``; a NaN fails both.
-
-    With floors of 0 or more this is ``euler.cons_to_prim`` not raising and
-    both minima clearing the floors.  The primitive states are
-    ``reconstruction._prim_soft``'s.
-    """
-    W = reconstruction._prim_soft(U)
-    return ((W[..., 0] > rho_floor) & (W[..., 3] > p_floor)).all(axis=(-2, -1))
-
-
 # the Jacobian of an accepted trial whose probes have not run yet
 _UNPROBED = object()
 
@@ -261,7 +249,8 @@ def _lm_refine_1d(field, scheme, free):
     step k is accepted (More, LNM 630, 1978).  Steps are solved and checked
     a run of k at a time: one ``np.linalg.solve`` of the stacked systems
     (one system at a time if the stack raises; ``_damped_steps``) and one
-    admissibility mask over the stacked trials (``_above_floors``).  The
+    mask over the stacked trials (``euler.admissible`` at 1e-3 of the start
+    row's least density and pressure).  The
     steps up to the first admissible one are tried one k at a time, so an
     iteration whose first trial is accepted solves no more systems than it
     tries.  That first trial is evaluated by ``_fd_jacobian_1d``, which
@@ -330,7 +319,7 @@ def _lm_refine_1d(field, scheme, free):
             step = np.zeros((len(ks), 4 * nx))
             step[:, free] = _damped_steps(H, g, dH, lam_k)
             U = field.U + step.reshape(-1, nx, 1, 4)
-            ok = _above_floors(U, rho_floor, p_floor)
+            ok = euler.admissible(euler.soft_primitive(U), rho_floor, p_floor).all(axis=(-2, -1))
             return lam_k[ok], U[ok]
 
         for k in range(25):
@@ -404,9 +393,10 @@ def converge_1d(cfg: ShockProblemConfig, scheme: Scheme):
     free, unknowns.  An attempt ends when no damped step lowers the cost or
     when a Jacobian probe leaves the admissible states.  Up to two seeded
     jitter restarts then retry from the best state so far, jittering only
-    its free unknowns; a jittered start that fails the trial mask
-    ``_above_floors`` at zero floors counts as a failed restart.  The better
-    attempt, residual and failing cell come from each attempt's residual.
+    its free unknowns; a jittered start that fails the trial mask at zero
+    floors, where ``euler.cons_to_prim`` raises or a state is not finite,
+    counts as a failed restart.  The better attempt, residual and failing
+    cell come from each attempt's residual.
 
     Returns the (nx, 4) conservative profile and ``info`` with the smoothing
     ``steps``, the total ``lm_iterations``, the jitter ``restarts`` started
@@ -465,7 +455,7 @@ def converge_1d(cfg: ShockProblemConfig, scheme: Scheme):
         restarts += 1
         jitter = np.where(free, 1.0 + 1e-6 * rng.standard_normal(free.shape), 1.0)
         trial = replace(field, U=field.U * jitter.reshape(field.U.shape))
-        if not _above_floors(trial.U[None], 0.0, 0.0)[0]:
+        if not euler.admissible(euler.soft_primitive(trial.U), 0.0, 0.0).all():
             continue  # the jitter left the admissible states: a failed restart
         trial, tr, tit, tcalls = _lm_refine_1d(trial, scheme, free)
         lm_iters += tit

@@ -131,6 +131,24 @@ def test_eigen_matrices_name_a_bad_state_in_a_batch():
         euler.eigen_matrices(W, frame)
 
 
+def test_on_sides_raises_the_side_stacked_error_when_the_view_passes():
+    # the (2, F, 4) view only names the bad state: should it not raise, the
+    # error of the side-stacked call propagates all the same
+    err = InvalidStateError("side-stacked call")
+    calls = []
+
+    def fn(X, tag):
+        calls.append((X.shape, tag))
+        if X.shape == (6, 4):
+            raise err
+        return X
+
+    with pytest.raises(InvalidStateError) as raised:
+        euler.on_sides(fn, np.ones((6, 4)), "tag")
+    assert raised.value is err
+    assert calls == [((6, 4), "tag"), ((2, 3, 4), "tag")]
+
+
 def test_exact_flux_stationary_gas():
     U = euler.prim_to_cons(np.array([2.0, 0.0, 0.0, 3.0]))
     F = exact_flux_w(euler.cons_to_prim(U), X_FACE)

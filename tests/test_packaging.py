@@ -394,18 +394,31 @@ def test_the_step_owns_the_check_of_its_end_state():
     assert not named & {"marching.march", "shock_problem.converge_1d"}
 
 
-# the soft conversion, which never raises: euler._primitive is the formula
-# both conversions share, and reconstruction._prim_soft screens the
-# reconstructed face states, the LM's damped trial rows and the steady
-# solve's jittered restart starts
-SOFT_CONVERTERS = {
-    "_primitive": {"euler.cons_to_prim", "reconstruction._prim_soft"},
-    "_prim_soft": {"reconstruction._reconstruct_sides", "shock_problem._above_floors"},
-}
+# one rule says a state is usable.  euler._primitive is the formula both
+# conversions share, and only euler names it.  euler.soft_primitive, the
+# conversion that never raises, and euler.admissible, the one mask, serve
+# the reconstruction's positivity fallback, the LM's damped trial rows and
+# the steady solve's jittered restart starts
+USABLE_STATE_READERS = {"reconstruction._reconstruct_sides",
+                        "shock_problem._lm_refine_1d.evaluated.damped",
+                        "shock_problem.converge_1d"}
 
 
-@pytest.mark.parametrize("target", sorted(SOFT_CONVERTERS))
-def test_the_soft_conversion_has_its_listed_callers(target):
-    # a new caller is one more conversion site that a complex-safe
-    # conversion of the face states has to reach
-    assert _scopes_naming(target) == SOFT_CONVERTERS[target]
+def _defined_in(target):
+    """The modules of the package that define a function named ``target``."""
+    return {path.stem for path in sorted((ROOT / "src" / "shockstab").glob("*.py"))
+            if any(isinstance(node, ast.FunctionDef) and node.name == target
+                   for node in ast.walk(ast.parse(path.read_text())))}
+
+
+def test_only_euler_names_the_conversion_formula():
+    assert _defined_in("_primitive") == {"euler"}
+    assert _scopes_naming("_primitive") == {"euler.cons_to_prim", "euler.soft_primitive"}
+
+
+@pytest.mark.parametrize("target", ["soft_primitive", "admissible"])
+def test_the_usable_state_rule_has_its_listed_readers(target):
+    # a new reader is one more site that a complex-safe conversion of the
+    # face states has to reach
+    assert _defined_in(target) == {"euler"}
+    assert _scopes_naming(target) == USABLE_STATE_READERS

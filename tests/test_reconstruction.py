@@ -328,12 +328,15 @@ def test_positivity_fallback(linear_weights):
     assert np.all(out.W[..., 0] > 0) and np.all(out.W[..., 3] > 0)
 
 
-def _admissible_row(w):
+def _admissible_row(w, rho_floor=0.0, p_floor=0.0):
     """Reference: one primitive state, spelled out."""
-    return bool(w[0] > 0.0 and w[3] > 0.0 and all(math.isfinite(x) for x in w))
+    return bool(w[0] > rho_floor and w[3] > p_floor and all(math.isfinite(x) for x in w))
 
 
 def test_admissible_equals_the_spelled_out_predicate():
+    # euler.admissible is the one mask: the face check of the positivity
+    # fallback reads it at floors 0, the steady solve's trial screen at the
+    # start row's floors
     base = [1.0, 0.5, -0.25, 2.0]
     rows = {"base": base}
     for k in range(4):
@@ -350,12 +353,33 @@ def test_admissible_equals_the_spelled_out_predicate():
     W = np.array(list(rows.values()))
     expected = [_admissible_row(w) for w in W]
     assert sum(expected) == 3  # the base row and both just above 0
-    assert dict(zip(rows, rc._admissible(W).tolist())) == dict(zip(rows, expected))
+    assert dict(zip(rows, euler.admissible(W, 0.0, 0.0).tolist())) == dict(zip(rows, expected))
     # a batch shape: one mask entry per state
     batch = np.stack([W, W[::-1]]).reshape(2, 3, -1, 4)
-    assert np.array_equal(rc._admissible(batch),
+    assert np.array_equal(euler.admissible(batch, 0.0, 0.0),
                           np.reshape([_admissible_row(w) for w in batch.reshape(-1, 4)],
                                      batch.shape[:-1]))
+
+    # floors: a state passes strictly above both, each floor on its own
+    # component
+    floors = {}
+    for k, name, floor in ((0, "rho", 0.5), (3, "p", 1.5)):
+        for label, value in (("at", floor), ("just above", np.nextafter(floor, 2.0)),
+                             ("just below", np.nextafter(floor, 0.0))):
+            row = list(base)
+            row[k] = value
+            floors[f"{name} {label} its floor"] = row
+    W = np.array(list(floors.values()))
+    expected = [_admissible_row(w, 0.5, 1.5) for w in W]
+    assert dict(zip(floors, expected)) == {name: "just above" in name for name in floors}
+    assert dict(zip(floors, euler.admissible(W, 0.5, 1.5).tolist())) == dict(zip(floors, expected))
+
+    # the one conservative state that the checked conversion passes and the
+    # mask refuses: finite rho, rho u and rho v with E = +inf, so p = +inf
+    U = np.array([1.0, 0.5, -0.25, np.inf])
+    W = euler.cons_to_prim(U)
+    assert W[3] == np.inf and np.array_equal(euler.soft_primitive(U), W)
+    assert not euler.admissible(W, 0.0, 0.0)
 
 
 def test_eno3_picks_single_stencil():
@@ -442,12 +466,12 @@ def ref_reconstruct_pair_one(winL_U, winR_U, cfg, frame, XwinL, XwinR, linearise
     lin_R = lin_Rm[..., ::-1, :].copy() if linearise else None
 
     if cfg.space == "conservative":
-        WL, WR = rc._prim_soft(XL), rc._prim_soft(XR)
+        WL, WR = euler.soft_primitive(XL), euler.soft_primitive(XR)
     elif cfg.space == "primitive":
         WL, WR = XL, XR
     else:
-        WL = rc._prim_soft(np.einsum("...ab,...b->...a", Rmat, XL))
-        WR = rc._prim_soft(np.einsum("...ab,...b->...a", Rmat, XR))
+        WL = euler.soft_primitive(np.einsum("...ab,...b->...a", Rmat, XL))
+        WR = euler.soft_primitive(np.einsum("...ab,...b->...a", Rmat, XR))
     okL = (WL[..., 0] > 0) & (WL[..., 3] > 0) & np.isfinite(WL).all(axis=-1)
     okR = (WR[..., 0] > 0) & (WR[..., 3] > 0) & np.isfinite(WR).all(axis=-1)
 

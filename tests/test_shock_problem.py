@@ -674,13 +674,20 @@ def test_lm_refine_equals_the_sequential_loop(monkeypatch, scheme, epsilon, faul
 
 
 def _trial_admissible(U, rho_floor, p_floor):
-    """Reference: the admissibility of one trial row, cons_to_prim and the
-    minima of its density and pressure against the floors."""
+    """Reference: the admissibility of one trial row, cons_to_prim, the
+    minima of its density and pressure against the floors, and every entry
+    finite."""
     try:
         W = euler.cons_to_prim(U)
     except ShockStabError:
         return False
-    return bool((W[..., 0].min() > rho_floor) and (W[..., 3].min() > p_floor))
+    return bool((W[..., 0].min() > rho_floor) and (W[..., 3].min() > p_floor)
+                and np.isfinite(W).all())
+
+
+def _trial_mask(U, rho_floor, p_floor):
+    """The LM's screen of stacked trial rows U (K, nx, 1, 4), as it reads the mask."""
+    return euler.admissible(euler.soft_primitive(U), rho_floor, p_floor).all(axis=(-2, -1))
 
 
 def test_damped_stack_keeps_the_bits_of_one_system_at_a_time(monkeypatch):
@@ -735,28 +742,36 @@ def test_damped_stack_keeps_the_bits_of_one_system_at_a_time(monkeypatch):
         "rho u -inf": [base[0], -np.inf, *base[2:]],
         "rho v +inf": [*base[:2], np.inf, base[3]],
         "rho v -inf": [*base[:2], -np.inf, base[3]],
+        # the checked conversion passes E = +inf with p = +inf: the mask
+        # refuses it for not being finite
+        "E +inf": [*base[:3], np.inf],
+        "E -inf": [*base[:3], -np.inf],
     }
     U = np.repeat(field.U[None], len(cells), axis=0)
     U[:, 8, 0] = list(cells.values())
     expected = [_trial_admissible(u, rho_floor, p_floor) for u in U]
     assert dict(zip(cells, expected)) == {name: name in ("initial", "rho above its floor",
                                                          "p above its floor") for name in cells}
-    assert sp._above_floors(U, rho_floor, p_floor).tolist() == expected
+    assert _trial_mask(U, rho_floor, p_floor).tolist() == expected
 
     # at zero floors the mask is converge_1d's screen of a jittered restart
-    # start: it fails exactly where the checked conversion raises
+    # start: it fails exactly where the checked conversion raises, or where
+    # a state is not finite
     def converts(u):
         try:
-            replace(field, U=u).interior_primitive()
+            W = replace(field, U=u).interior_primitive()
         except InvalidStateError:
             return False
-        return True
+        return bool(np.isfinite(W).all())
 
     converted = [converts(u) for u in U]
     assert dict(zip(cells, converted)) == {name: name in (
         "initial", "rho at its floor", "rho above its floor", "p at its floor",
         "p above its floor") for name in cells}
-    assert sp._above_floors(U, 0.0, 0.0).tolist() == converted
+    assert _trial_mask(U, 0.0, 0.0).tolist() == converted
+    # E = +inf is the one row the checked conversion passes
+    e_inf = U[list(cells).index("E +inf")]
+    assert np.isinf(replace(field, U=e_inf).interior_primitive()).any()
 
 
 def _loop_fd_jacobian(field, scheme, cols):
@@ -1140,9 +1155,16 @@ def test_config_validation():
     (lambda: cfg(nx=11.0), "nx must be an integer"),
     (lambda: cfg(ny=True), "ny must be an integer"),
     (lambda: cfg(shock_column=6.5), "shock_column must be an integer"),
+    # a seed that would march on fresh entropy, fail only inside march, or
+    # march as another seed
+    (lambda: marching.RunConfig(scheme=Scheme(), seed=None), "seed"),
+    (lambda: marching.RunConfig(scheme=Scheme(), seed=-1), "seed"),
+    (lambda: marching.RunConfig(scheme=Scheme(), seed=1.5), "seed"),
+    (lambda: marching.RunConfig(scheme=Scheme(), seed=True), "seed"),
 ], ids=["ny=0", "nx=0", "amplitude=nan", "end_time=0", "end_time<0", "end_time=nan",
         "end_time=inf", "cfl=inf", "cfl=nan", "amplitude=inf", "mach=inf",
-        "nx=11.5", "nx=11.0", "ny=True", "shock_column=6.5"])
+        "nx=11.5", "nx=11.0", "ny=True", "shock_column=6.5",
+        "seed=None", "seed=-1", "seed=1.5", "seed=True"])
 def test_empty_or_nan_settings_are_refused_at_construction(make, match):
     with pytest.raises(ValueError, match=match):
         make()
@@ -1151,4 +1173,10 @@ def test_empty_or_nan_settings_are_refused_at_construction(make, match):
 def test_numpy_integer_grid_settings_are_accepted():
     config = cfg(nx=np.int64(9), ny=np.int32(2), shock_column=np.int64(5))
     assert config == cfg(nx=9, ny=2, shock_column=5)
-    assert sp.build_initial_field(config).U.shape == (9, 2, 4)
+    field = sp.build_initial_field(config)
+    assert field.U.shape == (9, 2, 4)
+    for seed in (np.int64(0), np.int64(7)):
+        run = marching.RunConfig(scheme=Scheme(), seed=seed)
+        assert run == marching.RunConfig(scheme=Scheme(), seed=int(seed))
+        assert np.array_equal(marching.inject_perturbation(field, 1e-7, run.seed).U,
+                              marching.inject_perturbation(field, 1e-7, int(seed)).U)

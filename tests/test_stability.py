@@ -315,6 +315,23 @@ def test_hybrid_1_is_the_same_under_both_weno_variants(base_flow_cache, eps, spa
     assert np.abs(C_js - C_z).max() <= stability.REFLECTION_RTOL * np.abs(C_z).max()
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("variant", ["z", "js"])
+def test_c1_orderings_hold_under_both_weno_variants(base_flow_cache, variant):
+    # claim C1 as orderings of the largest real part over the transverse
+    # wavenumbers k >= 1 (11x8, primitive), never as snapshots: van Leer is
+    # stable at first order and unstable at fifth, and roe-o5's carbuncle
+    # weakens as the shock moves from eps = 0.1 to 0.5
+    def transverse(solver, order, eps):
+        scheme = Scheme(solver=solver, order=order, weno_variant=variant)
+        field, _ = base_flow_cache(scheme, epsilon=eps, ny=8)
+        return eigensolve(assemble(field, scheme)).max_real_by_k[1:].max()
+
+    assert transverse("van_leer", 1, 0.1) < 0.0
+    assert transverse("van_leer", 5, 0.1) > 0.0
+    assert transverse("roe", 5, 0.1) > transverse("roe", 5, 0.5)
+
+
 def test_assemble_refuses_a_batch_of_fields():
     # the scatter would read the batch axis as the face normal
     field, _ = initial_shock_field(ny=4)
