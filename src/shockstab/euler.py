@@ -17,16 +17,7 @@ shape-(4,) array.
 ``cons_to_prim`` and ``soft_primitive``, which never raises, share one
 conversion formula; ``admissible`` is the one mask of usable primitive states,
 read by the positivity fallback and by the steady solve's trial screens.
-
-A check that raises when any entry of a mask is bad counts the good entries
-with ``np.count_nonzero``: on the few hundred faces of a residual call that
-is about half the cost of ``ndarray.any()`` or ``.all()``, and each SSP-RK3
-step of an 11x11 march runs 11 (first order, primitive) to 26
-(characteristic: the hybrids, and HLLC above first order) of them, the step's
-finiteness check of its end state included.  Every space checks each
-stage's cells in the one conversion of ``fields.apply_boundaries``, and a
-first-order step runs as many in the characteristic space as in the
-conservative one.
+``require`` is the one guard that refuses a bad state and names where it is.
 """
 
 import functools
@@ -93,22 +84,22 @@ X_FACE = FaceFrame(1.0, 0.0)
 Y_FACE = FaceFrame(0.0, 1.0)
 
 
-def _describe_bad(mask, where, what="cell"):
-    idx = np.argwhere(mask)
-    head = ", ".join(str(tuple(i.tolist())) for i in idx[:4])
-    more = "" if len(idx) <= 4 else f" (+{len(idx) - 4} more)"
-    return f"{where} at {what}(s) {head}{more}" if idx.size else where
+def require(ok, where, what="cell", error=InvalidStateError):
+    """Raise ``error`` unless every entry of the mask ``ok`` holds, naming the
+    first four failing entries by their full index, "(+N more)" after them;
+    a 0-d mask gets the bare ``where``.  The good entries are counted with
+    ``np.count_nonzero``: on the few hundred faces of a residual call that is
+    about half the cost of ``ndarray.any()`` or ``.all()``."""
+    if np.count_nonzero(ok) < ok.size:
+        idx = np.argwhere(~ok)
+        head = ", ".join(str(tuple(i.tolist())) for i in idx[:4])
+        more = "" if len(idx) <= 4 else f" (+{len(idx) - 4} more)"
+        raise error(f"{where} at {what}(s) {head}{more}" if idx.size else where)
 
 
-def on_sides(fn, X, *args):
-    """``fn(X, *args)`` of side-stacked states X (..., 2F, 4).  Only should it
-    raise ``InvalidStateError``, it runs again on the (..., 2, F, 4) view to
-    name the bad state by (side, face) behind the leading axes."""
-    try:
-        return fn(X, *args)
-    except InvalidStateError:
-        fn(X.reshape(X.shape[:-2] + (2, -1, 4)), *args)
-        raise
+def by_side(X) -> np.ndarray:
+    """The (..., 2, F, 4) view of side-stacked states X (..., 2F, 4)."""
+    return X.reshape(X.shape[:-2] + (2, -1, X.shape[-1]))
 
 
 def _primitive(U, rho) -> np.ndarray:
@@ -127,13 +118,9 @@ def cons_to_prim(U, where: str = "state") -> np.ndarray:
     """Convert conservative to primitive variables, validating positivity."""
     U = np.asarray(U, dtype=float)
     rho = U[..., RHO]
-    ok = rho > 0.0
-    if np.count_nonzero(ok) < ok.size:
-        raise InvalidStateError(_describe_bad(~ok, f"non-positive density in {where}"))
+    require(rho > 0.0, f"non-positive density in {where}")
     W = _primitive(U, rho)
-    ok = W[..., P_] > 0.0
-    if np.count_nonzero(ok) < ok.size:
-        raise InvalidStateError(_describe_bad(~ok, f"non-positive pressure in {where}"))
+    require(W[..., P_] > 0.0, f"non-positive pressure in {where}")
     return W
 
 
@@ -177,9 +164,7 @@ def prim_to_cons(W) -> np.ndarray:
 def sound_speed(W) -> np.ndarray:
     W = np.asarray(W, dtype=float)
     c2 = GAMMA * W[..., P_] / W[..., RHO]
-    ok = c2 > 0.0
-    if np.count_nonzero(ok) < ok.size:
-        raise InvalidStateError(_describe_bad(~ok, "non-positive sound speed"))
+    require(c2 > 0.0, "non-positive sound speed")
     return np.sqrt(c2)
 
 
@@ -282,8 +267,5 @@ def eigen_matrices(W, frame: FaceFrame) -> tuple[np.ndarray, np.ndarray]:
     R[..., 1, 3] = lx
     R[..., 2, 3] = ly
     R[..., 3, 3] = ql
-    finite = np.isfinite(R)
-    if np.count_nonzero(finite) < finite.size:
-        bad = ~finite.all(axis=(-2, -1))
-        raise InvalidStateError(_describe_bad(bad, "degenerate eigen-matrix"))
+    require(np.isfinite(R).all(axis=(-2, -1)), "degenerate eigen-matrix")
     return L, R

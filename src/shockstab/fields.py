@@ -9,8 +9,11 @@ A single field has batch shape ().  Ghost cells are not state:
 (i, j) at i*ny + j, then appends the inflow ghost state at nx*ny and the
 pressure-pinned outflow ghost state of row j at nx*ny + 1 + j, whose
 derivative is ``outflow_jacobian``.  This module is the one place that
-says so: every other reader of the axis asks ``FaceTable.source``, the
-cell that each state is or copies.  ``apply_boundaries`` returns the axis
+says so: the faces and the steady solve's probes ask ``FaceTable.source``,
+the cell that each state is or copies, and the two other readers slice the
+interior cells that lead the axis, ``marching.step_ssprk3`` for its time
+step (``states.W[..., :nx*ny, :]``) and ``stability.assemble`` for its row
+(``states.W[:nx]``, ny = 1).  ``apply_boundaries`` returns the axis
 in two forms, ``StateAxes``: ``X`` in the variables the face windows
 read, conservative outside the primitive space, and ``W`` primitive, one
 array with ``X`` in the primitive space.  ``apply_boundaries`` is the one place that converts

@@ -13,7 +13,7 @@ import numpy as np
 from . import euler, reconstruction, riemann
 from .errors import InvalidStateError, NoExponentialStageError
 from .fields import MeanField, StateAxes, apply_boundaries, face_table
-from .scheme import Scheme, is_int
+from .scheme import Scheme, is_int, is_real
 
 # a perturbed march stops above this ||v||_inf, which also tops the fit's band
 STOP_LEVEL = 1e-5
@@ -30,6 +30,9 @@ class RunConfig:
     seed: int = 1234
 
     def __post_init__(self):
+        for name in ("cfl", "end_time", "amplitude"):
+            if not is_real(getattr(self, name)):
+                raise ValueError(f"{name} must be a real number, got {getattr(self, name)!r}")
         if not 0 < self.cfl < np.inf:
             raise ValueError("CFL must be positive and finite")
         if not 0 < self.end_time < np.inf:
@@ -170,10 +173,7 @@ def step_ssprk3(field: MeanField, scheme: Scheme, cfl: float,
     u1 = u0 + dt * rhs(field, states, scheme)
     u2 = 0.75 * u0 + 0.25 * stage(u1)
     u3 = u0 / 3.0 + 2.0 / 3.0 * stage(u2)
-    finite = np.isfinite(u3)
-    if np.count_nonzero(finite) < finite.size:
-        raise InvalidStateError(euler._describe_bad(~finite.all(axis=-1),
-                                                    "non-finite state after a step"))
+    euler.require(np.isfinite(u3).all(axis=-1), "non-finite state after a step")
     return MeanField(u3, field.bc, field.shock_column), dt
 
 

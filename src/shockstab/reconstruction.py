@@ -304,8 +304,7 @@ def _reconstruct_sides(win, cells, cfg, frame, linearise):
     elif cfg.space == "primitive":
         W = Xs
     else:
-        by_side = Xs.reshape(Xs.shape[:-2] + (2, n, 4))
-        U = _project(Rmat[..., None, :, :, :], by_side)
+        U = _project(Rmat[..., None, :, :, :], euler.by_side(Xs))
         W = euler.soft_primitive(U.reshape(Xs.shape))
     ok = euler.admissible(W, 0.0, 0.0)
 

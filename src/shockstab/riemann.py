@@ -15,7 +15,7 @@ import functools
 import numpy as np
 
 from . import euler
-from .errors import DegenerateFanError, InvalidStateError
+from .errors import DegenerateFanError
 from .euler import GAMMA, FaceFrame
 
 # quadratic floor applied to |eigenvalue| inside the Roe dissipation
@@ -51,10 +51,7 @@ def roe_flux(W, frame: FaceFrame) -> np.ndarray:
     h = wgt * h_side[..., :n] + rest * h_side[..., n:]
     v2 = u * u + v * v
     c2 = g1 * (h - 0.5 * v2)
-    ok = c2 > 0.0
-    if np.count_nonzero(ok) < ok.size:
-        raise InvalidStateError(
-            euler._describe_bad(~ok, "Roe average breakdown: non-positive c^2", "face"))
+    euler.require(c2 > 0.0, "Roe average breakdown: non-positive c^2", "face")
     c = np.sqrt(c2)
     rho = sl * sr
     nx, ny, lx, ly = frame.nx, frame.ny, frame.lx, frame.ly
@@ -97,10 +94,9 @@ def davis_speeds(qL, cL, qR, cR):
     velocities and sound speeds of both sides."""
     s_l = np.minimum(qL - cL, qR - cR)
     s_r = np.maximum(qL + cL, qR + cR)
-    collapsed = s_r - s_l < 1e-12
-    if np.count_nonzero(collapsed):
-        raise DegenerateFanError(
-            euler._describe_bad(collapsed, "wave fan collapsed: S_R - S_L below 1e-12", "face"))
+    # a NaN gap passes: the fan is refused only where it is known to collapse
+    euler.require(~(s_r - s_l < 1e-12), "wave fan collapsed: S_R - S_L below 1e-12", "face",
+                  DegenerateFanError)
     return s_l, s_r
 
 
@@ -108,8 +104,8 @@ def _side_speeds(W, frame):
     """Normal velocity of every side, then the Davis speeds of every face."""
     n = W.shape[-2] // 2
     q = _normal_velocity(W, frame.sides)
-    c = euler.on_sides(euler.sound_speed, W)
-    return q, *davis_speeds(q[..., :n], c[..., :n], q[..., n:], c[..., n:])
+    c = euler.sound_speed(euler.by_side(W))
+    return q, *davis_speeds(q[..., :n], c[..., 0, :], q[..., n:], c[..., 1, :])
 
 
 def hll_flux(W, frame: FaceFrame) -> np.ndarray:
@@ -181,7 +177,7 @@ def van_leer_flux(W, frame: FaceFrame) -> np.ndarray:
     sides = frame.sides
     sign, quarter, two = _side_signs(n)
     rho, u, v = W[..., 0], W[..., 1], W[..., 2]
-    c = euler.on_sides(euler.sound_speed, W)
+    c = euler.sound_speed(euler.by_side(W)).reshape(rho.shape)
     full, v2, _ = euler.flux_terms(W, sides)
     q = _normal_velocity(W, sides)
     m = q / c

@@ -14,10 +14,12 @@ from . import euler, fields, marching, reconstruction, riemann, stability
 from .errors import ConvergenceError, InvalidStateError, ShockStabError
 from .euler import GAMMA
 from .fields import BoundarySpec, MeanField
-from .scheme import Scheme, is_int
+from .scheme import Scheme, is_int, is_real
 
 # iteration budget of each Levenberg-Marquardt attempt of the steady solve
 LM_MAX_ITER = 150
+# damped steps each iteration tries at most, damping lambda 4^k for k below it
+LM_TRIALS = 25
 
 RHO_LEFT = 1.4
 P_LEFT = 1.0
@@ -36,6 +38,9 @@ class ShockProblemConfig:
         for name in ("nx", "ny", "shock_column"):
             if not is_int(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("mach", "epsilon"):
+            if not is_real(getattr(self, name)):
+                raise ValueError(f"{name} must be a real number, got {getattr(self, name)!r}")
         if not 1.0 < self.mach < np.inf:
             raise ValueError("upstream Mach number must exceed 1 and be finite")
         if not 0.0 <= self.epsilon <= 1.0:
@@ -243,8 +248,8 @@ def _lm_refine_1d(field, scheme, free):
     ``free`` (4 nx,) flags the flat (cell*4 + component) unknowns the solve
     moves; the others keep their entry values (``converge_1d`` says which).
 
-    Each iteration tries up to 25 damped steps, step k with damping
-    lambda_k = lambda 4^k, and accepts the first whose cost is finite and
+    Each iteration tries up to ``LM_TRIALS`` (25) damped steps, step k with
+    damping lambda_k = lambda 4^k, and accepts the first whose cost is finite and
     lower; lambda starts at 1e-3 and becomes max(lambda_k / 3, 1e-14) when
     step k is accepted (More, LNM 630, 1978).  Steps are solved and checked
     a run of k at a time: one ``np.linalg.solve`` of the stacked systems
@@ -322,7 +327,7 @@ def _lm_refine_1d(field, scheme, free):
             ok = euler.admissible(euler.soft_primitive(U), rho_floor, p_floor).all(axis=(-2, -1))
             return lam_k[ok], U[ok]
 
-        for k in range(25):
+        for k in range(LM_TRIALS):
             lams, Us = damped(np.arange(k, k + 1))
             if len(lams):
                 break
@@ -331,7 +336,7 @@ def _lm_refine_1d(field, scheme, free):
         trial = replace(field, U=Us[0])
         J_t, r_t = jacobian(trial)
         yield lams[0], Us[0], J_t, trial_residual(trial) if r_t is None else r_t
-        lams, Us = damped(np.arange(k + 1, 25))
+        lams, Us = damped(np.arange(k + 1, LM_TRIALS))
         if not len(lams):
             return
         try:

@@ -135,7 +135,8 @@ def _fd_jacobians_U(solver, U, frame, label="face"):
     variable spaces are obtained by chaining with the analytic transforms.
     All 16 probes (+h and -h, either side, four components) of every face
     sit on leading axes (sign, side, component) of one flux call, so an
-    ``InvalidStateError`` of a probe names it by those axes first.
+    ``InvalidStateError`` of a probe names it by those axes first, and then
+    by (side, face) as a ``DifferentiationError`` names a non-finite Jacobian.
     """
     n = U.shape[-2] // 2
     h = fd_step(U)  # the step of each probe
@@ -147,18 +148,16 @@ def _fd_jacobians_U(solver, U, frame, label="face"):
     for side, rows in enumerate((slice(None, n), slice(n, None))):
         Up[0, side, ..., rows, :] += e[..., rows, :]
         Up[1, side, ..., rows, :] -= e[..., rows, :]
-    Wp = euler.on_sides(euler.cons_to_prim, Up, f"{label} probe")
+    Wp = euler.cons_to_prim(euler.by_side(Up), f"{label} probe").reshape(Up.shape)
     flux = riemann.compute_flux(solver, Wp, frame)
     # A[side][..., :, k] = (F(+h_k) - F(-h_k)) / (2 h_k)
-    h_side = np.moveaxis(h.reshape(h.shape[:-2] + (2, n, 4)), (-3, -1), (0, 1))
+    h_side = np.moveaxis(euler.by_side(h), (-3, -1), (0, 1))
     dF = (flux[0] - flux[1]) / (2.0 * h_side[..., None])
     # (..., side, F, 4, component), then the side axis
-    A = np.moveaxis(dF, (0, 1), (-4, -1)).copy().reshape(U.shape + (4,))
-    bad = ~np.all(np.isfinite(A), axis=(-2, -1))
-    if bad.any():
-        bad = np.argwhere(bad[..., :n] | bad[..., n:])
-        raise DifferentiationError(f"non-finite flux Jacobian at {label} {bad[:4].tolist()}")
-    return A
+    A = np.moveaxis(dF, (0, 1), (-4, -1)).copy()
+    euler.require(np.isfinite(A).all(axis=(-2, -1)), "non-finite flux Jacobian", label,
+                  DifferentiationError)
+    return A.reshape(U.shape + (4,))
 
 
 def face_blocks(recon: FaceRecon, A_U) -> np.ndarray:

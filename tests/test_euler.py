@@ -131,22 +131,15 @@ def test_eigen_matrices_name_a_bad_state_in_a_batch():
         euler.eigen_matrices(W, frame)
 
 
-def test_on_sides_raises_the_side_stacked_error_when_the_view_passes():
-    # the (2, F, 4) view only names the bad state: should it not raise, the
-    # error of the side-stacked call propagates all the same
-    err = InvalidStateError("side-stacked call")
-    calls = []
-
-    def fn(X, tag):
-        calls.append((X.shape, tag))
-        if X.shape == (6, 4):
-            raise err
-        return X
-
-    with pytest.raises(InvalidStateError) as raised:
-        euler.on_sides(fn, np.ones((6, 4)), "tag")
-    assert raised.value is err
-    assert calls == [((6, 4), "tag"), ((2, 3, 4), "tag")]
+def test_a_refusal_names_one_state_bare_and_four_cells_before_the_rest():
+    # a single state has no index to name, and past four bad cells the count
+    # of the rest follows
+    W = np.array([1.4, 0.0, 0.0, -1.0])
+    with pytest.raises(InvalidStateError, match=r"^non-positive sound speed$"):
+        euler.sound_speed(W)
+    with pytest.raises(InvalidStateError, match=r"^non-positive sound speed at cell\(s\) "
+                                                r"\(0,\), \(1,\), \(2,\), \(3,\) \(\+2 more\)$"):
+        euler.sound_speed(np.tile(W, (6, 1)))
 
 
 def test_exact_flux_stationary_gas():

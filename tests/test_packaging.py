@@ -361,6 +361,35 @@ def test_only_fields_converts_cells():
     assert _scopes_naming("cons_to_prim") == CONVERTERS
 
 
+# the errors that refuse a bad state; euler.require raises each of them
+REFUSALS = {"InvalidStateError", "DegenerateFanError", "DifferentiationError"}
+# the functions that count a mask: the one guard, and the two branch masks
+# of reconstruction, which choose a path and refuse nothing
+MASK_COUNTERS = {"euler.require", "reconstruction.reconstruct_pair", "reconstruction._reconstruct_sides"}
+
+
+def test_one_guard_refuses_a_bad_state():
+    raised, defined = set(), set()
+    for path in sorted((ROOT / "src" / "shockstab").glob("*.py")):
+        def visit(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    defined.add(child.name)
+                    visit(child, scope + (child.name,))
+                    continue
+                if isinstance(child, ast.Raise) and child.exc is not None:
+                    exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                    raised.add((".".join((path.stem,) + scope),
+                                getattr(exc, "id", None) or getattr(exc, "attr", None)))
+                visit(child, scope)
+
+        visit(ast.parse(path.read_text()), ())
+    assert not {name for _, name in raised} & REFUSALS
+    assert ("euler.require", "error") in raised
+    assert not {"_describe_bad", "on_sides"} & defined
+    assert _scopes_naming("count_nonzero") == MASK_COUNTERS
+
+
 # the verdicts on whether a row is steady, each through the one measure: the
 # LM's stop test, the steady solve's attempts and assemble's steady check
 STEADY_VERDICTS = {"shock_problem._lm_refine_1d", "shock_problem.converge_1d", "stability.assemble"}

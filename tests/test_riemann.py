@@ -175,6 +175,15 @@ def test_collapsed_fan_names_the_face():
     c[1] = 1e-15
     with pytest.raises(DegenerateFanError, match=r"below 1e-12 at face\(s\) \(1,\)$"):
         riemann.davis_speeds(q, c, q, c)
+    # a single face has no index to name
+    with pytest.raises(DegenerateFanError, match=r"^wave fan collapsed: S_R - S_L below 1e-12$"):
+        riemann.davis_speeds(0.5, 0.0, 0.5, 0.0)
+
+
+def test_a_nan_wave_fan_gap_is_not_refused():
+    # the fan is refused only where its gap is known to be below 1e-12
+    s_l, s_r = riemann.davis_speeds(np.array([np.nan, 0.0]), 1.0, 0.0, 1.0)
+    assert np.isnan(s_l[0]) and np.isnan(s_r[0]) and (s_l[1], s_r[1]) == (-1.0, 1.0)
 
 
 def test_smooth_abs_properties():

@@ -45,9 +45,7 @@ def ref_roe_flux(WL, WR, frame):
     hR = GAMMA * WR[..., 3] / (g1 * WR[..., 0]) + 0.5 * (WR[..., 1] ** 2 + WR[..., 2] ** 2)
     h = wgt * hL + (1 - wgt) * hR
     c2 = g1 * (h - 0.5 * (u * u + v * v))
-    if np.any(~(c2 > 0.0)):
-        raise InvalidStateError(
-            euler._describe_bad(~(c2 > 0.0), "Roe average breakdown: non-positive c^2", "face"))
+    euler.require(c2 > 0.0, "Roe average breakdown: non-positive c^2", "face")
     c = np.sqrt(c2)
     rho = sl * sr
     nx, ny, lx, ly = frame.nx, frame.ny, frame.lx, frame.ly
@@ -86,9 +84,8 @@ def ref_davis_speeds(WL, WR, frame):
     qR = _normal_velocity(WR, frame)
     s_l = np.minimum(qL - cL, qR - cR)
     s_r = np.maximum(qL + cL, qR + cR)
-    if np.any(s_r - s_l < 1e-12):
-        raise DegenerateFanError(
-            euler._describe_bad(s_r - s_l < 1e-12, "wave fan collapsed: S_R - S_L below 1e-12", "face"))
+    euler.require(~(s_r - s_l < 1e-12), "wave fan collapsed: S_R - S_L below 1e-12", "face",
+                  DegenerateFanError)
     return s_l, s_r
 
 

@@ -1161,10 +1161,19 @@ def test_config_validation():
     (lambda: marching.RunConfig(scheme=Scheme(), seed=-1), "seed"),
     (lambda: marching.RunConfig(scheme=Scheme(), seed=1.5), "seed"),
     (lambda: marching.RunConfig(scheme=Scheme(), seed=True), "seed"),
+    # a bool or a string where a real number belongs
+    (lambda: cfg(epsilon=True), "epsilon"),
+    (lambda: cfg(epsilon=np.True_), "epsilon"),
+    (lambda: cfg(mach="20"), "mach"),
+    (lambda: marching.RunConfig(scheme=Scheme(), cfl=True), "cfl"),
+    (lambda: marching.RunConfig(scheme=Scheme(), cfl="0.1"), "cfl"),
+    (lambda: marching.RunConfig(scheme=Scheme(), end_time=True), "end_time"),
+    (lambda: marching.RunConfig(scheme=Scheme(), amplitude=False), "amplitude"),
 ], ids=["ny=0", "nx=0", "amplitude=nan", "end_time=0", "end_time<0", "end_time=nan",
         "end_time=inf", "cfl=inf", "cfl=nan", "amplitude=inf", "mach=inf",
         "nx=11.5", "nx=11.0", "ny=True", "shock_column=6.5",
-        "seed=None", "seed=-1", "seed=1.5", "seed=True"])
+        "seed=None", "seed=-1", "seed=1.5", "seed=True", "epsilon=True", "epsilon=np.True_",
+        "mach='20'", "cfl=True", "cfl='0.1'", "end_time=True", "amplitude=False"])
 def test_empty_or_nan_settings_are_refused_at_construction(make, match):
     with pytest.raises(ValueError, match=match):
         make()
@@ -1180,3 +1189,7 @@ def test_numpy_integer_grid_settings_are_accepted():
         assert run == marching.RunConfig(scheme=Scheme(), seed=int(seed))
         assert np.array_equal(marching.inject_perturbation(field, 1e-7, run.seed).U,
                               marching.inject_perturbation(field, 1e-7, int(seed)).U)
+    assert cfg(mach=np.float32(20.0), epsilon=np.float64(0.1)) == cfg(mach=20.0, epsilon=0.1)
+    assert (marching.RunConfig(scheme=Scheme(), cfl=np.float32(0.25), end_time=np.float64(60.0),
+                               amplitude=np.float64(1e-7))
+            == marching.RunConfig(scheme=Scheme(), cfl=0.25, end_time=60.0, amplitude=1e-7))

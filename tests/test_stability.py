@@ -163,8 +163,9 @@ def test_assemble_makes_one_flux_call_per_batch(monkeypatch, solver, batches, un
 def test_assemble_names_the_face_of_a_non_finite_flux_jacobian(monkeypatch, unsteady_base_flow,
                                                                solver, orientation, face):
     # one probe flux of y face 3 of the row is NaN: the +h probe of the right
-    # state's rho v.  The row has 12 x faces and then 11 y faces, so y face 3
-    # is face 15 of the joint table and face 3 of the hybrid's y part
+    # state's rho v, so the Jacobian of side 1 is not finite.  The row has 12
+    # x faces and then 11 y faces, so y face 3 is face 15 of the joint table
+    # and face 3 of the hybrid's y part
     original, broken = riemann.compute_flux, []
 
     def one_nan(solver, W, frame):
@@ -178,7 +179,7 @@ def test_assemble_names_the_face_of_a_non_finite_flux_jacobian(monkeypatch, unst
     monkeypatch.setattr(riemann, "compute_flux", one_nan)
     field, _ = initial_shock_field(ny=4)
     with pytest.raises(DifferentiationError,
-                       match=rf"^non-finite flux Jacobian at {orientation}-face \[\[{face}\]\]$"):
+                       match=rf"^non-finite flux Jacobian at {orientation}-face\(s\) \(1, {face}\)$"):
         assemble(field, Scheme(solver=solver))
     assert len(broken) == 1
 
