@@ -10,14 +10,16 @@ A single field has batch shape ().  Ghost cells are not state:
 pressure-pinned outflow ghost state of row j at nx*ny + 1 + j, whose
 derivative is ``outflow_jacobian``.  This module is the one place that
 says so: the faces and the steady solve's probes ask ``FaceTable.source``,
-the cell that each state is or copies, and the two other readers slice the
-interior cells that lead the axis, ``marching.step_ssprk3`` for its time
-step (``states.W[..., :nx*ny, :]``) and ``stability.assemble`` for its row
-(``states.W[:nx]``, ny = 1).  ``apply_boundaries`` returns the axis
-in two forms, ``StateAxes``: ``X`` in the variables the face windows
-read, conservative outside the primitive space, and ``W`` primitive, one
-array with ``X`` in the primitive space.  ``apply_boundaries`` is the one place that converts
-a field's cells, once per call and checked, in every space.
+the cell that each state is or copies, and the three other readers slice
+the interior cells that lead the axis, ``marching.step_ssprk3`` for its time
+step (``states.W[..., :nx*ny, :]``), ``stability.assemble`` for its row
+(``states.W[:nx]``, ny = 1) and ``shock_problem._lm_refine_1d`` for the
+residual scales and trial floors of its start row (``W[:nx]``, ny = 1).
+``apply_boundaries`` returns the axis in two forms, ``StateAxes``: ``X``
+in the variables the face windows read, conservative outside the primitive
+space, and ``W`` primitive, one array with ``X`` in the primitive space.
+``apply_boundaries`` is the one place that converts a field's cells, once
+per call and checked, in every space.
 Interior indices are 0-based; problem metadata (shock column) uses the
 1-based cell numbering of the test problem.  An ``InvalidStateError`` names
 cells by their full index (i, j), so in a batch the tuple leads with the
@@ -69,9 +71,6 @@ class MeanField:
     def copy(self) -> "MeanField":
         return replace(self, U=self.U.copy())
 
-    def interior_primitive(self) -> np.ndarray:
-        return euler.cons_to_prim(self.U, "interior")
-
 
 class StateAxes(NamedTuple):
     """The state axis of a field in the two forms its faces read: ``X`` in
@@ -85,13 +84,13 @@ class StateAxes(NamedTuple):
 def apply_boundaries(field: MeanField, primitive: bool) -> StateAxes:
     """The state axes (..., S, 4) that the module docstring lays out, ``X``
     primitive if ``primitive``, else conservative; new C-contiguous arrays,
-    the field is left as it is.  The interior is one ``interior_primitive``
+    the field is left as it is.  The interior is one ``euler.cons_to_prim``
     conversion, which names a bad cell by its (i, j), and the outflow states
     are the last column's with the pressure pinned.  Outside the primitive
     space the ghosts of ``X`` are conservative, and those of ``W`` are
     converted back from them."""
     batch, n, bc = field.U.shape[:-3], field.nx * field.ny, field.bc
-    W_int = field.interior_primitive()
+    W_int = euler.cons_to_prim(field.U, "interior")
     last = W_int[..., -1, :, :].copy()
     last[..., 3] = bc.outflow_pressure
     W = np.empty(batch + (n + 1 + field.ny, 4))

@@ -3,8 +3,9 @@ exponential growth-rate fitting.  ``rhs`` reads every face's stencil from
 ``fields.face_table`` and differences the face fluxes over unit cells.  It
 takes the field's state axes from its caller, so that an SSP-RK3 step builds
 the axes of its start state once, for its time step and its first stage.
-No function here converts a cell: ``fields.apply_boundaries`` does, once
-per stage, and the step and the faces read its primitive axis."""
+``fields.apply_boundaries`` converts the cells, once per stage, for the step
+and the faces; only ``transverse_velocity_norm`` divides rho v by rho of
+every cell too, once per march step, for the monitored ||v||_inf."""
 
 from dataclasses import dataclass
 
@@ -136,10 +137,20 @@ def density_residual(res: np.ndarray) -> float:
     return float(np.abs(res[:, 0]).max()) if np.isfinite(res).all() else np.inf
 
 
-def first_non_finite(res: np.ndarray) -> tuple[int, str]:
-    """(cell, component) of a residual's first non-finite entry, cells from 0."""
-    cell, c = divmod(int(np.flatnonzero(~np.isfinite(res))[0]), 4)
-    return cell, ("rho", "rho u", "rho v", "rho e")[c]
+def require_steady(res: np.ndarray, subject: str, error) -> None:
+    """Raise ``error`` unless the residual ``res`` (..., nx, ny, 4) is steady,
+    its ``density_residual`` below ``STEADY_TOL``, naming through
+    ``euler.require`` the cells (i, j) of largest |d rho/dt| or, if it is not
+    finite, the cells with a non-finite entry and the first one's component."""
+    rate = density_residual(res)
+    if rate < STEADY_TOL:
+        return
+    head = f"{subject} has density residual {rate:.3e}, not below {STEADY_TOL:.0e};"
+    if rate == np.inf:
+        finite = np.isfinite(res)
+        name = ("rho", "rho u", "rho v", "rho e")[int(np.argmin(finite)) % 4]
+        euler.require(finite.all(axis=-1), f"{head} d({name})/dt not finite", error=error)
+    euler.require(np.abs(res[..., 0]) < rate, f"{head} largest", error=error)
 
 
 def cfl_dt(W: np.ndarray, cfl: float) -> float:

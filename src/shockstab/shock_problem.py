@@ -281,7 +281,7 @@ def _lm_refine_1d(field, scheme, free):
     """
     nx = field.nx
     # per-component residual scales (flux magnitude over the unit cell)
-    W = field.interior_primitive()
+    W = fields.apply_boundaries(field, True).W[:nx]
     c = euler.sound_speed(W)
     speed = float((np.abs(W[..., 1]) + c).max())
     scale = np.maximum(1.0, np.abs(field.U).max(axis=(0, 1))) * speed
@@ -413,8 +413,8 @@ def converge_1d(cfg: ShockProblemConfig, scheme: Scheme):
     and ``residuals`` of ``_residual_1d`` (a batch of damped trials counts
     once).  Success is ``marching.density_residual`` < ``marching.STEADY_TOL``:
     the other components are checked only to be finite.  Anything else raises
-    ConvergenceError naming the scheme, the residual and the 1-based cell of
-    largest |d rho/dt|, or the cell and component of a non-finite entry.
+    ConvergenceError from ``marching.require_steady``, which names the
+    scheme, the residual and the row's cells (i, 0).
     """
     field = build_initial_field(cfg, ny=1)
     # the LM's free unknowns, flat (cell*4 + component).  The supersonic
@@ -469,14 +469,8 @@ def converge_1d(cfg: ShockProblemConfig, scheme: Scheme):
         if tres < res:
             field, r, res = trial, tr, tres
 
-    if not res < marching.STEADY_TOL:
-        where = f"largest |d rho/dt| in cell {int(np.argmax(np.abs(r[0::4]))) + 1}"
-        if res == np.inf:
-            cell, name = marching.first_non_finite(r)
-            where = f"d({name})/dt not finite in cell {cell + 1}"
-        raise ConvergenceError(
-            f"{scheme.label()}: 1D residual {res:.3e} >= converge_tol "
-            f"{marching.STEADY_TOL:.0e} after the implicit solve and its restarts; {where}")
+    subject = f"{scheme.label()}: the 1D row after the implicit solve and its restarts"
+    marching.require_steady(r.reshape(cfg.nx, 1, 4), subject, ConvergenceError)
     info = {"steps": n_smooth, "lm_iterations": lm_iters, "restarts": restarts, "residual": res,
             "residual_by_component": tuple(np.abs(r.reshape(-1, 4)).max(axis=0).tolist()),
             **calls}

@@ -91,7 +91,6 @@ class Spectrum:
     # of the cells split off ahead of the shock come first, 4 per cell in cell
     # order, then those of the rest of the block (``eigensolve``)
     eigenvalues: np.ndarray
-    max_real: float
     # the eigenvalue of largest real part.  Of a complex pair it is, with real
     # Fourier blocks (``eigensolve``), the member with Im > 0, which LAPACK
     # lists first; otherwise the member that the solve of block k* <= ny/2
@@ -104,6 +103,11 @@ class Spectrum:
     # an eigenvector of it to one of S^(k*)
     block: np.ndarray
     similarity: np.ndarray
+
+    @property
+    def max_real(self) -> float:
+        """The largest real part of the spectrum, that of ``dominant``."""
+        return self.dominant.real
 
     @cached_property
     def eigvec(self) -> np.ndarray:
@@ -225,8 +229,8 @@ def assemble(field: MeanField, scheme: Scheme) -> StabilityMatrix:
     The field must be a single (nx, ny, 4) field: the scatter reads the
     leading axis as the face normal, so a batch is refused with ValueError.
     It must be uniform along y, every row equal to row 0 bit for bit; a
-    field that varies along y is refused with ValueError naming its first
-    cell (i, j) that differs from cell (i, 0).  The field is assembled from
+    field that varies along y is refused with ValueError naming its cells
+    (i, j) that differ from cell (i, 0).  The field is assembled from
     its row alone, the one-row field ``field.U[:, :1]``: the conversion to
     the row's primitive states, the steady check, the reconstruction and
     the probes run on the row's cells and faces, and an error names those.
@@ -237,35 +241,24 @@ def assemble(field: MeanField, scheme: Scheme) -> StabilityMatrix:
     j = 0 in a scatter of every row, so where no two offsets share a slot
     (ny >= 7) circ(C) holds that scatter's bits.  A field whose
     ``marching.density_residual`` is not below ``marching.STEADY_TOL``, as
-    ``converge_1d`` requires, is refused with UnsteadyFieldError, which names
-    the cell (i, 0) and component of a non-finite entry.
+    ``converge_1d`` requires, is refused with UnsteadyFieldError
+    (``marching.require_steady``), which names the row's cells (i, 0).
     """
     if field.U.ndim != 3:
         raise ValueError(
             f"assemble takes a single (nx, ny, 4) field, got cell averages of shape {field.U.shape}"
         )
     bits = field.U.view(np.uint64)
-    differs = np.argwhere((bits[:, 1:] != bits[:, :1]).any(axis=-1))
-    if len(differs):
-        i, j = differs[0] + (0, 1)
-        raise ValueError(
-            f"assemble takes a field uniform along y, but cell ({i}, {j}) differs from cell ({i}, 0)"
-        )
+    euler.require((bits == bits[:, :1]).all(axis=-1),
+                  "assemble takes a field uniform along y, but the field differs from row 0",
+                  error=ValueError)
     nx, ny = field.nx, field.ny
     primitive = scheme.space == "primitive"
     # every y-flux difference is exactly 0, so the row's residual is the field's
     field = replace(field, U=field.U[:, :1])
     states = apply_boundaries(field, primitive)
     W_row = states.W[:nx]
-    r = marching.rhs(field, states, scheme)
-    res = marching.density_residual(r)
-    if not res < marching.STEADY_TOL:
-        where = "converge the base flow first"
-        if res == np.inf:
-            i, name = marching.first_non_finite(r)
-            where = f"d({name})/dt not finite at cell ({i}, 0)"
-        raise UnsteadyFieldError(
-            f"mean field density residual {res:.3e} exceeds {marching.STEADY_TOL:.1e}; {where}")
+    marching.require_steady(marching.rhs(field, states, scheme), "mean field", UnsteadyFieldError)
     T_out = outflow_jacobian(W_row[-1], primitive)
 
     parts = []
@@ -321,8 +314,8 @@ def eigensolve(S: StabilityMatrix) -> Spectrum:
     eigenvalues of block ny - k.  The K blocks' eigenvalues give
     ``eigenvalues``, the union of all ny blocks' (in block order, not the
     order of a dense solve), ``max_real_by_k``, each block's largest
-    real part, equal for k and ny - k, ``max_real``, the dominant block k*,
-    the lower k of a conjugate pair, and ``dominant``.  ``Spectrum.eigvec``,
+    real part, taken once for k and ny - k, the dominant block k*, the
+    lower k of a conjugate pair, and ``dominant``.  ``Spectrum.eigvec``,
     the eigenvector v of block k* for ``dominant``, is solved when it is
     first read; the grid eigenvector of S, v[i] exp(2 pi i k* j / ny) at
     cell (i, j), is the caller's to build.
@@ -385,17 +378,16 @@ def eigensolve(S: StabilityMatrix) -> Spectrum:
     pieces.append(np.linalg.eigvals(S_hat[:, 4 * p:, 4 * p:]))
     # NumPy returns a real spectrum as real arrays; as complex they keep their bits
     block_vals = list(np.concatenate([v.astype(complex, copy=False) for v in pieces], axis=1))
-    k_star = int(np.argmax([v.real.max() for v in block_vals]))
+    tops = [v.real.max() for v in block_vals]
+    k_star = int(np.argmax(tops))
     m = int(np.argmax(block_vals[k_star].real))
     # S is real, so S^(ny - k) = conj S^(k)
-    block_vals += [block_vals[ny - k].conj() for k in range(len(block_vals), ny)]
-    vals = np.concatenate(block_vals)
+    block_vals += [block_vals[ny - k].conj() for k in range(K, ny)]
     return Spectrum(
-        eigenvalues=vals,
-        max_real=float(vals.real.max()),
+        eigenvalues=np.concatenate(block_vals),
         dominant=complex(block_vals[k_star][m]),
         k_star=k_star,
-        max_real_by_k=np.array([v.real.max() for v in block_vals]),
+        max_real_by_k=np.array(tops + [tops[ny - k] for k in range(K, ny)]),
         block=S_hat[k_star].copy(),
         similarity=D,
     )

@@ -330,7 +330,6 @@ def test_traced_layers_are_not_imported_by_name_elsewhere():
 # field's cells and ghost states, and the flux probes' conversion of
 # perturbed face states
 CONVERTERS = {
-    "fields.MeanField.interior_primitive",
     "fields.apply_boundaries",
     "stability._fd_jacobians_U",
 }
@@ -359,10 +358,13 @@ def test_only_fields_converts_cells():
     # every other module reads primitive cell states from the state axes
     # that fields.apply_boundaries builds
     assert _scopes_naming("cons_to_prim") == CONVERTERS
+    assert not _defined_in("interior_primitive")
 
 
-# the errors that refuse a bad state; euler.require raises each of them
-REFUSALS = {"InvalidStateError", "DegenerateFanError", "DifferentiationError"}
+# the errors that refuse a bad state or an unsteady field; euler.require
+# raises each of them
+REFUSALS = {"InvalidStateError", "DegenerateFanError", "DifferentiationError",
+            "UnsteadyFieldError"}
 # the functions that count a mask: the one guard, and the two branch masks
 # of reconstruction, which choose a path and refuse nothing
 MASK_COUNTERS = {"euler.require", "reconstruction.reconstruct_pair", "reconstruction._reconstruct_sides"}
@@ -388,15 +390,22 @@ def test_one_guard_refuses_a_bad_state():
     assert ("euler.require", "error") in raised
     assert not {"_describe_bad", "on_sides"} & defined
     assert _scopes_naming("count_nonzero") == MASK_COUNTERS
+    # the guard alone lists failing cells, so they have one format
+    assert _scopes_naming("argwhere") == {"euler.require"}
 
 
-# the verdicts on whether a row is steady, each through the one measure: the
-# LM's stop test, the steady solve's attempts and assemble's steady check
-STEADY_VERDICTS = {"shock_problem._lm_refine_1d", "shock_problem.converge_1d", "stability.assemble"}
+# the readers of the one measure of a steady row: the LM's stop test, the
+# steady solve's choice among its attempts and the one refusal of a row
+# that is not steady
+STEADY_VERDICTS = {"shock_problem._lm_refine_1d", "shock_problem.converge_1d",
+                   "marching.require_steady"}
 
 
 def test_one_measure_says_whether_a_row_is_steady():
     assert _scopes_naming("density_residual") == STEADY_VERDICTS
+    # both final verdicts, the steady solve's and assemble's, refuse through it
+    assert _scopes_naming("require_steady") == {"shock_problem.converge_1d", "stability.assemble"}
+    assert not _defined_in("first_non_finite")
 
 
 def _assigned_in(target):
